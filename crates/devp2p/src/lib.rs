@@ -17,9 +17,7 @@ mod messages;
 mod session;
 
 pub use messages::{Capability, DisconnectReason, Hello, Message, MessageError, P2P_VERSION};
-pub use session::{
-    Session, SessionError, SessionEvent, SessionState, SharedCapability, BASE_PROTOCOL_OFFSET,
-};
+pub use session::{Session, SessionError, SessionEvent, SharedCapability, BASE_PROTOCOL_OFFSET};
 
 /// Message-ID space length for well-known capabilities. DEVp2p assigns each
 /// negotiated capability a contiguous ID range; its size is fixed by the

@@ -15,6 +15,8 @@ pub struct Capability {
     pub version: u32,
 }
 
+obs::snap_struct!(Capability { name, version });
+
 impl Capability {
     /// Convenience constructor.
     pub fn new(name: &str, version: u32) -> Capability {
@@ -84,6 +86,14 @@ pub struct Hello {
     /// The sender's node ID.
     pub node_id: NodeId,
 }
+
+obs::snap_struct!(Hello {
+    p2p_version,
+    client_id,
+    capabilities,
+    listen_port,
+    node_id
+});
 
 /// DISCONNECT reason codes (devp2p spec). The paper's Table 1 tallies
 /// these from the two case-study nodes.

@@ -21,6 +21,13 @@ pub struct SharedCapability {
     pub length: usize,
 }
 
+obs::snap_struct!(SharedCapability {
+    name,
+    version,
+    offset,
+    length
+});
+
 /// Session-level errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
@@ -85,6 +92,8 @@ enum State {
     Ended,
 }
 
+obs::snap_enum!(State { 0 => AwaitingHello, 1 => Active, 2 => Ended });
+
 /// One DEVp2p session over an established RLPx connection.
 #[derive(Debug)]
 pub struct Session {
@@ -95,6 +104,16 @@ pub struct Session {
     /// Outbound (msg_id, payload) queue the caller drains and frames.
     outbound: Vec<(u64, Vec<u8>)>,
 }
+
+// Restoring a session queues nothing and bumps no counters, unlike
+// [`Session::new`]: whatever was in flight is already in `outbound`.
+obs::snap_struct!(Session {
+    local_hello,
+    state,
+    remote_hello,
+    shared,
+    outbound
+});
 
 impl Session {
     /// Start a session; queues our HELLO immediately.
@@ -115,38 +134,6 @@ impl Session {
     /// Drain queued outbound messages (caller frames them via RLPx).
     pub fn take_outbound(&mut self) -> Vec<(u64, Vec<u8>)> {
         std::mem::take(&mut self.outbound)
-    }
-
-    /// Capture the session for checkpoint/restore.
-    pub fn to_state(&self) -> SessionState {
-        SessionState {
-            local_hello: self.local_hello.clone(),
-            phase: match self.state {
-                State::AwaitingHello => 0,
-                State::Active => 1,
-                State::Ended => 2,
-            },
-            remote_hello: self.remote_hello.clone(),
-            shared: self.shared.clone(),
-            outbound: self.outbound.clone(),
-        }
-    }
-
-    /// Rebuild a session mid-exchange from [`Session::to_state`] output.
-    /// Unlike [`Session::new`] this queues nothing and bumps no counters —
-    /// whatever was in flight at snapshot time is already in `outbound`.
-    pub fn from_state(s: SessionState) -> Session {
-        Session {
-            local_hello: s.local_hello,
-            state: match s.phase {
-                0 => State::AwaitingHello,
-                1 => State::Active,
-                _ => State::Ended,
-            },
-            remote_hello: s.remote_hello,
-            shared: s.shared,
-            outbound: s.outbound,
-        }
     }
 
     /// The peer's HELLO, once received.
@@ -263,21 +250,6 @@ impl Session {
             payload: payload.to_vec(),
         })
     }
-}
-
-/// Plain-data image of a [`Session`] for checkpoint/restore.
-#[derive(Debug, Clone)]
-pub struct SessionState {
-    /// Our HELLO as originally queued.
-    pub local_hello: Hello,
-    /// 0 = awaiting HELLO, 1 = active, 2 = ended.
-    pub phase: u8,
-    /// The peer's HELLO, if received.
-    pub remote_hello: Option<Hello>,
-    /// Negotiated capability windows.
-    pub shared: Vec<SharedCapability>,
-    /// Undrained outbound `(msg_id, payload)` queue.
-    pub outbound: Vec<(u64, Vec<u8>)>,
 }
 
 /// Capability negotiation: for each name, the highest version both sides

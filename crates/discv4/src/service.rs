@@ -12,6 +12,7 @@ use crate::packet::{decode_packet, encode_packet, Packet, MAX_NEIGHBORS_PER_PACK
 use enode::{Endpoint, NodeId, NodeRecord};
 use ethcrypto::secp256k1::SecretKey;
 use kad::{Lookup, LookupStatus, Metric, RoutingTable};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
 /// Tunables. Defaults mirror Geth 1.7.3 (the paper's baseline, §4).
@@ -67,6 +68,12 @@ pub enum Event {
     },
 }
 
+obs::snap_enum!(Event {
+    0 => NodeSeen(record),
+    1 => NodeVerified(record),
+    2 => LookupDone { all_seen, queries },
+});
+
 #[derive(Debug)]
 struct PendingPing {
     to: NodeRecord,
@@ -80,6 +87,14 @@ struct PendingPing {
     queued_findnode: Option<NodeId>,
 }
 
+obs::snap_struct!(PendingPing {
+    to,
+    deadline_ms,
+    sent_ms,
+    eviction_replacement,
+    queued_findnode
+});
+
 #[derive(Debug)]
 struct PendingQuery {
     deadline_ms: u64,
@@ -88,6 +103,11 @@ struct PendingQuery {
     /// the histogram measures the full time-to-NEIGHBORS a lookup sees.
     sent_ms: u64,
 }
+
+obs::snap_struct!(PendingQuery {
+    deadline_ms,
+    sent_ms
+});
 
 /// Counters exposed for the paper's internal-validation figures (Fig 5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -110,35 +130,15 @@ pub struct Stats {
     pub expired_drops: u64,
 }
 
-/// One pending ping's image inside [`Discv4State`]: `(to, deadline_ms,
-/// sent_ms, eviction_replacement, queued_findnode)`.
-pub type PendingPingState = (NodeRecord, u64, u64, Option<NodeRecord>, Option<NodeId>);
-
-/// Plain-data image of a [`Discv4`] engine's dynamic state for
-/// checkpoint/restore (everything except the caller-held identity key,
-/// endpoint, and config).
-#[derive(Debug, Clone)]
-pub struct Discv4State {
-    /// Routing-table contents (`RoutingTable::export_entries`).
-    pub table: Vec<(u16, Vec<(NodeRecord, u64)>)>,
-    /// ping hash → `(to, deadline_ms, sent_ms, eviction_replacement,
-    /// queued_findnode)`.
-    pub pending_pings: Vec<([u8; 32], PendingPingState)>,
-    /// node → `(deadline_ms, sent_ms)`.
-    pub pending_queries: Vec<(NodeId, (u64, u64))>,
-    /// node → `(bonded_at_ms, record)`.
-    pub bonds: Vec<(NodeId, (u64, NodeRecord))>,
-    /// node → last inbound ping time.
-    pub reverse_bonds: Vec<(NodeId, u64)>,
-    /// The in-flight lookup, if any.
-    pub lookup: Option<kad::LookupState>,
-    /// Wire-level target id of the active lookup.
-    pub lookup_target_id: Option<NodeId>,
-    /// Undrained application events.
-    pub events: Vec<Event>,
-    /// Validation counters.
-    pub stats: Stats,
-}
+obs::snap_struct!(Stats {
+    lookups_started,
+    findnodes_sent,
+    pings_sent,
+    pongs_received,
+    neighbors_received,
+    drops,
+    expired_drops
+});
 
 /// The discv4 engine for one node.
 pub struct Discv4 {
@@ -199,106 +199,56 @@ impl Discv4 {
         }
     }
 
-    /// Capture the engine's dynamic protocol state for checkpoint/restore.
-    /// The identity key, endpoint, and config are owned by the caller (they
-    /// are part of the node identity) and supplied again on restore.
-    pub fn to_state(&self) -> Discv4State {
-        Discv4State {
-            table: self.table.export_entries(),
-            pending_pings: self
-                .pending_pings
-                .iter()
-                .map(|(hash, p)| {
-                    (
-                        *hash,
-                        (
-                            p.to,
-                            p.deadline_ms,
-                            p.sent_ms,
-                            p.eviction_replacement,
-                            p.queued_findnode,
-                        ),
-                    )
-                })
-                .collect(),
-            pending_queries: self
-                .pending_queries
-                .iter()
-                .map(|(id, q)| (*id, (q.deadline_ms, q.sent_ms)))
-                .collect(),
-            bonds: self.bonds.iter().map(|(id, b)| (*id, *b)).collect(),
-            reverse_bonds: self.reverse_bonds.iter().map(|(id, t)| (*id, *t)).collect(),
-            lookup: self.lookup.as_ref().map(Lookup::to_state),
-            lookup_target_id: self.lookup_target_id,
-            events: self.events.clone(),
-            stats: self.stats,
-        }
+    /// Append the engine's endpoint and dynamic protocol state to a
+    /// snapshot. The identity key and config are owned by the caller
+    /// (they are part of the node identity) and supplied again to
+    /// [`Discv4::restore`].
+    pub fn snap(&self, w: &mut SnapWriter) {
+        self.endpoint.snap(w);
+        self.table.export_entries().snap(w);
+        self.pending_pings.snap(w);
+        self.pending_queries.snap(w);
+        self.bonds.snap(w);
+        self.reverse_bonds.snap(w);
+        self.lookup.as_ref().map(Lookup::to_parts).snap(w);
+        self.lookup_target_id.snap(w);
+        self.events.snap(w);
+        self.stats.snap(w);
     }
 
-    /// Rebuild an engine mid-protocol from [`Discv4::to_state`] output plus
-    /// the caller-held identity (`key`, `endpoint`, `config`).
-    pub fn from_state(
+    /// Rebuild an engine mid-protocol from [`Discv4::snap`] output plus
+    /// the caller-held identity (`key`, `config`).
+    pub fn restore(
+        r: &mut SnapReader<'_>,
         key: SecretKey,
-        endpoint: Endpoint,
         config: Config,
-        s: Discv4State,
-    ) -> Discv4 {
+    ) -> Result<Discv4, SnapError> {
         let id = NodeId::from_secret_key(&key);
-        Discv4 {
-            table: RoutingTable::from_entries(id, config.metric, s.table),
+        let endpoint = Snap::unsnap(r)?;
+        let buckets = Vec::<(u16, Vec<(NodeRecord, u64)>)>::unsnap(r)?;
+        if !buckets.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(SnapError::Corrupt("routing-table buckets not ascending"));
+        }
+        Ok(Discv4 {
+            table: RoutingTable::from_entries(id, config.metric, buckets),
             key,
             id,
             endpoint,
             config,
-            pending_pings: s
-                .pending_pings
-                .into_iter()
-                .map(
-                    |(hash, (to, deadline_ms, sent_ms, eviction_replacement, queued_findnode))| {
-                        (
-                            hash,
-                            PendingPing {
-                                to,
-                                deadline_ms,
-                                sent_ms,
-                                eviction_replacement,
-                                queued_findnode,
-                            },
-                        )
-                    },
-                )
-                .collect(),
-            pending_queries: s
-                .pending_queries
-                .into_iter()
-                .map(|(id, (deadline_ms, sent_ms))| {
-                    (
-                        id,
-                        PendingQuery {
-                            deadline_ms,
-                            sent_ms,
-                        },
-                    )
-                })
-                .collect(),
-            bonds: s.bonds.into_iter().collect(),
-            reverse_bonds: s.reverse_bonds.into_iter().collect(),
-            lookup: s.lookup.map(Lookup::from_state),
-            lookup_target_id: s.lookup_target_id,
-            events: s.events,
-            stats: s.stats,
-        }
+            pending_pings: Snap::unsnap(r)?,
+            pending_queries: Snap::unsnap(r)?,
+            bonds: Snap::unsnap(r)?,
+            reverse_bonds: Snap::unsnap(r)?,
+            lookup: Option::unsnap(r)?.map(Lookup::from_parts),
+            lookup_target_id: Snap::unsnap(r)?,
+            events: Snap::unsnap(r)?,
+            stats: Snap::unsnap(r)?,
+        })
     }
 
     /// This node's ID.
     pub fn local_id(&self) -> &NodeId {
         &self.id
-    }
-
-    /// The endpoint this engine advertises (needed to rebuild it from a
-    /// [`Discv4State`] when the caller did not retain the address).
-    pub fn endpoint(&self) -> Endpoint {
-        self.endpoint
     }
 
     /// Immutable access to the routing table.

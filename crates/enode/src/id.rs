@@ -2,6 +2,7 @@
 
 use ethcrypto::keccak256;
 use ethcrypto::secp256k1::{PublicKey, SecretKey};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
 /// A DEVp2p node ID: the 64-byte uncompressed secp256k1 public key of the
@@ -12,6 +13,18 @@ use std::fmt;
 /// [`NodeId::kad_hash`]) rather than the ID itself.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub [u8; 64]);
+
+/// Image: the raw 64 bytes. Any value is a valid id (remote peers
+/// advertise arbitrary ones); whether it is also a curve point is
+/// checked where it is used as a key.
+impl Snap for NodeId {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.raw(&self.0);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<NodeId, SnapError> {
+        r.array().map(NodeId)
+    }
+}
 
 impl NodeId {
     /// The all-zero ID; not a valid public key, used only as a sentinel in

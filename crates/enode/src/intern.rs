@@ -18,6 +18,7 @@
 //! layout cannot leak into event ordering or serialized output.
 
 use crate::NodeId;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Dense world-scoped index of an interned [`NodeId`]: the n-th distinct ID
 /// handed to [`Interner::intern`] gets `CompactId(n)`.
@@ -166,6 +167,24 @@ impl Interner {
     pub fn approx_heap_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<NodeId>()
             + self.slots.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Image: the ids in compact-id order, so re-interning them in that
+/// order reproduces every `CompactId` and the tables keyed by them can be
+/// restored by index.
+impl Snap for Interner {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.ids.snap(w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Interner, SnapError> {
+        let mut out = Interner::new();
+        for rank in 0..r.usize()? {
+            if out.intern(&NodeId::unsnap(r)?).index() != rank {
+                return Err(SnapError::Corrupt("intern table repeats an id"));
+            }
+        }
+        Ok(out)
     }
 }
 

@@ -19,6 +19,12 @@ pub struct Endpoint {
     pub tcp_port: u16,
 }
 
+obs::snap_struct!(Endpoint {
+    ip,
+    udp_port,
+    tcp_port
+});
+
 impl Endpoint {
     /// Construct with the same port for UDP and TCP (the common case).
     pub fn new(ip: Ipv4Addr, port: u16) -> Endpoint {
@@ -82,6 +88,8 @@ pub struct NodeRecord {
     /// Last-known network endpoint.
     pub endpoint: Endpoint,
 }
+
+obs::snap_struct!(NodeRecord { id, endpoint });
 
 impl NodeRecord {
     /// Construct a record.

@@ -176,15 +176,18 @@ impl AesCtr {
     }
 
     /// Rebuild a CTR stream from a key plus [`AesCtr::to_parts`] output.
-    pub fn from_parts(key: &[u8], parts: ([u8; 16], [u8; 16], usize)) -> AesCtr {
+    /// `None` if `used` points past the 16-byte keystream block.
+    pub fn from_parts(key: &[u8], parts: ([u8; 16], [u8; 16], usize)) -> Option<AesCtr> {
         let (counter, keystream, used) = parts;
-        assert!(used <= 16, "corrupt AES-CTR snapshot");
-        AesCtr {
+        if used > 16 {
+            return None;
+        }
+        Some(AesCtr {
             cipher: Aes::new(key),
             counter,
             keystream,
             used,
-        }
+        })
     }
 
     /// XOR the keystream over `data` in place (encrypt or decrypt).

@@ -157,20 +157,21 @@ impl Keccak {
         )
     }
 
-    /// Rebuild a hasher from [`Keccak::to_parts`] output.
-    pub fn from_parts(parts: ([u64; 25], usize, [u8; MAX_RATE], usize, usize)) -> Keccak {
+    /// Rebuild a hasher from [`Keccak::to_parts`] output. `None` unless
+    /// the parts describe one of the two sponges this module builds
+    /// (`v256`, `v512`) at a legal absorb position.
+    pub fn from_parts(parts: ([u64; 25], usize, [u8; MAX_RATE], usize, usize)) -> Option<Keccak> {
         let (state, rate, buf, buf_len, output_len) = parts;
-        assert!(
-            rate <= MAX_RATE && buf_len < rate,
-            "corrupt keccak snapshot"
-        );
-        Keccak {
+        if !matches!((rate, output_len), (136, 32) | (72, 64)) || buf_len >= rate {
+            return None;
+        }
+        Some(Keccak {
             state,
             rate,
             buf,
             buf_len,
             output_len,
-        }
+        })
     }
 
     /// Absorb input bytes.

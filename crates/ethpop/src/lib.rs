@@ -24,7 +24,6 @@
 pub mod clients;
 pub mod node;
 pub mod releases;
-pub mod state;
 pub mod wire;
 pub mod world;
 

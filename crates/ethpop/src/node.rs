@@ -11,14 +11,13 @@
 //! slots).
 
 use crate::clients::{ClientKind, NodeProfile, ServiceKind};
-use crate::state;
 use crate::wire::{PeerConn, WireEvent};
 use devp2p::{DisconnectReason, Hello, P2P_VERSION};
 use discv4::{Config as DiscConfig, Discv4, Event as DiscEvent};
 use enode::{Endpoint, NodeId, NodeRecord};
 use ethcrypto::secp256k1::SecretKey;
 use ethwire::{BlockId, EthMessage, Status};
-use netsim::{ConnId, Ctx, Host, HostAddr, SnapError, SnapReader, SnapWriter, TcpEvent};
+use netsim::{ConnId, Ctx, Host, HostAddr, Snap, SnapError, SnapReader, SnapWriter, TcpEvent};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::mem::size_of;
@@ -76,6 +75,83 @@ pub struct NodeStats {
     pub lookups: u64,
     /// Outbound dial attempts.
     pub dials: u64,
+}
+
+/// Image: the four label maps as `(label string, count)` lists, then the
+/// remaining fields in declaration order.
+impl Snap for NodeStats {
+    fn snap(&self, w: &mut SnapWriter) {
+        for m in [
+            &self.sent,
+            &self.received,
+            &self.disconnects_sent,
+            &self.disconnects_received,
+        ] {
+            w.usize(m.len());
+            for (label, v) in m {
+                w.str(label);
+                w.u64(*v);
+            }
+        }
+        self.peer_samples.snap(w);
+        self.identities.snap(w);
+        self.lookups.snap(w);
+        self.dials.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<NodeStats, SnapError> {
+        let mut labels = || -> Result<BTreeMap<&'static str, u64>, SnapError> {
+            let mut m = BTreeMap::new();
+            for _ in 0..r.usize()? {
+                m.insert(intern_label(r.str()?), r.u64()?);
+            }
+            Ok(m)
+        };
+        Ok(NodeStats {
+            sent: labels()?,
+            received: labels()?,
+            disconnects_sent: labels()?,
+            disconnects_received: labels()?,
+            peer_samples: Snap::unsnap(r)?,
+            identities: Snap::unsnap(r)?,
+            lookups: Snap::unsnap(r)?,
+            dials: Snap::unsnap(r)?,
+        })
+    }
+}
+
+/// The finite label vocabulary `NodeStats` maps use. Restore looks
+/// decoded strings up here so the maps keep `&'static str` keys; unknown
+/// labels (a future label added without extending this table) fall back
+/// to a leaked allocation, bounded by the number of distinct labels.
+const KNOWN_LABELS: [&str; 17] = [
+    "STATUS",
+    "NEW_BLOCK_HASHES",
+    "TRANSACTIONS",
+    "GET_BLOCK_HEADERS",
+    "BLOCK_HEADERS",
+    "GET_BLOCK_BODIES",
+    "BLOCK_BODIES",
+    "NEW_BLOCK",
+    "GET_NODE_DATA",
+    "NODE_DATA",
+    "GET_RECEIPTS",
+    "RECEIPTS",
+    "HELLO",
+    "PING",
+    "PONG",
+    "DISCONNECT",
+    "OTHER_SUBPROTOCOL",
+];
+
+fn intern_label(s: &str) -> &'static str {
+    if let Some(l) = KNOWN_LABELS.iter().find(|l| **l == s) {
+        return l;
+    }
+    if let Some(reason) = DisconnectReason::ALL.iter().find(|r| r.label() == s) {
+        return reason.label();
+    }
+    Box::leak(s.to_string().into_boxed_str())
 }
 
 impl NodeStats {
@@ -675,135 +751,64 @@ impl EthNode {
         let mut w = SnapWriter::with_header(NODE_SNAP_MAGIC, NODE_SNAP_VERSION);
         // Mutable profile slices: rotation rewrites the key, release
         // plans rewrite the client id on (re)start.
-        w.raw(&self.profile.key.to_bytes());
-        w.str(&self.profile.client_id);
+        self.profile.key.to_bytes().snap(&mut w);
+        self.profile.client_id.snap(&mut w);
         w.bool(self.disc.is_some());
         if let Some(disc) = &self.disc {
-            state::w_endpoint(&mut w, &disc.endpoint());
-            state::w_discv4(&mut w, &disc.to_state());
+            disc.snap(&mut w);
         }
         w.usize(self.conns.len());
         for pc in self.conns.values() {
-            pc.encode_into(&mut w);
+            pc.snap(&mut w);
         }
-        w.usize(self.eth_ready.len());
-        for conn in &self.eth_ready {
-            w.usize(*conn);
-        }
-        w.usize(self.candidates.len());
-        for rec in &self.candidates {
-            state::w_record(&mut w, rec);
-        }
-        w.usize(self.known.len());
-        for fp in &self.known {
-            w.u64(*fp);
-        }
-        w.usize(self.dialing);
-        w.bool(self.disc_armed);
-        w.bool(self.dial_armed);
-        w.bool(self.poll_armed);
-        w.u32(self.dry_lookups);
-        w.u64(self.next_retry_ms);
-        w.bool(self.sample_peers);
-        let label_map = |w: &mut SnapWriter, m: &BTreeMap<&'static str, u64>| {
-            w.usize(m.len());
-            for (label, v) in m {
-                w.str(label);
-                w.u64(*v);
-            }
-        };
-        label_map(&mut w, &self.stats.sent);
-        label_map(&mut w, &self.stats.received);
-        label_map(&mut w, &self.stats.disconnects_sent);
-        label_map(&mut w, &self.stats.disconnects_received);
-        w.usize(self.stats.peer_samples.len());
-        for (t, n) in &self.stats.peer_samples {
-            w.u64(*t);
-            w.usize(*n);
-        }
-        w.usize(self.stats.identities.len());
-        for id in &self.stats.identities {
-            state::w_node_id(&mut w, id);
-        }
-        w.u64(self.stats.lookups);
-        w.u64(self.stats.dials);
+        self.eth_ready.snap(&mut w);
+        self.candidates.snap(&mut w);
+        self.known.snap(&mut w);
+        self.dialing.snap(&mut w);
+        self.disc_armed.snap(&mut w);
+        self.dial_armed.snap(&mut w);
+        self.poll_armed.snap(&mut w);
+        self.dry_lookups.snap(&mut w);
+        self.next_retry_ms.snap(&mut w);
+        self.sample_peers.snap(&mut w);
+        self.stats.snap(&mut w);
         w.finish()
     }
 
     /// Overwrite this (shell-rebuilt) node's dynamic state from
-    /// [`EthNode::encode_state`] output.
+    /// [`EthNode::encode_state`] output; on `Err` nothing is overwritten.
     fn apply_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::with_header(bytes, NODE_SNAP_MAGIC, NODE_SNAP_VERSION)?;
-        let key = SecretKey::from_bytes(&r.array::<32>()?)
+        let key = SecretKey::from_bytes(&<[u8; 32]>::unsnap(&mut r)?)
             .map_err(|_| SnapError::Corrupt("node identity key does not decode"))?;
-        let client_id = r.str()?.to_string();
+        let client_id = String::unsnap(&mut r)?;
         let disc = if r.bool()? {
-            let endpoint = state::r_endpoint(&mut r)?;
-            let disc_state = state::r_discv4(&mut r)?;
             let config = DiscConfig {
                 metric: self.profile.metric,
                 ..DiscConfig::default()
             };
-            Some(Discv4::from_state(key, endpoint, config, disc_state))
+            Some(Discv4::restore(&mut r, key, config)?)
         } else {
             None
         };
-        let n = r.usize()?;
         let mut conns = BTreeMap::new();
-        for _ in 0..n {
-            let pc = PeerConn::decode_from(&mut r, &key)?;
-            conns.insert(pc.conn, pc);
-        }
-        let n = r.usize()?;
-        let mut eth_ready = BTreeSet::new();
-        for _ in 0..n {
-            eth_ready.insert(r.usize()?);
-        }
-        let n = r.usize()?;
-        let mut candidates = VecDeque::with_capacity(n.min(1024));
-        for _ in 0..n {
-            candidates.push_back(state::r_record(&mut r)?);
-        }
-        let n = r.usize()?;
-        let mut known = BTreeSet::new();
-        for _ in 0..n {
-            known.insert(r.u64()?);
-        }
-        let dialing = r.usize()?;
-        let disc_armed = r.bool()?;
-        let dial_armed = r.bool()?;
-        let poll_armed = r.bool()?;
-        let dry_lookups = r.u32()?;
-        let next_retry_ms = r.u64()?;
-        let sample_peers = r.bool()?;
-        let label_map = |r: &mut SnapReader<'_>| -> Result<BTreeMap<&'static str, u64>, SnapError> {
-            let n = r.usize()?;
-            let mut m = BTreeMap::new();
-            for _ in 0..n {
-                let label = state::intern_label(r.str()?);
-                let v = r.u64()?;
-                m.insert(label, v);
+        for _ in 0..r.usize()? {
+            let pc = PeerConn::restore(&mut r, &key)?;
+            if conns.insert(pc.conn, pc).is_some() {
+                return Err(SnapError::Corrupt("connection id repeats"));
             }
-            Ok(m)
-        };
-        let sent = label_map(&mut r)?;
-        let received = label_map(&mut r)?;
-        let disconnects_sent = label_map(&mut r)?;
-        let disconnects_received = label_map(&mut r)?;
-        let n = r.usize()?;
-        let mut peer_samples = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            let t = r.u64()?;
-            let c = r.usize()?;
-            peer_samples.push((t, c));
         }
-        let n = r.usize()?;
-        let mut identities = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            identities.push(state::r_node_id(&mut r)?);
-        }
-        let lookups = r.u64()?;
-        let dials = r.u64()?;
+        let eth_ready = Snap::unsnap(&mut r)?;
+        let candidates = Snap::unsnap(&mut r)?;
+        let known = Snap::unsnap(&mut r)?;
+        let dialing = Snap::unsnap(&mut r)?;
+        let disc_armed = Snap::unsnap(&mut r)?;
+        let dial_armed = Snap::unsnap(&mut r)?;
+        let poll_armed = Snap::unsnap(&mut r)?;
+        let dry_lookups = Snap::unsnap(&mut r)?;
+        let next_retry_ms = Snap::unsnap(&mut r)?;
+        let sample_peers = Snap::unsnap(&mut r)?;
+        let stats = Snap::unsnap(&mut r)?;
         r.finish()?;
 
         self.profile.key = key;
@@ -821,16 +826,7 @@ impl EthNode {
         self.dry_lookups = dry_lookups;
         self.next_retry_ms = next_retry_ms;
         self.sample_peers = sample_peers;
-        self.stats = NodeStats {
-            sent,
-            received,
-            disconnects_sent,
-            disconnects_received,
-            peer_samples,
-            identities,
-            lookups,
-            dials,
-        };
+        self.stats = stats;
         Ok(())
     }
 }
@@ -1000,12 +996,12 @@ impl Host for EthNode {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(self.encode_state())
+    fn save_state(&self) -> Result<Vec<u8>, SnapError> {
+        Ok(self.encode_state())
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> bool {
-        self.apply_state(bytes).is_ok()
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+        self.apply_state(bytes)
     }
 
     fn on_stop(&mut self, _ctx: &mut Ctx) {
@@ -1031,6 +1027,14 @@ mod tests {
         let key = SecretKey::from_bytes(&[0x11u8; 32]).unwrap();
         let chain = Chain::new(ChainConfig::mainnet(), 1000);
         EthNode::new(NodeProfile::geth(key, "Geth/test".into(), chain), vec![])
+    }
+
+    #[test]
+    fn intern_label_covers_wire_and_disconnect_vocabulary() {
+        assert_eq!(intern_label("TRANSACTIONS"), "TRANSACTIONS");
+        assert_eq!(intern_label("Too many peers"), "Too many peers");
+        // Unknown labels still produce a usable 'static str.
+        assert_eq!(intern_label("FUTURE_MESSAGE"), "FUTURE_MESSAGE");
     }
 
     #[test]

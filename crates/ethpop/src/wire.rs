@@ -4,13 +4,12 @@
 //! Both the behavioral nodes and NodeFinder itself use this driver; policy
 //! (when to dial, when to disconnect, what to log) lives with the caller.
 
-use crate::state;
 use bytes::BytesMut;
 use devp2p::{DisconnectReason, Hello, Session, SessionEvent, SharedCapability};
 use enode::NodeId;
 use ethcrypto::secp256k1::SecretKey;
 use ethwire::EthMessage;
-use netsim::{ConnId, SnapError, SnapReader, SnapWriter};
+use netsim::{ConnId, Snap, SnapError, SnapReader, SnapWriter};
 use rlpx::{expected_len, FrameCodec, Handshake, Role};
 
 /// Things a connection surfaces to its owner.
@@ -58,6 +57,8 @@ enum Stage {
     /// Terminal.
     Dead,
 }
+
+netsim::snap_enum!(Stage { 0 => Connecting, 1 => Handshaking, 2 => Active, 3 => Dead });
 
 /// One peer connection's full protocol state.
 pub struct PeerConn {
@@ -365,89 +366,43 @@ impl PeerConn {
     // ---- checkpoint/restore -------------------------------------------
 
     /// Append this connection's full protocol state to a snapshot section.
-    pub fn encode_into(&self, w: &mut SnapWriter) {
-        w.usize(self.conn);
-        w.u8(match self.role {
-            Role::Initiator => 0,
-            Role::Recipient => 1,
-        });
-        w.u8(match self.stage {
-            Stage::Connecting => 0,
-            Stage::Handshaking => 1,
-            Stage::Active => 2,
-            Stage::Dead => 3,
-        });
+    pub fn snap(&self, w: &mut SnapWriter) {
+        self.conn.snap(w);
+        self.role.snap(w);
+        self.stage.snap(w);
         w.bool(self.handshake.is_some());
         if let Some(hs) = &self.handshake {
-            state::w_handshake(w, &hs.to_state());
+            hs.snap(w);
         }
-        state::w_opt_node_id(w, &self.remote_id_hint);
-        w.bool(self.codec.is_some());
-        if let Some(codec) = &self.codec {
-            state::w_frame_codec(w, &codec.to_state());
-        }
-        w.bool(self.session.is_some());
-        if let Some(session) = &self.session {
-            state::w_session(w, &session.to_state());
-        }
-        state::w_hello(w, &self.local_hello);
+        self.remote_id_hint.snap(w);
+        self.codec.snap(w);
+        self.session.snap(w);
+        self.local_hello.snap(w);
         w.bytes(&self.inbuf);
-        state::w_opt_node_id(w, &self.peer_id);
-        w.u64(self.opened_at_ms);
+        self.peer_id.snap(w);
+        self.opened_at_ms.snap(w);
     }
 
-    /// Rebuild a connection from [`PeerConn::encode_into`] output.
-    /// `static_key` is the owning node's current identity key (identity
-    /// rotation kills every live connection, so one key covers them all).
-    pub fn decode_from(
-        r: &mut SnapReader<'_>,
-        static_key: &SecretKey,
-    ) -> Result<PeerConn, SnapError> {
-        let conn = r.usize()?;
-        let role = match r.u8()? {
-            0 => Role::Initiator,
-            1 => Role::Recipient,
-            _ => return Err(SnapError::Corrupt("peer-conn role tag out of range")),
-        };
-        let stage = match r.u8()? {
-            0 => Stage::Connecting,
-            1 => Stage::Handshaking,
-            2 => Stage::Active,
-            3 => Stage::Dead,
-            _ => return Err(SnapError::Corrupt("peer-conn stage tag out of range")),
-        };
-        let handshake = if r.bool()? {
-            Some(Handshake::from_state(*static_key, state::r_handshake(r)?))
-        } else {
-            None
-        };
-        let remote_id_hint = state::r_opt_node_id(r)?;
-        let codec = if r.bool()? {
-            Some(FrameCodec::from_state(state::r_frame_codec(r)?))
-        } else {
-            None
-        };
-        let session = if r.bool()? {
-            Some(Session::from_state(state::r_session(r)?))
-        } else {
-            None
-        };
-        let local_hello = state::r_hello(r)?;
-        let inbuf = BytesMut::from(r.bytes()?);
-        let peer_id = state::r_opt_node_id(r)?;
-        let opened_at_ms = r.u64()?;
+    /// Rebuild a connection from [`PeerConn::snap`] output. `static_key`
+    /// is the owning node's current identity key (identity rotation kills
+    /// every live connection, so one key covers them all).
+    pub fn restore(r: &mut SnapReader<'_>, static_key: &SecretKey) -> Result<PeerConn, SnapError> {
         Ok(PeerConn {
-            conn,
-            role,
-            stage,
-            handshake,
-            remote_id_hint,
-            codec,
-            session,
-            local_hello,
-            inbuf,
-            peer_id,
-            opened_at_ms,
+            conn: Snap::unsnap(r)?,
+            role: Snap::unsnap(r)?,
+            stage: Snap::unsnap(r)?,
+            handshake: if r.bool()? {
+                Some(Handshake::restore(r, *static_key)?)
+            } else {
+                None
+            },
+            remote_id_hint: Snap::unsnap(r)?,
+            codec: Snap::unsnap(r)?,
+            session: Snap::unsnap(r)?,
+            local_hello: Snap::unsnap(r)?,
+            inbuf: BytesMut::from(r.bytes()?),
+            peer_id: Snap::unsnap(r)?,
+            opened_at_ms: Snap::unsnap(r)?,
         })
     }
 }

@@ -181,28 +181,30 @@ impl Lookup {
         self.candidates.iter().map(|c| c.record).collect()
     }
 
-    /// Capture the lookup for checkpoint/restore. Candidate hashes and the
-    /// `seen` set are derived data and deliberately omitted.
-    pub fn to_state(&self) -> LookupState {
-        LookupState {
-            target_hash: self.target_hash,
-            candidates: self
-                .candidates
-                .iter()
-                .map(|c| (c.record, c.queried, c.failed))
-                .collect(),
-            in_flight: self.in_flight,
-            queries_sent: self.queries_sent,
-        }
+    /// Capture the lookup for checkpoint/restore as plain data:
+    /// `(target hash, (record, queried, failed) in frontier order,
+    /// in-flight queries, queries sent)`. Candidate hashes and the `seen`
+    /// set are derived data and deliberately omitted.
+    pub fn to_parts(&self) -> LookupParts {
+        let candidates = self
+            .candidates
+            .iter()
+            .map(|c| (c.record, c.queried, c.failed))
+            .collect();
+        (
+            self.target_hash,
+            candidates,
+            self.in_flight,
+            self.queries_sent,
+        )
     }
 
-    /// Rebuild a lookup mid-walk from [`Lookup::to_state`] output. The
+    /// Rebuild a lookup mid-walk from [`Lookup::to_parts`] output. The
     /// candidate vector is restored verbatim (it is already sorted by XOR
     /// distance), so tie ordering survives the round trip.
-    pub fn from_state(s: LookupState) -> Lookup {
+    pub fn from_parts((target_hash, candidates, in_flight, queries_sent): LookupParts) -> Lookup {
         let mut seen = BTreeSet::new();
-        let candidates = s
-            .candidates
+        let candidates = candidates
             .into_iter()
             .map(|(record, queried, failed)| {
                 seen.insert(record.id);
@@ -215,27 +217,17 @@ impl Lookup {
             })
             .collect();
         Lookup {
-            target_hash: s.target_hash,
+            target_hash,
             candidates,
             seen,
-            in_flight: s.in_flight,
-            queries_sent: s.queries_sent,
+            in_flight,
+            queries_sent,
         }
     }
 }
 
-/// Plain-data image of a [`Lookup`] for checkpoint/restore.
-#[derive(Debug, Clone)]
-pub struct LookupState {
-    /// The hashed lookup target.
-    pub target_hash: [u8; 32],
-    /// `(record, queried, failed)` in frontier (XOR-sorted) order.
-    pub candidates: Vec<(NodeRecord, bool, bool)>,
-    /// Queries currently awaiting a response.
-    pub in_flight: usize,
-    /// Total queries issued so far.
-    pub queries_sent: usize,
-}
+/// What [`Lookup::to_parts`] captures.
+pub type LookupParts = ([u8; 32], Vec<(NodeRecord, bool, bool)>, usize, usize);
 
 #[cfg(test)]
 mod tests {

@@ -1,14 +1,20 @@
 //! The discrete-event engine: hosts, UDP, TCP, timers, churn.
 
-use crate::faults::{Fault, FaultSchedule, FaultWindow, LinkSelector, TcpFate, UdpFate};
+use crate::faults::{FaultSchedule, FaultWindow, TcpFate, UdpFate};
 use crate::payload::Payload;
 use crate::sched::TimerWheel;
-use crate::snap::{SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
 use crate::topology::{latency_between, HostMeta};
-use obs::MetricId;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use obs::{snap_enum, snap_struct, MetricId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
+
+/// Magic prefixing every engine-level world snapshot.
+pub const SNAP_MAGIC: [u8; 4] = *b"PSNP";
+
+/// Current engine snapshot format version.
+pub const SNAP_VERSION: u8 = 1;
 
 /// Identifies a host inside one simulation.
 pub type HostId = usize;
@@ -47,6 +53,8 @@ pub struct HostAddr {
     /// Port (shared by UDP and TCP in this model).
     pub port: u16,
 }
+
+snap_struct!(HostAddr { ip, port });
 
 impl HostAddr {
     /// Construct.
@@ -112,20 +120,22 @@ pub trait Host {
     /// The host is going offline (connections are closed by the engine).
     fn on_stop(&mut self, _ctx: &mut Ctx) {}
     /// Serialize the behaviour's dynamic state for a world snapshot.
-    /// `None` (the default) marks the behaviour as non-checkpointable,
-    /// which fails [`NetSim::snapshot`] with
-    /// [`SnapError::Unsupported`](crate::snap::SnapError::Unsupported).
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
+    /// The default marks the behaviour as non-checkpointable, which
+    /// fails [`NetSim::snapshot`] with [`SnapError::Unsupported`].
+    fn save_state(&self) -> Result<Vec<u8>, SnapError> {
+        Err(SnapError::Unsupported(
+            "host behaviour does not implement save_state",
+        ))
     }
     /// Restore state captured by [`Host::save_state`] into a freshly
     /// rebuilt behaviour (the restore shell re-creates every behaviour
     /// with its static configuration first; this call then overwrites
-    /// the dynamic parts). Returns `false` (the default) when the
-    /// behaviour does not support restore, which fails
-    /// [`NetSim::restore`].
-    fn load_state(&mut self, _bytes: &[u8]) -> bool {
-        false
+    /// the dynamic parts). Any error — the default is
+    /// [`SnapError::Unsupported`] — fails [`NetSim::restore`] with it.
+    fn load_state(&mut self, _bytes: &[u8]) -> Result<(), SnapError> {
+        Err(SnapError::Unsupported(
+            "host behaviour does not implement load_state",
+        ))
     }
     /// Surrender the behaviour as `Any` so experiment harnesses can
     /// downcast it back to the concrete type and read its logs after
@@ -183,6 +193,13 @@ pub struct TcpCounters {
     /// Segments silently lost to blackhole windows.
     pub segments_dropped: u64,
 }
+
+snap_struct!(TcpCounters {
+    connects,
+    resets,
+    bytes,
+    segments_dropped
+});
 
 /// What a host asks the engine to do; applied after the callback returns.
 enum Action {
@@ -287,6 +304,8 @@ enum ConnState {
     Closed,
 }
 
+snap_enum!(ConnState { 0 => Dialing, 1 => Established, 2 => Closed });
+
 // shard-state -- per-connection record; migrates with whichever shard owns the connection
 #[derive(Debug, Clone, Copy)]
 struct ConnInfo {
@@ -297,6 +316,15 @@ struct ConnInfo {
     state: ConnState,
     rtt_ms: u32,
 }
+
+snap_struct!(ConnInfo {
+    initiator,
+    acceptor,
+    remote_addr,
+    local_addr,
+    state,
+    rtt_ms
+});
 
 // shard-state -- slab cell for one connection; storage is recycled under a generation bump
 struct ConnEntry {
@@ -309,6 +337,12 @@ struct ConnEntry {
     pending: u32,
     info: ConnInfo,
 }
+
+snap_struct!(ConnEntry {
+    generation,
+    pending,
+    info
+});
 
 // shard-state -- per-host record; the unit the sharded engine partitions across wheels
 struct Slot {
@@ -350,6 +384,8 @@ struct Prov {
     cause: u64,
     depth: u32,
 }
+
+snap_struct!(Prov { cause, depth });
 
 /// Event-kind names for profiler attribution, indexed by
 /// [`Ev::kind_idx`]. `&'static` so the profiler hotpath stores indices
@@ -405,6 +441,20 @@ enum Ev {
     },
 }
 
+// Tags reuse `Ev::kind_idx` so the snapshot format and the profiler
+// attribution table stay in lockstep.
+snap_enum!(Ev {
+    0 => Udp { to, from, bytes },
+    1 => TcpSyn { conn },
+    2 => TcpEstablish { conn, ok },
+    3 => TcpData { conn, to_initiator, bytes },
+    4 => TcpClose { conn, to_initiator },
+    5 => Timer { host, token },
+    6 => StartHost { host },
+    7 => StopHost { host },
+    8 => SetReachable { host, reachable },
+});
+
 impl Ev {
     /// The connection a queued event keeps alive, if any: while the event
     /// sits in a wheel it pins the slab cell through its pending count.
@@ -414,6 +464,19 @@ impl Ev {
             | Ev::TcpEstablish { conn, .. }
             | Ev::TcpData { conn, .. }
             | Ev::TcpClose { conn, .. } => Some(*conn),
+            _ => None,
+        }
+    }
+
+    /// The host a queued event names directly, if any (restore validates
+    /// it against the shell's host table).
+    fn host_ref(&self) -> Option<HostId> {
+        match self {
+            Ev::Udp { to: host, .. }
+            | Ev::Timer { host, .. }
+            | Ev::StartHost { host }
+            | Ev::StopHost { host }
+            | Ev::SetReachable { host, .. } => Some(*host),
             _ => None,
         }
     }
@@ -1559,73 +1622,28 @@ impl NetSim {
         w.u64(self.events_processed);
         w.u64(self.udp_sent);
         w.u64(self.udp_dropped);
-        w.u64(self.tcp.connects);
-        w.u64(self.tcp.resets);
-        w.u64(self.tcp.bytes);
-        w.u64(self.tcp.segments_dropped);
+        self.tcp.snap(&mut w);
         w.u64(self.queue_depth_peak);
         // Fault windows can be installed mid-run via `add_fault`, so the
         // schedule is state, not rebuildable configuration.
-        let windows = self.config.faults.windows();
-        w.usize(windows.len());
-        for win in windows {
-            write_fault_window(&mut w, win);
-        }
+        self.config.faults.snap(&mut w);
         // Connection slab and free list, order-exact: `Ctx::tcp_connect`
         // previews the free list top-down, so its LIFO order is
         // observable and must survive the round trip.
-        w.usize(self.conns.len());
-        for e in &self.conns {
-            w.u32(e.generation);
-            w.u32(e.pending);
-            w.usize(e.info.initiator);
-            match e.info.acceptor {
-                Some(a) => {
-                    w.bool(true);
-                    w.usize(a);
-                }
-                None => w.bool(false),
-            }
-            write_addr(&mut w, e.info.remote_addr);
-            write_addr(&mut w, e.info.local_addr);
-            w.u8(match e.info.state {
-                ConnState::Dialing => 0,
-                ConnState::Established => 1,
-                ConnState::Closed => 2,
-            });
-            w.u32(e.info.rtt_ms);
-        }
-        w.usize(self.conn_free.len());
-        for &i in &self.conn_free {
-            w.u32(i);
-        }
+        self.conns.snap(&mut w);
+        self.conn_free.snap(&mut w);
         w.usize(self.slots.len());
         for slot in &self.slots {
             w.bool(slot.alive);
             w.u32(slot.shard);
-            for word in slot.rng.state() {
-                w.u64(word);
-            }
+            slot.rng.state().snap(&mut w);
             w.u32(slot.next_key);
             w.bool(slot.meta.reachable);
-            w.usize(slot.nat.entries.len());
-            for &(k, t) in &slot.nat.entries {
-                w.u64(k);
-                w.u64(t);
-            }
-            w.usize(slot.live_conns.len());
-            for &c in &slot.live_conns {
-                w.usize(c);
-            }
-            match &slot.host {
-                None => w.bool(false),
-                Some(h) => {
-                    let state = h.save_state().ok_or(SnapError::Unsupported(
-                        "host behaviour does not implement save_state",
-                    ))?;
-                    w.bool(true);
-                    w.bytes(&state);
-                }
+            slot.nat.entries.snap(&mut w);
+            slot.live_conns.snap(&mut w);
+            w.bool(slot.host.is_some());
+            if let Some(h) = &slot.host {
+                w.bytes(&h.save_state()?);
             }
         }
         // Shards: dispatch counters plus every pending wheel event.
@@ -1634,14 +1652,12 @@ impl NetSim {
             w.u64(shard.events);
             w.u64(shard.depth_peak);
             w.usize(shard.queue.len());
-            shard.queue.for_each_pending(|at, key, item| {
-                let (owner, prov, ev) = item;
+            shard.queue.for_each_pending(|at, key, (owner, prov, ev)| {
                 w.u64(at);
                 w.u64(key);
                 w.usize(*owner);
-                w.u64(prov.cause);
-                w.u32(prov.depth);
-                write_ev(&mut w, ev);
+                prov.snap(&mut w);
+                ev.snap(&mut w);
             });
         }
         Ok(w.finish())
@@ -1667,97 +1683,55 @@ impl NetSim {
         self.events_processed = r.u64()?;
         self.udp_sent = r.u64()?;
         self.udp_dropped = r.u64()?;
-        self.tcp = TcpCounters {
-            connects: r.u64()?,
-            resets: r.u64()?,
-            bytes: r.u64()?,
-            segments_dropped: r.u64()?,
-        };
+        self.tcp = Snap::unsnap(&mut r)?;
         self.queue_depth_peak = r.u64()?;
-        let mut faults = FaultSchedule::default();
-        for _ in 0..r.usize()? {
-            faults.push(read_fault_window(&mut r)?);
+        self.config.faults = Snap::unsnap(&mut r)?;
+        self.conns = Snap::unsnap(&mut r)?;
+        self.conn_free = Snap::unsnap(&mut r)?;
+        let n_conn_cells = self.conns.len();
+        if self.conn_free.iter().any(|&i| i as usize >= n_conn_cells) {
+            return Err(SnapError::Corrupt("free-list conn out of range"));
         }
-        self.config.faults = faults;
-        let n_conns = r.usize()?;
-        let mut conns = Vec::with_capacity(n_conns);
-        for _ in 0..n_conns {
-            let generation = r.u32()?;
-            let pending = r.u32()?;
-            let initiator = r.usize()?;
-            let acceptor = if r.bool()? { Some(r.usize()?) } else { None };
-            let remote_addr = read_addr(&mut r)?;
-            let local_addr = read_addr(&mut r)?;
-            let state = match r.u8()? {
-                0 => ConnState::Dialing,
-                1 => ConnState::Established,
-                2 => ConnState::Closed,
-                _ => return Err(SnapError::Corrupt("conn state tag out of range")),
-            };
-            let rtt_ms = r.u32()?;
-            conns.push(ConnEntry {
-                generation,
-                pending,
-                info: ConnInfo {
-                    initiator,
-                    acceptor,
-                    remote_addr,
-                    local_addr,
-                    state,
-                    rtt_ms,
-                },
-            });
-        }
-        self.conns = conns;
-        self.conn_free.clear();
-        for _ in 0..r.usize()? {
-            self.conn_free.push(r.u32()?);
-        }
-        if r.usize()? != self.slots.len() {
+        let n_slots = self.slots.len();
+        if r.usize()? != n_slots {
             return Err(SnapError::Corrupt("host count differs from restore shell"));
+        }
+        if self
+            .conns
+            .iter()
+            .any(|c| c.info.initiator >= n_slots || c.info.acceptor.is_some_and(|a| a >= n_slots))
+        {
+            return Err(SnapError::Corrupt("conn endpoint host out of range"));
         }
         let n_shards = self.shards.len();
         for slot in &mut self.slots {
             slot.alive = r.bool()?;
-            let shard = r.u32()?;
-            if shard as usize >= n_shards {
+            slot.shard = r.u32()?;
+            if slot.shard as usize >= n_shards {
                 return Err(SnapError::Corrupt("slot shard out of range"));
             }
-            slot.shard = shard;
-            let mut state = [0u64; 4];
-            for word in &mut state {
-                *word = r.u64()?;
-            }
-            slot.rng = StdRng::from_state(state);
+            slot.rng = StdRng::from_state(Snap::unsnap(&mut r)?);
             slot.next_key = r.u32()?;
             slot.meta.reachable = r.bool()?;
-            slot.nat.entries.clear();
-            for _ in 0..r.usize()? {
-                let key = r.u64()?;
-                let at = r.u64()?;
-                slot.nat.entries.push((key, at));
+            slot.nat.entries = Snap::unsnap(&mut r)?;
+            if !slot.nat.entries.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(SnapError::Corrupt("NAT table keys not ascending"));
             }
-            slot.live_conns.clear();
-            for _ in 0..r.usize()? {
-                slot.live_conns.push(r.usize()?);
+            slot.live_conns = Snap::unsnap(&mut r)?;
+            if slot.live_conns.iter().any(|&c| conn_idx(c) >= n_conn_cells) {
+                return Err(SnapError::Corrupt("live conn out of range"));
             }
             if r.bool()? {
                 let state = r.bytes()?;
                 let host = slot.host.as_mut().ok_or(SnapError::Corrupt(
                     "snapshot carries behaviour state for a removed host",
                 ))?;
-                if !host.load_state(state) {
-                    return Err(SnapError::Unsupported(
-                        "host behaviour does not implement load_state",
-                    ));
-                }
+                host.load_state(state)?;
             }
         }
-        if r.usize()? != self.shards.len() {
+        if r.usize()? != n_shards {
             return Err(SnapError::Corrupt("shard count differs from restore shell"));
         }
-        let n_slots = self.slots.len();
-        let n_conn_cells = self.conns.len();
         for shard in &mut self.shards {
             shard.events = r.u64()?;
             shard.depth_peak = r.u64()?;
@@ -1770,18 +1744,13 @@ impl NetSim {
                 let at = r.u64()?;
                 let key = r.u64()?;
                 let owner = r.usize()?;
-                if owner >= n_slots {
-                    return Err(SnapError::Corrupt("event owner out of range"));
+                let prov = Prov::unsnap(&mut r)?;
+                let ev = Ev::unsnap(&mut r)?;
+                if owner >= n_slots || ev.host_ref().is_some_and(|h| h >= n_slots) {
+                    return Err(SnapError::Corrupt("event host out of range"));
                 }
-                let prov = Prov {
-                    cause: r.u64()?,
-                    depth: r.u32()?,
-                };
-                let ev = read_ev(&mut r)?;
-                if let Some(id) = ev.conn_ref() {
-                    if conn_idx(id) >= n_conn_cells {
-                        return Err(SnapError::Corrupt("event references conn out of range"));
-                    }
+                if ev.conn_ref().is_some_and(|id| conn_idx(id) >= n_conn_cells) {
+                    return Err(SnapError::Corrupt("event references conn out of range"));
                 }
                 shard.queue.push(at, key, (owner, prov, ev));
             }
@@ -1794,166 +1763,6 @@ impl NetSim {
         self.action_buf.clear();
         Ok(())
     }
-}
-
-fn write_addr(w: &mut SnapWriter, a: HostAddr) {
-    w.u32(u32::from(a.ip));
-    w.u16(a.port);
-}
-
-fn read_addr(r: &mut SnapReader<'_>) -> Result<HostAddr, SnapError> {
-    let ip = Ipv4Addr::from(r.u32()?);
-    let port = r.u16()?;
-    Ok(HostAddr::new(ip, port))
-}
-
-fn write_fault_window(w: &mut SnapWriter, win: &FaultWindow) {
-    match win.link {
-        LinkSelector::Any => w.u8(0),
-        LinkSelector::Host(a) => {
-            w.u8(1);
-            write_addr(w, a);
-        }
-        LinkSelector::Pair(a, b) => {
-            w.u8(2);
-            write_addr(w, a);
-            write_addr(w, b);
-        }
-    }
-    w.u64(win.from_ms);
-    w.u64(win.until_ms);
-    match win.fault {
-        Fault::UdpLoss(p) => {
-            w.u8(0);
-            w.f64(p);
-        }
-        Fault::LatencySpike(ms) => {
-            w.u8(1);
-            w.u64(ms);
-        }
-        Fault::Blackhole => w.u8(2),
-        Fault::TcpReset => w.u8(3),
-        Fault::TcpTruncate(limit) => {
-            w.u8(4);
-            w.usize(limit);
-        }
-        Fault::TcpCorrupt => w.u8(5),
-    }
-}
-
-fn read_fault_window(r: &mut SnapReader<'_>) -> Result<FaultWindow, SnapError> {
-    let link = match r.u8()? {
-        0 => LinkSelector::Any,
-        1 => LinkSelector::Host(read_addr(r)?),
-        2 => {
-            let a = read_addr(r)?;
-            let b = read_addr(r)?;
-            LinkSelector::Pair(a, b)
-        }
-        _ => return Err(SnapError::Corrupt("link selector tag out of range")),
-    };
-    let from_ms = r.u64()?;
-    let until_ms = r.u64()?;
-    let fault = match r.u8()? {
-        0 => Fault::UdpLoss(r.f64()?),
-        1 => Fault::LatencySpike(r.u64()?),
-        2 => Fault::Blackhole,
-        3 => Fault::TcpReset,
-        4 => Fault::TcpTruncate(r.usize()?),
-        5 => Fault::TcpCorrupt,
-        _ => return Err(SnapError::Corrupt("fault tag out of range")),
-    };
-    Ok(FaultWindow {
-        link,
-        from_ms,
-        until_ms,
-        fault,
-    })
-}
-
-// Event tags reuse `Ev::kind_idx` so the wire format and the profiler
-// attribution table stay in lockstep.
-fn write_ev(w: &mut SnapWriter, ev: &Ev) {
-    w.u8(ev.kind_idx() as u8);
-    match ev {
-        Ev::Udp { to, from, bytes } => {
-            w.usize(*to);
-            write_addr(w, *from);
-            w.bytes(bytes);
-        }
-        Ev::TcpSyn { conn } => w.usize(*conn),
-        Ev::TcpEstablish { conn, ok } => {
-            w.usize(*conn);
-            w.bool(*ok);
-        }
-        Ev::TcpData {
-            conn,
-            to_initiator,
-            bytes,
-        } => {
-            w.usize(*conn);
-            w.bool(*to_initiator);
-            w.bytes(bytes);
-        }
-        Ev::TcpClose { conn, to_initiator } => {
-            w.usize(*conn);
-            w.bool(*to_initiator);
-        }
-        Ev::Timer { host, token } => {
-            w.usize(*host);
-            w.u64(*token);
-        }
-        Ev::StartHost { host } | Ev::StopHost { host } => w.usize(*host),
-        Ev::SetReachable { host, reachable } => {
-            w.usize(*host);
-            w.bool(*reachable);
-        }
-    }
-}
-
-fn read_ev(r: &mut SnapReader<'_>) -> Result<Ev, SnapError> {
-    Ok(match r.u8()? {
-        0 => {
-            let to = r.usize()?;
-            let from = read_addr(r)?;
-            let bytes = Payload::from(r.bytes()?);
-            Ev::Udp { to, from, bytes }
-        }
-        1 => Ev::TcpSyn { conn: r.usize()? },
-        2 => {
-            let conn = r.usize()?;
-            let ok = r.bool()?;
-            Ev::TcpEstablish { conn, ok }
-        }
-        3 => {
-            let conn = r.usize()?;
-            let to_initiator = r.bool()?;
-            let bytes = Payload::from(r.bytes()?);
-            Ev::TcpData {
-                conn,
-                to_initiator,
-                bytes,
-            }
-        }
-        4 => {
-            let conn = r.usize()?;
-            let to_initiator = r.bool()?;
-            Ev::TcpClose { conn, to_initiator }
-        }
-        5 => {
-            let host = r.usize()?;
-            let token = r.u64()?;
-            Ev::Timer { host, token }
-        }
-        6 => Ev::StartHost { host: r.usize()? },
-        7 => Ev::StopHost { host: r.usize()? },
-        8 => {
-            let host = r.usize()?;
-            let reachable = r.bool()?;
-            Ev::SetReachable { host, reachable }
-        }
-        _ => return Err(SnapError::Corrupt("event tag out of range")),
-    })
 }
 
 #[cfg(test)]
@@ -2107,16 +1916,15 @@ mod tests {
                 let gap = 90 + ctx.rng().gen_range(0..20) as u64;
                 ctx.set_timer(gap, 1);
             }
-            fn save_state(&self) -> Option<Vec<u8>> {
+            fn save_state(&self) -> Result<Vec<u8>, SnapError> {
                 let mut w = SnapWriter::new();
                 w.u32(self.count);
-                Some(w.finish())
+                Ok(w.finish())
             }
-            fn load_state(&mut self, bytes: &[u8]) -> bool {
+            fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
                 let mut r = SnapReader::new(bytes);
-                let Ok(count) = r.u32() else { return false };
-                self.count = count;
-                r.finish().is_ok()
+                self.count = r.u32()?;
+                r.finish()
             }
             fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
                 self

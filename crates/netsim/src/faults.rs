@@ -18,6 +18,7 @@
 
 use crate::engine::{HostAddr, HostId, NetSim};
 use crate::payload::Payload;
+use obs::{snap_enum, snap_struct};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -32,6 +33,8 @@ pub enum LinkSelector {
     /// The single link between these two endpoints (either direction).
     Pair(HostAddr, HostAddr),
 }
+
+snap_enum!(LinkSelector { 0 => Any, 1 => Host(a), 2 => Pair(a, b) });
 
 impl LinkSelector {
     /// Does traffic between `a` and `b` (either direction) match?
@@ -65,6 +68,15 @@ pub enum Fault {
     TcpCorrupt,
 }
 
+snap_enum!(Fault {
+    0 => UdpLoss(p),
+    1 => LatencySpike(ms),
+    2 => Blackhole,
+    3 => TcpReset,
+    4 => TcpTruncate(limit),
+    5 => TcpCorrupt,
+});
+
 /// A [`Fault`] on a [`LinkSelector`] during `[from_ms, until_ms)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
@@ -77,6 +89,13 @@ pub struct FaultWindow {
     /// What goes wrong.
     pub fault: Fault,
 }
+
+snap_struct!(FaultWindow {
+    link,
+    from_ms,
+    until_ms,
+    fault
+});
 
 impl FaultWindow {
     /// Is this window live for traffic between `a` and `b` at `now`?
@@ -118,6 +137,8 @@ pub(crate) enum TcpFate {
 pub struct FaultSchedule {
     windows: Vec<FaultWindow>,
 }
+
+snap_struct!(FaultSchedule { windows });
 
 impl FaultSchedule {
     /// Install a fault window.

@@ -29,13 +29,18 @@ mod engine;
 pub mod faults;
 pub mod payload;
 pub mod sched;
-pub mod snap;
 mod topology;
 
-pub use engine::{ConnId, Ctx, Host, HostAddr, HostId, NetSim, SimConfig, TcpCounters, TcpEvent};
+pub use engine::{
+    ConnId, Ctx, Host, HostAddr, HostId, NetSim, SimConfig, TcpCounters, TcpEvent, SNAP_MAGIC,
+    SNAP_VERSION,
+};
 pub use faults::{ChurnBurst, Fault, FaultSchedule, FaultWindow, LinkSelector, NatFlap, Scenario};
 pub use payload::Payload;
-pub use snap::{SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
+// The one snapshot codec lives in `obs::snap`; re-exported so host
+// crates that implement `Host::save_state` need no direct `obs` edge.
+pub use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
+pub use obs::{snap_enum, snap_struct};
 pub use topology::{
     latency_between, min_link_latency_ms, HostMeta, Region, COUNTRIES, REGION_OF_COUNTRY,
 };

@@ -13,6 +13,7 @@
 //! `impl Into<Payload>`), and receive `&[u8]` views back out through
 //! deref, so the protocol crates never see this type change shape.
 
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::rc::Rc;
 
 /// A cheaply clonable, immutable byte buffer with an adjustable window.
@@ -23,6 +24,16 @@ pub struct Payload {
     data: Rc<[u8]>,
     start: usize,
     end: usize,
+}
+
+/// Image: the visible window as a length-prefixed byte string.
+impl Snap for Payload {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.bytes(self.as_slice());
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Payload, SnapError> {
+        r.bytes().map(Payload::from)
+    }
 }
 
 impl Payload {

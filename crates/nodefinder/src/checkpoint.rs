@@ -9,12 +9,12 @@
 //! discovery service, every pipeline queue and table, the live probe
 //! sessions, the per-stage checkpoints, and the accumulated crawl log.
 //!
-//! Field order (all inside one versioned `SnapWriter` section):
+//! Field order (all inside one versioned `obs::snap` section):
 //!
 //! 1. intern table — `NodeId`s in compact-id order, so re-interning
 //!    reproduces identical `CompactId`s and every dense table below can
 //!    be restored by index;
-//! 2. discovery (`Discv4State` behind its endpoint);
+//! 2. discovery (`Discv4::snap`: endpoint, then protocol state);
 //! 3. the bounded dial queue (records front-to-back + marks);
 //! 4. the queued-id set;
 //! 5. static nodes, in full-`NodeId` order;
@@ -31,19 +31,22 @@
 //! wheel, and restoring it re-delivers `T_*` tokens at the right instants.
 
 use crate::crawler::{NodeFinder, StaticEntry};
-use crate::dense::{IdSet, OrderedDenseMap, SeenTable};
-use crate::log::{ConnLog, ConnType, CrawlLog};
+use crate::dense::{conn_index, OrderedDenseMap};
 use crate::session::{Probe, SessionManager};
-use crate::stages::{BoundedQueue, PipelineStats, Stage};
+use crate::stages::{BoundedQueue, Stage};
 use discv4::{Config as DiscConfig, Discv4};
-use enode::{CompactId, Interner};
-use ethpop::state;
-use ethpop::wire::PeerConn;
+use enode::NodeRecord;
 use kad::Metric;
-use netsim::snap::{SnapError, SnapReader, SnapWriter};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 const SNAP_MAGIC: [u8; 4] = *b"NFND";
 const SNAP_VERSION: u8 = 1;
+
+/// Upper bound on a restored probe's connection slab index. The probe
+/// table is dense over that index, so a corrupt id would size it; netsim
+/// recycles slab cells, which bounds an honest index by the peak number
+/// of simultaneously open connections in the whole world.
+const MAX_PROBE_CONN_INDEX: usize = 1 << 20;
 
 impl NodeFinder {
     /// Serialize every piece of dynamic crawler state (see the module
@@ -51,78 +54,44 @@ impl NodeFinder {
     pub(crate) fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::with_header(SNAP_MAGIC, SNAP_VERSION);
         // 1. Intern table, in compact-id order.
-        w.usize(self.interner.len());
-        for i in 0..self.interner.len() {
-            state::w_node_id(&mut w, self.interner.resolve(CompactId::from_u32(i as u32)));
-        }
+        self.interner.snap(&mut w);
         // 2. Discovery.
         w.bool(self.disc.is_some());
         if let Some(disc) = &self.disc {
-            state::w_endpoint(&mut w, &disc.endpoint());
-            state::w_discv4(&mut w, &disc.to_state());
+            disc.snap(&mut w);
         }
         // 3. Dial queue (items front to back, then the marks).
         w.usize(self.dial_queue.len());
         for rec in self.dial_queue.iter() {
-            state::w_record(&mut w, rec);
+            rec.snap(&mut w);
         }
-        w.usize(self.dial_queue.high_water());
-        w.u64(self.dial_queue.rejected());
+        self.dial_queue.high_water().snap(&mut w);
+        self.dial_queue.rejected().snap(&mut w);
         // 4. Queued-id set.
-        let bits = self.queued.bits();
-        w.usize(bits.len());
-        for b in bits {
-            w.bool(*b);
-        }
+        self.queued.snap(&mut w);
         // 5. Static nodes, in full-NodeId order (restore re-sorts
         // identically because the order is a function of the ids).
         w.usize(self.static_nodes.len());
         for (_, e) in self.static_nodes.iter_ordered() {
-            state::w_record(&mut w, &e.record);
-            w.u64(e.next_dial_ms);
-            w.u64(e.last_success_ms);
+            e.snap(&mut w);
         }
         // 6. Seen stamps (dense by compact id).
-        let stamps = self.seen.stamps();
-        w.usize(stamps.len());
-        for s in stamps {
-            w.u64(*s);
-        }
+        self.seen.snap(&mut w);
         // 7. Penalty box.
-        let entries = self.sessions.penalty.export_entries();
-        w.usize(entries.len());
-        for (rec, failures, next_allowed_ms, boxed) in &entries {
-            state::w_record(&mut w, rec);
-            w.u32(*failures);
-            w.u64(*next_allowed_ms);
-            w.bool(*boxed);
-        }
-        w.u64(self.sessions.penalty.boxed_total());
+        self.sessions.penalty.export_entries().snap(&mut w);
+        self.sessions.penalty.boxed_total().snap(&mut w);
         // 8. Session manager: counters, then live probes in ConnId order.
-        w.usize(self.sessions.dialing());
-        w.u64(self.sessions.dialing_underflows());
+        self.sessions.dialing().snap(&mut w);
+        self.sessions.dialing_underflows().snap(&mut w);
         let ids = self.sessions.conns.ids_sorted();
         w.usize(ids.len());
         for conn in ids {
             let p = self.sessions.conns.get(conn).expect("sorted id is live");
-            p.pc.encode_into(&mut w);
-            w.u8(match p.conn_type {
-                ConnType::DynamicDial => 0,
-                ConnType::StaticDial => 1,
-                ConnType::Incoming => 2,
-            });
-            // serde_json output is deterministic (struct field order), so
-            // the in-progress log entry can ride along as a JSON string.
-            w.str(&serde_json::to_string(&p.record).expect("conn log serializes"));
-            w.bool(p.awaiting_dao);
-            w.bool(p.done);
-            w.bool(p.connected);
-            w.u64(p.deadline_ms);
-            w.u64(p.stage_start_ms);
+            p.snap(&mut w);
         }
         // 9. Scheduler arm flags (their timers live in the netsim wheel).
-        w.bool(self.poll_armed);
-        w.bool(self.dial_armed);
+        self.poll_armed.snap(&mut w);
+        self.dial_armed.snap(&mut w);
         // 10. Pipeline stage checkpoints, with the dial queue's live
         // marks folded in.
         let mut stages = self.stages.clone();
@@ -131,147 +100,81 @@ impl NodeFinder {
             self.dial_queue.len(),
             self.dial_queue.high_water(),
         );
-        stages.encode_into(&mut w);
+        stages.snap(&mut w);
         // 11. The accumulated crawl log.
-        w.str(&self.log.to_jsonl());
+        self.log.snap(&mut w);
         w.finish()
     }
 
     /// Overwrite this (shell-rebuilt) crawler's dynamic state from
     /// [`NodeFinder::encode_state`] output.
     pub(crate) fn apply_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        let mut r = SnapReader::with_header(bytes, SNAP_MAGIC, SNAP_VERSION)?;
+        let mut reader = SnapReader::with_header(bytes, SNAP_MAGIC, SNAP_VERSION)?;
+        let r = &mut reader;
         // 1. Intern table: re-interning in stored order reproduces the
         // exact compact ids every dense table below is keyed by.
-        let n = r.usize()?;
-        let mut interner = Interner::new();
-        for _ in 0..n {
-            let id = state::r_node_id(&mut r)?;
-            interner.intern(&id);
-        }
-        self.interner = interner;
+        self.interner = Snap::unsnap(r)?;
         // 2. Discovery (same config as `on_start` builds).
         self.disc = if r.bool()? {
-            let endpoint = state::r_endpoint(&mut r)?;
-            let disc_state = state::r_discv4(&mut r)?;
-            Some(Discv4::from_state(
-                self.key,
-                endpoint,
-                DiscConfig {
-                    metric: Metric::GethLog2,
-                    ..DiscConfig::default()
-                },
-                disc_state,
-            ))
+            let config = DiscConfig {
+                metric: Metric::GethLog2,
+                ..DiscConfig::default()
+            };
+            Some(Discv4::restore(r, self.key, config)?)
         } else {
             None
         };
         // 3. Dial queue.
-        let n = r.usize()?;
-        let mut items = Vec::with_capacity(n.min(4_096));
-        for _ in 0..n {
-            items.push(state::r_record(&mut r)?);
-        }
-        let high_water = r.usize()?;
-        let rejected = r.u64()?;
+        let items = Vec::<NodeRecord>::unsnap(r)?;
+        let high_water = Snap::unsnap(r)?;
+        let rejected = Snap::unsnap(r)?;
         self.dial_queue =
             BoundedQueue::from_parts(self.config.dial_queue_cap, items, high_water, rejected);
         // 4. Queued-id set.
-        let n = r.usize()?;
-        let mut bits = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            bits.push(r.bool()?);
-        }
-        self.queued = IdSet::from_bits(bits);
+        self.queued = Snap::unsnap(r)?;
         // 5. Static nodes.
-        let n = r.usize()?;
         let mut static_nodes = OrderedDenseMap::new();
-        for _ in 0..n {
-            let record = state::r_record(&mut r)?;
-            let next_dial_ms = r.u64()?;
-            let last_success_ms = r.u64()?;
-            let cid = self.interner.intern(&record.id);
-            static_nodes.insert(
-                cid,
-                StaticEntry {
-                    record,
-                    next_dial_ms,
-                    last_success_ms,
-                },
-            );
+        for _ in 0..r.usize()? {
+            let e = StaticEntry::unsnap(r)?;
+            static_nodes.insert(self.interner.intern(&e.record.id), e);
         }
         self.static_nodes = static_nodes;
         // 6. Seen stamps.
-        let n = r.usize()?;
-        let mut stamps = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            stamps.push(r.u64()?);
-        }
-        self.seen = SeenTable::from_stamps(stamps);
+        self.seen = Snap::unsnap(r)?;
         // 7. Penalty box, into a fresh session manager.
         let mut sessions = SessionManager::new(
             self.config.backoff.clone(),
             self.config.penalty_threshold,
             self.config.penalty_box_ms,
         );
-        let n = r.usize()?;
-        let mut entries = Vec::with_capacity(n.min(4_096));
-        for _ in 0..n {
-            let rec = state::r_record(&mut r)?;
-            let failures = r.u32()?;
-            let next_allowed_ms = r.u64()?;
-            let boxed = r.bool()?;
-            entries.push((rec, failures, next_allowed_ms, boxed));
-        }
-        let boxed_total = r.u64()?;
+        let entries = Snap::unsnap(r)?;
+        let boxed_total = Snap::unsnap(r)?;
         sessions
             .penalty
             .import_entries(&mut self.interner, entries, boxed_total);
         // 8. Session counters + live probes.
-        let dialing = r.usize()?;
-        let underflows = r.u64()?;
+        let dialing = Snap::unsnap(r)?;
+        let underflows = Snap::unsnap(r)?;
         sessions.restore_counters(dialing, underflows);
-        let n = r.usize()?;
-        for _ in 0..n {
-            let pc = PeerConn::decode_from(&mut r, &self.key)?;
-            let conn_type = match r.u8()? {
-                0 => ConnType::DynamicDial,
-                1 => ConnType::StaticDial,
-                2 => ConnType::Incoming,
-                _ => return Err(SnapError::Corrupt("probe conn-type tag out of range")),
-            };
-            let record: ConnLog = serde_json::from_str(r.str()?)
-                .map_err(|_| SnapError::Corrupt("probe conn log does not parse"))?;
-            let awaiting_dao = r.bool()?;
-            let done = r.bool()?;
-            let connected = r.bool()?;
-            let deadline_ms = r.u64()?;
-            let stage_start_ms = r.u64()?;
-            let conn = pc.conn;
-            sessions.conns.insert(
-                conn,
-                Probe {
-                    pc,
-                    conn_type,
-                    record,
-                    awaiting_dao,
-                    done,
-                    connected,
-                    deadline_ms,
-                    stage_start_ms,
-                },
-            );
+        for _ in 0..r.usize()? {
+            let probe = Probe::restore(r, &self.key)?;
+            let conn = probe.pc.conn;
+            if conn_index(conn) > MAX_PROBE_CONN_INDEX || !sessions.conns.is_vacant(conn) {
+                return Err(SnapError::Corrupt(
+                    "probe connection id out of range or repeated",
+                ));
+            }
+            sessions.conns.insert(conn, probe);
         }
         self.sessions = sessions;
         // 9. Scheduler arm flags.
-        self.poll_armed = r.bool()?;
-        self.dial_armed = r.bool()?;
+        self.poll_armed = Snap::unsnap(r)?;
+        self.dial_armed = Snap::unsnap(r)?;
         // 10. Pipeline stage checkpoints.
-        self.stages = PipelineStats::decode_from(&mut r)?;
+        self.stages = Snap::unsnap(r)?;
         // 11. Crawl log.
-        self.log = CrawlLog::from_jsonl(r.str()?)
-            .map_err(|_| SnapError::Corrupt("crawl log does not parse"))?;
-        r.finish()
+        self.log = Snap::unsnap(r)?;
+        reader.finish()
     }
 }
 
@@ -279,7 +182,7 @@ impl NodeFinder {
 mod tests {
     use super::*;
     use crate::crawler::CrawlerConfig;
-    use crate::log::{ConnOutcome, DialEvent, DialEventKind};
+    use crate::log::{ConnLog, ConnOutcome, ConnType, DialEvent, DialEventKind};
     use enode::{Endpoint, NodeId, NodeRecord};
     use ethcrypto::secp256k1::SecretKey;
     use rand::rngs::StdRng;

@@ -27,6 +27,7 @@ use ethwire::{
 };
 use kad::Metric;
 use netsim::{ConnId, Ctx, Host, HostAddr, TcpEvent};
+use obs::snap::SnapError;
 use rand::Rng;
 
 pub(crate) const T_LOOKUP: u64 = 1;
@@ -154,6 +155,12 @@ pub(crate) struct StaticEntry {
     pub(crate) next_dial_ms: u64,
     pub(crate) last_success_ms: u64,
 }
+
+obs::snap_struct!(StaticEntry {
+    record,
+    next_dial_ms,
+    last_success_ms
+});
 
 impl KeyedById for StaticEntry {
     fn node_id(&self) -> &NodeId {
@@ -1138,11 +1145,11 @@ impl Host for NodeFinder {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(self.encode_state())
+    fn save_state(&self) -> Result<Vec<u8>, SnapError> {
+        Ok(self.encode_state())
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> bool {
-        self.apply_state(bytes).is_ok()
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+        self.apply_state(bytes)
     }
 }

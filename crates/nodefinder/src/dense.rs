@@ -28,6 +28,7 @@
 
 use enode::{CompactId, NodeId};
 use netsim::ConnId;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Slot sentinel: no entry for this compact id.
 const EMPTY: u32 = u32::MAX;
@@ -316,17 +317,18 @@ impl SeenTable {
     pub fn approx_heap_bytes(&self) -> usize {
         self.stamps.capacity() * std::mem::size_of::<u64>()
     }
+}
 
-    /// The dense stamp vector, for checkpointing (`u64::MAX` = never
-    /// seen; index = compact id).
-    pub fn stamps(&self) -> &[u64] {
-        &self.stamps
+/// Image: the dense stamp vector (`u64::MAX` = never seen; index =
+/// compact id); the live count is derived.
+impl Snap for SeenTable {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.stamps.snap(w);
     }
-
-    /// Rebuild from a checkpointed stamp vector.
-    pub fn from_stamps(stamps: Vec<u64>) -> SeenTable {
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<SeenTable, SnapError> {
+        let stamps = Vec::<u64>::unsnap(r)?;
         let len = stamps.iter().filter(|&&ts| ts != u64::MAX).count();
-        SeenTable { stamps, len }
+        Ok(SeenTable { stamps, len })
     }
 }
 
@@ -370,21 +372,18 @@ impl IdSet {
     pub fn approx_heap_bytes(&self) -> usize {
         self.bits.capacity()
     }
-
-    /// The dense membership vector, for checkpointing (index = compact id).
-    pub fn bits(&self) -> &[bool] {
-        &self.bits
-    }
-
-    /// Rebuild from a checkpointed membership vector.
-    pub fn from_bits(bits: Vec<bool>) -> IdSet {
-        IdSet { bits }
-    }
 }
+
+obs::snap_struct!(IdSet { bits });
 
 /// How netsim packs a [`ConnId`]: low 32 bits are the slab index (recycled
 /// across connections), high bits the generation.
 const CONN_IDX_MASK: usize = (1 << 32) - 1;
+
+/// The [`ConnTable`] cell `conn` lives in.
+pub(crate) fn conn_index(conn: ConnId) -> usize {
+    conn & CONN_IDX_MASK
+}
 
 /// Generation-checked slab keyed by netsim's packed [`ConnId`] — the
 /// crawler's live-probe table. A cell holds the *full* ConnId it was
@@ -440,6 +439,12 @@ impl<V> ConnTable<V> {
             Some((stored, v)) if *stored == conn => Some(v),
             _ => None,
         }
+    }
+
+    /// Whether `conn`'s cell holds no entry of any generation, i.e.
+    /// whether [`ConnTable::insert`]'s precondition holds.
+    pub fn is_vacant(&self, conn: ConnId) -> bool {
+        self.cells.get(conn_index(conn)).is_none_or(Option::is_none)
     }
 
     /// Insert the probe for `conn`. The cell must be vacant: netsim only

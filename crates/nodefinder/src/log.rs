@@ -2,6 +2,7 @@
 //! logger recorded (§4).
 
 use enode::NodeId;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
@@ -15,6 +16,8 @@ pub enum ConnType {
     /// The remote dialed us.
     Incoming,
 }
+
+obs::snap_enum!(ConnType { 0 => DynamicDial, 1 => StaticDial, 2 => Incoming });
 
 /// Decoded HELLO fields the dataset keeps.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,6 +168,18 @@ pub enum DialEventKind {
     DiscoverySighting,
 }
 
+/// Image: the record as one JSON string — `serde_json` output is
+/// deterministic (struct field order), so it is a pure function of the
+/// record.
+impl Snap for ConnLog {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.str(&serde_json::to_string(self).expect("conn log serializes"));
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<ConnLog, SnapError> {
+        serde_json::from_str(r.str()?).map_err(|_| SnapError::Corrupt("conn log does not parse"))
+    }
+}
+
 /// Everything one crawler instance accumulates.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CrawlLog {
@@ -172,6 +187,16 @@ pub struct CrawlLog {
     pub conns: Vec<ConnLog>,
     /// Countable events.
     pub events: Vec<DialEvent>,
+}
+
+/// Image: the whole log as one JSONL string ([`CrawlLog::to_jsonl`]).
+impl Snap for CrawlLog {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.str(&self.to_jsonl());
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<CrawlLog, SnapError> {
+        CrawlLog::from_jsonl(r.str()?).map_err(|_| SnapError::Corrupt("crawl log does not parse"))
+    }
 }
 
 impl CrawlLog {

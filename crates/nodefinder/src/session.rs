@@ -18,7 +18,9 @@
 use crate::backoff::{BackoffPolicy, PenaltyBox};
 use crate::dense::ConnTable;
 use crate::log::{ConnLog, ConnType};
+use ethcrypto::secp256k1::SecretKey;
 use ethpop::wire::PeerConn;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// One in-flight probe: the protocol connection plus the log entry being
 /// accumulated for it.
@@ -35,6 +37,36 @@ pub(crate) struct Probe {
     /// When the current handshake stage began (sim time), for the
     /// per-stage latency spans (connect → auth → HELLO → STATUS).
     pub(crate) stage_start_ms: u64,
+}
+
+impl Probe {
+    /// Append the probe (wire state, then the log entry in progress and
+    /// the stage bookkeeping) to a snapshot.
+    pub(crate) fn snap(&self, w: &mut SnapWriter) {
+        self.pc.snap(w);
+        self.conn_type.snap(w);
+        self.record.snap(w);
+        self.awaiting_dao.snap(w);
+        self.done.snap(w);
+        self.connected.snap(w);
+        self.deadline_ms.snap(w);
+        self.stage_start_ms.snap(w);
+    }
+
+    /// Rebuild a probe from [`Probe::snap`] output under the crawler's
+    /// identity `key`.
+    pub(crate) fn restore(r: &mut SnapReader<'_>, key: &SecretKey) -> Result<Probe, SnapError> {
+        Ok(Probe {
+            pc: PeerConn::restore(r, key)?,
+            conn_type: Snap::unsnap(r)?,
+            record: Snap::unsnap(r)?,
+            awaiting_dao: Snap::unsnap(r)?,
+            done: Snap::unsnap(r)?,
+            connected: Snap::unsnap(r)?,
+            deadline_ms: Snap::unsnap(r)?,
+            stage_start_ms: Snap::unsnap(r)?,
+        })
+    }
 }
 
 /// Owner of all live sessions: probe table, dial slots, penalty box.

@@ -21,7 +21,7 @@
 //! is deterministic and shard-count-invariant like every other crawler
 //! observable.
 
-use netsim::snap::{SnapError, SnapReader, SnapWriter};
+use obs::snap_struct;
 use std::collections::VecDeque;
 
 /// One stage of the crawl pipeline, in funnel order.
@@ -212,27 +212,13 @@ pub struct StageCheckpoint {
     pub queue_high_water: usize,
 }
 
-impl StageCheckpoint {
-    /// Append this checkpoint to an in-progress snapshot.
-    pub fn encode_into(&self, w: &mut SnapWriter) {
-        w.u64(self.entered);
-        w.u64(self.completed);
-        w.u64(self.backpressure);
-        w.usize(self.queue_depth);
-        w.usize(self.queue_high_water);
-    }
-
-    /// Read a checkpoint written by [`StageCheckpoint::encode_into`].
-    pub fn decode_from(r: &mut SnapReader<'_>) -> Result<StageCheckpoint, SnapError> {
-        Ok(StageCheckpoint {
-            entered: r.u64()?,
-            completed: r.u64()?,
-            backpressure: r.u64()?,
-            queue_depth: r.usize()?,
-            queue_high_water: r.usize()?,
-        })
-    }
-}
+snap_struct!(StageCheckpoint {
+    entered,
+    completed,
+    backpressure,
+    queue_depth,
+    queue_high_water
+});
 
 /// Live per-stage accounting for the whole pipeline.
 ///
@@ -243,6 +229,9 @@ impl StageCheckpoint {
 pub struct PipelineStats {
     stages: [StageCheckpoint; 5],
 }
+
+// The five checkpoints in funnel order, with no length prefix.
+snap_struct!(PipelineStats { stages });
 
 impl PipelineStats {
     /// All-zero stats.
@@ -281,27 +270,12 @@ impl PipelineStats {
         s.queue_depth = depth;
         s.queue_high_water = high_water;
     }
-
-    /// Append all five stage checkpoints, in funnel order.
-    pub fn encode_into(&self, w: &mut SnapWriter) {
-        for s in &self.stages {
-            s.encode_into(w);
-        }
-    }
-
-    /// Read stats written by [`PipelineStats::encode_into`].
-    pub fn decode_from(r: &mut SnapReader<'_>) -> Result<PipelineStats, SnapError> {
-        let mut stages = [StageCheckpoint::default(); 5];
-        for s in stages.iter_mut() {
-            *s = StageCheckpoint::decode_from(r)?;
-        }
-        Ok(PipelineStats { stages })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn window_boundary_is_half_open() {
@@ -367,10 +341,10 @@ mod tests {
         stats.set_queue(Stage::Dial, 5, 9);
 
         let mut w = SnapWriter::new();
-        stats.encode_into(&mut w);
+        stats.snap(&mut w);
         let buf = w.finish();
         let mut r = SnapReader::new(&buf);
-        let back = PipelineStats::decode_from(&mut r).unwrap();
+        let back = PipelineStats::unsnap(&mut r).unwrap();
         r.finish().unwrap();
         for st in STAGES {
             assert_eq!(back.checkpoint(st), stats.checkpoint(st), "{}", st.label());

@@ -47,16 +47,22 @@
 mod metrics;
 pub mod profile;
 mod query;
-mod snapshot;
+pub mod snap;
 mod trace;
 
 pub use metrics::{Histogram, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_MS};
 pub use query::TraceQuery;
-pub use snapshot::{OBS_SNAP_MAGIC, OBS_SNAP_VERSION};
 pub use trace::{EventKind, FlightRecorder, TraceEvent, Value};
 
+use snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Magic prefixing a recorder snapshot.
+pub const OBS_SNAP_MAGIC: [u8; 4] = *b"OBSS";
+
+/// Current recorder snapshot format version.
+pub const OBS_SNAP_VERSION: u8 = 1;
 
 /// Default flight-recorder capacity (events retained before dropping).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
@@ -352,55 +358,44 @@ impl Recorder {
         TraceQuery::new(self.core.borrow().ring.iter().cloned().collect())
     }
 
-    /// Serialize the recorder's dynamic state — the folded metrics
-    /// registry, every retained trace event (sequence numbers and
-    /// provenance included), the eviction counters, the event sequence
-    /// counter, and the observability clock — into a versioned byte
-    /// snapshot. Pending fast-path updates are folded first (the same
-    /// merge every exporter applies), so the image equals what an export
-    /// taken at the same instant would see. Call between runs, never
+    /// Serialize the recorder's dynamic state — the observability clock,
+    /// the event sequence counter, the folded metrics registry, every
+    /// retained trace event (sequence numbers and provenance included)
+    /// and the eviction counters, total and per kind — into a versioned
+    /// `OBSS` snapshot. Pending fast-path updates are folded first (the
+    /// same merge every exporter applies), so the image equals what an
+    /// export taken at the same instant would see. Interned `MetricId`s
+    /// are thread-lifetime and not captured. Call between runs, never
     /// mid-dispatch.
     pub fn snapshot_state(&self) -> Vec<u8> {
         let mut core = self.core.borrow_mut();
         core.flush_fast();
-        let events: Vec<&TraceEvent> = core.ring.iter().collect();
-        let by_kind: Vec<(&str, u64)> = core.ring.dropped_by_kind().collect();
-        snapshot::encode_parts(
-            core.now_ms,
-            core.seq,
-            &core.metrics,
-            &events,
-            core.ring.dropped(),
-            &by_kind,
-        )
+        let mut w = SnapWriter::with_header(OBS_SNAP_MAGIC, OBS_SNAP_VERSION);
+        core.now_ms.snap(&mut w);
+        core.seq.snap(&mut w);
+        core.metrics.snap(&mut w);
+        core.ring.snap(&mut w);
+        w.finish()
     }
 
     /// Restore state captured by [`Recorder::snapshot_state`],
     /// overwriting this recorder's metrics, ring contents, drop
     /// counters, sequence counter, and clock. The ring keeps its
     /// configured capacity; a snapshot retaining more events than this
-    /// recorder can hold is rejected (capacity is configuration, and a
-    /// mismatched shell would silently re-drop events and skew the
-    /// eviction counters).
-    pub fn restore_state(&self, bytes: &[u8]) -> Result<(), String> {
-        let image = snapshot::decode(bytes)?;
+    /// recorder can hold is rejected, as is any other malformed image,
+    /// leaving the recorder untouched.
+    pub fn restore_state(&self, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::with_header(bytes, OBS_SNAP_MAGIC, OBS_SNAP_VERSION)?;
         let mut core = self.core.borrow_mut();
-        if image.events.len() > core.ring.capacity() {
-            return Err(format!(
-                "snapshot retains {} events but the ring capacity is {}",
-                image.events.len(),
-                core.ring.capacity()
-            ));
-        }
-        core.metrics = image.metrics;
-        core.ring.clear();
-        for ev in image.events {
-            core.ring.push(ev);
-        }
-        core.ring
-            .restore_drops(image.dropped, image.dropped_by_kind);
-        core.seq = image.seq;
-        core.now_ms = image.now_ms;
+        let now_ms = r.u64()?;
+        let seq = r.u64()?;
+        let metrics = Snap::unsnap(&mut r)?;
+        let ring = FlightRecorder::restore(&mut r, core.ring.capacity())?;
+        r.finish()?;
+        core.now_ms = now_ms;
+        core.seq = seq;
+        core.metrics = metrics;
+        core.ring = ring;
         core.fast_counters.fill(0);
         core.fast_gauge_hw.fill(0);
         core.cur_key = 0;

@@ -2,6 +2,8 @@
 //! `BTreeMap`-backed so every iteration order (and thus every exporter
 //! byte) is deterministic.
 
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap_struct;
 use std::collections::BTreeMap;
 
 /// Default bucket upper bounds (milliseconds) for latency histograms.
@@ -58,35 +60,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Rebuild a histogram from the parts exposed by its accessors
-    /// (snapshot restore). Rejects structurally inconsistent parts —
-    /// mismatched bucket arity, non-increasing bounds, or a bucket total
-    /// that disagrees with `count`.
-    pub fn from_parts(
-        bounds: Vec<u64>,
-        bucket_counts: Vec<u64>,
-        sum: u64,
-        count: u64,
-        max: u64,
-    ) -> Result<Histogram, &'static str> {
-        if bucket_counts.len() != bounds.len() + 1 {
-            return Err("histogram bucket arity mismatch");
-        }
-        if !bounds.windows(2).all(|w| w[0] < w[1]) {
-            return Err("histogram bounds not strictly increasing");
-        }
-        if bucket_counts.iter().sum::<u64>() != count {
-            return Err("histogram bucket total disagrees with count");
-        }
-        Ok(Histogram {
-            bounds,
-            bucket_counts,
-            sum,
-            count,
-            max,
-        })
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -135,6 +108,50 @@ impl Histogram {
     }
 }
 
+/// Image: `n`-prefixed bounds, then the `n + 1` bucket counts with no
+/// prefix of their own, then `sum`, `count`, `max`.
+impl Snap for Histogram {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.bounds.snap(w);
+        for c in &self.bucket_counts {
+            c.snap(w);
+        }
+        self.sum.snap(w);
+        self.count.snap(w);
+        self.max.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Histogram, SnapError> {
+        let bounds = Vec::<u64>::unsnap(r)?;
+        if !bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SnapError::Corrupt(
+                "histogram bounds not strictly increasing",
+            ));
+        }
+        let mut bucket_counts = Vec::with_capacity(bounds.len() + 1);
+        for _ in 0..=bounds.len() {
+            bucket_counts.push(r.u64()?);
+        }
+        let h = Histogram {
+            bounds,
+            bucket_counts,
+            sum: r.u64()?,
+            count: r.u64()?,
+            max: r.u64()?,
+        };
+        if h.bucket_counts
+            .iter()
+            .try_fold(0u64, |a, c| a.checked_add(*c))
+            != Some(h.count)
+        {
+            return Err(SnapError::Corrupt(
+                "histogram bucket total disagrees with count",
+            ));
+        }
+        Ok(h)
+    }
+}
+
 /// Registry of named metrics. Names use dotted paths
 /// (`crawler.stage.connect_ms`); the Prometheus renderer maps them to
 /// `crawler_stage_connect_ms`.
@@ -144,6 +161,12 @@ pub struct MetricsRegistry {
     gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
+
+snap_struct!(MetricsRegistry {
+    counters,
+    gauges,
+    histograms
+});
 
 impl MetricsRegistry {
     pub fn counter_add(&mut self, name: &str, v: u64) {
@@ -164,12 +187,6 @@ impl MetricsRegistry {
             .entry(name.to_string())
             .or_default()
             .observe(v);
-    }
-
-    /// Install a fully-formed histogram under `name` (snapshot restore),
-    /// replacing any existing one.
-    pub fn insert_histogram(&mut self, name: &str, h: Histogram) {
-        self.histograms.insert(name.to_string(), h);
     }
 
     pub fn counter(&self, name: &str) -> u64 {

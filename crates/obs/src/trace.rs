@@ -2,7 +2,9 @@
 //! the hand-rolled JSONL serializer (obs is dependency-free by design,
 //! so it cannot use `serde_json`).
 
-use std::collections::VecDeque;
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::{snap_enum, snap_struct};
+use std::collections::{BTreeMap, VecDeque};
 
 /// A typed field value attached to a trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,6 +112,19 @@ pub struct TraceEvent {
     pub fields: Vec<(String, Value)>,
 }
 
+snap_enum!(Value { 0 => U64(v), 1 => I64(v), 2 => Str(s), 3 => Bool(b) });
+snap_enum!(EventKind { 0 => Event, 1 => Span { start_ms } });
+snap_struct!(TraceEvent {
+    seq,
+    ts_ms,
+    key,
+    cause,
+    depth,
+    kind,
+    name,
+    fields
+});
+
 impl TraceEvent {
     /// Duration for spans (`ts - start`), 0 for point events.
     pub fn duration_ms(&self) -> u64 {
@@ -200,7 +215,7 @@ pub struct FlightRecorder {
     buf: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    dropped_by_kind: std::collections::BTreeMap<String, u64>,
+    dropped_by_kind: BTreeMap<String, u64>,
 }
 
 impl FlightRecorder {
@@ -209,7 +224,7 @@ impl FlightRecorder {
             buf: VecDeque::with_capacity(capacity.min(1024)),
             capacity: capacity.max(1),
             dropped: 0,
-            dropped_by_kind: std::collections::BTreeMap::new(),
+            dropped_by_kind: BTreeMap::new(),
         }
     }
 
@@ -257,15 +272,34 @@ impl FlightRecorder {
         self.dropped_by_kind.clear();
     }
 
-    /// Overwrite the eviction counters (snapshot restore: drops that
-    /// happened before the snapshot are part of the restored state).
-    pub fn restore_drops(
-        &mut self,
-        dropped: u64,
-        by_kind: impl IntoIterator<Item = (String, u64)>,
-    ) {
-        self.dropped = dropped;
-        self.dropped_by_kind = by_kind.into_iter().collect();
+    /// Append the retained events and the eviction counters to a
+    /// snapshot (capacity is configuration, not state).
+    pub(crate) fn snap(&self, w: &mut SnapWriter) {
+        self.buf.snap(w);
+        self.dropped.snap(w);
+        self.dropped_by_kind.snap(w);
+    }
+
+    /// Rebuild a ring of `capacity` from [`Self::snap`] output. An image
+    /// retaining more events than the ring can hold is rejected: a
+    /// mismatched shell would silently re-drop events and skew the
+    /// eviction counters.
+    pub(crate) fn restore(
+        r: &mut SnapReader<'_>,
+        capacity: usize,
+    ) -> Result<FlightRecorder, SnapError> {
+        let ring = FlightRecorder {
+            buf: Snap::unsnap(r)?,
+            capacity,
+            dropped: Snap::unsnap(r)?,
+            dropped_by_kind: Snap::unsnap(r)?,
+        };
+        if ring.buf.len() > capacity {
+            return Err(SnapError::Corrupt(
+                "snapshot retains more events than the ring capacity",
+            ));
+        }
+        Ok(ring)
     }
 }
 

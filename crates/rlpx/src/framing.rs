@@ -15,6 +15,7 @@ use crate::handshake::Secrets;
 use bytes::{Buf, BytesMut};
 use ethcrypto::aes::{Aes, AesCtr};
 use ethcrypto::keccak::Keccak;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Frame decode/verify failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,45 +42,6 @@ impl std::error::Error for FrameError {}
 
 const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// One captured keccak sponge, as produced by `Keccak::to_parts`.
-pub type MacState = (
-    [u64; 25],
-    usize,
-    [u8; ethcrypto::keccak::MAX_RATE],
-    usize,
-    usize,
-);
-
-/// Plain-data image of a [`FrameCodec`] for checkpoint/restore. Contains
-/// live key material — treat a serialized snapshot like a key file.
-#[derive(Clone)]
-// Not Debug-derived: every field is key material or keystream.
-pub struct FrameCodecState {
-    /// AES-256-CTR session key.
-    pub aes_key: [u8; 32],
-    /// MAC derivation key.
-    pub mac_key: [u8; 32],
-    /// Egress CTR position (`AesCtr::to_parts`).
-    pub enc: ([u8; 16], [u8; 16], usize),
-    /// Ingress CTR position.
-    pub dec: ([u8; 16], [u8; 16], usize),
-    /// Egress MAC sponge.
-    pub egress_mac: MacState,
-    /// Ingress MAC sponge.
-    pub ingress_mac: MacState,
-    /// Body size parsed from a verified header, awaiting the body bytes.
-    pub pending_body: Option<usize>,
-}
-
-impl std::fmt::Debug for FrameCodecState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Keys and sponge states are secrets; show only decoder progress.
-        f.debug_struct("FrameCodecState")
-            .field("pending_body", &self.pending_body)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Symmetric frame codec for one established connection.
 pub struct FrameCodec {
     enc: AesCtr,
@@ -104,6 +66,52 @@ impl std::fmt::Debug for FrameCodec {
     }
 }
 
+/// Image: both session keys, each direction's CTR position and MAC
+/// sponge (`to_parts` tuples), and the decoder's pending body size —
+/// live key material, so treat a serialized snapshot like a key file.
+impl Snap for FrameCodec {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.aes_key.snap(w);
+        self.mac_key.snap(w);
+        self.enc.to_parts().snap(w);
+        self.dec.to_parts().snap(w);
+        self.egress_mac.to_parts().snap(w);
+        self.ingress_mac.to_parts().snap(w);
+        self.pending_body.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<FrameCodec, SnapError> {
+        let aes_key = <[u8; 32]>::unsnap(r)?;
+        let mac_key = <[u8; 32]>::unsnap(r)?;
+        let mut ctr = || {
+            AesCtr::from_parts(&aes_key, Snap::unsnap(r)?)
+                .ok_or(SnapError::Corrupt("AES-CTR position out of range"))
+        };
+        let (enc, dec) = (ctr()?, ctr()?);
+        let mut mac = || {
+            Keccak::from_parts(Snap::unsnap(r)?)
+                .ok_or(SnapError::Corrupt("frame MAC sponge out of range"))
+        };
+        let (egress_mac, ingress_mac) = (mac()?, mac()?);
+        let pending_body = Option::<usize>::unsnap(r)?;
+        if pending_body.is_some_and(|size| size >= MAX_FRAME) {
+            return Err(SnapError::Corrupt(
+                "pending frame body exceeds the size cap",
+            ));
+        }
+        Ok(FrameCodec {
+            enc,
+            dec,
+            mac_cipher: Aes::new(&mac_key),
+            egress_mac,
+            ingress_mac,
+            pending_body,
+            aes_key,
+            mac_key,
+        })
+    }
+}
+
 impl FrameCodec {
     /// Build from handshake secrets.
     pub fn new(secrets: Secrets) -> FrameCodec {
@@ -117,34 +125,6 @@ impl FrameCodec {
             pending_body: None,
             aes_key: secrets.aes,
             mac_key: secrets.mac,
-        }
-    }
-
-    /// Capture the full codec state (keys, CTR positions, MAC sponges,
-    /// decoder progress) for checkpoint/restore.
-    pub fn to_state(&self) -> FrameCodecState {
-        FrameCodecState {
-            aes_key: self.aes_key,
-            mac_key: self.mac_key,
-            enc: self.enc.to_parts(),
-            dec: self.dec.to_parts(),
-            egress_mac: self.egress_mac.to_parts(),
-            ingress_mac: self.ingress_mac.to_parts(),
-            pending_body: self.pending_body,
-        }
-    }
-
-    /// Rebuild a codec mid-stream from [`FrameCodec::to_state`] output.
-    pub fn from_state(s: FrameCodecState) -> FrameCodec {
-        FrameCodec {
-            enc: AesCtr::from_parts(&s.aes_key, s.enc),
-            dec: AesCtr::from_parts(&s.aes_key, s.dec),
-            mac_cipher: Aes::new(&s.mac_key),
-            egress_mac: Keccak::from_parts(s.egress_mac),
-            ingress_mac: Keccak::from_parts(s.ingress_mac),
-            pending_body: s.pending_body,
-            aes_key: s.aes_key,
-            mac_key: s.mac_key,
         }
     }
 

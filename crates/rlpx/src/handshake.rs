@@ -4,6 +4,7 @@ use enode::NodeId;
 use ethcrypto::ecies;
 use ethcrypto::keccak::{keccak256, Keccak};
 use ethcrypto::secp256k1::{recover, PublicKey, RecoverableSignature, SecretKey};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use rlp::{Rlp, RlpStream};
 
 /// Which side of the handshake we are.
@@ -14,6 +15,8 @@ pub enum Role {
     /// We accepted (expect `auth`, send `ack`).
     Recipient,
 }
+
+obs::snap_enum!(Role { 0 => Initiator, 1 => Recipient });
 
 /// Why a handshake failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,81 +334,46 @@ impl Handshake {
         NodeId::from_secret_key(&self.static_key)
     }
 
-    /// Capture the exchange progress for checkpoint/restore. The static
-    /// identity key is deliberately absent — the owner persists it with the
-    /// node identity and supplies it again to [`Handshake::from_state`].
-    pub fn to_state(&self) -> HandshakeState {
-        HandshakeState {
-            initiator: self.role == Role::Initiator,
-            ephemeral_key: self.ephemeral_key.to_bytes(),
-            nonce: self.nonce,
-            remote_static: self.remote_static.as_ref().map(NodeId::from_public_key),
-            remote_ephemeral: self.remote_ephemeral.as_ref().map(NodeId::from_public_key),
-            remote_nonce: self.remote_nonce,
-            auth_bytes: self.auth_bytes.clone(),
-            ack_bytes: self.ack_bytes.clone(),
-        }
+    /// Append the exchange progress to a snapshot. The static identity
+    /// key is deliberately absent — the owner persists it with the node
+    /// identity and supplies it again to [`Handshake::restore`]. Peer
+    /// keys travel as node ids; the image holds live key material.
+    pub fn snap(&self, w: &mut SnapWriter) {
+        (self.role == Role::Initiator).snap(w);
+        self.ephemeral_key.to_bytes().snap(w);
+        self.nonce.snap(w);
+        let id = |pk: &Option<PublicKey>| pk.as_ref().map(NodeId::from_public_key);
+        id(&self.remote_static).snap(w);
+        id(&self.remote_ephemeral).snap(w);
+        self.remote_nonce.snap(w);
+        self.auth_bytes.snap(w);
+        self.ack_bytes.snap(w);
     }
 
-    /// Rebuild a handshake mid-exchange from [`Handshake::to_state`] output.
-    ///
-    /// # Panics
-    /// Panics if the state carries a key or node id that does not decode —
-    /// snapshots are produced by `to_state`, so that is data corruption,
-    /// not remote input.
-    #[allow(clippy::expect_used)]
-    pub fn from_state(static_key: SecretKey, s: HandshakeState) -> Handshake {
-        // detlint: allow(R5) -- snapshot ids come from `to_state`, so a non-decoding one is local corruption, not remote input
-        let pk = |id: &NodeId| id.to_public_key().expect("corrupt handshake snapshot id");
-        Handshake {
-            role: if s.initiator {
+    /// Rebuild a handshake mid-exchange from [`Handshake::snap`] output.
+    /// A key or node id that does not decode is a corrupt image.
+    pub fn restore(r: &mut SnapReader<'_>, static_key: SecretKey) -> Result<Handshake, SnapError> {
+        let public_key = |id: Option<NodeId>| {
+            id.map(|id| id.to_public_key())
+                .map(|pk| pk.ok_or(SnapError::Corrupt("handshake peer id is not a public key")))
+                .transpose()
+        };
+        Ok(Handshake {
+            role: if bool::unsnap(r)? {
                 Role::Initiator
             } else {
                 Role::Recipient
             },
             static_key,
-            ephemeral_key: SecretKey::from_bytes(&s.ephemeral_key)
-                // detlint: allow(R5) -- key bytes come from `to_state`, so a non-decoding key is local corruption, not remote input
-                .expect("corrupt handshake snapshot key"),
-            nonce: s.nonce,
-            remote_static: s.remote_static.as_ref().map(pk),
-            remote_ephemeral: s.remote_ephemeral.as_ref().map(pk),
-            remote_nonce: s.remote_nonce,
-            auth_bytes: s.auth_bytes,
-            ack_bytes: s.ack_bytes,
-        }
-    }
-}
-
-/// Plain-data image of an in-progress [`Handshake`] (minus the static key).
-#[derive(Clone)]
-pub struct HandshakeState {
-    /// True for [`Role::Initiator`].
-    pub initiator: bool,
-    /// Our ephemeral secret key bytes.
-    pub ephemeral_key: [u8; 32],
-    /// Our handshake nonce.
-    pub nonce: [u8; 32],
-    /// Peer static identity, if learned.
-    pub remote_static: Option<NodeId>,
-    /// Peer ephemeral identity, if learned.
-    pub remote_ephemeral: Option<NodeId>,
-    /// Peer nonce, if learned.
-    pub remote_nonce: Option<[u8; 32]>,
-    /// Raw auth message (prefix included), if exchanged.
-    pub auth_bytes: Option<Vec<u8>>,
-    /// Raw ack message (prefix included), if exchanged.
-    pub ack_bytes: Option<Vec<u8>>,
-}
-
-impl std::fmt::Debug for HandshakeState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Keys and nonces stay out of logs, mirroring `Handshake`'s Debug.
-        f.debug_struct("HandshakeState")
-            .field("initiator", &self.initiator)
-            .field("auth_seen", &self.auth_bytes.is_some())
-            .field("ack_seen", &self.ack_bytes.is_some())
-            .finish_non_exhaustive()
+            ephemeral_key: SecretKey::from_bytes(&<[u8; 32]>::unsnap(r)?)
+                .map_err(|_| SnapError::Corrupt("handshake ephemeral key does not decode"))?,
+            nonce: Snap::unsnap(r)?,
+            remote_static: public_key(Snap::unsnap(r)?)?,
+            remote_ephemeral: public_key(Snap::unsnap(r)?)?,
+            remote_nonce: Snap::unsnap(r)?,
+            auth_bytes: Snap::unsnap(r)?,
+            ack_bytes: Snap::unsnap(r)?,
+        })
     }
 }
 

@@ -21,5 +21,5 @@
 mod framing;
 mod handshake;
 
-pub use framing::{FrameCodec, FrameCodecState, FrameError, MacState};
-pub use handshake::{expected_len, Handshake, HandshakeError, HandshakeState, Role, Secrets};
+pub use framing::{FrameCodec, FrameError};
+pub use handshake::{expected_len, Handshake, HandshakeError, Role, Secrets};

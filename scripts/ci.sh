@@ -30,6 +30,11 @@
 #   8. scale     -- bench_scale smoke tiers: 250 hosts (with the embedded
 #                   shards-{1,4} divergence byte-check) and a sharded
 #                   50,000-host world at a shortened sim slice
+#   9. benchmark -- benchmark/ is its own workspace, so nothing above
+#                   compiles it: `benchmark/run.sh --smoke` builds it
+#                   against the current crates/ API and runs every
+#                   workload at one-tenth size; afterwards neither
+#                   Cargo.lock may have moved
 #
 # Everything runs offline: external deps are vendored under vendor/.
 # Clippy is best-effort -- some container images ship a toolchain without
@@ -132,6 +137,15 @@ step "bench scale (250-host tier)" env TIERS=250 cargo run -q --release -p bench
 step "bench scale (50k-host sharded smoke)" \
     env TIERS=50000 SCALE_SIM_MS=2000 SCALE_SHARD_CHECK=0 \
     cargo run -q --release -p bench --bin bench_scale
+# benchmark/ has its own Cargo.lock and path deps on crates/*, so a
+# public-API change under crates/ breaks it without any step above
+# noticing. The smoke run also fails if BENCHMARK.json drifted from
+# `--describe`. Its stdout (the result JSON) is not a CI artifact.
+benchmark_smoke() {
+    benchmark/run.sh --smoke >/dev/null
+}
+step "benchmark smoke (stand-alone workspace)" benchmark_smoke
+step "lock files unchanged by the builds" git diff --quiet -- Cargo.lock benchmark/Cargo.lock
 
 echo
 if [ "$failures" -ne 0 ]; then

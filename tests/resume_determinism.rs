@@ -13,6 +13,11 @@
 //! hosts plus the identity-rotating spammer — the adversary crate's
 //! hosts deliberately do not implement `save_state`, so a snapshot of a
 //! world containing them fails `Unsupported` by design.
+//!
+//! The same world pins the snapshot *format* (keccak-256 of the images
+//! at T, so an accidental byte change cannot ride in under version 1)
+//! and feeds the hostile-input sweep: truncated, overlong and bit-flipped
+//! images must restore to `Ok` or `Err`, never a panic.
 
 use ethereum_p2p::prelude::*;
 use std::net::Ipv4Addr;
@@ -225,5 +230,201 @@ fn resumed_run_reports_pipeline_progress() {
                 .contains(&format!("crawler_stage_{stage}_entered")),
             "missing {stage} stage counter in resumed export"
         );
+    }
+}
+
+/// Run the crawl world to T and capture the engine image (`PSNP`, with
+/// its embedded `ETHN`/`NFND` host sections) and the recorder image
+/// (`OBSS`).
+fn images_at_t(shards: usize) -> (Vec<u8>, Vec<u8>) {
+    let recorder = obs::Recorder::new();
+    recorder.install();
+    let (mut world, _host) = build_crawl_world(shards);
+    world.sim.run_until(T_MS);
+    let sim_snap = world.sim.snapshot().expect("engine snapshot at T");
+    let obs_snap = recorder.snapshot_state();
+    obs::uninstall();
+    (sim_snap, obs_snap)
+}
+
+fn keccak_hex(bytes: &[u8]) -> String {
+    ethereum_p2p::ethcrypto::keccak::keccak256(bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// Format pin: `(shards, PSNP digest, OBSS digest)` — keccak-256 of both
+/// images at T, computed at 8e4f1ef, the last commit with hand-written
+/// per-type codecs; the `obs::snap` refactor had to reproduce them. Every
+/// section is still v1: a change that moves one of these digests changed
+/// the byte format and must bump that section's version byte (and
+/// re-pin). A change to the crawl world or the crawler's behaviour moves
+/// them too — re-pin then, after checking the resume suite above.
+const PINNED_DIGESTS: [(usize, &str, &str); 2] = [
+    (
+        1,
+        "f8f021635a60e3459820b69fad516d6306b65f3f2818c84b74e70f9ff9b74876",
+        "040f514e6b752e501b5ecdb13cbde6d0bcdf8213390aeabfd2ef396b8568b650",
+    ),
+    (
+        4,
+        "d088967012d97217e7ba5dd6b0559ce1aa9484207e6ae43f1560b79af064d2a3",
+        "7a9e0f5ef7b4d07e1fab4fcee0c578aafc7e62418374c2be3bb2c328598ce152",
+    ),
+];
+
+#[test]
+fn snapshot_images_match_pinned_digests() {
+    for (shards, psnp, obss) in PINNED_DIGESTS {
+        let (sim_snap, obs_snap) = images_at_t(shards);
+        assert_eq!(
+            keccak_hex(&sim_snap),
+            psnp,
+            "PSNP image bytes changed at {shards} shards"
+        );
+        assert_eq!(
+            keccak_hex(&obs_snap),
+            obss,
+            "OBSS image bytes changed at {shards} shards"
+        );
+    }
+}
+
+/// Names the hostile case on stderr if restoring it panics.
+struct Case(String);
+
+impl Drop for Case {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("hostile snapshot case panicked: {}", self.0);
+        }
+    }
+}
+
+/// Restore a (possibly hostile) engine image into a freshly built shell.
+/// `Ok` and `Err` are both acceptable outcomes; returning at all is the
+/// property under test.
+fn restore_sim(image: &[u8], case: String) -> Result<(), netsim::SnapError> {
+    let _case = Case(case);
+    let (mut world, _host) = build_crawl_world(1);
+    world.sim.restore(image)
+}
+
+/// Same, for the recorder image.
+fn restore_obs(image: &[u8], case: String) -> Result<(), netsim::SnapError> {
+    let _case = Case(case);
+    obs::Recorder::new().restore_state(image)
+}
+
+/// Byte offsets of every `u64` length prefix a `PSNP` v1 restore reads
+/// before it reaches the first host section: fault windows, conn slab
+/// (walked entry by entry — the optional acceptor makes them variable
+/// width), conn free list, host count, then the first slot's NAT table,
+/// live-conn list and embedded section.
+fn length_prefixes_to_first_host_section(image: &[u8]) -> Vec<usize> {
+    let u64_at =
+        |pos: usize| u64::from_le_bytes(image[pos..pos + 8].try_into().expect("8 bytes")) as usize;
+    // magic(4) version(1) now(8) ext_seq(4) three counters(24)
+    // tcp counters(32) queue_depth_peak(8)
+    let mut pos = 81;
+    let mut out = vec![pos];
+    assert_eq!(u64_at(pos), 0, "the crawl world installs no fault windows");
+    pos += 8;
+    out.push(pos);
+    let n_conns = u64_at(pos);
+    pos += 8;
+    for _ in 0..n_conns {
+        pos += 4 + 4 + 8; // generation, pending, initiator
+        pos += 1 + 8 * image[pos] as usize; // acceptor
+        pos += 6 + 6 + 1 + 4; // remote addr, local addr, state, rtt
+    }
+    out.push(pos);
+    pos += 8 + 4 * u64_at(pos); // free list of u32
+    out.push(pos);
+    pos += 8; // host count
+    pos += 1 + 4 + 32 + 4 + 1; // alive, shard, rng, next_key, reachable
+    out.push(pos);
+    pos += 8 + 16 * u64_at(pos); // NAT entries
+    out.push(pos);
+    pos += 8 + 8 * u64_at(pos); // live conns
+    assert_eq!(image[pos], 1, "first slot carries a behaviour section");
+    pos += 1;
+    out.push(pos);
+    assert_eq!(
+        &image[pos + 8..pos + 12],
+        b"ETHN",
+        "walk reached the section"
+    );
+    out
+}
+
+/// Regression: an empty world's image with the conn-slab length (offset
+/// 89) overwritten used to reach `Vec::with_capacity(n)` unchecked and
+/// die with "capacity overflow".
+#[test]
+fn huge_conn_slab_length_is_an_error_not_a_panic() {
+    let mut image = NetSim::new(SimConfig::default()).snapshot().unwrap();
+    image[89..97].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+    assert!(NetSim::new(SimConfig::default()).restore(&image).is_err());
+}
+
+/// Hostile-input sweep, part 1: every truncation and every hostile length
+/// prefix on the way to the first host section is rejected with `Err`.
+#[test]
+fn truncated_and_overlong_images_are_rejected() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0001);
+    let (sim_image, obs_image) = images_at_t(1);
+    restore_sim(&sim_image, "intact PSNP".into()).expect("intact image restores");
+    restore_obs(&obs_image, "intact OBSS".into()).expect("intact image restores");
+
+    for (name, image, restore) in [
+        ("PSNP", &sim_image, restore_sim as fn(&[u8], String) -> _),
+        ("OBSS", &obs_image, restore_obs),
+    ] {
+        let seeded = (0..256).map(|_| rng.gen_range(513..image.len()));
+        for len in (0..=512).chain(seeded) {
+            let out = restore(&image[..len], format!("{name} truncated to {len}"));
+            assert!(out.is_err(), "{name} truncated to {len} bytes restored");
+        }
+    }
+    for pos in length_prefixes_to_first_host_section(&sim_image) {
+        let mut image = sim_image.clone();
+        image[pos..pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let out = restore_sim(&image, format!("PSNP length at {pos} = u64::MAX"));
+        assert!(
+            out.is_err(),
+            "length prefix at {pos} set to u64::MAX restored"
+        );
+    }
+}
+
+/// Hostile-input sweep, part 2: seeded single-byte flips anywhere in
+/// either image restore as `Ok` or `Err`, never a panic or an abort.
+/// 1,024 flips per image: one `PSNP` restore costs ~10 ms in the test
+/// profile, which is what bounds this file's runtime.
+#[test]
+fn flipped_bytes_never_panic() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0002);
+    let (mut sim_image, mut obs_image) = images_at_t(1);
+    for (name, image, restore) in [
+        (
+            "PSNP",
+            &mut sim_image,
+            restore_sim as fn(&[u8], String) -> _,
+        ),
+        ("OBSS", &mut obs_image, restore_obs),
+    ] {
+        let mut rejected = 0;
+        for _ in 0..1_024 {
+            let pos = rng.gen_range(0..image.len());
+            let bit = 1u8 << rng.gen_range(0..8);
+            image[pos] ^= bit;
+            rejected += restore(image, format!("{name} byte {pos} ^ {bit:#04x}")).is_err() as u32;
+            image[pos] ^= bit;
+        }
+        assert!(rejected > 0, "no {name} flip was detected at all");
     }
 }
