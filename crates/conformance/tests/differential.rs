@@ -9,7 +9,8 @@
 //! 2. **discv4**: signature recovery through the thread-local sign-time
 //!    memo (decoding in the signing thread) vs the full group-arithmetic
 //!    recovery (decoding the same datagrams in a fresh thread, whose
-//!    memo caches start empty).
+//!    memo caches start empty); and ECDH the same way — `a·B` here vs
+//!    `b·A` in a fresh thread, where the pair memo cannot answer.
 //! 3. **rlpx**: the frame writer vs the frame reader under every padding
 //!    residue, with chained MAC state and randomly chunked delivery.
 //!
@@ -327,6 +328,42 @@ fn differential_discv4_memoized_vs_cold_recovery() {
             }
         }
         done += batch;
+    }
+}
+
+/// `a.ecdh(B)` and `b.ecdh(A)` share one memo slot (the unordered key
+/// pair), so in one thread the second call never multiplies. Computing it
+/// in a fresh thread runs the variable-base multiplication on the other
+/// scalar and the other point.
+#[test]
+fn differential_ecdh_warm_vs_cold_thread() {
+    const SEED: u64 = 0xd15c_0004;
+    let n = case_count(200);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let pairs: Vec<(SecretKey, SecretKey)> = (0..n)
+        .map(|_| (SecretKey::random(&mut rng), SecretKey::random(&mut rng)))
+        .collect();
+    let warm: Vec<[u8; 32]> = pairs
+        .iter()
+        .map(|(a, b)| a.ecdh(&b.public_key()).unwrap())
+        .collect();
+    let for_thread = pairs.clone();
+    let cold: Vec<[u8; 32]> = std::thread::spawn(move || {
+        for_thread
+            .iter()
+            .map(|(a, b)| b.ecdh(&a.public_key()).unwrap())
+            .collect()
+    })
+    .join()
+    .expect("cold ecdh thread panicked");
+    for (case, ((w, c), (a, b))) in warm.iter().zip(&cold).zip(&pairs).enumerate() {
+        assert_eq!(
+            w,
+            c,
+            "a·B != b·A (seed {SEED:#x}, case {case}, a: {}, b: {})",
+            hex_encode(&a.to_bytes()),
+            hex_encode(&b.to_bytes())
+        );
     }
 }
 

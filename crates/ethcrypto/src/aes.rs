@@ -2,6 +2,12 @@
 //!
 //! RLPx encrypts frames with AES-256-CTR (a never-rewinding keystream shared
 //! by both directions) and ECIES bodies with AES-128-CTR.
+//!
+//! Rounds are table lookups: SubBytes, ShiftRows and MixColumns of one column
+//! are four reads of `TE` XORed together.
+
+// Column indices are part of the cipher's definition; keep them explicit.
+#![allow(clippy::needless_range_loop)]
 
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -26,15 +32,33 @@ const RCON: [u8; 11] = [
     0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
 ];
 
-fn xtime(x: u8) -> u8 {
-    (x << 1) ^ (((x >> 7) & 1) * 0x1b)
+/// `TE[x]` is the MixColumns image of the column `(S[x], 0, 0, 0)`, as the
+/// big-endian word `[2·S[x], S[x], S[x], 3·S[x]]`. A byte in row `r` of a
+/// column contributes the same word rotated right by `8·r` bits, so one
+/// 1 kB table serves all four rows of SubBytes∘ShiftRows∘MixColumns.
+const TE: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let s2 = (s << 1) ^ ((s >> 7) * 0x1b); // GF(2^8) doubling
+        t[i] = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        i += 1;
+    }
+    t
+};
+
+/// SubBytes on each byte of a word.
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
 }
 
 /// An expanded AES key (128, 192, or 256 bits). Encryption-only: CTR mode
 /// never needs the inverse cipher.
 #[derive(Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Round keys as big-endian column words, four per round.
+    round_keys: Vec<u32>,
 }
 
 impl Aes {
@@ -50,98 +74,62 @@ impl Aes {
             32 => 8,
             n => panic!("invalid AES key length {n}"),
         };
-        let nr = nk + 6;
-        let total_words = 4 * (nr + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let rounds = nk + 6;
+        let mut w = vec![0u32; 4 * (rounds + 1)];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        for i in nk..total_words {
+        for i in nk..w.len() {
             let mut temp = w[i - 1];
             if i % nk == 0 {
-                temp = [
-                    SBOX[temp[1] as usize] ^ RCON[i / nk],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                    SBOX[temp[0] as usize],
-                ];
+                temp = sub_word(temp.rotate_left(8)) ^ (RCON[i / nk] as u32) << 24;
             } else if nk > 6 && i % nk == 4 {
-                temp = [
-                    SBOX[temp[0] as usize],
-                    SBOX[temp[1] as usize],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                ];
+                temp = sub_word(temp);
             }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            w[i] = w[i - nk] ^ temp;
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (j, word) in c.iter().enumerate() {
-                    rk[4 * j..4 * j + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
-        Aes { round_keys }
+        Aes { round_keys: w }
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let nr = self.round_keys.len() - 1;
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..nr {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+        let rk = &self.round_keys[..];
+        let rounds = rk.len() / 4 - 1;
+        // State is column-major: s[c] is column c, row 0 in the top byte.
+        let mut s = [0u32; 4];
+        for c in 0..4 {
+            let col = [
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ];
+            s[c] = u32::from_be_bytes(col) ^ rk[c];
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[nr]);
-    }
-}
-
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-// State is column-major: state[4*col + row].
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for row in 1..4 {
-        for col in 0..4 {
-            state[4 * col + row] = s[4 * ((col + row) % 4) + row];
+        for round in rk[4..4 * rounds].chunks_exact(4) {
+            let mut t = [0u32; 4];
+            for c in 0..4 {
+                // ShiftRows: row r of output column c comes from column c + r.
+                t[c] = TE[(s[c] >> 24) as usize]
+                    ^ TE[(s[(c + 1) % 4] >> 16 & 0xff) as usize].rotate_right(8)
+                    ^ TE[(s[(c + 2) % 4] >> 8 & 0xff) as usize].rotate_right(16)
+                    ^ TE[(s[(c + 3) % 4] & 0xff) as usize].rotate_right(24)
+                    ^ round[c];
+            }
+            s = t;
         }
-    }
-}
-
-fn mix_columns(state: &mut [u8; 16]) {
-    for col in 0..4 {
-        let a0 = state[4 * col];
-        let a1 = state[4 * col + 1];
-        let a2 = state[4 * col + 2];
-        let a3 = state[4 * col + 3];
-        state[4 * col] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3;
-        state[4 * col + 1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3;
-        state[4 * col + 2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3);
-        state[4 * col + 3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3);
+        // Final round: SubBytes and ShiftRows only.
+        let last = &rk[4 * rounds..];
+        for c in 0..4 {
+            let col = [
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[(s[(c + 1) % 4] >> 16 & 0xff) as usize],
+                SBOX[(s[(c + 2) % 4] >> 8 & 0xff) as usize],
+                SBOX[(s[(c + 3) % 4] & 0xff) as usize],
+            ];
+            let out = u32::from_be_bytes(col) ^ last[c];
+            block[4 * c..4 * c + 4].copy_from_slice(&out.to_be_bytes());
+        }
     }
 }
 
@@ -190,23 +178,44 @@ impl AesCtr {
         })
     }
 
+    /// The next keystream block into `self.keystream`; advances the counter.
+    fn next_block(&mut self) {
+        self.keystream = self.counter;
+        self.cipher.encrypt_block(&mut self.keystream);
+        // big-endian increment of the counter block
+        self.counter = u128::from_be_bytes(self.counter)
+            .wrapping_add(1)
+            .to_be_bytes();
+    }
+
     /// XOR the keystream over `data` in place (encrypt or decrypt).
+    ///
+    /// Whole blocks are XORed 16 bytes at a time, but the stream position
+    /// ([`AesCtr::to_parts`]) ends exactly where a byte-at-a-time walk would
+    /// leave it: a block is generated only when a byte needs it, and the
+    /// last one generated stays in `keystream`.
     pub fn apply(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            if self.used == 16 {
-                self.keystream = self.counter;
-                self.cipher.encrypt_block(&mut self.keystream);
-                // big-endian increment of the counter block
-                for i in (0..16).rev() {
-                    self.counter[i] = self.counter[i].wrapping_add(1);
-                    if self.counter[i] != 0 {
-                        break;
-                    }
-                }
-                self.used = 0;
-            }
+        // Finish the buffered block.
+        let head = data.len().min(16 - self.used);
+        let (head, rest) = data.split_at_mut(head);
+        for byte in head {
             *byte ^= self.keystream[self.used];
             self.used += 1;
+        }
+        let mut blocks = rest.chunks_exact_mut(16);
+        for block in &mut blocks {
+            self.next_block();
+            for (byte, k) in block.iter_mut().zip(&self.keystream) {
+                *byte ^= k;
+            }
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            self.next_block();
+            for (byte, k) in tail.iter_mut().zip(&self.keystream) {
+                *byte ^= k;
+            }
+            self.used = tail.len();
         }
     }
 
@@ -265,6 +274,86 @@ mod tests {
         let mut want = [0u8; 16];
         hex_to(&mut want, "8ea2b7ca516745bfeafc49904b496089");
         assert_eq!(block, want);
+    }
+
+    const NIST_PLAINTEXT: &str = "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+                                  30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710";
+
+    fn check_nist_ctr(key_hex: &str, want_hex: &str) {
+        let mut key = vec![0u8; key_hex.len() / 2];
+        hex_to(&mut key, key_hex);
+        let mut iv = [0u8; 16];
+        hex_to(&mut iv, "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+        let mut data = [0u8; 64];
+        hex_to(&mut data, NIST_PLAINTEXT);
+        let mut want = [0u8; 64];
+        hex_to(&mut want, want_hex);
+        AesCtr::new(&key, &iv).apply(&mut data);
+        assert_eq!(data, want);
+    }
+
+    #[test]
+    fn sp800_38a_f51_ctr_aes128() {
+        check_nist_ctr(
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff\
+             5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee",
+        );
+    }
+
+    #[test]
+    fn sp800_38a_f55_ctr_aes256() {
+        check_nist_ctr(
+            "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+            "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5\
+             2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6",
+        );
+    }
+
+    /// The byte-at-a-time CTR walk whose `(counter, keystream, used)` the
+    /// v1 snapshots pin.
+    fn apply_bytewise(ctr: &mut AesCtr, data: &mut [u8]) {
+        for byte in data.iter_mut() {
+            if ctr.used == 16 {
+                ctr.keystream = ctr.counter;
+                ctr.cipher.encrypt_block(&mut ctr.keystream);
+                for i in (0..16).rev() {
+                    ctr.counter[i] = ctr.counter[i].wrapping_add(1);
+                    if ctr.counter[i] != 0 {
+                        break;
+                    }
+                }
+                ctr.used = 0;
+            }
+            *byte ^= ctr.keystream[ctr.used];
+            ctr.used += 1;
+        }
+    }
+
+    #[test]
+    fn blockwise_apply_leaves_the_bytewise_stream_position() {
+        let key = [0x5au8; 32];
+        // low two bytes ff fe: the counter carries into byte 14 on the
+        // second block
+        let mut iv = [0x11u8; 16];
+        iv[14] = 0xff;
+        iv[15] = 0xfe;
+        let data: Vec<u8> = (0u8..100).collect();
+        for len in 0..=100 {
+            for chunk in [1usize, 3, 16, 17, 33] {
+                let mut fast = AesCtr::new(&key, &iv);
+                let mut slow = AesCtr::new(&key, &iv);
+                let mut got = data[..len].to_vec();
+                let mut want = data[..len].to_vec();
+                for (g, w) in got.chunks_mut(chunk).zip(want.chunks_mut(chunk)) {
+                    fast.apply(g);
+                    apply_bytewise(&mut slow, w);
+                    assert_eq!(fast.to_parts(), slow.to_parts(), "len {len} chunk {chunk}");
+                }
+                assert_eq!(got, want, "len {len} chunk {chunk}");
+                assert_eq!(fast.to_parts(), slow.to_parts(), "len {len} chunk {chunk}");
+            }
+        }
     }
 
     #[test]

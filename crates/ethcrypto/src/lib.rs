@@ -13,9 +13,14 @@
 //! | [`secp256k1`] | node identity keys, discv4 packet signatures (with public-key recovery), ECDH for RLPx/ECIES |
 //! | [`ecies`] | RLPx `auth`/`ack` handshake message encryption |
 //!
-//! The implementations favour clarity and reviewability over raw speed and
-//! are **not** hardened against timing side channels — they exist to run a
-//! protocol-faithful measurement simulation, not to guard real funds.
+//! A simulated crawl spends most of its host time in this crate (DESIGN.md
+//! § Performance, "Where host time goes"), so the secp256k1 and AES kernels
+//! are written for speed — GLV scalar multiplication, carry-chain field
+//! arithmetic, T-table AES — in safe Rust, each beside a slow, obviously
+//! correct path that the tests use as an oracle. Nothing here is hardened
+//! against timing side channels (lookups and branches depend on secrets):
+//! the crate exists to run a protocol-faithful measurement simulation, not
+//! to guard real funds.
 //!
 //! # Example: sign and recover
 //!

@@ -1,7 +1,9 @@
 //! Arithmetic in the secp256k1 base field GF(p), p = 2^256 - 2^32 - 977.
 //!
 //! Uses the special prime form for fast reduction: 2^256 ≡ c (mod p) with
-//! c = 2^32 + 977, so a 512-bit product folds to 256 bits in two passes.
+//! c = 2^32 + 977, so a 512-bit product folds to 256 bits in two passes and
+//! subtracting p is adding c and dropping the carry. Elements stay canonical
+//! (`< p`), so equality, parity and serialization read the limbs directly.
 
 use crate::u256::U256;
 
@@ -69,33 +71,47 @@ impl Fe {
     }
 
     /// Field addition.
+    #[inline]
     pub fn add(&self, other: &Fe) -> Fe {
-        Fe(self.0.add_mod(&other.0, &P))
+        let (sum, carry) = self.0.overflowing_add(&other.0);
+        // a + b < 2p, and ≥ p for half of all operand pairs: select the
+        // reduced form with a mask, not a coin-flip branch.
+        let (reduced, over) = sum.overflowing_add(&MINUS_P);
+        debug_assert!(!(carry && over));
+        let mask = ((carry | over) as u64).wrapping_neg();
+        Fe(U256(std::array::from_fn(|i| {
+            (reduced.0[i] & mask) | (sum.0[i] & !mask)
+        })))
     }
 
     /// Field subtraction.
+    #[inline]
     pub fn sub(&self, other: &Fe) -> Fe {
-        Fe(self.0.sub_mod(&other.0, &P))
+        let (diff, borrow) = self.0.overflowing_sub(&other.0);
+        // On borrow the limbs hold a − b + 2^256 and the answer is
+        // a − b + p = that − C; it is ≥ 2^256 − p + 1 > C, so no second borrow.
+        let c = U256::from_u64(C & (borrow as u64).wrapping_neg());
+        let (diff, borrow) = diff.overflowing_sub(&c);
+        debug_assert!(!borrow);
+        Fe(diff)
     }
 
     /// Field negation.
+    #[inline]
     pub fn neg(&self) -> Fe {
-        if self.is_zero() {
-            *self
-        } else {
-            Fe(P.wrapping_sub(&self.0))
-        }
+        Fe::ZERO.sub(self)
     }
 
     /// Field multiplication with the fast special-prime reduction.
+    #[inline]
     pub fn mul(&self, other: &Fe) -> Fe {
-        let wide = self.0.widening_mul(&other.0);
-        Fe(reduce_wide(wide))
+        Fe(reduce_wide(self.0.widening_mul(&other.0)))
     }
 
     /// Field squaring.
+    #[inline]
     pub fn square(&self) -> Fe {
-        self.mul(self)
+        Fe(reduce_wide(self.0.widening_square()))
     }
 
     /// Double the element (cheap addition, not a multiplication).
@@ -157,36 +173,45 @@ impl Fe {
     }
 }
 
-/// Reduce a 512-bit product modulo p using 2^256 ≡ c.
-fn reduce_wide(wide: [u64; 8]) -> U256 {
-    // First fold: acc = lo + hi * c  (hi * c is at most 256+33 bits).
-    let mut acc = [0u64; 5];
-    let mut carry: u128 = 0;
-    for i in 0..4 {
-        let v = wide[i] as u128 + wide[4 + i] as u128 * C as u128 + carry;
-        acc[i] = v as u64;
-        carry = v >> 64;
-    }
-    acc[4] = carry as u64;
+/// 2^256 − p. For `v = limbs + carry·2^256 < 2p`, `v − p = v + C − 2^256`,
+/// so `v ≥ p` exactly when `v + C` reaches 2^256 — `carry` is already set or
+/// `limbs + MINUS_P` carries out (never both) — and then the canonical form
+/// of `v` is the low 256 bits of that sum.
+const MINUS_P: U256 = U256([C, 0, 0, 0]);
 
-    // Second fold: acc4 * c folds into the low limbs.
-    let mut lo = U256([acc[0], acc[1], acc[2], acc[3]]);
-    let extra = acc[4] as u128 * C as u128; // <= 2^34 * 2^33 ≈ 2^67
-    let add = U256([extra as u64, (extra >> 64) as u64, 0, 0]);
-    let (sum, carry_out) = lo.overflowing_add(&add);
-    lo = sum;
-    if carry_out {
-        // 2^256 ≡ c once more; c fits in one limb pair and cannot carry again
-        // because lo wrapped to a small value.
-        let (sum2, c2) = lo.overflowing_add(&U256([C, 0, 0, 0]));
-        debug_assert!(!c2);
-        lo = sum2;
+/// Reduce a 512-bit product modulo p using 2^256 ≡ c.
+#[inline]
+fn reduce_wide(wide: [u64; 8]) -> U256 {
+    // First fold: lo + hi·C. The four products are independent; each is
+    // < 2^98, so a column sum of two halves, a limb and a carry fits u128.
+    let m = [
+        wide[4] as u128 * C as u128,
+        wide[5] as u128 * C as u128,
+        wide[6] as u128 * C as u128,
+        wide[7] as u128 * C as u128,
+    ];
+    let mut acc = [0u64; 4];
+    let mut t = wide[0] as u128 + (m[0] as u64) as u128;
+    acc[0] = t as u64;
+    for i in 1..4 {
+        t = wide[i] as u128 + (m[i - 1] >> 64) + (m[i] as u64) as u128 + (t >> 64);
+        acc[i] = t as u64;
     }
-    // Final conditional subtraction (at most twice).
-    while lo.ge(&P) {
-        lo = lo.wrapping_sub(&P);
+    let top = (m[3] >> 64) + (t >> 64); // < 2^34
+
+    // Second fold: top·C < 2^68 into the low limbs. If that carries out, the
+    // limbs wrapped to < 2^68 and the value is 2^256 + limbs < 2p.
+    let extra = top * C as u128;
+    let (acc, carry) = U256(acc).overflowing_add(&U256([extra as u64, (extra >> 64) as u64, 0, 0]));
+    // Below 2p either way, and ≥ p about once in 2^188 products: a branch
+    // the predictor never misses beats a select on the dependency chain.
+    let (reduced, over) = acc.overflowing_add(&MINUS_P);
+    debug_assert!(!(carry && over));
+    if carry | over {
+        reduced
+    } else {
+        acc
     }
-    lo
 }
 
 #[cfg(test)]
@@ -218,6 +243,62 @@ mod tests {
         let fast = a.mul(&b);
         let slow = a.0.mul_mod(&b.0, &P);
         assert_eq!(fast.0, slow);
+    }
+
+    /// Every kernel against the bitwise `U256::reduce512` path.
+    fn check_against_generic(a: &Fe, b: &Fe) {
+        assert_eq!(a.add(b).0, a.0.add_mod(&b.0, &P), "add {a:?} {b:?}");
+        assert_eq!(a.sub(b).0, a.0.sub_mod(&b.0, &P), "sub {a:?} {b:?}");
+        assert_eq!(a.neg().0, U256::ZERO.sub_mod(&a.0, &P), "neg {a:?}");
+        assert_eq!(a.mul(b).0, a.0.mul_mod(&b.0, &P), "mul {a:?} {b:?}");
+        assert_eq!(a.square().0, a.0.mul_mod(&a.0, &P), "square {a:?}");
+        assert_eq!(a.0.widening_square(), a.0.widening_mul(&a.0));
+    }
+
+    #[test]
+    fn kernels_match_generic_on_edge_values() {
+        let c = U256::from_u64(C);
+        let mut edges = vec![
+            Fe::ZERO,
+            Fe::ONE,
+            Fe(c.wrapping_sub(&U256::ONE)),
+            Fe(c),
+            Fe(P.wrapping_sub(&c)),
+            Fe(P.wrapping_sub(&U256::ONE)),
+            Fe(U256([0, 0, 0, 1 << 63])),
+            Fe::from_be_bytes_reduced(&[0xff; 32]),
+        ];
+        // one limb of all-ones at a time, and all but the top bit
+        for i in 0..4 {
+            let mut limbs = [0u64; 4];
+            limbs[i] = u64::MAX;
+            edges.push(Fe::from_be_bytes_reduced(&U256(limbs).to_be_bytes()));
+        }
+        edges.push(Fe(U256([u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 1])));
+        for a in &edges {
+            assert!(a.0.lt(&P));
+            for b in &edges {
+                check_against_generic(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_generic_on_pseudorandom_pairs() {
+        let mut s: u64 = 0x2545F4914F6CDD1D;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for _ in 0..10_000 {
+            let a =
+                Fe::from_be_bytes_reduced(&U256([next(), next(), next(), next()]).to_be_bytes());
+            let b =
+                Fe::from_be_bytes_reduced(&U256([next(), next(), next(), next()]).to_be_bytes());
+            check_against_generic(&a, &b);
+        }
     }
 
     #[test]

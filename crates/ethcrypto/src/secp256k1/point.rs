@@ -5,6 +5,7 @@
 //! inversions; a single inversion converts back to affine at the end.
 
 use super::field::Fe;
+use super::scalar::split_lambda;
 use crate::u256::U256;
 
 /// The curve order n (number of points / order of the generator).
@@ -30,6 +31,15 @@ pub const GY: U256 = U256([
     0x5DA4FBFC0E1108A8,
     0x483ADA7726A3C465,
 ]);
+
+/// β, a primitive cube root of unity mod p: `(x, y) ↦ (β·x, y)` is the curve
+/// endomorphism that multiplies by `scalar::LAMBDA`.
+const BETA: Fe = Fe(U256([
+    0xC1396C28719501EE,
+    0x9CF0497512F58995,
+    0x6E64479EAC3434E9,
+    0x7AE96A2B657C0710,
+]));
 
 /// A point in affine coordinates, or infinity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,11 +197,20 @@ impl Jacobian {
 
     /// Mixed addition with an affine point (add-2007-bl with Z2 = 1).
     pub fn add_affine(&self, other: &Affine) -> Jacobian {
-        let Affine::Point { x: x2, y: y2 } = other else {
-            return *self;
-        };
+        match other {
+            Affine::Infinity => *self,
+            Affine::Point { x, y } => self.add_xy(x, y),
+        }
+    }
+
+    /// Mixed addition with the finite affine point `(x2, y2)`.
+    fn add_xy(&self, x2: &Fe, y2: &Fe) -> Jacobian {
         if self.is_infinity() {
-            return Jacobian::from_affine(other);
+            return Jacobian {
+                x: *x2,
+                y: *y2,
+                z: Fe::ONE,
+            };
         }
         let z1z1 = self.z.square();
         let u2 = x2.mul(&z1z1);
@@ -263,81 +282,118 @@ impl Jacobian {
     }
 }
 
+/// A finite affine point as the lookup tables store it: 64 bytes on one
+/// cache line (an `Affine` is 72 and straddles two).
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct TableEntry {
+    x: Fe,
+    y: Fe,
+}
+
+impl TableEntry {
+    const ZERO: TableEntry = TableEntry {
+        x: Fe::ZERO,
+        y: Fe::ZERO,
+    };
+}
+
 /// Convert a batch of finite Jacobian points to affine with a single field
 /// inversion (Montgomery's trick). All inputs must have nonzero Z.
-fn batch_to_affine(pts: &[Jacobian]) -> Vec<Affine> {
-    if pts.is_empty() {
-        return Vec::new();
-    }
-    let mut prefix = Vec::with_capacity(pts.len());
+fn batch_to_affine(pts: &[Jacobian], out: &mut [TableEntry]) {
+    assert_eq!(pts.len(), out.len());
+    // Until its entry is written, out[i].x holds the prefix product z_0·…·z_i.
     let mut acc = Fe::ONE;
-    for p in pts {
+    for (p, o) in pts.iter().zip(out.iter_mut()) {
         acc = acc.mul(&p.z);
-        prefix.push(acc);
+        o.x = acc;
     }
     let mut inv = acc.inv().expect("all Z coordinates nonzero");
-    let mut out = vec![Affine::Infinity; pts.len()];
     for i in (0..pts.len()).rev() {
-        let zinv = if i == 0 { inv } else { inv.mul(&prefix[i - 1]) };
+        let zinv = if i == 0 { inv } else { inv.mul(&out[i - 1].x) };
         inv = inv.mul(&pts[i].z);
         let zinv2 = zinv.square();
         let zinv3 = zinv2.mul(&zinv);
-        out[i] = Affine::Point {
+        out[i] = TableEntry {
             x: pts[i].x.mul(&zinv2),
             y: pts[i].y.mul(&zinv3),
         };
     }
-    out
 }
 
-/// Width-5 wNAF digits of `k`, least-significant first. Nonzero digits are
-/// odd and in `[-15, 15]`; returns the digit array and its length.
-fn wnaf5(k: &U256) -> ([i8; 257], usize) {
-    let mut d = *k;
-    let mut digits = [0i8; 257];
+/// Width-5 wNAF digits of one GLV half, least-significant first. Nonzero
+/// digits are odd and in `[-15, 15]`; returns the digit array and its length.
+fn wnaf5(mut d: u128) -> ([i8; 130], usize) {
+    let mut digits = [0i8; 130];
     let mut i = 0;
-    while !d.is_zero() {
-        if d.is_odd() {
-            let low = (d.0[0] & 31) as i8; // d mod 32, odd
+    while d != 0 {
+        if d & 1 == 1 {
+            let low = (d & 31) as i8; // d mod 32, odd
             let digit = if low >= 16 { low - 32 } else { low };
             digits[i] = digit;
             if digit > 0 {
-                d = d.wrapping_sub(&U256::from_u64(digit as u64));
+                d -= digit as u128;
             } else {
-                // d < n < 2^256 - 2^129, so adding at most 15 cannot wrap.
-                d = d.overflowing_add(&U256::from_u64((-digit) as u64)).0;
+                // |kᵢ| < 0.64·2^128 out of `split_lambda`: adding at most
+                // 15 cannot wrap.
+                d += (-digit) as u128;
             }
         }
-        d = d.shr1();
+        d >>= 1;
         i += 1;
     }
     (digits, i)
 }
 
-/// `k * P` in Jacobian form: width-5 wNAF over a table of odd multiples
-/// (P, 3P, …, 15P), ~43 additions instead of ~128 for double-and-add.
+/// `k * P` in Jacobian form, for any `k` (reduced mod n on entry).
+///
+/// GLV: `k = k1 + k2·λ (mod n)` with 128-bit halves, and `λ·P` costs one
+/// field multiplication per table entry, so `k·P = k1·P + k2·(λP)` is an
+/// interleaved width-5 wNAF over two affine odd-multiples tables — 128
+/// doublings and ~43 mixed additions instead of 256 and ~43 full ones.
 pub(crate) fn scalar_mul_jac(k: &U256, p: &Affine) -> Jacobian {
+    let k = if k.ge(&N) { k.wrapping_sub(&N) } else { *k };
     if k.is_zero() || p.is_infinity() {
         return Jacobian::infinity();
     }
+    // P, 3P, …, 15P. None is infinity: the group order is an odd prime.
     let p_jac = Jacobian::from_affine(p);
     let two_p = p_jac.double();
-    let mut tbl = [p_jac; 8];
+    let mut jac = [p_jac; 8];
     for i in 1..8 {
-        tbl[i] = tbl[i - 1].add(&two_p);
+        jac[i] = jac[i - 1].add(&two_p);
     }
-    let (digits, len) = wnaf5(k);
+    let mut tbl = [TableEntry::ZERO; 8];
+    batch_to_affine(&jac, &mut tbl);
+    let mut tbl_lam = tbl;
+    for e in &mut tbl_lam {
+        e.x = e.x.mul(&BETA);
+    }
+
+    let (k1, k2) = split_lambda(&k);
+    let (d1, len1) = wnaf5(k1.abs);
+    let (d2, len2) = wnaf5(k2.abs);
     let mut acc = Jacobian::infinity();
-    for i in (0..len).rev() {
+    for i in (0..len1.max(len2)).rev() {
         acc = acc.double();
-        let d = digits[i];
-        if d > 0 {
-            acc = acc.add(&tbl[d as usize / 2]);
-        } else if d < 0 {
-            acc = acc.add(&tbl[(-d) as usize / 2].neg());
-        }
+        acc = add_digit(acc, &tbl, d1[i], k1.neg);
+        acc = add_digit(acc, &tbl_lam, d2[i], k2.neg);
     }
     acc
+}
+
+/// `acc ± tbl[|digit| / 2]` for a nonzero wNAF digit; `flip` negates it.
+#[inline]
+fn add_digit(acc: Jacobian, tbl: &[TableEntry; 8], digit: i8, flip: bool) -> Jacobian {
+    if digit == 0 {
+        return acc;
+    }
+    let e = &tbl[digit.unsigned_abs() as usize / 2];
+    if (digit < 0) != flip {
+        acc.add_xy(&e.x, &e.y.neg())
+    } else {
+        acc.add_xy(&e.x, &e.y)
+    }
 }
 
 /// Scalar multiplication `k * P`.
@@ -375,7 +431,7 @@ fn gen_table() -> &'static GenTable {
 /// Generator multiplication becomes at most 32 mixed additions with no
 /// doublings at all.
 struct GenCombTable {
-    entries: Vec<Affine>,
+    entries: Vec<TableEntry>,
 }
 
 impl GenCombTable {
@@ -390,9 +446,9 @@ impl GenCombTable {
                 acc = acc.add_affine(base);
             }
         }
-        GenCombTable {
-            entries: batch_to_affine(&jac),
-        }
+        let mut entries = vec![TableEntry::ZERO; jac.len()];
+        batch_to_affine(&jac, &mut entries);
+        GenCombTable { entries }
     }
 }
 
@@ -413,7 +469,8 @@ pub(crate) fn scalar_mul_generator_jac(k: &U256) -> Jacobian {
     for w in 0..32 {
         let d = (k.0[w / 8] >> (8 * (w % 8))) & 0xff;
         if d != 0 {
-            acc = acc.add_affine(&table.entries[w * 255 + d as usize - 1]);
+            let e = &table.entries[w * 255 + d as usize - 1];
+            acc = acc.add_xy(&e.x, &e.y);
         }
     }
     acc
@@ -567,6 +624,48 @@ mod tests {
     }
 
     #[test]
+    fn endomorphism_multiplies_by_lambda() {
+        use crate::secp256k1::scalar::LAMBDA;
+        let g = Affine::generator();
+        let want = Affine::Point {
+            x: Fe(GX).mul(&BETA),
+            y: Fe(GY),
+        };
+        assert_eq!(scalar_mul_reference(&LAMBDA, &g), want);
+        assert_eq!(BETA.square().mul(&BETA), Fe::ONE);
+    }
+
+    #[test]
+    fn glv_matches_reference_on_edge_scalars() {
+        let g = Affine::generator();
+        let p = scalar_mul_reference(&U256::from_u64(7777), &g);
+        for k in crate::secp256k1::scalar::glv_edge_scalars() {
+            assert_eq!(scalar_mul(&k, &p), scalar_mul_reference(&k, &p), "k={k:?}");
+            assert_eq!(scalar_mul(&k, &g), scalar_mul_reference(&k, &g), "k={k:?}");
+        }
+        assert!(scalar_mul(&U256::ONE, &Affine::Infinity).is_infinity());
+    }
+
+    /// Scalars at and above n: the wNAF recoding is only sound below n, so
+    /// `scalar_mul` reduces first (2^256 − 1 used to come back as −P).
+    #[test]
+    fn scalar_mul_reduces_scalars_at_and_above_the_order() {
+        let g = Affine::generator();
+        let p = scalar_mul_reference(&U256::from_u64(7777), &g);
+        let max = U256([u64::MAX; 4]);
+        for k in [
+            N.wrapping_sub(&U256::ONE),
+            N,
+            N.overflowing_add(&U256::ONE).0,
+            max.wrapping_sub(&U256::from_u64(15)),
+            max,
+        ] {
+            assert_eq!(scalar_mul(&k, &p), scalar_mul_reference(&k, &p), "k={k:?}");
+            assert_eq!(scalar_mul(&k, &g), scalar_mul_generator(&k), "k={k:?}");
+        }
+    }
+
+    #[test]
     fn comb_covers_boundary_scalars() {
         for k in [
             U256::ONE,
@@ -593,10 +692,12 @@ mod tests {
             pts.push(acc);
             acc = acc.add_affine(&g);
         }
-        let batched = batch_to_affine(&pts);
-        for (j, a) in pts.iter().zip(&batched) {
-            assert_eq!(j.to_affine(), *a);
+        let mut batched = [TableEntry::ZERO; 7];
+        batch_to_affine(&pts, &mut batched);
+        for (j, e) in pts.iter().zip(&batched) {
+            assert_eq!(j.to_affine(), Affine::Point { x: e.x, y: e.y });
         }
+        batch_to_affine(&[], &mut []);
     }
 
     pub(crate) fn hex32(s: &str) -> [u8; 32] {

@@ -1,7 +1,8 @@
 //! Property-based tests across the crypto primitives.
 
 use ethcrypto::aes::AesCtr;
-use ethcrypto::secp256k1::{recover, PublicKey, SecretKey};
+use ethcrypto::secp256k1::point::N;
+use ethcrypto::secp256k1::{recover, scalar_mul, scalar_mul_generator, PublicKey, SecretKey};
 use ethcrypto::{ecies, keccak256, sha256, Keccak, U256};
 use proptest::prelude::*;
 
@@ -31,6 +32,18 @@ proptest! {
     #[test]
     fn ecdh_commutes(a in arb_secret(), b in arb_secret()) {
         prop_assert_eq!(a.ecdh(&b.public_key()).unwrap(), b.ecdh(&a.public_key()).unwrap());
+    }
+
+    /// `ecdh_commutes` above answers its second half from the memo the first
+    /// half filled; this one runs the variable-base multiplication twice, on
+    /// different scalars and points, and checks both against the comb.
+    #[test]
+    fn scalar_mul_commutes(a in arb_secret(), b in arb_secret()) {
+        let a = U256::from_be_bytes(&a.to_bytes());
+        let b = U256::from_be_bytes(&b.to_bytes());
+        let ab_g = scalar_mul(&a, &scalar_mul_generator(&b));
+        prop_assert_eq!(ab_g, scalar_mul(&b, &scalar_mul_generator(&a)));
+        prop_assert_eq!(ab_g, scalar_mul_generator(&a.mul_mod(&b, &N)));
     }
 
     #[test]

@@ -5,13 +5,14 @@
 #   2. clippy    -- workspace lint-clean; protocol crates additionally deny
 #                   unwrap/expect (see each crate's [lints] table)
 #   3. detlint   -- determinism, panic-safety, wire-policy & parallelism-
-#                   readiness rules R1-R12 (see DESIGN.md): the JSON report
+#                   readiness rules R1-R13 (see DESIGN.md): the JSON report
 #                   is generated twice and byte-compared (the linter must
 #                   be deterministic about determinism), then gated via
 #                   --report, which prints the per-rule summary table and
 #                   fails listing the offending codes
 #   4. tests     -- the whole workspace, including tests/static_analysis.rs
-#                   which re-runs detlint as a tier-1 test
+#                   which re-runs detlint as a tier-1 test; then ethcrypto
+#                   again in release, the profile its kernels actually run in
 #   5. conform   -- golden wire vectors + capped differential drivers from
 #                   crates/conformance; CONFORMANCE_FULL=1 additionally runs
 #                   the 10^5-case differential sweep in release mode
@@ -80,6 +81,11 @@ step "detlint --json (byte-identical across runs)" detlint_json
 step "detlint --report (rule summary + gate)" \
     cargo run -q -p detlint -- --report results/detlint.json
 step "cargo test" cargo test --workspace -q
+# ethcrypto's kernels rest on "this carry cannot overflow" arguments. The
+# debug run above checks them with overflow panics and debug_assert!; the
+# benchmark and every artifact run release, where neither exists and the
+# optimizer is free to differ -- so the oracles must pass there too.
+step "ethcrypto (release)" cargo test -q --release -p ethcrypto
 # The adversarial/fault-injection scenarios are tier-1: call them out so a
 # failure is attributable at a glance even though the workspace run above
 # already includes them.
