@@ -1,5 +1,6 @@
-//! Experiment harness: one function per measurement campaign, shared by
-//! the per-table/figure binaries and `repro_all`.
+//! Experiment harness behind the one `repro` binary: the three shared
+//! measurement campaigns, the world-building helpers the stand-alone
+//! experiments use, and the artifact [`registry`].
 //!
 //! Scaling: the paper ran 30 NodeFinder instances for 82 calendar days
 //! against ~30k daily nodes. The harness compresses time (`day_ms`
@@ -9,14 +10,19 @@
 //! with the world; shapes are what EXPERIMENTS.md compares.
 #![forbid(unsafe_code)]
 
+use adversary::{GarbageHello, ResetAfterN, SlowLoris, Tarpit};
+use enode::{Endpoint, NodeId, NodeRecord};
 use ethcrypto::secp256k1::SecretKey;
 use ethpop::world::{World, WorldConfig};
 use ethpop::{EthNode, NodeProfile, NodeStats};
 use ethwire::{Chain, ChainConfig, SNAPSHOT_HEAD};
-use netsim::{HostAddr, HostMeta, Region};
-use nodefinder::{CrawlLog, CrawlerConfig, DataStore, NodeFinder};
+use netsim::{Host, HostAddr, HostId, HostMeta, Region};
+use nodefinder::{sanitize, CrawlLog, CrawlerConfig, DataStore, NodeFinder, SanitizeReport};
 use std::net::Ipv4Addr;
 
+mod extras;
+mod paper;
+pub mod registry;
 pub mod xor_experiment;
 
 /// Standard experiment scales, chosen to finish on a small machine.
@@ -77,18 +83,89 @@ impl Scale {
     }
 }
 
-/// Everything a crawl campaign produces.
-pub struct CrawlRun {
-    /// The world (ground truth — used only for validation/geo resolution).
-    pub world: World,
-    /// Merged log across crawler instances.
-    pub merged: CrawlLog,
-    /// Per-instance logs.
-    pub per_instance: Vec<CrawlLog>,
-    /// Aggregated dataset.
-    pub store: DataStore,
-    /// The scale used.
-    pub scale: Scale,
+/// The `SEED` / `NODES` / `DAYS` / `CRAWLERS` environment overrides: any
+/// experiment can be re-run at another scale without editing code. A run
+/// with one set writes under `results/override/`, never over the
+/// default-scale files `repro all --check` guards.
+#[derive(Debug, Clone, Default)]
+pub struct Overrides {
+    /// `SEED`.
+    pub seed: Option<u64>,
+    /// `NODES`.
+    pub nodes: Option<usize>,
+    /// `DAYS`.
+    pub days: Option<usize>,
+    /// `CRAWLERS`.
+    pub crawlers: Option<u32>,
+}
+
+impl Overrides {
+    /// Read the four variables; `Err` names the one that does not parse.
+    pub fn from_env() -> Result<Overrides, String> {
+        fn var<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
+            match std::env::var(name) {
+                Err(std::env::VarError::NotPresent) => Ok(None),
+                Err(_) => Err(format!("{name} is not valid unicode")),
+                Ok(v) => match v.parse() {
+                    Ok(parsed) => Ok(Some(parsed)),
+                    Err(_) => Err(format!("{name}={v:?} is not a number")),
+                },
+            }
+        }
+        Ok(Overrides {
+            seed: var("SEED")?,
+            nodes: var("NODES")?,
+            days: var("DAYS")?,
+            crawlers: var("CRAWLERS")?,
+        })
+    }
+
+    /// Is any override set?
+    pub fn any(&self) -> bool {
+        self.seed.is_some()
+            || self.nodes.is_some()
+            || self.days.is_some()
+            || self.crawlers.is_some()
+    }
+
+    /// `base` with every set override applied.
+    pub fn apply(&self, base: Scale) -> Scale {
+        Scale {
+            seed: self.seed.unwrap_or(base.seed),
+            n_nodes: self.nodes.unwrap_or(base.n_nodes),
+            day_ms: base.day_ms,
+            days: self.days.unwrap_or(base.days),
+            crawlers: self.crawlers.unwrap_or(base.crawlers),
+        }
+    }
+}
+
+/// Where the paper's own machines sat.
+const UIUC: HostMeta = HostMeta {
+    country: "US",
+    asn: "UIUC",
+    region: Region::NorthAmerica,
+    reachable: true,
+};
+
+/// Add a host and schedule its start at t=0.
+fn start_host(world: &mut World, ip: [u8; 4], meta: HostMeta, behaviour: Box<dyn Host>) -> HostId {
+    let host = world
+        .sim
+        .add_host(HostAddr::new(Ipv4Addr::from(ip), 30303), meta, behaviour);
+    world.sim.schedule_start(host, 0);
+    host
+}
+
+/// Take a host's behaviour back out of the simulator as its concrete type.
+fn take_host<T: 'static>(world: &mut World, host: HostId) -> T {
+    *world
+        .sim
+        .remove_host_behaviour(host)
+        .expect("host still installed")
+        .into_any()
+        .downcast::<T>()
+        .expect("host has the requested type")
 }
 
 fn world_config(scale: &Scale, spammers: usize) -> WorldConfig {
@@ -122,131 +199,158 @@ fn crawler_config(scale: &Scale, instance: u32) -> CrawlerConfig {
     }
 }
 
-/// The node ID crawler instance `i` runs under (key scheme shared with
-/// [`add_crawlers`]) — lets experiments identify sibling-crawler sightings
-/// for the §5.2 mutual-discovery validation.
-pub fn crawler_node_id(i: u32) -> enode::NodeId {
+/// The key crawler instance `i` runs under.
+fn crawler_key(i: u32) -> SecretKey {
     let mut key_bytes = [0xC7u8; 32];
     key_bytes[30] = (i >> 8) as u8;
     key_bytes[31] = i as u8;
-    enode::NodeId::from_secret_key(&SecretKey::from_bytes(&key_bytes).expect("valid key"))
+    SecretKey::from_bytes(&key_bytes).expect("valid key")
 }
 
 /// Add `n` NodeFinder instances to a world; returns their host ids.
-pub fn add_crawlers(
+fn add_crawlers(
     world: &mut World,
-    scale: &Scale,
+    n: u32,
     make_config: impl Fn(u32) -> CrawlerConfig,
-) -> Vec<netsim::HostId> {
-    let mut hosts = Vec::new();
-    for i in 0..scale.crawlers {
-        let mut key_bytes = [0xC7u8; 32];
-        key_bytes[30] = (i >> 8) as u8;
-        key_bytes[31] = i as u8;
-        let key = SecretKey::from_bytes(&key_bytes).expect("valid key");
-        let crawler = NodeFinder::new(key, make_config(i), world.bootstrap.clone());
-        let addr = HostAddr::new(Ipv4Addr::new(192, 17, 100, 10 + i as u8), 30303);
-        let meta = HostMeta {
-            country: "US",
-            asn: "UIUC",
-            region: Region::NorthAmerica,
-            reachable: true,
-        };
-        let host = world.sim.add_host(addr, meta, Box::new(crawler));
-        world.sim.schedule_start(host, 0);
-        hosts.push(host);
-    }
-    hosts
-}
-
-/// Campaign cache: simulating a world is minutes of wall time on a small
-/// machine, and every table/figure binary reads the same crawl. The first
-/// run writes `results/cache/<key>.jsonl`; later binaries load it and only
-/// rebuild the (cheap, deterministic) world ground truth. Delete the file
-/// or set `NO_CACHE=1` to force a fresh simulation.
-fn cache_path(kind: &str, scale: &Scale, spammers: usize) -> std::path::PathBuf {
-    std::path::Path::new("results/cache").join(format!(
-        "{kind}_s{}_n{}_d{}x{}_c{}_sp{}.jsonl",
-        scale.seed, scale.n_nodes, scale.days, scale.day_ms, scale.crawlers, spammers
-    ))
-}
-
-fn cache_load(path: &std::path::Path) -> Option<CrawlLog> {
-    if std::env::var("NO_CACHE").is_ok() {
-        return None;
-    }
-    let text = std::fs::read_to_string(path).ok()?;
-    CrawlLog::from_jsonl(&text).ok()
-}
-
-fn cache_store(path: &std::path::Path, log: &CrawlLog) {
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let _ = std::fs::write(path, log.to_jsonl());
-}
-
-fn split_by_instance(merged: &CrawlLog, crawlers: u32) -> Vec<CrawlLog> {
-    (0..crawlers)
-        .map(|i| CrawlLog {
-            conns: merged
-                .conns
-                .iter()
-                .filter(|c| c.instance == i)
-                .cloned()
-                .collect(),
-            events: merged
-                .events
-                .iter()
-                .filter(|e| e.instance == i)
-                .cloned()
-                .collect(),
+) -> Vec<HostId> {
+    (0..n)
+        .map(|i| {
+            let crawler = NodeFinder::new(crawler_key(i), make_config(i), world.bootstrap.clone());
+            start_host(world, [192, 17, 100, 10 + i as u8], UIUC, Box::new(crawler))
         })
         .collect()
 }
 
-/// Run a full crawl campaign at the given scale (or reuse the cache).
-pub fn run_crawl(scale: Scale, spammers: usize) -> CrawlRun {
-    let path = cache_path("ecosystem", &scale, spammers);
-    if let Some(merged) = cache_load(&path) {
-        eprintln!("(loaded cached campaign from {})", path.display());
-        let world = World::build(world_config(&scale, spammers));
-        let per_instance = split_by_instance(&merged, scale.crawlers);
-        let store = DataStore::from_log(&merged);
-        return CrawlRun {
-            world,
-            merged,
-            per_instance,
-            store,
-            scale,
+/// Build `config`'s world, let one NodeFinder (at crawler instance 0's
+/// address) crawl it to `config.duration_ms`, and hand both back.
+fn crawl_world(config: WorldConfig, key: SecretKey, crawler: CrawlerConfig) -> (World, NodeFinder) {
+    let until = config.duration_ms;
+    let mut world = World::build(config);
+    let crawler = NodeFinder::new(key, crawler, world.bootstrap.clone());
+    let host = start_host(&mut world, [192, 17, 100, 10], UIUC, Box::new(crawler));
+    world.sim.run_until(until);
+    let crawler = take_host(&mut world, host);
+    (world, crawler)
+}
+
+/// `config`'s world plus `byzantine` adversaries (the four archetypes of
+/// `tests/full_stack.rs`, round-robin) that the crawler is told about as
+/// extra bootstrap nodes, plus that crawler. Every host carries a
+/// profiler archetype label. Nothing has run yet.
+pub fn mixed_world(config: WorldConfig, byzantine: usize, crawler: CrawlerConfig) -> World {
+    let mut world = World::build(config);
+    for n in &world.nodes {
+        let label = if n.bootstrap {
+            "bootstrap"
+        } else {
+            n.client_family
         };
+        obs::profile::host_label(n.host as u64, label);
     }
-    let mut world = World::build(world_config(&scale, spammers));
-    let hosts = add_crawlers(&mut world, &scale, |i| crawler_config(&scale, i));
-    world.sim.run_until(scale.run_ms());
+    type AdvFactory = fn(SecretKey, Vec<Endpoint>) -> Box<dyn Host>;
+    let archetypes: [(&str, AdvFactory); 4] = [
+        ("SlowLoris", |k, b| Box::new(SlowLoris::new(k, b))),
+        ("GarbageHello", |k, b| Box::new(GarbageHello::new(k, b))),
+        ("Tarpit", |k, b| Box::new(Tarpit::new(k, b))),
+        ("ResetAfterN", |k, b| Box::new(ResetAfterN::new(k, b))),
+    ];
+    let boot_eps: Vec<Endpoint> = world.bootstrap.iter().map(|r| r.endpoint).collect();
+    let mut bootstrap = world.bootstrap.clone();
+    for i in 0..byzantine {
+        // One key per adversary: the archetype picks the fill byte, the
+        // round number perturbs the tail.
+        let mut key_bytes = [0xA0 + (i % 4) as u8; 32];
+        key_bytes[30] ^= (i >> 10) as u8;
+        key_bytes[31] ^= (i >> 2) as u8;
+        let key = SecretKey::from_bytes(&key_bytes).expect("adversary key");
+        let ip = [203, 0, (113 + i / 250) as u8, (i % 250) as u8 + 1];
+        bootstrap.push(NodeRecord::new(
+            NodeId::from_secret_key(&key),
+            Endpoint::new(Ipv4Addr::from(ip), 30303),
+        ));
+        let (label, factory) = archetypes[i % 4];
+        let meta = HostMeta {
+            asn: "Test",
+            ..UIUC
+        };
+        let host = start_host(&mut world, ip, meta, factory(key, boot_eps.clone()));
+        obs::profile::host_label(host as u64, label);
+    }
+    let key = SecretKey::from_bytes(&[0xCB; 32]).expect("crawler key");
+    let crawler = Box::new(NodeFinder::new(key, crawler, bootstrap));
+    let host = start_host(
+        &mut world,
+        [192, 17, 100, 1],
+        HostMeta::default_cloud(),
+        crawler,
+    );
+    obs::profile::host_label(host as u64, "crawler");
+    world
+}
+
+/// Sanitization thresholds for simulated datasets.
+///
+/// The paper set its 30-minute thresholds *after observing* the spammers:
+/// between the abusive generation rate (minutes) and honest session
+/// lengths (hours). The simulation compresses time non-uniformly (protocol
+/// RTTs stay real while "days" shrink), so the faithful translation is the
+/// same *ordering*: spammer rotation (≈10–15s sim) < threshold (60s) <
+/// honest session length (minutes).
+fn sim_sanitize_params() -> nodefinder::SanitizeParams {
+    nodefinder::SanitizeParams {
+        short_lived_ms: 60_000,
+        min_nodes_per_ip: 3,
+        max_generation_interval_ms: 60_000,
+    }
+}
+
+/// Everything a crawl campaign produces.
+pub struct CrawlRun {
+    /// The world (ground truth — used only for validation/geo resolution).
+    pub world: World,
+    /// Merged log across crawler instances.
+    pub merged: CrawlLog,
+    /// Per-instance logs.
+    pub per_instance: Vec<CrawlLog>,
+    /// Aggregated dataset, as crawled.
+    pub store: DataStore,
+    /// The dataset after §5.4 sanitization ([`sim_sanitize_params`]).
+    pub clean: DataStore,
+    /// What sanitization removed.
+    pub report: SanitizeReport,
+    /// The scale used.
+    pub scale: Scale,
+}
+
+/// Collect the crawlers' logs out of a finished world.
+fn finish_crawl(mut world: World, hosts: Vec<HostId>, scale: Scale) -> CrawlRun {
+    let per_instance: Vec<CrawlLog> = hosts
+        .into_iter()
+        .map(|host| take_host::<NodeFinder>(&mut world, host).log)
+        .collect();
     let mut merged = CrawlLog::default();
-    let mut per_instance = Vec::new();
-    for host in hosts {
-        let boxed = world
-            .sim
-            .remove_host_behaviour(host)
-            .expect("crawler present");
-        let crawler = boxed
-            .into_any()
-            .downcast::<NodeFinder>()
-            .expect("is NodeFinder");
-        per_instance.push(crawler.log.clone());
-        merged.merge(crawler.log);
+    for log in &per_instance {
+        merged.merge(log.clone());
     }
-    cache_store(&path, &merged);
     let store = DataStore::from_log(&merged);
+    let (clean, report) = sanitize(&store, sim_sanitize_params());
     CrawlRun {
         world,
         merged,
         per_instance,
         store,
+        clean,
+        report,
         scale,
     }
+}
+
+/// Run a full crawl campaign at the given scale.
+fn run_crawl(scale: Scale, spammers: usize) -> CrawlRun {
+    let mut world = World::build(world_config(&scale, spammers));
+    let hosts = add_crawlers(&mut world, scale.crawlers, |i| crawler_config(&scale, i));
+    world.sim.run_until(scale.run_ms());
+    finish_crawl(world, hosts, scale)
 }
 
 /// Snapshot campaign: NodeFinder *and* the Ethernodes-style collector on
@@ -254,82 +358,33 @@ pub fn run_crawl(scale: Scale, spammers: usize) -> CrawlRun {
 pub struct SnapshotRun {
     /// NodeFinder's view.
     pub nodefinder: CrawlRun,
-    /// The Ethernodes-style collector's dataset.
+    /// The Ethernodes-style collector's dataset, sanitized.
     pub ethernodes: DataStore,
 }
 
-/// Run the snapshot campaign (or reuse the cache).
-pub fn run_snapshot(scale: Scale) -> SnapshotRun {
-    let nf_path = cache_path("snapshot_nf", &scale, 1);
-    let en_path = cache_path("snapshot_en", &scale, 1);
-    if let (Some(merged), Some(en_log)) = (cache_load(&nf_path), cache_load(&en_path)) {
-        eprintln!("(loaded cached campaign from {})", nf_path.display());
-        let world = World::build(world_config(&scale, 1));
-        let per_instance = split_by_instance(&merged, scale.crawlers);
-        let store = DataStore::from_log(&merged);
-        return SnapshotRun {
-            nodefinder: CrawlRun {
-                world,
-                merged,
-                per_instance,
-                store,
-                scale,
-            },
-            ethernodes: DataStore::from_log(&en_log),
-        };
-    }
+/// Run the snapshot campaign.
+fn run_snapshot(scale: Scale) -> SnapshotRun {
     let mut world = World::build(world_config(&scale, 1));
-    let nf_hosts = add_crawlers(&mut world, &scale, |i| crawler_config(&scale, i));
+    let nf_hosts = add_crawlers(&mut world, scale.crawlers, |i| crawler_config(&scale, i));
     // One Ethernodes-style collector.
-    let en_key = SecretKey::from_bytes(&[0xE7u8; 32]).expect("valid key");
     let en = NodeFinder::new(
-        en_key,
+        SecretKey::from_bytes(&[0xE7u8; 32]).expect("valid key"),
         CrawlerConfig::ethernodes_style(),
         world.bootstrap.clone(),
     );
-    let en_addr = HostAddr::new(Ipv4Addr::new(88, 99, 10, 5), 30303);
     let en_meta = HostMeta {
         country: "DE",
         asn: "Hetzner",
         region: Region::Europe,
         reachable: true,
     };
-    let en_host = world.sim.add_host(en_addr, en_meta, Box::new(en));
-    world.sim.schedule_start(en_host, 0);
-
+    let en_host = start_host(&mut world, [88, 99, 10, 5], en_meta, Box::new(en));
     world.sim.run_until(scale.run_ms());
 
-    let mut merged = CrawlLog::default();
-    let mut per_instance = Vec::new();
-    for host in nf_hosts {
-        let boxed = world.sim.remove_host_behaviour(host).expect("crawler");
-        let crawler = boxed
-            .into_any()
-            .downcast::<NodeFinder>()
-            .expect("NodeFinder");
-        per_instance.push(crawler.log.clone());
-        merged.merge(crawler.log);
-    }
-    let en_boxed = world
-        .sim
-        .remove_host_behaviour(en_host)
-        .expect("ethernodes");
-    let en = en_boxed
-        .into_any()
-        .downcast::<NodeFinder>()
-        .expect("NodeFinder");
-    cache_store(&nf_path, &merged);
-    cache_store(&en_path, &en.log);
-    let ethernodes = DataStore::from_log(&en.log);
-    let store = DataStore::from_log(&merged);
+    let en_log = take_host::<NodeFinder>(&mut world, en_host).log;
+    let (ethernodes, _) = sanitize(&DataStore::from_log(&en_log), sim_sanitize_params());
     SnapshotRun {
-        nodefinder: CrawlRun {
-            world,
-            merged,
-            per_instance,
-            store,
-            scale,
-        },
+        nodefinder: finish_crawl(world, nf_hosts, scale),
         ethernodes,
     }
 }
@@ -341,12 +396,10 @@ pub struct CaseStudy {
     pub geth: NodeStats,
     /// The instrumented Parity node's counters.
     pub parity: NodeStats,
-    /// World events processed (diagnostics).
-    pub events: u64,
 }
 
 /// Run the case study.
-pub fn run_case_study(scale: Scale) -> CaseStudy {
+fn run_case_study(scale: Scale) -> CaseStudy {
     let mut config = world_config(&scale, 0);
     // The case-study machines were beefy and the network busy: make
     // gossip lively so TRANSACTIONS dominate as in Figs 2/3, and keep the
@@ -357,118 +410,26 @@ pub fn run_case_study(scale: Scale) -> CaseStudy {
     config.unreachable_fraction = 0.35;
     let mut world = World::build(config);
 
-    let mk = |seed: u8, parity: bool| -> NodeProfile {
+    let mut add = |seed: u8, parity: bool| -> HostId {
         let key = SecretKey::from_bytes(&[seed; 32]).expect("valid");
         let chain = Chain::new(ChainConfig::mainnet(), SNAPSHOT_HEAD);
-        if parity {
+        let profile = if parity {
             NodeProfile::parity(key, "Parity/v1.7.9-stable/case-study".into(), chain)
         } else {
             NodeProfile::geth(key, "Geth/v1.7.3-stable/case-study".into(), chain)
-        }
+        };
+        let mut node = EthNode::new(profile, world.bootstrap.clone());
+        node.sample_peers = true;
+        let last_octet = 1 + u8::from(parity);
+        start_host(&mut world, [192, 17, 90, last_octet], UIUC, Box::new(node))
     };
-    let mut geth_node = EthNode::new(mk(0xA1, false), world.bootstrap.clone());
-    geth_node.sample_peers = true;
-    let mut parity_node = EthNode::new(mk(0xA2, true), world.bootstrap.clone());
-    parity_node.sample_peers = true;
-
-    let geth_host = world.sim.add_host(
-        HostAddr::new(Ipv4Addr::new(192, 17, 90, 1), 30303),
-        HostMeta {
-            country: "US",
-            asn: "UIUC",
-            region: Region::NorthAmerica,
-            reachable: true,
-        },
-        Box::new(geth_node),
-    );
-    let parity_host = world.sim.add_host(
-        HostAddr::new(Ipv4Addr::new(192, 17, 90, 2), 30303),
-        HostMeta {
-            country: "US",
-            asn: "UIUC",
-            region: Region::NorthAmerica,
-            reachable: true,
-        },
-        Box::new(parity_node),
-    );
-    world.sim.schedule_start(geth_host, 0);
-    world.sim.schedule_start(parity_host, 0);
+    let geth_host = add(0xA1, false);
+    let parity_host = add(0xA2, true);
     world.sim.run_until(scale.run_ms());
-
-    let events = world.sim.events_processed();
-    let geth = world
-        .sim
-        .remove_host_behaviour(geth_host)
-        .expect("geth host")
-        .into_any()
-        .downcast::<EthNode>()
-        .expect("EthNode")
-        .stats;
-    let parity = world
-        .sim
-        .remove_host_behaviour(parity_host)
-        .expect("parity host")
-        .into_any()
-        .downcast::<EthNode>()
-        .expect("EthNode")
-        .stats;
     CaseStudy {
-        geth,
-        parity,
-        events,
+        geth: take_host::<EthNode>(&mut world, geth_host).stats,
+        parity: take_host::<EthNode>(&mut world, parity_host).stats,
     }
-}
-
-/// Sanitization thresholds for simulated datasets.
-///
-/// The paper set its 30-minute thresholds *after observing* the spammers:
-/// between the abusive generation rate (minutes) and honest session
-/// lengths (hours). The simulation compresses time non-uniformly (protocol
-/// RTTs stay real while "days" shrink), so the faithful translation is the
-/// same *ordering*: spammer rotation (≈10–15s sim) < threshold (60s) <
-/// honest session length (minutes).
-pub fn sim_sanitize_params() -> nodefinder::SanitizeParams {
-    nodefinder::SanitizeParams {
-        short_lived_ms: 60_000,
-        min_nodes_per_ip: 3,
-        max_generation_interval_ms: 60_000,
-    }
-}
-
-/// Apply `SEED` / `NODES` / `DAYS` / `CRAWLERS` environment overrides so
-/// every experiment binary can be re-run at other scales without editing
-/// code (e.g. `NODES=400 DAYS=20 cargo run --release --bin table3_services`).
-pub fn scale_from_env(mut base: Scale) -> Scale {
-    if let Ok(v) = std::env::var("SEED") {
-        if let Ok(v) = v.parse() {
-            base.seed = v;
-        }
-    }
-    if let Ok(v) = std::env::var("NODES") {
-        if let Ok(v) = v.parse() {
-            base.n_nodes = v;
-        }
-    }
-    if let Ok(v) = std::env::var("DAYS") {
-        if let Ok(v) = v.parse() {
-            base.days = v;
-        }
-    }
-    if let Ok(v) = std::env::var("CRAWLERS") {
-        if let Ok(v) = v.parse() {
-            base.crawlers = v;
-        }
-    }
-    base
-}
-
-/// Write a text artifact under `results/`, creating the directory.
-pub fn write_artifact(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
-    std::fs::write(&path, contents).expect("write artifact");
-    path
 }
 
 #[cfg(test)]

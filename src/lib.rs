@@ -45,8 +45,8 @@
 //! assert!(store.total_ids() > 0);
 //! ```
 //!
-//! See `examples/` for fuller scenarios and `crates/bench/src/bin/` for
-//! the per-table/figure experiment binaries.
+//! See `examples/` for fuller scenarios and `crates/bench` for the
+//! `repro` binary that regenerates every table and figure.
 #![forbid(unsafe_code)]
 
 pub use adversary;
