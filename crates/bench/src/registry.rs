@@ -132,7 +132,6 @@ pub const NON_REGISTRY_FILES: &[&str] = &[
     "obsctl_campaign.json",
     "obsctl_profile.json",
     "obs_profile.json",
-    "detlint.json",
     "override",
 ];
 

@@ -1,178 +1,76 @@
-//! CLI for detlint. Run from anywhere inside the workspace:
+//! CLI for detlint. It scans the workspace it was built in, from any
+//! working directory:
 //!
 //! ```text
-//! cargo run -p detlint                     # scan, exit 1 on new violations
-//! cargo run -p detlint -- --explain R3     # print a rule's rationale
-//! cargo run -p detlint -- --json           # machine-readable report, exit 0
-//! cargo run -p detlint -- --report r.json  # summarize a saved report, gate
-//! cargo run -p detlint -- --root PATH      # scan a different tree
+//! cargo run -p detlint                   # scan, exit 1 on violations
+//! cargo run -p detlint -- --explain      # one-line summary of every rule
+//! cargo run -p detlint -- --explain R3   # a rule's rationale and escape hatch
 //! ```
 #![forbid(unsafe_code)]
 
-use detlint::{baseline, report, rules, Rule};
-use std::path::PathBuf;
+use detlint::{rules, Rule};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut root: Option<PathBuf> = None;
-    let mut json = false;
-    let mut report_path: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print_help();
-                return ExitCode::SUCCESS;
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        [] => scan(),
+        ["--help" | "-h"] => {
+            print_help();
+            ExitCode::SUCCESS
+        }
+        ["--explain"] => {
+            for row in &rules::TABLE {
+                println!("{}  {}", row.id, row.title);
             }
-            "--list-rules" => {
-                for rule in rules::ALL {
-                    println!("{}  {}", rule.id(), rule.title());
-                }
-                return ExitCode::SUCCESS;
+            ExitCode::SUCCESS
+        }
+        ["--explain", id] => match Rule::parse(id) {
+            Some(rule) => {
+                println!("{}", rule.info().explain);
+                ExitCode::SUCCESS
             }
-            "--explain" => {
-                let Some(id) = iter.next() else {
-                    eprintln!("--explain requires a rule id (R1..R12)");
-                    return ExitCode::FAILURE;
-                };
-                let Some(rule) = Rule::parse(id) else {
-                    eprintln!("unknown rule `{id}` (expected R1..R12)");
-                    return ExitCode::FAILURE;
-                };
-                println!("{}", rule.explain());
-                return ExitCode::SUCCESS;
+            None => {
+                eprintln!("unknown rule `{id}` (expected {})", rule_range());
+                ExitCode::FAILURE
             }
-            "--json" => json = true,
-            "--report" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--report requires a path to a --json report file");
-                    return ExitCode::FAILURE;
-                };
-                report_path = Some(PathBuf::from(path));
-            }
-            "--root" => {
-                let Some(path) = iter.next() else {
-                    eprintln!("--root requires a path");
-                    return ExitCode::FAILURE;
-                };
-                root = Some(PathBuf::from(path));
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                return ExitCode::FAILURE;
-            }
+        },
+        _ => {
+            eprintln!("unrecognized arguments `{}` (try --help)", args.join(" "));
+            ExitCode::FAILURE
         }
     }
+}
 
-    // --report consumes a previously written --json file; no scan happens.
-    if let Some(path) = report_path {
-        return run_report(&path);
-    }
-
-    let root = match root {
-        Some(root) => root,
-        None => {
-            let cwd = match std::env::current_dir() {
-                Ok(cwd) => cwd,
-                Err(err) => {
-                    eprintln!("detlint: cannot determine working directory: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match detlint::find_workspace_root(&cwd) {
-                Some(root) => root,
-                None => {
-                    eprintln!("detlint: no Cargo workspace found above {}", cwd.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-
-    if json {
-        // Machine-readable mode always exits 0: the report itself carries
-        // the verdict, and the CI gate (`--report`) reads it back. This
-        // keeps `detlint --json > a && detlint --json > b && cmp a b`
-        // usable as a determinism check even on a dirty tree.
-        let full = match detlint::check_report(&root) {
-            Ok(full) => full,
-            Err(err) => {
-                eprintln!("detlint: scan failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report::render_json(&full));
-        return ExitCode::SUCCESS;
-    }
-
-    let (new, baselined) = match detlint::check(&root) {
-        Ok(result) => result,
+fn scan() -> ExitCode {
+    let violations = match detlint::scan_workspace(detlint::workspace_root()) {
+        Ok(scan) => scan.violations,
         Err(err) => {
             eprintln!("detlint: scan failed: {err}");
             return ExitCode::FAILURE;
         }
     };
-
-    for violation in &new {
+    for violation in &violations {
         println!("{violation}");
     }
-    if new.is_empty() {
-        println!(
-            "detlint: OK ({} baselined violation{})",
-            baselined.len(),
-            if baselined.len() == 1 { "" } else { "s" },
-        );
+    if violations.is_empty() {
+        println!("detlint: OK");
         ExitCode::SUCCESS
     } else {
         println!(
-            "detlint: {} new violation{} (rules explained via --explain <rule>; \
-             baseline: {})",
-            new.len(),
-            if new.len() == 1 { "" } else { "s" },
-            baseline::BASELINE_FILE,
+            "detlint: {} violation{} (rules explained via --explain <rule>)",
+            violations.len(),
+            if violations.len() == 1 { "" } else { "s" },
         );
         ExitCode::FAILURE
     }
 }
 
-/// Read a saved `--json` report, print the per-rule summary table, and exit
-/// 1 listing the offending codes if any new violations are recorded.
-fn run_report(path: &std::path::Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("detlint: cannot read report {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match report::parse_json(&text) {
-        Ok(doc) => doc,
-        Err(err) => {
-            eprintln!(
-                "detlint: report {} is not valid JSON: {err}",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let parsed = match report::read_report(&doc) {
-        Ok(parsed) => parsed,
-        Err(err) => {
-            eprintln!("detlint: report {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report::render_summary(&parsed));
-    if parsed.offending.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        println!("detlint: {} new violation(s):", parsed.offending.len());
-        for (code, file, line) in &parsed.offending {
-            println!("  {code} {file}:{line}");
-        }
-        ExitCode::FAILURE
-    }
+/// `R1..R10`, from the table's first and last rows.
+fn rule_range() -> String {
+    let [first, .., last] = &rules::TABLE;
+    format!("{}..{}", first.id, last.id)
 }
 
 fn print_help() {
@@ -180,21 +78,15 @@ fn print_help() {
         "detlint — determinism & panic-safety linter for this workspace\n\
          \n\
          USAGE:\n\
-         \x20   cargo run -p detlint [-- OPTIONS]\n\
+         \x20   cargo run -p detlint [-- --explain [RULE]]\n\
+         \n\
+         With no argument, scans the workspace and prints one line per\n\
+         violation; exit status is 0 when there are none, 1 otherwise.\n\
          \n\
          OPTIONS:\n\
-         \x20   --explain <R1..R12> print a rule's rationale and escape hatch\n\
-         \x20   --list-rules        one-line summary of every rule\n\
-         \x20   --json              emit the machine-readable report (format {}) \n\
-         \x20                       on stdout and exit 0; CI gates via --report\n\
-         \x20   --report <path>     read a saved --json report, print the\n\
-         \x20                       per-rule summary, exit 1 on new violations\n\
-         \x20   --root <path>       workspace root (default: walk up from cwd)\n\
-         \x20   --help              this text\n\
-         \n\
-         Exit status is 0 when no violations are found beyond the checked-in\n\
-         baseline file ({}), 1 otherwise.",
-        report::FORMAT_VERSION,
-        baseline::BASELINE_FILE,
+         \x20   --explain [{}]\n\
+         \x20           print a rule's rationale and escape hatch; without a\n\
+         \x20           rule, one line per rule",
+        rule_range(),
     );
 }

@@ -2,26 +2,14 @@
 //!
 //! The lexer masks comments and literal bodies; this module turns the masked
 //! text into a flat token stream (words + single-char punctuation) and then
-//! into a per-file **item table**: `use` roots, `static` / `thread_local!`
-//! declarations, type definitions with field lists, `fn` signatures with
-//! parameter lists and body spans, and `impl` blocks. It is still not a Rust
-//! parser — it is a recoverable recognizer that over-approximates where it
-//! must (anything it cannot classify is skipped, never misattributed), which
-//! is the right failure mode for a linter: a construct the parser misses is
-//! a construct the semantic rules silently tolerate, not a false positive.
-//!
-//! The item table also carries the two *marker annotations* the semantic
-//! rules key on:
-//!
-//! * `// hotpath` on a fn enables the R12 allocation lint for its body;
-//! * `// shard-state` on a type enters it into the R11 shard inventory.
-//!
-//! A marker applies to the item it directly precedes: the walk from the
-//! item's first line skips upward over attribute lines, doc comments and
-//! ordinary comments, and stops at the first line holding real code.
-
-use crate::lexer::MaskedFile;
-use std::collections::BTreeMap;
+//! into a per-file **item table**: `static` / `thread_local!` declarations
+//! (rule R8) and `fn` signatures with parameter names and body spans (rule
+//! R9), found at item level, inside `mod` / `trait` / `impl` blocks, and —
+//! statics only — inside fn bodies. It is still not a Rust parser — it is a
+//! recoverable recognizer that over-approximates where it must (anything it
+//! cannot classify is skipped, never misattributed), which is the right
+//! failure mode for a linter: a construct the parser misses is a construct
+//! the semantic rules silently tolerate, not a false positive.
 
 /// One token of masked source: an identifier/number word or a single
 /// punctuation char.
@@ -72,14 +60,6 @@ pub fn lex(masked: &[char]) -> Vec<Tok> {
     toks
 }
 
-/// A `use` declaration, reduced to its root path segment (`use rlp::Rlp` →
-/// `rlp`) — all the workspace graph needs.
-#[derive(Debug, Clone)]
-pub struct UseDecl {
-    pub root: String,
-    pub line: usize,
-}
-
 /// A `static` declaration, either free-standing or inside `thread_local!`.
 #[derive(Debug, Clone)]
 pub struct StaticDecl {
@@ -91,43 +71,6 @@ pub struct StaticDecl {
     /// Type tokens (words and punctuation), in order.
     pub ty: Vec<String>,
     pub thread_local: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TypeKind {
-    Struct,
-    Enum,
-    Union,
-}
-
-/// One field of a type. Enum variant fields are named `Variant.field`
-/// (tuple fields get positional names: `Variant.0`, or plain `0` for tuple
-/// structs).
-#[derive(Debug, Clone)]
-pub struct FieldDef {
-    pub name: String,
-    pub ty: Vec<String>,
-    pub line: usize,
-}
-
-/// A `struct`/`enum`/`union` definition with its flattened field list.
-#[derive(Debug, Clone)]
-pub struct TypeDef {
-    pub name: String,
-    pub kind: TypeKind,
-    pub line: usize,
-    pub pos: usize,
-    pub fields: Vec<FieldDef>,
-    /// Carries a `// shard-state` marker (R11 inventory).
-    pub shard_state: bool,
-}
-
-/// One fn parameter: the pattern's bound names and the ascribed type tokens
-/// (empty for `self` receivers).
-#[derive(Debug, Clone)]
-pub struct Param {
-    pub names: Vec<String>,
-    pub ty: Vec<String>,
 }
 
 /// Token-index span of a brace-delimited body, with the matching char span.
@@ -146,171 +89,47 @@ pub struct BodySpan {
 #[derive(Debug, Clone)]
 pub struct FnDef {
     pub name: String,
-    pub line: usize,
+    /// Char position of the `fn` keyword (for test-region checks).
     pub pos: usize,
-    pub params: Vec<Param>,
+    /// Names bound by the parameter patterns, `self` included.
+    pub params: Vec<String>,
     pub body: Option<BodySpan>,
-    /// Carries a `// hotpath` marker (R12 allocation lint).
-    pub hotpath: bool,
-    /// Carries the `// hotpath: fat-key -- <why>` variant: hotpath with
-    /// the fat-keyed-map lint (R13) waived.
-    pub hotpath_fatkey: bool,
-}
-
-/// An `impl` block header (inherent or trait impl).
-#[derive(Debug, Clone)]
-pub struct ImplBlock {
-    /// The implementing type's root name (`impl Trait for Type` → `Type`).
-    pub ty: String,
-    pub line: usize,
 }
 
 /// Everything the semantic rules need from one file.
 #[derive(Debug, Clone, Default)]
 pub struct ItemTable {
-    pub uses: Vec<UseDecl>,
     pub statics: Vec<StaticDecl>,
-    pub types: Vec<TypeDef>,
     pub fns: Vec<FnDef>,
-    pub impls: Vec<ImplBlock>,
 }
 
-/// Parse the masked file into tokens plus an item table.
-pub fn parse(masked_file: &MaskedFile) -> (Vec<Tok>, ItemTable) {
-    let masked: Vec<char> = masked_file.code.chars().collect();
-    let toks = lex(&masked);
-    let table = parse_items(masked_file, &toks);
+/// Parse masked code into tokens plus an item table.
+pub fn parse(masked: &[char]) -> (Vec<Tok>, ItemTable) {
+    let toks = lex(masked);
+    let mut table = ItemTable::default();
+    parse_range(&toks, 0, toks.len(), false, &mut table);
     (toks, table)
 }
 
-/// Parse an already-lexed token stream (callers that also need the tokens).
-pub fn parse_items(masked_file: &MaskedFile, toks: &[Tok]) -> ItemTable {
-    let ctx = MarkerCtx::new(masked_file);
-    let mut table = ItemTable::default();
-    parse_range(toks, 0, toks.len(), false, &ctx, &mut table);
-    table
-}
-
-/// Which marker comments exist, and which lines are "passive" (attributes,
-/// comments, doc comments) for the upward attachment walk.
-struct MarkerCtx {
-    hotpath: BTreeMap<usize, ()>,
-    /// `// hotpath: fat-key -- <why>` lines: still hotpath (R12), but the
-    /// fat-keyed-map lint (R13) is waived for the attached fn.
-    hotpath_fatkey: BTreeMap<usize, ()>,
-    shard_state: BTreeMap<usize, ()>,
-    /// Lines whose masked content is empty but carried a `//` comment.
-    comment_only: BTreeMap<usize, ()>,
-    /// Masked source split into lines (index 0 = line 1).
-    lines: Vec<String>,
-}
-
-impl MarkerCtx {
-    fn new(masked_file: &MaskedFile) -> Self {
-        let mut hotpath = BTreeMap::new();
-        let mut hotpath_fatkey = BTreeMap::new();
-        let mut shard_state = BTreeMap::new();
-        let mut comment_lines = BTreeMap::new();
-        for comment in &masked_file.line_comments {
-            comment_lines.insert(comment.line, ());
-            let body = comment.text.trim_start_matches('/').trim();
-            if marker_matches(body, "hotpath") {
-                hotpath.insert(comment.line, ());
-            }
-            if marker_variant_matches(body, "hotpath", "fat-key") {
-                // The variant is still a hotpath marker (R12 applies);
-                // it additionally waives R13 for the attached fn.
-                hotpath.insert(comment.line, ());
-                hotpath_fatkey.insert(comment.line, ());
-            }
-            if marker_matches(body, "shard-state") {
-                shard_state.insert(comment.line, ());
-            }
-        }
-        let lines: Vec<String> = masked_file.code.lines().map(str::to_string).collect();
-        let mut comment_only = BTreeMap::new();
-        for (&line, ()) in &comment_lines {
-            let code = lines.get(line - 1).map(|l| l.trim()).unwrap_or("");
-            if code.is_empty() {
-                comment_only.insert(line, ());
-            }
-        }
-        MarkerCtx {
-            hotpath,
-            hotpath_fatkey,
-            shard_state,
-            comment_only,
-            lines,
-        }
-    }
-
-    /// A line the attachment walk may step over: an attribute, or a line
-    /// that was entirely comment. Blank lines and code lines stop the walk.
-    fn passive(&self, line: usize) -> bool {
-        if self.comment_only.contains_key(&line) {
-            return true;
-        }
-        self.lines
-            .get(line - 1)
-            .map(|l| l.trim().starts_with('#'))
-            .unwrap_or(false)
-    }
-
-    fn attached(&self, markers: &BTreeMap<usize, ()>, item_line: usize) -> bool {
-        // Trailing form: marker comment on the item's own first line.
-        if markers.contains_key(&item_line) {
-            return true;
-        }
-        let mut line = item_line;
-        while line > 1 {
-            line -= 1;
-            if markers.contains_key(&line) && self.comment_only.contains_key(&line) {
-                return true;
-            }
-            if !self.passive(line) {
-                return false;
-            }
-        }
-        false
-    }
-}
-
-/// `body` matches `name` bare or with a ` -- note` suffix.
-fn marker_matches(body: &str, name: &str) -> bool {
-    match body.strip_prefix(name) {
-        Some(rest) => rest.is_empty() || rest.trim_start().starts_with("--"),
-        None => false,
-    }
-}
-
-/// `body` matches `name: variant`, bare or with a ` -- note` suffix
-/// (e.g. `hotpath: fat-key -- cold diagnostic scan`).
-fn marker_variant_matches(body: &str, name: &str, variant: &str) -> bool {
-    let Some(rest) = body.strip_prefix(name) else {
-        return false;
-    };
-    let Some(rest) = rest.trim_start().strip_prefix(':') else {
-        return false;
-    };
-    match rest.trim_start().strip_prefix(variant) {
-        Some(rest) => rest.is_empty() || rest.trim_start().starts_with("--"),
-        None => false,
-    }
-}
-
-fn is_punct(toks: &[Tok], i: usize, c: char) -> bool {
+pub(crate) fn is_punct(toks: &[Tok], i: usize, c: char) -> bool {
     toks.get(i)
         .is_some_and(|t| !t.word && t.text.starts_with(c))
 }
 
-fn word_at(toks: &[Tok], i: usize) -> Option<&str> {
+pub(crate) fn word_at(toks: &[Tok], i: usize) -> Option<&str> {
     toks.get(i)
         .and_then(|t| if t.word { Some(t.text.as_str()) } else { None })
 }
 
 /// From `i` pointing at `open`, return the index one past the matching
 /// `close`. Falls back to the end of the range on unbalanced input.
-fn skip_balanced(toks: &[Tok], mut i: usize, hi: usize, open: char, close: char) -> usize {
+pub(crate) fn skip_balanced(
+    toks: &[Tok],
+    mut i: usize,
+    hi: usize,
+    open: char,
+    close: char,
+) -> usize {
     let mut depth = 0usize;
     while i < hi {
         if is_punct(toks, i, open) {
@@ -376,21 +195,14 @@ fn collect_type(toks: &[Tok], mut i: usize, hi: usize, stop: &[char]) -> (Vec<St
     (out, hi)
 }
 
-fn parse_range(
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    thread_local: bool,
-    ctx: &MarkerCtx,
-    table: &mut ItemTable,
-) {
+fn parse_range(toks: &[Tok], lo: usize, hi: usize, thread_local: bool, table: &mut ItemTable) {
     let mut i = lo;
     while i < hi {
         let Some(word) = word_at(toks, i) else {
             if is_punct(toks, i, '{') {
-                // A brace at item level (e.g. a const initializer's struct
-                // expression): skip it wholesale so its contents are never
-                // misread as items.
+                // A brace at item level (a type definition's body, a const
+                // initializer's struct expression): skip it wholesale so its
+                // contents are never misread as items.
                 i = skip_balanced(toks, i, hi, '{', '}');
             } else {
                 i += 1;
@@ -398,43 +210,30 @@ fn parse_range(
             continue;
         };
         match word {
-            "pub" => {
-                i += 1;
-                if is_punct(toks, i, '(') {
-                    i = skip_balanced(toks, i, hi, '(', ')');
-                }
-            }
-            "use" => i = parse_use(toks, i, hi, table),
             "static" if !(i > 0 && is_punct(toks, i - 1, '\'')) => {
                 i = parse_static(toks, i, hi, thread_local, table);
             }
             "thread_local" if is_punct(toks, i + 1, '!') && is_punct(toks, i + 2, '{') => {
                 let end = skip_balanced(toks, i + 2, hi, '{', '}');
-                parse_range(toks, i + 3, end.saturating_sub(1), true, ctx, table);
+                parse_range(toks, i + 3, end.saturating_sub(1), true, table);
                 i = end;
             }
-            "struct" | "enum" | "union" => i = parse_type(toks, i, hi, ctx, table),
-            "fn" => i = parse_fn(toks, i, hi, ctx, table),
-            "impl" => i = parse_impl(toks, i, hi, ctx, table),
-            "mod" => {
-                // `mod name { … }`: recurse into the block; `mod name;` skip.
-                i += 1;
+            "fn" => i = parse_fn(toks, i, hi, table),
+            "mod" | "trait" | "impl" => {
+                // `mod name { … }`, `trait … { … }`, `impl … { … }`: recurse
+                // into the block; `mod name;` is skipped. Generic arguments
+                // in the header are stepped over whole, so the `;` of
+                // `impl From<[u8; 32]> for Id` does not end it.
                 while i < hi && !is_punct(toks, i, '{') && !is_punct(toks, i, ';') {
-                    i += 1;
+                    i = if is_punct(toks, i, '<') {
+                        skip_generics(toks, i, hi)
+                    } else {
+                        i + 1
+                    };
                 }
                 if is_punct(toks, i, '{') {
                     let end = skip_balanced(toks, i, hi, '{', '}');
-                    parse_range(toks, i + 1, end.saturating_sub(1), thread_local, ctx, table);
-                    i = end;
-                }
-            }
-            "trait" => {
-                while i < hi && !is_punct(toks, i, '{') && !is_punct(toks, i, ';') {
-                    i += 1;
-                }
-                if is_punct(toks, i, '{') {
-                    let end = skip_balanced(toks, i, hi, '{', '}');
-                    parse_range(toks, i + 1, end.saturating_sub(1), false, ctx, table);
+                    parse_range(toks, i + 1, end.saturating_sub(1), false, table);
                     i = end;
                 }
             }
@@ -449,33 +248,6 @@ fn parse_range(
             _ => i += 1,
         }
     }
-}
-
-fn parse_use(toks: &[Tok], mut i: usize, hi: usize, table: &mut ItemTable) -> usize {
-    let line = toks[i].line;
-    i += 1;
-    while is_punct(toks, i, ':') {
-        i += 1;
-    }
-    if let Some(root) = word_at(toks, i) {
-        table.uses.push(UseDecl {
-            root: root.to_string(),
-            line,
-        });
-    }
-    // Skip the rest of the use tree (may contain `{…}` groups) to `;`.
-    let mut depth = 0usize;
-    while i < hi {
-        if is_punct(toks, i, '{') {
-            depth += 1;
-        } else if is_punct(toks, i, '}') {
-            depth = depth.saturating_sub(1);
-        } else if is_punct(toks, i, ';') && depth == 0 {
-            return i + 1;
-        }
-        i += 1;
-    }
-    hi
 }
 
 fn parse_static(
@@ -527,210 +299,7 @@ fn parse_static(
     i
 }
 
-fn parse_type(
-    toks: &[Tok],
-    start: usize,
-    hi: usize,
-    ctx: &MarkerCtx,
-    table: &mut ItemTable,
-) -> usize {
-    let kind = match word_at(toks, start) {
-        Some("struct") => TypeKind::Struct,
-        Some("enum") => TypeKind::Enum,
-        _ => TypeKind::Union,
-    };
-    let line = toks[start].line;
-    let pos = toks[start].pos;
-    let mut i = start + 1;
-    let Some(name) = word_at(toks, i) else {
-        return i;
-    };
-    let name = name.to_string();
-    i += 1;
-    if is_punct(toks, i, '<') {
-        i = skip_generics(toks, i, hi);
-    }
-    let mut fields = Vec::new();
-    // Tuple struct: `struct Name(T, U);`
-    if kind == TypeKind::Struct && is_punct(toks, i, '(') {
-        let end = skip_balanced(toks, i, hi, '(', ')');
-        parse_tuple_fields(toks, i + 1, end.saturating_sub(1), "", &mut fields);
-        i = end;
-        while i < hi && !is_punct(toks, i, ';') {
-            i += 1;
-        }
-        i += 1;
-    } else {
-        // Skip a where clause to the body (or a unit struct's `;`).
-        while i < hi && !is_punct(toks, i, '{') && !is_punct(toks, i, ';') {
-            i += 1;
-        }
-        if is_punct(toks, i, '{') {
-            let end = skip_balanced(toks, i, hi, '{', '}');
-            match kind {
-                TypeKind::Enum => {
-                    parse_variants(toks, i + 1, end.saturating_sub(1), &mut fields);
-                }
-                _ => parse_named_fields(toks, i + 1, end.saturating_sub(1), "", &mut fields),
-            }
-            i = end;
-        } else {
-            i += 1;
-        }
-    }
-    let shard_state = ctx.attached(&ctx.shard_state, line);
-    table.types.push(TypeDef {
-        name,
-        kind,
-        line,
-        pos,
-        fields,
-        shard_state,
-    });
-    i
-}
-
-/// `name: Type, …` fields inside `{ }`. `prefix` is `Variant.` for enum
-/// struct-variants, empty otherwise.
-fn parse_named_fields(
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    prefix: &str,
-    fields: &mut Vec<FieldDef>,
-) {
-    let mut i = lo;
-    while i < hi {
-        if is_punct(toks, i, '#') {
-            i += 1;
-            if is_punct(toks, i, '[') {
-                i = skip_balanced(toks, i, hi, '[', ']');
-            }
-            continue;
-        }
-        if word_at(toks, i) == Some("pub") {
-            i += 1;
-            if is_punct(toks, i, '(') {
-                i = skip_balanced(toks, i, hi, '(', ')');
-            }
-            continue;
-        }
-        let Some(name) = word_at(toks, i) else {
-            i += 1;
-            continue;
-        };
-        let name = name.to_string();
-        let line = toks[i].line;
-        i += 1;
-        if !is_punct(toks, i, ':') {
-            continue;
-        }
-        let (ty, at) = collect_type(toks, i + 1, hi, &[',']);
-        fields.push(FieldDef {
-            name: format!("{prefix}{name}"),
-            ty,
-            line,
-        });
-        i = at + 1;
-    }
-}
-
-/// `T, U, …` positional fields inside `( )`, named by index.
-fn parse_tuple_fields(
-    toks: &[Tok],
-    lo: usize,
-    hi: usize,
-    prefix: &str,
-    fields: &mut Vec<FieldDef>,
-) {
-    let mut i = lo;
-    let mut index = 0usize;
-    while i < hi {
-        if is_punct(toks, i, '#') {
-            i += 1;
-            if is_punct(toks, i, '[') {
-                i = skip_balanced(toks, i, hi, '[', ']');
-            }
-            continue;
-        }
-        if word_at(toks, i) == Some("pub") {
-            i += 1;
-            if is_punct(toks, i, '(') {
-                i = skip_balanced(toks, i, hi, '(', ')');
-            }
-            continue;
-        }
-        let line = toks[i].line;
-        let (ty, at) = collect_type(toks, i, hi, &[',']);
-        if !ty.is_empty() {
-            fields.push(FieldDef {
-                name: format!("{prefix}{index}"),
-                ty,
-                line,
-            });
-            index += 1;
-        }
-        i = at.max(i) + 1;
-    }
-}
-
-/// Enum variants, flattening each variant's payload into the field list.
-fn parse_variants(toks: &[Tok], lo: usize, hi: usize, fields: &mut Vec<FieldDef>) {
-    let mut i = lo;
-    while i < hi {
-        if is_punct(toks, i, '#') {
-            i += 1;
-            if is_punct(toks, i, '[') {
-                i = skip_balanced(toks, i, hi, '[', ']');
-            }
-            continue;
-        }
-        let Some(variant) = word_at(toks, i) else {
-            i += 1;
-            continue;
-        };
-        let variant = variant.to_string();
-        i += 1;
-        if is_punct(toks, i, '(') {
-            let end = skip_balanced(toks, i, hi, '(', ')');
-            parse_tuple_fields(
-                toks,
-                i + 1,
-                end.saturating_sub(1),
-                &format!("{variant}."),
-                fields,
-            );
-            i = end;
-        } else if is_punct(toks, i, '{') {
-            let end = skip_balanced(toks, i, hi, '{', '}');
-            parse_named_fields(
-                toks,
-                i + 1,
-                end.saturating_sub(1),
-                &format!("{variant}."),
-                fields,
-            );
-            i = end;
-        } else if is_punct(toks, i, '=') {
-            // Discriminant: skip the expression to the next `,`.
-            while i < hi && !is_punct(toks, i, ',') {
-                i += 1;
-            }
-        }
-        if is_punct(toks, i, ',') {
-            i += 1;
-        }
-    }
-}
-
-fn parse_fn(
-    toks: &[Tok],
-    start: usize,
-    hi: usize,
-    ctx: &MarkerCtx,
-    table: &mut ItemTable,
-) -> usize {
-    let line = toks[start].line;
+fn parse_fn(toks: &[Tok], start: usize, hi: usize, table: &mut ItemTable) -> usize {
     let pos = toks[start].pos;
     let mut i = start + 1;
     let Some(name) = word_at(toks, i) else {
@@ -767,16 +336,11 @@ fn parse_fn(
     } else {
         i += 1;
     }
-    let hotpath = ctx.attached(&ctx.hotpath, line);
-    let hotpath_fatkey = ctx.attached(&ctx.hotpath_fatkey, line);
     table.fns.push(FnDef {
         name,
-        line,
         pos,
         params,
         body,
-        hotpath,
-        hotpath_fatkey,
     });
     i
 }
@@ -807,10 +371,10 @@ fn scan_body_statics(
     }
 }
 
-/// Parameter list: split on top-level `,`; within each part, bound names
-/// are the words before the top-level `:` (minus pattern keywords), the
-/// type is everything after it. `self` receivers have no ascription.
-fn parse_params(toks: &[Tok], lo: usize, hi: usize, params: &mut Vec<Param>) {
+/// Parameter list: split on top-level `,`; within each part, the bound
+/// names are the words before the top-level `:` (minus pattern keywords).
+/// `self` receivers have no ascription and are names in full.
+fn parse_params(toks: &[Tok], lo: usize, hi: usize, params: &mut Vec<String>) {
     let mut i = lo;
     while i < hi {
         let part_lo = i;
@@ -838,74 +402,14 @@ fn parse_params(toks: &[Tok], lo: usize, hi: usize, params: &mut Vec<Param>) {
         if part_lo >= part_hi {
             continue;
         }
-        let (name_hi, ty): (usize, Vec<String>) = match colon {
-            Some(c) => (
-                c,
-                toks[c + 1..part_hi]
-                    .iter()
-                    .map(|t| t.text.clone())
-                    .collect(),
-            ),
-            None => (part_hi, Vec::new()),
-        };
-        let names: Vec<String> = toks[part_lo..name_hi]
-            .iter()
-            .filter(|t| t.word && t.text != "mut" && t.text != "ref")
-            .map(|t| t.text.clone())
-            .collect();
-        if !names.is_empty() || !ty.is_empty() {
-            params.push(Param { names, ty });
-        }
+        let name_hi = colon.unwrap_or(part_hi);
+        params.extend(
+            toks[part_lo..name_hi]
+                .iter()
+                .filter(|t| t.word && t.text != "mut" && t.text != "ref")
+                .map(|t| t.text.clone()),
+        );
     }
-}
-
-fn parse_impl(
-    toks: &[Tok],
-    start: usize,
-    hi: usize,
-    ctx: &MarkerCtx,
-    table: &mut ItemTable,
-) -> usize {
-    let line = toks[start].line;
-    let mut i = start + 1;
-    if is_punct(toks, i, '<') {
-        i = skip_generics(toks, i, hi);
-    }
-    // Collect header words up to the body; `impl Trait for Type` names the
-    // type after `for`, `impl Type` names it directly.
-    let mut first: Option<String> = None;
-    let mut after_for: Option<String> = None;
-    let mut saw_for = false;
-    while i < hi && !is_punct(toks, i, '{') && !is_punct(toks, i, ';') {
-        if is_punct(toks, i, '<') {
-            i = skip_generics(toks, i, hi);
-            continue;
-        }
-        if let Some(w) = word_at(toks, i) {
-            if w == "for" {
-                saw_for = true;
-            } else if w == "where" {
-                break;
-            } else if saw_for {
-                after_for.get_or_insert_with(|| w.to_string());
-            } else {
-                first.get_or_insert_with(|| w.to_string());
-            }
-        }
-        i += 1;
-    }
-    while i < hi && !is_punct(toks, i, '{') && !is_punct(toks, i, ';') {
-        i += 1;
-    }
-    if let Some(ty) = after_for.or(first) {
-        table.impls.push(ImplBlock { ty, line });
-    }
-    if is_punct(toks, i, '{') {
-        let end = skip_balanced(toks, i, hi, '{', '}');
-        parse_range(toks, i + 1, end.saturating_sub(1), false, ctx, table);
-        return end;
-    }
-    i + 1
 }
 
 #[cfg(test)]
@@ -914,15 +418,8 @@ mod tests {
     use crate::lexer;
 
     fn table(src: &str) -> ItemTable {
-        parse(&lexer::mask(src)).1
-    }
-
-    #[test]
-    fn uses_reduce_to_root_segments() {
-        let t = table("use std::collections::BTreeMap;\nuse crate::engine::{NetSim, Ev};\nuse netsim::NetSim;\n");
-        let roots: Vec<&str> = t.uses.iter().map(|u| u.root.as_str()).collect();
-        assert_eq!(roots, ["std", "crate", "netsim"]);
-        assert_eq!(t.uses[2].line, 3);
+        let masked: Vec<char> = lexer::mask(src).code.chars().collect();
+        parse(&masked).1
     }
 
     #[test]
@@ -953,42 +450,24 @@ thread_local! {
     }
 
     #[test]
-    fn struct_fields_with_generics() {
+    fn type_bodies_hold_no_items() {
         let src = "\
 pub struct Slot {
     pub host: Option<Box<dyn Host>>,
-    nat: BTreeMap<HostAddr, u64>,
+    name: &'static str,
+    hook: fn(u8) -> u8,
 }
-";
-        let t = table(src);
-        assert_eq!(t.types.len(), 1);
-        let ty = &t.types[0];
-        assert_eq!(ty.name, "Slot");
-        assert_eq!(ty.fields.len(), 2);
-        assert_eq!(ty.fields[0].name, "host");
-        assert!(ty.fields[1].ty.contains(&"BTreeMap".to_string()));
-        assert_eq!(ty.fields[1].line, 3);
-    }
-
-    #[test]
-    fn tuple_structs_and_enums() {
-        let src = "\
-struct Pair(u8, Rc<[u8]>);
+struct Pair(u8, &'static str, fn(u8));
 enum Ev {
     Timer { at: u64 },
-    Udp(HostAddr, Payload),
     Quit,
 }
+static AFTER: u8 = 0;
 ";
         let t = table(src);
-        assert_eq!(t.types.len(), 2);
-        let pair = &t.types[0];
-        assert_eq!(pair.fields.len(), 2);
-        assert_eq!(pair.fields[1].name, "1");
-        assert!(pair.fields[1].ty.contains(&"Rc".to_string()));
-        let ev = &t.types[1];
-        let names: Vec<&str> = ev.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["Timer.at", "Udp.0", "Udp.1"]);
+        assert!(t.fns.is_empty());
+        assert_eq!(t.statics.len(), 1);
+        assert_eq!(t.statics[0].name, "AFTER");
     }
 
     #[test]
@@ -1004,57 +483,34 @@ fn free(seed: u64) {}
 fn sig_only(x: u8);
 ";
         let t = table(src);
-        assert_eq!(t.impls.len(), 1);
-        assert_eq!(t.impls[0].ty, "NetSim");
         assert_eq!(t.fns.len(), 3);
         let wh = &t.fns[0];
         assert_eq!(wh.name, "with_host");
         assert!(wh.body.is_some());
-        let param_names: Vec<String> = wh.params.iter().flat_map(|p| p.names.clone()).collect();
-        assert_eq!(param_names, ["self", "addr", "f"]);
+        assert_eq!(wh.params, ["self", "addr", "f"]);
         assert!(t.fns[2].body.is_none());
     }
 
     #[test]
-    fn markers_attach_through_attrs_and_comments() {
-        let src = "\
-// hotpath
-#[inline]
-pub fn dispatch(&mut self) {}
-
-// shard-state
-// carried across worker boundaries
-#[derive(Clone)]
-struct Slot { x: u8 }
-
-fn cold() {}
-
-struct Plain { y: u8 }
-";
-        let t = table(src);
-        assert!(t.fns[0].hotpath);
-        assert!(!t.fns[1].hotpath);
-        assert!(t.types[0].shard_state);
-        assert!(!t.types[1].shard_state);
+    fn impl_headers_with_array_generics_are_entered() {
+        let t =
+            table("impl From<[u8; 32]> for Id {\n    fn from(b: [u8; 32]) -> Self { Id(b) }\n}\n");
+        assert_eq!(t.fns.len(), 1);
+        assert_eq!(t.fns[0].params, ["b"]);
     }
 
     #[test]
-    fn marker_does_not_leak_past_code_lines() {
+    fn function_local_statics_are_collected() {
         let src = "\
-// hotpath
-fn hot() {}
-fn also_after() {}
+fn table() -> &'static [u8] {
+    static TABLE: OnceLock<Vec<u8>> = OnceLock::new();
+    TABLE.get_or_init(Vec::new)
+}
 ";
         let t = table(src);
-        assert!(t.fns[0].hotpath);
-        assert!(!t.fns[1].hotpath);
-    }
-
-    #[test]
-    fn trailing_marker_on_fn_line() {
-        let src = "fn hot() { // hotpath\n}\n";
-        let t = table(src);
-        assert!(t.fns[0].hotpath);
+        assert_eq!(t.statics.len(), 1);
+        assert_eq!(t.statics[0].name, "TABLE");
+        assert_eq!(t.statics[0].line, 2);
     }
 
     #[test]

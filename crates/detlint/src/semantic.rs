@@ -1,16 +1,12 @@
-//! Semantic rules over the item table: R8 (shared mutable state), R9 (RNG
-//! stream discipline), R10's `use`-import half, R11 (shard-state field
-//! audit), R12 (hot-path allocation lint) and R13 (hot-path fat-keyed
-//! ordered maps).
+//! Semantic rules over the item table: R8 (shared mutable state) and R9
+//! (RNG stream discipline).
 //!
-//! These rules see structure — declarations, fn bodies, field types — where
-//! R1–R7 see tokens. They still over-approximate deliberately: R9's
-//! dataflow is a linear walk of `let` bindings, not an SSA graph, and R11's
-//! type resolution is by unique name, not by import resolution. Both err on
-//! the side of asking for an explicit justification.
+//! These rules see structure — declarations, fn signatures and bodies —
+//! where R1–R7 see tokens. They still over-approximate deliberately: R9's
+//! dataflow is a linear walk of `let` bindings, not an SSA graph, and errs
+//! on the side of asking for an explicit justification.
 
-use crate::graph::{PROTOCOL_CRATES, UPPER_LAYERS, WORKSPACE_CRATES};
-use crate::parser::{FnDef, ItemTable, Tok};
+use crate::parser::{is_punct, skip_balanced, word_at, FnDef, ItemTable, Tok};
 use crate::rules::Rule;
 use crate::scan::{Allowances, Violation};
 use std::collections::BTreeSet;
@@ -32,14 +28,11 @@ const INTERIOR_MUT: [&str; 9] = [
 /// The single-threaded subset flagged inside `thread_local!` blocks.
 const CELL_LIKE: [&str; 5] = ["Cell", "RefCell", "UnsafeCell", "OnceCell", "LazyCell"];
 
-/// Field types that must not appear in `// shard-state` types (rule R11).
-const SHARD_BANNED: [&str; 3] = ["Rc", "RefCell", "UnsafeCell"];
-
 /// RNG constructors whose argument R9 traces to a parameter.
 const SEEDED_CTORS: [&str; 2] = ["seed_from_u64", "from_seed"];
 
 /// True for `crates/<name>/src/…` and the root package's `src/…` — the
-/// library code the parallelism rules govern. Vendored stand-ins, tests/,
+/// library code rules R8 and R9 govern. Vendored stand-ins, tests/,
 /// benches/ and examples/ directories fall outside.
 pub fn in_library_src(path: &str) -> bool {
     match path.strip_prefix("crates/") {
@@ -80,7 +73,7 @@ fn cell_marker(ty: &[String]) -> Option<&str> {
 
 /// Render type tokens back into a readable string (`Rc < [ u8 ] >` →
 /// `Rc<[u8]>`): spaces only between adjacent words and after commas.
-pub fn render_type(ty: &[String]) -> String {
+fn render_type(ty: &[String]) -> String {
     let mut out = String::new();
     let mut prev_word = false;
     let mut prev_comma = false;
@@ -207,7 +200,7 @@ pub fn check_r9(
             if t.word
                 && SEEDED_CTORS.contains(&t.text.as_str())
                 && is_punct(toks, i + 1, '(')
-                && word_before(toks, i) != Some("fn")
+                && i.checked_sub(1).and_then(|j| word_at(toks, j)) != Some("fn")
             {
                 let end = skip_balanced(toks, i + 1, body.tok_hi, '(', ')');
                 let args: Vec<&Tok> = toks[i + 2..end.saturating_sub(1)].iter().collect();
@@ -262,11 +255,7 @@ pub fn check_r9(
 /// side mentions a derived identifier (processed in order), and closure
 /// parameters.
 fn seed_ok_idents(fn_def: &FnDef, toks: &[Tok], lo: usize, hi: usize) -> BTreeSet<String> {
-    let mut ok: BTreeSet<String> = fn_def
-        .params
-        .iter()
-        .flat_map(|p| p.names.iter().cloned())
-        .collect();
+    let mut ok: BTreeSet<String> = fn_def.params.iter().cloned().collect();
     ok.insert("self".to_string());
 
     // Pass 1: closure parameter lists anywhere in the body. This runs
@@ -359,532 +348,4 @@ fn seed_ok_idents(fn_def: &FnDef, toks: &[Tok], lo: usize, hi: usize) -> BTreeSe
         i += 1;
     }
     ok
-}
-
-// ---------------------------------------------------------------------------
-// R10: use-import half
-// ---------------------------------------------------------------------------
-
-pub fn check_r10_uses(path: &str, table: &ItemTable, violations: &mut Vec<Violation>) {
-    let Some(rest) = path.strip_prefix("crates/") else {
-        return;
-    };
-    let Some((crate_name, rest)) = rest.split_once('/') else {
-        return;
-    };
-    if !rest.starts_with("src/") {
-        return;
-    }
-    if PROTOCOL_CRATES.contains(&crate_name) {
-        for use_decl in &table.uses {
-            if UPPER_LAYERS.contains(&use_decl.root.as_str()) {
-                violations.push(Violation {
-                    rule: Rule::R10,
-                    code: "R10.layer_use",
-                    path: path.to_string(),
-                    line: use_decl.line,
-                    message: format!(
-                        "protocol crate `{crate_name}` imports upper layer \
-                         `{}` (see --explain R10)",
-                        use_decl.root
-                    ),
-                });
-            }
-        }
-    }
-    if crate_name == "obs" {
-        for use_decl in &table.uses {
-            // A bin target importing its own crate's lib (`use obs::…`
-            // in src/bin/obsctl.rs) is self-reference, not layering.
-            if use_decl.root == "obs" {
-                continue;
-            }
-            if WORKSPACE_CRATES.contains(&use_decl.root.as_str()) {
-                violations.push(Violation {
-                    rule: Rule::R10,
-                    code: "R10.obs_use",
-                    path: path.to_string(),
-                    line: use_decl.line,
-                    message: format!(
-                        "obs must import nothing in-workspace, found `{}` \
-                         (see --explain R10)",
-                        use_decl.root
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R11: shard-state field audit + inventory
-// ---------------------------------------------------------------------------
-
-/// One file's parsed items plus its annotation allowances, as collected by
-/// the scanner; the R11 pass works across all of them.
-#[derive(Debug)]
-pub struct FileItems<'a> {
-    pub path: &'a str,
-    pub table: &'a ItemTable,
-    pub allowances: &'a Allowances,
-}
-
-/// Inventory entry: a `// shard-state` type and the audit of its fields.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ShardType {
-    pub path: String,
-    pub line: usize,
-    pub name: String,
-    pub fields: Vec<ShardField>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ShardField {
-    pub name: String,
-    pub ty: String,
-    pub line: usize,
-    /// The banned construct reached through this field, if any.
-    pub banned: Option<String>,
-    /// `Type.field: ty` chain when the construct is inherited from an
-    /// in-workspace field type rather than named directly.
-    pub via: Option<String>,
-    /// A `// detlint: allow(R11)` justification covers the construct
-    /// (either on this field or where the inner field declares it).
-    pub justified: bool,
-}
-
-struct Banned {
-    marker: String,
-    via: Option<String>,
-    justified: bool,
-}
-
-/// Audit every `// shard-state` type across `files`; returns the inventory
-/// (all annotated types, flagged or clean) and pushes violations for
-/// unjustified banned fields.
-pub fn check_r11(files: &[FileItems<'_>], violations: &mut Vec<Violation>) -> Vec<ShardType> {
-    let mut inventory = Vec::new();
-    for (file_idx, file) in files.iter().enumerate() {
-        for ty in &file.table.types {
-            if !ty.shard_state {
-                continue;
-            }
-            let mut fields = Vec::new();
-            for field in &ty.fields {
-                let mut visited = BTreeSet::new();
-                visited.insert((file_idx, ty.name.clone()));
-                let banned = field_banned(files, file_idx, field, &mut visited);
-                let locally_justified = file.allowances.allows(field.line, Rule::R11);
-                let (marker, via, justified) = match banned {
-                    Some(b) => (Some(b.marker), b.via, b.justified || locally_justified),
-                    None => (None, None, false),
-                };
-                if let Some(marker) = &marker {
-                    if !justified {
-                        let via_note = via
-                            .as_deref()
-                            .map(|v| format!(" via `{v}`"))
-                            .unwrap_or_default();
-                        violations.push(Violation {
-                            rule: Rule::R11,
-                            code: "R11.shard_field",
-                            path: file.path.to_string(),
-                            line: field.line,
-                            message: format!(
-                                "shard-state type `{}` field `{}: {}` contains \
-                                 `{marker}`{via_note}; not safe to move across \
-                                 shard boundaries (see --explain R11)",
-                                ty.name,
-                                field.name,
-                                render_type(&field.ty)
-                            ),
-                        });
-                    }
-                }
-                fields.push(ShardField {
-                    name: field.name.clone(),
-                    ty: render_type(&field.ty),
-                    line: field.line,
-                    banned: marker,
-                    via,
-                    justified,
-                });
-            }
-            inventory.push(ShardType {
-                path: file.path.to_string(),
-                line: ty.line,
-                name: ty.name.clone(),
-                fields,
-            });
-        }
-    }
-    inventory.sort();
-    inventory
-}
-
-/// Does `field`'s type reach a banned construct, directly or through an
-/// in-workspace type? Resolution is by unique type name, same-crate first.
-fn field_banned(
-    files: &[FileItems<'_>],
-    file_idx: usize,
-    field: &crate::parser::FieldDef,
-    visited: &mut BTreeSet<(usize, String)>,
-) -> Option<Banned> {
-    // Direct: the type tokens name a banned container or a raw pointer.
-    for (i, word) in field.ty.iter().enumerate() {
-        if SHARD_BANNED.contains(&word.as_str()) {
-            return Some(Banned {
-                marker: word.clone(),
-                via: None,
-                justified: false,
-            });
-        }
-        if word == "*"
-            && field
-                .ty
-                .get(i + 1)
-                .is_some_and(|w| w == "const" || w == "mut")
-        {
-            return Some(Banned {
-                marker: format!("*{}", field.ty[i + 1]),
-                via: None,
-                justified: false,
-            });
-        }
-    }
-    // Transitive: resolve capitalized type words in-workspace and recurse.
-    for word in &field.ty {
-        if !word.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-            continue;
-        }
-        let Some((target_idx, target_ty)) = resolve_type(files, file_idx, word) else {
-            continue;
-        };
-        let key = (target_idx, target_ty.name.clone());
-        if !visited.insert(key) {
-            continue;
-        }
-        for inner in &target_ty.fields {
-            if let Some(banned) = field_banned(files, target_idx, inner, visited) {
-                let inner_justified =
-                    banned.justified || files[target_idx].allowances.allows(inner.line, Rule::R11);
-                let chain = format!(
-                    "{}.{}: {}",
-                    target_ty.name,
-                    inner.name,
-                    render_type(&inner.ty)
-                );
-                return Some(Banned {
-                    marker: banned.marker,
-                    via: Some(banned.via.unwrap_or(chain)),
-                    justified: inner_justified,
-                });
-            }
-        }
-    }
-    None
-}
-
-/// Find the definition of `name`: same crate first, then a unique match
-/// anywhere in the workspace. Ambiguous cross-crate names stay unresolved
-/// (silently tolerated — the over-approximation R11 accepts).
-fn resolve_type<'a>(
-    files: &'a [FileItems<'_>],
-    from_idx: usize,
-    name: &str,
-) -> Option<(usize, &'a crate::parser::TypeDef)> {
-    let crate_dir = |path: &str| -> String {
-        match path.strip_prefix("crates/") {
-            Some(rest) => match rest.split_once('/') {
-                Some((krate, _)) => format!("crates/{krate}/"),
-                None => String::new(),
-            },
-            None => String::new(),
-        }
-    };
-    let from_crate = crate_dir(files[from_idx].path);
-    let mut matches: Vec<(usize, &crate::parser::TypeDef)> = Vec::new();
-    for (idx, file) in files.iter().enumerate() {
-        for ty in &file.table.types {
-            if ty.name == name {
-                matches.push((idx, ty));
-            }
-        }
-    }
-    let same_crate: Vec<&(usize, &crate::parser::TypeDef)> = matches
-        .iter()
-        .filter(|(idx, _)| !from_crate.is_empty() && crate_dir(files[*idx].path) == from_crate)
-        .collect();
-    match same_crate.len() {
-        1 => Some(*same_crate[0]),
-        0 if matches.len() == 1 => Some(matches[0]),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R12: hot-path allocation lint
-// ---------------------------------------------------------------------------
-
-pub fn check_r12(
-    path: &str,
-    table: &ItemTable,
-    toks: &[Tok],
-    allowances: &Allowances,
-    violations: &mut Vec<Violation>,
-) {
-    for fn_def in &table.fns {
-        if !fn_def.hotpath {
-            continue;
-        }
-        let Some(body) = fn_def.body else {
-            continue;
-        };
-        let payload_idents = payload_idents(fn_def, toks, body.tok_lo, body.tok_hi);
-        let mut push = |code: &'static str, line: usize, message: String| {
-            if !allowances.allows(line, Rule::R12) {
-                violations.push(Violation {
-                    rule: Rule::R12,
-                    code,
-                    path: path.to_string(),
-                    line,
-                    message,
-                });
-            }
-        };
-        let mut i = body.tok_lo;
-        while i < body.tok_hi {
-            let t = &toks[i];
-            if t.word {
-                match t.text.as_str() {
-                    "format" if is_punct(toks, i + 1, '!') => {
-                        push(
-                            "R12.format",
-                            t.line,
-                            format!(
-                                "`format!` allocates in hotpath fn `{}` (see \
-                                 --explain R12)",
-                                fn_def.name
-                            ),
-                        );
-                    }
-                    "vec" if is_punct(toks, i + 1, '!') => {
-                        push(
-                            "R12.vec_macro",
-                            t.line,
-                            format!(
-                                "`vec![…]` allocates in hotpath fn `{}` (see \
-                                 --explain R12)",
-                                fn_def.name
-                            ),
-                        );
-                    }
-                    "Vec"
-                        if is_punct(toks, i + 1, ':')
-                            && is_punct(toks, i + 2, ':')
-                            && word_at(toks, i + 3) == Some("new") =>
-                    {
-                        push(
-                            "R12.vec_new",
-                            t.line,
-                            format!(
-                                "`Vec::new()` allocates in hotpath fn `{}`; reuse \
-                                 a buffer (see --explain R12)",
-                                fn_def.name
-                            ),
-                        );
-                    }
-                    "to_string" if preceded_by_dot(toks, i) && is_punct(toks, i + 1, '(') => {
-                        push(
-                            "R12.to_string",
-                            t.line,
-                            format!(
-                                "`.to_string()` allocates in hotpath fn `{}` \
-                                 (see --explain R12)",
-                                fn_def.name
-                            ),
-                        );
-                    }
-                    "clone" if preceded_by_dot(toks, i) && is_punct(toks, i + 1, '(') => {
-                        let receiver = (i >= 2)
-                            .then(|| &toks[i - 2])
-                            .filter(|r| r.word)
-                            .map(|r| r.text.clone());
-                        let exempt = receiver
-                            .as_deref()
-                            .is_some_and(|r| payload_idents.contains(r));
-                        if !exempt {
-                            push(
-                                "R12.clone",
-                                t.line,
-                                format!(
-                                    "`.clone()` on `{}` (not a known Payload) in \
-                                     hotpath fn `{}` (see --explain R12)",
-                                    receiver.as_deref().unwrap_or("<expr>"),
-                                    fn_def.name
-                                ),
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-    }
-}
-
-/// Fat key types whose BTree comparisons are multi-word memcmp chains on
-/// a per-event path (rule R13): the 64-byte node id and the transport
-/// address. Intern to `CompactId` / pack to a scalar instead.
-const FAT_KEYS: [&str; 2] = ["NodeId", "HostAddr"];
-
-/// R13: no `BTreeMap`/`BTreeSet` keyed by `NodeId`/`HostAddr` inside
-/// `// hotpath` fns. Every probe of such a map walks a comparison chain
-/// of fat-key memcmps; the hot tables were converted to compact-id dense
-/// layouts in PR 9 and this rule keeps the fat-keyed form from creeping
-/// back. The `// hotpath: fat-key -- <why>` marker variant waives the
-/// rule for a whole fn; `// detlint: allow(R13) -- <why>` waives one line.
-pub fn check_r13(
-    path: &str,
-    table: &ItemTable,
-    toks: &[Tok],
-    allowances: &Allowances,
-    violations: &mut Vec<Violation>,
-) {
-    for fn_def in &table.fns {
-        if !fn_def.hotpath || fn_def.hotpath_fatkey {
-            continue;
-        }
-        let Some(body) = fn_def.body else {
-            continue;
-        };
-        let mut i = body.tok_lo;
-        while i < body.tok_hi {
-            if let Some(container @ ("BTreeMap" | "BTreeSet")) = word_at(toks, i) {
-                if is_punct(toks, i + 1, '<') {
-                    if let Some(key) = first_type_arg(toks, i + 2, body.tok_hi) {
-                        if FAT_KEYS.contains(&key) {
-                            let line = toks[i].line;
-                            if !allowances.allows(line, Rule::R13) {
-                                violations.push(Violation {
-                                    rule: Rule::R13,
-                                    code: match container {
-                                        "BTreeMap" => "R13.btreemap",
-                                        _ => "R13.btreeset",
-                                    },
-                                    path: path.to_string(),
-                                    line,
-                                    message: format!(
-                                        "`{container}<{key}, …>` in hotpath fn `{}` probes \
-                                         fat keys; intern to CompactId (see --explain R13)",
-                                        fn_def.name
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            i += 1;
-        }
-    }
-}
-
-/// The last path segment of the first type argument starting at `i` (just
-/// past the `<`): skips `&` borrows and `path::` qualifiers, so
-/// `BTreeMap<enode::NodeId, u64>` resolves to `NodeId`.
-fn first_type_arg(toks: &[Tok], mut i: usize, hi: usize) -> Option<&str> {
-    while i < hi && is_punct(toks, i, '&') {
-        i += 1;
-    }
-    let mut last = None;
-    while i < hi {
-        match word_at(toks, i) {
-            Some(w) => {
-                last = Some(w);
-                i += 1;
-            }
-            None => break,
-        }
-        if is_punct(toks, i, ':') && is_punct(toks, i + 1, ':') {
-            i += 2;
-        } else {
-            break;
-        }
-    }
-    last
-}
-
-/// Identifiers known to hold a `Payload` (whose clone is a refcount bump):
-/// parameters ascribed `Payload` and `let name: Payload = …` bindings.
-fn payload_idents(fn_def: &FnDef, toks: &[Tok], lo: usize, hi: usize) -> BTreeSet<String> {
-    let mut idents: BTreeSet<String> = fn_def
-        .params
-        .iter()
-        .filter(|p| p.ty.iter().any(|w| w == "Payload"))
-        .flat_map(|p| p.names.iter().cloned())
-        .collect();
-    let mut i = lo;
-    while i < hi {
-        if word_at(toks, i) == Some("let") {
-            let mut j = i + 1;
-            if word_at(toks, j) == Some("mut") {
-                j += 1;
-            }
-            if let Some(name) = word_at(toks, j) {
-                if is_punct(toks, j + 1, ':') {
-                    let name = name.to_string();
-                    let mut k = j + 2;
-                    while k < hi && !is_punct(toks, k, '=') && !is_punct(toks, k, ';') {
-                        if word_at(toks, k) == Some("Payload") {
-                            idents.insert(name.clone());
-                            break;
-                        }
-                        k += 1;
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    idents
-}
-
-// ---------------------------------------------------------------------------
-// Token helpers (shared with the parser's conventions)
-// ---------------------------------------------------------------------------
-
-fn is_punct(toks: &[Tok], i: usize, c: char) -> bool {
-    toks.get(i)
-        .is_some_and(|t| !t.word && t.text.starts_with(c))
-}
-
-fn word_at(toks: &[Tok], i: usize) -> Option<&str> {
-    toks.get(i)
-        .and_then(|t| if t.word { Some(t.text.as_str()) } else { None })
-}
-
-fn word_before(toks: &[Tok], i: usize) -> Option<&str> {
-    i.checked_sub(1).and_then(|j| word_at(toks, j))
-}
-
-fn preceded_by_dot(toks: &[Tok], i: usize) -> bool {
-    i.checked_sub(1).is_some_and(|j| is_punct(toks, j, '.'))
-}
-
-fn skip_balanced(toks: &[Tok], mut i: usize, hi: usize, open: char, close: char) -> usize {
-    let mut depth = 0usize;
-    while i < hi {
-        if is_punct(toks, i, open) {
-            depth += 1;
-        } else if is_punct(toks, i, close) {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    hi
 }

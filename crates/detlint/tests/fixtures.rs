@@ -1,4 +1,4 @@
-//! Fixture self-test: every rule R1–R13 has one minimal passing and one
+//! Fixture self-test: every rule in the table has a minimal passing and a
 //! minimal failing fixture under `fixtures/{pass,fail}/`, and the failing
 //! fixture produces exactly the expected diagnostic codes at the expected
 //! lines. This pins both halves of each rule: that it fires, and that its
@@ -6,7 +6,8 @@
 //!
 //! Fixtures are scanned under a *virtual* repo-relative path (`vpath`) so
 //! path-scoped rules (R1 allowlist, R5/R7 crate scope, R8/R9 library
-//! scope, R10 layering) behave exactly as in a workspace scan. The real
+//! scope, R6 path resolution) behave exactly as in a workspace scan; R10
+//! keys on the package name the manifest fixture declares. The real
 //! `fixtures/` directory itself is excluded from workspace scans.
 
 use detlint::{rules, scan_manifest_source, scan_rust_source, Violation};
@@ -94,41 +95,23 @@ const FIXTURES: &[Fixture] = &[
     },
     Fixture {
         rule: "R10",
-        file: "r10.rs",
-        vpath: "crates/rlp/src/lib.rs",
-        expected_fail: &[("R10.layer_use", 2), ("R10.layer_use", 3)],
+        file: "r10.toml",
+        vpath: "crates/rlp/Cargo.toml",
+        expected_fail: &[("R10.layer_dep", 6), ("R10.layer_dep", 9)],
     },
     Fixture {
-        rule: "R11",
-        file: "r11.rs",
-        vpath: "crates/netsim/src/shard.rs",
-        expected_fail: &[
-            ("R11.shard_field", 7),
-            ("R11.shard_field", 8),
-            ("R11.shard_field", 9),
-        ],
+        rule: "R10",
+        file: "r10_obs.toml",
+        vpath: "crates/obs/Cargo.toml",
+        expected_fail: &[("R10.obs_dep", 6)],
     },
+    // A retired rule id (R11–R13) in an annotation is an unrecognized
+    // annotation, which detlint has always filed under R3.
     Fixture {
-        rule: "R12",
-        file: "r12.rs",
+        rule: "R3",
+        file: "retired.rs",
         vpath: "crates/netsim/src/hot.rs",
-        expected_fail: &[
-            ("R12.format", 4),
-            ("R12.vec_new", 5),
-            ("R12.vec_macro", 6),
-            ("R12.to_string", 7),
-            ("R12.clone", 8),
-        ],
-    },
-    Fixture {
-        rule: "R13",
-        file: "r13.rs",
-        vpath: "crates/nodefinder/src/crawl.rs",
-        expected_fail: &[
-            ("R13.btreemap", 4),
-            ("R13.btreeset", 5),
-            ("R13.btreemap", 6),
-        ],
+        expected_fail: &[("R3.annotation", 2)],
     },
 ];
 
@@ -149,14 +132,14 @@ fn scan_fixture(kind: &str, fixture: &Fixture) -> Vec<Violation> {
 #[test]
 fn every_rule_has_both_fixtures() {
     let covered: BTreeSet<&str> = FIXTURES.iter().map(|f| f.rule).collect();
-    for rule in rules::ALL {
+    for row in &rules::TABLE {
         assert!(
-            covered.contains(rule.id()),
+            covered.contains(row.id),
             "rule {} has no fixture entry",
-            rule.id()
+            row.id
         );
     }
-    assert_eq!(covered.len(), rules::ALL.len(), "stray fixture entries");
+    assert_eq!(covered.len(), rules::TABLE.len(), "stray fixture entries");
 }
 
 #[test]
@@ -208,7 +191,7 @@ fn fail_fixtures_never_fire_foreign_rules() {
     for fixture in FIXTURES {
         for violation in scan_fixture("fail", fixture) {
             assert_eq!(
-                violation.rule.id(),
+                violation.rule.info().id,
                 fixture.rule,
                 "fail fixture for {} fired {}: {violation}",
                 fixture.rule,

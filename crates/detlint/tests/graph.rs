@@ -1,152 +1,79 @@
-//! Workspace-graph integration tests: the graph built from the *real*
-//! repository manifests must match the layering constants R10 enforces,
-//! and the builder/cycle machinery must behave on synthetic graphs.
+//! Workspace-graph integration test: the graph built from the *real*
+//! repository manifests has the members the layering rule (R10) names, and
+//! none of their edges — dev edges included — points up.
 
-use detlint::graph::{WorkspaceGraph, PROTOCOL_CRATES, UPPER_LAYERS, WORKSPACE_CRATES};
+use detlint::manifest::{parse_manifest, Manifest, WorkspaceGraph, PROTOCOL_CRATES, UPPER_LAYERS};
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Load every Cargo.toml in the repository, as the scanner does.
-fn real_graph() -> WorkspaceGraph {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-        .to_path_buf();
-    let mut manifests = Vec::new();
-    collect_manifests(&root, &root, &mut manifests);
-    manifests.sort();
-    let manifests: Vec<(String, String)> = manifests
-        .into_iter()
-        .map(|rel| {
-            let text = fs::read_to_string(root.join(&rel)).expect("read manifest");
-            (rel.to_string_lossy().replace('\\', "/"), text)
-        })
-        .collect();
-    WorkspaceGraph::from_manifests(&manifests)
-}
-
-fn collect_manifests(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
+/// Read every Cargo.toml in the repository, as the scanner does.
+fn collect_manifests(root: &Path, dir: &Path, out: &mut Vec<Manifest>) {
     for entry in fs::read_dir(dir).expect("read_dir") {
-        let entry = entry.expect("dir entry");
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy().to_string();
+        let path = entry.expect("dir entry").path();
+        let name = path
+            .file_name()
+            .expect("name")
+            .to_string_lossy()
+            .to_string();
         if path.is_dir() {
             if name == "target" || name.starts_with('.') || path.ends_with("detlint/fixtures") {
                 continue;
             }
             collect_manifests(root, &path, out);
         } else if name == "Cargo.toml" {
-            out.push(path.strip_prefix(root).expect("relative").to_path_buf());
+            let rel = path.strip_prefix(root).expect("relative");
+            let text = fs::read_to_string(&path).expect("read manifest");
+            out.push(parse_manifest(
+                &rel.to_string_lossy().replace('\\', "/"),
+                &text,
+            ));
         }
     }
-}
-
-#[test]
-fn workspace_crates_constant_matches_reality() {
-    let graph = real_graph();
-    let under_crates: BTreeSet<&str> = graph
-        .crates
-        .values()
-        .filter(|node| node.dir.starts_with("crates/"))
-        .map(|node| node.name.as_str())
-        .collect();
-    let expected: BTreeSet<&str> = WORKSPACE_CRATES.iter().copied().collect();
-    assert_eq!(
-        under_crates, expected,
-        "graph::WORKSPACE_CRATES is stale — update it with the crate listing"
-    );
 }
 
 #[test]
 fn layering_matrix_matches_cargo_toml_reality() {
-    let graph = real_graph();
-    // The matrix: for every (crate, dep) edge among workspace members,
-    // protocol crates must never reach an upper layer, and obs reaches
-    // nothing in-workspace.
-    for name in WORKSPACE_CRATES {
-        let deps: BTreeSet<&str> = graph
-            .resolved_deps(name)
-            .into_iter()
-            .map(|(node, _)| node.name.as_str())
+    let root = detlint::workspace_root();
+    let mut manifests = Vec::new();
+    collect_manifests(root, root, &mut manifests);
+    let graph = WorkspaceGraph::from_manifests(&manifests);
+
+    // The members are derived from the manifests read; every crate the rule
+    // names must be among them, or the rule guards nothing.
+    for name in PROTOCOL_CRATES.iter().chain(&UPPER_LAYERS).chain(&["obs"]) {
+        let member = graph.crates.get(*name);
+        let manifest = member.map(|m| m.manifest.as_str());
+        let expected = format!("crates/{name}/Cargo.toml");
+        assert_eq!(manifest, Some(expected.as_str()), "{name}");
+    }
+    // The matrix: protocol crates never reach an upper layer, and obs
+    // reaches nothing under crates/.
+    for protocol in PROTOCOL_CRATES {
+        let targets: BTreeSet<&str> = graph.crates[protocol]
+            .edges
+            .iter()
+            .map(|edge| edge.target.as_str())
             .collect();
-        if PROTOCOL_CRATES.contains(&name) {
-            for upper in UPPER_LAYERS {
-                assert!(
-                    !deps.contains(upper),
-                    "{name} (protocol) depends on {upper} (upper layer)"
-                );
-            }
-        }
-        if name == "obs" {
-            let workspace_deps: Vec<&str> = deps
-                .iter()
-                .copied()
-                .filter(|d| WORKSPACE_CRATES.contains(d))
-                .collect();
+        for upper in UPPER_LAYERS {
             assert!(
-                workspace_deps.is_empty(),
-                "obs must depend on nothing in-workspace, found {workspace_deps:?}"
+                !targets.contains(upper),
+                "{protocol} (protocol) depends on {upper} (upper layer)"
             );
         }
     }
-    // And the real tree is R10-clean at the manifest level.
-    let violations = graph.layering_violations();
+    for edge in &graph.crates["obs"].edges {
+        let dir = edge.dir.as_deref().unwrap_or("");
+        assert!(!dir.starts_with("crates/"), "obs depends on {edge:?}");
+    }
+    // The other direction resolves: the upper layers do sit on the protocol
+    // crates, through `workspace = true` inheritance.
+    let crawler = &graph.crates["nodefinder"].edges;
     assert!(
-        violations.is_empty(),
-        "{:?}",
-        violations.iter().map(|v| v.to_string()).collect::<Vec<_>>()
+        crawler
+            .iter()
+            .any(|e| e.target == "discv4" && e.dir.as_deref() == Some("crates/discv4")),
+        "{crawler:?}"
     );
-}
-
-#[test]
-fn real_workspace_has_no_dependency_cycles() {
-    let cycles = real_graph().cycles();
-    assert!(cycles.is_empty(), "dependency cycles: {cycles:?}");
-}
-
-#[test]
-fn path_dep_resolution_follows_relative_paths() {
-    let manifests = vec![
-        (
-            "crates/a/Cargo.toml".to_string(),
-            "[package]\nname = \"a\"\n[dependencies]\nb = { path = \"../b\" }\n".to_string(),
-        ),
-        (
-            "crates/b/Cargo.toml".to_string(),
-            "[package]\nname = \"b\"\n".to_string(),
-        ),
-    ];
-    let graph = WorkspaceGraph::from_manifests(&manifests);
-    let deps = graph.resolved_deps("a");
-    assert_eq!(deps.len(), 1);
-    assert_eq!(deps[0].0.name, "b");
-    assert_eq!(deps[0].0.dir, "crates/b");
-}
-
-#[test]
-fn synthetic_cycles_are_detected_and_dev_edges_exempt() {
-    // a -> b -> c -> a is a cycle.
-    let mut graph = WorkspaceGraph::default();
-    graph.add_crate("a", "crates/a");
-    graph.add_crate("b", "crates/b");
-    graph.add_crate("c", "crates/c");
-    graph.add_path_dep("a", "b", 3, false);
-    graph.add_path_dep("b", "c", 3, false);
-    graph.add_path_dep("c", "a", 3, false);
-    let cycles = graph.cycles();
-    assert_eq!(cycles.len(), 1, "{cycles:?}");
-    let cycle = &cycles[0];
-    assert_eq!(cycle.first(), cycle.last());
-    assert_eq!(cycle.len(), 4);
-
-    // The same shape through a dev-dependency edge is cargo-legal.
-    let mut graph = WorkspaceGraph::default();
-    graph.add_crate("a", "crates/a");
-    graph.add_crate("b", "crates/b");
-    graph.add_path_dep("a", "b", 3, false);
-    graph.add_path_dep("b", "a", 3, true);
-    assert!(graph.cycles().is_empty());
+    assert!(graph.layering_violations().is_empty());
 }

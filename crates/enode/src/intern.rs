@@ -100,7 +100,7 @@ impl Interner {
     }
 
     /// Intern `id`, returning its compact id; a new ID gets the next rank.
-    // hotpath -- one probe per discovered record on the crawl path
+    // One probe per discovered record on the crawl path.
     pub fn intern(&mut self, id: &NodeId) -> CompactId {
         let mask = self.slots.len() - 1;
         let mut slot = (probe_hash(id) as usize) & mask;
@@ -124,7 +124,7 @@ impl Interner {
     }
 
     /// Look up `id` without inserting.
-    // hotpath -- probe-only lookup on the dispatch path
+    // Probe-only lookup on the dispatch path.
     pub fn get(&self, id: &NodeId) -> Option<CompactId> {
         let mask = self.slots.len() - 1;
         let mut slot = (probe_hash(id) as usize) & mask;
@@ -142,7 +142,7 @@ impl Interner {
 
     /// The full ID behind a compact id. Panics on an id from a different
     /// interner (index out of range) — compact ids are world-scoped.
-    // hotpath -- one indexed load per export/wire resolution
+    // One indexed load per export/wire resolution.
     pub fn resolve(&self, id: CompactId) -> &NodeId {
         &self.ids[id.index()]
     }

@@ -332,7 +332,7 @@ impl EthNode {
         }
     }
 
-    // hotpath -- `at_capacity` runs per datagram via arm_disc; the count is
+    // `at_capacity` runs per datagram via arm_disc; the count is
     // maintained incrementally, never by scanning `conns`
     fn active_peers(&self) -> usize {
         debug_assert_eq!(

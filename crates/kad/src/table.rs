@@ -239,7 +239,7 @@ impl RoutingTable {
                 .then_with(|| ea.fp.cmp(&eb.fp))
                 .then_with(|| ea.record.id.0.cmp(&eb.record.id.0))
         };
-        // hotpath -- every FINDNODE answered runs this against a saturated
+        // Every FINDNODE answered runs this against a saturated
         // table. The key is a total order over distinct ids, so selecting
         // the k smallest and sorting only those returns the identical
         // sequence a full sort would, in O(n + k log k) comparisons.

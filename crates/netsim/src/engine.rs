@@ -306,7 +306,7 @@ enum ConnState {
 
 snap_enum!(ConnState { 0 => Dialing, 1 => Established, 2 => Closed });
 
-// shard-state -- per-connection record; migrates with whichever shard owns the connection
+// Per-connection record; migrates with whichever shard owns the connection.
 #[derive(Debug, Clone, Copy)]
 struct ConnInfo {
     initiator: HostId,
@@ -326,7 +326,7 @@ snap_struct!(ConnInfo {
     rtt_ms
 });
 
-// shard-state -- slab cell for one connection; storage is recycled under a generation bump
+// Slab cell for one connection; storage is recycled under a generation bump.
 struct ConnEntry {
     /// Bumped every time the cell is freed: any id carrying an older
     /// generation is stale, and every access through it is a no-op.
@@ -344,7 +344,7 @@ snap_struct!(ConnEntry {
     info
 });
 
-// shard-state -- per-host record; the unit the sharded engine partitions across wheels
+// Per-host record; the unit the sharded engine partitions across wheels.
 struct Slot {
     host: Option<Box<dyn Host>>,
     addr: HostAddr,
@@ -370,7 +370,7 @@ struct Slot {
     live_conns: Vec<ConnId>,
 }
 
-// shard-state -- provenance rides with its queued event across shard boundaries
+// Provenance rides with its queued event across shard boundaries.
 /// Causal provenance minted at push time: the scheduler key of the
 /// nearest causal-ancestor dispatch that recorded a trace event
 /// (`cause`, 0 = no traced ancestor / pushed from outside any dispatch)
@@ -402,7 +402,7 @@ const EV_KIND_NAMES: [&str; 9] = [
     "set_reachable",
 ];
 
-// shard-state -- events cross shard boundaries when sender and receiver land on different workers
+// Events cross shard boundaries when sender and receiver land on different workers.
 enum Ev {
     Udp {
         to: HostId,
@@ -625,7 +625,7 @@ impl AddrIndex {
         }
     }
 
-    // hotpath -- one probe per UDP send and per TCP SYN routed
+    // One probe per UDP send and per TCP SYN routed.
     fn get(&self, addr: HostAddr) -> Option<HostId> {
         let key = addr_key(addr);
         let mask = self.slots.len() - 1;
@@ -685,7 +685,6 @@ impl AddrIndex {
 /// search + in-place timestamp update, no allocation); only the first
 /// contact with a new peer pays an ordered insert. Probed by key only —
 /// never iterated — so the representation is invisible to event order.
-// shard-state -- rides inside Slot; plain Vec storage
 #[derive(Default)]
 struct NatTable {
     /// `(packed addr, last send ms)`, ascending by key.
@@ -693,7 +692,7 @@ struct NatTable {
 }
 
 impl NatTable {
-    // hotpath -- one update per outbound UDP datagram
+    // One update per outbound UDP datagram.
     fn note_send(&mut self, to: HostAddr, now: u64) {
         let key = addr_key(to);
         match self.entries.binary_search_by_key(&key, |e| e.0) {
@@ -703,7 +702,7 @@ impl NatTable {
     }
 
     /// Was `from` contacted within the last `window_ms`?
-    // hotpath -- one probe per inbound datagram at an unreachable host
+    // One probe per inbound datagram at an unreachable host.
     fn solicited(&self, from: HostAddr, now: u64, window_ms: u64) -> bool {
         let key = addr_key(from);
         match self.entries.binary_search_by_key(&key, |e| e.0) {
@@ -960,7 +959,7 @@ impl NetSim {
     /// by (external pushes first, then by pushing host, then by that
     /// host's own push order) — a pure function of per-host histories,
     /// identical under any shard count.
-    // hotpath -- every scheduled event funnels through here
+    // Every scheduled event funnels through here.
     fn push(&mut self, at: u64, owner: HostId, ev: Ev) {
         if let Some(id) = ev.conn_ref() {
             let e = &mut self.conns[conn_idx(id)];
@@ -1024,7 +1023,7 @@ impl NetSim {
 
     /// Run until every queue is empty or simulated time exceeds
     /// `until_ms`.
-    // hotpath -- the main event loop: every simulated event funnels through here
+    // The main event loop: every simulated event funnels through here.
     pub fn run_until(&mut self, until_ms: u64) {
         obs::profile::run_mark_start();
         if self.shards.len() == 1 {
@@ -1104,7 +1103,6 @@ impl NetSim {
     /// clock, depth gauges, obs counters, provenance bracketing, profiler
     /// timing, origin bracketing, and the pending-count decrement that
     /// may recycle a connection cell.
-    // hotpath -- runs once per dispatched event
     fn dispatch_at(&mut self, at: u64, key: u64, shard: usize, owner: HostId, prov: Prov, ev: Ev) {
         self.now = at;
         let mut depth = 1u64;
@@ -1200,7 +1198,7 @@ impl NetSim {
         }
     }
 
-    // hotpath -- per-event demux; runs once per event popped by run_until
+    // Per-event demux; runs once per event popped by run_until.
     fn dispatch(&mut self, ev: Ev) {
         match ev {
             Ev::StartHost { host } => {
@@ -1408,7 +1406,6 @@ impl NetSim {
     /// `action_buf` so steady-state event handling never allocates it;
     /// `apply_actions` never re-enters `with_host`, so the take/restore
     /// pair cannot nest.
-    // hotpath -- runs once per host callback; allocation here scales with event count
     fn with_host<F>(&mut self, host: HostId, f: F)
     where
         F: FnOnce(&mut dyn Host, &mut Ctx),
@@ -1433,7 +1430,7 @@ impl NetSim {
         self.apply_actions(host, actions);
     }
 
-    // hotpath -- executes every action a host callback emits
+    // Executes every action a host callback emits.
     fn apply_actions(&mut self, host: HostId, mut actions: Vec<Action>) {
         for action in actions.drain(..) {
             match action {
@@ -1773,6 +1770,26 @@ mod tests {
     use std::rc::Rc;
 
     type Log = Rc<RefCell<Vec<String>>>;
+
+    /// The oracle ROADMAP item 1b faces: the engine state that may move to
+    /// a worker thread today. Progress on 1b is "move a type into this list
+    /// until it compiles". Not `Send` yet, and why:
+    ///
+    /// * `Payload` — `data: Rc<[u8]>`; the plan swaps the `Rc` for `Arc`;
+    /// * `Ev` — carries a `Payload` in `Udp` and `TcpData`;
+    /// * `Slot` — `host: Option<Box<dyn Host>>`, and `Host` has no `Send`
+    ///   bound: the `ethpop::EthNode` behind it holds the `Rc<[NodeRecord]>`
+    ///   and `Rc<[Capability]>` flyweights.
+    #[test]
+    fn plain_shard_state_is_send() {
+        fn is_send<T: Send>() {}
+        is_send::<ConnInfo>();
+        is_send::<ConnEntry>();
+        is_send::<Prov>();
+        is_send::<NatTable>();
+        is_send::<HostAddr>();
+        is_send::<HostMeta>();
+    }
 
     /// A scriptable host for engine tests.
     struct Probe {

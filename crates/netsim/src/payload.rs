@@ -17,10 +17,10 @@ use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::rc::Rc;
 
 /// A cheaply clonable, immutable byte buffer with an adjustable window.
-// shard-state -- payload bytes ride inside every cross-host event
+// Payload bytes ride inside every cross-host event.
 #[derive(Clone)]
 pub struct Payload {
-    // detlint: allow(R11) -- single-thread sharing today; the sharding plan swaps this Rc for Arc wholesale
+    // Single-thread sharing today; the sharding plan swaps this Rc for Arc wholesale.
     data: Rc<[u8]>,
     start: usize,
     end: usize,

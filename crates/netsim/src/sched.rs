@@ -117,7 +117,7 @@ impl<T> TimerWheel<T> {
     /// Schedule `item` at `(at, seq)`. `seq` values must be distinct but
     /// may arrive in any order (the engine derives them from per-origin
     /// counters). `at` values behind the cursor are clamped up to it.
-    // hotpath -- one call per scheduled event
+    // One call per scheduled event.
     pub fn push(&mut self, at: u64, seq: u64, item: T) {
         debug_assert!(at >= self.cursor, "push into the past: {at} < cursor");
         let at = at.max(self.cursor);
@@ -126,7 +126,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Route an event with `at >= cursor` into the right layer.
-    // hotpath -- layer routing for every push and every cascade
+    // Layer routing for every push and every cascade.
     fn place(&mut self, at: u64, seq: u64, item: T) {
         if at >> L0_BITS == self.cursor >> L0_BITS {
             let slot = (at & L0_MASK) as usize;
@@ -155,7 +155,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// First occupied L0 slot index at or after `from`, if any.
-    // hotpath -- bitmap scan on every pop
+    // Bitmap scan on every pop.
     fn l0_next_occupied(&self, from: usize) -> Option<usize> {
         let mut word = from / 64;
         let mut bits = self.l0_occ[word] & (u64::MAX << (from % 64));
@@ -175,7 +175,7 @@ impl<T> TimerWheel<T> {
     /// `(at, seq)` across calls; pushes made between pops (the engine
     /// pushes while dispatching, including at the current time) slot into
     /// that order exactly as the binary heap did.
-    // hotpath -- one call per event the engine dispatches
+    // One call per event the engine dispatches.
     pub fn pop_at_most(&mut self, until: u64) -> Option<(u64, u64, T)> {
         if self.len == 0 || self.cursor > until {
             return None;
@@ -216,7 +216,7 @@ impl<T> TimerWheel<T> {
     /// removing it. Advances the cursor (and cascades) exactly like
     /// [`TimerWheel::pop_at_most`], so the sharded engine can bound a
     /// shard's cursor to the current barrier epoch while scanning heads.
-    // hotpath -- head refresh for the cross-shard merge loop
+    // Head refresh for the cross-shard merge loop.
     pub fn peek_at_most(&mut self, until: u64) -> Option<(u64, u64)> {
         if self.len == 0 || self.cursor > until {
             return None;
@@ -320,7 +320,7 @@ impl<T> TimerWheel<T> {
     /// Move the cursor to `window_start` (the first ms of the next L0
     /// window), pulling newly in-range overflow events and cascading the
     /// window's L1 slot into L0.
-    // hotpath -- wheel cascade; runs on every L0 window rollover
+    // Wheel cascade; runs on every L0 window rollover.
     fn advance_window(&mut self, window_start: u64) {
         let old = self.cursor;
         self.cursor = window_start;

@@ -145,7 +145,7 @@ impl PenaltyBox {
 
     /// Whether dialing the endpoint interned as `cid` is currently blocked
     /// by backoff or the box.
-    // hotpath -- one probe per discovery sighting and static due-scan entry
+    // One probe per discovery sighting and static due-scan entry.
     pub fn is_blocked(&self, cid: CompactId, now_ms: u64) -> bool {
         self.entries
             .get(cid)

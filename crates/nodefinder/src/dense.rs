@@ -71,7 +71,7 @@ impl<V> DenseMap<V> {
     }
 
     /// Whether `cid` has an entry.
-    // hotpath -- membership probe per discovery sighting
+    // Membership probe per discovery sighting.
     pub fn contains(&self, cid: CompactId) -> bool {
         self.slots
             .get(cid.index())
@@ -79,7 +79,7 @@ impl<V> DenseMap<V> {
     }
 
     /// Borrow the entry for `cid`.
-    // hotpath -- two indexed loads per lookup
+    // Two indexed loads per lookup.
     pub fn get(&self, cid: CompactId) -> Option<&V> {
         let slot = *self.slots.get(cid.index())?;
         if slot == EMPTY {
@@ -89,7 +89,7 @@ impl<V> DenseMap<V> {
     }
 
     /// Mutably borrow the entry for `cid`.
-    // hotpath -- two indexed loads per lookup
+    // Two indexed loads per lookup.
     pub fn get_mut(&mut self, cid: CompactId) -> Option<&mut V> {
         let slot = *self.slots.get(cid.index())?;
         if slot == EMPTY {
@@ -169,19 +169,16 @@ impl<V: KeyedById> OrderedDenseMap<V> {
     }
 
     /// Whether `cid` has an entry.
-    // hotpath -- delegated membership probe
     pub fn contains(&self, cid: CompactId) -> bool {
         self.map.contains(cid)
     }
 
     /// Borrow the entry for `cid`.
-    // hotpath -- delegated indexed lookup
     pub fn get(&self, cid: CompactId) -> Option<&V> {
         self.map.get(cid)
     }
 
     /// Mutably borrow the entry for `cid`.
-    // hotpath -- delegated indexed lookup
     pub fn get_mut(&mut self, cid: CompactId) -> Option<&mut V> {
         self.map.get_mut(cid)
     }
@@ -285,7 +282,7 @@ impl SeenTable {
 
     /// Record a sighting of `cid` at `now_ms` (keeps the latest stamp,
     /// like the `BTreeMap::insert` it replaces).
-    // hotpath -- one indexed store per discovery sighting
+    // One indexed store per discovery sighting.
     pub fn note(&mut self, cid: CompactId, now_ms: u64) {
         if self.stamps.len() <= cid.index() {
             self.stamps.resize(cid.index() + 1, u64::MAX);
@@ -347,7 +344,7 @@ impl IdSet {
 
     /// Insert `cid`; returns `true` if it was not already present
     /// (mirrors `BTreeSet::insert`).
-    // hotpath -- one indexed load+store per enqueue check
+    // One indexed load+store per enqueue check.
     pub fn insert(&mut self, cid: CompactId) -> bool {
         if self.bits.len() <= cid.index() {
             self.bits.resize(cid.index() + 1, false);
@@ -356,7 +353,7 @@ impl IdSet {
     }
 
     /// Remove `cid`; returns `true` if it was present.
-    // hotpath -- one indexed store per dequeue
+    // One indexed store per dequeue.
     pub fn remove(&mut self, cid: CompactId) -> bool {
         self.bits
             .get_mut(cid.index())
@@ -415,7 +412,7 @@ impl<V> ConnTable<V> {
     }
 
     /// Whether `conn` has an entry (generation-checked).
-    // hotpath -- one indexed load per TCP event
+    // One indexed load per TCP event.
     pub fn contains(&self, conn: ConnId) -> bool {
         self.cells
             .get(conn & CONN_IDX_MASK)
@@ -424,7 +421,7 @@ impl<V> ConnTable<V> {
     }
 
     /// Borrow the entry for `conn` (generation-checked).
-    // hotpath -- one indexed load per TCP event
+    // One indexed load per TCP event.
     pub fn get(&self, conn: ConnId) -> Option<&V> {
         match self.cells.get(conn & CONN_IDX_MASK)?.as_ref() {
             Some((stored, v)) if *stored == conn => Some(v),
@@ -433,7 +430,7 @@ impl<V> ConnTable<V> {
     }
 
     /// Mutably borrow the entry for `conn` (generation-checked).
-    // hotpath -- one indexed load per TCP event
+    // One indexed load per TCP event.
     pub fn get_mut(&mut self, conn: ConnId) -> Option<&mut V> {
         match self.cells.get_mut(conn & CONN_IDX_MASK)?.as_mut() {
             Some((stored, v)) if *stored == conn => Some(v),

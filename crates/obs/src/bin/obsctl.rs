@@ -104,9 +104,16 @@ impl Json {
     }
 }
 
+/// Containers may nest this deep (`vendor/serde_json`'s bound); `value`
+/// recurses once per level, so an unbounded artifact would overflow the
+/// stack instead of yielding `Err`.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -114,6 +121,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -146,8 +154,22 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let container = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                container
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -733,6 +755,23 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{\"a\":1} extra").is_err());
         assert!(parse_json("nul").is_err());
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting_instead_of_overflowing_the_stack() {
+        // What `profile --profile f` and one line of `campaign --trace g`
+        // would be handed by a hostile artifact.
+        for open in ["[", "{\"a\":"] {
+            let err = parse_json(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // Depth well past any real artifact still parses.
+        let deep = format!("{}1{}", "[".repeat(100), "]".repeat(100));
+        assert!(parse_json(&deep).is_ok());
+        let at_bound = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(parse_json(&at_bound).is_ok());
+        let past_bound = format!("{}{}", "[".repeat(129), "]".repeat(129));
+        assert!(parse_json(&past_bound).is_err());
     }
 
     #[test]

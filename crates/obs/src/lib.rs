@@ -171,7 +171,7 @@ impl Core {
         }
     }
 
-    // hotpath -- interned-metric slot lookup behind every *_id call
+    // Interned-metric slot lookup behind every *_id call.
     fn fast_slot(v: &mut Vec<u64>, id: MetricId) -> &mut u64 {
         let i = id.0 as usize;
         if i >= v.len() {
@@ -460,7 +460,6 @@ pub fn fold_pending() {
 /// Advance the observability clock to simulation time `now_ms`. Called
 /// by the `netsim` engine before dispatching each scheduled event; all
 /// subsequently recorded events and spans are stamped with this value.
-// hotpath -- called by the engine before dispatching every event
 pub fn set_now(now_ms: u64) {
     with_core(|c| c.now_ms = now_ms);
 }
@@ -472,7 +471,6 @@ pub fn set_now(now_ms: u64) {
 /// engine calls this alongside [`set_now`] before every dispatch and
 /// resets it to `(0, 0, 0)` afterwards, so events emitted outside any
 /// dispatch carry no (all-zero) provenance.
-// hotpath -- called by the engine around every dispatched event
 pub fn set_cause(key: u64, cause: u64, depth: u32) {
     with_core(|c| {
         c.cur_key = key;
@@ -487,7 +485,7 @@ pub fn set_cause(key: u64, cause: u64, depth: u32) {
 /// uses this to mint child provenance that skips silent dispatches: a
 /// queued event's `cause` is the nearest *traced* ancestor, so every
 /// chain link resolves within the exported trace itself.
-// hotpath -- consulted by the engine on every event push
+// Consulted by the engine on every event push.
 pub fn dispatch_emitted() -> bool {
     RECORDER.with(|r| {
         r.borrow()
@@ -504,7 +502,6 @@ pub fn counter_add(name: &str, v: u64) {
 /// Add `v` to the counter behind an interned [`handle`]. Equivalent to
 /// [`counter_add`] with the interned name, but O(1) with no allocation —
 /// intended for per-event hot paths like the simulator's dispatch loop.
-// hotpath -- per-event counter bump; must stay allocation-free
 pub fn counter_add_id(id: MetricId, v: u64) {
     with_core(|c| *Core::fast_slot(&mut c.fast_counters, id) += v);
 }
@@ -513,7 +510,7 @@ pub fn counter_add_id(id: MetricId, v: u64) {
 /// (high-water mark). Equivalent to [`gauge_max`] with the interned name,
 /// except that a value of 0 leaves the gauge uncreated (a 0 high-water
 /// update is indistinguishable from no update anyway).
-// hotpath -- per-event high-water update; must stay allocation-free
+// Per-event high-water update; must stay allocation-free.
 pub fn gauge_max_id(id: MetricId, v: u64) {
     with_core(|c| {
         let slot = Core::fast_slot(&mut c.fast_gauge_hw, id);

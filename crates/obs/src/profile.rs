@@ -26,10 +26,10 @@
 //!   [`host_label`]) so flyweight worlds report e.g. "tarpit hosts cost
 //!   7× honest hosts".
 //!
-//! Hotpath functions ([`dispatch_start`], [`dispatch_end`],
-//! [`barrier_mark`]) are alloc-free (index + `resize` only, per detlint
-//! R12); when no profiler is installed they cost one thread-local
-//! boolean read and never touch the clock.
+//! The per-event functions ([`dispatch_start`], [`dispatch_end`],
+//! [`barrier_mark`]) are alloc-free (index + `resize` only); when no
+//! profiler is installed they cost one thread-local boolean read and
+//! never touch the clock.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
@@ -102,7 +102,7 @@ fn grow(v: &mut Vec<u64>, idx: usize) {
 /// Label a host id with its archetype (e.g. `"Geth"`, `"Tarpit"`,
 /// `"crawler"`) for the per-archetype cost rollup. Call at world-build
 /// time, not from the dispatch loop. Labels are `&'static str` so the
-/// hotpath stores indices only.
+/// dispatch path stores indices only.
 pub fn host_label(host: u64, label: &'static str) {
     with_core(|c| {
         let idx = host as usize;
@@ -138,7 +138,7 @@ pub fn run_mark_end() {
     });
 }
 
-// hotpath -- called by the engine before every dispatched event
+// Called by the engine before every dispatched event.
 pub fn dispatch_start() -> DispatchTimer {
     if !is_installed() {
         return DispatchTimer(None);
@@ -146,7 +146,7 @@ pub fn dispatch_start() -> DispatchTimer {
     DispatchTimer(Some(Instant::now()))
 }
 
-// hotpath -- called by the engine after every dispatched event
+// Called by the engine after every dispatched event.
 pub fn dispatch_end(
     t: DispatchTimer,
     shard: usize,
@@ -179,7 +179,7 @@ pub fn dispatch_end(
     });
 }
 
-// hotpath -- called by the engine at every merge barrier
+// Called by the engine at every merge barrier.
 pub fn barrier_mark(n_shards: usize) {
     with_core(|c| {
         let now = Instant::now();

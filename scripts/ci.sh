@@ -4,12 +4,10 @@
 #   1. rustfmt   -- formatting is canonical (no diff)
 #   2. clippy    -- workspace lint-clean; protocol crates additionally deny
 #                   unwrap/expect (see each crate's [lints] table)
-#   3. detlint   -- determinism, panic-safety, wire-policy & parallelism-
-#                   readiness rules R1-R13 (see DESIGN.md): the JSON report
-#                   is generated twice and byte-compared (the linter must
-#                   be deterministic about determinism), then gated via
-#                   --report, which prints the per-rule summary table and
-#                   fails listing the offending codes
+#   3. detlint   -- the determinism, panic-safety, wire-policy and
+#                   layering rules nothing else enforces (DESIGN.md
+#                   § Determinism; `detlint --explain` lists them): one
+#                   line per violation on stdout, exit 1 if there is any
 #   4. tests     -- the whole workspace (robustness, shard/resume
 #                   determinism, conformance and static_analysis suites
 #                   included; cargo names the test binary that fails);
@@ -68,18 +66,7 @@ else
     echo "    SKIPPED: clippy component not installed"
 fi
 
-# detlint: write the machine-readable report twice and require the two to
-# be byte-identical, then gate on the report's contents. --json always
-# exits 0 (the verdict lives in the report); --report exits 1 listing the
-# offending codes when new violations are present.
-detlint_json() {
-    cargo run -q -p detlint -- --json >results/detlint.json \
-        && cargo run -q -p detlint -- --json >"$scratch/detlint.json" \
-        && cmp -s results/detlint.json "$scratch/detlint.json"
-}
-step "detlint --json (byte-identical across runs)" detlint_json
-step "detlint --report (rule summary + gate)" \
-    cargo run -q -p detlint -- --report results/detlint.json
+step "detlint" cargo run -q -p detlint
 step "cargo test" cargo test --workspace -q
 # ethcrypto's kernels rest on "this carry cannot overflow" arguments. The
 # debug run above checks them with overflow panics and debug_assert!; the
