@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ethcrypto::aes::AesCtr;
-use ethcrypto::secp256k1::{recover, scalar_mul, scalar_mul_generator, Fe, SecretKey};
+use ethcrypto::secp256k1::{recover, scalar_mul, scalar_mul_generator, Fe, PublicKey, SecretKey};
 use ethcrypto::{ecies, keccak256, sha256, U256};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,8 +112,18 @@ fn bench_secp(c: &mut Criterion) {
     group.bench_function("recover_miss", |b| {
         b.iter(|| recover(&digests(), std::hint::black_box(&sig)).unwrap())
     });
+    // An ECDH miss on a peer key this thread derived — every key a
+    // simulated world holds — is one comb multiplication by `a·b mod n`;
+    // a peer whose secret the pubkey memo never saw (built here without
+    // it, as a key off the wire is) pays the variable-base one.
     let mut peers = fresh(|i| fresh_secret(b"peer")(i).public_key());
-    group.bench_function("ecdh_miss", |b| b.iter(|| sk.ecdh(&peers()).unwrap()));
+    group.bench_function("ecdh_known", |b| b.iter(|| sk.ecdh(&peers()).unwrap()));
+    let mut peers = fresh(|i| {
+        let d = U256::from_be_bytes(&fresh_secret(b"foreign")(i).to_bytes());
+        let wire = scalar_mul_generator(&d).to_xy_bytes().unwrap();
+        PublicKey::from_xy_bytes(&wire).unwrap()
+    });
+    group.bench_function("ecdh_foreign", |b| b.iter(|| sk.ecdh(&peers()).unwrap()));
     // The two multiplications underneath, with no memo in the way.
     let point = *peer.point();
     let mut scalars = fresh(|i| U256::from_be_bytes(&fresh_secret(b"var")(i).to_bytes()));

@@ -9,8 +9,10 @@
 //! 2. **discv4**: signature recovery through the thread-local sign-time
 //!    memo (decoding in the signing thread) vs the full group-arithmetic
 //!    recovery (decoding the same datagrams in a fresh thread, whose
-//!    memo caches start empty); and ECDH the same way — `a·B` here vs
-//!    `b·A` in a fresh thread, where the pair memo cannot answer.
+//!    memo caches start empty); and ECDH the same way — `a·B` here, by
+//!    the comb because this thread derived `B`, vs `b·A` in a fresh thread
+//!    that receives `A` as wire bytes, where neither the pair memo nor
+//!    the known-discrete-log shortcut can answer.
 //! 3. **rlpx**: the frame writer vs the frame reader under every padding
 //!    residue, with chained MAC state and randomly chunked delivery.
 //!
@@ -25,7 +27,7 @@ use bytes::BytesMut;
 use conformance::hex_encode;
 use discv4::{decode_packet, encode_packet, Packet, MAX_NEIGHBORS_PER_PACKET};
 use enode::{Endpoint, NodeId, NodeRecord};
-use ethcrypto::secp256k1::SecretKey;
+use ethcrypto::secp256k1::{PublicKey, SecretKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlp::{Rlp, RlpError, RlpStream};
@@ -331,10 +333,12 @@ fn differential_discv4_memoized_vs_cold_recovery() {
     }
 }
 
-/// `a.ecdh(B)` and `b.ecdh(A)` share one memo slot (the unordered key
-/// pair), so in one thread the second call never multiplies. Computing it
-/// in a fresh thread runs the variable-base multiplication on the other
-/// scalar and the other point.
+/// `a.ecdh(B)` and `b.ecdh(A)` share one memo slot (the unordered pair of
+/// x coordinates), so in one thread the second call never multiplies — and
+/// the first is a fixed-base multiplication by `a·b mod n`, because this
+/// thread derived `B` from `b`. A fresh thread that is handed `A` as 64
+/// wire bytes knows no discrete log of it and runs the variable-base
+/// multiplication, on the other scalar and the other point.
 #[test]
 fn differential_ecdh_warm_vs_cold_thread() {
     const SEED: u64 = 0xd15c_0004;
@@ -347,11 +351,14 @@ fn differential_ecdh_warm_vs_cold_thread() {
         .iter()
         .map(|(a, b)| a.ecdh(&b.public_key()).unwrap())
         .collect();
-    let for_thread = pairs.clone();
+    let for_thread: Vec<([u8; 64], SecretKey)> = pairs
+        .iter()
+        .map(|(a, b)| (a.public_key().to_xy_bytes(), *b))
+        .collect();
     let cold: Vec<[u8; 32]> = std::thread::spawn(move || {
         for_thread
             .iter()
-            .map(|(a, b)| b.ecdh(&a.public_key()).unwrap())
+            .map(|(a_wire, b)| b.ecdh(&PublicKey::from_xy_bytes(a_wire).unwrap()).unwrap())
             .collect()
     })
     .join()

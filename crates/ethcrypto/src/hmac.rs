@@ -13,9 +13,15 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 }
 
 /// Incremental HMAC-SHA256.
+///
+/// A value is the *keyed state* — the SHA-256 midstates after the inner and
+/// outer pads — plus whatever message has been absorbed since. Keying costs
+/// two compressions, so a caller that MACs several messages under one key
+/// (RFC 6979 does, twice per signature) keys once and clones.
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -28,17 +34,23 @@ impl HmacSha256 {
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK];
-        let mut opad = [0u8; BLOCK];
-        for i in 0..BLOCK {
-            ipad[i] = key_block[i] ^ 0x36;
-            opad[i] = key_block[i] ^ 0x5c;
+        HmacSha256::keyed(&key_block)
+    }
+
+    /// Key with an already zero-padded (or hashed) block; `const`, so a
+    /// fixed key's two midstates cost nothing at run time.
+    pub(crate) const fn keyed(key_block: &[u8; BLOCK]) -> HmacSha256 {
+        let mut ipad = [0x36u8; BLOCK];
+        let mut opad = [0x5cu8; BLOCK];
+        let mut i = 0;
+        while i < BLOCK {
+            ipad[i] ^= key_block[i];
+            opad[i] ^= key_block[i];
+            i += 1;
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
         HmacSha256 {
-            inner,
-            opad_key: opad,
+            inner: Sha256::after_block(&ipad),
+            outer: Sha256::after_block(&opad),
         }
     }
 
@@ -48,12 +60,9 @@ impl HmacSha256 {
     }
 
     /// Produce the 32-byte tag.
-    pub fn finalize(self) -> [u8; 32] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+    pub fn finalize(mut self) -> [u8; 32] {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
     }
 }
 
@@ -103,6 +112,25 @@ mod tests {
             )),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    /// One keyed state, cloned per message: each clone carries the key and
+    /// nothing of what another clone absorbed.
+    #[test]
+    fn rfc4231_case4_twice_from_one_keyed_state() {
+        let key: Vec<u8> = (1u8..=25).collect();
+        let keyed = HmacSha256::new(&key);
+        for _ in 0..2 {
+            let mut mac = keyed.clone();
+            mac.update(&[0xcdu8; 50]);
+            assert_eq!(
+                hex(&mac.finalize()),
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+            );
+        }
+        let mut mac = keyed;
+        mac.update(b"another message");
+        assert_eq!(mac.finalize(), hmac_sha256(&key, b"another message"));
     }
 
     #[test]

@@ -17,7 +17,13 @@
 //! § Performance, "Where host time goes"), so the secp256k1 and AES kernels
 //! are written for speed — GLV scalar multiplication, carry-chain field
 //! arithmetic, T-table AES — in safe Rust, each beside a slow, obviously
-//! correct path that the tests use as an oracle. Nothing here is hardened
+//! correct path that the tests use as an oracle. [`secp256k1`] also memoizes
+//! its pure public-key operations per thread (derived keys, signature →
+//! signer, ECDH pairs), and because a simulated world derives every key it
+//! uses, the derivation memo doubles as a table of known discrete logs: an
+//! ECDH against a key derived on the same thread is one fixed-base
+//! multiplication by `a·b mod n`, and only keys that arrive as bytes pay
+//! the variable-base one — same output either way. Nothing here is hardened
 //! against timing side channels (lookups and branches depend on secrets):
 //! the crate exists to run a protocol-faithful measurement simulation, not
 //! to guard real funds.

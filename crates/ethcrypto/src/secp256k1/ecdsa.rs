@@ -10,7 +10,7 @@ use super::memo;
 use super::point::{double_scalar_mul, scalar_mul_generator, Affine, N};
 use super::scalar::mul_mod_n;
 use super::{PublicKey, SecretKey};
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 use crate::u256::U256;
 use crate::CryptoError;
 
@@ -74,40 +74,43 @@ fn digest_to_scalar(digest: &[u8; 32]) -> U256 {
     }
 }
 
-/// RFC 6979 deterministic nonce generation (HMAC-SHA256 flavour).
-fn rfc6979_nonce(key: &SecretKey, digest: &[u8; 32]) -> U256 {
-    let x = key.scalar.to_be_bytes();
-    let mut v = [0x01u8; 32];
-    let mut k = [0x00u8; 32];
+/// RFC 6979's initial key `K = 0x00…00`, keyed at compile time.
+const ZERO_KEYED: HmacSha256 = HmacSha256::keyed(&[0u8; 64]);
 
-    // K = HMAC_K(V || 0x00 || x || h)
-    let mut data = Vec::with_capacity(32 + 1 + 32 + 32);
-    data.extend_from_slice(&v);
-    data.push(0x00);
-    data.extend_from_slice(&x);
-    data.extend_from_slice(digest);
-    k = hmac_sha256(&k, &data);
-    v = hmac_sha256(&k, &v);
-    // K = HMAC_K(V || 0x01 || x || h)
-    let mut data = Vec::with_capacity(32 + 1 + 32 + 32);
-    data.extend_from_slice(&v);
-    data.push(0x01);
-    data.extend_from_slice(&x);
-    data.extend_from_slice(digest);
-    k = hmac_sha256(&k, &data);
-    v = hmac_sha256(&k, &v);
+/// `HMAC_K(data)` for an already keyed `K`.
+fn mac(keyed: &HmacSha256, data: &[u8]) -> [u8; 32] {
+    let mut state = keyed.clone();
+    state.update(data);
+    state.finalize()
+}
+
+/// RFC 6979 deterministic nonce generation (HMAC-SHA256 flavour). Each `K`
+/// MACs two messages and is keyed once: 16 SHA-256 compressions.
+fn rfc6979_nonce(key: &SecretKey, digest: &[u8; 32]) -> U256 {
+    let mut v = [0x01u8; 32];
+    let mut keyed = ZERO_KEYED;
+    // K = HMAC_K(V || sep || x || h); V = HMAC_K(V) — for sep 0x00, then 0x01
+    let mut seed = [0u8; 32 + 1 + 32 + 32];
+    seed[33..65].copy_from_slice(&key.scalar.to_be_bytes());
+    seed[65..].copy_from_slice(digest);
+    for sep in [0x00, 0x01] {
+        seed[..32].copy_from_slice(&v);
+        seed[32] = sep;
+        keyed = HmacSha256::new(&mac(&keyed, &seed));
+        v = mac(&keyed, &v);
+    }
 
     loop {
-        v = hmac_sha256(&k, &v);
+        v = mac(&keyed, &v);
         let candidate = U256::from_be_bytes(&v);
         if !candidate.is_zero() && candidate.lt(&N) {
             return candidate;
         }
-        let mut data = Vec::with_capacity(33);
-        data.extend_from_slice(&v);
-        data.push(0x00);
-        k = hmac_sha256(&k, &data);
-        v = hmac_sha256(&k, &v);
+        // K = HMAC_K(V || 0x00); V = HMAC_K(V)
+        let mut retry = [0u8; 33];
+        retry[..32].copy_from_slice(&v);
+        keyed = HmacSha256::new(&mac(&keyed, &retry));
+        v = mac(&keyed, &v);
     }
 }
 

@@ -87,25 +87,23 @@ impl SecretKey {
         // `a*B == b*A`, so the shared secret is a pure function of the
         // unordered public-key pair: whichever side computes it first
         // populates the cache for the other.
-        let own_xy = memo::public_point(&self.scalar)
-            .to_xy_bytes()
+        let own_x = memo::x_bytes(&memo::public_point(&self.scalar))
             .ok_or(CryptoError::InvalidSecretKey)?;
-        let peer_xy = peer
-            .point
-            .to_xy_bytes()
-            .ok_or(CryptoError::InvalidPublicKey)?;
-        let key = memo::ecdh_key(own_xy, peer_xy);
+        let peer_x = memo::x_bytes(&peer.point).ok_or(CryptoError::InvalidPublicKey)?;
+        let key = memo::ecdh_key(own_x, peer_x);
         if let Some(x) = memo::ecdh_get(&key) {
             return Ok(x);
         }
-        match point::scalar_mul(&self.scalar, &peer.point) {
-            Affine::Infinity => Err(CryptoError::InvalidPublicKey),
-            Affine::Point { x, .. } => {
-                let xb = x.to_be_bytes();
-                memo::ecdh_put(key, xb);
-                Ok(xb)
-            }
-        }
+        // A peer key derived on this thread is `±b*G` for a `b` the pubkey
+        // memo still holds, and `a*B = ±(a*b)*G` has the same x: one comb
+        // multiplication. Any other key pays the variable-base one.
+        let shared = match memo::pubkey_log(&peer_x) {
+            Some(b) => point::scalar_mul_generator(&scalar::mul_mod_n(&self.scalar, &b)),
+            None => point::scalar_mul(&self.scalar, &peer.point),
+        };
+        let x = memo::x_bytes(&shared).ok_or(CryptoError::InvalidPublicKey)?;
+        memo::ecdh_put(key, x);
+        Ok(x)
     }
 }
 
@@ -183,5 +181,77 @@ mod tests {
         one[31] = 1;
         let sk = SecretKey::from_bytes(&one).unwrap();
         assert_eq!(sk.public_key().point, Affine::generator());
+    }
+
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join().expect("memo-less thread panicked"))
+    }
+
+    /// `ecdh` has three ways to an answer — the comb when the pubkey memo
+    /// knows the peer's discrete log, the variable-base multiplication when
+    /// it does not, the pair memo on any later call — and each must give
+    /// `x(a*B)` as the memo-free `point::scalar_mul` computes it. A memo
+    /// is per thread, so every case gets threads that have seen nothing.
+    /// Across `case % 4` the peer is `B` or `(x, p − y)` and the log the
+    /// memo learned is `b` or `n − b`: x is blind to both signs.
+    #[test]
+    fn ecdh_agrees_on_all_three_paths() {
+        let mut rng = StdRng::seed_from_u64(0xecd4);
+        let scalar_key = |k: &U256| SecretKey::from_bytes(&k.to_be_bytes()).unwrap();
+        let mut edges: Vec<SecretKey> = scalar::glv_edge_scalars()
+            .iter()
+            .filter(|k| !k.is_zero())
+            .map(scalar_key)
+            .collect();
+        edges.push(scalar_key(&point::N.wrapping_sub(&U256::from_u64(2))));
+        let mut pairs: Vec<(SecretKey, SecretKey)> = (0..200)
+            .map(|_| (SecretKey::random(&mut rng), SecretKey::random(&mut rng)))
+            .collect();
+        for e in &edges {
+            pairs.push((*e, SecretKey::random(&mut rng)));
+            pairs.push((SecretKey::random(&mut rng), *e));
+            pairs.extend(edges.iter().map(|f| (*e, *f)));
+        }
+
+        for (case, (a, b)) in pairs.iter().enumerate() {
+            let b_point = point::scalar_mul_generator(&b.scalar);
+            let expected = memo::x_bytes(&point::scalar_mul(&a.scalar, &b_point)).unwrap();
+            let neg_a = scalar_key(&point::N.wrapping_sub(&a.scalar));
+            let neg_b = scalar_key(&point::N.wrapping_sub(&b.scalar));
+            let peer_x = memo::x_bytes(&b_point).unwrap();
+            let (first, second) = if case & 1 == 0 {
+                (b_point, b_point.neg())
+            } else {
+                (b_point.neg(), b_point)
+            };
+            let first = first.to_xy_bytes().unwrap();
+            let second = second.to_xy_bytes().unwrap();
+            let derived = if case & 2 == 0 { b } else { &neg_b };
+
+            let (known, again) = on_fresh_thread(|| {
+                let first = PublicKey::from_xy_bytes(&first).unwrap();
+                derived.public_key();
+                assert!(memo::pubkey_log(&peer_x).is_some());
+                (a.ecdh(&first).unwrap(), a.ecdh(&first).unwrap())
+            });
+            assert_eq!(known, expected, "known-log path, case {case}");
+            assert_eq!(again, expected, "memo hit, case {case}");
+
+            // This thread sees the peer as wire bytes only, so its memo
+            // cannot know the log (except through `a`'s own derivation, in
+            // the edge pairs where x(a) = x(b)).
+            let (foreign, hit, hit_neg_own) = on_fresh_thread(|| {
+                let first = PublicKey::from_xy_bytes(&first).unwrap();
+                let second = PublicKey::from_xy_bytes(&second).unwrap();
+                (
+                    a.ecdh(&first).unwrap(),
+                    a.ecdh(&second).unwrap(),
+                    neg_a.ecdh(&first).unwrap(),
+                )
+            });
+            assert_eq!(foreign, expected, "foreign path, case {case}");
+            assert_eq!(hit, expected, "memo hit on the negated peer, case {case}");
+            assert_eq!(hit_neg_own, expected, "memo hit for n − a, case {case}");
+        }
     }
 }

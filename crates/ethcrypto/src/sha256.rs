@@ -33,13 +33,23 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Fresh hasher.
-    pub fn new() -> Sha256 {
+    pub const fn new() -> Sha256 {
         Sha256 {
             h: H0,
             buf: [0; 64],
             buf_len: 0,
             total_len: 0,
         }
+    }
+
+    /// A hasher that has absorbed exactly `block`. `const`, so the state
+    /// after a fixed first block (HMAC's pads under a constant key) is
+    /// computed at compile time.
+    pub(crate) const fn after_block(block: &[u8; 64]) -> Sha256 {
+        let mut hasher = Sha256::new();
+        hasher.compress(block);
+        hasher.total_len = 64;
+        hasher
     }
 
     /// Absorb data.
@@ -69,21 +79,27 @@ impl Sha256 {
         self.buf_len = rem.len();
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    // `while` loops because `for` is not allowed in a `const fn`.
+    const fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+        let (words, _) = block.as_chunks::<4>();
+        let mut i = 0;
+        while i < 16 {
+            w[i] = u32::from_be_bytes(words[i]);
+            i += 1;
         }
-        for i in 16..64 {
+        while i < 64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
             w[i] = w[i - 16]
                 .wrapping_add(s0)
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
+            i += 1;
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.h;
-        for i in 0..64 {
+        let mut i = 0;
+        while i < 64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
             let t1 = h
@@ -102,6 +118,7 @@ impl Sha256 {
             c = b;
             b = a;
             a = t1.wrapping_add(t2);
+            i += 1;
         }
         self.h[0] = self.h[0].wrapping_add(a);
         self.h[1] = self.h[1].wrapping_add(b);

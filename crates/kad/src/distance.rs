@@ -52,15 +52,7 @@ pub fn log_distance_geth(a: &[u8; 32], b: &[u8; 32]) -> u32 {
 /// Parity's buggy distance (paper Appendix A): sum of per-byte bit lengths
 /// of the XOR.
 pub fn log_distance_parity(a: &[u8; 32], b: &[u8; 32]) -> u32 {
-    let mut ret = 0u32;
-    for i in 0..32 {
-        let mut v = a[i] ^ b[i];
-        while v != 0 {
-            v >>= 1;
-            ret += 1;
-        }
-    }
-    ret
+    (0..32).map(|i| 8 - (a[i] ^ b[i]).leading_zeros()).sum()
 }
 
 /// Compare two hashes by raw XOR distance to a target (the tiebreaker used
@@ -121,6 +113,28 @@ mod tests {
         assert_eq!(log_distance_parity(&zero, &b), 9);
         // all bytes 0xff -> 256
         assert_eq!(log_distance_parity(&zero, &[0xffu8; 32]), 256);
+    }
+
+    /// Parity's own loop (Appendix A), kept as the oracle for the
+    /// `leading_zeros` form: every value a byte of the XOR can take, alone
+    /// and summed with a second non-zero byte.
+    #[test]
+    fn parity_distance_matches_the_shift_loop_on_every_byte() {
+        let zero = [0u8; 32];
+        for value in 0..=255u8 {
+            let mut v = value;
+            let mut bit_len = 0;
+            while v != 0 {
+                v >>= 1;
+                bit_len += 1;
+            }
+            for byte_idx in [0, 13, 31] {
+                let mut x = h(byte_idx, value);
+                assert_eq!(log_distance_parity(&zero, &x), bit_len, "{value:#04x}");
+                x[7] = 0x10;
+                assert_eq!(log_distance_parity(&x, &zero), bit_len + 5, "{value:#04x}");
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@ proptest! {
     }
 
     /// Geth's metric equals the bit length of the XOR; Parity's equals the
-    /// sum of per-byte bit lengths — definitional cross-checks.
+    /// sum of per-byte bit lengths, counted the way Parity's own code did
+    /// (shift until zero) — definitional cross-checks.
     #[test]
     fn metric_definitions(a in arb_hash(), b in arb_hash()) {
         let mut bitlen = 0u32;
@@ -41,7 +42,11 @@ proptest! {
             if x != 0 && bitlen == 0 {
                 bitlen = ((31 - i) * 8) as u32 + (8 - x.leading_zeros());
             }
-            bytesum += 8 - x.leading_zeros().min(8);
+            let mut v = x;
+            while v != 0 {
+                v >>= 1;
+                bytesum += 1;
+            }
         }
         prop_assert_eq!(log_distance_geth(&a, &b), bitlen);
         prop_assert_eq!(log_distance_parity(&a, &b), bytesum);

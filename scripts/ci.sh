@@ -22,7 +22,10 @@
 #                   byte-compared
 #   6. scale     -- `repro scale 50000`: a sharded 50,000-host world
 #                   builds and runs two simulated seconds
-#   7. benchmark -- benchmark/ is its own workspace, so nothing above
+#   7. sampler   -- scripts/profile_sample.py still parses (nothing else
+#                   runs it, and a profiler is needed on the day it is
+#                   least likely to have been looked at)
+#   8. benchmark -- benchmark/ is its own workspace, so nothing above
 #                   compiles it: `benchmark/run.sh --smoke` builds it
 #                   against the current crates/ API and runs every
 #                   workload at one-tenth size; afterwards neither
@@ -104,6 +107,10 @@ step "obsctl --json (byte-identical across runs)" obsctl_json
 # Does a sharded 50,000-host world still build and run? (250,000 is the
 # same command by hand.)
 step "repro scale 50000" cargo run -q --release -p bench --bin repro -- scale 50000
+# ast.parse, not py_compile: that would leave a __pycache__ behind and trip
+# the tree-unchanged step below.
+step "profile_sample.py parses" \
+    python3 -c 'import ast,sys; ast.parse(open(sys.argv[1]).read())' scripts/profile_sample.py
 # benchmark/ has its own Cargo.lock and path deps on crates/*, so a
 # public-API change under crates/ breaks it without any step above
 # noticing. The smoke run also fails if BENCHMARK.json drifted from

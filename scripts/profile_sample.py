@@ -16,6 +16,7 @@ import collections
 import ctypes
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -75,6 +76,9 @@ def sample(pid, mem, regs):
 
 
 def main():
+    # A reader that closes stdout early (`| head`) ends this process the way
+    # it ends any filter, by SIGPIPE, not by a BrokenPipeError traceback.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     argv = sys.argv[1:]
     split = argv.index("--")
     opts, cmd = argv[:split], argv[split + 1:]
