@@ -137,6 +137,34 @@ fn bench_secp(c: &mut Criterion) {
     group.finish();
 }
 
+/// What the memo costs a datagram: one new `(digest, signature)` entry
+/// put at signing (evicting the oldest once the table is full) and one
+/// lookup at recovery. The public API has no put without its `sign`, so an
+/// iteration is `sign` + `recover` over digests the table has never seen —
+/// a fresh batch per sample — and `sign` above (one digest re-signed: an
+/// overwrite in place) is the figure to subtract.
+fn bench_memo(c: &mut Criterion) {
+    const DATAGRAMS: u64 = 1000;
+    let mut group = c.benchmark_group("memo");
+    group.sample_size(SAMPLES);
+    group.throughput(Throughput::Elements(DATAGRAMS));
+    let sk = SecretKey::from_bytes(&[7u8; 32]).unwrap();
+    let mut batches = fresh(|sample| -> Vec<[u8; 32]> {
+        (0..DATAGRAMS)
+            .map(|i| keccak256(&[sample.to_be_bytes(), i.to_be_bytes()].concat()))
+            .collect()
+    });
+    group.bench_function("sig_put_get", |b| {
+        b.iter(|| {
+            for digest in &batches() {
+                let sig = sk.sign_recoverable(digest);
+                std::hint::black_box(recover(digest, &sig).unwrap());
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_ecies(c: &mut Criterion) {
     let mut group = c.benchmark_group("ecies");
     group.sample_size(20);
@@ -161,6 +189,7 @@ criterion_group!(
     bench_aes,
     bench_field,
     bench_secp,
+    bench_memo,
     bench_ecies
 );
 criterion_main!(benches);

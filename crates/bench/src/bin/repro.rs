@@ -133,9 +133,11 @@ fn check(generated: &[(String, String)]) {
 }
 
 /// Does a `hosts`-host world (2% Byzantine, one crawler, 8 shards) build
-/// and run? Two simulated seconds; fails only if nothing was dispatched.
-/// Speed and memory are `benchmark/`'s to judge — the numbers printed here
-/// are for eyeballing a 50k or 250k run.
+/// and run? Two simulated seconds; fails if nothing was dispatched, or if
+/// the `ethcrypto` memo sized for this world lost a signature between its
+/// signing and its delivery (the survival-window rule in
+/// `ethcrypto/src/secp256k1/memo.rs`). Speed and memory are `benchmark/`'s
+/// to judge — the numbers printed here are for eyeballing a 50k or 250k run.
 fn scale(hosts: usize) {
     const SIM_MS: u64 = 2_000;
     let byzantine = (hosts / 50).max(4);
@@ -175,8 +177,27 @@ fn scale(hosts: usize) {
         world.sim.queue_depth_peak(),
         peak_kb / hosts.max(1) as u64
     );
+    let memo = ethcrypto::secp256k1::memo_stats();
+    for (name, t) in [
+        ("pubkey", memo.pubkey),
+        ("ecdh", memo.ecdh),
+        ("sig", memo.sig),
+    ] {
+        println!(
+            "memo {name}: {} of {} slots, {} hits, {} misses, {} evictions",
+            t.len, t.cap, t.hits, t.misses, t.evictions
+        );
+    }
+    println!("memo sig_evicted_early: {}", memo.sig_evicted_early);
     if events == 0 {
         eprintln!("repro: scale {hosts} dispatched no events");
+        exit(1);
+    }
+    if memo.sig_evicted_early > 0 {
+        eprintln!(
+            "repro: scale {hosts} evicted {} signatures before their delivery",
+            memo.sig_evicted_early
+        );
         exit(1);
     }
 }

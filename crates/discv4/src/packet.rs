@@ -59,7 +59,8 @@ impl Packet {
         }
     }
 
-    fn encode_body(&self) -> Vec<u8> {
+    /// `head` followed by the RLP body, in `head`'s allocation.
+    fn encode_body_after(&self, head: Vec<u8>) -> Vec<u8> {
         match self {
             Packet::Ping {
                 version,
@@ -67,7 +68,7 @@ impl Packet {
                 to,
                 expiration,
             } => {
-                let mut s = RlpStream::new_list(4);
+                let mut s = RlpStream::new_list_after(head, 4);
                 s.append(version).append(from).append(to).append(expiration);
                 s.out()
             }
@@ -76,17 +77,17 @@ impl Packet {
                 ping_hash,
                 expiration,
             } => {
-                let mut s = RlpStream::new_list(3);
+                let mut s = RlpStream::new_list_after(head, 3);
                 s.append(to).append(ping_hash).append(expiration);
                 s.out()
             }
             Packet::FindNode { target, expiration } => {
-                let mut s = RlpStream::new_list(2);
+                let mut s = RlpStream::new_list_after(head, 2);
                 s.append(target).append(expiration);
                 s.out()
             }
             Packet::Neighbors { nodes, expiration } => {
-                let mut s = RlpStream::new_list(2);
+                let mut s = RlpStream::new_list_after(head, 2);
                 s.begin_list(nodes.len());
                 for n in nodes {
                     s.append(n);
@@ -206,22 +207,17 @@ const HEAD_LEN: usize = 32 + 65; // hash + signature
 /// Sign and serialize a packet. Returns `(datagram, packet_hash)`; the hash
 /// is what a PONG must echo.
 pub fn encode_packet(key: &SecretKey, packet: &Packet) -> (Vec<u8>, [u8; 32]) {
-    let body = packet.encode_body();
-    let mut type_and_data = Vec::with_capacity(1 + body.len());
-    type_and_data.push(packet.packet_type());
-    type_and_data.extend_from_slice(&body);
-
-    let sig = key.sign_recoverable(&keccak256(&type_and_data));
-    let sig_bytes = sig.to_bytes();
-
-    let mut hashed_part = Vec::with_capacity(65 + type_and_data.len());
-    hashed_part.extend_from_slice(&sig_bytes);
-    hashed_part.extend_from_slice(&type_and_data);
-    let hash = keccak256(&hashed_part);
-
-    let mut out = Vec::with_capacity(32 + hashed_part.len());
-    out.extend_from_slice(&hash);
-    out.extend_from_slice(&hashed_part);
+    // One buffer: room for hash ‖ signature, then type ‖ body behind it;
+    // the two are filled in once what they cover is there. Every packet
+    // but NEIGHBORS fits the first allocation.
+    let mut head = Vec::with_capacity(HEAD_LEN + 1 + 128);
+    head.resize(HEAD_LEN, 0);
+    head.push(packet.packet_type());
+    let mut out = packet.encode_body_after(head);
+    let sig = key.sign_recoverable(&keccak256(&out[HEAD_LEN..]));
+    out[32..HEAD_LEN].copy_from_slice(&sig.to_bytes());
+    let hash = keccak256(&out[32..]);
+    out[..32].copy_from_slice(&hash);
     (out, hash)
 }
 

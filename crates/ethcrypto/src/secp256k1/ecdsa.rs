@@ -227,7 +227,7 @@ pub fn recover(digest: &[u8; 32], rsig: &RecoverableSignature) -> Result<PublicK
     if q.is_infinity() {
         return Err(CryptoError::InvalidSignature);
     }
-    memo::sig_put(*digest, wire, q);
+    memo::sig_put_recovered(*digest, wire, q);
     Ok(PublicKey { point: q })
 }
 

@@ -260,6 +260,9 @@ fn weighted_pick<T: Copy>(rng: &mut StdRng, items: &[(T, f64)]) -> T {
 impl World {
     /// Build a world from the config.
     pub fn build(config: WorldConfig) -> World {
+        // Before the first key is derived: the memo tables hold what a
+        // world of this many hosts reads back, not what 250,000 would.
+        ethcrypto::secp256k1::fit_memo(config.n_bootstrap + config.n_nodes + config.spammer_ips);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let sim_config = SimConfig {
             seed: config.seed.wrapping_mul(0x9e3779b97f4a7c15),

@@ -126,7 +126,12 @@ impl RoutingTable {
 
     /// Bucket index for a node.
     pub fn bucket_index(&self, id: &NodeId) -> usize {
-        self.metric.distance(&self.local_hash, &id.kad_hash()) as usize
+        self.bucket_of(&id.kad_hash())
+    }
+
+    /// Bucket index for a node's [`NodeId::kad_hash`].
+    fn bucket_of(&self, hash: &[u8; 32]) -> usize {
+        self.metric.distance(&self.local_hash, hash) as usize
     }
 
     /// Total number of stored nodes.
@@ -151,7 +156,10 @@ impl RoutingTable {
         if record.id == self.local_id {
             return AddOutcome::IsSelf;
         }
-        let idx = self.bucket_index(&record.id);
+        // Hashed once: the bucket is a function of the hash a new resident
+        // keeps.
+        let hash = record.id.kad_hash();
+        let idx = self.bucket_of(&hash);
         let fp = id_fp(&record.id);
         let bucket = self.bucket_mut(idx);
         if let Some(entry) = bucket
@@ -163,7 +171,6 @@ impl RoutingTable {
             return AddOutcome::Refreshed;
         }
         if bucket.len() < BUCKET_SIZE {
-            let hash = record.id.kad_hash();
             bucket.push(BucketEntry {
                 record,
                 last_seen: now,

@@ -38,6 +38,18 @@ impl RlpStream {
         s
     }
 
+    /// [`RlpStream::new_list`] written behind `head`: [`RlpStream::out`]
+    /// returns `head` followed by the list, in `head`'s allocation — for a
+    /// frame whose header is filled in once the payload is known.
+    pub fn new_list_after(head: Vec<u8>, items: usize) -> Self {
+        let mut s = RlpStream {
+            buf: head,
+            open: Vec::new(),
+        };
+        s.begin_list(items);
+        s
+    }
+
     /// Open a nested list of exactly `items` entries.
     ///
     /// The list closes automatically when the final entry is appended; a
@@ -211,6 +223,21 @@ mod tests {
         s.begin_list(0);
         assert!(s.is_finished());
         assert_eq!(s.out(), vec![0xc1, 0xc0]);
+    }
+
+    #[test]
+    fn list_after_a_head_is_the_head_then_the_list() {
+        // A nested list and a long payload: both splice headers in at
+        // offsets that must count the head.
+        let fill = |mut s: RlpStream| {
+            s.begin_list(2).append(&1u8).append(&2u8);
+            s.append_bytes(&[7u8; 60]);
+            s.out()
+        };
+        let plain = fill(RlpStream::new_list(2));
+        let after = fill(RlpStream::new_list_after(vec![0xaa; 5], 2));
+        assert_eq!(after[..5], [0xaa; 5]);
+        assert_eq!(after[5..], plain[..]);
     }
 
     #[test]

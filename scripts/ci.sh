@@ -21,7 +21,9 @@
 #                   obsctl's --json reports are then generated twice and
 #                   byte-compared
 #   6. scale     -- `repro scale 50000`: a sharded 50,000-host world
-#                   builds and runs two simulated seconds
+#                   builds and runs two simulated seconds, and the
+#                   ethcrypto memo fitted to it loses no signature
+#                   between signing and delivery (`sig_evicted_early`)
 #   7. sampler   -- scripts/profile_sample.py still parses (nothing else
 #                   runs it, and a profiler is needed on the day it is
 #                   least likely to have been looked at)
@@ -104,8 +106,8 @@ obsctl_json() {
     done
 }
 step "obsctl --json (byte-identical across runs)" obsctl_json
-# Does a sharded 50,000-host world still build and run? (250,000 is the
-# same command by hand.)
+# Does a sharded 50,000-host world still build and run, with a memo big
+# enough for it? (250,000 is the same command by hand.)
 step "repro scale 50000" cargo run -q --release -p bench --bin repro -- scale 50000
 # ast.parse, not py_compile: that would leave a __pycache__ behind and trip
 # the tree-unchanged step below.

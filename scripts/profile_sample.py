@@ -111,6 +111,7 @@ def main():
     mem = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
     regs = (ctypes.c_ulonglong * 27)()
     self_hits, incl_hits, total = collections.Counter(), collections.Counter(), 0
+    lib_callers = collections.Counter()
     while True:
         time.sleep(1.0 / hz)
         try:
@@ -124,6 +125,8 @@ def main():
         total += 1
         self_hits[names[0]] += 1
         incl_hits.update(set(names))
+        if names[0].startswith("["):
+            lib_callers[next((n for n in names if not n.startswith("[")), "?")] += 1
         ptrace(PTRACE_CONT, pid)
     child.wait()
     print(f"{total} samples at {hz:g} Hz of: {' '.join(cmd)}")
@@ -138,6 +141,12 @@ def main():
         crates[head.group(1) if head else name] += hits
     for crate, hits in crates.most_common(12):
         print(f"{100 * hits / total:7.1f}          {crate}")
+    # A leaf in libc's hand-written memcpy/memcmp/malloc has pushed no frame,
+    # so the chain starts at its caller's frame and the first address it
+    # yields is in the caller's caller: read these as "somewhere under".
+    print("-- library self % by nearest frame in the executable")
+    for name, hits in lib_callers.most_common(12):
+        print(f"{100 * hits / total:7.1f}          {name}")
     print("-- by inclusive share")
     for name, hits in incl_hits.most_common(top):
         print(f"{100 * self_hits[name] / total:7.1f} {100 * hits / total:7.1f}  {name}")

@@ -7,6 +7,7 @@
 //! one.
 
 use adversary::{GarbageHello, ResetAfterN, SlowLoris, Tarpit};
+use ethcrypto::secp256k1::{fit_memo, memo_stats};
 use ethereum_p2p::prelude::*;
 use netsim::{Fault, FaultWindow, LinkSelector, Region};
 use std::net::Ipv4Addr;
@@ -208,4 +209,32 @@ fn exports_are_byte_identical_with_faults_active() {
         let sharded = crawl(shards, true);
         assert_identical(&base, &sharded, shards);
     }
+}
+
+/// The `ethcrypto` memo's size is an execution-layout choice too: the same
+/// world exports the same bytes from tables at their floor, where every
+/// one of them evicts, and from tables sized for a million hosts (and warm
+/// from the first run), where none does. `fit_memo` only grows, so in that
+/// order; a test thread starts with its own memo at the floor.
+#[test]
+fn exports_are_byte_identical_at_any_memo_size() {
+    let small = crawl(1, false);
+    let before = memo_stats();
+    for table in [before.pubkey, before.ecdh, before.sig] {
+        assert_eq!(table.cap, 4096, "{before:?}");
+        assert!(table.evictions > 0, "world too quiet to evict: {before:?}");
+    }
+    fit_memo(1 << 20);
+    let large = crawl(1, false);
+    let after = memo_stats();
+    for (table, was) in [
+        (after.pubkey, before.pubkey),
+        (after.ecdh, before.ecdh),
+        (after.sig, before.sig),
+    ] {
+        assert!(table.cap >= 1 << 18, "{after:?}");
+        assert_eq!(table.evictions, was.evictions, "{after:?}");
+        assert!(table.hits > was.hits, "{after:?}");
+    }
+    assert_identical(&small, &large, 1);
 }
