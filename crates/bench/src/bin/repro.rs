@@ -169,13 +169,16 @@ fn scale(hosts: usize) {
             line.split_whitespace().nth(1)?.parse().ok()
         })
         .unwrap_or(0);
+    // Per host of the world as built: `hosts` leaves out the bootstrap
+    // and spammer hosts and the crawler.
+    let built = world.sim.host_count();
     println!(
-        "scale {hosts}: {events} events in {SIM_MS} sim-ms over {} shards {:?}, peak queue depth {}, \
-         VmHWM {peak_kb} kB ({} kB/host)",
+        "scale {hosts}: {built} hosts, {events} events in {SIM_MS} sim-ms over {} shards {:?}, \
+         peak queue depth {}, VmHWM {peak_kb} kB ({} kB/host)",
         world.sim.shard_count(),
         world.sim.shard_event_counts(),
         world.sim.queue_depth_peak(),
-        peak_kb / hosts.max(1) as u64
+        peak_kb / built as u64
     );
     let memo = ethcrypto::secp256k1::memo_stats();
     for (name, t) in [

@@ -37,16 +37,6 @@ impl Endpoint {
 
     /// The default Ethereum port.
     pub const DEFAULT_PORT: u16 = 30303;
-
-    /// UDP socket address string (for logs).
-    pub fn udp_addr(&self) -> String {
-        format!("{}:{}", self.ip, self.udp_port)
-    }
-
-    /// TCP socket address string (for logs).
-    pub fn tcp_addr(&self) -> String {
-        format!("{}:{}", self.ip, self.tcp_port)
-    }
 }
 
 impl rlp::Encodable for Endpoint {

@@ -14,7 +14,7 @@
 //! through it).
 
 use crate::aes::AesCtr;
-use crate::hmac::{hmac_sha256, HmacSha256};
+use crate::hmac::HmacSha256;
 use crate::secp256k1::{PublicKey, SecretKey};
 use crate::sha256::Sha256;
 use crate::CryptoError;
@@ -109,15 +109,6 @@ pub fn decrypt(
 
     let mut cipher = AesCtr::new(ke, &iv);
     Ok(cipher.process(ciphertext))
-}
-
-/// Standalone HMAC helper matching the tag computation (exposed for tests).
-pub fn mac_tag(mac_key: &[u8; 32], iv: &[u8], ciphertext: &[u8], s2: &[u8]) -> [u8; 32] {
-    let mut data = Vec::with_capacity(iv.len() + ciphertext.len() + s2.len());
-    data.extend_from_slice(iv);
-    data.extend_from_slice(ciphertext);
-    data.extend_from_slice(s2);
-    hmac_sha256(mac_key, &data)
 }
 
 #[cfg(test)]

@@ -350,19 +350,6 @@ impl PeerConn {
         frames
     }
 
-    /// Queue + frame a DEVp2p keepalive ping.
-    pub fn send_ping(&mut self) -> Vec<Vec<u8>> {
-        if let Some(session) = self.session.as_mut() {
-            session.ping();
-        }
-        self.flush_session()
-    }
-
-    /// Mark the connection dead (socket closed underneath us).
-    pub fn mark_dead(&mut self) {
-        self.stage = Stage::Dead;
-    }
-
     // ---- checkpoint/restore -------------------------------------------
 
     /// Append this connection's full protocol state to a snapshot section.

@@ -1,7 +1,5 @@
 //! The two node-distance metrics observed on the 2018 Ethereum network.
 
-use enode::NodeId;
-
 /// Number of distinct bucket indices under the correct metric: distances
 /// run 0 (identical hash) through 256, inclusive.
 pub const MAX_BUCKETS: usize = 257;
@@ -27,12 +25,6 @@ impl Metric {
             Metric::GethLog2 => log_distance_geth(a, b),
             Metric::ParityByteSum => log_distance_parity(a, b),
         }
-    }
-
-    /// Compute this metric between two node IDs (hashing them first, as both
-    /// clients do).
-    pub fn node_distance(&self, a: &NodeId, b: &NodeId) -> u32 {
-        self.distance(&a.kad_hash(), &b.kad_hash())
     }
 }
 

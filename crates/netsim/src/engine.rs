@@ -899,11 +899,6 @@ impl NetSim {
         self.slots[host].alive
     }
 
-    /// A host's address.
-    pub fn host_addr(&self, host: HostId) -> HostAddr {
-        self.slots[host].addr
-    }
-
     /// A host's metadata.
     pub fn host_meta(&self, host: HostId) -> &HostMeta {
         &self.slots[host].meta

@@ -10,15 +10,12 @@
 //! Everything here is pure state + a caller-supplied RNG, so two runs
 //! with the same seed schedule byte-identical retries.
 //!
-//! Endpoints are keyed by their world-scoped [`CompactId`] (see
-//! `enode::intern`): the crawler interns each discovered id once and every
-//! probe here is an indexed load instead of a 64-byte-key BTreeMap walk.
-//! [`PenaltyBox::due_retries`] still hands endpoints out in full-`NodeId`
-//! order, byte-identical to the `BTreeMap<NodeId, _>` it replaced.
+//! Endpoints are keyed by their [`NodeId`], so [`PenaltyBox::due_retries`]
+//! hands them out in ascending id order.
 
-use crate::dense::{KeyedById, OrderedDenseMap};
-use enode::{CompactId, NodeId, NodeRecord};
+use enode::{NodeId, NodeRecord};
 use rand::Rng;
+use std::collections::BTreeMap;
 
 /// Exponential-backoff parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,12 +68,6 @@ struct PenaltyEntry {
     boxed: bool,
 }
 
-impl KeyedById for PenaltyEntry {
-    fn node_id(&self) -> &NodeId {
-        &self.record.id
-    }
-}
-
 /// Per-endpoint failure tracking: backoff, then the box.
 #[derive(Debug, Clone)]
 pub struct PenaltyBox {
@@ -85,7 +76,7 @@ pub struct PenaltyBox {
     pub threshold: u32,
     /// How long a boxed endpoint sits out, ms.
     pub box_ms: u64,
-    entries: OrderedDenseMap<PenaltyEntry>,
+    entries: BTreeMap<NodeId, PenaltyEntry>,
     boxed_total: u64,
 }
 
@@ -96,33 +87,25 @@ impl PenaltyBox {
             policy,
             threshold,
             box_ms,
-            entries: OrderedDenseMap::new(),
+            entries: BTreeMap::new(),
             boxed_total: 0,
         }
     }
 
-    /// Record a failed dial for the endpoint interned as `cid` (which must
-    /// resolve to `record.id`). Returns the time before which the endpoint
-    /// must not be re-dialed.
+    /// Record a failed dial of `record`. Returns the time before which the
+    /// endpoint must not be re-dialed.
     pub fn record_failure<R: Rng + ?Sized>(
         &mut self,
-        cid: CompactId,
         record: NodeRecord,
         now_ms: u64,
         rng: &mut R,
     ) -> u64 {
-        if self.entries.get(cid).is_none() {
-            self.entries.insert(
-                cid,
-                PenaltyEntry {
-                    record,
-                    failures: 0,
-                    next_allowed_ms: now_ms,
-                    boxed: false,
-                },
-            );
-        }
-        let entry = self.entries.get_mut(cid).expect("entry just ensured");
+        let entry = self.entries.entry(record.id).or_insert(PenaltyEntry {
+            record,
+            failures: 0,
+            next_allowed_ms: now_ms,
+            boxed: false,
+        });
         entry.record = record;
         entry.failures = entry.failures.saturating_add(1);
         if entry.failures >= self.threshold {
@@ -139,32 +122,28 @@ impl PenaltyBox {
     }
 
     /// Record a successful contact: the endpoint's slate is wiped clean.
-    pub fn record_success(&mut self, cid: CompactId) {
-        self.entries.remove(cid);
+    pub fn record_success(&mut self, id: &NodeId) {
+        self.entries.remove(id);
     }
 
-    /// Whether dialing the endpoint interned as `cid` is currently blocked
-    /// by backoff or the box.
-    // One probe per discovery sighting and static due-scan entry.
-    pub fn is_blocked(&self, cid: CompactId, now_ms: u64) -> bool {
+    /// Whether dialing `id` is currently blocked by backoff or the box.
+    pub fn is_blocked(&self, id: &NodeId, now_ms: u64) -> bool {
         self.entries
-            .get(cid)
+            .get(id)
             .map(|e| e.next_allowed_ms > now_ms)
             .unwrap_or(false)
     }
 
     /// Hand out up to `limit` endpoints whose backoff has elapsed, in
-    /// full-`NodeId` order. Each is returned at most once per backoff
+    /// ascending `NodeId` order. Each is returned at most once per backoff
     /// period: the entry is marked in-flight until the next
     /// `record_failure`/`record_success`.
     pub fn due_retries(&mut self, now_ms: u64, limit: usize) -> Vec<NodeRecord> {
         let mut due = Vec::new();
-        for i in 0..self.entries.len() {
+        for entry in self.entries.values_mut() {
             if due.len() >= limit {
                 break;
             }
-            let cid = self.entries.cid_at(i);
-            let entry = self.entries.get_mut(cid).expect("ordered cid is live");
             if entry.next_allowed_ms <= now_ms {
                 entry.next_allowed_ms = u64::MAX;
                 due.push(entry.record);
@@ -201,39 +180,26 @@ impl PenaltyBox {
         self.boxed_total
     }
 
-    /// Consecutive-failure count for the endpoint interned as `cid`
-    /// (0 if untracked).
-    pub fn failures(&self, cid: CompactId) -> u32 {
-        self.entries.get(cid).map(|e| e.failures).unwrap_or(0)
+    /// Consecutive-failure count for `id` (0 if untracked).
+    pub fn failures(&self, id: &NodeId) -> u32 {
+        self.entries.get(id).map(|e| e.failures).unwrap_or(0)
     }
 
-    /// Approximate owned heap bytes, for the benchmark memory proxy.
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.entries.approx_heap_bytes()
-    }
-
-    /// Checkpoint image of every tracked endpoint, in full-`NodeId` order:
-    /// `(record, failures, next_allowed_ms, boxed)` per entry.
+    /// Checkpoint image of every tracked endpoint, in ascending `NodeId`
+    /// order: `(record, failures, next_allowed_ms, boxed)` per entry.
     pub fn export_entries(&self) -> Vec<(NodeRecord, u32, u64, bool)> {
         self.entries
-            .iter_ordered()
-            .map(|(_, e)| (e.record, e.failures, e.next_allowed_ms, e.boxed))
+            .values()
+            .map(|e| (e.record, e.failures, e.next_allowed_ms, e.boxed))
             .collect()
     }
 
     /// Restore entries exported by [`PenaltyBox::export_entries`] plus the
-    /// monotone box total. Compact ids are re-interned through the caller's
-    /// (already restored) interner, so they match the originals.
-    pub fn import_entries(
-        &mut self,
-        interner: &mut enode::Interner,
-        entries: Vec<(NodeRecord, u32, u64, bool)>,
-        boxed_total: u64,
-    ) {
+    /// monotone box total.
+    pub fn import_entries(&mut self, entries: Vec<(NodeRecord, u32, u64, bool)>, boxed_total: u64) {
         for (record, failures, next_allowed_ms, boxed) in entries {
-            let cid = interner.intern(&record.id);
             self.entries.insert(
-                cid,
+                record.id,
                 PenaltyEntry {
                     record,
                     failures,
@@ -274,28 +240,25 @@ mod tests {
     #[test]
     fn box_engages_at_threshold_and_success_clears() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut interner = enode::Interner::new();
         let mut pb = PenaltyBox::new(BackoffPolicy::default(), 3, 600_000);
         let r = rec(1);
-        let cid = interner.intern(&r.id);
-        pb.record_failure(cid, r, 0, &mut rng);
-        pb.record_failure(cid, r, 10_000, &mut rng);
+        pb.record_failure(r, 0, &mut rng);
+        pb.record_failure(r, 10_000, &mut rng);
         assert_eq!(pb.boxed_total(), 0);
-        let until = pb.record_failure(cid, r, 30_000, &mut rng);
+        let until = pb.record_failure(r, 30_000, &mut rng);
         assert_eq!(until, 630_000);
         assert_eq!(pb.boxed_total(), 1);
-        assert!(pb.is_blocked(cid, 600_000));
-        assert!(!pb.is_blocked(cid, 630_000));
-        pb.record_success(cid);
-        assert_eq!(pb.failures(cid), 0);
-        assert!(!pb.is_blocked(cid, 0));
+        assert!(pb.is_blocked(&r.id, 600_000));
+        assert!(!pb.is_blocked(&r.id, 630_000));
+        pb.record_success(&r.id);
+        assert_eq!(pb.failures(&r.id), 0);
+        assert!(!pb.is_blocked(&r.id, 0));
         assert_eq!(pb.boxed_total(), 1, "total is monotone");
     }
 
     #[test]
     fn due_retries_hand_out_each_endpoint_once() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut interner = enode::Interner::new();
         let mut pb = PenaltyBox::new(
             BackoffPolicy {
                 jitter_ms: 0,
@@ -304,8 +267,8 @@ mod tests {
             10,
             600_000,
         );
-        pb.record_failure(interner.intern(&rec(1).id), rec(1), 0, &mut rng);
-        pb.record_failure(interner.intern(&rec(2).id), rec(2), 0, &mut rng);
+        pb.record_failure(rec(1), 0, &mut rng);
+        pb.record_failure(rec(2), 0, &mut rng);
         assert!(pb.due_retries(1_000, 8).is_empty(), "backoff not elapsed");
         let due = pb.due_retries(10_000, 8);
         assert_eq!(due.len(), 2);
@@ -319,7 +282,6 @@ mod tests {
     #[test]
     fn due_respects_limit() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut interner = enode::Interner::new();
         let mut pb = PenaltyBox::new(
             BackoffPolicy {
                 jitter_ms: 0,
@@ -329,8 +291,7 @@ mod tests {
             600_000,
         );
         for t in 0..6 {
-            let r = rec(t + 1);
-            pb.record_failure(interner.intern(&r.id), r, 0, &mut rng);
+            pb.record_failure(rec(t + 1), 0, &mut rng);
         }
         assert_eq!(pb.due_retries(10_000, 4).len(), 4);
         assert_eq!(pb.due_retries(10_000, 4).len(), 2);
@@ -341,7 +302,6 @@ mod tests {
         // The retry window is [failure, due): blocked through due-1, dialable
         // at exactly the due instant (and `due_retries` hands it out then).
         let mut rng = StdRng::seed_from_u64(9);
-        let mut interner = enode::Interner::new();
         let mut pb = PenaltyBox::new(
             BackoffPolicy {
                 jitter_ms: 0,
@@ -351,44 +311,37 @@ mod tests {
             600_000,
         );
         let r = rec(1);
-        let cid = interner.intern(&r.id);
-        let due = pb.record_failure(cid, r, 0, &mut rng);
-        assert!(pb.is_blocked(cid, due - 1), "blocked one ms before due");
+        let due = pb.record_failure(r, 0, &mut rng);
+        assert!(pb.is_blocked(&r.id, due - 1), "blocked one ms before due");
         assert!(pb.due_retries(due - 1, 8).is_empty());
-        assert!(!pb.is_blocked(cid, due), "dialable at exactly due");
+        assert!(!pb.is_blocked(&r.id, due), "dialable at exactly due");
         assert_eq!(pb.due_retries(due, 8).len(), 1);
     }
 
     #[test]
     fn export_import_round_trips() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut interner = enode::Interner::new();
         let mut pb = PenaltyBox::new(BackoffPolicy::default(), 2, 600_000);
         for tag in [4u8, 1, 3] {
-            let r = rec(tag);
-            let cid = interner.intern(&r.id);
-            pb.record_failure(cid, r, 0, &mut rng);
-            pb.record_failure(cid, r, 10_000, &mut rng);
+            pb.record_failure(rec(tag), 0, &mut rng);
+            pb.record_failure(rec(tag), 10_000, &mut rng);
         }
         let exported = pb.export_entries();
         let boxed_total = pb.boxed_total();
 
-        let mut interner2 = enode::Interner::new();
         let mut pb2 = PenaltyBox::new(BackoffPolicy::default(), 2, 600_000);
-        pb2.import_entries(&mut interner2, exported, boxed_total);
+        pb2.import_entries(exported, boxed_total);
         assert_eq!(pb2.tracked(), pb.tracked());
         assert_eq!(pb2.boxed_total(), pb.boxed_total());
         assert_eq!(pb2.export_entries(), pb.export_entries());
         for tag in [1u8, 3, 4] {
-            let cid = interner2.intern(&rec(tag).id);
-            assert_eq!(pb2.failures(cid), 2);
+            assert_eq!(pb2.failures(&rec(tag).id), 2);
         }
     }
 
     #[test]
     fn due_retries_come_out_in_node_id_order() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut interner = enode::Interner::new();
         let mut pb = PenaltyBox::new(
             BackoffPolicy {
                 jitter_ms: 0,
@@ -399,8 +352,7 @@ mod tests {
         );
         // Fail endpoints in an order hostile to NodeId order.
         for tag in [9u8, 2, 7, 1, 5] {
-            let r = rec(tag);
-            pb.record_failure(interner.intern(&r.id), r, 0, &mut rng);
+            pb.record_failure(rec(tag), 0, &mut rng);
         }
         let ids: Vec<NodeId> = pb
             .due_retries(10_000, 8)
@@ -409,6 +361,6 @@ mod tests {
             .collect();
         let mut sorted = ids.clone();
         sorted.sort();
-        assert_eq!(ids, sorted, "handout preserves BTreeMap NodeId order");
+        assert_eq!(ids, sorted, "handout is in ascending NodeId order");
     }
 }

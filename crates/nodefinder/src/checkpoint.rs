@@ -1,107 +1,82 @@
-//! Crawler checkpoint/restore — the `NFND` v1 snapshot section.
+//! Crawler checkpoint/restore — the `NFND` v2 snapshot section.
 //!
 //! Like every snapshotting layer in this workspace (netsim `PSNP`, obs
 //! `OBSS`, ethpop `ETHN`), the crawler follows the rebuild-shell /
 //! restore-state split: the world shell reconstructs the *static*
 //! structure (identity key, config, bootstrap list, the chain view) by
 //! re-running `NodeFinder::new`, and this module serializes only the
-//! *dynamic* state a restore cannot rebuild — the intern table, the
-//! discovery service, every pipeline queue and table, the live probe
-//! sessions, the per-stage checkpoints, and the accumulated crawl log.
+//! *dynamic* state a restore cannot rebuild — the discovery service,
+//! every pipeline queue and table, the live probe sessions, and the
+//! accumulated crawl log.
 //!
-//! Field order (all inside one versioned `obs::snap` section):
+//! Field order (all inside one versioned `obs::snap` section; every map
+//! and set is written in ascending key order and refused on restore if
+//! it is not):
 //!
-//! 1. intern table — `NodeId`s in compact-id order, so re-interning
-//!    reproduces identical `CompactId`s and every dense table below can
-//!    be restored by index;
-//! 2. discovery (`Discv4::snap`: endpoint, then protocol state);
-//! 3. the bounded dial queue (records front-to-back + marks);
-//! 4. the queued-id set;
-//! 5. static nodes, in full-`NodeId` order;
-//! 6. the seen table's stamp vector;
-//! 7. penalty-box entries + monotone box total;
-//! 8. session manager: dial-slot counters, then each live probe in
+//! 1. discovery (`Discv4::snap`: endpoint, then protocol state);
+//! 2. the bounded dial queue (records front-to-back + marks);
+//! 3. the queued-id set;
+//! 4. static nodes, keyed by `NodeId`;
+//! 5. the last-seen stamps, keyed by `NodeId`;
+//! 6. penalty-box entries + monotone box total;
+//! 7. session manager: dial-slot counters, then each live probe in
 //!    numeric `ConnId` order (`PeerConn` wire state + the in-progress
 //!    `ConnLog` as JSON);
-//! 9. scheduler arm flags;
-//! 10. the five pipeline [`StageCheckpoint`](crate::stages::StageCheckpoint)s;
-//! 11. the crawl log as JSONL.
+//! 8. scheduler arm flags;
+//! 9. the crawl log as JSONL.
 //!
 //! Timers are *not* serialized here: the netsim snapshot owns the timer
 //! wheel, and restoring it re-delivers `T_*` tokens at the right instants.
+//! Nor are the per-stage pipeline counters: they are `obs` counters, and
+//! the `OBSS` section carries them.
 
-use crate::crawler::{NodeFinder, StaticEntry};
-use crate::dense::{conn_index, OrderedDenseMap};
+use crate::crawler::{NodeFinder, StaticEntry, DIAL_QUEUE_CAP};
 use crate::session::{Probe, SessionManager};
-use crate::stages::{BoundedQueue, Stage};
+use crate::stages::BoundedQueue;
 use discv4::{Config as DiscConfig, Discv4};
-use enode::NodeRecord;
+use enode::{NodeId, NodeRecord};
 use kad::Metric;
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use std::collections::BTreeMap;
 
 const SNAP_MAGIC: [u8; 4] = *b"NFND";
-const SNAP_VERSION: u8 = 1;
-
-/// Upper bound on a restored probe's connection slab index. The probe
-/// table is dense over that index, so a corrupt id would size it; netsim
-/// recycles slab cells, which bounds an honest index by the peak number
-/// of simultaneously open connections in the whole world.
-const MAX_PROBE_CONN_INDEX: usize = 1 << 20;
+const SNAP_VERSION: u8 = 2;
 
 impl NodeFinder {
     /// Serialize every piece of dynamic crawler state (see the module
     /// docs for the exact field order).
     pub(crate) fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::with_header(SNAP_MAGIC, SNAP_VERSION);
-        // 1. Intern table, in compact-id order.
-        self.interner.snap(&mut w);
-        // 2. Discovery.
+        // 1. Discovery.
         w.bool(self.disc.is_some());
         if let Some(disc) = &self.disc {
             disc.snap(&mut w);
         }
-        // 3. Dial queue (items front to back, then the marks).
+        // 2. Dial queue (items front to back, then the marks).
         w.usize(self.dial_queue.len());
         for rec in self.dial_queue.iter() {
             rec.snap(&mut w);
         }
         self.dial_queue.high_water().snap(&mut w);
         self.dial_queue.rejected().snap(&mut w);
-        // 4. Queued-id set.
+        // 3–5. Queued-id set, static nodes, last-seen stamps.
         self.queued.snap(&mut w);
-        // 5. Static nodes, in full-NodeId order (restore re-sorts
-        // identically because the order is a function of the ids).
-        w.usize(self.static_nodes.len());
-        for (_, e) in self.static_nodes.iter_ordered() {
-            e.snap(&mut w);
-        }
-        // 6. Seen stamps (dense by compact id).
+        self.static_nodes.snap(&mut w);
         self.seen.snap(&mut w);
-        // 7. Penalty box.
+        // 6. Penalty box.
         self.sessions.penalty.export_entries().snap(&mut w);
         self.sessions.penalty.boxed_total().snap(&mut w);
-        // 8. Session manager: counters, then live probes in ConnId order.
+        // 7. Session manager: counters, then live probes in ConnId order.
         self.sessions.dialing().snap(&mut w);
         self.sessions.dialing_underflows().snap(&mut w);
-        let ids = self.sessions.conns.ids_sorted();
-        w.usize(ids.len());
-        for conn in ids {
-            let p = self.sessions.conns.get(conn).expect("sorted id is live");
+        w.usize(self.sessions.conns.len());
+        for p in self.sessions.conns.values() {
             p.snap(&mut w);
         }
-        // 9. Scheduler arm flags (their timers live in the netsim wheel).
+        // 8. Scheduler arm flags (their timers live in the netsim wheel).
         self.poll_armed.snap(&mut w);
         self.dial_armed.snap(&mut w);
-        // 10. Pipeline stage checkpoints, with the dial queue's live
-        // marks folded in.
-        let mut stages = self.stages.clone();
-        stages.set_queue(
-            Stage::Dial,
-            self.dial_queue.len(),
-            self.dial_queue.high_water(),
-        );
-        stages.snap(&mut w);
-        // 11. The accumulated crawl log.
+        // 9. The accumulated crawl log.
         self.log.snap(&mut w);
         w.finish()
     }
@@ -111,10 +86,7 @@ impl NodeFinder {
     pub(crate) fn apply_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut reader = SnapReader::with_header(bytes, SNAP_MAGIC, SNAP_VERSION)?;
         let r = &mut reader;
-        // 1. Intern table: re-interning in stored order reproduces the
-        // exact compact ids every dense table below is keyed by.
-        self.interner = Snap::unsnap(r)?;
-        // 2. Discovery (same config as `on_start` builds).
+        // 1. Discovery (same config as `on_start` builds).
         self.disc = if r.bool()? {
             let config = DiscConfig {
                 metric: Metric::GethLog2,
@@ -124,24 +96,20 @@ impl NodeFinder {
         } else {
             None
         };
-        // 3. Dial queue.
+        // 2. Dial queue.
         let items = Vec::<NodeRecord>::unsnap(r)?;
         let high_water = Snap::unsnap(r)?;
         let rejected = Snap::unsnap(r)?;
-        self.dial_queue =
-            BoundedQueue::from_parts(self.config.dial_queue_cap, items, high_water, rejected);
-        // 4. Queued-id set.
+        self.dial_queue = BoundedQueue::from_parts(DIAL_QUEUE_CAP, items, high_water, rejected);
+        // 3–5. Queued-id set, static nodes, last-seen stamps.
         self.queued = Snap::unsnap(r)?;
-        // 5. Static nodes.
-        let mut static_nodes = OrderedDenseMap::new();
-        for _ in 0..r.usize()? {
-            let e = StaticEntry::unsnap(r)?;
-            static_nodes.insert(self.interner.intern(&e.record.id), e);
+        let static_nodes = BTreeMap::<NodeId, StaticEntry>::unsnap(r)?;
+        if static_nodes.iter().any(|(id, e)| *id != e.record.id) {
+            return Err(SnapError::Corrupt("static node filed under another id"));
         }
         self.static_nodes = static_nodes;
-        // 6. Seen stamps.
         self.seen = Snap::unsnap(r)?;
-        // 7. Penalty box, into a fresh session manager.
+        // 6. Penalty box, into a fresh session manager.
         let mut sessions = SessionManager::new(
             self.config.backoff.clone(),
             self.config.penalty_threshold,
@@ -149,30 +117,28 @@ impl NodeFinder {
         );
         let entries = Snap::unsnap(r)?;
         let boxed_total = Snap::unsnap(r)?;
-        sessions
-            .penalty
-            .import_entries(&mut self.interner, entries, boxed_total);
-        // 8. Session counters + live probes.
+        sessions.penalty.import_entries(entries, boxed_total);
+        // 7. Session counters + live probes.
         let dialing = Snap::unsnap(r)?;
         let underflows = Snap::unsnap(r)?;
         sessions.restore_counters(dialing, underflows);
         for _ in 0..r.usize()? {
             let probe = Probe::restore(r, &self.key)?;
             let conn = probe.pc.conn;
-            if conn_index(conn) > MAX_PROBE_CONN_INDEX || !sessions.conns.is_vacant(conn) {
-                return Err(SnapError::Corrupt(
-                    "probe connection id out of range or repeated",
-                ));
+            if sessions
+                .conns
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= conn)
+            {
+                return Err(SnapError::Corrupt("probe connection ids not ascending"));
             }
             sessions.conns.insert(conn, probe);
         }
         self.sessions = sessions;
-        // 9. Scheduler arm flags.
+        // 8. Scheduler arm flags.
         self.poll_armed = Snap::unsnap(r)?;
         self.dial_armed = Snap::unsnap(r)?;
-        // 10. Pipeline stage checkpoints.
-        self.stages = Snap::unsnap(r)?;
-        // 11. Crawl log.
+        // 9. Crawl log.
         self.log = Snap::unsnap(r)?;
         reader.finish()
     }
@@ -196,6 +162,14 @@ mod tests {
         )
     }
 
+    fn static_entry(tag: u8) -> StaticEntry {
+        StaticEntry {
+            record: rec(tag),
+            next_dial_ms: 90_000,
+            last_success_ms: 60_000,
+        }
+    }
+
     fn crawler() -> NodeFinder {
         let key = SecretKey::from_bytes(&[0xCB; 32]).expect("valid key");
         NodeFinder::new(key, CrawlerConfig::default(), vec![rec(1)])
@@ -211,30 +185,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut nf = crawler();
         for tag in [9u8, 3, 5] {
-            let cid = nf.interner.intern(&rec(tag).id);
-            nf.seen.note(cid, 1_000 + tag as u64);
-            if nf.queued.insert(cid) {
+            nf.seen.insert(rec(tag).id, 1_000 + tag as u64);
+            if nf.queued.insert(rec(tag).id) {
                 nf.dial_queue.push_back(rec(tag)).expect("queue has room");
             }
         }
-        let boxed = nf.interner.intern(&rec(11).id);
         for t in 0..5u64 {
             nf.sessions
                 .penalty
-                .record_failure(boxed, rec(11), t * 1_000, &mut rng);
+                .record_failure(rec(11), t * 1_000, &mut rng);
         }
-        nf.static_nodes.insert(
-            nf.interner.intern(&rec(13).id),
-            StaticEntry {
-                record: rec(13),
-                next_dial_ms: 90_000,
-                last_success_ms: 60_000,
-            },
-        );
+        for tag in [13u8, 12] {
+            nf.static_nodes.insert(rec(tag).id, static_entry(tag));
+        }
         nf.sessions.begin_dial();
-        nf.stages.note_entered(Stage::Discover);
-        nf.stages.note_completed(Stage::Discover);
-        nf.stages.note_entered(Stage::Dial);
         nf.log.conns.push(ConnLog {
             instance: 0,
             ts_ms: 42,
@@ -275,10 +239,48 @@ mod tests {
             nf.sessions.penalty.boxed_total()
         );
         assert_eq!(restored.log.to_jsonl(), nf.log.to_jsonl());
+    }
+
+    #[test]
+    fn v1_image_is_a_version_error() {
         assert_eq!(
-            restored.stage_checkpoint(Stage::Discover).entered,
-            nf.stage_checkpoint(Stage::Discover).entered
+            crawler().apply_state(b"NFND\x01"),
+            Err(SnapError::BadVersion {
+                expected: 2,
+                found: 1
+            })
         );
+    }
+
+    /// A map that is not in key order is refused, not silently re-sorted
+    /// into a crawler whose next snapshot differs from the one it read.
+    #[test]
+    fn swapped_static_entries_are_rejected() {
+        let mut nf = crawler();
+        for tag in [12u8, 13] {
+            nf.static_nodes.insert(rec(tag).id, static_entry(tag));
+        }
+        let snap = nf.encode_state();
+        let entry = |tag: u8| {
+            let mut w = SnapWriter::new();
+            rec(tag).id.snap(&mut w);
+            static_entry(tag).snap(&mut w);
+            w.finish()
+        };
+        let (lo, hi) = (entry(12), entry(13));
+        let n = lo.len();
+        let at = snap
+            .windows(2 * n)
+            .position(|w| w[..n] == lo && w[n..] == hi)
+            .expect("both entries are in the image, adjacent and in id order");
+        let mut swapped = snap.clone();
+        swapped[at..at + n].copy_from_slice(&hi);
+        swapped[at + n..at + 2 * n].copy_from_slice(&lo);
+        assert_eq!(crawler().apply_state(&snap), Ok(()));
+        assert!(matches!(
+            crawler().apply_state(&swapped),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 
     #[test]

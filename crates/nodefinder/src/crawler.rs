@@ -10,16 +10,15 @@
 //! lives in `checkpoint`.
 
 use crate::backoff::BackoffPolicy;
-use crate::dense::{IdSet, KeyedById, OrderedDenseMap, SeenTable};
 use crate::log::{
     ConnLog, ConnOutcome, ConnType, CrawlLog, DialEvent, DialEventKind, FailureClass, HelloInfo,
     StatusInfo,
 };
 use crate::session::{Probe, SessionManager};
-use crate::stages::{window_elapsed, BoundedQueue, PipelineStats, Stage};
+use crate::stages::{window_elapsed, BoundedQueue, Stage};
 use devp2p::{Capability, DisconnectReason, Hello, P2P_VERSION};
 use discv4::{Config as DiscConfig, Discv4, Event as DiscEvent};
-use enode::{CompactId, Endpoint, Interner, NodeId, NodeRecord};
+use enode::{Endpoint, NodeId, NodeRecord};
 use ethcrypto::secp256k1::SecretKey;
 use ethpop::wire::{PeerConn, WireEvent};
 use ethwire::{
@@ -29,6 +28,28 @@ use kad::Metric;
 use netsim::{ConnId, Ctx, Host, HostAddr, TcpEvent};
 use obs::snap::SnapError;
 use rand::Rng;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Hard cap on the discover→dial hand-off queue. A full queue rejects new
+/// sightings (counted as `crawler.stage.dial.backpressure`) rather than
+/// growing without bound; the endpoint is re-queued on its next sighting.
+pub(crate) const DIAL_QUEUE_CAP: usize = 4_096;
+/// Per-stage timeout: TCP connect establishment.
+const CONNECT_TIMEOUT_MS: u64 = 10_000;
+/// Per-stage timeout: RLPx auth/ack after TCP is up.
+const HANDSHAKE_TIMEOUT_MS: u64 = 10_000;
+/// Per-stage timeout: DEVp2p HELLO after RLPx (catches slow-loris peers
+/// that ACK the auth then stall).
+const HELLO_TIMEOUT_MS: u64 = 10_000;
+/// Per-stage timeout: eth STATUS / DAO headers after HELLO.
+const STATUS_TIMEOUT_MS: u64 = 15_000;
+/// Discovery poll delay after sends with pending requests.
+const POLL_DELAY_MS: u64 = 600;
+/// Dial-scheduler tick: queue drain cadence and the minimum delay before
+/// a retry timer fires.
+const DIAL_TICK_MS: u64 = 500;
+/// Delay before the first static dial of a bootstrap node.
+const BOOTSTRAP_DIAL_DELAY_MS: u64 = 1_000;
 
 pub(crate) const T_LOOKUP: u64 = 1;
 pub(crate) const T_DIAL: u64 = 2;
@@ -51,31 +72,8 @@ pub struct CrawlerConfig {
     pub stale_after_ms: u64,
     /// Concurrent dynamic dials (Geth's `maxActiveDialTasks`, 16).
     pub max_active_dials: usize,
-    /// Hard cap on the discover→dial hand-off queue. A full queue
-    /// rejects new sightings (counted as `crawler.stage.dial.backpressure`)
-    /// rather than growing without bound; the endpoint is re-queued on
-    /// its next sighting.
-    pub dial_queue_cap: usize,
     /// Hard probe lifetime cap (paper: ≤2 min worst case).
     pub probe_timeout_ms: u64,
-    /// Per-stage timeout: TCP connect establishment.
-    pub connect_timeout_ms: u64,
-    /// Per-stage timeout: RLPx auth/ack after TCP is up.
-    pub handshake_timeout_ms: u64,
-    /// Per-stage timeout: DEVp2p HELLO after RLPx (catches slow-loris
-    /// peers that ACK the auth then stall).
-    pub hello_timeout_ms: u64,
-    /// Per-stage timeout: eth STATUS / DAO headers after HELLO.
-    pub status_timeout_ms: u64,
-    /// Discovery poll delay after sends with pending requests (was a
-    /// hard-coded 600ms; scenarios and benches can now sweep it).
-    pub poll_delay_ms: u64,
-    /// Dial-scheduler tick: queue drain cadence and the minimum delay
-    /// before a retry timer fires (was a hard-coded 500ms).
-    pub dial_tick_ms: u64,
-    /// Delay before the first static dial of a bootstrap node (was a
-    /// hard-coded 1s).
-    pub bootstrap_dial_delay_ms: u64,
     /// Retry backoff for failing endpoints.
     pub backoff: BackoffPolicy,
     /// Consecutive failures before an endpoint enters the penalty box.
@@ -100,15 +98,7 @@ impl Default for CrawlerConfig {
             static_redial_interval_ms: 30 * 60 * 1000,
             stale_after_ms: 24 * 3600 * 1000,
             max_active_dials: 16,
-            dial_queue_cap: 4_096,
             probe_timeout_ms: 120_000,
-            connect_timeout_ms: 10_000,
-            handshake_timeout_ms: 10_000,
-            hello_timeout_ms: 10_000,
-            status_timeout_ms: 15_000,
-            poll_delay_ms: 600,
-            dial_tick_ms: 500,
-            bootstrap_dial_delay_ms: 1_000,
             backoff: BackoffPolicy::default(),
             penalty_threshold: 4,
             penalty_box_ms: 10 * 60 * 1000,
@@ -132,20 +122,8 @@ impl CrawlerConfig {
             static_redial_interval_ms: u64::MAX / 4,
             stale_after_ms: u64::MAX / 4,
             max_active_dials: 4,
-            dial_queue_cap: 4_096,
-            probe_timeout_ms: 120_000,
-            connect_timeout_ms: 10_000,
-            handshake_timeout_ms: 10_000,
-            hello_timeout_ms: 10_000,
-            status_timeout_ms: 15_000,
-            poll_delay_ms: 600,
-            dial_tick_ms: 500,
-            bootstrap_dial_delay_ms: 1_000,
-            backoff: BackoffPolicy::default(),
-            penalty_threshold: 4,
-            penalty_box_ms: 10 * 60 * 1000,
             dao_check: false,
-            hold_connections: false,
+            ..CrawlerConfig::default()
         }
     }
 }
@@ -162,39 +140,27 @@ obs::snap_struct!(StaticEntry {
     last_success_ms
 });
 
-impl KeyedById for StaticEntry {
-    fn node_id(&self) -> &NodeId {
-        &self.record.id
-    }
-}
-
 /// The crawler. One instance per simulated measurement machine.
 pub struct NodeFinder {
     pub(crate) key: SecretKey,
     pub(crate) config: CrawlerConfig,
     pub(crate) bootstrap: Vec<NodeRecord>,
     pub(crate) disc: Option<Discv4>,
-    /// World-scoped `NodeId` ↔ `CompactId` table: every per-node structure
-    /// below is keyed by the compact id. Wire and exports never see
-    /// compact ids (see `enode::intern`).
-    pub(crate) interner: Interner,
     /// Live probe sessions, dial-slot accounting, and the penalty box.
     pub(crate) sessions: SessionManager,
     /// Discover→dial hand-off: sighted-but-not-yet-dialed endpoints.
     pub(crate) dial_queue: BoundedQueue<NodeRecord>,
-    pub(crate) queued: IdSet,
-    pub(crate) static_nodes: OrderedDenseMap<StaticEntry>,
+    pub(crate) queued: BTreeSet<NodeId>,
+    pub(crate) static_nodes: BTreeMap<NodeId, StaticEntry>,
     /// Last sighting/contact time per distinct node ever seen — feeds
     /// the fresh/stale campaign gauges (`crawler.nodes_fresh`/`_stale`,
     /// freshness window = `stale_after_ms`, the paper's 24h rule).
-    pub(crate) seen: SeenTable,
+    pub(crate) seen: BTreeMap<NodeId, u64>,
     pub(crate) poll_armed: bool,
     pub(crate) dial_armed: bool,
     /// The crawler's own view of Mainnet (for STATUS + serving stray
     /// header requests).
     pub(crate) chain: Chain,
-    /// Per-stage entered/completed/backpressure accounting.
-    pub(crate) stages: PipelineStats,
     /// Accumulated structured log.
     pub log: CrawlLog,
 }
@@ -207,22 +173,20 @@ impl NodeFinder {
             config.penalty_threshold,
             config.penalty_box_ms,
         );
-        let dial_queue = BoundedQueue::new(config.dial_queue_cap);
+        let dial_queue = BoundedQueue::new(DIAL_QUEUE_CAP);
         NodeFinder {
             key,
             config,
             bootstrap,
             disc: None,
-            interner: Interner::new(),
             sessions,
             dial_queue,
-            queued: IdSet::new(),
-            static_nodes: OrderedDenseMap::new(),
-            seen: SeenTable::new(),
+            queued: BTreeSet::new(),
+            static_nodes: BTreeMap::new(),
+            seen: BTreeMap::new(),
             poll_armed: false,
             dial_armed: false,
             chain: Chain::new(ChainConfig::mainnet(), SNAPSHOT_HEAD),
-            stages: PipelineStats::new(),
             log: CrawlLog::default(),
         }
     }
@@ -242,12 +206,10 @@ impl NodeFinder {
     // The sweep must be finer than the shortest stage timeout or stage
     // deadlines quantize up to the sweep period.
     pub(crate) fn sweep_tick_ms(&self) -> u64 {
-        let min_stage = self
-            .config
-            .connect_timeout_ms
-            .min(self.config.handshake_timeout_ms)
-            .min(self.config.hello_timeout_ms)
-            .min(self.config.status_timeout_ms);
+        let min_stage = CONNECT_TIMEOUT_MS
+            .min(HANDSHAKE_TIMEOUT_MS)
+            .min(HELLO_TIMEOUT_MS)
+            .min(STATUS_TIMEOUT_MS);
         (min_stage / 2).clamp(500, self.config.probe_timeout_ms / 2)
     }
 
@@ -278,25 +240,9 @@ impl NodeFinder {
         self.sessions.dialing_underflows()
     }
 
-    /// Per-stage pipeline position (diagnostics / checkpoint preview).
-    pub fn stage_checkpoint(&self, stage: Stage) -> crate::stages::StageCheckpoint {
-        self.stages.checkpoint(stage)
-    }
-
     /// Deepest the dial queue has been (diagnostics).
     pub fn dial_queue_high_water(&self) -> usize {
         self.dial_queue.high_water()
-    }
-
-    /// Approximate owned heap bytes of the intern table and every dense
-    /// per-node table (the benchmark allocation proxy). Excludes the
-    /// structured log, whose size tracks output volume, not table layout.
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.interner.approx_heap_bytes()
-            + self.queued.approx_heap_bytes()
-            + self.static_nodes.approx_heap_bytes()
-            + self.seen.approx_heap_bytes()
-            + self.sessions.approx_heap_bytes()
     }
 
     pub(crate) fn hello(&self, addr: HostAddr) -> Hello {
@@ -336,7 +282,7 @@ impl NodeFinder {
         }
         if !self.poll_armed && self.disc.as_ref().map(|d| d.has_pending()).unwrap_or(false) {
             self.poll_armed = true;
-            ctx.set_timer(self.config.poll_delay_ms, T_POLL);
+            ctx.set_timer(POLL_DELAY_MS, T_POLL);
         }
     }
 
@@ -365,28 +311,27 @@ impl NodeFinder {
                 DialEventKind::DiscoverySighting,
             );
             obs::counter_add("crawler.funnel.sightings", 1);
-            self.stages.note_entered(Stage::Discover);
-            let cid = self.interner.intern(&record.id);
-            self.seen.note(cid, ctx.now_ms);
+            Stage::Discover.note_entered();
+            self.seen.insert(record.id, ctx.now_ms);
             // Endpoints in backoff / the penalty box are sighted but not
             // queued — the retry scheduler owns them until they recover.
-            if self.sessions.penalty.is_blocked(cid, ctx.now_ms) {
+            if self.sessions.penalty.is_blocked(&record.id, ctx.now_ms) {
                 continue;
             }
             // New nodes go to the dial queue unless already tracked.
-            if !self.static_nodes.contains(cid) && self.queued.insert(cid) {
+            if !self.static_nodes.contains_key(&record.id) && self.queued.insert(record.id) {
                 match self.dial_queue.push_back(record) {
-                    Ok(()) => self.stages.note_completed(Stage::Discover),
-                    Err(_rejected) => {
-                        self.queued.remove(cid);
-                        self.stages.note_backpressure(Stage::Dial);
+                    Ok(()) => Stage::Discover.note_completed(),
+                    Err(rejected) => {
+                        self.queued.remove(&rejected.id);
+                        Stage::Dial.note_backpressure();
                     }
                 }
             }
         }
         if !self.dial_armed && !self.dial_queue.is_empty() {
             self.dial_armed = true;
-            ctx.set_timer(self.config.dial_tick_ms, T_DIAL);
+            ctx.set_timer(DIAL_TICK_MS, T_DIAL);
         }
     }
 
@@ -411,7 +356,7 @@ impl NodeFinder {
             },
             1,
         );
-        self.stages.note_entered(Stage::Dial);
+        Stage::Dial.note_entered();
         let conn = ctx.tcp_connect(HostAddr::new(record.endpoint.ip, record.endpoint.tcp_port));
         let hello = self.hello(ctx.local_addr());
         let record_log = ConnLog {
@@ -436,9 +381,8 @@ impl NodeFinder {
                 conn_type,
                 record: record_log,
                 awaiting_dao: false,
-                done: false,
                 connected: false,
-                deadline_ms: ctx.now_ms + self.config.connect_timeout_ms,
+                deadline_ms: ctx.now_ms + CONNECT_TIMEOUT_MS,
                 stage_start_ms: ctx.now_ms,
             },
         );
@@ -452,20 +396,19 @@ impl NodeFinder {
     /// Pipeline stage 5, ingest: a probe finished (or died) — close the
     /// socket, finalize the log entry, update the static list.
     fn finish_probe(&mut self, ctx: &mut Ctx, conn: ConnId, polite: bool) {
-        let Some(mut probe) = self.sessions.conns.remove(conn) else {
+        let Some(mut probe) = self.sessions.conns.remove(&conn) else {
             // Already finalized: `remove` is the single hand-off out of
             // the session table, so a second finish on the same conn is a
             // no-op (and in particular cannot double-release a dial slot).
             return;
         };
-        self.stages.note_entered(Stage::Ingest);
-        if probe.conn_type == ConnType::DynamicDial && !probe.done {
+        Stage::Ingest.note_entered();
+        if probe.conn_type == ConnType::DynamicDial {
             // Sole dial-slot release site. `end_dial` is checked: an
             // underflow is exported as `crawler.dialing_underflow`, never
             // silently clamped.
             self.sessions.end_dial();
         }
-        probe.done = true;
         if polite && probe.pc.is_active() {
             for f in probe.pc.send_disconnect(DisconnectReason::Requested) {
                 ctx.tcp_send(conn, f);
@@ -512,9 +455,8 @@ impl NodeFinder {
             );
         }
         if let Some(id) = probe.record.node_id {
-            let cid = self.interner.intern(&id);
             if responded {
-                self.seen.note(cid, ctx.now_ms);
+                self.seen.insert(id, ctx.now_ms);
             }
             // Only *dials* that get an answer prove reachability; incoming
             // conns say nothing about whether the node accepts inbound TCP.
@@ -532,33 +474,25 @@ impl NodeFinder {
             if responded {
                 // A DEVp2p answer wipes the endpoint's failure slate and
                 // (re)joins it to the StaticNodes list.
-                self.sessions.penalty.record_success(cid);
+                self.sessions.penalty.record_success(&id);
                 let record = NodeRecord::new(id, Endpoint::new(probe.record.ip, probe.record.port));
-                if let Some(entry) = self.static_nodes.get_mut(cid) {
-                    entry.record = record;
-                    entry.last_success_ms = now;
-                    entry.next_dial_ms = now + interval;
-                } else {
-                    self.static_nodes.insert(
-                        cid,
-                        StaticEntry {
-                            record,
-                            next_dial_ms: now + interval,
-                            last_success_ms: now,
-                        },
-                    );
-                }
+                self.static_nodes.insert(
+                    id,
+                    StaticEntry {
+                        record,
+                        next_dial_ms: now + interval,
+                        last_success_ms: now,
+                    },
+                );
             } else if probe.conn_type != ConnType::Incoming {
                 // A failed outbound attempt backs the endpoint off (and
                 // eventually boxes it). It does NOT refresh last_success,
                 // so dead static entries actually go stale.
                 let record = NodeRecord::new(id, Endpoint::new(probe.record.ip, probe.record.port));
-                self.sessions
-                    .penalty
-                    .record_failure(cid, record, now, ctx.rng());
+                self.sessions.penalty.record_failure(record, now, ctx.rng());
                 // The attempt still pushes the next static re-dial back
                 // (§5.2's "slightly fewer than 48/day" effect).
-                if let Some(entry) = self.static_nodes.get_mut(cid) {
+                if let Some(entry) = self.static_nodes.get_mut(&id) {
                     entry.next_dial_ms = now + interval;
                 }
                 // Make sure the retry actually fires even if discovery
@@ -566,17 +500,14 @@ impl NodeFinder {
                 if !self.dial_armed {
                     if let Some(due) = self.sessions.penalty.next_due_ms() {
                         self.dial_armed = true;
-                        ctx.set_timer(
-                            due.saturating_sub(now).max(self.config.dial_tick_ms),
-                            T_DIAL,
-                        );
+                        ctx.set_timer(due.saturating_sub(now).max(DIAL_TICK_MS), T_DIAL);
                     }
                 }
             }
-            self.queued.remove(cid);
+            self.queued.remove(&id);
         }
         self.log.conns.push(probe.record);
-        self.stages.note_completed(Stage::Ingest);
+        Stage::Ingest.note_completed();
         obs::gauge_set("crawler.dialing", self.sessions.dialing() as u64);
         obs::gauge_set(
             "crawler.penalty.tracked",
@@ -590,7 +521,7 @@ impl NodeFinder {
     }
 
     fn handle_wire_event(&mut self, ctx: &mut Ctx, conn: ConnId, event: WireEvent) {
-        if !self.sessions.conns.contains(conn) {
+        if !self.sessions.conns.contains_key(&conn) {
             return;
         }
         // Stage transitions are recorded up front (the probe's existence
@@ -599,22 +530,20 @@ impl NodeFinder {
         // stage.
         match &event {
             WireEvent::Hello { shared, .. } => {
-                self.stages.note_completed(Stage::Handshake);
+                Stage::Handshake.note_completed();
                 if shared.iter().any(|c| c.name == "eth") {
-                    self.stages.note_entered(Stage::Status);
+                    Stage::Status.note_entered();
                 }
             }
             WireEvent::Eth(EthMessage::Status(_)) => {
-                self.stages.note_completed(Stage::Status);
+                Stage::Status.note_completed();
             }
             _ => {}
         }
         let rtt = ctx.rtt_ms(conn);
         let ours = self.our_status();
         let chain = self.chain.clone();
-        let hello_timeout = self.config.hello_timeout_ms;
-        let status_timeout = self.config.status_timeout_ms;
-        let Some(probe) = self.sessions.conns.get_mut(conn) else {
+        let Some(probe) = self.sessions.conns.get_mut(&conn) else {
             return;
         };
         if rtt > 0 {
@@ -625,7 +554,7 @@ impl NodeFinder {
                 probe.record.node_id = Some(peer_id);
                 probe.record.outcome = ConnOutcome::HandshakeFailed;
                 // Next stage: the peer's HELLO.
-                probe.deadline_ms = ctx.now_ms + hello_timeout;
+                probe.deadline_ms = ctx.now_ms + HELLO_TIMEOUT_MS;
                 obs::span(
                     "crawler.stage.auth_ms",
                     probe.stage_start_ms,
@@ -641,7 +570,7 @@ impl NodeFinder {
                 });
                 probe.record.outcome = ConnOutcome::HelloOnly;
                 // Next stage: eth STATUS.
-                probe.deadline_ms = ctx.now_ms + status_timeout;
+                probe.deadline_ms = ctx.now_ms + STATUS_TIMEOUT_MS;
                 obs::span(
                     "crawler.stage.hello_ms",
                     probe.stage_start_ms,
@@ -680,7 +609,7 @@ impl NodeFinder {
                     // Mainnet-or-Classic: run the DAO check.
                     probe.awaiting_dao = true;
                     // Next stage: the DAO-fork headers.
-                    probe.deadline_ms = ctx.now_ms + status_timeout;
+                    probe.deadline_ms = ctx.now_ms + STATUS_TIMEOUT_MS;
                     let req = EthMessage::GetBlockHeaders {
                         start: BlockId::Number(DAO_FORK_BLOCK),
                         max_headers: 1,
@@ -777,12 +706,11 @@ impl Host for NodeFinder {
             if b.id != self.node_id() {
                 outgoing.push(disc.ping(b, now));
                 // Bootstraps are static-dialed like anyone else (§4).
-                let cid = self.interner.intern(&b.id);
                 self.static_nodes.insert(
-                    cid,
+                    b.id,
                     StaticEntry {
                         record: b,
-                        next_dial_ms: now + self.config.bootstrap_dial_delay_ms,
+                        next_dial_ms: now + BOOTSTRAP_DIAL_DELAY_MS,
                         last_success_ms: now,
                     },
                 );
@@ -790,28 +718,16 @@ impl Host for NodeFinder {
         }
         self.disc = Some(disc);
         self.send_disc(ctx, outgoing);
-        // Record the configured stage deadlines and scheduler cadences as
-        // gauges so every exported snapshot is self-describing.
-        obs::gauge_set(
-            "crawler.cfg.connect_timeout_ms",
-            self.config.connect_timeout_ms,
-        );
-        obs::gauge_set(
-            "crawler.cfg.handshake_timeout_ms",
-            self.config.handshake_timeout_ms,
-        );
-        obs::gauge_set("crawler.cfg.hello_timeout_ms", self.config.hello_timeout_ms);
-        obs::gauge_set(
-            "crawler.cfg.status_timeout_ms",
-            self.config.status_timeout_ms,
-        );
+        // Record the stage deadlines and scheduler cadences as gauges so
+        // every exported snapshot is self-describing.
+        obs::gauge_set("crawler.cfg.connect_timeout_ms", CONNECT_TIMEOUT_MS);
+        obs::gauge_set("crawler.cfg.handshake_timeout_ms", HANDSHAKE_TIMEOUT_MS);
+        obs::gauge_set("crawler.cfg.hello_timeout_ms", HELLO_TIMEOUT_MS);
+        obs::gauge_set("crawler.cfg.status_timeout_ms", STATUS_TIMEOUT_MS);
         obs::gauge_set("crawler.cfg.probe_timeout_ms", self.config.probe_timeout_ms);
-        obs::gauge_set("crawler.cfg.poll_delay_ms", self.config.poll_delay_ms);
-        obs::gauge_set("crawler.cfg.dial_tick_ms", self.config.dial_tick_ms);
-        obs::gauge_set(
-            "crawler.cfg.dial_queue_cap",
-            self.config.dial_queue_cap as u64,
-        );
+        obs::gauge_set("crawler.cfg.poll_delay_ms", POLL_DELAY_MS);
+        obs::gauge_set("crawler.cfg.dial_tick_ms", DIAL_TICK_MS);
+        obs::gauge_set("crawler.cfg.dial_queue_cap", DIAL_QUEUE_CAP as u64);
         ctx.set_timer(self.config.lookup_interval_ms, T_LOOKUP);
         ctx.set_timer(self.static_tick_ms(), T_STATIC);
         ctx.set_timer(self.sweep_tick_ms(), T_SWEEP);
@@ -836,17 +752,16 @@ impl Host for NodeFinder {
             TcpEvent::Connected { conn, .. } => {
                 // Pipeline: the dial stage completed; the handshake stage
                 // (RLPx auth + HELLO) begins.
-                if self.sessions.conns.contains(conn) {
-                    self.stages.note_completed(Stage::Dial);
-                    self.stages.note_entered(Stage::Handshake);
+                if self.sessions.conns.contains_key(&conn) {
+                    Stage::Dial.note_completed();
+                    Stage::Handshake.note_entered();
                 }
                 let key = self.key;
-                let handshake_timeout = self.config.handshake_timeout_ms;
                 let mut frames = Vec::new();
-                if let Some(probe) = self.sessions.conns.get_mut(conn) {
+                if let Some(probe) = self.sessions.conns.get_mut(&conn) {
                     probe.record.latency_ms = ctx.rtt_ms(conn);
                     probe.connected = true;
-                    probe.deadline_ms = ctx.now_ms + handshake_timeout;
+                    probe.deadline_ms = ctx.now_ms + HANDSHAKE_TIMEOUT_MS;
                     obs::span(
                         "crawler.stage.connect_ms",
                         probe.stage_start_ms,
@@ -861,21 +776,20 @@ impl Host for NodeFinder {
                 if self
                     .sessions
                     .conns
-                    .get(conn)
-                    .map(|p| p.pc.is_dead())
-                    .unwrap_or(false)
+                    .get(&conn)
+                    .is_some_and(|p| p.pc.is_dead())
                 {
                     self.finish_probe(ctx, conn, false);
                 }
             }
             TcpEvent::ConnectFailed { conn } => {
-                if let Some(probe) = self.sessions.conns.get_mut(conn) {
+                if let Some(probe) = self.sessions.conns.get_mut(&conn) {
                     probe.record.failure = Some(FailureClass::ConnectFailed);
                 }
                 self.finish_probe(ctx, conn, false);
             }
             TcpEvent::Incoming { conn, peer } => {
-                if self.sessions.conns.contains(conn) {
+                if self.sessions.conns.contains_key(&conn) {
                     // Self-connection guard (shouldn't occur given the dial
                     // filter, but cheap to be safe).
                     self.finish_probe(ctx, conn, false);
@@ -884,7 +798,7 @@ impl Host for NodeFinder {
                 // Accept everything; never Too many peers (§4). An
                 // incoming conn enters the pipeline at the handshake stage
                 // (no discover/dial legs).
-                self.stages.note_entered(Stage::Handshake);
+                Stage::Handshake.note_entered();
                 let hello = self.hello(ctx.local_addr());
                 let record_log = ConnLog {
                     instance: self.config.instance,
@@ -908,9 +822,8 @@ impl Host for NodeFinder {
                         conn_type: ConnType::Incoming,
                         record: record_log,
                         awaiting_dao: false,
-                        done: false,
                         connected: true,
-                        deadline_ms: ctx.now_ms + self.config.handshake_timeout_ms,
+                        deadline_ms: ctx.now_ms + HANDSHAKE_TIMEOUT_MS,
                         stage_start_ms: ctx.now_ms,
                     },
                 );
@@ -919,7 +832,7 @@ impl Host for NodeFinder {
             }
             TcpEvent::Data { conn, bytes } => {
                 let key = self.key;
-                let Some(probe) = self.sessions.conns.get_mut(conn) else {
+                let Some(probe) = self.sessions.conns.get_mut(&conn) else {
                     return;
                 };
                 let (events, out) = probe.pc.on_data(ctx.rng(), &key, &bytes);
@@ -932,15 +845,14 @@ impl Host for NodeFinder {
                 if self
                     .sessions
                     .conns
-                    .get(conn)
-                    .map(|p| p.pc.is_dead())
-                    .unwrap_or(false)
+                    .get(&conn)
+                    .is_some_and(|p| p.pc.is_dead())
                 {
                     self.finish_probe(ctx, conn, false);
                 }
             }
             TcpEvent::Closed { conn } => {
-                if let Some(probe) = self.sessions.conns.get_mut(conn) {
+                if let Some(probe) = self.sessions.conns.get_mut(&conn) {
                     // The remote (or a mid-stream fault) tore the stream
                     // down before completing DEVp2p.
                     if probe.record.hello.is_none()
@@ -988,8 +900,7 @@ impl Host for NodeFinder {
                     .max_active_dials
                     .saturating_sub(self.sessions.dialing());
                 for record in self.sessions.penalty.due_retries(now, budget) {
-                    let cid = self.interner.intern(&record.id);
-                    let conn_type = if self.static_nodes.contains(cid) {
+                    let conn_type = if self.static_nodes.contains_key(&record.id) {
                         ConnType::StaticDial
                     } else {
                         ConnType::DynamicDial
@@ -1000,22 +911,18 @@ impl Host for NodeFinder {
                     let Some(record) = self.dial_queue.pop_front() else {
                         break;
                     };
-                    let cid = self.interner.intern(&record.id);
-                    if self.static_nodes.contains(cid) {
-                        self.queued.remove(cid);
+                    if self.static_nodes.contains_key(&record.id) {
+                        self.queued.remove(&record.id);
                         continue;
                     }
                     self.dial(ctx, record, ConnType::DynamicDial);
                 }
                 if !self.dial_queue.is_empty() {
                     self.dial_armed = true;
-                    ctx.set_timer(self.config.dial_tick_ms, T_DIAL);
+                    ctx.set_timer(DIAL_TICK_MS, T_DIAL);
                 } else if let Some(due) = self.sessions.penalty.next_due_ms() {
                     self.dial_armed = true;
-                    ctx.set_timer(
-                        due.saturating_sub(now).max(self.config.dial_tick_ms),
-                        T_DIAL,
-                    );
+                    ctx.set_timer(due.saturating_sub(now).max(DIAL_TICK_MS), T_DIAL);
                 }
             }
             T_STATIC => {
@@ -1026,7 +933,11 @@ impl Host for NodeFinder {
                 // here because the static tick is the crawler's steady
                 // heartbeat.
                 if obs::is_enabled() {
-                    let fresh = self.seen.fresh(now, self.config.stale_after_ms) as u64;
+                    let fresh = self
+                        .seen
+                        .values()
+                        .filter(|&&ts| now.saturating_sub(ts) <= self.config.stale_after_ms)
+                        .count() as u64;
                     obs::gauge_set("crawler.nodes_fresh", fresh);
                     obs::gauge_set("crawler.nodes_stale", self.seen.len() as u64 - fresh);
                     obs::gauge_set("crawler.dial_queue.depth", self.dial_queue.len() as u64);
@@ -1036,36 +947,23 @@ impl Host for NodeFinder {
                     );
                 }
                 // Remove stale addresses (no TCP success in stale_after).
-                // Both scans run in full-NodeId order (`iter_ordered`),
-                // byte-identical to the BTreeMap walks they replaced.
                 // Staleness is half-open: an entry is stale at *exactly*
                 // the window edge (`window_elapsed`), matching every other
                 // crawler window.
-                let stale: Vec<CompactId> = self
-                    .static_nodes
-                    .iter_ordered()
-                    .filter(|(_, e)| {
-                        window_elapsed(now, e.last_success_ms, self.config.stale_after_ms)
-                    })
-                    .map(|(cid, _)| cid)
-                    .collect();
-                for cid in stale {
-                    self.static_nodes.remove(cid);
-                }
-                // Fire due static dials — no concurrency cap (§4), but
-                // endpoints in backoff wait for the retry scheduler.
-                let due: Vec<(CompactId, NodeRecord)> = self
-                    .static_nodes
-                    .iter_ordered()
-                    .filter(|(cid, e)| {
-                        e.next_dial_ms <= now && !self.sessions.penalty.is_blocked(*cid, now)
-                    })
-                    .map(|(cid, e)| (cid, e.record))
-                    .collect();
-                for (cid, record) in due {
-                    if let Some(e) = self.static_nodes.get_mut(cid) {
+                self.static_nodes.retain(|_, e| {
+                    !window_elapsed(now, e.last_success_ms, self.config.stale_after_ms)
+                });
+                // Fire due static dials, in ascending NodeId order — no
+                // concurrency cap (§4), but endpoints in backoff wait for
+                // the retry scheduler.
+                let mut due = Vec::new();
+                for (id, e) in self.static_nodes.iter_mut() {
+                    if e.next_dial_ms <= now && !self.sessions.penalty.is_blocked(id, now) {
                         e.next_dial_ms = now + self.config.static_redial_interval_ms;
+                        due.push(e.record);
                     }
+                }
+                for record in due {
                     self.dial(ctx, record, ConnType::StaticDial);
                 }
                 ctx.set_timer(self.static_tick_ms(), T_STATIC);
@@ -1081,16 +979,13 @@ impl Host for NodeFinder {
             }
             T_SWEEP => {
                 let now = ctx.now_ms;
-                // `ids_sorted` walks probes in numeric ConnId order —
-                // byte-identical to the BTreeMap scan it replaced. Both
+                // Probes are reaped in numeric ConnId order. Both
                 // deadlines are half-open (`window_elapsed` / `>=`): a
                 // probe is overdue at *exactly* its deadline instant.
                 let expired: Vec<(ConnId, FailureClass)> = self
                     .sessions
                     .conns
-                    .ids_sorted()
-                    .into_iter()
-                    .filter_map(|c| self.sessions.conns.get(c).map(|p| (c, p)))
+                    .iter()
                     .filter(|(_, p)| {
                         // In hold mode, active sessions are kept forever;
                         // only stuck handshakes are reaped.
@@ -1115,11 +1010,11 @@ impl Host for NodeFinder {
                         } else {
                             FailureClass::StatusTimeout
                         };
-                        Some((c, class))
+                        Some((*c, class))
                     })
                     .collect();
                 for (conn, class) in expired {
-                    if let Some(p) = self.sessions.conns.get_mut(conn) {
+                    if let Some(p) = self.sessions.conns.get_mut(&conn) {
                         if p.record.failure.is_none() {
                             p.record.failure = Some(class);
                         }
@@ -1134,9 +1029,10 @@ impl Host for NodeFinder {
 
     fn on_stop(&mut self, ctx: &mut Ctx) {
         // Flush open probes with Open outcome so nothing is lost, in
-        // numeric ConnId order (the BTreeMap key order this replaced).
-        for conn in self.sessions.conns.ids_sorted() {
-            if let Some(p) = self.sessions.conns.get_mut(conn) {
+        // numeric ConnId order.
+        let open: Vec<ConnId> = self.sessions.conns.keys().copied().collect();
+        for conn in open {
+            if let Some(p) = self.sessions.conns.get_mut(&conn) {
                 if p.record.hello.is_none() {
                     p.record.outcome = ConnOutcome::Open;
                 }

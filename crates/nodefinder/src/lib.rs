@@ -38,7 +38,6 @@ pub mod backoff;
 pub mod checkpoint;
 pub mod crawler;
 pub mod datastore;
-pub mod dense;
 pub mod log;
 pub mod sanitize;
 pub mod session;
@@ -53,4 +52,4 @@ pub use log::{
 };
 pub use sanitize::{sanitize, SanitizeParams, SanitizeReport};
 pub use session::SessionManager;
-pub use stages::{BoundedQueue, PipelineStats, Stage, StageCheckpoint};
+pub use stages::{BoundedQueue, Stage};

@@ -1,8 +1,8 @@
 //! Live probe/session ownership and dial-slot accounting.
 //!
 //! Everything with an open socket lives here: the [`SessionManager`]
-//! owns the probe table (one [`Probe`] per TCP connection, keyed by the
-//! generation-checked conn slab), the dynamic dial-slot count that the
+//! owns the probe table (one [`Probe`] per TCP connection, keyed by its
+//! `ConnId`), the dynamic dial-slot count that the
 //! scheduler budgets against, and the penalty box that decides when a
 //! failing endpoint may be dialed again.
 //!
@@ -16,11 +16,12 @@
 //! asserted zero by the tier-1 determinism suites.
 
 use crate::backoff::{BackoffPolicy, PenaltyBox};
-use crate::dense::ConnTable;
 use crate::log::{ConnLog, ConnType};
 use ethcrypto::secp256k1::SecretKey;
 use ethpop::wire::PeerConn;
+use netsim::ConnId;
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use std::collections::BTreeMap;
 
 /// One in-flight probe: the protocol connection plus the log entry being
 /// accumulated for it.
@@ -29,7 +30,6 @@ pub(crate) struct Probe {
     pub(crate) conn_type: ConnType,
     pub(crate) record: ConnLog,
     pub(crate) awaiting_dao: bool,
-    pub(crate) done: bool,
     /// TCP is up (distinguishes ConnectTimeout from later stages).
     pub(crate) connected: bool,
     /// Current-stage deadline; the sweep reaps and classifies past it.
@@ -47,7 +47,6 @@ impl Probe {
         self.conn_type.snap(w);
         self.record.snap(w);
         self.awaiting_dao.snap(w);
-        self.done.snap(w);
         self.connected.snap(w);
         self.deadline_ms.snap(w);
         self.stage_start_ms.snap(w);
@@ -61,7 +60,6 @@ impl Probe {
             conn_type: Snap::unsnap(r)?,
             record: Snap::unsnap(r)?,
             awaiting_dao: Snap::unsnap(r)?,
-            done: Snap::unsnap(r)?,
             connected: Snap::unsnap(r)?,
             deadline_ms: Snap::unsnap(r)?,
             stage_start_ms: Snap::unsnap(r)?,
@@ -71,7 +69,7 @@ impl Probe {
 
 /// Owner of all live sessions: probe table, dial slots, penalty box.
 pub struct SessionManager {
-    pub(crate) conns: ConnTable<Probe>,
+    pub(crate) conns: BTreeMap<ConnId, Probe>,
     pub(crate) penalty: PenaltyBox,
     dialing: usize,
     underflows: u64,
@@ -93,7 +91,7 @@ impl SessionManager {
     /// backoff policy.
     pub fn new(policy: BackoffPolicy, threshold: u32, box_ms: u64) -> SessionManager {
         SessionManager {
-            conns: ConnTable::new(),
+            conns: BTreeMap::new(),
             penalty: PenaltyBox::new(policy, threshold, box_ms),
             dialing: 0,
             underflows: 0,
@@ -130,15 +128,9 @@ impl SessionManager {
         self.underflows
     }
 
-    /// Open sessions (probes with a live slab entry).
+    /// Open sessions (live probes).
     pub fn open_conns(&self) -> usize {
         self.conns.len()
-    }
-
-    /// Approximate owned heap bytes of the probe table and penalty box,
-    /// for the benchmark memory proxy.
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.conns.approx_heap_bytes() + self.penalty.approx_heap_bytes()
     }
 
     /// Overwrite the slot/underflow counters from a checkpoint.

@@ -3,10 +3,9 @@
 //! The crawl is a five-stage funnel — **discover → dial → handshake →
 //! status → ingest** — and this module gives each stage an explicit
 //! identity: a bounded hand-off queue where one exists (the dial queue),
-//! per-stage entered/completed counters mirrored into `obs`, a
-//! backpressure signal when a queue rejects work, and a serializable
-//! [`StageCheckpoint`] so a snapshot can carry the pipeline position
-//! across a process restart.
+//! per-stage entered/completed `obs` counters, and a backpressure counter
+//! for when a queue rejects work. The counters live in `obs` alone: its
+//! `OBSS` snapshot section carries them across a process restart.
 //!
 //! A record *enters* a stage when the crawler starts that phase of work
 //! for it (a sighting is considered for dialing, a TCP connect goes out,
@@ -21,7 +20,6 @@
 //! is deterministic and shard-count-invariant like every other crawler
 //! observable.
 
-use obs::snap_struct;
 use std::collections::VecDeque;
 
 /// One stage of the crawl pipeline, in funnel order.
@@ -38,15 +36,6 @@ pub enum Stage {
     /// A finished probe is being folded into the crawl log.
     Ingest,
 }
-
-/// All stages in funnel order.
-pub const STAGES: [Stage; 5] = [
-    Stage::Discover,
-    Stage::Dial,
-    Stage::Handshake,
-    Stage::Status,
-    Stage::Ingest,
-];
 
 /// Static obs counter names, indexed by stage: one event each time a
 /// record enters the stage.
@@ -79,19 +68,19 @@ const BACKPRESSURE_COUNTERS: [&str; 5] = [
 ];
 
 impl Stage {
-    /// Stable lowercase label, used in docs and artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Discover => "discover",
-            Stage::Dial => "dial",
-            Stage::Handshake => "handshake",
-            Stage::Status => "status",
-            Stage::Ingest => "ingest",
-        }
+    /// A record entered this stage.
+    pub fn note_entered(self) {
+        obs::counter_add(ENTERED_COUNTERS[self as usize], 1);
     }
 
-    fn index(self) -> usize {
-        self as usize
+    /// A record completed this stage (advanced to the next one).
+    pub fn note_completed(self) {
+        obs::counter_add(COMPLETED_COUNTERS[self as usize], 1);
+    }
+
+    /// This stage's hand-off queue rejected a push.
+    pub fn note_backpressure(self) {
+        obs::counter_add(BACKPRESSURE_COUNTERS[self as usize], 1);
     }
 }
 
@@ -194,88 +183,9 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// Serializable position of one pipeline stage: cumulative entered /
-/// completed / backpressure counts plus the stage queue's depth and
-/// high-water mark at checkpoint time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageCheckpoint {
-    /// Records that have entered this stage (monotone).
-    pub entered: u64,
-    /// Records that advanced past this stage (monotone).
-    pub completed: u64,
-    /// Pushes the stage's hand-off queue rejected (monotone).
-    pub backpressure: u64,
-    /// Items waiting in the stage's queue at checkpoint time (0 for
-    /// stages without an explicit queue).
-    pub queue_depth: usize,
-    /// Deepest the stage's queue has been (0 for queueless stages).
-    pub queue_high_water: usize,
-}
-
-snap_struct!(StageCheckpoint {
-    entered,
-    completed,
-    backpressure,
-    queue_depth,
-    queue_high_water
-});
-
-/// Live per-stage accounting for the whole pipeline.
-///
-/// `note_*` mutates local counts and mirrors the event to `obs` under a
-/// static counter name, so the prometheus export carries the same funnel
-/// the checkpoint does.
-#[derive(Debug, Clone, Default)]
-pub struct PipelineStats {
-    stages: [StageCheckpoint; 5],
-}
-
-// The five checkpoints in funnel order, with no length prefix.
-snap_struct!(PipelineStats { stages });
-
-impl PipelineStats {
-    /// All-zero stats.
-    pub fn new() -> PipelineStats {
-        PipelineStats::default()
-    }
-
-    /// A record entered `stage`.
-    pub fn note_entered(&mut self, stage: Stage) {
-        self.stages[stage.index()].entered += 1;
-        obs::counter_add(ENTERED_COUNTERS[stage.index()], 1);
-    }
-
-    /// A record completed `stage` (advanced to the next one).
-    pub fn note_completed(&mut self, stage: Stage) {
-        self.stages[stage.index()].completed += 1;
-        obs::counter_add(COMPLETED_COUNTERS[stage.index()], 1);
-    }
-
-    /// `stage`'s hand-off queue rejected a push.
-    pub fn note_backpressure(&mut self, stage: Stage) {
-        self.stages[stage.index()].backpressure += 1;
-        obs::counter_add(BACKPRESSURE_COUNTERS[stage.index()], 1);
-    }
-
-    /// The current checkpoint for `stage` (queue fields as last recorded
-    /// via [`PipelineStats::set_queue`]).
-    pub fn checkpoint(&self, stage: Stage) -> StageCheckpoint {
-        self.stages[stage.index()]
-    }
-
-    /// Record `stage`'s queue depth and high-water mark (called at
-    /// checkpoint time by the stage that owns the queue).
-    pub fn set_queue(&mut self, stage: Stage, depth: usize, high_water: usize) {
-        let s = &mut self.stages[stage.index()];
-        s.queue_depth = depth;
-        s.queue_high_water = high_water;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn window_boundary_is_half_open() {
@@ -327,30 +237,5 @@ mod tests {
             out
         };
         assert_eq!(drained, vec![8, 9], "FIFO order survives the round trip");
-    }
-
-    #[test]
-    fn stage_checkpoints_round_trip() {
-        let mut stats = PipelineStats::new();
-        for _ in 0..3 {
-            stats.note_entered(Stage::Discover);
-        }
-        stats.note_completed(Stage::Discover);
-        stats.note_entered(Stage::Dial);
-        stats.note_backpressure(Stage::Dial);
-        stats.set_queue(Stage::Dial, 5, 9);
-
-        let mut w = SnapWriter::new();
-        stats.snap(&mut w);
-        let buf = w.finish();
-        let mut r = SnapReader::new(&buf);
-        let back = PipelineStats::unsnap(&mut r).unwrap();
-        r.finish().unwrap();
-        for st in STAGES {
-            assert_eq!(back.checkpoint(st), stats.checkpoint(st), "{}", st.label());
-        }
-        assert_eq!(back.checkpoint(Stage::Discover).entered, 3);
-        assert_eq!(back.checkpoint(Stage::Dial).backpressure, 1);
-        assert_eq!(back.checkpoint(Stage::Dial).queue_high_water, 9);
     }
 }

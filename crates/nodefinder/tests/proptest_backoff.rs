@@ -3,7 +3,7 @@
 // Tests assert on impossible-failure paths freely.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use enode::{Endpoint, Interner, NodeId, NodeRecord};
+use enode::{Endpoint, NodeId, NodeRecord};
 use nodefinder::{BackoffPolicy, PenaltyBox};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -67,11 +67,9 @@ proptest! {
     #[test]
     fn box_engages_exactly_at_threshold(threshold in 1u32..12, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut interner = Interner::new();
         let mut pb = PenaltyBox::new(BackoffPolicy::default(), threshold, 600_000);
-        let cid = interner.intern(&rec(1).id);
         for n in 1..=threshold {
-            pb.record_failure(cid, rec(1), u64::from(n) * 1_000, &mut rng);
+            pb.record_failure(rec(1), u64::from(n) * 1_000, &mut rng);
             prop_assert_eq!(pb.boxed_total(), u64::from(n == threshold));
         }
     }
@@ -81,24 +79,25 @@ proptest! {
     #[test]
     fn success_always_clears(failures in 1u32..20, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut interner = Interner::new();
         let mut pb = PenaltyBox::new(BackoffPolicy::default(), 5, 600_000);
-        let cid = interner.intern(&rec(1).id);
+        let id = rec(1).id;
         for n in 0..failures {
-            pb.record_failure(cid, rec(1), u64::from(n) * 1_000, &mut rng);
+            pb.record_failure(rec(1), u64::from(n) * 1_000, &mut rng);
         }
-        pb.record_success(cid);
-        prop_assert_eq!(pb.failures(cid), 0);
-        prop_assert!(!pb.is_blocked(cid, 0));
+        pb.record_success(&id);
+        prop_assert_eq!(pb.failures(&id), 0);
+        prop_assert!(!pb.is_blocked(&id, 0));
         prop_assert_eq!(pb.tracked(), 0);
     }
 
     /// Every due endpoint is handed out exactly once per backoff period,
-    /// regardless of how the handout is batched.
+    /// in ascending `NodeId` order, regardless of how the handout is
+    /// batched or in which order the endpoints failed.
     #[test]
     fn due_retries_hand_out_each_endpoint_once(
         n_endpoints in 1usize..30,
         batch in 1usize..8,
+        rotate in 0usize..30,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -107,10 +106,10 @@ proptest! {
             100,
             600_000,
         );
-        let mut interner = Interner::new();
+        // Fail the endpoints in an order that is not their id order.
         for t in 0..n_endpoints {
-            let r = rec(t as u8 + 1);
-            pb.record_failure(interner.intern(&r.id), r, 0, &mut rng);
+            let tag = (t + rotate) % n_endpoints;
+            pb.record_failure(rec(tag as u8 + 1), 0, &mut rng);
         }
         let mut handed = Vec::new();
         loop {
@@ -121,8 +120,10 @@ proptest! {
             prop_assert!(due.len() <= batch);
             handed.extend(due.into_iter().map(|r| r.id));
         }
-        let unique: std::collections::BTreeSet<NodeId> = handed.iter().copied().collect();
-        prop_assert_eq!(unique.len(), handed.len(), "an endpoint was handed out twice");
+        prop_assert!(
+            handed.windows(2).all(|w| w[0] < w[1]),
+            "an endpoint was handed out twice or out of NodeId order"
+        );
         prop_assert_eq!(handed.len(), n_endpoints);
     }
 
@@ -134,18 +135,57 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut interner = Interner::new();
         let mut pb = PenaltyBox::new(BackoffPolicy::default(), 100, 600_000);
         let mut deadlines = Vec::new();
         for (i, t) in times.iter().enumerate() {
-            let r = rec(i as u8 + 1);
-            deadlines.push(pb.record_failure(interner.intern(&r.id), r, *t, &mut rng));
+            deadlines.push(pb.record_failure(rec(i as u8 + 1), *t, &mut rng));
         }
         prop_assert_eq!(pb.next_due_ms(), deadlines.iter().copied().min());
         for (i, d) in deadlines.iter().enumerate() {
-            let cid = interner.intern(&rec(i as u8 + 1).id);
-            prop_assert!(pb.is_blocked(cid, d.saturating_sub(1)));
-            prop_assert!(!pb.is_blocked(cid, *d));
+            let id = rec(i as u8 + 1).id;
+            prop_assert!(pb.is_blocked(&id, d.saturating_sub(1)));
+            prop_assert!(!pb.is_blocked(&id, *d));
+        }
+    }
+
+    /// Two boxes fed the same operations from identically seeded RNGs
+    /// agree on every jittered deadline, every handout and every counter —
+    /// the property that keeps a resumed crawl on the original's schedule.
+    #[test]
+    fn same_ops_same_seed_same_deadlines(
+        ops in proptest::collection::vec((0u8..4, 0u8..24, 0u64..30_000, 0usize..10), 1..120),
+        threshold in 1u32..6,
+        seed in any::<u64>(),
+    ) {
+        let mut a = PenaltyBox::new(BackoffPolicy::default(), threshold, 600_000);
+        let mut b = a.clone();
+        let mut rng_a = StdRng::seed_from_u64(seed);
+        let mut rng_b = StdRng::seed_from_u64(seed);
+        let mut now = 0u64;
+        for (kind, idx, dt, limit) in ops {
+            let r = rec(idx + 1);
+            match kind {
+                0 | 1 => {
+                    now += dt;
+                    prop_assert_eq!(
+                        a.record_failure(r, now, &mut rng_a),
+                        b.record_failure(r, now, &mut rng_b)
+                    );
+                }
+                2 => {
+                    a.record_success(&r.id);
+                    b.record_success(&r.id);
+                }
+                _ => {
+                    now += dt * 10;
+                    prop_assert_eq!(a.due_retries(now, limit), b.due_retries(now, limit));
+                }
+            }
+            prop_assert_eq!(a.is_blocked(&r.id, now), b.is_blocked(&r.id, now));
+            prop_assert_eq!(a.failures(&r.id), b.failures(&r.id));
+            prop_assert_eq!(a.boxed_now(now), b.boxed_now(now));
+            prop_assert_eq!(a.export_entries(), b.export_entries());
+            prop_assert_eq!(a.next_due_ms(), b.next_due_ms());
         }
     }
 }

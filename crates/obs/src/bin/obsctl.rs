@@ -378,20 +378,32 @@ fn load_trace(path: &str) -> Result<Vec<TraceEvent>, String> {
 
 /// Parse a Prometheus text export into (name, value) pairs, input order.
 /// Labeled series (histogram buckets) are skipped — the reports only
-/// consume scalar counters and gauges.
+/// consume scalar counters and gauges. Any other line must read
+/// `name <u64>`: a damaged export is an error, not an empty crawl.
 fn load_prom(path: &str) -> Result<Vec<(String, u64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    parse_prom(path, &text)
+}
+
+fn parse_prom(path: &str, text: &str) -> Result<Vec<(String, u64)>, String> {
     let mut out = Vec::new();
-    for line in text.lines() {
-        if line.starts_with('#') || line.contains('{') {
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() || line.starts_with('#') || line.contains('{') {
             continue;
         }
         let mut parts = line.split_whitespace();
-        let (Some(name), Some(value)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        if let Ok(v) = value.parse::<u64>() {
-            out.push((name.to_string(), v));
+        match (
+            parts.next(),
+            parts.next().map(str::parse::<u64>),
+            parts.next(),
+        ) {
+            (Some(name), Some(Ok(v)), None) => out.push((name.to_string(), v)),
+            _ => {
+                return Err(format!(
+                    "{path}:{}: expected `name <u64>`, found `{line}`",
+                    i + 1
+                ))
+            }
         }
     }
     Ok(out)
@@ -779,6 +791,24 @@ mod tests {
         let j = parse_json("{\"u\": 0.9731, \"e\": 159.22}").unwrap();
         assert_eq!(j.get("u").unwrap().raw_num(), "0.9731");
         assert_eq!(j.get("e").unwrap().raw_num(), "159.22");
+    }
+
+    #[test]
+    fn damaged_prom_sample_is_an_error_not_a_zero() {
+        let good = "# TYPE a counter\na_total 7\nh_bucket{le=\"1\"} 0\n\nb 0\n";
+        assert_eq!(
+            parse_prom("p.prom", good),
+            Ok(vec![("a_total".to_string(), 7), ("b".to_string(), 0)])
+        );
+        let err = parse_prom(
+            "p.prom",
+            "a_total 7\ncrawler_funnel_sightings_total notnum\n",
+        )
+        .unwrap_err();
+        assert!(err.starts_with("p.prom:2: "), "{err}");
+        assert!(err.contains("notnum"), "{err}");
+        assert!(parse_prom("p.prom", "lonely_name\n").is_err());
+        assert!(parse_prom("p.prom", "a 1 trailing\n").is_err());
     }
 
     #[test]

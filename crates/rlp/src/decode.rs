@@ -107,11 +107,6 @@ impl<'a> Rlp<'a> {
         Rlp { bytes }
     }
 
-    /// The raw bytes of this view (may extend beyond the first item).
-    pub fn as_raw(&self) -> &'a [u8] {
-        self.bytes
-    }
-
     /// Total encoded size (header + payload) of the first item.
     pub fn item_len(&self) -> Result<usize, RlpError> {
         let h = parse_header(self.bytes)?;

@@ -33,6 +33,8 @@
 #                   workload at one-tenth size; afterwards neither
 #                   Cargo.lock may have moved, and `git status` must read
 #                   as it did before the first step
+#   9. loc       -- scripts/loc.sh prints non-blank lines per crate; it
+#                   gates nothing
 #
 # Speed is judged by benchmark/run.sh alone; nothing here times anything
 # but the steps themselves.
@@ -126,6 +128,11 @@ tree_unchanged() {
     [ "$(git status --porcelain)" = "$tree_before" ]
 }
 step "git status as it was before the first step" tree_unchanged
+
+# Not a gate: the non-blank line counts a CHANGES.md entry quotes.
+echo
+echo "==> scripts/loc.sh"
+scripts/loc.sh
 
 echo
 echo "ci: total $SECONDS s"

@@ -256,20 +256,21 @@ fn keccak_hex(bytes: &[u8]) -> String {
 
 /// Format pin: `(shards, PSNP digest, OBSS digest)` — keccak-256 of both
 /// images at T, computed at 8e4f1ef, the last commit with hand-written
-/// per-type codecs; the `obs::snap` refactor had to reproduce them. Every
-/// section is still v1: a change that moves one of these digests changed
-/// the byte format and must bump that section's version byte (and
-/// re-pin). A change to the crawl world or the crawler's behaviour moves
+/// per-type codecs; the `obs::snap` refactor had to reproduce them. The
+/// `PSNP` pair was re-pinned when the crawler section it embeds became
+/// `NFND` v2; every other section is still v1. A change that moves one of
+/// these digests changed the byte format and must bump that section's
+/// version byte (and re-pin). A change to the crawl world or the crawler's behaviour moves
 /// them too — re-pin then, after checking the resume suite above.
 const PINNED_DIGESTS: [(usize, &str, &str); 2] = [
     (
         1,
-        "f8f021635a60e3459820b69fad516d6306b65f3f2818c84b74e70f9ff9b74876",
+        "e58b8daec697bfda1c6f537804461fe5f1f496072f77cfb4767dc199960d386c",
         "040f514e6b752e501b5ecdb13cbde6d0bcdf8213390aeabfd2ef396b8568b650",
     ),
     (
         4,
-        "d088967012d97217e7ba5dd6b0559ce1aa9484207e6ae43f1560b79af064d2a3",
+        "5e526341621e79cd5a90c94cba5f4f751ace0018fa846cb3e2a8b5d7a29f068f",
         "7a9e0f5ef7b4d07e1fab4fcee0c578aafc7e62418374c2be3bb2c328598ce152",
     ),
 ];
