@@ -56,7 +56,7 @@ pub struct WorldConfig {
     pub parity_share: Option<f64>,
     /// Scheduler shards for the simulator (see [`SimConfig::shards`]).
     /// Any value replays the identical trace; >1 partitions the event
-    /// wheels for large worlds.
+    /// queue for large worlds.
     pub shards: usize,
 }
 

@@ -2,7 +2,7 @@
 
 use crate::faults::{FaultSchedule, FaultWindow, TcpFate, UdpFate};
 use crate::payload::Payload;
-use crate::sched::TimerWheel;
+use crate::sched::EventQueue;
 use crate::topology::{latency_between, HostMeta};
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use obs::{snap_enum, snap_struct, MetricId};
@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 pub const SNAP_MAGIC: [u8; 4] = *b"PSNP";
 
 /// Current engine snapshot format version.
-pub const SNAP_VERSION: u8 = 1;
+pub const SNAP_VERSION: u8 = 2;
 
 /// Identifies a host inside one simulation.
 pub type HostId = usize;
@@ -154,9 +154,9 @@ pub struct SimConfig {
     pub jitter_ms: u32,
     /// How long a NAT pinhole stays open after outbound traffic, ms.
     pub nat_window_ms: u64,
-    /// Scheduler shards. `1` (the default) runs the classic single
-    /// wheel; larger counts partition hosts round-robin across per-shard
-    /// wheels merged under the conservative barrier-epoch protocol
+    /// Scheduler shards. `1` (the default) runs one event queue; larger
+    /// counts partition hosts round-robin across per-shard queues
+    /// merged under the conservative barrier-epoch protocol
     /// (lookahead = [`crate::min_link_latency_ms`]). Any shard count
     /// produces byte-identical traces on the same seed — see DESIGN.md
     /// § Sharded execution.
@@ -344,7 +344,7 @@ snap_struct!(ConnEntry {
     info
 });
 
-// Per-host record; the unit the sharded engine partitions across wheels.
+// Per-host record; the unit the sharded engine partitions across queues.
 struct Slot {
     host: Option<Box<dyn Host>>,
     addr: HostAddr,
@@ -457,7 +457,7 @@ snap_enum!(Ev {
 
 impl Ev {
     /// The connection a queued event keeps alive, if any: while the event
-    /// sits in a wheel it pins the slab cell through its pending count.
+    /// sits in a queue it pins the slab cell through its pending count.
     fn conn_ref(&self) -> Option<ConnId> {
         match self {
             Ev::TcpSyn { conn }
@@ -561,20 +561,11 @@ impl EngineIds {
     }
 }
 
-/// One scheduler shard: a timer wheel owning a disjoint subset of hosts,
-/// plus the merge loop's cached view of that wheel's head.
+/// One scheduler shard: the event queue of a disjoint subset of hosts.
 struct Shard {
-    queue: TimerWheel<(HostId, Prov, Ev)>,
-    /// `(at, key)` of the earliest event within the current epoch, cached
-    /// from the last peek. `None` = nothing left this epoch.
-    head: Option<(u64, u64)>,
-    /// The head cache is invalid (the wheel was popped or pushed into).
-    stale: bool,
+    queue: EventQueue<(HostId, Prov, Ev)>,
     /// Events dispatched by this shard (load-balance diagnostics).
     events: u64,
-    /// Peak of this shard's own queue depth (its wheel length + the
-    /// dispatching event), mirrored to `netsim.shard.<i>.queue_depth_peak`.
-    depth_peak: u64,
 }
 
 /// Mix a world seed and a host id into one RNG-stream seed (splitmix64
@@ -739,11 +730,9 @@ pub struct NetSim {
     cur_cause: u64,
     cur_depth: u32,
     shards: Vec<Shard>,
-    /// Interned `netsim.shard.<i>.queue_depth_peak` gauge handles, one
-    /// per shard.
-    shard_gauge_ids: Vec<MetricId>,
-    /// Conservative synchronization window for the sharded merge loop:
-    /// the minimum cross-host link latency (see DESIGN.md § Sharded
+    /// The minimum cross-host link latency: no push lands on another
+    /// shard sooner (debug-asserted in [`NetSim::push`]), and the merge
+    /// loop's barrier epochs are this long (see DESIGN.md § Sharded
     /// execution).
     lookahead_ms: u64,
     queue_depth_peak: u64,
@@ -768,7 +757,6 @@ pub struct NetSim {
 impl NetSim {
     /// Create an empty simulation.
     pub fn new(config: SimConfig) -> NetSim {
-        let n_shards = config.shards.max(1);
         NetSim {
             now: 0,
             ext_seq: 1,
@@ -776,17 +764,11 @@ impl NetSim {
             cur_key: 0,
             cur_cause: 0,
             cur_depth: 0,
-            shards: (0..n_shards)
+            shards: (0..config.shards.max(1))
                 .map(|_| Shard {
-                    queue: TimerWheel::new(),
-                    head: None,
-                    stale: true,
+                    queue: EventQueue::new(),
                     events: 0,
-                    depth_peak: 0,
                 })
-                .collect(),
-            shard_gauge_ids: (0..n_shards)
-                .map(|i| obs::handle_dynamic(&format!("netsim.shard.{i}.queue_depth_peak")))
                 .collect(),
             lookahead_ms: crate::topology::min_link_latency_ms() as u64,
             queue_depth_peak: 0,
@@ -927,18 +909,8 @@ impl NetSim {
         self.shards.iter().map(|s| s.events).collect()
     }
 
-    /// Peak per-shard queue depth (own wheel + the dispatching event).
-    /// With one shard this equals [`NetSim::queue_depth_peak`]; the same
-    /// values are exported as `netsim.shard.<i>.queue_depth_peak` gauges
-    /// — which inherently depend on the shard count, so cross-shard-count
-    /// comparisons must strip `netsim_shard_` lines (the carve-out the
-    /// determinism suite applies).
-    pub fn shard_queue_depth_peaks(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.depth_peak).collect()
-    }
-
     /// Reassign a host to a scheduler shard. Call before scheduling
-    /// anything for the host — events already queued stay on the wheel
+    /// anything for the host — events already queued stay on the queue
     /// they were pushed to.
     pub fn set_host_shard(&mut self, host: HostId, shard: usize) {
         assert!(shard < self.shards.len(), "shard {shard} out of range");
@@ -954,8 +926,12 @@ impl NetSim {
     /// by (external pushes first, then by pushing host, then by that
     /// host's own push order) — a pure function of per-host histories,
     /// identical under any shard count.
+    /// Nothing is scheduled into the past: `at` is clamped up to `now`,
+    /// and a clamp firing in a debug build is a world-builder bug.
     // Every scheduled event funnels through here.
     fn push(&mut self, at: u64, owner: HostId, ev: Ev) {
+        debug_assert!(at >= self.now, "push into the past: {at} < {}", self.now);
+        let at = at.max(self.now);
         if let Some(id) = ev.conn_ref() {
             let e = &mut self.conns[conn_idx(id)];
             debug_assert_eq!(e.generation, conn_gen(id), "pushing event for a stale conn");
@@ -998,9 +974,7 @@ impl NetSim {
                 depth: self.cur_depth,
             }
         };
-        let shard = &mut self.shards[sh];
-        shard.stale = true;
-        shard.queue.push(at, key, (owner, prov, ev));
+        self.shards[sh].queue.push(at, key, (owner, prov, ev));
     }
 
     /// One-way latency from `a` to `b`; the jitter draw comes from
@@ -1022,7 +996,7 @@ impl NetSim {
     pub fn run_until(&mut self, until_ms: u64) {
         obs::profile::run_mark_start();
         if self.shards.len() == 1 {
-            // Single-wheel fast path: no merge bookkeeping at all.
+            // Single-shard fast path: no merge bookkeeping at all.
             while let Some((at, key, (owner, prov, ev))) =
                 self.shards[0].queue.pop_at_most(until_ms)
             {
@@ -1035,80 +1009,52 @@ impl NetSim {
         obs::profile::run_mark_end();
     }
 
-    /// The sharded merge loop: conservative barrier-epoch synchronization.
-    ///
-    /// Each epoch starts at the minimum pending time across shards (a
-    /// pure read) and extends one lookahead window. Within the epoch,
-    /// every shard's head is bounded by `epoch_end - 1` and the loop
-    /// always dispatches the globally minimal `(at, key)` — exactly what
-    /// the single wheel does, so the trace is identical by construction.
-    /// Safety: the engine never schedules an event on a host in another
-    /// shard sooner than `now + lookahead` (link latencies floor at the
-    /// lookahead; timers stay on their own host), so nothing dispatched
-    /// in this epoch can land behind a sibling shard's already-advanced
-    /// cursor.
+    /// `((at, key), shard)` of the earliest pending event on any shard.
+    fn earliest(&self) -> Option<((u64, u64), usize)> {
+        let heads = self.shards.iter().enumerate();
+        heads.filter_map(|(i, s)| Some((s.queue.peek()?, i))).min()
+    }
+
+    /// The sharded merge loop: a k-way merge of the shards' queues,
+    /// dispatching the globally minimal `(at, key)` each step — exactly
+    /// what the single queue does, so the trace is identical by
+    /// construction. Barrier epochs one lookahead long mark where
+    /// observability folds its pending counters and the profiler charges
+    /// barrier stall; the dispatch order does not depend on them. They
+    /// are what threads will need (ROADMAP item 1b): no push lands on
+    /// another shard inside the epoch it was made in.
     fn run_sharded(&mut self, until_ms: u64) {
         loop {
-            // Barrier: fold observability's pending fast counters at a
-            // deterministic point, then pick the next epoch. The profiler
-            // marks the barrier too (stall accounting) — wall-clock only,
-            // quarantined from sim state.
+            // Barrier: fold at a deterministic point, then pick the next
+            // epoch. The profiler mark is wall-clock only, quarantined
+            // from sim state.
             obs::fold_pending();
             obs::profile::barrier_mark(self.shards.len());
-            let mut epoch_start = u64::MAX;
-            for s in &self.shards {
-                if let Some(at) = s.queue.min_pending_at() {
-                    epoch_start = epoch_start.min(at);
-                }
-            }
-            if epoch_start == u64::MAX || epoch_start > until_ms {
+            let Some(((epoch_start, _), _)) = self.earliest() else {
+                break;
+            };
+            if epoch_start > until_ms {
                 break;
             }
             let epoch_end = (epoch_start + self.lookahead_ms).min(until_ms + 1);
-            for s in &mut self.shards {
-                s.stale = true;
-            }
-            loop {
-                let mut best: Option<(u64, u64, usize)> = None;
-                for i in 0..self.shards.len() {
-                    let s = &mut self.shards[i];
-                    if s.stale {
-                        s.head = s.queue.peek_at_most(epoch_end - 1);
-                        s.stale = false;
-                    }
-                    if let Some((at, key)) = s.head {
-                        if best.is_none_or(|(ba, bk, _)| (at, key) < (ba, bk)) {
-                            best = Some((at, key, i));
-                        }
-                    }
-                }
-                let Some((_, _, winner)) = best else { break };
-                let Some((at, key, (owner, prov, ev))) =
-                    self.shards[winner].queue.pop_at_most(epoch_end - 1)
-                else {
+            while let Some((_, winner)) = self.earliest() {
+                let queue = &mut self.shards[winner].queue;
+                let Some((at, key, (owner, prov, ev))) = queue.pop_at_most(epoch_end - 1) else {
                     break;
                 };
-                self.shards[winner].stale = true;
                 self.dispatch_at(at, key, winner, owner, prov, ev);
             }
         }
     }
 
     /// Per-event bookkeeping shared by the single- and sharded loops:
-    /// clock, depth gauges, obs counters, provenance bracketing, profiler
+    /// clock, depth gauge, obs counters, provenance bracketing, profiler
     /// timing, origin bracketing, and the pending-count decrement that
     /// may recycle a connection cell.
     fn dispatch_at(&mut self, at: u64, key: u64, shard: usize, owner: HostId, prov: Prov, ev: Ev) {
         self.now = at;
-        let mut depth = 1u64;
-        for s in &self.shards {
-            depth += s.queue.len() as u64;
-        }
+        let depth = 1 + self.shards.iter().map(|s| s.queue.len()).sum::<usize>() as u64;
         self.queue_depth_peak = self.queue_depth_peak.max(depth);
-        // The dispatching shard's own share of that depth: its wheel
-        // plus the event in flight.
-        let shard_depth = self.shards[shard].queue.len() as u64 + 1;
-        self.shards[shard].depth_peak = self.shards[shard].depth_peak.max(shard_depth);
         // Observability is pure: it reads the scheduler state but never
         // touches a sim RNG or a queue, so instrumented and
         // uninstrumented runs execute identical event sequences. All
@@ -1117,7 +1063,6 @@ impl NetSim {
         obs::set_now(at);
         obs::set_cause(key, prov.cause, prov.depth);
         obs::gauge_max_id(self.ids.queue_depth_peak, depth);
-        obs::gauge_max_id(self.shard_gauge_ids[shard], shard_depth);
         obs::counter_add_id(self.ids.events_total, 1);
         obs::counter_add_id(ev.obs_id(&self.ids), 1);
         let pinned = ev.conn_ref();
@@ -1638,19 +1583,19 @@ impl NetSim {
                 w.bytes(&h.save_state()?);
             }
         }
-        // Shards: dispatch counters plus every pending wheel event.
+        // Shards: dispatch counters plus every pending event, in dispatch
+        // order.
         w.usize(self.shards.len());
         for shard in &self.shards {
             w.u64(shard.events);
-            w.u64(shard.depth_peak);
             w.usize(shard.queue.len());
-            shard.queue.for_each_pending(|at, key, (owner, prov, ev)| {
+            for (at, key, (owner, prov, ev)) in shard.queue.sorted() {
                 w.u64(at);
                 w.u64(key);
                 w.usize(*owner);
                 prov.snap(&mut w);
                 ev.snap(&mut w);
-            });
+            }
         }
         Ok(w.finish())
     }
@@ -1681,8 +1626,15 @@ impl NetSim {
         self.conns = Snap::unsnap(&mut r)?;
         self.conn_free = Snap::unsnap(&mut r)?;
         let n_conn_cells = self.conns.len();
-        if self.conn_free.iter().any(|&i| i as usize >= n_conn_cells) {
-            return Err(SnapError::Corrupt("free-list conn out of range"));
+        // A free cell is Closed with nothing in flight, and listed once: a
+        // duplicate would hand one cell to two later dials.
+        let mut listed = vec![false; n_conn_cells];
+        let free = |e: &ConnEntry| e.info.state == ConnState::Closed && e.pending == 0;
+        if !self.conn_free.iter().all(|&i| {
+            self.conns.get(i as usize).is_some_and(free)
+                && !std::mem::replace(&mut listed[i as usize], true)
+        }) {
+            return Err(SnapError::Corrupt("free-list entry is not a free cell"));
         }
         let n_slots = self.slots.len();
         if r.usize()? != n_slots {
@@ -1696,7 +1648,7 @@ impl NetSim {
             return Err(SnapError::Corrupt("conn endpoint host out of range"));
         }
         let n_shards = self.shards.len();
-        for slot in &mut self.slots {
+        for (host, slot) in self.slots.iter_mut().enumerate() {
             slot.alive = r.bool()?;
             slot.shard = r.u32()?;
             if slot.shard as usize >= n_shards {
@@ -1710,8 +1662,15 @@ impl NetSim {
                 return Err(SnapError::Corrupt("NAT table keys not ascending"));
             }
             slot.live_conns = Snap::unsnap(&mut r)?;
-            if slot.live_conns.iter().any(|&c| conn_idx(c) >= n_conn_cells) {
-                return Err(SnapError::Corrupt("live conn out of range"));
+            let live = |&id: &ConnId| {
+                self.conns.get(conn_idx(id)).is_some_and(|e| {
+                    conn_pack(e.generation, conn_idx(id)) == id
+                        && e.info.state == ConnState::Established
+                        && (e.info.initiator == host || e.info.acceptor == Some(host))
+                })
+            };
+            if !slot.live_conns.iter().all(live) {
+                return Err(SnapError::Corrupt("live conn is not this host's open conn"));
             }
             if r.bool()? {
                 let state = r.bytes()?;
@@ -1724,20 +1683,33 @@ impl NetSim {
         if r.usize()? != n_shards {
             return Err(SnapError::Corrupt("shard count differs from restore shell"));
         }
+        // A pending key must already have been minted, or a resumed run
+        // could mint the same `(at, key)` twice.
+        let minted = |key: u64| match (key >> 32) as usize {
+            0 => key != 0 && key < self.ext_seq as u64,
+            origin => origin <= n_slots && (key as u32) < self.slots[origin - 1].next_key,
+        };
         for shard in &mut self.shards {
             shard.events = r.u64()?;
-            shard.depth_peak = r.u64()?;
             // Wipe whatever the shell's world building scheduled; the
             // snapshot's pending events replace it wholesale.
-            shard.queue = TimerWheel::new();
-            shard.head = None;
-            shard.stale = true;
+            shard.queue = EventQueue::new();
+            let mut prev = None;
             for _ in 0..r.usize()? {
                 let at = r.u64()?;
                 let key = r.u64()?;
                 let owner = r.usize()?;
                 let prov = Prov::unsnap(&mut r)?;
                 let ev = Ev::unsnap(&mut r)?;
+                // Dispatch order is the one order a snapshot writes, so
+                // a restored image is the one its re-snapshot writes.
+                if prev >= Some((at, key)) {
+                    return Err(SnapError::Corrupt("pending events not in dispatch order"));
+                }
+                prev = Some((at, key));
+                if !minted(key) {
+                    return Err(SnapError::Corrupt("pending event key was never minted"));
+                }
                 if owner >= n_slots || ev.host_ref().is_some_and(|h| h >= n_slots) {
                     return Err(SnapError::Corrupt("event host out of range"));
                 }
@@ -1822,6 +1794,12 @@ mod tests {
     impl Host for Probe {
         fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
             self
+        }
+        fn save_state(&self) -> Result<Vec<u8>, SnapError> {
+            Ok(Vec::new())
+        }
+        fn load_state(&mut self, _: &[u8]) -> Result<(), SnapError> {
+            Ok(())
         }
 
         fn on_start(&mut self, ctx: &mut Ctx) {
@@ -2478,58 +2456,72 @@ mod tests {
         obs::uninstall();
     }
 
-    #[test]
-    fn per_shard_depth_gauges_partition_the_peak() {
-        // Single shard: netsim.shard.0.queue_depth_peak must equal the
-        // global gauge byte-for-byte (the shard IS the whole scheduler).
-        let rec = obs::Recorder::new();
-        rec.install();
-        let log: Log = Rc::default();
+    /// Three lossless probes at `addr(1..=3)`, all started at 0, each
+    /// given its targets by `aim(i, probe)`.
+    fn probe_world(aim: fn(u8, &mut Probe)) -> NetSim {
         let mut sim = NetSim::new(lossless());
-        let mut a = Probe::new("a", log.clone());
-        a.udp_target = Some(addr(2));
-        let mut b = Probe::new("b", log);
-        b.echo = true;
-        let ha = sim.add_host(addr(1), meta(true), Box::new(a));
-        let hb = sim.add_host(addr(2), meta(true), Box::new(b));
-        sim.schedule_start(ha, 0);
-        sim.schedule_start(hb, 0);
-        sim.run_until(5_000);
-        let peaks = sim.shard_queue_depth_peaks();
-        assert_eq!(peaks.len(), 1);
-        assert_eq!(peaks[0], sim.queue_depth_peak());
-        assert_eq!(rec.gauge("netsim.shard.0.queue_depth_peak"), peaks[0]);
-        assert!(rec
-            .prometheus()
-            .contains(&format!("netsim_shard_0_queue_depth_peak {}\n", peaks[0])));
-        obs::uninstall();
+        for i in 1..=3 {
+            let mut p = Probe::new("p", Log::default());
+            aim(i, &mut p);
+            let h = sim.add_host(addr(i), meta(true), Box::new(p));
+            sim.schedule_start(h, 0);
+        }
+        sim
     }
 
     #[test]
-    fn sharded_depth_gauges_bound_the_global_peak() {
-        let rec = obs::Recorder::new();
-        rec.install();
-        let log: Log = Rc::default();
-        let mut sim = NetSim::new(SimConfig {
-            shards: 3,
-            ..lossless()
-        });
-        for i in 0..6u8 {
-            let mut p = Probe::new("p", log.clone());
-            p.echo = i % 2 == 0;
-            p.udp_target = Some(addr(((i + 1) % 6) + 1));
-            let h = sim.add_host(addr(i + 1), meta(true), Box::new(p));
-            sim.schedule_start(h, 0);
+    fn pending_events_must_be_minted_and_in_dispatch_order() {
+        // At 5 ms the queue is three "hello"s due at 15, one sent by each
+        // host: 64-byte entries (at, key, owner, prov 12, `Ev::Udp` 28) at
+        // the image's tail, keys 1 << 32, 2 << 32, 3 << 32.
+        const W: usize = 64;
+        let world = || probe_world(|i, p| p.udp_target = Some(addr(i % 3 + 1)));
+        let mut sim = world();
+        sim.run_until(5);
+        let image = sim.snapshot().unwrap();
+        let tail = image.len() - 3 * W;
+        assert_eq!(image[tail - 8..tail], 3u64.to_le_bytes());
+        assert!(world().restore(&image).is_ok());
+        let entry = |i: usize| tail + i * W..tail + (i + 1) * W;
+        let mut swapped = image.clone();
+        swapped[entry(0)].copy_from_slice(&image[entry(1)]);
+        swapped[entry(1)].copy_from_slice(&image[entry(0)]);
+        let mut duplicated = image.clone();
+        duplicated[entry(1)].copy_from_slice(&image[entry(0)]);
+        let mut bumped = image.clone(); // host 2 has minted its key 0 only
+        bumped[entry(2).start + 8] = 1;
+        for (case, img) in [swapped, duplicated, bumped].iter().enumerate() {
+            assert!(
+                world().restore(img).is_err(),
+                "hostile case {case} restored"
+            );
         }
-        sim.run_until(5_000);
-        let peaks = sim.shard_queue_depth_peaks();
-        assert_eq!(peaks.len(), 3);
-        for (i, &p) in peaks.iter().enumerate() {
-            assert!(p >= 1, "shard {i} never dispatched");
-            assert!(p <= sim.queue_depth_peak());
-            assert_eq!(rec.gauge(&format!("netsim.shard.{i}.queue_depth_peak")), p);
+    }
+
+    #[test]
+    fn conn_cells_two_dials_could_share_are_rejected() {
+        // Host 0 dials a vacant address (cell 0: failed, drained, freed);
+        // host 1 dials host 2 (cell 1: open, live at both ends).
+        let world =
+            || probe_world(|i, p| p.tcp_target = [addr(9), addr(3)].get(i as usize - 1).copied());
+        let run = |mutate: fn(&mut NetSim)| {
+            let mut sim = world();
+            sim.run_until(1_000);
+            assert_eq!(sim.conn_free, [0]);
+            assert_eq!(sim.slots[1].live_conns, [1]);
+            mutate(&mut sim);
+            world().restore(&sim.snapshot().unwrap())
+        };
+        assert!(run(|_| {}).is_ok());
+        let hostile: [fn(&mut NetSim); 4] = [
+            |s| s.conn_free.push(0),                            // listed twice
+            |s| s.conn_free.push(1),                            // an open cell
+            |s| s.slots[1].live_conns[0] += 1 << CONN_IDX_BITS, // wrong generation
+            |s| s.slots[0].live_conns.push(1),                  // not an endpoint
+        ];
+        for (case, mutate) in hostile.into_iter().enumerate() {
+            assert!(run(mutate).is_err(), "hostile case {case} restored");
         }
-        obs::uninstall();
     }
 
     #[test]

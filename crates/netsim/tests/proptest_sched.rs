@@ -1,47 +1,33 @@
-//! Property test: the timer wheel is observationally equivalent to the
-//! `BinaryHeap<Reverse<(at, seq)>>` scheduler it replaced.
+//! Property test: the event queue pops exactly what a linear scan for the
+//! minimum `(at, key)` pops.
 //!
 //! The engine's determinism guarantee ("same seed ⇒ byte-identical run")
 //! rests entirely on the scheduler yielding events in exactly ascending
-//! `(at, seq)` order, including under the awkward shapes a live sim
+//! `(at, key)` order, including under the awkward shapes a live sim
 //! produces: bursts of same-`at` events, pushes interleaved between pops
-//! at the current time (zero-delay timers), far-future events that sit in
-//! the wheel's overflow tree, and `run_until` slices that stop between
-//! events. This test drives both schedulers through arbitrary
-//! interleavings of those shapes and requires identical pop streams.
+//! at the current time (zero-delay timers), far-future events, keys that
+//! arrive out of order, and `run_until` slices that stop between events.
+//! This test drives the queue and a `Vec` model — nothing heap-shaped —
+//! through arbitrary interleavings of those shapes and requires identical
+//! pop streams.
 
-use netsim::sched::TimerWheel;
+use netsim::sched::EventQueue;
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// The reference implementation: exactly what the engine used before.
-#[derive(Default)]
-struct HeapSched {
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
-}
+type Event = (u64, u64, u32);
 
-impl HeapSched {
-    fn push(&mut self, at: u64, seq: u64, item: u32) {
-        self.heap.push(Reverse((at, seq, item)));
-    }
-
-    fn pop_at_most(&mut self, until: u64) -> Option<(u64, u64, u32)> {
-        match self.heap.peek() {
-            Some(Reverse((at, _, _))) if *at <= until => {
-                let Reverse(e) = self.heap.pop().unwrap();
-                Some(e)
-            }
-            _ => None,
-        }
-    }
+/// The oracle: remove the minimum `(at, key)` of an unordered `Vec` by
+/// linear scan, if its time is `<= until`.
+fn scan_pop(model: &mut Vec<Event>, until: u64) -> Option<Event> {
+    let i = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
+    (model[i].0 <= until).then(|| model.swap_remove(i))
 }
 
 /// One step of the driver script.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Push an event `delay` ms after the current virtual time.
-    Push { delay: u64 },
+    /// Push `n` events `delay` ms after the current virtual time.
+    Push { delay: u64, n: usize },
     /// Drain everything up to `current + span`, advancing time.
     Drain { span: u64 },
 }
@@ -52,15 +38,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         // Near-future pushes dominate, like real sim traffic. Delay 0
         // exercises the "push at the time being drained" path.
-        (0u64..50).prop_map(|delay| Op::Push { delay }),
-        (0u64..50).prop_map(|delay| Op::Push { delay }),
-        (0u64..50).prop_map(|delay| Op::Push { delay }),
-        // L0-window-crossing and L1-crossing delays.
-        (900u64..3_000).prop_map(|delay| Op::Push { delay }),
-        (900u64..600_000).prop_map(|delay| Op::Push { delay }),
-        // Far-future: beyond the wheel's L1 horizon (2^19 ms), these
-        // exercise the overflow BTree and its drain-on-epoch-roll.
-        (500_000u64..2_000_000).prop_map(|delay| Op::Push { delay }),
+        (0u64..50).prop_map(|delay| Op::Push { delay, n: 1 }),
+        (0u64..50).prop_map(|delay| Op::Push { delay, n: 1 }),
+        // A same-`at` burst.
+        (0u64..50, 2usize..40).prop_map(|(delay, n)| Op::Push { delay, n }),
+        // Second-scale, minute-scale and far-future delays (≤ 2·10⁶ ms).
+        (900u64..3_000).prop_map(|delay| Op::Push { delay, n: 1 }),
+        (900u64..600_000).prop_map(|delay| Op::Push { delay, n: 1 }),
+        (500_000u64..2_000_000).prop_map(|delay| Op::Push { delay, n: 1 }),
         (0u64..2_000).prop_map(|span| Op::Drain { span }),
         (0u64..2_000).prop_map(|span| Op::Drain { span }),
         (100_000u64..1_500_000).prop_map(|span| Op::Drain { span }),
@@ -71,77 +56,52 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn wheel_matches_reference_heap(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let mut wheel = TimerWheel::new();
-        let mut heap = HeapSched::default();
-        let mut seq = 0u64;
+    fn queue_matches_linear_scan_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+        let (mut queue, mut model) = (EventQueue::new(), Vec::new());
+        // Keys arrive out of order, like the engine's per-origin keys:
+        // each is the bit-reversed push count.
+        let mut pushed = 0u32;
+        let mut push = move |queue: &mut EventQueue<u32>, model: &mut Vec<Event>, at: u64| {
+            pushed += 1;
+            let key = u64::from(pushed).reverse_bits();
+            queue.push(at, key, pushed);
+            model.push((at, key, pushed));
+        };
         let mut now = 0u64;
-        let mut item = 0u32;
-
         for op in &ops {
             match *op {
-                Op::Push { delay } => {
-                    wheel.push(now + delay, seq, item);
-                    heap.push(now + delay, seq, item);
-                    seq += 1;
-                    item = item.wrapping_add(1);
+                Op::Push { delay, n } => {
+                    for _ in 0..n {
+                        push(&mut queue, &mut model, now + delay);
+                    }
                 }
                 Op::Drain { span } => {
                     let until = now + span;
                     loop {
-                        let a = wheel.pop_at_most(until);
-                        let b = heap.pop_at_most(until);
-                        prop_assert_eq!(a, b, "divergence draining to {}", until);
-                        let Some((at, s, _)) = a else { break };
+                        let got = queue.pop_at_most(until);
+                        prop_assert_eq!(got, scan_pop(&mut model, until), "draining to {}", until);
+                        let Some((at, key, _)) = got else { break };
                         now = at;
                         // Like the engine: dispatching may push same-time
                         // follow-ups, which must interleave identically.
-                        if s % 5 == 0 {
-                            wheel.push(now, seq, item);
-                            heap.push(now, seq, item);
-                            seq += 1;
-                            item = item.wrapping_add(1);
+                        if key % 5 == 0 {
+                            push(&mut queue, &mut model, now);
                         }
                     }
                     now = until;
-                    prop_assert_eq!(wheel.len(), heap.heap.len());
+                    prop_assert_eq!(queue.len(), model.len());
                 }
             }
         }
 
         // Final total drain: both must empty in the same order.
         loop {
-            let a = wheel.pop_at_most(u64::MAX / 2);
-            let b = heap.pop_at_most(u64::MAX / 2);
-            prop_assert_eq!(a, b, "divergence in final drain");
-            if a.is_none() {
+            let got = queue.pop_at_most(u64::MAX);
+            prop_assert_eq!(got, scan_pop(&mut model, u64::MAX), "in the final drain");
+            if got.is_none() {
                 break;
             }
         }
-        prop_assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn same_at_bursts_pop_in_seq_order(
-        at in 0u64..5_000,
-        burst in 2usize..40,
-        interleave_far in any::<bool>(),
-    ) {
-        let mut wheel = TimerWheel::new();
-        for seq in 0..burst as u64 {
-            wheel.push(at, seq, seq as u32);
-            if interleave_far && seq % 3 == 0 {
-                // Far-future noise must not perturb the burst's order.
-                wheel.push(at + 1_000_000, 10_000 + seq, 0);
-            }
-        }
-        let mut prev = None;
-        for _ in 0..burst {
-            let (got_at, got_seq, _) = wheel.pop_at_most(at).expect("burst event missing");
-            prop_assert_eq!(got_at, at);
-            prop_assert!(prev.is_none_or(|p| got_seq > p), "seq order violated");
-            prev = Some(got_seq);
-        }
-        prop_assert_eq!(wheel.pop_at_most(at), None);
+        prop_assert!(queue.is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the sharded scheduler: for *arbitrary* host→shard
 //! assignments, region (latency-matrix) placements, and scripted event
-//! interleavings, the sharded dispatch order must equal the single-wheel
+//! interleavings, the sharded dispatch order must equal the single-shard
 //! reference order — including same-instant bursts that land exactly on
 //! barrier-epoch boundaries (timers at multiples of the 10 ms lookahead).
 
@@ -116,7 +116,7 @@ type HostScript = (usize, usize, Vec<u64>);
 
 /// Run the scripted world and return the dispatch log. `assign` applies
 /// the arbitrary shard assignment; the reference run leaves every host on
-/// the single wheel.
+/// the single shard.
 fn run_world(seed: u64, hosts: &[HostScript], shards: usize, assign: bool) -> Vec<String> {
     let config = SimConfig {
         seed,
@@ -171,7 +171,7 @@ fn run_world(seed: u64, hosts: &[HostScript], shards: usize, assign: bool) -> Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary shard assignments replay the single-wheel reference
+    /// Arbitrary shard assignments replay the single-shard reference
     /// exactly, event for event, draw for draw.
     #[test]
     fn sharded_dispatch_equals_single_wheel_reference(

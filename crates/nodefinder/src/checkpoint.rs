@@ -25,8 +25,8 @@
 //! 8. scheduler arm flags;
 //! 9. the crawl log as JSONL.
 //!
-//! Timers are *not* serialized here: the netsim snapshot owns the timer
-//! wheel, and restoring it re-delivers `T_*` tokens at the right instants.
+//! Timers are *not* serialized here: the netsim snapshot owns the event
+//! queue, and restoring it re-delivers `T_*` tokens at the right instants.
 //! Nor are the per-stage pipeline counters: they are `obs` counters, and
 //! the `OBSS` section carries them.
 
@@ -73,7 +73,7 @@ impl NodeFinder {
         for p in self.sessions.conns.values() {
             p.snap(&mut w);
         }
-        // 8. Scheduler arm flags (their timers live in the netsim wheel).
+        // 8. Scheduler arm flags (their timers live in the netsim queue).
         self.poll_armed.snap(&mut w);
         self.dial_armed.snap(&mut w);
         // 9. The accumulated crawl log.

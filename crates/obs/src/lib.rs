@@ -105,26 +105,6 @@ pub fn handle(name: &'static str) -> MetricId {
     })
 }
 
-/// Intern a *computed* metric name (e.g. `netsim.shard.3.queue_depth_peak`,
-/// built from a runtime shard index). The first interning of each unique
-/// name leaks one copy of the string so it can live in the same
-/// `&'static str` table as [`handle`] names; callers must therefore only
-/// use this for small, bounded name families (per-shard, per-tier — never
-/// per-event or per-node).
-pub fn handle_dynamic(name: &str) -> MetricId {
-    INTERN.with(|i| {
-        let mut i = i.borrow_mut();
-        if let Some(&id) = i.index.get(name) {
-            return MetricId(id);
-        }
-        let name: &'static str = Box::leak(name.to_string().into_boxed_str());
-        let id = u32::try_from(i.names.len()).expect("metric id space exhausted");
-        i.names.push(name);
-        i.index.insert(name, id);
-        MetricId(id)
-    })
-}
-
 fn interned_name(id: u32) -> &'static str {
     INTERN.with(|i| i.borrow().names[id as usize])
 }
@@ -678,20 +658,6 @@ mod tests {
         assert_eq!((out.key, out.cause, out.depth), (0, 0, 0));
         let jsonl = rec.export_jsonl();
         assert!(jsonl.contains(r#""key":7,"cause":3,"depth":2"#), "{jsonl}");
-    }
-
-    #[test]
-    fn handle_dynamic_interns_computed_names() {
-        let a = handle_dynamic(&format!("dyn.shard.{}", 0));
-        let b = handle_dynamic("dyn.shard.0");
-        let c = handle("dyn.shard.0");
-        assert_eq!(a, b);
-        assert_eq!(a, c); // shares the table with static interning
-        let rec = Recorder::new();
-        rec.install();
-        gauge_max_id(a, 5);
-        uninstall();
-        assert_eq!(rec.gauge("dyn.shard.0"), 5);
     }
 
     #[test]

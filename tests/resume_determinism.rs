@@ -6,7 +6,7 @@
 //! pure representation change, never a semantic one.
 //!
 //! The split run exercises the full restore stack: the netsim engine
-//! image (wheels, per-host RNGs, TCP state), the crawler's `NFND`
+//! image (event queues, per-host RNGs, TCP state), the crawler's `NFND`
 //! section (interner, dial queue, penalty box, live probes, stage
 //! checkpoints, crawl log), and the obs recorder image (metrics
 //! registry, trace ring, sequence counter). The world here is honest
@@ -15,7 +15,7 @@
 //! world containing them fails `Unsupported` by design.
 //!
 //! The same world pins the snapshot *format* (keccak-256 of the images
-//! at T, so an accidental byte change cannot ride in under version 1)
+//! at T, so an accidental byte change cannot ride in under one version)
 //! and feeds the hostile-input sweep: truncated, overlong and bit-flipped
 //! images must restore to `Ok` or `Err`, never a panic.
 
@@ -82,9 +82,7 @@ fn build_crawl_world(shards: usize) -> (World, netsim::HostId) {
 }
 
 /// Pull the artifacts out of a finished world and uninstall its
-/// recorder. Mirrors the shard-determinism harness: the per-shard
-/// queue-depth gauges are one-per-shard by definition, so they are
-/// stripped before comparison.
+/// recorder.
 fn extract(mut world: World, host: netsim::HostId, recorder: &obs::Recorder) -> Artifacts {
     let events = world.sim.events_processed();
     let crawler = world
@@ -97,16 +95,10 @@ fn extract(mut world: World, host: netsim::HostId, recorder: &obs::Recorder) -> 
     let dialing_underflows = crawler.dialing_underflows();
     let store = DataStore::from_log(&crawler.log);
     obs::uninstall();
-    let prometheus = recorder
-        .prometheus()
-        .lines()
-        .filter(|l| !l.contains("netsim_shard_"))
-        .map(|l| format!("{l}\n"))
-        .collect();
     Artifacts {
         store_json: store.to_json(),
         trace_jsonl: recorder.export_jsonl(),
-        prometheus,
+        prometheus: recorder.prometheus(),
         events,
         dialing_underflows,
     }
@@ -146,6 +138,10 @@ fn split_run(shards: usize) -> Artifacts {
         .restore_state(&obs_snap)
         .expect("recorder restore at T");
     world.sim.restore(&sim_snap).expect("engine restore at T");
+    assert!(
+        world.sim.snapshot().expect("re-snapshot at T") == sim_snap,
+        "the image a restore accepts must be the one its re-snapshot writes"
+    );
     assert_eq!(
         world.sim.events_processed(),
         events_at_t,
@@ -255,23 +251,27 @@ fn keccak_hex(bytes: &[u8]) -> String {
 }
 
 /// Format pin: `(shards, PSNP digest, OBSS digest)` — keccak-256 of both
-/// images at T, computed at 8e4f1ef, the last commit with hand-written
-/// per-type codecs; the `obs::snap` refactor had to reproduce them. The
-/// `PSNP` pair was re-pinned when the crawler section it embeds became
-/// `NFND` v2; every other section is still v1. A change that moves one of
-/// these digests changed the byte format and must bump that section's
-/// version byte (and re-pin). A change to the crawl world or the crawler's behaviour moves
+/// images at T. First computed at 8e4f1ef, the last commit with
+/// hand-written per-type codecs, which the `obs::snap` refactor had to
+/// reproduce; the `PSNP` pair moved when its embedded crawler section
+/// became `NFND` v2 and again when `PSNP` itself became v2 (no per-shard
+/// depth peak, pending events in dispatch order). `OBSS` is still v1; its
+/// pair moved by content when the recorder stopped holding the per-shard
+/// queue gauge, which was also the only thing that told its 1- and
+/// 4-shard images apart. A change that moves one of these digests changed
+/// the byte format and must bump that section's version byte (and
+/// re-pin). A change to the crawl world or the crawler's behaviour moves
 /// them too — re-pin then, after checking the resume suite above.
 const PINNED_DIGESTS: [(usize, &str, &str); 2] = [
     (
         1,
-        "e58b8daec697bfda1c6f537804461fe5f1f496072f77cfb4767dc199960d386c",
-        "040f514e6b752e501b5ecdb13cbde6d0bcdf8213390aeabfd2ef396b8568b650",
+        "771eb6d11d11371450141407092fac43b97ee1ec86b2673cfdedbb9f48cd942d",
+        "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
     ),
     (
         4,
-        "5e526341621e79cd5a90c94cba5f4f751ace0018fa846cb3e2a8b5d7a29f068f",
-        "7a9e0f5ef7b4d07e1fab4fcee0c578aafc7e62418374c2be3bb2c328598ce152",
+        "75422a75067a8d47e9f32814f8f6fce583e1b7316dea41e073ba8c04339349cf",
+        "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
     ),
 ];
 
@@ -318,12 +318,13 @@ fn restore_obs(image: &[u8], case: String) -> Result<(), netsim::SnapError> {
     obs::Recorder::new().restore_state(image)
 }
 
-/// Byte offsets of every `u64` length prefix a `PSNP` v1 restore reads
-/// before it reaches the first host section: fault windows, conn slab
-/// (walked entry by entry — the optional acceptor makes them variable
-/// width), conn free list, host count, then the first slot's NAT table,
-/// live-conn list and embedded section.
-fn length_prefixes_to_first_host_section(image: &[u8]) -> Vec<usize> {
+/// Byte offsets of the `u64` length prefixes a `PSNP` v2 restore reads.
+/// First, every one before the first host section: fault windows, conn
+/// slab (walked entry by entry — the optional acceptor makes them
+/// variable width), conn free list, host count, then the first slot's
+/// NAT table, live-conn list and embedded section. Second, walking on
+/// past every slot, the pending-event count of the image's one shard.
+fn length_prefixes(image: &[u8]) -> (Vec<usize>, usize) {
     let u64_at =
         |pos: usize| u64::from_le_bytes(image[pos..pos + 8].try_into().expect("8 bytes")) as usize;
     // magic(4) version(1) now(8) ext_seq(4) three counters(24)
@@ -343,21 +344,31 @@ fn length_prefixes_to_first_host_section(image: &[u8]) -> Vec<usize> {
     out.push(pos);
     pos += 8 + 4 * u64_at(pos); // free list of u32
     out.push(pos);
-    pos += 8; // host count
-    pos += 1 + 4 + 32 + 4 + 1; // alive, shard, rng, next_key, reachable
-    out.push(pos);
-    pos += 8 + 16 * u64_at(pos); // NAT entries
-    out.push(pos);
-    pos += 8 + 8 * u64_at(pos); // live conns
-    assert_eq!(image[pos], 1, "first slot carries a behaviour section");
-    pos += 1;
-    out.push(pos);
-    assert_eq!(
-        &image[pos + 8..pos + 12],
-        b"ETHN",
-        "walk reached the section"
-    );
-    out
+    let n_slots = u64_at(pos);
+    pos += 8;
+    for slot in 0..n_slots {
+        pos += 1 + 4 + 32 + 4 + 1; // alive, shard, rng, next_key, reachable
+        let nat = pos;
+        pos += 8 + 16 * u64_at(pos); // NAT entries
+        let live = pos;
+        pos += 8 + 8 * u64_at(pos); // live conns
+        let has_section = image[pos] == 1;
+        pos += 1;
+        if slot == 0 {
+            assert!(has_section, "first slot carries a behaviour section");
+            assert_eq!(
+                &image[pos + 8..pos + 12],
+                b"ETHN",
+                "walk reached the section"
+            );
+            out.extend([nat, live, pos]);
+        }
+        if has_section {
+            pos += 8 + u64_at(pos);
+        }
+    }
+    assert_eq!(u64_at(pos), 1, "walk reached the shard count");
+    (out, pos + 16) // shard count, events dispatched, then the count
 }
 
 /// Regression: an empty world's image with the conn-slab length (offset
@@ -370,8 +381,9 @@ fn huge_conn_slab_length_is_an_error_not_a_panic() {
     assert!(NetSim::new(SimConfig::default()).restore(&image).is_err());
 }
 
-/// Hostile-input sweep, part 1: every truncation and every hostile length
-/// prefix on the way to the first host section is rejected with `Err`.
+/// Hostile-input sweep, part 1: every truncation, every hostile length
+/// prefix on the way to the first host section and a hostile pending-event
+/// count are rejected with `Err`.
 #[test]
 fn truncated_and_overlong_images_are_rejected() {
     use rand::{Rng, SeedableRng};
@@ -390,7 +402,8 @@ fn truncated_and_overlong_images_are_rejected() {
             assert!(out.is_err(), "{name} truncated to {len} bytes restored");
         }
     }
-    for pos in length_prefixes_to_first_host_section(&sim_image) {
+    let (to_first_section, pending_count) = length_prefixes(&sim_image);
+    for pos in to_first_section.into_iter().chain([pending_count]) {
         let mut image = sim_image.clone();
         image[pos..pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let out = restore_sim(&image, format!("PSNP length at {pos} = u64::MAX"));
@@ -399,6 +412,22 @@ fn truncated_and_overlong_images_are_rejected() {
             "length prefix at {pos} set to u64::MAX restored"
         );
     }
+}
+
+/// Regression: an image whose free list names one slab cell twice used to
+/// restore `Ok`, and two later dials then shared that cell — a silently
+/// divergent run. A free-list entry must be distinct, and `Closed` with
+/// nothing in flight.
+#[test]
+fn aliased_free_list_cell_is_rejected() {
+    let (sim_image, _) = images_at_t(1);
+    let free = length_prefixes(&sim_image).0[2];
+    let n_free = u64::from_le_bytes(sim_image[free..free + 8].try_into().unwrap());
+    assert!(n_free >= 2, "world has too few free cells: {n_free}");
+    let mut image = sim_image.clone();
+    image.copy_within(free + 8..free + 12, free + 12);
+    let out = restore_sim(&image, "PSNP free-list entry 0 copied over entry 1".into());
+    assert!(out.is_err(), "a free list naming one cell twice restored");
 }
 
 /// Hostile-input sweep, part 2: seeded single-byte flips anywhere in

@@ -1,6 +1,6 @@
 //! Shard-count invariance, end to end: the same seeded world crawled at
 //! shard counts {1, 2, 4, 7} must export byte-identical DataStores, obs
-//! traces, Prometheus snapshots, and dial funnels — with churn, loss,
+//! traces, whole Prometheus snapshots, and dial funnels — with churn, loss,
 //! jitter, Byzantine hosts, and (in the second scenario) an active fault
 //! schedule all in play. This is the proof obligation for the sharded
 //! scheduler: sharding is an execution-layout choice, never a semantic
@@ -125,20 +125,10 @@ fn crawl(shards: usize, with_faults: bool) -> Artifacts {
         .unwrap();
     let store = DataStore::from_log(&crawler.log);
     obs::uninstall();
-    // The per-shard queue-depth gauges are one-per-shard by definition,
-    // so they are the lone carve-out from the byte-identity contract:
-    // strip them before comparing (the global peak and everything else
-    // must still match exactly).
-    let prometheus = recorder
-        .prometheus()
-        .lines()
-        .filter(|l| !l.contains("netsim_shard_"))
-        .map(|l| format!("{l}\n"))
-        .collect();
     Artifacts {
         store_json: store.to_json(),
         trace_jsonl: recorder.export_jsonl(),
-        prometheus,
+        prometheus: recorder.prometheus(),
         funnel: format!("{:?}", store.dial_funnel()),
         events,
         shard_events,
@@ -169,7 +159,7 @@ fn assert_identical(base: &Artifacts, other: &Artifacts, shards: usize) {
 }
 
 /// Same seed, shard counts {1, 2, 4, 7}: every exported byte matches the
-/// single-wheel reference.
+/// single-shard reference.
 #[test]
 fn exports_are_byte_identical_across_shard_counts() {
     let base = crawl(1, false);
@@ -181,7 +171,7 @@ fn exports_are_byte_identical_across_shard_counts() {
     for shards in SHARD_COUNTS {
         let sharded = crawl(shards, false);
         assert_identical(&base, &sharded, shards);
-        // Work really spread across the wheels…
+        // Work really spread across the shards…
         assert_eq!(sharded.shard_events.len(), shards);
         assert!(
             sharded.shard_events.iter().filter(|&&e| e > 0).count() > 1,
