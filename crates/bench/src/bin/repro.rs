@@ -185,6 +185,7 @@ fn scale(hosts: usize) {
         ("pubkey", memo.pubkey),
         ("ecdh", memo.ecdh),
         ("sig", memo.sig),
+        ("id", memo.id_hash),
     ] {
         println!(
             "memo {name}: {} of {} slots, {} hits, {} misses, {} evictions",

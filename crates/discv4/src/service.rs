@@ -225,12 +225,10 @@ impl Discv4 {
     ) -> Result<Discv4, SnapError> {
         let id = NodeId::from_secret_key(&key);
         let endpoint = Snap::unsnap(r)?;
-        let buckets = Vec::<(u16, Vec<(NodeRecord, u64)>)>::unsnap(r)?;
-        if !buckets.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(SnapError::Corrupt("routing-table buckets not ascending"));
-        }
+        let table = RoutingTable::from_entries(id, config.metric, Snap::unsnap(r)?)
+            .map_err(SnapError::Corrupt)?;
         Ok(Discv4 {
-            table: RoutingTable::from_entries(id, config.metric, buckets),
+            table,
             key,
             id,
             endpoint,
@@ -239,7 +237,10 @@ impl Discv4 {
             pending_queries: Snap::unsnap(r)?,
             bonds: Snap::unsnap(r)?,
             reverse_bonds: Snap::unsnap(r)?,
-            lookup: Option::unsnap(r)?.map(Lookup::from_parts),
+            lookup: Option::unsnap(r)?
+                .map(Lookup::from_parts)
+                .transpose()
+                .map_err(SnapError::Corrupt)?,
             lookup_target_id: Snap::unsnap(r)?,
             events: Snap::unsnap(r)?,
             stats: Snap::unsnap(r)?,

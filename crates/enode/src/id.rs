@@ -1,7 +1,6 @@
 //! 512-bit node identifiers.
 
-use ethcrypto::keccak256;
-use ethcrypto::secp256k1::{PublicKey, SecretKey};
+use ethcrypto::secp256k1::{id_hash, PublicKey, SecretKey};
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
@@ -48,14 +47,21 @@ impl NodeId {
     }
 
     /// Keccak-256 of the ID — the value the discovery distance metric is
-    /// computed over.
+    /// computed over. Answered from the `ethcrypto` memo's ID table, so an
+    /// ID this thread has hashed before is not hashed again.
     pub fn kad_hash(&self) -> [u8; 32] {
-        keccak256(&self.0)
+        id_hash(&self.0)
     }
 
     /// Render as 128 lowercase hex characters.
     pub fn to_hex(&self) -> String {
-        self.0.iter().map(|b| format!("{b:02x}")).collect()
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+        let mut out = String::with_capacity(128);
+        for b in self.0 {
+            out.push(NIBBLES[usize::from(b >> 4)] as char);
+            out.push(NIBBLES[usize::from(b & 0xf)] as char);
+        }
+        out
     }
 
     /// Parse from 128 hex characters.
@@ -128,15 +134,58 @@ impl rlp::Decodable for NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ethcrypto::keccak256;
+    use ethcrypto::secp256k1::memo_stats;
+    use proptest::prelude::*;
 
-    #[test]
-    fn hex_roundtrip() {
-        let mut bytes = [0u8; 64];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = (i * 3) as u8;
+    /// The encoder `to_hex` replaced, kept as its oracle.
+    fn format_hex(id: &NodeId) -> String {
+        id.0.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn arb_id() -> impl Strategy<Value = NodeId> {
+        proptest::collection::vec(any::<u8>(), 64)
+            .prop_map(|v| NodeId(v.try_into().expect("64 bytes")))
+    }
+
+    proptest! {
+        #[test]
+        fn to_hex_is_the_format_encoder(id in arb_id()) {
+            prop_assert_eq!(id.to_hex(), format_hex(&id));
+            prop_assert_eq!(NodeId::from_hex(&id.to_hex()), Some(id));
         }
-        let id = NodeId(bytes);
-        assert_eq!(NodeId::from_hex(&id.to_hex()).unwrap(), id);
+    }
+
+    /// Past the ID table's eviction point, at the floor cap a fresh thread
+    /// starts with, every hash is still the keccak of the bytes: first
+    /// computed, then answered from the table, then computed again once
+    /// evicted. The IDs are counters, not curve points (what a spammer
+    /// advertises).
+    #[test]
+    fn kad_hash_is_keccak_past_the_memo_eviction_point() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let cap = memo_stats().id_hash.cap;
+                assert_eq!(cap, 4096, "a fresh thread starts at the floor cap");
+                let id = |i: usize| {
+                    let mut bytes = [0x5a; 64];
+                    bytes[..8].copy_from_slice(&(i as u64).to_be_bytes());
+                    NodeId(bytes)
+                };
+                assert!(id(0).to_public_key().is_none() && id(cap).to_public_key().is_none());
+                let ids = 0..cap + cap / 2;
+                // Forward, then back: the newest `cap` hit, the oldest were evicted.
+                for i in ids.clone().chain(ids.rev()) {
+                    assert_eq!(id(i).kad_hash(), keccak256(&id(i).0), "id {i}");
+                }
+                let stats = memo_stats().id_hash;
+                assert_eq!(
+                    (stats.hits, stats.evictions),
+                    (cap as u64, cap as u64),
+                    "{stats:?}"
+                );
+            });
+        });
     }
 
     #[test]

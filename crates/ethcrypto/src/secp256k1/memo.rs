@@ -3,10 +3,12 @@
 //! A simulated network re-derives the same values constantly: every discv4
 //! packet is signed by one of a handful of node keys and recovered once per
 //! delivery, every RLPx handshake computes the same static-static ECDH
-//! secret from both ends, and node IDs are recomputed from secret keys on
-//! hot paths. All three are *pure functions*, so caching them cannot change
-//! any observable output — a hit returns exactly the value the full
-//! computation would, and a miss falls through to the real computation.
+//! secret from both ends, node IDs are recomputed from secret keys on hot
+//! paths, and every routing table and lookup hashes the node IDs it holds
+//! — again on each restore. All four are *pure functions*, so caching them
+//! cannot change any observable output — a hit returns exactly the value
+//! the full computation would, and a miss falls through to the real
+//! computation.
 //!
 //! Invariants that make each table sound:
 //! - **pubkey**: keyed by the exact secret scalar bytes; value is `d*G`.
@@ -32,21 +34,24 @@
 //!   reverse entry is dropped with the forward entry that owns it, after
 //!   which the key is simply one whose secret this thread never saw and
 //!   `ecdh` multiplies as before.
+//! - **id hash**: keyed by the exact 64 bytes of a node ID, curve point or
+//!   not; value is `keccak256` of those bytes.
 //!
 //! # Layout
 //!
 //! One thread-local [`Memo`] (the simulator is single-threaded per world)
-//! holds the three tables. Each is a [`FlatCache`]: the entries sit in a
+//! holds the four tables. Each is a [`FlatCache`]: the entries sit in a
 //! `Vec` **ring** in insertion order, and an [`Index`] — an open-addressed,
 //! linear-probed `Vec<u32>` of ring slots, at most half full — finds a key's
 //! slot. The index stores no key and no hash: a probe compares against the
 //! key in the ring, and a cell's home is recomputed from 64 bits folded out
-//! of that key ([`MemoKey::index_bits`]; scalars, x coordinates, digests and
-//! signatures are uniform already) and spread by one multiplication. Nothing
-//! iterates an index, so probe order can never reach an output. A sender
-//! who grinds keys onto one home cell buys longer probes for those keys
-//! and nothing else — answers come from the full-key comparison, and the
-//! ring turns the entries out after `cap` inserts like any others.
+//! of that key ([`MemoKey::index_bits`]; scalars, x coordinates, digests,
+//! signatures and node IDs are uniform already) and spread by one
+//! multiplication. Nothing iterates an index, so probe order can never
+//! reach an output. A sender who grinds keys onto one home cell buys longer
+//! probes for those keys and nothing else — answers come from the full-key
+//! comparison, and the ring turns the entries out after `cap` inserts like
+//! any others.
 //!
 //! The pubkey table's reverse map is a second [`Index`] over the same ring,
 //! keyed by the x of each slot's point. A slot leaving the ring takes its
@@ -69,11 +74,11 @@
 //! A table must be large enough that an entry survives from the operation
 //! that populates it to the operation that reads it back — under FIFO
 //! eviction the cap must exceed the number of *inserts* that can land in
-//! between. That number scales with the world, so `ethpop::World::build`
-//! calls [`fit_memo`] with its host count and each cap is
-//! `clamp(c · hosts, 4096, the old fixed cap)` ([`Caps::for_hosts`];
-//! grow-only, so a process that builds several worlds keeps the largest
-//! fit). The windows, and `c`:
+//! between. For the first three tables that number scales with the world,
+//! so `ethpop::World::build` calls [`fit_memo`] with its host count and
+//! each of their caps is `clamp(c · hosts, 4096, the old fixed cap)`
+//! ([`Caps::for_hosts`]; grow-only, so a process that builds several
+//! worlds keeps the largest fit). The windows, and `c`:
 //!
 //! - **SIG, c = 4.** Populated at signing, read at delivery — and a
 //!   discv4 expiration is in whole seconds, so a host that sends the same
@@ -104,18 +109,32 @@
 //!   The old cap also kept a static pair until its redial minutes later;
 //!   since PR 18 that miss is the same 6.5 µs comb multiplication and is
 //!   not worth a slot (≈ 2 % of ECDH hits on a 169-host crawl).
+//! - **ID, the floor, whatever the world.** Populated the first time a
+//!   routing table or lookup meets an ID, read back by every later `add` /
+//!   `contains` / `remove` of it, every lookup that meets it again and —
+//!   the read that matters — every restore and shell build, which re-file
+//!   each resident of every table. That window is a whole checkpoint
+//!   interval, so the table should hold every ID the world hashes. How many
+//!   that is follows how much discovery a world runs, not its host count:
+//!   `crawl_steady` hashes 3,633 distinct IDs over 169 hosts, `gossip_heavy`
+//!   549 over 168, `scale_ramp` 872 over 10,019, `checkpoint_cycle` 459
+//!   over 1,519, and `repro scale 50000` 2,722 over 50,019. All fit the
+//!   floor and none evicts, so the cap does not grow with `hosts`. A world
+//!   that hashes more evicts (`memo_stats().id_hash.evictions` counts it)
+//!   and pays one keccak-f, 0.5–0.7 µs, per ID it hashes again.
 //!
-//! | hosts   | PUBKEY cap | ECDH cap | SIG cap | all three full |
-//! |---------|------------|----------|---------|----------------|
-//! | 169     | 4,096      | 4,096    | 4,096   | 1.7 MB         |
-//! | 10,000  | 30,000     | 20,000   | 40,000  | 13 MB          |
-//! | 250,000 | 524,288    | 500,000  | 262,144 | 163 MB         |
+//! | hosts   | PUBKEY cap | ECDH cap | SIG cap | ID cap | all four full |
+//! |---------|------------|----------|---------|--------|---------------|
+//! | 169     | 4,096      | 4,096    | 4,096   | 4,096  | 2.1 MB        |
+//! | 10,000  | 30,000     | 20,000   | 40,000  | 4,096  | 13 MB         |
+//! | 250,000 | 524,288    | 500,000  | 262,144 | 4,096  | 164 MB        |
 //!
 //! A full slot is its ring entry plus 8 B in each index over it: 120 B for
 //! a pubkey (32 B scalar, 72 B point, two indexes), 104 B for an ECDH pair,
-//! 184 B for a signature (97 B key, 72 B point). The old structure held
-//! every key twice, reached ≈ 260 MB before tree overhead at its fixed caps
-//! — and grew towards that in every world, whatever its size.
+//! 184 B for a signature (97 B key, 72 B point), 104 B for an ID (64 B ID,
+//! 32 B hash). The old structure held every key twice, reached ≈ 260 MB
+//! before tree overhead at its three fixed caps — and grew towards that in
+//! every world, whatever its size.
 
 use super::point::Affine;
 use crate::u256::U256;
@@ -138,7 +157,7 @@ fn fold(bytes: &[u8]) -> u64 {
     })
 }
 
-impl MemoKey for [u8; 32] {
+impl<const N: usize> MemoKey for [u8; N] {
     fn index_bits(&self) -> u64 {
         fold(self)
     }
@@ -429,7 +448,8 @@ type EcdhPair = ([u8; 32], [u8; 32]);
 /// (digest, r‖s‖v) cache key.
 type SigKey = ([u8; 32], [u8; 65]);
 
-/// The three tables' capacities (module docs, "Sizing").
+/// The capacities of the three tables sized by host count (module docs,
+/// "Sizing"); the ID table's is always [`Caps::FLOOR`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Caps {
     pubkey: usize,
@@ -467,6 +487,8 @@ struct Memo {
     ecdh: FlatCache<EcdhPair, [u8; 32]>,
     /// (digest, r‖s‖v) -> signer public key point.
     sig: FlatCache<SigKey, Affine>,
+    /// node ID -> keccak256 of it.
+    id_hash: FlatCache<[u8; 64], [u8; 32]>,
     sig_evicted_early: u64,
 }
 
@@ -476,6 +498,7 @@ impl Memo {
             pubkey: PubkeyMemo::new(caps.pubkey),
             ecdh: FlatCache::new(caps.ecdh),
             sig: FlatCache::new(caps.sig),
+            id_hash: FlatCache::new(Caps::FLOOR),
             sig_evicted_early: 0,
         }
     }
@@ -514,6 +537,8 @@ pub struct MemoStats {
     pub ecdh: TableStats,
     /// (digest, signature) → signer.
     pub sig: TableStats,
+    /// node ID → its keccak256.
+    pub id_hash: TableStats,
     /// Recoveries that took the slow path and arrived at a key whose secret
     /// this thread holds: a signature produced here and evicted before its
     /// last read. A world that counts any has a `sig` table smaller than
@@ -528,6 +553,7 @@ pub fn memo_stats() -> MemoStats {
         pubkey: m.pubkey.points.stats(),
         ecdh: m.ecdh.stats(),
         sig: m.sig.stats(),
+        id_hash: m.id_hash.stats(),
         sig_evicted_early: m.sig_evicted_early,
     })
 }
@@ -543,6 +569,18 @@ pub fn fit_memo(hosts: usize) {
         m.ecdh.grow(caps.ecdh);
         m.sig.grow(caps.sig);
     });
+}
+
+/// `keccak256(id)` of a 64-byte node ID — the value discovery's distance
+/// metric is computed over — through the ID table.
+pub fn id_hash(id: &[u8; 64]) -> [u8; 32] {
+    with_memo(|m| {
+        m.id_hash.get(id).unwrap_or_else(|| {
+            let hash = crate::keccak256(id);
+            m.id_hash.insert(*id, hash);
+            hash
+        })
+    })
 }
 
 /// A scalar `d` with `x(d*G) == x`, if the pubkey table holds one.
@@ -768,6 +806,17 @@ mod tests {
             (1 << 19, 500_000, 1 << 18)
         );
         assert_eq!(Caps::for_hosts(usize::MAX), Caps::MAX);
+    }
+
+    #[test]
+    fn the_id_table_stays_at_the_floor_in_any_world() {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(memo_stats().id_hash.cap, Caps::FLOOR);
+                fit_memo(250_000);
+                assert_eq!(memo_stats().id_hash.cap, Caps::FLOOR);
+            });
+        });
     }
 
     #[test]

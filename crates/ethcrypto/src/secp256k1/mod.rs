@@ -16,7 +16,7 @@ mod scalar;
 
 pub use ecdsa::{recover, RecoverableSignature, Signature};
 pub use field::Fe;
-pub use memo::{fit_memo, memo_stats, MemoStats, TableStats};
+pub use memo::{fit_memo, id_hash, memo_stats, MemoStats, TableStats};
 pub use point::{double_scalar_mul, scalar_mul, scalar_mul_generator, Affine};
 
 use crate::u256::U256;

@@ -27,4 +27,4 @@ pub use distance::{
     log_distance_geth, log_distance_parity, metrics_agree, xor_cmp, Metric, MAX_BUCKETS,
 };
 pub use lookup::{Lookup, LookupParts, LookupStatus};
-pub use table::{AddOutcome, BucketEntry, RoutingTable, BUCKET_SIZE};
+pub use table::{AddOutcome, BucketEntry, RoutingTable, TableEntries, BUCKET_SIZE};

@@ -8,6 +8,7 @@
 
 use crate::distance::xor_cmp;
 use enode::{NodeId, NodeRecord};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 /// Concurrency factor α (both Geth and the Kademlia paper use 3).
@@ -200,29 +201,36 @@ impl Lookup {
     }
 
     /// Rebuild a lookup mid-walk from [`Lookup::to_parts`] output. The
-    /// candidate vector is restored verbatim (it is already sorted by XOR
-    /// distance), so tie ordering survives the round trip.
-    pub fn from_parts((target_hash, candidates, in_flight, queries_sent): LookupParts) -> Lookup {
-        let mut seen = BTreeSet::new();
-        let candidates = candidates
+    /// candidates keep their order, so tie ordering survives the round
+    /// trip; it must be the order `insert` keeps — strictly ascending XOR
+    /// distance to the target, which also rules out an id listed twice —
+    /// or `insert`'s binary search would file later candidates wrongly,
+    /// and the lookup is refused.
+    pub fn from_parts(
+        (target_hash, candidates, in_flight, queries_sent): LookupParts,
+    ) -> Result<Lookup, &'static str> {
+        let candidates: Vec<Candidate> = candidates
             .into_iter()
-            .map(|(record, queried, failed)| {
-                seen.insert(record.id);
-                Candidate {
-                    hash: record.id.kad_hash(),
-                    record,
-                    queried,
-                    failed,
-                }
+            .map(|(record, queried, failed)| Candidate {
+                hash: record.id.kad_hash(),
+                record,
+                queried,
+                failed,
             })
             .collect();
-        Lookup {
+        if !candidates
+            .windows(2)
+            .all(|w| xor_cmp(&target_hash, &w[0].hash, &w[1].hash) == Ordering::Less)
+        {
+            return Err("lookup candidates not strictly ascending by XOR distance");
+        }
+        Ok(Lookup {
             target_hash,
+            seen: candidates.iter().map(|c| c.record.id).collect(),
             candidates,
-            seen,
             in_flight,
             queries_sent,
-        }
+        })
     }
 }
 
@@ -307,6 +315,21 @@ mod tests {
         assert!(!closest.iter().any(|r| r.id == q[0].id));
         // but all_seen still includes it (the crawler logs every sighting)
         assert_eq!(lk.all_seen().len(), 3);
+    }
+
+    #[test]
+    fn from_parts_refuses_candidates_out_of_xor_order() {
+        let mut lk = Lookup::new([0u8; 32], (0..10).map(rec).collect());
+        lk.next_queries();
+        let parts = lk.to_parts();
+        let back = Lookup::from_parts(parts.clone()).map(|l| l.to_parts());
+        assert_eq!(back, Ok(parts.clone()));
+        let mut swapped = parts.clone();
+        swapped.1.swap(3, 4);
+        assert!(Lookup::from_parts(swapped).is_err());
+        let mut repeated = parts;
+        repeated.1[4] = repeated.1[3];
+        assert!(Lookup::from_parts(repeated).is_err());
     }
 
     #[test]

@@ -278,7 +278,7 @@ impl RoutingTable {
     /// Export the table contents for checkpoint/restore: `(bucket index,
     /// residents as (record, last_seen))` in storage order. Cached hashes
     /// and fingerprints are derived data and deliberately omitted.
-    pub fn export_entries(&self) -> Vec<(u16, Vec<(NodeRecord, u64)>)> {
+    pub fn export_entries(&self) -> TableEntries {
         self.buckets
             .iter()
             .map(|(idx, b)| (*idx, b.iter().map(|e| (e.record, e.last_seen)).collect()))
@@ -287,33 +287,54 @@ impl RoutingTable {
 
     /// Rebuild a table from [`RoutingTable::export_entries`] output,
     /// preserving bucket slots (including emptied ones) and in-bucket
-    /// insertion order exactly.
+    /// insertion order exactly. Refuses, naming why, what
+    /// [`RoutingTable::add`] could not have built — bucket indices not
+    /// strictly ascending or past [`MAX_BUCKETS`], a bucket over
+    /// [`BUCKET_SIZE`], the local node, a resident in another bucket than
+    /// its hash gives, one stored twice — since `contains`, `remove` and
+    /// `add` on such a table would disagree with the one that was saved.
     pub fn from_entries(
         local_id: NodeId,
         metric: Metric,
-        entries: Vec<(u16, Vec<(NodeRecord, u64)>)>,
-    ) -> RoutingTable {
-        let buckets = entries
-            .into_iter()
-            .map(|(idx, residents)| {
-                let b = residents
-                    .into_iter()
-                    .map(|(record, last_seen)| BucketEntry {
-                        fp: id_fp(&record.id),
-                        hash: record.id.kad_hash(),
-                        record,
-                        last_seen,
-                    })
-                    .collect();
-                (idx, b)
-            })
-            .collect();
-        RoutingTable {
-            local_hash: local_id.kad_hash(),
-            local_id,
-            metric,
-            buckets,
+        entries: TableEntries,
+    ) -> Result<RoutingTable, &'static str> {
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err("routing-table buckets not ascending");
         }
+        let mut table = RoutingTable::new(local_id, metric);
+        for (idx, residents) in entries {
+            if usize::from(idx) >= MAX_BUCKETS {
+                return Err("routing-table bucket index out of range");
+            }
+            if residents.len() > BUCKET_SIZE {
+                return Err("routing-table bucket over its size");
+            }
+            let mut bucket: Vec<BucketEntry> = Vec::with_capacity(residents.len());
+            for (record, last_seen) in residents {
+                if record.id == local_id {
+                    return Err("routing table holds the local node");
+                }
+                let hash = record.id.kad_hash();
+                if table.bucket_of(&hash) != usize::from(idx) {
+                    return Err("routing-table resident in the wrong bucket");
+                }
+                let fp = id_fp(&record.id);
+                if bucket
+                    .iter()
+                    .any(|e| e.fp == fp && e.record.id == record.id)
+                {
+                    return Err("routing-table resident stored twice");
+                }
+                bucket.push(BucketEntry {
+                    record,
+                    last_seen,
+                    hash,
+                    fp,
+                });
+            }
+            table.buckets.push((idx, bucket));
+        }
+        Ok(table)
     }
 
     /// A uniformly random resident, used for table refresh lookups.
@@ -326,6 +347,9 @@ impl RoutingTable {
         self.entries().nth(pick).map(|e| e.record)
     }
 }
+
+/// What [`RoutingTable::export_entries`] captures.
+pub type TableEntries = Vec<(u16, Vec<(NodeRecord, u64)>)>;
 
 #[cfg(test)]
 mod tests {
@@ -545,6 +569,51 @@ mod tests {
         });
         expected.truncate(32);
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn from_entries_refuses_what_add_could_not_build() {
+        let mut t = table();
+        for s in 0..40u8 {
+            t.add(record(s), s as u64);
+        }
+        let local = *t.local_id();
+        let rebuild = |entries| {
+            RoutingTable::from_entries(local, Metric::GethLog2, entries).map(|t| t.export_entries())
+        };
+        let saved = t.export_entries();
+        assert_eq!(rebuild(saved.clone()), Ok(saved.clone()));
+        let two = saved.iter().position(|(_, b)| b.len() >= 2).unwrap();
+        let hostile = |change: &dyn Fn(&mut TableEntries)| {
+            let mut entries = saved.clone();
+            change(&mut entries);
+            rebuild(entries).map(|_| ())
+        };
+        assert_eq!(
+            hostile(&|e| e.swap(0, 1)),
+            Err("routing-table buckets not ascending")
+        );
+        assert_eq!(
+            hostile(&|e| e.push((MAX_BUCKETS as u16, Vec::new()))),
+            Err("routing-table bucket index out of range")
+        );
+        assert_eq!(
+            hostile(&|e| e[two].1 = vec![e[two].1[0]; BUCKET_SIZE + 1]),
+            Err("routing-table bucket over its size")
+        );
+        assert_eq!(
+            hostile(&|e| e[two].1[1].0.id = local),
+            Err("routing table holds the local node")
+        );
+        // The lowest bucket is never bucket 0, the local node's.
+        assert_eq!(
+            hostile(&|e| e[0].0 -= 1),
+            Err("routing-table resident in the wrong bucket")
+        );
+        assert_eq!(
+            hostile(&|e| e[two].1[1] = e[two].1[0]),
+            Err("routing-table resident stored twice")
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Crawler checkpoint/restore — the `NFND` v2 snapshot section.
+//! Crawler checkpoint/restore — the `NFND` v3 snapshot section.
 //!
 //! Like every snapshotting layer in this workspace (netsim `PSNP`, obs
 //! `OBSS`, ethpop `ETHN`), the crawler follows the rebuild-shell /
@@ -21,9 +21,12 @@
 //! 6. penalty-box entries + monotone box total;
 //! 7. session manager: dial-slot counters, then each live probe in
 //!    numeric `ConnId` order (`PeerConn` wire state + the in-progress
-//!    `ConnLog` as JSON);
+//!    `ConnLog`);
 //! 8. scheduler arm flags;
-//! 9. the crawl log as JSONL.
+//! 9. the crawl log: its connection records, then its events.
+//!
+//! No field is text: `CrawlLog::to_jsonl` is the log's export format, not
+//! its checkpoint.
 //!
 //! Timers are *not* serialized here: the netsim snapshot owns the event
 //! queue, and restoring it re-delivers `T_*` tokens at the right instants.
@@ -40,7 +43,7 @@ use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
 const SNAP_MAGIC: [u8; 4] = *b"NFND";
-const SNAP_VERSION: u8 = 2;
+const SNAP_VERSION: u8 = 3;
 
 impl NodeFinder {
     /// Serialize every piece of dynamic crawler state (see the module
@@ -148,7 +151,7 @@ impl NodeFinder {
 mod tests {
     use super::*;
     use crate::crawler::CrawlerConfig;
-    use crate::log::{ConnLog, ConnOutcome, ConnType, DialEvent, DialEventKind};
+    use crate::log::{ConnLog, ConnOutcome, ConnType, DialEvent, DialEventKind, FailureClass};
     use enode::{Endpoint, NodeId, NodeRecord};
     use ethcrypto::secp256k1::SecretKey;
     use rand::rngs::StdRng;
@@ -175,13 +178,9 @@ mod tests {
         NodeFinder::new(key, CrawlerConfig::default(), vec![rec(1)])
     }
 
-    /// Populate a crawler off-sim (no sockets, no discovery) and check
-    /// that a shell-rebuilt crawler restored from its snapshot produces a
-    /// byte-identical second snapshot. The full in-sim proof (snapshot at
-    /// T, resume, identical artifacts at 2T) lives in the workspace
-    /// `resume_determinism` suite.
-    #[test]
-    fn encode_apply_round_trips_bytewise() {
+    /// A crawler populated off-sim (no sockets, no discovery), its log
+    /// ending in a failed connection and then a sighting.
+    fn populated() -> NodeFinder {
         let mut rng = StdRng::seed_from_u64(7);
         let mut nf = crawler();
         for tag in [9u8, 3, 5] {
@@ -212,7 +211,7 @@ mod tests {
             status: None,
             dao_fork: None,
             outcome: ConnOutcome::DialFailed,
-            failure: None,
+            failure: Some(FailureClass::ConnectTimeout),
         });
         nf.log.events.push(DialEvent {
             instance: 0,
@@ -222,7 +221,16 @@ mod tests {
             kind: DialEventKind::DiscoverySighting,
         });
         nf.poll_armed = true;
+        nf
+    }
 
+    /// A shell-rebuilt crawler restored from a populated crawler's snapshot
+    /// produces a byte-identical second snapshot. The full in-sim proof
+    /// (snapshot at T, resume, identical artifacts at 2T) lives in the
+    /// workspace `resume_determinism` suite.
+    #[test]
+    fn encode_apply_round_trips_bytewise() {
+        let nf = populated();
         let snap = nf.encode_state();
         let mut restored = crawler();
         restored.apply_state(&snap).expect("snapshot applies");
@@ -242,14 +250,45 @@ mod tests {
     }
 
     #[test]
-    fn v1_image_is_a_version_error() {
+    fn v2_image_is_a_version_error() {
         assert_eq!(
-            crawler().apply_state(b"NFND\x01"),
+            crawler().apply_state(b"NFND\x02"),
             Err(SnapError::BadVersion {
-                expected: 2,
-                found: 1
+                expected: 3,
+                found: 2
             })
         );
+    }
+
+    /// A v3 image cut short anywhere, or with a tag no variant has in one
+    /// of the log's enums, is an `Err`.
+    #[test]
+    fn truncated_or_bad_tag_images_are_rejected() {
+        let nf = populated();
+        let snap = nf.encode_state();
+        for len in 0..snap.len() {
+            assert!(crawler().apply_state(&snap[..len]).is_err(), "cut to {len}");
+        }
+        // The image ends with the log: its one connection, then its one
+        // event, whose last byte is the kind tag. The connection ends with
+        // outcome tag ‖ failure present ‖ failure tag.
+        let mut w = SnapWriter::new();
+        nf.log.conns[0].snap(&mut w);
+        let conn = w.finish();
+        let end = snap
+            .windows(conn.len())
+            .rposition(|w| w == conn)
+            .expect("the connection record is in the image")
+            + conn.len();
+        for (at, tag) in [
+            (end - 3, "ConnOutcome tag out of range"),
+            (end - 1, "FailureClass tag out of range"),
+            (snap.len() - 1, "DialEventKind tag out of range"),
+        ] {
+            let mut bad = snap.clone();
+            bad[at] = 0xFF;
+            assert_eq!(crawler().apply_state(&bad), Err(SnapError::Corrupt(tag)));
+        }
     }
 
     /// A map that is not in key order is refused, not silently re-sorted

@@ -2,7 +2,6 @@
 //! logger recorded (§4).
 
 use enode::NodeId;
-use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
@@ -30,6 +29,12 @@ pub struct HelloInfo {
     pub p2p_version: u32,
 }
 
+obs::snap_struct!(HelloInfo {
+    client_id,
+    capabilities,
+    p2p_version
+});
+
 /// Decoded Ethereum STATUS fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatusInfo {
@@ -44,6 +49,14 @@ pub struct StatusInfo {
     /// Genesis hash.
     pub genesis_hash: [u8; 32],
 }
+
+obs::snap_struct!(StatusInfo {
+    protocol_version,
+    network_id,
+    total_difficulty,
+    best_hash,
+    genesis_hash
+});
 
 /// Terminal state of a probe connection.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,6 +76,16 @@ pub enum ConnOutcome {
     /// Still open when the experiment ended.
     Open,
 }
+
+obs::snap_enum!(ConnOutcome {
+    0 => DialFailed,
+    1 => HandshakeFailed,
+    2 => HelloOnly,
+    3 => StatusCollected,
+    4 => DaoChecked,
+    5 => RemoteDisconnect(reason),
+    6 => Open,
+});
 
 /// Why a failed probe failed — the per-failure-class counters behind the
 /// degraded-conditions dialed-vs-responded funnel (Figs. 6–7).
@@ -85,6 +108,17 @@ pub enum FailureClass {
     /// The probe exceeded its total lifetime cap.
     ProbeTimeout,
 }
+
+obs::snap_enum!(FailureClass {
+    0 => ConnectFailed,
+    1 => ConnectTimeout,
+    2 => HandshakeTimeout,
+    3 => HelloTimeout,
+    4 => StatusTimeout,
+    5 => ProtocolError,
+    6 => RemoteReset,
+    7 => ProbeTimeout,
+});
 
 impl FailureClass {
     /// Stable string label (DataStore counter key).
@@ -138,6 +172,22 @@ pub struct ConnLog {
     pub failure: Option<FailureClass>,
 }
 
+obs::snap_struct!(ConnLog {
+    instance,
+    ts_ms,
+    node_id,
+    ip,
+    port,
+    conn_type,
+    latency_ms,
+    duration_ms,
+    hello,
+    status,
+    dao_fork,
+    outcome,
+    failure
+});
+
 /// A discovery-layer sighting (RLPx node discovery, no TCP involved).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DialEvent {
@@ -152,6 +202,14 @@ pub struct DialEvent {
     /// Kind of event.
     pub kind: DialEventKind,
 }
+
+obs::snap_struct!(DialEvent {
+    instance,
+    ts_ms,
+    node_id,
+    ip,
+    kind
+});
 
 /// Kinds of countable crawler events (Figures 5–8 are built from these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -168,17 +226,13 @@ pub enum DialEventKind {
     DiscoverySighting,
 }
 
-/// Image: the record as one JSON string — `serde_json` output is
-/// deterministic (struct field order), so it is a pure function of the
-/// record.
-impl Snap for ConnLog {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.str(&serde_json::to_string(self).expect("conn log serializes"));
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<ConnLog, SnapError> {
-        serde_json::from_str(r.str()?).map_err(|_| SnapError::Corrupt("conn log does not parse"))
-    }
-}
+obs::snap_enum!(DialEventKind {
+    0 => DiscoveryAttempt,
+    1 => DynamicDialAttempt,
+    2 => StaticDialAttempt,
+    3 => DialResponded,
+    4 => DiscoverySighting,
+});
 
 /// Everything one crawler instance accumulates.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -189,15 +243,7 @@ pub struct CrawlLog {
     pub events: Vec<DialEvent>,
 }
 
-/// Image: the whole log as one JSONL string ([`CrawlLog::to_jsonl`]).
-impl Snap for CrawlLog {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.str(&self.to_jsonl());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<CrawlLog, SnapError> {
-        CrawlLog::from_jsonl(r.str()?).map_err(|_| SnapError::Corrupt("crawl log does not parse"))
-    }
-}
+obs::snap_struct!(CrawlLog { conns, events });
 
 impl CrawlLog {
     /// Merge another instance's log into this one (harness-side).
@@ -206,7 +252,9 @@ impl CrawlLog {
         self.events.extend(other.events);
     }
 
-    /// Serialize as JSON lines (one conn/event per line, tagged).
+    /// Serialize as JSON lines (one conn/event per line, tagged): the
+    /// crawl log's export format. A checkpoint writes the log through
+    /// `Snap` instead.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for c in &self.conns {
@@ -246,6 +294,171 @@ impl CrawlLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::snap::{Snap, SnapReader, SnapWriter};
+    use proptest::prelude::*;
+
+    const FAILURES: [FailureClass; 8] = [
+        FailureClass::ConnectFailed,
+        FailureClass::ConnectTimeout,
+        FailureClass::HandshakeTimeout,
+        FailureClass::HelloTimeout,
+        FailureClass::StatusTimeout,
+        FailureClass::ProtocolError,
+        FailureClass::RemoteReset,
+        FailureClass::ProbeTimeout,
+    ];
+
+    const KINDS: [DialEventKind; 5] = [
+        DialEventKind::DiscoveryAttempt,
+        DialEventKind::DynamicDialAttempt,
+        DialEventKind::StaticDialAttempt,
+        DialEventKind::DialResponded,
+        DialEventKind::DiscoverySighting,
+    ];
+
+    const CONN_TYPES: [ConnType; 3] = [
+        ConnType::DynamicDial,
+        ConnType::StaticDial,
+        ConnType::Incoming,
+    ];
+
+    fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+        (any::<bool>(), s).prop_map(|(some, v)| some.then_some(v))
+    }
+
+    fn arb_id() -> impl Strategy<Value = NodeId> {
+        proptest::collection::vec(any::<u8>(), 64)
+            .prop_map(|v| NodeId(v.try_into().expect("64 bytes")))
+    }
+
+    fn arb_outcome() -> impl Strategy<Value = ConnOutcome> {
+        prop_oneof![
+            Just(ConnOutcome::DialFailed),
+            Just(ConnOutcome::HandshakeFailed),
+            Just(ConnOutcome::HelloOnly),
+            Just(ConnOutcome::StatusCollected),
+            Just(ConnOutcome::DaoChecked),
+            ".{0,24}".prop_map(ConnOutcome::RemoteDisconnect),
+            Just(ConnOutcome::Open),
+        ]
+    }
+
+    fn arb_conn() -> impl Strategy<Value = ConnLog> {
+        let hello = (
+            ".{0,40}",
+            proptest::collection::vec(".{0,8}", 0..4),
+            any::<u32>(),
+        )
+            .prop_map(|(client_id, capabilities, p2p_version)| HelloInfo {
+                client_id,
+                capabilities,
+                p2p_version,
+            });
+        let status = (
+            any::<u32>(),
+            any::<u64>(),
+            prop_oneof![Just(u128::MAX), any::<u128>()],
+            any::<[u8; 32]>(),
+            any::<[u8; 32]>(),
+        )
+            .prop_map(
+                |(protocol_version, network_id, total_difficulty, best_hash, genesis_hash)| {
+                    StatusInfo {
+                        protocol_version,
+                        network_id,
+                        total_difficulty,
+                        best_hash,
+                        genesis_hash,
+                    }
+                },
+            );
+        let head = (
+            any::<u32>(),
+            any::<u64>(),
+            maybe(arb_id()),
+            any::<u32>(),
+            any::<u16>(),
+            0..CONN_TYPES.len(),
+        );
+        let tail = (
+            (any::<u32>(), any::<u64>()),
+            maybe(hello),
+            maybe(status),
+            maybe(any::<bool>()),
+            arb_outcome(),
+            maybe(0..FAILURES.len()),
+        );
+        (head, tail).prop_map(
+            |(
+                (instance, ts_ms, node_id, ip, port, conn_type),
+                ((latency_ms, duration_ms), hello, status, dao_fork, outcome, failure),
+            )| ConnLog {
+                instance,
+                ts_ms,
+                node_id,
+                ip: Ipv4Addr::from(ip),
+                port,
+                conn_type: CONN_TYPES[conn_type],
+                latency_ms,
+                duration_ms,
+                hello,
+                status,
+                dao_fork,
+                outcome,
+                failure: failure.map(|i| FAILURES[i]),
+            },
+        )
+    }
+
+    fn arb_event() -> impl Strategy<Value = DialEvent> {
+        (
+            any::<u32>(),
+            any::<u64>(),
+            arb_id(),
+            any::<u32>(),
+            0..KINDS.len(),
+        )
+            .prop_map(|(instance, ts_ms, node_id, ip, kind)| DialEvent {
+                instance,
+                ts_ms,
+                node_id,
+                ip: Ipv4Addr::from(ip),
+                kind: KINDS[kind],
+            })
+    }
+
+    fn snap_bytes<T: Snap>(x: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        x.snap(&mut w);
+        w.finish()
+    }
+
+    proptest! {
+        /// A log read back from its image is the log written — the same
+        /// JSONL export, the same image — over every outcome, absent
+        /// fields and the largest total difficulty; the reader consumes
+        /// exactly the image.
+        #[test]
+        fn crawl_log_snap_round_trips(
+            conns in proptest::collection::vec(arb_conn(), 0..6),
+            events in proptest::collection::vec(arb_event(), 0..6),
+        ) {
+            let log = CrawlLog { conns, events };
+            let image = snap_bytes(&log);
+            let mut r = SnapReader::new(&image);
+            let back = CrawlLog::unsnap(&mut r).unwrap();
+            prop_assert_eq!(r.finish(), Ok(()));
+            prop_assert_eq!(back.to_jsonl(), log.to_jsonl());
+            prop_assert_eq!(snap_bytes(&back), image);
+            for conn in &log.conns {
+                let image = snap_bytes(conn);
+                let mut r = SnapReader::new(&image);
+                let back = ConnLog::unsnap(&mut r).unwrap();
+                prop_assert_eq!(r.finish(), Ok(()));
+                prop_assert_eq!(snap_bytes(&back), image);
+            }
+        }
+    }
 
     fn sample_conn() -> ConnLog {
         ConnLog {
@@ -324,17 +537,7 @@ mod tests {
 
     #[test]
     fn failure_labels_are_distinct() {
-        let all = [
-            FailureClass::ConnectFailed,
-            FailureClass::ConnectTimeout,
-            FailureClass::HandshakeTimeout,
-            FailureClass::HelloTimeout,
-            FailureClass::StatusTimeout,
-            FailureClass::ProtocolError,
-            FailureClass::RemoteReset,
-            FailureClass::ProbeTimeout,
-        ];
-        let labels: std::collections::BTreeSet<&str> = all.iter().map(|f| f.label()).collect();
-        assert_eq!(labels.len(), all.len());
+        let labels: std::collections::BTreeSet<&str> = FAILURES.iter().map(|f| f.label()).collect();
+        assert_eq!(labels.len(), FAILURES.len());
     }
 }

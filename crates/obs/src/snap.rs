@@ -15,7 +15,7 @@
 //!
 //! | Rust type | bytes |
 //! |---|---|
-//! | `u8` `u16` `u32` `u64` | fixed width, little-endian |
+//! | `u8` `u16` `u32` `u64` `u128` | fixed width, little-endian |
 //! | `usize` | as `u64`; rejected on read if the platform cannot hold it |
 //! | `bool` | one byte, `0` or `1`; anything else is corrupt |
 //! | `i64` | two's-complement bit pattern as `u64` |
@@ -379,6 +379,15 @@ impl Snap for u8 {
     fn unsnap_run(r: &mut SnapReader<'_>, out: &mut [u8]) -> Result<(), SnapError> {
         out.copy_from_slice(r.take(out.len())?);
         Ok(())
+    }
+}
+
+impl Snap for u128 {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.raw(&self.to_le_bytes());
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<u128, SnapError> {
+        r.array().map(u128::from_le_bytes)
     }
 }
 

@@ -136,9 +136,15 @@ impl FrameCodec {
     }
 
     /// The spec's `updateMAC`: mix `seed` into `state` through the MAC
-    /// cipher and return the new 16-byte tag.
-    fn update_mac(mac_cipher: &Aes, state: &mut Keccak, seed: &[u8; 16]) -> [u8; 16] {
-        let digest = Self::mac_digest(state);
+    /// cipher and return the new 16-byte tag. `digest` is
+    /// `mac_digest(state)`, which the frame-body caller has already
+    /// computed as its seed.
+    fn update_mac(
+        mac_cipher: &Aes,
+        state: &mut Keccak,
+        digest: [u8; 16],
+        seed: &[u8; 16],
+    ) -> [u8; 16] {
         let mut block = digest;
         mac_cipher.encrypt_block(&mut block);
         for i in 0..16 {
@@ -160,7 +166,8 @@ impl FrameCodec {
         header[4] = 0x80;
         header[5] = 0x80;
         self.enc.apply(&mut header);
-        let header_mac = Self::update_mac(&self.mac_cipher, &mut self.egress_mac, &header);
+        let digest = Self::mac_digest(&self.egress_mac);
+        let header_mac = Self::update_mac(&self.mac_cipher, &mut self.egress_mac, digest, &header);
 
         let padded_len = data.len().div_ceil(16) * 16;
         let mut body = vec![0u8; padded_len];
@@ -169,7 +176,7 @@ impl FrameCodec {
 
         self.egress_mac.update(&body);
         let seed = Self::mac_digest(&self.egress_mac);
-        let frame_mac = Self::update_mac(&self.mac_cipher, &mut self.egress_mac, &seed);
+        let frame_mac = Self::update_mac(&self.mac_cipher, &mut self.egress_mac, seed, &seed);
 
         let mut out = Vec::with_capacity(32 + padded_len + 16);
         out.extend_from_slice(&header);
@@ -194,7 +201,9 @@ impl FrameCodec {
             #[allow(clippy::unwrap_used)]
             // detlint: allow(R5) -- buf.len() >= 32 checked above; slices are exact
             let claimed_mac: [u8; 16] = buf[16..32].try_into().unwrap();
-            let computed = Self::update_mac(&self.mac_cipher, &mut self.ingress_mac, &header_ct);
+            let digest = Self::mac_digest(&self.ingress_mac);
+            let computed =
+                Self::update_mac(&self.mac_cipher, &mut self.ingress_mac, digest, &header_ct);
             if computed != claimed_mac {
                 obs::counter_add("rlpx.frame_errors", 1);
                 return Err(FrameError::BadHeaderMac);
@@ -223,7 +232,7 @@ impl FrameCodec {
         let claimed_mac: [u8; 16] = buf[padded..padded + 16].try_into().unwrap();
         self.ingress_mac.update(&body_ct);
         let seed = Self::mac_digest(&self.ingress_mac);
-        let computed = Self::update_mac(&self.mac_cipher, &mut self.ingress_mac, &seed);
+        let computed = Self::update_mac(&self.mac_cipher, &mut self.ingress_mac, seed, &seed);
         if computed != claimed_mac {
             obs::counter_add("rlpx.frame_errors", 1);
             return Err(FrameError::BadFrameMac);
@@ -262,6 +271,81 @@ mod tests {
             FrameCodec::new(init.secrets().unwrap()),
             FrameCodec::new(resp.secrets().unwrap()),
         )
+    }
+
+    /// The frame writer before `update_mac` took its digest in: five
+    /// keccak finalizations per frame, the seed's digest computed twice.
+    /// Kept as the oracle for the four-finalization sequence.
+    struct FiveDigestWriter {
+        enc: AesCtr,
+        mac_cipher: Aes,
+        mac: Keccak,
+    }
+
+    impl FiveDigestWriter {
+        fn update_mac(&mut self, seed: &[u8; 16]) -> [u8; 16] {
+            let mut block = FrameCodec::mac_digest(&self.mac);
+            self.mac_cipher.encrypt_block(&mut block);
+            for i in 0..16 {
+                block[i] ^= seed[i];
+            }
+            self.mac.update(&block);
+            FrameCodec::mac_digest(&self.mac)
+        }
+
+        fn write_frame(&mut self, data: &[u8]) -> Vec<u8> {
+            let mut header = [0u8; 16];
+            header[..3].copy_from_slice(&(data.len() as u32).to_be_bytes()[1..]);
+            header[3..6].copy_from_slice(&[0xc2, 0x80, 0x80]);
+            self.enc.apply(&mut header);
+            let header_mac = self.update_mac(&header);
+            let mut body = data.to_vec();
+            body.resize(data.len().div_ceil(16) * 16, 0);
+            self.enc.apply(&mut body);
+            self.mac.update(&body);
+            let seed = FrameCodec::mac_digest(&self.mac);
+            let frame_mac = self.update_mac(&seed);
+            [&header[..], &header_mac, &body, &frame_mac].concat()
+        }
+    }
+
+    proptest::proptest! {
+        /// Frames match the five-digest writer byte for byte, over random
+        /// bodies, in both directions of one connection, and read back
+        /// whole whatever chunks they arrive in.
+        #[test]
+        fn frames_match_the_five_digest_sequence(
+            bodies in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+                1..8,
+            ),
+            chunk in 1usize..80,
+        ) {
+            let (mut a, mut b) = codecs();
+            // Each side's oracle starts from that side's fresh egress state.
+            let oracle = |c: &FrameCodec| FiveDigestWriter {
+                enc: AesCtr::new(&c.aes_key, &[0u8; 16]),
+                mac_cipher: Aes::new(&c.mac_key),
+                mac: c.egress_mac.clone(),
+            };
+            let (mut oracle_a, mut oracle_b) = (oracle(&a), oracle(&b));
+            let mut wire = Vec::new();
+            for body in &bodies {
+                let frame = a.write_frame(body);
+                proptest::prop_assert_eq!(&frame, &oracle_a.write_frame(body));
+                wire.extend_from_slice(&frame);
+                proptest::prop_assert_eq!(b.write_frame(body), oracle_b.write_frame(body));
+            }
+            let mut buf = BytesMut::new();
+            let mut read = Vec::new();
+            for piece in wire.chunks(chunk) {
+                buf.extend_from_slice(piece);
+                while let Some(frame) = b.read_frame(&mut buf).unwrap() {
+                    read.push(frame);
+                }
+            }
+            proptest::prop_assert_eq!(read, bodies);
+        }
     }
 
     #[test]

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Stack-sample one process with ptrace and print where its time goes.
 
-    profile_sample.py [--hz 400] [--top 30] -- <exe> [args...]
+    profile_sample.py [--hz 400] [--top 30] [--under <function>] -- <exe> [args...]
 
 Starts <exe>, seizes it, and every 1/hz seconds interrupts the main thread,
 reads RIP and walks the RBP frame chain out of /proc/<pid>/mem. That needs a
 binary built with `-C force-frame-pointers=yes` (and symbols: `-g` or just an
 unstripped build). Addresses are resolved against `nm -C -n <exe>`. Prints,
 per function, self % (leaf of the sample) and inclusive % (anywhere on the
-stack, once per sample), and self % summed per crate. x86-64 Linux only; the
-tracee's stdout goes to stderr so the tables are all that is on stdout.
+stack, once per sample), and self % summed per crate. With --under, every
+table counts only the samples whose stack holds that function (its name as
+the tables print it), and the percentages are of those samples. x86-64 Linux
+only; the tracee's stdout goes to stderr so the tables are all that is on
+stdout.
 """
 import bisect
 import collections
@@ -84,6 +87,7 @@ def main():
     opts, cmd = argv[:split], argv[split + 1:]
     hz = float(opts[opts.index("--hz") + 1]) if "--hz" in opts else 400.0
     top = int(opts[opts.index("--top") + 1]) if "--top" in opts else 30
+    under = opts[opts.index("--under") + 1] if "--under" in opts else None
 
     syms = symbols(cmd[0])
     addrs = [a for a, _ in syms]
@@ -110,7 +114,7 @@ def main():
 
     mem = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
     regs = (ctypes.c_ulonglong * 27)()
-    self_hits, incl_hits, total = collections.Counter(), collections.Counter(), 0
+    self_hits, incl_hits, total, seen = collections.Counter(), collections.Counter(), 0, 0
     lib_callers = collections.Counter()
     while True:
         time.sleep(1.0 / hz)
@@ -122,14 +126,20 @@ def main():
         if not os.WIFSTOPPED(status):
             break
         names = [resolve(addr) for addr in sample(pid, mem, regs)]
+        ptrace(PTRACE_CONT, pid)
+        seen += 1
+        if under is not None and under not in names:
+            continue
         total += 1
         self_hits[names[0]] += 1
         incl_hits.update(set(names))
         if names[0].startswith("["):
             lib_callers[next((n for n in names if not n.startswith("[")), "?")] += 1
-        ptrace(PTRACE_CONT, pid)
     child.wait()
-    print(f"{total} samples at {hz:g} Hz of: {' '.join(cmd)}")
+    print(f"{seen} samples at {hz:g} Hz of: {' '.join(cmd)}")
+    if under is not None:
+        print(f"{total} of them under {under}; every % below is of those")
+    total = max(total, 1)
     print(f"{'self %':>7} {'incl %':>7}  function")
     ranked = sorted(incl_hits, key=lambda n: (-self_hits[n], -incl_hits[n], n))
     for name in ranked[:top]:

@@ -2,14 +2,17 @@
 # Where one benchmark worker spends its host time: regenerates the sampled
 # self/inclusive table of DESIGN.md § Performance, "Where host time goes".
 #
-#   scripts/profile_worker.sh [workload] [seed]     default: crawl_steady 11
+#   scripts/profile_worker.sh [workload] [seed] [function]
+#                                   default: crawl_steady 11, every sample
 #
 # Builds benchmark/ with frame pointers and symbols into a target directory
 # of its own (neither target/ nor benchmark/run.sh's build is disturbed),
 # then runs ONE `--worker` process -- an untraced repetition, which is what
 # benchmark/run.sh times -- under scripts/profile_sample.py: RIP + the frame
-# chain sampled by ptrace at 400 Hz, symbols from nm. The worker's own record
-# goes to stderr, the table to stdout.
+# chain sampled by ptrace at 400 Hz, symbols from nm. A third argument keeps
+# only the samples under that function (`profile_sample.py --under`), e.g.
+# `checkpoint_cycle 11 benchmark::worker::checkpoint`. The worker's own
+# record goes to stderr, the table to stdout.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
@@ -33,5 +36,5 @@ print(z ^ (z >> 31))
 PY
 )"
 
-exec python3 scripts/profile_sample.py --hz 400 -- \
+exec python3 scripts/profile_sample.py --hz 400 ${3:+--under "$3"} -- \
     "$target/release/benchmark" --worker "$workload" --world-seed "$world_seed" --mode untraced

@@ -21,6 +21,7 @@
 
 use ethereum_p2p::prelude::*;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// Snapshot point. The crawl is well underway: discovery has fanned
 /// out, dynamic dials and static re-dials are in flight, and probes are
@@ -254,8 +255,9 @@ fn keccak_hex(bytes: &[u8]) -> String {
 /// images at T. First computed at 8e4f1ef, the last commit with
 /// hand-written per-type codecs, which the `obs::snap` refactor had to
 /// reproduce; the `PSNP` pair moved when its embedded crawler section
-/// became `NFND` v2 and again when `PSNP` itself became v2 (no per-shard
-/// depth peak, pending events in dispatch order). `OBSS` is still v1; its
+/// became `NFND` v2, again when `PSNP` itself became v2 (no per-shard
+/// depth peak, pending events in dispatch order) and again at `NFND` v3
+/// (the crawl log written through `Snap`, not as JSON). `OBSS` is still v1; its
 /// pair moved by content when the recorder stopped holding the per-shard
 /// queue gauge, which was also the only thing that told its 1- and
 /// 4-shard images apart. A change that moves one of these digests changed
@@ -265,12 +267,12 @@ fn keccak_hex(bytes: &[u8]) -> String {
 const PINNED_DIGESTS: [(usize, &str, &str); 2] = [
     (
         1,
-        "771eb6d11d11371450141407092fac43b97ee1ec86b2673cfdedbb9f48cd942d",
+        "b7bdf8a7ebe2bf72a69f6ff3749050efab2b768f67cbb85da8300e6fe4ca8921",
         "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
     ),
     (
         4,
-        "75422a75067a8d47e9f32814f8f6fce583e1b7316dea41e073ba8c04339349cf",
+        "a30e984b0fb864019cd2db206cd7cf9bc1a8ca99e2960f22b5dcd742d4eea711",
         "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
     ),
 ];
@@ -318,23 +320,37 @@ fn restore_obs(image: &[u8], case: String) -> Result<(), netsim::SnapError> {
     obs::Recorder::new().restore_state(image)
 }
 
-/// Byte offsets of the `u64` length prefixes a `PSNP` v2 restore reads.
-/// First, every one before the first host section: fault windows, conn
-/// slab (walked entry by entry — the optional acceptor makes them
-/// variable width), conn free list, host count, then the first slot's
-/// NAT table, live-conn list and embedded section. Second, walking on
-/// past every slot, the pending-event count of the image's one shard.
-fn length_prefixes(image: &[u8]) -> (Vec<usize>, usize) {
-    let u64_at =
-        |pos: usize| u64::from_le_bytes(image[pos..pos + 8].try_into().expect("8 bytes")) as usize;
+fn u64_at(image: &[u8], pos: usize) -> usize {
+    u64::from_le_bytes(image[pos..pos + 8].try_into().expect("8 bytes")) as usize
+}
+
+/// What a `PSNP` v2 restore reads, by byte offset.
+struct Walk {
+    /// Every `u64` length prefix before the first host section: fault
+    /// windows, conn slab (walked entry by entry — the optional acceptor
+    /// makes them variable width), conn free list, host count, then the
+    /// first slot's NAT table, live-conn list and embedded section.
+    to_first_section: Vec<usize>,
+    /// Past every slot, the pending-event count of the image's one shard.
+    pending_count: usize,
+    /// Each slot's embedded section, magic first; its `u64` length is the
+    /// 8 bytes before it.
+    sections: Vec<Range<usize>>,
+}
+
+fn walk(image: &[u8]) -> Walk {
     // magic(4) version(1) now(8) ext_seq(4) three counters(24)
     // tcp counters(32) queue_depth_peak(8)
     let mut pos = 81;
     let mut out = vec![pos];
-    assert_eq!(u64_at(pos), 0, "the crawl world installs no fault windows");
+    assert_eq!(
+        u64_at(image, pos),
+        0,
+        "the crawl world installs no fault windows"
+    );
     pos += 8;
     out.push(pos);
-    let n_conns = u64_at(pos);
+    let n_conns = u64_at(image, pos);
     pos += 8;
     for _ in 0..n_conns {
         pos += 4 + 4 + 8; // generation, pending, initiator
@@ -342,16 +358,17 @@ fn length_prefixes(image: &[u8]) -> (Vec<usize>, usize) {
         pos += 6 + 6 + 1 + 4; // remote addr, local addr, state, rtt
     }
     out.push(pos);
-    pos += 8 + 4 * u64_at(pos); // free list of u32
+    pos += 8 + 4 * u64_at(image, pos); // free list of u32
     out.push(pos);
-    let n_slots = u64_at(pos);
+    let n_slots = u64_at(image, pos);
     pos += 8;
+    let mut sections = Vec::new();
     for slot in 0..n_slots {
         pos += 1 + 4 + 32 + 4 + 1; // alive, shard, rng, next_key, reachable
         let nat = pos;
-        pos += 8 + 16 * u64_at(pos); // NAT entries
+        pos += 8 + 16 * u64_at(image, pos); // NAT entries
         let live = pos;
-        pos += 8 + 8 * u64_at(pos); // live conns
+        pos += 8 + 8 * u64_at(image, pos); // live conns
         let has_section = image[pos] == 1;
         pos += 1;
         if slot == 0 {
@@ -364,11 +381,86 @@ fn length_prefixes(image: &[u8]) -> (Vec<usize>, usize) {
             out.extend([nat, live, pos]);
         }
         if has_section {
-            pos += 8 + u64_at(pos);
+            let len = u64_at(image, pos);
+            sections.push(pos + 8..pos + 8 + len);
+            pos += 8 + len;
         }
     }
-    assert_eq!(u64_at(pos), 1, "walk reached the shard count");
-    (out, pos + 16) // shard count, events dispatched, then the count
+    assert_eq!(u64_at(image, pos), 1, "walk reached the shard count");
+    Walk {
+        to_first_section: out,
+        // shard count, events dispatched, then the count
+        pending_count: pos + 16,
+        sections,
+    }
+}
+
+/// Where one `Discv4::snap` image inside a host section keeps its routing
+/// table and its lookup, by absolute byte offset. [`discs`] walks that
+/// image in `Discv4::snap`'s field order — endpoint, table entries, pending
+/// pings, pending queries, bonds, reverse bonds, lookup — and must change
+/// with it.
+struct Disc {
+    /// The host section it is in.
+    section: Range<usize>,
+    /// Each bucket: its `u16` index, then each resident's 80 bytes
+    /// (`NodeRecord`, last seen).
+    buckets: Vec<(usize, Vec<usize>)>,
+    /// The lookup in flight, if any: each candidate's 74 bytes
+    /// (`NodeRecord`, queried, failed), in frontier order.
+    candidates: Option<Vec<usize>>,
+}
+
+/// Every discovery image in a `PSNP` image: each population host's
+/// (`ETHN`: key, client id, then the presence byte) and the crawler's
+/// (`NFND`: the presence byte first). The crawler's is last.
+fn discs(image: &[u8]) -> Vec<Disc> {
+    let mut out = Vec::new();
+    for section in walk(image).sections {
+        let at = section.start;
+        let mut pos = match &image[at..at + 5] {
+            b"ETHN\x01" => at + 45 + u64_at(image, at + 37),
+            b"NFND\x03" => at + 5,
+            other => panic!("unexpected host section header {other:?}"),
+        };
+        if image[pos] == 0 {
+            continue;
+        }
+        pos += 1 + 8; // presence, endpoint
+        let n_buckets = u64_at(image, pos);
+        pos += 8;
+        let mut buckets = Vec::new();
+        for _ in 0..n_buckets {
+            let residents = u64_at(image, pos + 2);
+            buckets.push((pos, (0..residents).map(|i| pos + 10 + 80 * i).collect()));
+            pos += 10 + 80 * residents;
+        }
+        // Pending pings: hash, record, deadline, sent, then an optional
+        // record and an optional id.
+        let n_pings = u64_at(image, pos);
+        pos += 8;
+        for _ in 0..n_pings {
+            pos += 32 + 72 + 16;
+            pos += 1 + 72 * image[pos] as usize;
+            pos += 1 + 64 * image[pos] as usize;
+        }
+        pos += 8 + 80 * u64_at(image, pos); // pending queries: id, deadline, sent
+        pos += 8 + 144 * u64_at(image, pos); // bonds: id, stamp, record
+        pos += 8 + 72 * u64_at(image, pos); // reverse bonds: id, stamp
+
+        // The lookup: presence, target hash, candidates, two counters.
+        let candidates = (image[pos] == 1).then(|| {
+            (0..u64_at(image, pos + 33))
+                .map(|i| pos + 41 + 74 * i)
+                .collect()
+        });
+        out.push(Disc {
+            section,
+            buckets,
+            candidates,
+        });
+    }
+    out
 }
 
 /// Regression: an empty world's image with the conn-slab length (offset
@@ -402,8 +494,12 @@ fn truncated_and_overlong_images_are_rejected() {
             assert!(out.is_err(), "{name} truncated to {len} bytes restored");
         }
     }
-    let (to_first_section, pending_count) = length_prefixes(&sim_image);
-    for pos in to_first_section.into_iter().chain([pending_count]) {
+    let walk = walk(&sim_image);
+    for pos in walk
+        .to_first_section
+        .into_iter()
+        .chain([walk.pending_count])
+    {
         let mut image = sim_image.clone();
         image[pos..pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let out = restore_sim(&image, format!("PSNP length at {pos} = u64::MAX"));
@@ -421,13 +517,148 @@ fn truncated_and_overlong_images_are_rejected() {
 #[test]
 fn aliased_free_list_cell_is_rejected() {
     let (sim_image, _) = images_at_t(1);
-    let free = length_prefixes(&sim_image).0[2];
+    let free = walk(&sim_image).to_first_section[2];
     let n_free = u64::from_le_bytes(sim_image[free..free + 8].try_into().unwrap());
     assert!(n_free >= 2, "world has too few free cells: {n_free}");
     let mut image = sim_image.clone();
     image.copy_within(free + 8..free + 12, free + 12);
     let out = restore_sim(&image, "PSNP free-list entry 0 copied over entry 1".into());
     assert!(out.is_err(), "a free list naming one cell twice restored");
+}
+
+fn crawler_id() -> NodeId {
+    NodeId::from_secret_key(&SecretKey::from_bytes(&[0xCB; 32]).unwrap())
+}
+
+/// `image` with the `len` bytes at `a` and at `b` swapped.
+fn swapped(image: &[u8], a: usize, b: usize, len: usize) -> Vec<u8> {
+    let mut out = image.to_vec();
+    out[a..a + len].copy_from_slice(&image[b..b + len]);
+    out[b..b + len].copy_from_slice(&image[a..a + len]);
+    out
+}
+
+/// `image` with the `len` bytes at `from` copied over those at `to`.
+fn copied(image: &[u8], from: usize, to: usize, len: usize) -> Vec<u8> {
+    let mut out = image.to_vec();
+    out.copy_within(from..from + len, to);
+    out
+}
+
+/// Regression: each hostile table or lookup below restored `Ok` before
+/// restore checked a table's and a lookup's order, and the resumed run
+/// then diverged without a word. Each must now be refused as `Corrupt`
+/// for the reason given. (The rules themselves are unit-tested in `kad`;
+/// this shows `Discv4::restore` refuses the images they reject.) A
+/// resident is 80 bytes, a lookup candidate 74 ([`Disc`]).
+#[test]
+fn misordered_tables_and_lookups_are_rejected() {
+    let (image, _) = images_at_t(1);
+    let discs = discs(&image);
+    // The crawler's is the discovery image whose local id the test knows.
+    let crawler = discs.last().expect("the crawler runs discovery");
+    assert_eq!(
+        &image[crawler.section.start..crawler.section.start + 4],
+        b"NFND"
+    );
+    let filled: Vec<&[usize]> = crawler
+        .buckets
+        .iter()
+        .map(|(_, r)| &r[..])
+        .filter(|r| !r.is_empty())
+        .collect();
+    let pair = filled
+        .iter()
+        .find(|r| r.len() >= 2)
+        .expect("a bucket with two residents");
+    // The first lookup in flight with two or more candidates, in any host.
+    let lookup = discs
+        .iter()
+        .filter_map(|d| d.candidates.as_deref())
+        .find(|c| c.len() >= 2)
+        .expect("a lookup with two candidates in flight at T");
+    let mut self_resident = image.clone();
+    self_resident[filled[0][0]..filled[0][0] + 64].copy_from_slice(&crawler_id().0);
+    let unsorted = "lookup candidates not strictly ascending by XOR distance";
+
+    let cases = [
+        (
+            // Both are then filed where `contains` and `remove` never look.
+            "crawler residents swapped across buckets",
+            swapped(&image, filled[0][0], filled[1][0], 80),
+            "routing-table resident in the wrong bucket",
+        ),
+        (
+            "crawler's fullest bucket grown past 16",
+            bucket_over_sixteen(&image, crawler),
+            "routing-table bucket over its size",
+        ),
+        (
+            // `remove` would then take out both copies.
+            "crawler resident copied over its neighbour",
+            copied(&image, pair[0], pair[1], 80),
+            "routing-table resident stored twice",
+        ),
+        (
+            // `add` never stores the local node.
+            "crawler id written over a resident",
+            self_resident,
+            "routing table holds the local node",
+        ),
+        (
+            // `insert`'s binary search then files later candidates wrongly.
+            "first two lookup candidates swapped",
+            swapped(&image, lookup[0], lookup[1], 74),
+            unsorted,
+        ),
+        (
+            // The lookup may then query it twice.
+            "first lookup candidate copied over the second",
+            copied(&image, lookup[0], lookup[1], 74),
+            unsorted,
+        ),
+    ];
+    for (case, bad, why) in cases {
+        assert_eq!(
+            restore_sim(&bad, case.into()),
+            Err(netsim::SnapError::Corrupt(why)),
+            "{case}"
+        );
+    }
+}
+
+/// `image` with the crawler's fullest bucket filled past 16 with ids that
+/// belong in it, and the bucket's and the section's lengths to match.
+fn bucket_over_sixteen(image: &[u8], disc: &Disc) -> Vec<u8> {
+    let (idx_at, residents) = disc.buckets.iter().max_by_key(|(_, r)| r.len()).unwrap();
+    let idx = u16::from_le_bytes([image[*idx_at], image[idx_at + 1]]) as usize;
+    let table = RoutingTable::new(crawler_id(), Metric::GethLog2);
+    let held: Vec<&[u8]> = residents.iter().map(|&r| &image[r..r + 64]).collect();
+    let mut extra = netsim::SnapWriter::new();
+    let (mut added, mut n) = (0, 0u64);
+    while residents.len() + added <= kad::BUCKET_SIZE {
+        let mut id = [0x3c; 64];
+        id[..8].copy_from_slice(&n.to_be_bytes());
+        n += 1;
+        if table.bucket_index(&NodeId(id)) == idx && !held.contains(&&id[..]) {
+            let record =
+                NodeRecord::new(NodeId(id), Endpoint::new(Ipv4Addr::new(10, 9, 9, 9), 30303));
+            netsim::Snap::snap(&(record, 0u64), &mut extra);
+            added += 1;
+        }
+    }
+    let extra = extra.finish();
+    let count_at = idx_at + 2;
+    let end = count_at + 8 + 80 * residents.len();
+    let mut bad = image[..end].to_vec();
+    bad.extend_from_slice(&extra);
+    bad.extend_from_slice(&image[end..]);
+    let len_at = disc.section.start - 8;
+    let section_len = (disc.section.len() + extra.len()) as u64;
+    bad[len_at..len_at + 8].copy_from_slice(&section_len.to_le_bytes());
+    let count = (residents.len() + added) as u64;
+    bad[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+    bad
 }
 
 /// Hostile-input sweep, part 2: seeded single-byte flips anywhere in
