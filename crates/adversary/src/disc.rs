@@ -17,6 +17,7 @@ use netsim::{Ctx, HostAddr};
 const EXPIRATION_SLACK_S: u64 = 20;
 
 /// Minimal discv4 presence: announce to bootstraps, answer PINGs.
+#[derive(Debug)]
 pub struct Announcer {
     key: SecretKey,
     bootstrap: Vec<Endpoint>,

@@ -42,6 +42,7 @@ fn take_handshake_msg(buf: &mut BytesMut) -> Option<Vec<u8>> {
 /// The crawler authenticates the peer (RlpxEstablished fires) but never
 /// receives a HELLO; only a per-stage timeout reaps the probe. This is
 /// the paper's dominant failure mode: dialed, crypto fine, no DEVp2p.
+#[derive(Debug)]
 pub struct SlowLoris {
     key: SecretKey,
     disc: Announcer,
@@ -123,6 +124,7 @@ impl Host for SlowLoris {
 /// The frame layer accepts it (MAC and ciphertext are valid), so the
 /// error surfaces inside `devp2p::session` — the crawler must classify
 /// this as a protocol error, not a crypto failure.
+#[derive(Debug)]
 pub struct GarbageHello {
     key: SecretKey,
     disc: Announcer,
@@ -213,6 +215,7 @@ impl Host for GarbageHello {
 /// genesis hash — the paper's "other Ethereum network" population
 /// (§5.1), which NodeFinder must count as responsive-but-incompatible
 /// rather than Mainnet.
+#[derive(Debug)]
 pub struct WrongGenesis {
     key: SecretKey,
     disc: Announcer,
@@ -345,6 +348,7 @@ impl Host for WrongGenesis {
 /// pollution behind the paper's huge discovered-vs-responsive gap
 /// (Figs. 6–7). The crawler must keep servicing honest peers while its
 /// backoff/penalty machinery absorbs the junk.
+#[derive(Debug)]
 pub struct Tarpit {
     disc: Announcer,
     /// Fake records per FINDNODE (split into 12-per-packet NEIGHBORS).
@@ -439,6 +443,7 @@ impl Host for Tarpit {
 /// With the default threshold the close lands mid-auth, so the crawler
 /// observes an established-then-reset connection with no authenticated
 /// identity — the remote-reset failure class.
+#[derive(Debug)]
 pub struct ResetAfterN {
     disc: Announcer,
     /// Bytes tolerated before the reset.

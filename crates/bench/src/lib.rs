@@ -305,6 +305,7 @@ fn sim_sanitize_params() -> nodefinder::SanitizeParams {
 }
 
 /// Everything a crawl campaign produces.
+#[derive(Debug)]
 pub struct CrawlRun {
     /// The world (ground truth — used only for validation/geo resolution).
     pub world: World,
@@ -355,6 +356,7 @@ fn run_crawl(scale: Scale, spammers: usize) -> CrawlRun {
 
 /// Snapshot campaign: NodeFinder *and* the Ethernodes-style collector on
 /// the same world (Table 2 / Table 6).
+#[derive(Debug)]
 pub struct SnapshotRun {
     /// NodeFinder's view.
     pub nodefinder: CrawlRun,
@@ -391,6 +393,7 @@ fn run_snapshot(scale: Scale) -> SnapshotRun {
 
 /// §3 case study: an instrumented Geth-like and Parity-like node in a
 /// busy world; returns their stats (Figures 2–4, Table 1).
+#[derive(Debug)]
 pub struct CaseStudy {
     /// The instrumented Geth node's counters.
     pub geth: NodeStats,

@@ -10,6 +10,7 @@ use crate::{
 };
 
 /// One measured EXPERIMENTS.md cell and whether the paper's shape holds.
+#[derive(Debug)]
 pub struct Row {
     /// The "Measured (simulated world)" cell.
     pub measured: String,
@@ -34,6 +35,7 @@ impl Row {
 }
 
 /// What a generator returns.
+#[derive(Debug)]
 pub struct Output {
     /// Contents of the entry's `files`, in the same order.
     pub files: Vec<String>,
@@ -59,7 +61,7 @@ impl Output {
 }
 
 /// An entry's generator, typed by the campaign it reads.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub enum Generator {
     /// Pure computation, no world.
     None(fn(&Overrides) -> Output),
@@ -87,6 +89,7 @@ impl Generator {
 }
 
 /// One registry entry.
+#[derive(Debug)]
 pub struct Entry {
     /// What `repro <name>` is called with.
     pub name: &'static str,
@@ -136,6 +139,7 @@ pub const NON_REGISTRY_FILES: &[&str] = &[
 ];
 
 /// Runs generators, simulating each shared campaign at most once.
+#[derive(Debug)]
 pub struct Campaigns {
     overrides: Overrides,
     case_study: Option<CaseStudy>,

@@ -1,4 +1,5 @@
-// R4 fail: unsafe is banned workspace-wide.
-fn read(p: *const u8) -> u8 {
-    unsafe { *p }
+// R4 fail: a crate root without the unsafe-code ban (rustc rejects
+// `unsafe` itself; this header is what a package without `[lints]` lacks).
+pub fn read(bytes: &[u8]) -> Option<u8> {
+    bytes.first().copied()
 }

@@ -337,9 +337,9 @@ mod tests {
 
     #[test]
     fn crlf_comments_lose_the_carriage_return() {
-        let m = mask("// detlint: allow(R5) -- why\r\nlet x = 1;\r\n");
+        let m = mask("// detlint: allow(R8) -- why\r\nlet x = 1;\r\n");
         assert_eq!(m.line_comments.len(), 1);
-        assert_eq!(m.line_comments[0].text, "// detlint: allow(R5) -- why");
+        assert_eq!(m.line_comments[0].text, "// detlint: allow(R8) -- why");
         // The \r stays in the masked code (blanked like any other char),
         // so char positions keep lining up with the source.
         assert_eq!(m.code.matches('\n').count(), 2);
@@ -347,12 +347,12 @@ mod tests {
 
     #[test]
     fn tab_indented_comments_are_recorded() {
-        let m = mask("\t\t// detlint: allow(R5) -- tabbed in\nlet x = 1;\n");
+        let m = mask("\t\t// detlint: allow(R8) -- tabbed in\nlet x = 1;\n");
         assert_eq!(m.line_comments.len(), 1);
         assert_eq!(m.line_comments[0].line, 1);
         assert_eq!(
             m.line_comments[0].text,
-            "// detlint: allow(R5) -- tabbed in"
+            "// detlint: allow(R8) -- tabbed in"
         );
     }
 

@@ -1,34 +1,34 @@
 //! detlint — the workspace's determinism & panic-safety linter.
 //!
 //! A from-scratch, dependency-free static-analysis pass that walks every
-//! `.rs` file and `Cargo.toml` in the repository and enforces the rules the
-//! paper reproduction depends on and nothing else decides — the compiler,
-//! cargo and `benchmark/` judge the rest. [`rules::TABLE`] is the list (or
-//! run `cargo run -p detlint -- --explain`):
+//! `.rs` file, `Cargo.toml` and `Cargo.lock` in the repository and enforces
+//! the reproducibility rules nothing else decides. [`rules::TABLE`] is the
+//! list (or run `cargo run -p detlint -- --explain`):
 //!
 //! * **R1** no wall-clock time outside the allowlist;
-//! * **R2** no ambient randomness — seeded `StdRng` only;
-//! * **R3** no `HashMap`/`HashSet` without an order-insensitivity
-//!   justification;
-//! * **R4** no `unsafe`, and `#![forbid(unsafe_code)]` in every crate root;
-//! * **R5** no `unwrap`/`expect` in non-test code of attacker-facing
-//!   crates;
-//! * **R6** only offline-approved dependencies in any manifest;
+//! * **R4** the unsafe-code ban repeated in every crate root;
+//! * **R6** every package in a lock file resolves inside the repository;
 //! * **R7** lenient EIP-8 decoding — strictness must be justified;
 //! * **R8** no shared mutable state (statics, `thread_local!` cells);
 //! * **R9** every RNG construction derives from a threaded seed parameter;
 //! * **R10** protocol crates never depend on simulation/measurement layers.
 //!
-//! R1–R7 are token rules: detlint masks comments and string/char literal
-//! bodies (so their contents can never trigger a rule), then scans
-//! identifier tokens — a deliberate trade: a few constructs are
-//! over-approximated (any mention of `HashMap` counts, not just iteration),
-//! which keeps the tool dependency-free and impossible to silently bypass
-//! via macro tricks. R8 and R9 run on an item-level parse ([`parser`]) of
-//! each file's `static` and `fn` structure; R6 and R10 on what the one
-//! manifest reader ([`manifest`]) yields. The interface is lines on stdout
-//! and an exit code. The one escape hatch is an explicit, greppable comment
-//! carrying a mandatory justification; [`Scan::escapes`] counts them.
+//! The rest of the policy lives with the tool that already decides it
+//! (DESIGN.md § Determinism): ambient entropy (R2) does not compile against
+//! the vendored `rand`, `HashMap`/`HashSet` (R3) are clippy
+//! `disallowed-types` in the root `clippy.toml`, `unsafe` is forbidden by
+//! every package's `[lints]` table, and `unwrap`/`expect` in the
+//! attacker-facing crates (R5) are clippy lints denied in theirs.
+//!
+//! R1 and R7 are token rules: detlint masks comments and string/char
+//! literal bodies (so their contents can never trigger a rule), then scans
+//! identifier tokens. R8 and R9 run on an item-level parse ([`parser`]) of
+//! each file's `static` and `fn` structure; R6 and R10 on the graph cargo
+//! resolved, read from each lock file ([`manifest`]). The interface is
+//! lines on stdout and an exit code. The one escape hatch is an explicit,
+//! greppable comment carrying a mandatory justification; [`Scan::escapes`]
+//! counts them, and the clippy `allow`s that stand in for the retired
+//! hatches.
 #![forbid(unsafe_code)]
 
 pub mod lexer;
@@ -39,7 +39,7 @@ pub mod scan;
 pub mod semantic;
 
 pub use rules::Rule;
-pub use scan::{scan_manifest_source, scan_rust_source, scan_workspace, Escape, Scan, Violation};
+pub use scan::{scan_rust_source, scan_workspace, Escape, Scan, Violation};
 
 use std::path::Path;
 

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p detlint                   # scan, exit 1 on violations
 //! cargo run -p detlint -- --explain      # one-line summary of every rule
-//! cargo run -p detlint -- --explain R3   # a rule's rationale and escape hatch
+//! cargo run -p detlint -- --explain R9   # a rule's rationale and escape hatch
 //! ```
 #![forbid(unsafe_code)]
 

@@ -1,7 +1,9 @@
 //! The rule table: one row per rule carrying everything that is said about
 //! it — its id, the diagnostic code of a malformed annotation, the one-line
 //! title and the `--explain` text. Ids are never renumbered: annotations in
-//! the tree (and outside it, `benchmark/src/clock.rs`) name them.
+//! the tree (and outside it, `benchmark/src/clock.rs`) name them. R2, R3
+//! and R5 are decided by rustc and clippy (DESIGN.md § Determinism), so
+//! their ids, like R11–R13, parse to nothing.
 
 use std::fmt;
 
@@ -10,15 +12,9 @@ use std::fmt;
 pub enum Rule {
     /// No wall-clock time outside the allowlist.
     R1,
-    /// No ambient randomness; seeded `StdRng` only.
-    R2,
-    /// No unordered-map types without an order-insensitivity justification.
-    R3,
-    /// No `unsafe`, and every crate root must `#![forbid(unsafe_code)]`.
+    /// Every crate root must `#![forbid(unsafe_code)]`.
     R4,
-    /// No `unwrap`/`expect` in non-test code of attacker-facing crates.
-    R5,
-    /// Only offline-approved dependencies in any manifest.
+    /// Every package in a lock file resolves inside the repository.
     R6,
     /// Strict trailing-data rejection in protocol decoders needs a
     /// `// conformance: strict -- <why>` justification.
@@ -38,7 +34,7 @@ pub enum Rule {
 #[derive(Debug)]
 pub struct Info {
     pub rule: Rule,
-    /// Short identifier, e.g. `R3`.
+    /// Short identifier, e.g. `R8`.
     pub id: &'static str,
     /// Stable diagnostic code for a malformed/unjustified annotation of
     /// this rule (the non-annotation codes live at each check site).
@@ -70,7 +66,7 @@ impl fmt::Display for Rule {
 }
 
 /// All rules, in id order.
-pub static TABLE: [Info; 10] = [
+pub static TABLE: [Info; 7] = [
     Info {
         rule: Rule::R1,
         id: "R1",
@@ -93,94 +89,47 @@ pub static TABLE: [Info; 10] = [
                   Escape hatch: `// detlint: allow(R1) -- <why>` on the same or previous line.\n\
                   Hard ban: under crates/obs/ (profile.rs aside) the escape hatch is not\n\
                   honored — trace records are sim-time-stamped by contract, and the\n\
-                  annotation itself is flagged there.",
-    },
-    Info {
-        rule: Rule::R2,
-        id: "R2",
-        annotation_code: "R2.annotation",
-        title: "no ambient randomness; seeded StdRng only",
-        explain: "R2: no ambient randomness; seeded StdRng only.\n\
-                  \n\
-                  Every random choice must flow from the experiment seed (SEED env var,\n\
-                  default 1804) through an explicitly passed `StdRng`. Ambient entropy\n\
-                  (`thread_rng()`, `rand::random()`, `from_entropy()`, `OsRng`) gives each\n\
-                  run a different node population and crawl schedule, making regressions\n\
-                  indistinguishable from noise. The vendored rand deliberately does not\n\
-                  provide these constructors, so this rule is also enforced by the compiler;\n\
-                  detlint keeps flagging them so the error message names the policy.\n\
-                  \n\
-                  Flags: `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, and\n\
-                  `rand::random`.\n\
-                  Escape hatch: `// detlint: allow(R2) -- <why>` (expect scrutiny in review).",
-    },
-    Info {
-        rule: Rule::R3,
-        id: "R3",
-        annotation_code: "R3.annotation",
-        title: "no HashMap/HashSet without an order-insensitivity justification",
-        explain: "R3: no HashMap/HashSet without an order-insensitivity justification.\n\
-                  \n\
-                  std's hash maps randomize iteration order per process, so any code that\n\
-                  iterates one can smuggle nondeterminism into event ordering, neighbor\n\
-                  selection, or serialized output. The default is BTreeMap/BTreeSet, whose\n\
-                  iteration order is total and stable.\n\
-                  \n\
-                  Flags: the identifiers `HashMap` and `HashSet` anywhere in code.\n\
-                  Escape hatch: `// detlint: order-insensitive -- <why>` on the same or\n\
-                  previous line, stating why iteration order cannot reach observable\n\
-                  behavior (e.g. the map is only probed, never iterated).",
+                  annotation itself is flagged there.\n\
+                  A `// detlint:` annotation that names no rule of this table (R2, R3\n\
+                  and R5 included, which rustc and clippy now decide) is filed here too,\n\
+                  as R1.annotation: the first row owns the annotation grammar.",
     },
     Info {
         rule: Rule::R4,
         id: "R4",
         annotation_code: "R4.annotation",
-        title: "no unsafe code; every crate root must forbid it",
-        explain: "R4: no unsafe code; every crate root must forbid it.\n\
+        title: "every crate root must forbid unsafe code",
+        explain: "R4: every crate root must forbid unsafe code.\n\
                   \n\
                   This workspace parses attacker-controlled bytes from the public network.\n\
                   Memory-safety bugs in that position are remote vulnerabilities, and the\n\
-                  paper artifact has no performance need that justifies them. Each crate\n\
-                  root (src/lib.rs) must carry `#![forbid(unsafe_code)]` so the compiler\n\
-                  rejects unsafe even if a future edit removes the workspace lint.\n\
+                  paper artifact has no performance need that justifies them. The compiler\n\
+                  holds the ban: every package's `[lints]` table sets `unsafe_code =\n\
+                  \"forbid\"`, so `unsafe` in any target (bins and tests/ included) does not\n\
+                  compile, and `#[allow(unsafe_code)]` is error E0453. detlint checks the\n\
+                  half the compiler cannot: each crate root (src/lib.rs) repeats\n\
+                  `#![forbid(unsafe_code)]`, which catches a new package that forgets its\n\
+                  `[lints]` table.\n\
                   \n\
-                  Flags: the `unsafe` keyword, and any src/lib.rs missing the forbid header.\n\
+                  Flags: any src/lib.rs missing the forbid header.\n\
                   Escape hatch: none — change the design instead.",
-    },
-    Info {
-        rule: Rule::R5,
-        id: "R5",
-        annotation_code: "R5.annotation",
-        title: "no unwrap/expect in non-test code of attacker-facing crates",
-        explain: "R5: no unwrap/expect in non-test code of attacker-facing crates.\n\
-                  \n\
-                  rlp, discv4, rlpx, devp2p and ethwire decode bytes that arrive from\n\
-                  arbitrary peers. A reachable panic is a remote denial-of-service on a\n\
-                  real deployment and an aborted campaign in the simulator. Decoders must\n\
-                  return `Result` and let the caller log-and-drop, matching how the\n\
-                  NodeFinder crawler survives the malformed traffic the paper reports.\n\
-                  \n\
-                  Flags: `.unwrap(` / `.expect(` in those crates' src/, outside #[cfg(test)]\n\
-                  regions and #[test] functions.\n\
-                  Escape hatch: `// detlint: allow(R5) -- <why>` for cases proved\n\
-                  unreachable (e.g. infallible conversions on fixed-size arrays).",
     },
     Info {
         rule: Rule::R6,
         id: "R6",
         annotation_code: "R6.annotation",
-        title: "only offline-approved dependencies in manifests",
-        explain: "R6: only offline-approved dependencies in manifests.\n\
+        title: "every package in a Cargo.lock resolves inside this repository",
+        explain: "R6: every package in a Cargo.lock resolves inside this repository.\n\
                   \n\
-                  The build must succeed with no network and no registry cache, so every\n\
-                  dependency must resolve inside this repository: a path dependency, a\n\
-                  `workspace = true` inheritance, or one of the approved names vendored\n\
-                  under vendor/ (rand, proptest, criterion, bytes, serde, serde_derive,\n\
-                  serde_json). Git dependencies are always rejected; a version-only\n\
-                  dependency on anything else would try to reach a registry.\n\
+                  The build must succeed with no network and no registry cache. detlint\n\
+                  judges the graph cargo resolved, Cargo.lock and benchmark/Cargo.lock,\n\
+                  not the manifests: a `[[package]]` entry with a `source` line came from a\n\
+                  registry or from git, whatever its name, and a path package must be one\n\
+                  whose Cargo.toml is in the repository (vendor/ holds the stand-ins).\n\
                   \n\
-                  Flags: git deps, registry deps outside the approved set, and path deps\n\
-                  escaping the repository root.\n\
+                  Flags: a `source` line (R6.git_dep for `git+`, R6.registry_dep for any\n\
+                  other), and a path package no manifest in the repository declares\n\
+                  (R6.outside_repo).\n\
                   Escape hatch: none — vendor a stand-in instead (see vendor/README.md).",
     },
     Info {
@@ -241,8 +190,8 @@ pub static TABLE: [Info; 10] = [
         title: "RNG seeds must flow in through parameters, never be pinned ambiently",
         explain: "R9: RNG seeds must flow in through parameters, never be pinned ambiently.\n\
                   \n\
-                  Extends R2 from call-site tokens to constructor dataflow. R2 bans\n\
-                  entropy that differs across runs; R9 bans seeds that cannot be\n\
+                  R2 bans entropy that differs across runs (rustc enforces it: the\n\
+                  vendored rand has no ambient constructor); R9 bans seeds that cannot be\n\
                   *threaded*: an RNG built from a literal or module-level constant inside\n\
                   library code is a hidden second stream that ignores `SimConfig.seed`,\n\
                   so two worlds with different experiment seeds share it (correlated\n\
@@ -274,12 +223,12 @@ pub static TABLE: [Info; 10] = [
                   crawler layers sit above them. `obs` is the root of the tree: every\n\
                   crate may emit into it, so an obs dependency on anything in-workspace\n\
                   would be a cycle and would let instrumentation reach back into\n\
-                  behaviour. Enforced on Cargo.toml dependency edges (dev-dependencies\n\
-                  included); an import without its manifest edge does not compile, so\n\
-                  sources need no second check.\n\
+                  behaviour. Judged on the `dependencies` lists of the lock files cargo\n\
+                  writes, which include dev-dependencies; an import without its manifest\n\
+                  edge does not compile, so sources need no second check.\n\
                   \n\
-                  Flags: a protocol crate whose manifest reaches netsim, nodefinder or\n\
-                  bench; any dependency of obs on a crate under crates/.\n\
+                  Flags: a protocol crate whose lock entry lists netsim, nodefinder or\n\
+                  bench; obs listing a package whose manifest is under crates/.\n\
                   Escape hatch: none — layering is architecture, not a per-site call;\n\
                   move the code instead.",
     },
@@ -297,8 +246,8 @@ mod tests {
             assert_eq!(Rule::parse(&row.id.to_lowercase()), Some(row.rule));
         }
         assert_eq!(Rule::parse("R0"), None);
-        // Retired with their rules: the ids stay unassigned.
-        for retired in ["R11", "R12", "R13"] {
+        // Retired, or handed to rustc and clippy: the ids stay unassigned.
+        for retired in ["R2", "R3", "R5", "R11", "R12", "R13"] {
             assert_eq!(Rule::parse(retired), None);
         }
     }

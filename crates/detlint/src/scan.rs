@@ -1,13 +1,13 @@
-//! The workspace scanner: walks every `.rs` and `Cargo.toml` under the
-//! repository root and applies the rules.
+//! The workspace scanner: walks every `.rs`, `Cargo.toml` and `Cargo.lock`
+//! under the repository root and applies the rules.
 //!
-//! R1–R7 are token rules evaluated directly here; R8 and R9 are semantic
-//! rules evaluated in [`crate::semantic`] over the item table each file
-//! parse produces; R6 and R10 are judged in [`crate::manifest`] on what the
-//! one manifest reader yields.
+//! R1, R4 and R7 are evaluated directly here on the masked text; R8 and R9
+//! are semantic rules evaluated in [`crate::semantic`] over the item table
+//! each file parse produces; R6 and R10 are judged in [`crate::manifest`]
+//! on each lock file.
 
 use crate::lexer::{self, LineComment};
-use crate::manifest;
+use crate::manifest::{self, Packages};
 use crate::parser;
 use crate::rules::Rule;
 use crate::semantic;
@@ -32,20 +32,10 @@ const R1_ALLOWLIST: [&str; 2] = ["vendor/criterion/", "crates/obs/src/profile.rs
 /// read there would silently break byte-identical trace replay.
 const R1_NO_ESCAPE: [&str; 1] = ["crates/obs/"];
 
-/// Crates whose `src/` must be panic-free (rule R5): they decode bytes that
-/// arrive from arbitrary remote peers.
-const R5_SCOPE: [&str; 5] = [
-    "crates/rlp/src/",
-    "crates/discv4/src/",
-    "crates/rlpx/src/",
-    "crates/devp2p/src/",
-    "crates/ethwire/src/",
-];
-
 /// Crates whose `src/` decoders fall under the EIP-8 lenient-decode policy
-/// (rule R7): strict trailing-data rejection there must be justified. Same
-/// crates as R5 plus enode, whose Endpoint/NodeRecord decoders are nested
-/// inside every discv4 packet.
+/// (rule R7): strict trailing-data rejection there must be justified. The
+/// crates that deny `clippy::unwrap_used` (rule R5) plus enode, whose
+/// Endpoint/NodeRecord decoders are nested inside every discv4 packet.
 const R7_SCOPE: [&str; 6] = [
     "crates/rlp/src/",
     "crates/discv4/src/",
@@ -53,6 +43,15 @@ const R7_SCOPE: [&str; 6] = [
     "crates/devp2p/src/",
     "crates/ethwire/src/",
     "crates/enode/src/",
+];
+
+/// Clippy lints whose `allow` is the escape from a rule clippy enforces
+/// (R3: `disallowed_types`; R5: `unwrap_used`, `expect_used`). Each
+/// non-test site is an [`Escape`], so the census still counts them.
+const CENSUSED_LINTS: [&str; 3] = [
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::disallowed_types",
 ];
 
 /// Directory names never descended into.
@@ -87,12 +86,13 @@ impl fmt::Display for Violation {
     }
 }
 
-/// One honoured escape-hatch annotation: well-formed, justified, and for a
-/// rule that has an escape hatch where it stands.
+/// One escape past a rule: an honoured annotation (well-formed, justified,
+/// and for a rule that has an escape hatch where it stands), or a non-test
+/// attribute allowing one of [`CENSUSED_LINTS`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Escape {
-    /// The annotation form, normalized: `allow(R5)`, `order-insensitive`,
-    /// `conformance: strict`.
+    /// The form, normalized: `allow(R8)`, `conformance: strict`, or the
+    /// attribute with one lint, `#[allow(clippy::unwrap_used)]`.
     pub form: String,
     /// Repo-relative path with `/` separators.
     pub path: String,
@@ -105,8 +105,10 @@ pub struct Escape {
 pub struct Scan {
     /// All violations, sorted.
     pub violations: Vec<Violation>,
-    /// Every honoured escape-hatch annotation, in path then line order.
+    /// Every escape, in path then line order.
     pub escapes: Vec<Escape>,
+    /// Every package a `Cargo.toml` in the repository declares.
+    pub packages: Packages,
 }
 
 /// Scan the workspace rooted at `root`.
@@ -116,7 +118,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Scan> {
     files.sort();
 
     let mut scan = Scan::default();
-    let mut manifests = Vec::new();
+    let mut locks = Vec::new();
     for rel in &files {
         let rel_str = rel.to_string_lossy().replace('\\', "/");
         if SKIP_PREFIXES
@@ -126,19 +128,22 @@ pub fn scan_workspace(root: &Path) -> io::Result<Scan> {
             continue;
         }
         let source = fs::read_to_string(root.join(rel))?;
-        if rel_str.ends_with("Cargo.toml") {
-            manifests.push(manifest::parse_manifest(&rel_str, &source));
-            continue;
-        }
-        check_rust_file(&rel_str, &source, &mut scan);
-        if rel_str.ends_with("src/lib.rs") {
-            check_forbid_header(&rel_str, &source, &mut scan.violations);
+        if let Some(dir) = rel_str.strip_suffix("Cargo.toml") {
+            if let Some(name) = manifest::package_name(&source) {
+                scan.packages
+                    .insert(name, dir.trim_end_matches('/').to_string());
+            }
+        } else if rel_str.ends_with("Cargo.lock") {
+            locks.push((rel_str, source));
+        } else {
+            check_rust_file(&rel_str, &source, &mut scan);
         }
     }
-    scan.violations
-        .extend(manifest::check_manifests(&manifests));
-    // A declaration naming two sources is two edges to one target; R10
-    // says so once.
+    for (path, source) in &locks {
+        let found = manifest::check_lock(path, source, &scan.packages);
+        scan.violations.extend(found);
+    }
+    // Two tokens on one line are one finding.
     scan.violations.sort();
     scan.violations.dedup();
     Ok(scan)
@@ -153,15 +158,6 @@ pub fn scan_rust_source(path: &str, source: &str) -> Vec<Violation> {
     scan.violations
 }
 
-/// Scan a single manifest source (rules R6 and R10). `path` must be the
-/// manifest's would-be repo-relative path, since path deps resolve against
-/// it and R10 keys on the package it declares.
-pub fn scan_manifest_source(path: &str, source: &str) -> Vec<Violation> {
-    let mut violations = manifest::check_manifests(&[manifest::parse_manifest(path, source)]);
-    violations.sort();
-    violations
-}
-
 fn collect_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -173,7 +169,7 @@ fn collect_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<
                 continue;
             }
             collect_files(root, &path, out)?;
-        } else if name.ends_with(".rs") || name == "Cargo.toml" {
+        } else if name.ends_with(".rs") || name == "Cargo.toml" || name == "Cargo.lock" {
             if let Ok(rel) = path.strip_prefix(root) {
                 out.push(rel.to_path_buf());
             }
@@ -206,6 +202,7 @@ fn parse_annotations(path: &str, comments: &[LineComment], scan: &mut Scan) -> A
     let Scan {
         violations,
         escapes,
+        ..
     } = scan;
     let mut by_line: BTreeMap<usize, BTreeSet<Rule>> = BTreeMap::new();
     let mut honour = |rule: Rule, form: String, line: usize| {
@@ -218,114 +215,88 @@ fn parse_annotations(path: &str, comments: &[LineComment], scan: &mut Scan) -> A
             line,
         });
     };
+    let mut flag = |rule: Rule, code: &'static str, line: usize, message: String| {
+        violations.push(Violation {
+            rule,
+            code,
+            path: path.to_string(),
+            line,
+            message,
+        });
+    };
+    const UNJUSTIFIED: &str = "annotation without a justification (append ` -- <why>`)";
     for comment in comments {
         let body = comment.text.trim_start_matches('/').trim();
+        let line = comment.line;
         // `// conformance: strict -- <why>` is R7's dedicated escape hatch:
         // it both suppresses the finding and documents the policy decision.
-        if let Some(directive) = body.strip_prefix("conformance:") {
-            let directive = directive.trim();
-            let (spec, reason) = match directive.split_once("--") {
-                Some((spec, reason)) => (spec.trim(), reason.trim()),
-                None => (directive, ""),
-            };
-            if spec != "strict" {
-                violations.push(Violation {
-                    rule: Rule::R7,
-                    code: "R7.annotation",
-                    path: path.to_string(),
-                    line: comment.line,
-                    message: format!(
-                        "unrecognized conformance annotation `{directive}` \
-                         (expected `strict -- <why>`)"
-                    ),
-                });
-            } else if reason.is_empty() {
-                violations.push(Violation {
-                    rule: Rule::R7,
-                    code: "R7.annotation",
-                    path: path.to_string(),
-                    line: comment.line,
-                    message: "conformance annotation without a justification \
-                              (append ` -- <why>`)"
-                        .to_string(),
-                });
-            } else {
-                honour(Rule::R7, "conformance: strict".to_string(), comment.line);
-            }
-            continue;
-        }
-        let Some(directive) = body.strip_prefix("detlint:") else {
-            continue;
+        let (conformance, directive) = match body.strip_prefix("conformance:") {
+            Some(directive) => (true, directive.trim()),
+            None => match body.strip_prefix("detlint:") {
+                Some(directive) => (false, directive.trim()),
+                None => continue,
+            },
         };
-        let directive = directive.trim();
         let (spec, reason) = match directive.split_once("--") {
             Some((spec, reason)) => (spec.trim(), reason.trim()),
             None => (directive, ""),
         };
-        let parsed = if spec == "order-insensitive" {
-            Some((Rule::R3, spec.to_string()))
-        } else {
-            spec.strip_prefix("allow(")
-                .and_then(|rest| rest.strip_suffix(')'))
-                .and_then(Rule::parse)
-                .map(|rule| (rule, format!("allow({rule})")))
-        };
-        let Some((rule, form)) = parsed else {
-            violations.push(Violation {
-                rule: Rule::R3,
-                code: "R3.annotation",
-                path: path.to_string(),
-                line: comment.line,
-                message: format!(
-                    "unrecognized detlint annotation `{directive}` (expected \
-                     `order-insensitive -- <why>` or `allow(Rn) -- <why>`)"
-                ),
-            });
+        if conformance {
+            if spec != "strict" {
+                let message = format!(
+                    "unrecognized conformance annotation `{directive}` \
+                     (expected `strict -- <why>`)"
+                );
+                flag(Rule::R7, "R7.annotation", line, message);
+            } else if reason.is_empty() {
+                flag(
+                    Rule::R7,
+                    "R7.annotation",
+                    line,
+                    format!("conformance {UNJUSTIFIED}"),
+                );
+            } else {
+                honour(Rule::R7, "conformance: strict".to_string(), line);
+            }
+            continue;
+        }
+        let parsed = spec
+            .strip_prefix("allow(")
+            .and_then(|rest| rest.strip_suffix(')'))
+            .and_then(Rule::parse);
+        let Some(rule) = parsed else {
+            let message = format!(
+                "unrecognized detlint annotation `{directive}` (expected \
+                 `allow(Rn) -- <why>` for a rule in `--explain`)"
+            );
+            flag(Rule::R1, "R1.annotation", line, message);
             continue;
         };
+        let code = rule.info().annotation_code;
         // R4 (memory safety), R6 (offline build) and R10 (layering) have no
         // per-site escape: they are architectural, not judgment calls.
         if rule == Rule::R4 || rule == Rule::R6 || rule == Rule::R10 {
-            violations.push(Violation {
+            flag(
                 rule,
-                code: rule.info().annotation_code,
-                path: path.to_string(),
-                line: comment.line,
-                message: format!("rule {rule} has no annotation escape hatch"),
-            });
-            continue;
+                code,
+                line,
+                format!("rule {rule} has no annotation escape hatch"),
+            );
+        } else if rule == Rule::R1 && R1_NO_ESCAPE.iter().any(|p| path.starts_with(p)) {
+            let message = "rule R1 has no annotation escape hatch under crates/obs/ \
+                           (trace records are sim-time-stamped by contract)";
+            flag(rule, "R1.no_escape", line, message.to_string());
+        } else if reason.is_empty() {
+            flag(rule, code, line, format!("detlint {UNJUSTIFIED}"));
+        } else {
+            honour(rule, format!("allow({rule})"), line);
         }
-        if rule == Rule::R1 && R1_NO_ESCAPE.iter().any(|prefix| path.starts_with(prefix)) {
-            violations.push(Violation {
-                rule,
-                code: "R1.no_escape",
-                path: path.to_string(),
-                line: comment.line,
-                message: "rule R1 has no annotation escape hatch under crates/obs/ \
-                          (trace records are sim-time-stamped by contract)"
-                    .to_string(),
-            });
-            continue;
-        }
-        if reason.is_empty() {
-            violations.push(Violation {
-                rule,
-                code: rule.info().annotation_code,
-                path: path.to_string(),
-                line: comment.line,
-                message: "detlint annotation without a justification \
-                          (append ` -- <why>`)"
-                    .to_string(),
-            });
-            continue;
-        }
-        honour(rule, form, comment.line);
     }
     Allowances { by_line }
 }
 
 // ---------------------------------------------------------------------------
-// Rust-file checks (R1–R5)
+// Rust-file checks
 // ---------------------------------------------------------------------------
 
 /// An identifier token in the masked code.
@@ -375,16 +346,8 @@ fn next_nonspace(masked: &[char], mut i: usize) -> Option<char> {
     None
 }
 
-fn prev_nonspace(masked: &[char], start: usize) -> Option<char> {
-    masked[..start]
-        .iter()
-        .rev()
-        .find(|c| !c.is_whitespace())
-        .copied()
-}
-
 /// True if the chars immediately before `start` (ignoring whitespace) spell
-/// `suffix`, e.g. `suffix = "rand::"`.
+/// `suffix`, e.g. `suffix = "::"`.
 fn preceded_by(masked: &[char], start: usize, suffix: &str) -> bool {
     let mut want = suffix.chars().rev();
     let mut i = start;
@@ -422,7 +385,11 @@ fn check_rust_file(path: &str, source: &str, scan: &mut Scan) {
     let masked_file = lexer::mask(source);
     let masked: Vec<char> = masked_file.code.chars().collect();
     let allowances = parse_annotations(path, &masked_file.line_comments, scan);
-    let violations = &mut scan.violations;
+    let Scan {
+        violations,
+        escapes,
+        ..
+    } = scan;
     let tokens = tokenize(&masked);
     let test_regions = find_test_regions(&masked);
     let in_test_region = |pos: usize| {
@@ -432,7 +399,6 @@ fn check_rust_file(path: &str, source: &str, scan: &mut Scan) {
     };
     let r1_allowlisted = R1_ALLOWLIST.iter().any(|prefix| path.starts_with(prefix));
     let r1_no_escape = R1_NO_ESCAPE.iter().any(|prefix| path.starts_with(prefix));
-    let r5_in_scope = R5_SCOPE.iter().any(|prefix| path.starts_with(prefix));
     let r7_in_scope = R7_SCOPE.iter().any(|prefix| path.starts_with(prefix));
 
     let mut push = |rule: Rule, code: &'static str, line: usize, message: String| {
@@ -458,69 +424,6 @@ fn check_rust_file(path: &str, source: &str, scan: &mut Scan) {
                     format!(
                         "wall-clock type `{}` (simulation time must come from the \
                          virtual clock; see --explain R1)",
-                        token.word
-                    ),
-                );
-            }
-            "thread_rng" | "from_entropy" | "OsRng" | "getrandom"
-                if !allowances.allows(token.line, Rule::R2) =>
-            {
-                push(
-                    Rule::R2,
-                    "R2.ambient_entropy",
-                    token.line,
-                    format!(
-                        "ambient entropy source `{}` (all randomness must flow from \
-                         the experiment seed; see --explain R2)",
-                        token.word
-                    ),
-                );
-            }
-            "random"
-                if preceded_by(&masked, token.start, "rand::")
-                    && !allowances.allows(token.line, Rule::R2) =>
-            {
-                push(
-                    Rule::R2,
-                    "R2.ambient_entropy",
-                    token.line,
-                    "ambient entropy source `rand::random` (see --explain R2)".to_string(),
-                );
-            }
-            "HashMap" | "HashSet" if !allowances.allows(token.line, Rule::R3) => {
-                push(
-                    Rule::R3,
-                    "R3.hash_collection",
-                    token.line,
-                    format!(
-                        "`{}` has randomized iteration order; use BTreeMap/BTreeSet \
-                         or justify with `// detlint: order-insensitive -- <why>`",
-                        token.word
-                    ),
-                );
-            }
-            "unsafe" => {
-                push(
-                    Rule::R4,
-                    "R4.unsafe_code",
-                    token.line,
-                    "`unsafe` is banned workspace-wide (see --explain R4)".to_string(),
-                );
-            }
-            "unwrap" | "expect"
-                if r5_in_scope
-                    && !in_test_region(token.start)
-                    && prev_nonspace(&masked, token.start) == Some('.')
-                    && next_nonspace(&masked, token.end) == Some('(')
-                    && !allowances.allows(token.line, Rule::R5) =>
-            {
-                push(
-                    Rule::R5,
-                    "R5.panic_escape",
-                    token.line,
-                    format!(
-                        "`.{}()` in attacker-facing decode path; return Result \
-                         instead (see --explain R5)",
                         token.word
                     ),
                 );
@@ -579,6 +482,13 @@ fn check_rust_file(path: &str, source: &str, scan: &mut Scan) {
             }
             _ => {}
         }
+    }
+
+    if path.ends_with("src/lib.rs") {
+        check_forbid_header(path, &masked, violations);
+    }
+    if !path.starts_with("tests/") && !path.contains("/tests/") {
+        census_lint_allows(path, &masked, &in_test_region, escapes);
     }
 
     // Item-level pass: parse the file once and run the semantic rules.
@@ -650,15 +560,48 @@ fn brace_block(masked: &[char], from: usize) -> Option<(usize, usize)> {
     None
 }
 
-/// Rule R4's second half: every crate root must carry the forbid header.
-fn check_forbid_header(path: &str, source: &str, violations: &mut Vec<Violation>) {
-    let masked_file = lexer::mask(source);
-    let masked: Vec<char> = masked_file.code.chars().collect();
+/// Record each `allow`/`expect` attribute naming one of [`CENSUSED_LINTS`]
+/// outside test code, once per lint it names.
+fn census_lint_allows(
+    path: &str,
+    masked: &[char],
+    in_test_region: &dyn Fn(usize) -> bool,
+    escapes: &mut Vec<Escape>,
+) {
+    const HEADS: [&str; 4] = ["#[allow(", "#![allow(", "#[expect(", "#![expect("];
+    for (i, _) in masked.iter().enumerate().filter(|&(_, &c)| c == '#') {
+        let Some((head, after)) = HEADS
+            .iter()
+            .find_map(|head| Some((head, match_pattern(masked, i, head)?)))
+        else {
+            continue;
+        };
+        if in_test_region(i) {
+            continue;
+        }
+        let list: String = masked[after..]
+            .iter()
+            .take_while(|&&c| c != ')')
+            .filter(|c| !c.is_whitespace())
+            .collect();
+        let line = 1 + masked[..i].iter().filter(|&&c| c == '\n').count();
+        for lint in list.split(',').filter(|lint| CENSUSED_LINTS.contains(lint)) {
+            escapes.push(Escape {
+                form: format!("{head}{lint})]"),
+                path: path.to_string(),
+                line,
+            });
+        }
+    }
+}
+
+/// Rule R4: every crate root must carry the forbid header.
+fn check_forbid_header(path: &str, masked: &[char], violations: &mut Vec<Violation>) {
     let found = masked
         .iter()
         .enumerate()
         .filter(|&(_, &c)| c == '#')
-        .any(|(i, _)| match_pattern(&masked, i, "#![forbid(unsafe_code)]").is_some());
+        .any(|(i, _)| match_pattern(masked, i, "#![forbid(unsafe_code)]").is_some());
     if !found {
         violations.push(Violation {
             rule: Rule::R4,
@@ -679,58 +622,27 @@ mod tests {
     }
 
     #[test]
-    fn r3_flags_hash_collections() {
-        let v = scan_source("crates/x/src/a.rs", "use std::collections::HashMap;\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::R3);
-        assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn r3_annotation_suppresses_with_reason() {
-        let src = "\
-// detlint: order-insensitive -- only probed by key, never iterated
-use std::collections::HashMap;
-";
-        assert!(scan_source("a.rs", src).is_empty());
-        let trailing = "let m: HashMap<u8, u8> = x; // detlint: order-insensitive -- probe only\n";
-        assert!(scan_source("a.rs", trailing).is_empty());
-    }
-
-    #[test]
-    fn r3_annotation_without_reason_is_itself_a_violation() {
-        let src = "// detlint: order-insensitive\nuse std::collections::HashMap;\n";
-        let v = scan_source("a.rs", src);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v
-            .iter()
-            .any(|x| x.message.contains("without a justification")));
-    }
-
-    #[test]
     fn annotations_survive_crlf_tabs_and_eof() {
         // CRLF: the \r must not end up inside the justification.
-        let crlf =
-            "// detlint: order-insensitive -- probe only\r\nuse std::collections::HashMap;\r\n";
+        let crlf = "// detlint: allow(R1) -- harness\r\nlet t = Instant::now();\r\n";
         assert!(scan_source("a.rs", crlf).is_empty(), "CRLF annotation");
         // Tab / leading-whitespace indentation.
-        let tabbed =
-            "\t// detlint: order-insensitive -- probe only\n\tuse std::collections::HashMap;\n";
+        let tabbed = "\t// detlint: allow(R1) -- harness\n\tlet t = Instant::now();\n";
         assert!(scan_source("a.rs", tabbed).is_empty(), "tabbed annotation");
         // Trailing annotation on the file's unterminated last line.
-        let eof = "use std::collections::HashMap; // detlint: order-insensitive -- probe only";
+        let eof = "let t = Instant::now(); // detlint: allow(R1) -- harness";
         assert!(scan_source("a.rs", eof).is_empty(), "EOF annotation");
         // CRLF conformance variant too (different directive parser arm).
         let conf = "// conformance: strict -- whole-buffer by contract\r\nfn f(r: &Rlp<'_>) { r.ensure_exact().ok(); }\r\n";
         assert!(
-            scan_source("crates/rlp/src/lib.rs", conf).is_empty(),
+            scan_source("crates/rlp/src/decode.rs", conf).is_empty(),
             "CRLF conformance annotation"
         );
     }
 
     #[test]
-    fn r3_ignores_strings_and_comments() {
-        let src = "let s = \"HashMap\"; // HashMap in a comment\n/* HashMap */\n";
+    fn r1_ignores_strings_and_comments() {
+        let src = "let s = \"Instant\"; // Instant in a comment\n/* SystemTime */\n";
         assert!(scan_source("a.rs", src).is_empty());
     }
 
@@ -740,7 +652,7 @@ use std::collections::HashMap;
         let v = scan_source("crates/netsim/src/engine.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::R1);
-        assert!(scan_source("vendor/criterion/src/lib.rs", src).is_empty());
+        assert!(scan_source("vendor/criterion/src/timer.rs", src).is_empty());
     }
 
     #[test]
@@ -750,11 +662,7 @@ use std::collections::HashMap;
         let src = "let t = std::time::Instant::now();\n";
         assert!(scan_source("crates/obs/src/profile.rs", src).is_empty());
         // … but every other obs file stays hard-banned.
-        for path in [
-            "crates/obs/src/lib.rs",
-            "crates/obs/src/trace.rs",
-            "crates/obs/src/bin/obsctl.rs",
-        ] {
+        for path in ["crates/obs/src/trace.rs", "crates/obs/src/bin/obsctl.rs"] {
             let v = scan_source(path, src);
             assert_eq!(v.len(), 1, "{path} should flag: {v:?}");
             assert_eq!(v[0].rule, Rule::R1);
@@ -767,7 +675,7 @@ use std::collections::HashMap;
 // detlint: allow(R1) -- trying to sneak wall clock into the tracer
 let t = std::time::Instant::now();
 ";
-        let v = scan_source("crates/obs/src/lib.rs", src);
+        let v = scan_source("crates/obs/src/trace.rs", src);
         // Both the annotation itself and the wall-clock read are flagged.
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == Rule::R1));
@@ -777,56 +685,6 @@ let t = std::time::Instant::now();
         assert!(v.iter().any(|x| x.message.contains("wall-clock type")));
         // The same source outside crates/obs/ is clean: the annotation works.
         assert!(scan_source("crates/netsim/src/engine.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r2_flags_ambient_entropy() {
-        let v = scan_source("a.rs", "let mut rng = rand::thread_rng();\n");
-        assert_eq!(v[0].rule, Rule::R2);
-        let v = scan_source("a.rs", "let x: u8 = rand::random();\n");
-        assert_eq!(v[0].rule, Rule::R2);
-        // `random` as a plain identifier is fine.
-        assert!(scan_source("a.rs", "let random = 4;\n").is_empty());
-    }
-
-    #[test]
-    fn r4_flags_unsafe_keyword() {
-        let v = scan_source("a.rs", "let p = unsafe { *ptr };\n");
-        assert_eq!(v[0].rule, Rule::R4);
-        // ...but not the string or the lint name.
-        assert!(scan_source("a.rs", "#![forbid(unsafe_code)]\n").is_empty());
-    }
-
-    #[test]
-    fn r5_flags_unwrap_only_in_scope_and_outside_tests() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        assert_eq!(scan_source("crates/rlp/src/decode.rs", src).len(), 1);
-        assert!(scan_source("crates/netsim/src/engine.rs", src).is_empty());
-        assert!(scan_source("crates/rlp/tests/decode.rs", src).is_empty());
-
-        let test_mod = "\
-fn decode(x: Option<u8>) -> Option<u8> { x }
-
-#[cfg(test)]
-mod tests {
-    fn helper(x: Option<u8>) -> u8 { x.unwrap() }
-}
-";
-        assert!(scan_source("crates/rlp/src/decode.rs", test_mod).is_empty());
-
-        let test_fn = "#[test]\nfn t() { Some(1u8).unwrap(); }\n";
-        assert!(scan_source("crates/rlp/src/decode.rs", test_fn).is_empty());
-    }
-
-    #[test]
-    fn r5_allows_with_annotation() {
-        let src = "\
-fn f(x: [u8; 4]) -> u32 {
-    // detlint: allow(R5) -- slice is exactly 4 bytes by construction
-    u32::from_be_bytes(x[..4].try_into().unwrap())
-}
-";
-        assert!(scan_source("crates/rlp/src/decode.rs", src).is_empty());
     }
 
     #[test]
@@ -848,16 +706,16 @@ fn f(x: [u8; 4]) -> u32 {
 // conformance: strict -- one-shot decode is whole-buffer by contract
 fn f(r: &Rlp<'_>) { r.ensure_exact().ok(); }
 ";
-        assert!(scan_source("crates/rlp/src/lib.rs", src).is_empty());
+        assert!(scan_source("crates/rlp/src/decode.rs", src).is_empty());
         let trailing =
             "fn f(r: &Rlp<'_>) { r.ensure_exact().ok(); } // conformance: strict -- contract\n";
-        assert!(scan_source("crates/rlp/src/lib.rs", trailing).is_empty());
+        assert!(scan_source("crates/rlp/src/decode.rs", trailing).is_empty());
     }
 
     #[test]
     fn r7_annotation_without_reason_or_unknown_spec_is_itself_a_violation() {
         let src = "// conformance: strict\nfn f(r: &Rlp<'_>) { r.ensure_exact().ok(); }\n";
-        let v = scan_source("crates/rlp/src/lib.rs", src);
+        let v = scan_source("crates/rlp/src/decode.rs", src);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v
             .iter()
@@ -896,30 +754,29 @@ fn f(r: &Rlp<'_>) { r.ensure_exact().ok(); }
     }
 
     #[test]
-    fn forbid_header_required_in_lib_roots() {
-        let mut v = Vec::new();
-        check_forbid_header("crates/x/src/lib.rs", "pub fn f() {}\n", &mut v);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::R4);
-
-        let mut v = Vec::new();
-        check_forbid_header(
-            "crates/x/src/lib.rs",
-            "//! Docs.\n#![forbid(unsafe_code)]\npub fn f() {}\n",
-            &mut v,
-        );
-        assert!(v.is_empty());
+    fn forbid_header_required_in_lib_roots_only() {
+        let v = scan_source("crates/x/src/lib.rs", "pub fn f() {}\n");
+        assert_eq!((v.len(), v[0].code), (1, "R4.missing_forbid"));
+        let with_header = "//! Docs.\n#![forbid(unsafe_code)]\npub fn f() {}\n";
+        assert!(scan_source("crates/x/src/lib.rs", with_header).is_empty());
+        assert!(scan_source("crates/x/src/main.rs", "fn main() {}\n").is_empty());
     }
 
     #[test]
-    fn census_counts_honoured_annotations_only() {
+    fn census_counts_honoured_annotations_and_non_test_lint_allows() {
         let src = "\
-// detlint: order-insensitive -- probe only
-use std::collections::HashMap;
-// detlint: allow(r5) -- exact slice
-// detlint: allow(R5)
+// detlint: allow(r8) -- memo
+// detlint: allow(R8)
 // conformance: strict -- contract
 // detlint: allow(R4) -- no such hatch
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+#[allow(clippy::unwrap_used, dead_code)]
+fn f() {}
+#[cfg(test)]
+mod tests {
+    #[allow(clippy::disallowed_types)]
+    fn g() {}
+}
 ";
         let mut scan = Scan::default();
         check_rust_file("crates/x/src/a.rs", src, &mut scan);
@@ -931,12 +788,18 @@ use std::collections::HashMap;
         assert_eq!(
             forms,
             [
-                ("order-insensitive", 1),
-                ("allow(R5)", 3),
-                ("conformance: strict", 5)
+                ("allow(R8)", 1),
+                ("conformance: strict", 3),
+                ("#![allow(clippy::unwrap_used)]", 5),
+                ("#![allow(clippy::expect_used)]", 5),
+                ("#[allow(clippy::unwrap_used)]", 6),
             ]
         );
         // The unjustified and the hatch-less annotation are findings instead.
         assert_eq!(scan.violations.len(), 2, "{:?}", scan.violations);
+        // A tests/ file is test code throughout.
+        let mut scan = Scan::default();
+        check_rust_file("crates/x/tests/t.rs", src, &mut scan);
+        assert_eq!(scan.escapes.len(), 2);
     }
 }

@@ -4,16 +4,19 @@
 //! lines. This pins both halves of each rule: that it fires, and that its
 //! documented escape hatch / compliant pattern silences it.
 //!
-//! Fixtures are scanned under a *virtual* repo-relative path (`vpath`) so
-//! path-scoped rules (R1 allowlist, R5/R7 crate scope, R8/R9 library
-//! scope, R6 path resolution) behave exactly as in a workspace scan; R10
-//! keys on the package name the manifest fixture declares. The real
-//! `fixtures/` directory itself is excluded from workspace scans.
+//! Rust fixtures are scanned under a *virtual* repo-relative path (`vpath`)
+//! so path-scoped rules (R1 allowlist, R4 crate roots, R7 crate scope,
+//! R8/R9 library scope) behave exactly as in a workspace scan. Lock
+//! fixtures (R6, R10) are judged against the packages the real repository
+//! declares. The real `fixtures/` directory itself is excluded from
+//! workspace scans.
 
-use detlint::{rules, scan_manifest_source, scan_rust_source, Violation};
+use detlint::manifest::{check_lock, Packages};
+use detlint::{rules, scan_rust_source, Violation};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
+use std::sync::OnceLock;
 
 struct Fixture {
     rule: &'static str,
@@ -33,38 +36,19 @@ const FIXTURES: &[Fixture] = &[
         expected_fail: &[("R1.wall_clock", 3)],
     },
     Fixture {
-        rule: "R2",
-        file: "r2.rs",
-        vpath: "crates/netsim/src/rng.rs",
-        expected_fail: &[("R2.ambient_entropy", 3), ("R2.ambient_entropy", 4)],
-    },
-    Fixture {
-        rule: "R3",
-        file: "r3.rs",
-        vpath: "crates/nodefinder/src/crawl.rs",
-        expected_fail: &[("R3.hash_collection", 2), ("R3.hash_collection", 3)],
-    },
-    Fixture {
         rule: "R4",
         file: "r4.rs",
-        vpath: "crates/rlp/src/raw.rs",
-        expected_fail: &[("R4.unsafe_code", 3)],
-    },
-    Fixture {
-        rule: "R5",
-        file: "r5.rs",
-        vpath: "crates/rlp/src/decode.rs",
-        expected_fail: &[("R5.panic_escape", 3)],
+        vpath: "crates/rlp/src/lib.rs",
+        expected_fail: &[("R4.missing_forbid", 1)],
     },
     Fixture {
         rule: "R6",
-        file: "r6.toml",
-        vpath: "crates/x/Cargo.toml",
+        file: "r6.lock",
+        vpath: "Cargo.lock",
         expected_fail: &[
-            ("R6.registry_dep", 7),
-            ("R6.git_dep", 8),
-            ("R6.abs_path", 9),
-            ("R6.escaping_path", 10),
+            ("R6.git_dep", 18),
+            ("R6.outside_repo", 21),
+            ("R6.registry_dep", 27),
         ],
     },
     Fixture {
@@ -95,25 +79,40 @@ const FIXTURES: &[Fixture] = &[
     },
     Fixture {
         rule: "R10",
-        file: "r10.toml",
-        vpath: "crates/rlp/Cargo.toml",
-        expected_fail: &[("R10.layer_dep", 6), ("R10.layer_dep", 9)],
+        file: "r10.lock",
+        vpath: "Cargo.lock",
+        expected_fail: &[("R10.layer_dep", 10), ("R10.layer_dep", 11)],
     },
     Fixture {
         rule: "R10",
-        file: "r10_obs.toml",
-        vpath: "crates/obs/Cargo.toml",
-        expected_fail: &[("R10.obs_dep", 6)],
+        file: "r10_obs.lock",
+        vpath: "Cargo.lock",
+        expected_fail: &[("R10.obs_dep", 8)],
     },
-    // A retired rule id (R11–R13) in an annotation is an unrecognized
-    // annotation, which detlint has always filed under R3.
+    // An annotation naming no live rule (R11–R13 retired; R2, R3 and R5
+    // decided by rustc and clippy) or in a retired form is unrecognized,
+    // filed under R1.
     Fixture {
-        rule: "R3",
+        rule: "R1",
         file: "retired.rs",
         vpath: "crates/netsim/src/hot.rs",
-        expected_fail: &[("R3.annotation", 2)],
+        expected_fail: &[
+            ("R1.annotation", 3),
+            ("R1.annotation", 4),
+            ("R1.annotation", 5),
+        ],
     },
 ];
+
+/// The repository's packages, which lock fixtures are judged against.
+fn packages() -> &'static Packages {
+    static PACKAGES: OnceLock<Packages> = OnceLock::new();
+    PACKAGES.get_or_init(|| {
+        detlint::scan_workspace(detlint::workspace_root())
+            .expect("scan the workspace")
+            .packages
+    })
+}
 
 fn scan_fixture(kind: &str, fixture: &Fixture) -> Vec<Violation> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -122,8 +121,8 @@ fn scan_fixture(kind: &str, fixture: &Fixture) -> Vec<Violation> {
         .join(fixture.file);
     let source = fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
-    if fixture.file.ends_with(".toml") {
-        scan_manifest_source(fixture.vpath, &source)
+    if fixture.file.ends_with(".lock") {
+        check_lock(fixture.vpath, &source, packages())
     } else {
         scan_rust_source(fixture.vpath, &source)
     }

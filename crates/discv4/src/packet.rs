@@ -228,14 +228,14 @@ pub fn decode_packet(datagram: &[u8]) -> Result<(NodeId, Packet, [u8; 32]), Pack
         return Err(PacketError::TooShort);
     }
     #[allow(clippy::unwrap_used)]
-    // detlint: allow(R5) -- length checked above; `..32` slice is exactly 32 bytes
+    // length checked above; `..32` slice is exactly 32 bytes
     let claimed_hash: [u8; 32] = datagram[..32].try_into().unwrap();
     let actual_hash = keccak256(&datagram[32..]);
     if claimed_hash != actual_hash {
         return Err(PacketError::BadHash);
     }
     #[allow(clippy::unwrap_used)]
-    // detlint: allow(R5) -- length checked above; `32..97` slice is exactly 65 bytes
+    // length checked above; `32..97` slice is exactly 65 bytes
     let sig_bytes: [u8; 65] = datagram[32..97].try_into().unwrap();
     let sig =
         RecoverableSignature::from_bytes(&sig_bytes).map_err(|_| PacketError::BadSignature)?;

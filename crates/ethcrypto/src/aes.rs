@@ -55,7 +55,7 @@ fn sub_word(w: u32) -> u32 {
 
 /// An expanded AES key (128, 192, or 256 bits). Encryption-only: CTR mode
 /// never needs the inverse cipher.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Aes {
     /// Round keys as big-endian column words, four per round.
     round_keys: Vec<u32>,
@@ -135,6 +135,7 @@ impl Aes {
 
 /// AES in counter mode: a streaming XOR cipher. Encryption and decryption
 /// are the same operation.
+#[derive(Debug)]
 pub struct AesCtr {
     cipher: Aes,
     counter: [u8; 16],

@@ -18,7 +18,7 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 /// outer pads — plus whatever message has been absorbed since. Keying costs
 /// two compressions, so a caller that MACs several messages under one key
 /// (RFC 6979 does, twice per signature) keys once and clones.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer: Sha256,

@@ -111,7 +111,7 @@ fn keccak_f(a: &mut [u64; 25]) {
 pub const MAX_RATE: usize = 136;
 
 /// Incremental Keccak hasher with a configurable output length.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Keccak {
     state: [u64; 25],
     rate: usize, // in bytes

@@ -17,7 +17,7 @@ const H0: [u32; 8] = [
 ];
 
 /// Incremental SHA-256 hasher.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Sha256 {
     h: [u32; 8],
     buf: [u8; 64],

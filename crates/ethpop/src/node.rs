@@ -191,6 +191,7 @@ fn node_fp(id: &NodeId) -> u64 {
 }
 
 /// A population node.
+#[derive(Debug)]
 pub struct EthNode {
     profile: NodeProfile,
     /// Shared flyweight: every node in a world points at the same

@@ -61,6 +61,7 @@ enum Stage {
 netsim::snap_enum!(Stage { 0 => Connecting, 1 => Handshaking, 2 => Active, 3 => Dead });
 
 /// One peer connection's full protocol state.
+#[derive(Debug)]
 pub struct PeerConn {
     /// Simulator connection id.
     pub conn: ConnId,

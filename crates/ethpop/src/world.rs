@@ -137,6 +137,7 @@ pub struct GroundTruthNode {
 }
 
 /// A generated world: simulator + ground truth + the bootstrap set.
+#[derive(Debug)]
 pub struct World {
     /// The simulator, fully populated and scheduled.
     pub sim: NetSim,

@@ -8,6 +8,7 @@ use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use obs::{snap_enum, snap_struct, MetricId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Magic prefixing every engine-level world snapshot.
@@ -221,6 +222,15 @@ pub struct Ctx<'a> {
     conn_free: &'a [u32],
     actions: Vec<Action>,
     new_conns: usize,
+}
+
+impl fmt::Debug for Ctx<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ctx")
+            .field("now_ms", &self.now_ms)
+            .field("host", &self.host)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'a> Ctx<'a> {
@@ -752,6 +762,17 @@ pub struct NetSim {
     /// path reuses one allocation instead of building a fresh `Vec` per
     /// event.
     action_buf: Vec<Action>,
+}
+
+/// Hosts are `dyn Host` slots, so only the clock and counters print.
+impl fmt::Debug for NetSim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NetSim")
+            .field("now", &self.now)
+            .field("hosts", &self.slots.len())
+            .field("events_processed", &self.events_processed)
+            .finish_non_exhaustive()
+    }
 }
 
 impl NetSim {

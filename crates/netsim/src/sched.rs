@@ -6,6 +6,7 @@
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::fmt;
 
 /// The name the frozen `benchmark/src/ledger.rs` imports.
 pub type TimerWheel<T> = EventQueue<T>;
@@ -39,6 +40,14 @@ impl<T> Ord for Entry<T> {
 
 /// Min-queue over unique `(at, key)` pairs.
 pub struct EventQueue<T>(BinaryHeap<Entry<T>>);
+
+impl<T> fmt::Debug for EventQueue<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EventQueue")
+            .field("len", &self.0.len())
+            .finish_non_exhaustive()
+    }
+}
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {

@@ -128,6 +128,7 @@ impl CrawlerConfig {
     }
 }
 
+#[derive(Debug)]
 pub(crate) struct StaticEntry {
     pub(crate) record: NodeRecord,
     pub(crate) next_dial_ms: u64,
@@ -141,6 +142,7 @@ obs::snap_struct!(StaticEntry {
 });
 
 /// The crawler. One instance per simulated measurement machine.
+#[derive(Debug)]
 pub struct NodeFinder {
     pub(crate) key: SecretKey,
     pub(crate) config: CrawlerConfig,

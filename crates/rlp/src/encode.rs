@@ -183,7 +183,7 @@ pub(crate) fn encode_str_header_into(out: &mut Vec<u8>, bytes: &[u8]) {
         len => {
             let be = (len as u64).to_be_bytes();
             #[allow(clippy::unwrap_used)]
-            // detlint: allow(R5) -- len > 55 here, so at least one byte is nonzero
+            // len > 55 here, so at least one byte is nonzero
             let first = be.iter().position(|&b| b != 0).unwrap();
             out.push(0xb7 + (8 - first) as u8);
             out.extend_from_slice(&be[first..]);
@@ -199,7 +199,7 @@ pub(crate) fn encode_list_header(out: &mut Vec<u8>, payload_len: usize) {
     } else {
         let be = (payload_len as u64).to_be_bytes();
         #[allow(clippy::unwrap_used)]
-        // detlint: allow(R5) -- payload_len > 55 here, so at least one byte is nonzero
+        // payload_len > 55 here, so at least one byte is nonzero
         let first = be.iter().position(|&b| b != 0).unwrap();
         out.push(0xf7 + (8 - first) as u8);
         out.extend_from_slice(&be[first..]);

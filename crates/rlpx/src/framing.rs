@@ -131,7 +131,7 @@ impl FrameCodec {
     #[allow(clippy::unwrap_used)]
     fn mac_digest(state: &Keccak) -> [u8; 16] {
         let full = state.clone().finalize();
-        // detlint: allow(R5) -- keccak256 output is 32 bytes; `..16` is exact
+        // keccak256 output is 32 bytes; `..16` is exact
         full[..16].try_into().unwrap()
     }
 
@@ -196,10 +196,10 @@ impl FrameCodec {
                 return Ok(None);
             }
             #[allow(clippy::unwrap_used)]
-            // detlint: allow(R5) -- buf.len() >= 32 checked above; slices are exact
+            // buf.len() >= 32 checked above; slices are exact
             let header_ct: [u8; 16] = buf[..16].try_into().unwrap();
             #[allow(clippy::unwrap_used)]
-            // detlint: allow(R5) -- buf.len() >= 32 checked above; slices are exact
+            // buf.len() >= 32 checked above; slices are exact
             let claimed_mac: [u8; 16] = buf[16..32].try_into().unwrap();
             let digest = Self::mac_digest(&self.ingress_mac);
             let computed =
@@ -228,7 +228,7 @@ impl FrameCodec {
         }
         let body_ct = buf[..padded].to_vec();
         #[allow(clippy::unwrap_used)]
-        // detlint: allow(R5) -- buf.len() >= padded + 16 checked above; slice is exact
+        // buf.len() >= padded + 16 checked above; slice is exact
         let claimed_mac: [u8; 16] = buf[padded..padded + 16].try_into().unwrap();
         self.ingress_mac.update(&body_ct);
         let seed = Self::mac_digest(&self.ingress_mac);

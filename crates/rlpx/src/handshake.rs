@@ -382,7 +382,7 @@ fn keccak_pair(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
     let mut h = Keccak::v256();
     h.update(a);
     h.update(b);
-    // detlint: allow(R5) -- keccak-256 digests are always exactly 32 bytes
+    // keccak-256 digests are always exactly 32 bytes
     h.finalize().try_into().unwrap()
 }
 

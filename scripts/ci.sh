@@ -2,12 +2,19 @@
 # The full local gate, in the order a reviewer should trust it:
 #
 #   1. rustfmt   -- formatting is canonical (no diff)
-#   2. clippy    -- workspace lint-clean; protocol crates additionally deny
-#                   unwrap/expect (see each crate's [lints] table)
-#   3. detlint   -- the determinism, panic-safety, wire-policy and
-#                   layering rules nothing else enforces (DESIGN.md
-#                   § Determinism; `detlint --explain` lists them): one
-#                   line per violation on stdout, exit 1 if there is any
+#   2. clippy    -- workspace lint-clean, and the only enforcer of two
+#                   determinism rules: R3 (HashMap/HashSet, clippy.toml
+#                   `disallowed-types`) and R5 (unwrap/expect, denied in
+#                   the protocol crates', conformance's and serde_json's
+#                   [lints] tables). A missing clippy fails this step
+#   3. detlint   -- the determinism, wire-policy and layering rules
+#                   nothing else decides: R1, R4's crate-root header,
+#                   R6/R10 over both Cargo.lock files, R7, R8, R9
+#                   (DESIGN.md § Determinism; `detlint --explain` lists
+#                   them): one line per violation on stdout, exit 1 if
+#                   there is any. rustc holds the rest: R2 (the vendored
+#                   rand has no ambient entropy) and R4's ban itself
+#                   (`unsafe_code = "forbid"` in every [lints] table)
 #   4. tests     -- the whole workspace (robustness, shard/resume
 #                   determinism, conformance and static_analysis suites
 #                   included; cargo names the test binary that fails);
@@ -40,8 +47,6 @@
 # but the steps themselves.
 #
 # Everything runs offline: external deps are vendored under vendor/.
-# Clippy is best-effort -- some container images ship a toolchain without
-# the clippy component, and its absence must not mask the other gates.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -65,13 +70,7 @@ step() {
 
 step "cargo fmt --check" cargo fmt --check
 
-if cargo clippy --version >/dev/null 2>&1; then
-    step "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
-else
-    echo
-    echo "==> cargo clippy"
-    echo "    SKIPPED: clippy component not installed"
-fi
+step "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 step "detlint" cargo run -q -p detlint
 step "cargo test" cargo test --workspace -q
