@@ -76,11 +76,6 @@ pub fn cdf_csv(x_name: &str, points: &[(u64, f64)]) -> String {
     out
 }
 
-/// A compact "paper vs measured" comparison line for EXPERIMENTS.md.
-pub fn compare_line(metric: &str, paper: &str, measured: &str, verdict: &str) -> String {
-    format!("| {metric} | {paper} | {measured} | {verdict} |\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,12 +125,6 @@ mod tests {
         assert_eq!(lines[0], "window,disc,dial");
         assert_eq!(lines[1], "0,1,4");
         assert_eq!(lines[3], "2,3,6");
-    }
-
-    #[test]
-    fn compare_line_markdown_row() {
-        let line = compare_line("Table 6", "3.6x", "2.2x", "holds");
-        assert_eq!(line, "| Table 6 | 3.6x | 2.2x | holds |\n");
     }
 
     #[test]

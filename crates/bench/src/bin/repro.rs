@@ -8,12 +8,30 @@
 //!                         committed results/ and EXPERIMENTS.md, exit 1
 //!                         naming every file that differs
 //! repro scale <hosts>     build-and-run smoke of a large sharded world
+//! repro chain <key>       walk the causal chain of scheduler key <key>
+//!                         through the trace: every dispatch from the key
+//!                         back to its external root (cause 0), with the
+//!                         events each dispatch recorded
+//! repro campaign          crawl-campaign progress from the trace and the
+//!                         metrics export: dial funnel totals, fresh vs
+//!                         stale nodes, events per sim-hour
 //! ```
 //!
 //! `SEED` / `NODES` / `DAYS` / `CRAWLERS` rescale the campaigns; such a run
 //! writes under `results/override/` and cannot be `--check`ed.
+//!
+//! `chain` and `campaign` read the `obs` entry's committed exports, or
+//! the files `--trace <path>` (default `results/obs_trace.jsonl`) and
+//! `--prom <path>` (default `results/obs_metrics.prom`) name, and exit 1
+//! naming the file and line they cannot read. The trace is a bounded
+//! flight recorder: the ring keeps the newest `trace_capacity` events
+//! (default 65536) and evicts the oldest, counting drops per event kind.
+//! A chain that stops short of a root may simply have had its older links
+//! evicted — check the recorder's drop counters before concluding the
+//! provenance is broken.
 
 use bench::registry::{check_files, experiments_md, Campaigns, Entry, REGISTRY};
+use bench::trace_report::{campaign, chain, parse_prom, parse_trace};
 use bench::{mixed_world, Overrides};
 use ethpop::world::WorldConfig;
 use nodefinder::CrawlerConfig;
@@ -41,6 +59,17 @@ fn main() {
             exit(2)
         }
         ["all", "--check"] => check(&generate(REGISTRY, overrides, true)),
+        ["chain", key, flags @ ..] => match (key.parse(), paths(flags, [("--trace", TRACE)])) {
+            (Ok(key), Some([trace])) => print!("{}", chain(load(trace, parse_trace), key)),
+            _ => usage(),
+        },
+        ["campaign", flags @ ..] => match paths(flags, [("--trace", TRACE), ("--prom", PROM)]) {
+            Some([trace, prom]) => {
+                let report = campaign(&load(trace, parse_trace), &load(prom, parse_prom)).report;
+                print!("{report}")
+            }
+            None => usage(),
+        },
         [] => usage(),
         names => {
             let find = |name: &&str| REGISTRY.iter().copied().find(|e| e.name == *name);
@@ -53,8 +82,41 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: repro list | all [--check] | scale <hosts> | <name>…   (names: repro list)");
+    eprintln!(
+        "usage: repro list | all [--check] | scale <hosts> | chain <key> [--trace <path>] \
+         | campaign [--trace <path>] [--prom <path>] | <name>…   (names: repro list)"
+    );
     exit(2)
+}
+
+/// The `obs` entry's exports, which `chain` and `campaign` read by default.
+const TRACE: &str = "results/obs_trace.jsonl";
+const PROM: &str = "results/obs_metrics.prom";
+
+/// The paths that `--<flag> <path>` pairs in `flags` give, each defaulting
+/// to its entry in `defaults`; `None` on any other argument.
+fn paths<'a, const N: usize>(
+    flags: &[&'a str],
+    defaults: [(&str, &'a str); N],
+) -> Option<[&'a str; N]> {
+    let mut paths = defaults.map(|(_, path)| path);
+    for pair in flags.chunks(2) {
+        let [flag, path] = pair else { return None };
+        let at = defaults.iter().position(|(name, _)| name == flag)?;
+        paths[at] = path;
+    }
+    Some(paths)
+}
+
+/// Read `path` with `parse`, or exit 1 naming the file, and the line
+/// where it is damaged.
+fn load<T>(path: &str, parse: fn(&str, &str) -> Result<T, String>) -> T {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    text.and_then(|text| parse(path, &text))
+        .unwrap_or_else(|err| {
+            eprintln!("repro: {err}");
+            exit(1)
+        })
 }
 
 fn list() {

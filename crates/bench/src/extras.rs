@@ -4,8 +4,8 @@
 
 use crate::registry::{Entry, Generator, Output};
 use crate::{
-    crawl_world, crawler_key, mixed_world, sim_sanitize_params, start_host, take_host, CrawlRun,
-    Overrides, Scale, UIUC,
+    crawl_world, crawler_key, mixed_world, sim_sanitize_params, start_host, take_host,
+    trace_report, CrawlRun, Overrides, Scale, UIUC,
 };
 use ethcrypto::secp256k1::SecretKey;
 use ethpop::world::{TruthKind, World, WorldConfig};
@@ -369,11 +369,18 @@ fn extension_eclipse(ov: &Overrides) -> Output {
 /// The instrumented reference crawl: the `tests/full_stack.rs`
 /// mixed-population world (36 behavioural nodes + 4 Byzantine hosts, seed
 /// 4242, 10 simulated minutes) under the `obs` recorder and self-profiler.
-/// `obs_trace.jsonl` and `obs_metrics.prom` are deterministic and feed the
-/// `obsctl` walkthrough; `obs_profile.json` is wall-clock and local.
+/// `obs_trace.jsonl` and `obs_metrics.prom` are deterministic and feed
+/// `repro chain` and `repro campaign`; `obsctl_campaign.json` is the
+/// campaign report read back from those two exports, so `--check` also
+/// proves the readers read what the writers wrote. The profiler table is
+/// printed, and `obs_profile.json` written locally: both are wall-clock.
 pub(crate) const OBS: Entry = Entry {
     name: "obs",
-    files: &["obs_trace.jsonl", "obs_metrics.prom"],
+    files: &[
+        "obs_trace.jsonl",
+        "obs_metrics.prom",
+        "obsctl_campaign.json",
+    ],
     rows: &[],
     generate: Generator::Own(obs_reference),
 };
@@ -402,22 +409,25 @@ fn obs_reference(_: &Overrides) -> Output {
     };
     let mut world = mixed_world(config, 4, crawler);
     world.sim.run_until(SIM_MS);
+    let summary = obs::profile::summary().expect("profiler installed above");
     let profile = obs::profile::export_json().expect("profiler installed above");
     obs::profile::uninstall();
     obs::uninstall();
     let text = format!(
         "obs reference crawl: {} sim events, peak queue depth {}, {} trace events recorded, \
-         {} dropped\n",
+         {} dropped\n\n{}",
         recorder.counter("netsim.events_total"),
         recorder.gauge("netsim.queue_depth_peak"),
         recorder.event_count(),
-        recorder.dropped_events()
+        recorder.dropped_events(),
+        trace_report::profile_table(&summary)
     );
-    let mut out = Output::new(
-        vec![recorder.export_jsonl(), recorder.prometheus()],
-        text,
-        Vec::new(),
+    let (trace, prom) = (recorder.export_jsonl(), recorder.prometheus());
+    let campaign = trace_report::campaign(
+        &trace_report::parse_trace("obs_trace.jsonl", &trace).expect("trace reads back"),
+        &trace_report::parse_prom("obs_metrics.prom", &prom).expect("metrics read back"),
     );
+    let mut out = Output::new(vec![trace, prom, campaign.json], text, Vec::new());
     out.local.push(("obs_profile.json", profile));
     out
 }

@@ -23,6 +23,7 @@ use std::net::Ipv4Addr;
 mod extras;
 mod paper;
 pub mod registry;
+pub mod trace_report;
 pub mod xor_experiment;
 
 /// Standard experiment scales, chosen to finish on a small machine.

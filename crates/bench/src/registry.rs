@@ -129,14 +129,8 @@ pub const REGISTRY: &[&Entry] = &[
     &extras::OBS,
 ];
 
-/// Files in `results/` that no entry owns: `obsctl campaign --json`'s
-/// committed report and the git-ignored local outputs.
-pub const NON_REGISTRY_FILES: &[&str] = &[
-    "obsctl_campaign.json",
-    "obsctl_profile.json",
-    "obs_profile.json",
-    "override",
-];
+/// Files in `results/` that no entry owns: the git-ignored local outputs.
+pub const NON_REGISTRY_FILES: &[&str] = &["obs_profile.json", "override"];
 
 /// Runs generators, simulating each shared campaign at most once.
 #[derive(Debug)]

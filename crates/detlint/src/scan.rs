@@ -662,7 +662,7 @@ mod tests {
         let src = "let t = std::time::Instant::now();\n";
         assert!(scan_source("crates/obs/src/profile.rs", src).is_empty());
         // … but every other obs file stays hard-banned.
-        for path in ["crates/obs/src/trace.rs", "crates/obs/src/bin/obsctl.rs"] {
+        for path in ["crates/obs/src/trace.rs", "crates/obs/src/query.rs"] {
             let v = scan_source(path, src);
             assert_eq!(v.len(), 1, "{path} should flag: {v:?}");
             assert_eq!(v[0].rule, Rule::R1);

@@ -240,15 +240,6 @@ pub fn keccak256(data: &[u8]) -> [u8; 32] {
     h.finalize().try_into().unwrap()
 }
 
-/// One-shot Keccak-256 over two concatenated segments (avoids a copy in the
-/// hot discovery path where packets are `header || payload`).
-pub fn keccak256_two(a: &[u8], b: &[u8]) -> [u8; 32] {
-    let mut h = Keccak::v256();
-    h.update(a);
-    h.update(b);
-    h.finalize().try_into().unwrap()
-}
-
 /// One-shot Keccak-512.
 pub fn keccak512(data: &[u8]) -> [u8; 64] {
     let mut h = Keccak::v512();
@@ -329,13 +320,6 @@ mod tests {
             let incr: [u8; 32] = h.finalize().try_into().unwrap();
             assert_eq!(incr, oneshot, "chunk size {chunk_size}");
         }
-    }
-
-    #[test]
-    fn two_segment_helper_matches() {
-        let a = b"hello ";
-        let b = b"world";
-        assert_eq!(keccak256_two(a, b), keccak256(b"hello world"));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   the epoch's wall time and the shard's busy time in that epoch —
 //!   a shard that finished its work early "stalls" waiting for the
 //!   slowest one;
-//! * per-event-kind cost (`conn`, `disc`, `timer`, …) so `obsctl
-//!   profile` can rank kinds by wall cost;
+//! * per-event-kind cost (`conn`, `disc`, `timer`, …) so `repro obs`
+//!   can rank kinds by wall cost;
 //! * per-host cost, rolled up by archetype label (registered via
 //!   [`host_label`]) so flyweight worlds report e.g. "tarpit hosts cost
 //!   7× honest hosts".

@@ -17,7 +17,7 @@ impl TraceQuery {
     }
 
     /// Build a query over events from outside the recorder — e.g.
-    /// `obsctl` re-hydrating a trace from `obs_trace.jsonl`, or
+    /// `repro chain` re-reading a trace from `obs_trace.jsonl`, or
     /// property tests fabricating causal forests.
     pub fn from_events(events: Vec<TraceEvent>) -> Self {
         TraceQuery::new(events)
@@ -133,17 +133,6 @@ impl TraceQuery {
             .collect();
         keys.into_iter().collect()
     }
-
-    /// Event count per causal depth, sorted by depth — the shape of the
-    /// happens-before forest (depth 0 = emitted at roots or outside any
-    /// dispatch).
-    pub fn depth_histogram(&self) -> Vec<(u32, u64)> {
-        let mut hist = std::collections::BTreeMap::new();
-        for e in &self.events {
-            *hist.entry(e.depth).or_insert(0u64) += 1;
-        }
-        hist.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -248,11 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn roots_and_depths() {
+    fn roots_are_the_cause_zero_keys() {
         let q = causal_q();
         assert_eq!(q.roots(), vec![1, 2]);
-        // depth 0: two roots + the outside-dispatch event.
-        assert_eq!(q.depth_histogram(), vec![(0, 3), (1, 2), (2, 1)]);
     }
 
     #[test]

@@ -23,10 +23,10 @@
 #                   10^5-case differential sweep in release mode
 #   5. repro     -- `repro all --check` regenerates every registry entry
 #                   in memory and fails naming each file under results/
-#                   (or EXPERIMENTS.md) whose committed bytes differ; it
-#                   also rewrites the local obs_profile.json, over which
-#                   obsctl's --json reports are then generated twice and
-#                   byte-compared
+#                   (or EXPERIMENTS.md) whose committed bytes differ,
+#                   obsctl_campaign.json included: the campaign report
+#                   read back from the obs entry's own trace and metrics
+#                   exports
 #   6. scale     -- `repro scale 50000`: a sharded 50,000-host world
 #                   builds and runs two simulated seconds, and the
 #                   ethcrypto memo fitted to it loses no signature
@@ -52,9 +52,6 @@ cd "$(dirname "$0")/.."
 
 failures=0
 tree_before=$(git status --porcelain)
-# Second copies for the byte-compare steps live outside results/.
-scratch=target/ci
-mkdir -p "$scratch" results
 step() {
     echo
     echo "==> $1"
@@ -93,20 +90,6 @@ repro_check() {
     cargo run -q --release -p bench --bin repro -- all --check >/dev/null
 }
 step "repro all --check" repro_check
-# obsctl determinism: the trace tooling's --json reports over the obs
-# entry's files must be byte-identical across back-to-back runs — the CLI
-# may not inject timestamps, map ordering, or any other run-local state
-# into its output.
-obsctl_json() {
-    local report
-    for report in profile campaign; do
-        cargo run -q -p obs --bin obsctl -- "$report" --json >"results/obsctl_$report.json" \
-            && cargo run -q -p obs --bin obsctl -- "$report" --json >"$scratch/obsctl_$report.json" \
-            && cmp -s "results/obsctl_$report.json" "$scratch/obsctl_$report.json" \
-            || return 1
-    done
-}
-step "obsctl --json (byte-identical across runs)" obsctl_json
 # Does a sharded 50,000-host world still build and run, with a memo big
 # enough for it? (250,000 is the same command by hand.)
 step "repro scale 50000" cargo run -q --release -p bench --bin repro -- scale 50000
