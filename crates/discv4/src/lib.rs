@@ -12,9 +12,11 @@
 //! from the signature*, which is why spoofing node IDs at the discovery
 //! layer requires a keypair per identity.
 //!
-//! Four packet types exist: PING, PONG, FINDNODE, NEIGHBORS. A node must
-//! complete a PING/PONG exchange (the *endpoint proof*, or "bond") before
-//! its FINDNODE queries are answered.
+//! Four packet types exist: PING, PONG, FINDNODE, NEIGHBORS. A node's
+//! FINDNODE queries are answered only within 24 h of a PING/PONG exchange
+//! (the *endpoint proof*, or "bond") in either direction: it answered our
+//! PING, or it PINGed us. Each node keeps one bond entry per peer for both
+//! directions.
 //!
 //! The [`Discv4`] service is sans-IO: the caller feeds incoming datagrams
 //! and a clock into it and ships out the [`Outgoing`] datagrams it returns.

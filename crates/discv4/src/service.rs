@@ -1,9 +1,12 @@
 //! The sans-IO discv4 protocol engine.
 //!
 //! [`Discv4`] owns the routing table, the bond (endpoint-proof) registry,
-//! and at most one in-flight iterative lookup. It performs no IO: callers
-//! feed datagrams via [`Discv4::on_datagram`], advance time via
-//! [`Discv4::poll`], and transmit every returned [`Outgoing`].
+//! and at most one in-flight iterative lookup. The registry keeps one
+//! `Bond` per peer, holding both directions of the proof: when the peer
+//! answered our PING (and at which endpoint), and when it last PINGed
+//! us. It performs no IO: callers feed datagrams via
+//! [`Discv4::on_datagram`], advance time via [`Discv4::poll`], and
+//! transmit every returned [`Outgoing`].
 //!
 //! Time is caller-supplied in **milliseconds** (the simulator's clock);
 //! wire expirations are converted to Unix-style seconds.
@@ -109,6 +112,20 @@ obs::snap_struct!(PendingQuery {
     sent_ms
 });
 
+/// Both directions of one peer's endpoint proof. A stamp counts for
+/// [`Config::bond_expiry_ms`] after it was set; an entry always has at
+/// least one half.
+#[derive(Debug, Default)]
+struct Bond {
+    /// When the peer last answered our PING, and the endpoint that PING
+    /// went to — where FINDNODE replies go, whatever the stamp's age.
+    verified: Option<(u64, Endpoint)>,
+    /// When the peer last PINGed us: enough for it to FINDNODE us.
+    pinged: Option<u64>,
+}
+
+obs::snap_struct!(Bond { verified, pinged });
+
 /// Counters exposed for the paper's internal-validation figures (Fig 5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
@@ -151,10 +168,8 @@ pub struct Discv4 {
     pending_pings: BTreeMap<[u8; 32], PendingPing>,
     /// node → in-flight FINDNODE (for the active lookup).
     pending_queries: BTreeMap<NodeId, PendingQuery>,
-    /// node → (bond established at, node record).
-    bonds: BTreeMap<NodeId, (u64, NodeRecord)>,
-    /// nodes that pinged us recently (they may FINDNODE us).
-    reverse_bonds: BTreeMap<NodeId, u64>,
+    /// node → its endpoint proof, in either direction.
+    bonds: BTreeMap<NodeId, Bond>,
     lookup: Option<Lookup>,
     /// Wire-level target id of the active lookup (the Lookup itself tracks
     /// only the hashed target).
@@ -191,7 +206,6 @@ impl Discv4 {
             pending_pings: BTreeMap::new(),
             pending_queries: BTreeMap::new(),
             bonds: BTreeMap::new(),
-            reverse_bonds: BTreeMap::new(),
             lookup: None,
             lookup_target_id: None,
             events: Vec::new(),
@@ -205,11 +219,21 @@ impl Discv4 {
     /// [`Discv4::restore`].
     pub fn snap(&self, w: &mut SnapWriter) {
         self.endpoint.snap(w);
-        self.table.export_entries().snap(w);
+        // The table in `kad::TableEntries`' layout, written from the
+        // buckets themselves rather than from a copy of them.
+        let buckets = self.table.buckets();
+        w.usize(buckets.len());
+        for (idx, residents) in buckets {
+            idx.snap(w);
+            w.usize(residents.len());
+            for e in residents {
+                e.record.snap(w);
+                e.last_seen.snap(w);
+            }
+        }
         self.pending_pings.snap(w);
         self.pending_queries.snap(w);
         self.bonds.snap(w);
-        self.reverse_bonds.snap(w);
         self.lookup.as_ref().map(Lookup::to_parts).snap(w);
         self.lookup_target_id.snap(w);
         self.events.snap(w);
@@ -227,16 +251,24 @@ impl Discv4 {
         let endpoint = Snap::unsnap(r)?;
         let table = RoutingTable::from_entries(id, config.metric, Snap::unsnap(r)?)
             .map_err(SnapError::Corrupt)?;
+        let pending_pings = Snap::unsnap(r)?;
+        let pending_queries = Snap::unsnap(r)?;
+        let bonds: BTreeMap<NodeId, Bond> = Snap::unsnap(r)?;
+        if bonds
+            .values()
+            .any(|b| b.verified.is_none() && b.pinged.is_none())
+        {
+            return Err(SnapError::Corrupt("bond with neither half set"));
+        }
         Ok(Discv4 {
             table,
             key,
             id,
             endpoint,
             config,
-            pending_pings: Snap::unsnap(r)?,
-            pending_queries: Snap::unsnap(r)?,
-            bonds: Snap::unsnap(r)?,
-            reverse_bonds: Snap::unsnap(r)?,
+            pending_pings,
+            pending_queries,
+            bonds,
             lookup: Option::unsnap(r)?
                 .map(Lookup::from_parts)
                 .transpose()
@@ -295,8 +327,14 @@ impl Discv4 {
         obs::counter_add("discv4.expired_dropped", 1);
     }
 
+    fn fresh(&self, stamp: Option<u64>, now_ms: u64) -> bool {
+        stamp.is_some_and(|t| now_ms.saturating_sub(t) < self.config.bond_expiry_ms)
+    }
+
+    /// Whether `id` answered one of our PINGs recently (endpoint proof).
     fn bonded(&self, id: &NodeId, now_ms: u64) -> bool {
-        matches!(self.bonds.get(id), Some((t, _)) if now_ms.saturating_sub(*t) < self.config.bond_expiry_ms)
+        let verified = self.bonds.get(id).and_then(|b| b.verified);
+        self.fresh(verified.map(|(t, _)| t), now_ms)
     }
 
     /// Send a PING to `node` (bonding and/or liveness probing).
@@ -424,7 +462,7 @@ impl Discv4 {
                     },
                 );
                 self.events.push(Event::NodeSeen(record));
-                self.reverse_bonds.insert(sender_id, now_ms);
+                self.bonds.entry(sender_id).or_default().pinged = Some(now_ms);
                 let mut out = Vec::new();
                 // Always answer with PONG.
                 let pong = Packet::Pong {
@@ -465,7 +503,9 @@ impl Discv4 {
                 self.stats.pongs_received += 1;
                 obs::counter_add("discv4.pongs_received", 1);
                 obs::observe_ms("discv4.ping_rtt_ms", now_ms.saturating_sub(pending.sent_ms));
-                self.bonds.insert(sender_id, (now_ms, pending.to));
+                // `pending.to.id == sender_id`: only the endpoint is new.
+                self.bonds.entry(sender_id).or_default().verified =
+                    Some((now_ms, pending.to.endpoint));
                 self.events.push(Event::NodeVerified(pending.to));
                 let mut out = Vec::new();
                 // Eviction liveness check passed: keep the old node.
@@ -483,19 +523,15 @@ impl Discv4 {
                 }
                 // Only answer bonded peers (endpoint proof), in either
                 // direction: we verified them, or they pinged us recently.
-                let reverse_ok = matches!(
-                    self.reverse_bonds.get(&sender_id),
-                    Some(t) if now_ms.saturating_sub(*t) < self.config.bond_expiry_ms
-                );
-                if !self.bonded(&sender_id, now_ms) && !reverse_ok {
+                let bond = self.bonds.get(&sender_id);
+                let verified = bond.and_then(|b| b.verified);
+                if !self.fresh(verified.map(|(t, _)| t), now_ms)
+                    && !self.fresh(bond.and_then(|b| b.pinged), now_ms)
+                {
                     self.stats.drops += 1;
                     return Vec::new();
                 }
-                let reply_to = self
-                    .bonds
-                    .get(&sender_id)
-                    .map(|(_, r)| r.endpoint)
-                    .unwrap_or(from);
+                let reply_to = verified.map_or(from, |(_, endpoint)| endpoint);
                 let closest = self
                     .table
                     .closest(&target.kad_hash(), self.config.bucket_results);
@@ -633,5 +669,87 @@ impl Discv4 {
 
         out.extend(self.advance_lookup(now_ms));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Ipv4Addr;
+
+    fn engine(seed: u8) -> Discv4 {
+        let key = SecretKey::from_bytes(&[seed; 32]).unwrap();
+        let endpoint = Endpoint::new(Ipv4Addr::new(10, 0, 0, seed), 30303);
+        Discv4::new(key, endpoint, Config::default())
+    }
+
+    fn image(d: &Discv4) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        d.snap(&mut w);
+        w.finish()
+    }
+
+    /// `snap` writes the routing table from its buckets, and the bytes
+    /// are those of the `TableEntries` that `restore` reads.
+    #[test]
+    fn the_table_is_written_in_table_entries_layout() {
+        let mut d = engine(1);
+        for s in 0..40u8 {
+            let id = NodeId([s.wrapping_mul(37).wrapping_add(5); 64]);
+            let ep = Endpoint::new(Ipv4Addr::new(10, 1, 0, s), 30303);
+            d.table.add(NodeRecord::new(id, ep), u64::from(s));
+        }
+        let entries: kad::TableEntries = d
+            .table
+            .buckets()
+            .map(|(idx, b)| (idx, b.iter().map(|e| (e.record, e.last_seen)).collect()))
+            .collect();
+        assert!(entries.iter().map(|(_, b)| b.len()).sum::<usize>() > 1);
+        let mut w = SnapWriter::new();
+        d.endpoint.snap(&mut w);
+        entries.snap(&mut w);
+        assert!(image(&d).starts_with(&w.finish()));
+    }
+
+    /// Each half of a bond, and both, survive a round trip; a bond with
+    /// neither half is refused.
+    #[test]
+    fn bonds_round_trip_and_an_empty_bond_is_refused() {
+        let mut d = engine(2);
+        let ep = Endpoint::new(Ipv4Addr::new(10, 2, 0, 1), 30303);
+        d.bonds.insert(
+            NodeId([1; 64]),
+            Bond {
+                verified: Some((5, ep)),
+                pinged: None,
+            },
+        );
+        d.bonds.insert(
+            NodeId([2; 64]),
+            Bond {
+                verified: None,
+                pinged: Some(6),
+            },
+        );
+        d.bonds.insert(
+            NodeId([3; 64]),
+            Bond {
+                verified: Some((7, ep)),
+                pinged: Some(8),
+            },
+        );
+        let saved = image(&d);
+        let restore = |bytes: &[u8]| {
+            let mut r = SnapReader::new(bytes);
+            let key = SecretKey::from_bytes(&[2; 32]).unwrap();
+            Discv4::restore(&mut r, key, Config::default()).map(|d| image(&d))
+        };
+        assert_eq!(restore(&saved), Ok(saved.clone()));
+
+        d.bonds.insert(NodeId([4; 64]), Bond::default());
+        assert_eq!(
+            restore(&image(&d)),
+            Err(SnapError::Corrupt("bond with neither half set"))
+        );
     }
 }

@@ -265,3 +265,113 @@ fn delayed_ping_is_dropped_as_expired_and_elicits_no_pong() {
     assert_eq!(replies[0].to, rec_a.endpoint);
     assert_eq!(net.engine(&ep_b).stats().expired_drops, 1);
 }
+
+/// A peer driven by hand: its key signs whatever packet a test sends.
+fn raw_peer(seed: u8, last_octet: u8) -> (SecretKey, NodeRecord) {
+    let key = SecretKey::from_bytes(&[seed; 32]).unwrap();
+    let ep = Endpoint::new(Ipv4Addr::new(10, 0, 1, last_octet), 30303);
+    (key, NodeRecord::new(NodeId::from_secret_key(&key), ep))
+}
+
+/// Sign `packet` with `key` and deliver it to `engine` as if from `from`.
+fn deliver(
+    engine: &mut Discv4,
+    key: &SecretKey,
+    from: Endpoint,
+    packet: discv4::Packet,
+    now_ms: u64,
+) -> Vec<Outgoing> {
+    let (dg, _) = discv4::encode_packet(key, &packet);
+    engine.on_datagram(from, &dg, now_ms)
+}
+
+fn ping_from(peer: &NodeRecord, to: Endpoint) -> discv4::Packet {
+    discv4::Packet::Ping {
+        version: 4,
+        from: peer.endpoint,
+        to,
+        expiration: u64::MAX / 2,
+    }
+}
+
+fn findnode() -> discv4::Packet {
+    discv4::Packet::FindNode {
+        target: NodeId([0x42; 64]),
+        expiration: u64::MAX / 2,
+    }
+}
+
+/// Answer the PING among `out` that is addressed to `peer` with its PONG.
+fn pong_for(out: &[Outgoing], peer: &NodeRecord) -> discv4::Packet {
+    let ping_hash = out
+        .iter()
+        .filter(|o| o.to == peer.endpoint)
+        .find_map(|o| match discv4::decode_packet(&o.datagram).unwrap() {
+            (_, discv4::Packet::Ping { .. }, hash) => Some(hash),
+            _ => None,
+        })
+        .expect("a PING to the peer");
+    discv4::Packet::Pong {
+        to: peer.endpoint,
+        ping_hash,
+        expiration: u64::MAX / 2,
+    }
+}
+
+fn assert_neighbors_to(replies: &[Outgoing], to: Endpoint) {
+    assert!(!replies.is_empty(), "FINDNODE must be answered");
+    for r in replies {
+        assert_eq!(r.to, to);
+        let (_, packet, _) = discv4::decode_packet(&r.datagram).unwrap();
+        assert!(matches!(packet, discv4::Packet::Neighbors { .. }));
+    }
+}
+
+#[test]
+fn findnode_from_a_peer_that_only_pinged_is_answered_at_the_source() {
+    let mut net = Net::new();
+    let (_, ep_b) = net.add(60, 2);
+    let (key_c, rec_c) = raw_peer(61, 3);
+    let b = net.engine(&ep_b);
+    // C pings B and never answers B's PING back: B holds no proof of C.
+    deliver(b, &key_c, rec_c.endpoint, ping_from(&rec_c, ep_b), 0);
+    let elsewhere = Endpoint::new(Ipv4Addr::new(10, 0, 1, 99), 40404);
+    let replies = deliver(b, &key_c, elsewhere, findnode(), 1_000);
+    assert_neighbors_to(&replies, elsewhere);
+    assert_eq!(b.stats().drops, 0);
+}
+
+#[test]
+fn findnode_from_a_verified_peer_is_answered_at_the_pinged_endpoint() {
+    let mut net = Net::new();
+    let (_, ep_b) = net.add(62, 2);
+    let (key_c, rec_c) = raw_peer(63, 3);
+    let b = net.engine(&ep_b);
+    // B pings C and C answers: B has verified C, C never pinged B.
+    let ping = b.ping(rec_c, 0);
+    let pong = pong_for(&[ping], &rec_c);
+    deliver(b, &key_c, rec_c.endpoint, pong, 0);
+    let elsewhere = Endpoint::new(Ipv4Addr::new(10, 0, 1, 99), 40404);
+    let replies = deliver(b, &key_c, elsewhere, findnode(), 1_000);
+    assert_neighbors_to(&replies, rec_c.endpoint);
+    assert_eq!(b.stats().drops, 0);
+}
+
+#[test]
+fn findnode_after_both_bond_stamps_expire_is_dropped() {
+    let mut net = Net::new();
+    let (_, ep_b) = net.add(64, 2);
+    let (key_c, rec_c) = raw_peer(65, 3);
+    let b = net.engine(&ep_b);
+    // Both halves at t = 0: C pings B, B pings back, C answers.
+    let out = deliver(b, &key_c, rec_c.endpoint, ping_from(&rec_c, ep_b), 0);
+    let pong = pong_for(&out, &rec_c);
+    deliver(b, &key_c, rec_c.endpoint, pong, 0);
+    let expiry = Config::default().bond_expiry_ms;
+    let replies = deliver(b, &key_c, rec_c.endpoint, findnode(), expiry - 1);
+    assert_neighbors_to(&replies, rec_c.endpoint);
+    let drops = b.stats().drops;
+    let replies = deliver(b, &key_c, rec_c.endpoint, findnode(), expiry);
+    assert!(replies.is_empty(), "an expired bond must not be answered");
+    assert_eq!(b.stats().drops, drops + 1);
+}

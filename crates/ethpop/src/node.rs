@@ -53,8 +53,8 @@ const RETRY_REFILL_MS: u64 = 20_000;
 
 /// Magic prefixing an [`EthNode`] behaviour-state section.
 const NODE_SNAP_MAGIC: [u8; 4] = *b"ETHN";
-/// Current behaviour-state format version.
-const NODE_SNAP_VERSION: u8 = 1;
+/// Current behaviour-state format version (2: one discv4 bond table).
+const NODE_SNAP_VERSION: u8 = 2;
 
 /// Instrumentation counters — Figures 2, 3, 4 and Table 1 read these.
 #[derive(Debug, Clone, Default)]
@@ -747,33 +747,33 @@ impl EthNode {
     /// from the profile. Static structure — the bootstrap flyweight, the
     /// capability list, the chain, the service kind — is deliberately
     /// absent: the world shell reconstructs it, which is what keeps `Rc`
-    /// allocations shared after a restore.
-    fn encode_state(&self) -> Vec<u8> {
-        let mut w = SnapWriter::with_header(NODE_SNAP_MAGIC, NODE_SNAP_VERSION);
+    /// allocations shared after a restore. The section goes straight into
+    /// the engine's image `w`, header first.
+    fn encode_state(&self, w: &mut SnapWriter) {
+        w.header(NODE_SNAP_MAGIC, NODE_SNAP_VERSION);
         // Mutable profile slices: rotation rewrites the key, release
         // plans rewrite the client id on (re)start.
-        self.profile.key.to_bytes().snap(&mut w);
-        self.profile.client_id.snap(&mut w);
+        self.profile.key.to_bytes().snap(w);
+        self.profile.client_id.snap(w);
         w.bool(self.disc.is_some());
         if let Some(disc) = &self.disc {
-            disc.snap(&mut w);
+            disc.snap(w);
         }
         w.usize(self.conns.len());
         for pc in self.conns.values() {
-            pc.snap(&mut w);
+            pc.snap(w);
         }
-        self.eth_ready.snap(&mut w);
-        self.candidates.snap(&mut w);
-        self.known.snap(&mut w);
-        self.dialing.snap(&mut w);
-        self.disc_armed.snap(&mut w);
-        self.dial_armed.snap(&mut w);
-        self.poll_armed.snap(&mut w);
-        self.dry_lookups.snap(&mut w);
-        self.next_retry_ms.snap(&mut w);
-        self.sample_peers.snap(&mut w);
-        self.stats.snap(&mut w);
-        w.finish()
+        self.eth_ready.snap(w);
+        self.candidates.snap(w);
+        self.known.snap(w);
+        self.dialing.snap(w);
+        self.disc_armed.snap(w);
+        self.dial_armed.snap(w);
+        self.poll_armed.snap(w);
+        self.dry_lookups.snap(w);
+        self.next_retry_ms.snap(w);
+        self.sample_peers.snap(w);
+        self.stats.snap(w);
     }
 
     /// Overwrite this (shell-rebuilt) node's dynamic state from
@@ -997,8 +997,9 @@ impl Host for EthNode {
         }
     }
 
-    fn save_state(&self) -> Result<Vec<u8>, SnapError> {
-        Ok(self.encode_state())
+    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        self.encode_state(w);
+        Ok(())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {

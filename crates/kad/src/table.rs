@@ -275,19 +275,18 @@ impl RoutingTable {
         sizes
     }
 
-    /// Export the table contents for checkpoint/restore: `(bucket index,
-    /// residents as (record, last_seen))` in storage order. Cached hashes
-    /// and fingerprints are derived data and deliberately omitted.
-    pub fn export_entries(&self) -> TableEntries {
-        self.buckets
-            .iter()
-            .map(|(idx, b)| (*idx, b.iter().map(|e| (e.record, e.last_seen)).collect()))
-            .collect()
+    /// Every bucket slot in storage order — ascending index, emptied
+    /// slots included — with its residents in insertion order. A
+    /// checkpoint writes each resident's `(record, last_seen)` from here
+    /// in [`TableEntries`]' layout; cached hashes and fingerprints are
+    /// derived data and deliberately omitted.
+    pub fn buckets(&self) -> impl ExactSizeIterator<Item = (u16, &[BucketEntry])> {
+        self.buckets.iter().map(|(idx, b)| (*idx, &b[..]))
     }
 
-    /// Rebuild a table from [`RoutingTable::export_entries`] output,
-    /// preserving bucket slots (including emptied ones) and in-bucket
-    /// insertion order exactly. Refuses, naming why, what
+    /// Rebuild a table from the [`TableEntries`] a checkpoint wrote from
+    /// [`RoutingTable::buckets`], preserving bucket slots (including
+    /// emptied ones) and in-bucket insertion order exactly. Refuses, naming why, what
     /// [`RoutingTable::add`] could not have built — bucket indices not
     /// strictly ascending or past [`MAX_BUCKETS`], a bucket over
     /// [`BUCKET_SIZE`], the local node, a resident in another bucket than
@@ -348,7 +347,8 @@ impl RoutingTable {
     }
 }
 
-/// What [`RoutingTable::export_entries`] captures.
+/// A table's checkpoint image: `(bucket index, residents as (record,
+/// last_seen))` per [`RoutingTable::buckets`] slot.
 pub type TableEntries = Vec<(u16, Vec<(NodeRecord, u64)>)>;
 
 #[cfg(test)]
@@ -578,10 +578,15 @@ mod tests {
             t.add(record(s), s as u64);
         }
         let local = *t.local_id();
-        let rebuild = |entries| {
-            RoutingTable::from_entries(local, Metric::GethLog2, entries).map(|t| t.export_entries())
+        let export = |t: &RoutingTable| -> TableEntries {
+            t.buckets()
+                .map(|(idx, b)| (idx, b.iter().map(|e| (e.record, e.last_seen)).collect()))
+                .collect()
         };
-        let saved = t.export_entries();
+        let rebuild = |entries| {
+            RoutingTable::from_entries(local, Metric::GethLog2, entries).map(|t| export(&t))
+        };
+        let saved = export(&t);
         assert_eq!(rebuild(saved.clone()), Ok(saved.clone()));
         let two = saved.iter().position(|(_, b)| b.len() >= 2).unwrap();
         let hostile = |change: &dyn Fn(&mut TableEntries)| {

@@ -120,10 +120,14 @@ pub trait Host {
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64);
     /// The host is going offline (connections are closed by the engine).
     fn on_stop(&mut self, _ctx: &mut Ctx) {}
-    /// Serialize the behaviour's dynamic state for a world snapshot.
-    /// The default marks the behaviour as non-checkpointable, which
-    /// fails [`NetSim::snapshot`] with [`SnapError::Unsupported`].
-    fn save_state(&self) -> Result<Vec<u8>, SnapError> {
+    /// Write the behaviour's dynamic state — its own section header
+    /// first, then its fields — straight into the world snapshot `w`.
+    /// The engine frames what this appends with its `u64` length (see
+    /// [`SnapWriter::section`]), so the behaviour neither builds a buffer
+    /// of its own nor returns one. The default marks the behaviour as
+    /// non-checkpointable, which fails [`NetSim::snapshot`] with
+    /// [`SnapError::Unsupported`].
+    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {
         Err(SnapError::Unsupported(
             "host behaviour does not implement save_state",
         ))
@@ -1601,7 +1605,7 @@ impl NetSim {
             slot.live_conns.snap(&mut w);
             w.bool(slot.host.is_some());
             if let Some(h) = &slot.host {
-                w.bytes(&h.save_state()?);
+                w.section(|w| h.save_state(w))?;
             }
         }
         // Shards: dispatch counters plus every pending event, in dispatch
@@ -1699,6 +1703,10 @@ impl NetSim {
                     "snapshot carries behaviour state for a removed host",
                 ))?;
                 host.load_state(state)?;
+            } else {
+                // The original's behaviour had been removed: so is the
+                // shell's, or it would run where the original's did not.
+                slot.host = None;
             }
         }
         if r.usize()? != n_shards {
@@ -1816,8 +1824,8 @@ mod tests {
         fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
             self
         }
-        fn save_state(&self) -> Result<Vec<u8>, SnapError> {
-            Ok(Vec::new())
+        fn save_state(&self, _: &mut SnapWriter) -> Result<(), SnapError> {
+            Ok(())
         }
         fn load_state(&mut self, _: &[u8]) -> Result<(), SnapError> {
             Ok(())
@@ -1889,94 +1897,90 @@ mod tests {
         }
     }
 
+    /// Two hosts ping-pong UDP on jittered timers (exercising the per-host
+    /// RNG streams, NAT tables, and the loss coin), with a counter in
+    /// behaviour state.
+    struct Ticker {
+        log: Log,
+        name: &'static str,
+        count: u32,
+        peer: HostAddr,
+    }
+
+    impl Ticker {
+        fn logit(&self, s: String) {
+            self.log.borrow_mut().push(format!("{} {}", self.name, s));
+        }
+    }
+
+    impl Host for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.set_timer(100, 1);
+        }
+        fn on_udp(&mut self, ctx: &mut Ctx, from: HostAddr, datagram: &[u8]) {
+            self.logit(format!(
+                "udp@{} from {} len={}",
+                ctx.now_ms,
+                from,
+                datagram.len()
+            ));
+        }
+        fn on_tcp(&mut self, _ctx: &mut Ctx, _event: TcpEvent) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+            self.count += 1;
+            self.logit(format!("tick@{} n={}", ctx.now_ms, self.count));
+            ctx.send_udp(self.peer, vec![0u8; self.count as usize % 7 + 1]);
+            let gap = 90 + ctx.rng().gen_range(0..20) as u64;
+            ctx.set_timer(gap, 1);
+        }
+        fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+            w.u32(self.count);
+            Ok(())
+        }
+        fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+            let mut r = SnapReader::new(bytes);
+            self.count = r.u32()?;
+            r.finish()
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    /// The two-[`Ticker`] world, both started at 0. Default config:
+    /// jitter and UDP loss on, so RNG streams are consulted on every
+    /// delivery.
+    fn ticker_world(log: &Log) -> NetSim {
+        let mut sim = NetSim::new(SimConfig::default());
+        for (name, me, peer) in [("a", 1, 2), ("b", 2, 1)] {
+            let ticker = Ticker {
+                log: log.clone(),
+                name,
+                count: 0,
+                peer: addr(peer),
+            };
+            let host = sim.add_host(addr(me), meta(true), Box::new(ticker));
+            sim.schedule_start(host, 0);
+        }
+        sim
+    }
+
     #[test]
     fn snapshot_restore_resumes_identically() {
-        // Two hosts ping-pong UDP on jittered timers (exercising the
-        // per-host RNG streams, NAT tables, and the loss coin), with a
-        // counter in behaviour state. Running to T, snapshotting,
-        // restoring into a fresh shell, and resuming to 2T must replay
-        // exactly what an uninterrupted run to 2T does.
-        struct Ticker {
-            log: Log,
-            name: &'static str,
-            count: u32,
-            peer: HostAddr,
-        }
-        impl Ticker {
-            fn logit(&self, s: String) {
-                self.log.borrow_mut().push(format!("{} {}", self.name, s));
-            }
-        }
-        impl Host for Ticker {
-            fn on_start(&mut self, ctx: &mut Ctx) {
-                ctx.set_timer(100, 1);
-            }
-            fn on_udp(&mut self, ctx: &mut Ctx, from: HostAddr, datagram: &[u8]) {
-                self.logit(format!(
-                    "udp@{} from {} len={}",
-                    ctx.now_ms,
-                    from,
-                    datagram.len()
-                ));
-            }
-            fn on_tcp(&mut self, _ctx: &mut Ctx, _event: TcpEvent) {}
-            fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
-                self.count += 1;
-                self.logit(format!("tick@{} n={}", ctx.now_ms, self.count));
-                ctx.send_udp(self.peer, vec![0u8; self.count as usize % 7 + 1]);
-                let gap = 90 + ctx.rng().gen_range(0..20) as u64;
-                ctx.set_timer(gap, 1);
-            }
-            fn save_state(&self) -> Result<Vec<u8>, SnapError> {
-                let mut w = SnapWriter::new();
-                w.u32(self.count);
-                Ok(w.finish())
-            }
-            fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-                let mut r = SnapReader::new(bytes);
-                self.count = r.u32()?;
-                r.finish()
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
-        }
-
-        let build = |log: &Log| -> NetSim {
-            // Default config: jitter and UDP loss on, so RNG streams are
-            // consulted on every delivery.
-            let mut sim = NetSim::new(SimConfig::default());
-            let a = Ticker {
-                log: log.clone(),
-                name: "a",
-                count: 0,
-                peer: addr(2),
-            };
-            let b = Ticker {
-                log: log.clone(),
-                name: "b",
-                count: 0,
-                peer: addr(1),
-            };
-            let ha = sim.add_host(addr(1), meta(true), Box::new(a));
-            let hb = sim.add_host(addr(2), meta(true), Box::new(b));
-            sim.schedule_start(ha, 0);
-            sim.schedule_start(hb, 0);
-            sim
-        };
-
-        // Uninterrupted reference run to 2T.
+        // Running to T, snapshotting, restoring into a fresh shell, and
+        // resuming to 2T must replay exactly what an uninterrupted run to
+        // 2T does.
         let full_log: Log = Rc::default();
-        let mut full = build(&full_log);
+        let mut full = ticker_world(&full_log);
         full.run_until(10_000);
 
         // Run to T, snapshot, restore into a fresh shell, resume to 2T.
         let first_log: Log = Rc::default();
-        let mut first = build(&first_log);
+        let mut first = ticker_world(&first_log);
         first.run_until(5_000);
         let snap = first.snapshot().expect("snapshot");
         let resumed_log: Log = Rc::default();
-        let mut resumed = build(&resumed_log);
+        let mut resumed = ticker_world(&resumed_log);
         resumed.restore(&snap).expect("restore");
         resumed.run_until(10_000);
 
@@ -1991,6 +1995,29 @@ mod tests {
         assert_eq!(
             resumed.snapshot().expect("resnap"),
             full.snapshot().expect("resnap")
+        );
+    }
+
+    /// Regression: an image whose slot carries no behaviour (it was
+    /// removed before the snapshot) used to restore `Ok` and leave the
+    /// shell's fresh behaviour in place, so the resumed world ran a host
+    /// the original no longer did.
+    #[test]
+    fn restore_removes_a_behaviour_the_image_says_was_removed() {
+        let log: Log = Rc::default();
+        let mut original = ticker_world(&log);
+        original.run_until(5_000);
+        assert!(original.remove_host_behaviour(1).is_some());
+        let snap = original.snapshot().expect("snapshot");
+        let mut resumed = ticker_world(&log);
+        resumed.restore(&snap).expect("restore");
+        original.run_until(10_000);
+        resumed.run_until(10_000);
+        assert_eq!(resumed.events_processed(), original.events_processed());
+        assert_eq!(resumed.udp_counters(), original.udp_counters());
+        assert_eq!(
+            resumed.snapshot().expect("resnap"),
+            original.snapshot().expect("resnap")
         );
     }
 

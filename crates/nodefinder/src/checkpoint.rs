@@ -1,4 +1,4 @@
-//! Crawler checkpoint/restore — the `NFND` v3 snapshot section.
+//! Crawler checkpoint/restore — the `NFND` v4 snapshot section.
 //!
 //! Like every snapshotting layer in this workspace (netsim `PSNP`, obs
 //! `OBSS`, ethpop `ETHN`), the crawler follows the rebuild-shell /
@@ -9,11 +9,12 @@
 //! every pipeline queue and table, the live probe sessions, and the
 //! accumulated crawl log.
 //!
-//! Field order (all inside one versioned `obs::snap` section; every map
-//! and set is written in ascending key order and refused on restore if
-//! it is not):
+//! Field order (all inside one versioned `obs::snap` section, written in
+//! place into the engine's image; every map and set is written in
+//! ascending key order and refused on restore if it is not):
 //!
-//! 1. discovery (`Discv4::snap`: endpoint, then protocol state);
+//! 1. discovery (`Discv4::snap`: endpoint, then protocol state — v4 keeps
+//!    one bond per peer where v3 kept a bond table and a reverse one);
 //! 2. the bounded dial queue (records front-to-back + marks);
 //! 3. the queued-id set;
 //! 4. static nodes, keyed by `NodeId`;
@@ -43,45 +44,44 @@ use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
 const SNAP_MAGIC: [u8; 4] = *b"NFND";
-const SNAP_VERSION: u8 = 3;
+const SNAP_VERSION: u8 = 4;
 
 impl NodeFinder {
-    /// Serialize every piece of dynamic crawler state (see the module
-    /// docs for the exact field order).
-    pub(crate) fn encode_state(&self) -> Vec<u8> {
-        let mut w = SnapWriter::with_header(SNAP_MAGIC, SNAP_VERSION);
+    /// Write every piece of dynamic crawler state into `w`, header
+    /// first (see the module docs for the exact field order).
+    pub(crate) fn encode_state(&self, w: &mut SnapWriter) {
+        w.header(SNAP_MAGIC, SNAP_VERSION);
         // 1. Discovery.
         w.bool(self.disc.is_some());
         if let Some(disc) = &self.disc {
-            disc.snap(&mut w);
+            disc.snap(w);
         }
         // 2. Dial queue (items front to back, then the marks).
         w.usize(self.dial_queue.len());
         for rec in self.dial_queue.iter() {
-            rec.snap(&mut w);
+            rec.snap(w);
         }
-        self.dial_queue.high_water().snap(&mut w);
-        self.dial_queue.rejected().snap(&mut w);
+        self.dial_queue.high_water().snap(w);
+        self.dial_queue.rejected().snap(w);
         // 3–5. Queued-id set, static nodes, last-seen stamps.
-        self.queued.snap(&mut w);
-        self.static_nodes.snap(&mut w);
-        self.seen.snap(&mut w);
+        self.queued.snap(w);
+        self.static_nodes.snap(w);
+        self.seen.snap(w);
         // 6. Penalty box.
-        self.sessions.penalty.export_entries().snap(&mut w);
-        self.sessions.penalty.boxed_total().snap(&mut w);
+        self.sessions.penalty.export_entries().snap(w);
+        self.sessions.penalty.boxed_total().snap(w);
         // 7. Session manager: counters, then live probes in ConnId order.
-        self.sessions.dialing().snap(&mut w);
-        self.sessions.dialing_underflows().snap(&mut w);
+        self.sessions.dialing().snap(w);
+        self.sessions.dialing_underflows().snap(w);
         w.usize(self.sessions.conns.len());
         for p in self.sessions.conns.values() {
-            p.snap(&mut w);
+            p.snap(w);
         }
         // 8. Scheduler arm flags (their timers live in the netsim queue).
-        self.poll_armed.snap(&mut w);
-        self.dial_armed.snap(&mut w);
+        self.poll_armed.snap(w);
+        self.dial_armed.snap(w);
         // 9. The accumulated crawl log.
-        self.log.snap(&mut w);
-        w.finish()
+        self.log.snap(w);
     }
 
     /// Overwrite this (shell-rebuilt) crawler's dynamic state from
@@ -178,6 +178,13 @@ mod tests {
         NodeFinder::new(key, CrawlerConfig::default(), vec![rec(1)])
     }
 
+    /// The crawler's section on its own, as the engine frames it.
+    fn image(nf: &NodeFinder) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        nf.encode_state(&mut w);
+        w.finish()
+    }
+
     /// A crawler populated off-sim (no sockets, no discovery), its log
     /// ending in a failed connection and then a sighting.
     fn populated() -> NodeFinder {
@@ -231,14 +238,10 @@ mod tests {
     #[test]
     fn encode_apply_round_trips_bytewise() {
         let nf = populated();
-        let snap = nf.encode_state();
+        let snap = image(&nf);
         let mut restored = crawler();
         restored.apply_state(&snap).expect("snapshot applies");
-        assert_eq!(
-            restored.encode_state(),
-            snap,
-            "second snapshot is byte-identical"
-        );
+        assert_eq!(image(&restored), snap, "second snapshot is byte-identical");
         assert_eq!(restored.sessions.dialing(), 1);
         assert_eq!(restored.dial_queue.len(), nf.dial_queue.len());
         assert_eq!(restored.static_list_len(), nf.static_list_len());
@@ -250,22 +253,22 @@ mod tests {
     }
 
     #[test]
-    fn v2_image_is_a_version_error() {
+    fn v3_image_is_a_version_error() {
         assert_eq!(
-            crawler().apply_state(b"NFND\x02"),
+            crawler().apply_state(b"NFND\x03"),
             Err(SnapError::BadVersion {
-                expected: 3,
-                found: 2
+                expected: 4,
+                found: 3
             })
         );
     }
 
-    /// A v3 image cut short anywhere, or with a tag no variant has in one
+    /// A v4 image cut short anywhere, or with a tag no variant has in one
     /// of the log's enums, is an `Err`.
     #[test]
     fn truncated_or_bad_tag_images_are_rejected() {
         let nf = populated();
-        let snap = nf.encode_state();
+        let snap = image(&nf);
         for len in 0..snap.len() {
             assert!(crawler().apply_state(&snap[..len]).is_err(), "cut to {len}");
         }
@@ -299,7 +302,7 @@ mod tests {
         for tag in [12u8, 13] {
             nf.static_nodes.insert(rec(tag).id, static_entry(tag));
         }
-        let snap = nf.encode_state();
+        let snap = image(&nf);
         let entry = |tag: u8| {
             let mut w = SnapWriter::new();
             rec(tag).id.snap(&mut w);
@@ -325,12 +328,12 @@ mod tests {
     #[test]
     fn corrupt_snapshot_is_rejected() {
         let nf = crawler();
-        let mut snap = nf.encode_state();
+        let mut snap = image(&nf);
         let last = snap.len() - 1;
         snap.truncate(last);
         let mut fresh = crawler();
         assert!(fresh.apply_state(&snap).is_err(), "truncated image fails");
-        let mut bad_magic = nf.encode_state();
+        let mut bad_magic = image(&nf);
         bad_magic[0] ^= 0xFF;
         assert!(fresh.apply_state(&bad_magic).is_err(), "bad magic fails");
     }

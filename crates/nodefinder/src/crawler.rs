@@ -26,7 +26,7 @@ use ethwire::{
 };
 use kad::Metric;
 use netsim::{ConnId, Ctx, Host, HostAddr, TcpEvent};
-use obs::snap::SnapError;
+use obs::snap::{SnapError, SnapWriter};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1043,8 +1043,9 @@ impl Host for NodeFinder {
         }
     }
 
-    fn save_state(&self) -> Result<Vec<u8>, SnapError> {
-        Ok(self.encode_state())
+    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        self.encode_state(w);
+        Ok(())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {

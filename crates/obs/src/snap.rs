@@ -11,7 +11,9 @@
 //! must be a pure function of the state it captures, and fixed widths
 //! keep the mapping trivially auditable). Layers nest by embedding a
 //! child section as a byte string — each layer owns its own magic and
-//! version byte, so formats can evolve independently.
+//! version byte, so formats can evolve independently. A child section
+//! is written in place through [`SnapWriter::section`], into its
+//! parent's buffer, not into a buffer of its own.
 //!
 //! | Rust type | bytes |
 //! |---|---|
@@ -111,9 +113,32 @@ impl SnapWriter {
     /// Writer primed with a `magic ‖ version` section header.
     pub fn with_header(magic: [u8; 4], version: u8) -> SnapWriter {
         let mut w = SnapWriter::new();
-        w.buf.extend_from_slice(&magic);
-        w.buf.push(version);
+        w.header(magic, version);
         w
+    }
+
+    /// Append a `magic ‖ version` section header.
+    pub fn header(&mut self, magic: [u8; 4], version: u8) {
+        self.buf.extend_from_slice(&magic);
+        self.buf.push(version);
+    }
+
+    /// Append a length-prefixed section that `write` writes in place:
+    /// the `u64` length is reserved, `write` appends the section, and the
+    /// length is patched to what it appended. The bytes are those of
+    /// [`SnapWriter::bytes`] over the same section written into a writer
+    /// of its own, without that writer's buffer and copy. On `Err` the
+    /// writer holds a partial section and should be dropped.
+    pub fn section(
+        &mut self,
+        write: impl FnOnce(&mut SnapWriter) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let at = self.buf.len();
+        self.u64(0);
+        write(self)?;
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        Ok(())
     }
 
     /// Append a `u8`.
@@ -628,6 +653,29 @@ mod tests {
         assert_eq!(r.str().unwrap(), "wörld");
         assert_eq!(r.array::<4>().unwrap(), [1, 2, 3, 4]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn a_section_written_in_place_equals_its_bytes() {
+        let write = |w: &mut SnapWriter| -> Result<(), SnapError> {
+            w.header(*b"SECT", 2);
+            w.u32(0xDEAD_BEEF);
+            w.str("in place");
+            Ok(())
+        };
+        let mut own = SnapWriter::new();
+        write(&mut own).unwrap();
+        let mut copied = SnapWriter::with_header(*b"OUTR", 1);
+        copied.bytes(&own.finish());
+        copied.u8(7);
+        let mut in_place = SnapWriter::with_header(*b"OUTR", 1);
+        in_place.section(write).unwrap();
+        in_place.u8(7);
+        assert_eq!(in_place.finish(), copied.finish());
+
+        let mut empty = SnapWriter::new();
+        empty.section(|_| Ok(())).unwrap();
+        assert_eq!(empty.finish(), 0u64.to_le_bytes());
     }
 
     #[test]

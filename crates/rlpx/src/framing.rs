@@ -49,6 +49,13 @@ pub struct FrameCodec {
     mac_cipher: Aes,
     egress_mac: Keccak,
     ingress_mac: Keccak,
+    /// Each MAC's last tag, while it is still the MAC state's digest: a
+    /// frame ends in `update_mac`, whose tag is exactly the digest the
+    /// next header's `update_mac` starts from, so that frame skips one
+    /// keccak finalization. Taken by the next header; never in the image
+    /// (empty after a handshake or a restore, which costs one digest).
+    egress_tag: Option<[u8; 16]>,
+    ingress_tag: Option<[u8; 16]>,
     /// Decoder state: size parsed from a verified header, awaiting body.
     pending_body: Option<usize>,
     /// Raw session keys, retained so the codec can be checkpointed
@@ -105,6 +112,8 @@ impl Snap for FrameCodec {
             mac_cipher: Aes::new(&mac_key),
             egress_mac,
             ingress_mac,
+            egress_tag: None,
+            ingress_tag: None,
             pending_body,
             aes_key,
             mac_key,
@@ -122,6 +131,8 @@ impl FrameCodec {
             mac_cipher: Aes::new(&secrets.mac),
             egress_mac: secrets.egress_mac,
             ingress_mac: secrets.ingress_mac,
+            egress_tag: None,
+            ingress_tag: None,
             pending_body: None,
             aes_key: secrets.aes,
             mac_key: secrets.mac,
@@ -166,7 +177,10 @@ impl FrameCodec {
         header[4] = 0x80;
         header[5] = 0x80;
         self.enc.apply(&mut header);
-        let digest = Self::mac_digest(&self.egress_mac);
+        let digest = self
+            .egress_tag
+            .take()
+            .unwrap_or_else(|| Self::mac_digest(&self.egress_mac));
         let header_mac = Self::update_mac(&self.mac_cipher, &mut self.egress_mac, digest, &header);
 
         let padded_len = data.len().div_ceil(16) * 16;
@@ -177,6 +191,7 @@ impl FrameCodec {
         self.egress_mac.update(&body);
         let seed = Self::mac_digest(&self.egress_mac);
         let frame_mac = Self::update_mac(&self.mac_cipher, &mut self.egress_mac, seed, &seed);
+        self.egress_tag = Some(frame_mac);
 
         let mut out = Vec::with_capacity(32 + padded_len + 16);
         out.extend_from_slice(&header);
@@ -201,7 +216,10 @@ impl FrameCodec {
             #[allow(clippy::unwrap_used)]
             // buf.len() >= 32 checked above; slices are exact
             let claimed_mac: [u8; 16] = buf[16..32].try_into().unwrap();
-            let digest = Self::mac_digest(&self.ingress_mac);
+            let digest = self
+                .ingress_tag
+                .take()
+                .unwrap_or_else(|| Self::mac_digest(&self.ingress_mac));
             let computed =
                 Self::update_mac(&self.mac_cipher, &mut self.ingress_mac, digest, &header_ct);
             if computed != claimed_mac {
@@ -233,6 +251,7 @@ impl FrameCodec {
         self.ingress_mac.update(&body_ct);
         let seed = Self::mac_digest(&self.ingress_mac);
         let computed = Self::update_mac(&self.mac_cipher, &mut self.ingress_mac, seed, &seed);
+        self.ingress_tag = Some(computed);
         if computed != claimed_mac {
             obs::counter_add("rlpx.frame_errors", 1);
             return Err(FrameError::BadFrameMac);
@@ -346,6 +365,49 @@ mod tests {
             }
             proptest::prop_assert_eq!(read, bodies);
         }
+    }
+
+    fn restored(c: &FrameCodec) -> FrameCodec {
+        let mut w = SnapWriter::new();
+        c.snap(&mut w);
+        let image = w.finish();
+        let mut r = SnapReader::new(&image);
+        let out = FrameCodec::unsnap(&mut r).unwrap();
+        r.finish().unwrap();
+        out
+    }
+
+    /// The kept tags are not in the image: a codec restored between
+    /// frames starts from a recomputed digest and reads and writes on
+    /// exactly as the one it was taken from.
+    #[test]
+    fn frames_continue_across_a_mid_stream_snapshot() {
+        let (mut a, mut b) = codecs();
+        let mut wire = BytesMut::new();
+        for i in 0..4u8 {
+            wire.extend_from_slice(&a.write_frame(&[i; 40]));
+        }
+        assert_eq!(b.read_frame(&mut wire).unwrap().unwrap(), [0; 40]);
+        let mut b2 = restored(&b);
+        let mut wire2 = wire.clone();
+        for i in 1..4u8 {
+            assert_eq!(b2.read_frame(&mut wire2).unwrap().unwrap(), [i; 40]);
+            assert_eq!(b.read_frame(&mut wire).unwrap().unwrap(), [i; 40]);
+        }
+        let mut a2 = restored(&a);
+        for i in 0..3u8 {
+            let frame = a.write_frame(&[i; 20]);
+            assert_eq!(a2.write_frame(&[i; 20]), frame);
+            wire.extend_from_slice(&frame);
+            assert_eq!(b.read_frame(&mut wire).unwrap().unwrap(), [i; 20]);
+        }
+        // Restored mid-frame, header read and body pending.
+        let frame = a.write_frame(b"split");
+        let mut buf = BytesMut::from(&frame[..40]);
+        assert_eq!(b.read_frame(&mut buf).unwrap(), None);
+        let mut b3 = restored(&b);
+        buf.extend_from_slice(&frame[40..]);
+        assert_eq!(b3.read_frame(&mut buf).unwrap().unwrap(), b"split");
     }
 
     #[test]

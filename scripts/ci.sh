@@ -17,7 +17,8 @@
 #                   (`unsafe_code = "forbid"` in every [lints] table)
 #   4. tests     -- the whole workspace (robustness, shard/resume
 #                   determinism, conformance and static_analysis suites
-#                   included; cargo names the test binary that fails);
+#                   included), --no-fail-fast: every test binary runs
+#                   even after one fails, and cargo names each that did;
 #                   then ethcrypto again in release, the profile its
 #                   kernels actually run in. CONFORMANCE_FULL=1 adds the
 #                   10^5-case differential sweep in release mode
@@ -70,7 +71,7 @@ step "cargo fmt --check" cargo fmt --check
 step "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 step "detlint" cargo run -q -p detlint
-step "cargo test" cargo test --workspace -q
+step "cargo test" cargo test --workspace -q --no-fail-fast
 # ethcrypto's kernels rest on "this carry cannot overflow" arguments. The
 # debug run above checks them with overflow panics and debug_assert!; the
 # benchmark and every artifact run release, where neither exists and the

@@ -256,23 +256,25 @@ fn keccak_hex(bytes: &[u8]) -> String {
 /// hand-written per-type codecs, which the `obs::snap` refactor had to
 /// reproduce; the `PSNP` pair moved when its embedded crawler section
 /// became `NFND` v2, again when `PSNP` itself became v2 (no per-shard
-/// depth peak, pending events in dispatch order) and again at `NFND` v3
-/// (the crawl log written through `Snap`, not as JSON). `OBSS` is still v1; its
-/// pair moved by content when the recorder stopped holding the per-shard
-/// queue gauge, which was also the only thing that told its 1- and
-/// 4-shard images apart. A change that moves one of these digests changed
-/// the byte format and must bump that section's version byte (and
-/// re-pin). A change to the crawl world or the crawler's behaviour moves
+/// depth peak, pending events in dispatch order), again at `NFND` v3
+/// (the crawl log written through `Snap`, not as JSON) and again at
+/// `ETHN` v2 / `NFND` v4 (one discv4 bond per peer instead of a bond
+/// table and a reverse-bond table; writing the host sections in place
+/// kept their framing). `OBSS` is still v1; its pair moved by content
+/// when the recorder stopped holding the per-shard queue gauge, which was
+/// also the only thing that told its 1- and 4-shard images apart. A
+/// change that moves one of these digests changed the byte format and
+/// must bump that section's version byte (and re-pin). A change to the crawl world or the crawler's behaviour moves
 /// them too — re-pin then, after checking the resume suite above.
 const PINNED_DIGESTS: [(usize, &str, &str); 2] = [
     (
         1,
-        "b7bdf8a7ebe2bf72a69f6ff3749050efab2b768f67cbb85da8300e6fe4ca8921",
+        "8c87cc97a11e43f66f990508ef8ef1e9492d18de21e9e78ffffa7470a95f5177",
         "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
     ),
     (
         4,
-        "a30e984b0fb864019cd2db206cd7cf9bc1a8ca99e2960f22b5dcd742d4eea711",
+        "a7b1428431dc5d68726e753049e2f589fc9093fad73487ef27551871ac6576a3",
         "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
     ),
 ];
@@ -398,14 +400,16 @@ fn walk(image: &[u8]) -> Walk {
 /// Where one `Discv4::snap` image inside a host section keeps its routing
 /// table and its lookup, by absolute byte offset. [`discs`] walks that
 /// image in `Discv4::snap`'s field order — endpoint, table entries, pending
-/// pings, pending queries, bonds, reverse bonds, lookup — and must change
-/// with it.
+/// pings, pending queries, bonds, lookup — and must change with it.
 struct Disc {
     /// The host section it is in.
     section: Range<usize>,
     /// Each bucket: its `u16` index, then each resident's 80 bytes
     /// (`NodeRecord`, last seen).
     buckets: Vec<(usize, Vec<usize>)>,
+    /// Each bond: its 64-byte id, then its value, which runs to the next
+    /// range's start (optional stamp and endpoint, optional stamp).
+    bonds: Vec<Range<usize>>,
     /// The lookup in flight, if any: each candidate's 74 bytes
     /// (`NodeRecord`, queried, failed), in frontier order.
     candidates: Option<Vec<usize>>,
@@ -419,8 +423,8 @@ fn discs(image: &[u8]) -> Vec<Disc> {
     for section in walk(image).sections {
         let at = section.start;
         let mut pos = match &image[at..at + 5] {
-            b"ETHN\x01" => at + 45 + u64_at(image, at + 37),
-            b"NFND\x03" => at + 5,
+            b"ETHN\x02" => at + 45 + u64_at(image, at + 37),
+            b"NFND\x04" => at + 5,
             other => panic!("unexpected host section header {other:?}"),
         };
         if image[pos] == 0 {
@@ -445,8 +449,19 @@ fn discs(image: &[u8]) -> Vec<Disc> {
             pos += 1 + 64 * image[pos] as usize;
         }
         pos += 8 + 80 * u64_at(image, pos); // pending queries: id, deadline, sent
-        pos += 8 + 144 * u64_at(image, pos); // bonds: id, stamp, record
-        pos += 8 + 72 * u64_at(image, pos); // reverse bonds: id, stamp
+
+        // Bonds: id, then an optional (stamp, endpoint) and an optional
+        // stamp.
+        let n_bonds = u64_at(image, pos);
+        pos += 8;
+        let mut bonds = Vec::new();
+        for _ in 0..n_bonds {
+            let start = pos;
+            pos += 64;
+            pos += 1 + 16 * image[pos] as usize;
+            pos += 1 + 8 * image[pos] as usize;
+            bonds.push(start..pos);
+        }
 
         // The lookup: presence, target hash, candidates, two counters.
         let candidates = (image[pos] == 1).then(|| {
@@ -457,6 +472,7 @@ fn discs(image: &[u8]) -> Vec<Disc> {
         out.push(Disc {
             section,
             buckets,
+            bonds,
             candidates,
         });
     }
@@ -580,6 +596,8 @@ fn misordered_tables_and_lookups_are_rejected() {
     let mut self_resident = image.clone();
     self_resident[filled[0][0]..filled[0][0] + 64].copy_from_slice(&crawler_id().0);
     let unsorted = "lookup candidates not strictly ascending by XOR distance";
+    let bonds = &crawler.bonds;
+    assert!(bonds.len() >= 2, "the crawler holds two bonds at T");
 
     let cases = [
         (
@@ -617,6 +635,18 @@ fn misordered_tables_and_lookups_are_rejected() {
             copied(&image, lookup[0], lookup[1], 74),
             unsorted,
         ),
+        (
+            // No write could leave an entry that proves nothing.
+            "crawler's first bond emptied of both halves",
+            spliced(&image, crawler, bonds[0].start + 64..bonds[0].end, &[0, 0]),
+            "bond with neither half set",
+        ),
+        (
+            // Read into a map, the two entries would collapse into one.
+            "crawler's first bond id copied over the second",
+            copied(&image, bonds[0].start, bonds[1].start, 64),
+            "set or map keys not strictly ascending",
+        ),
     ];
     for (case, bad, why) in cases {
         assert_eq!(
@@ -647,18 +677,22 @@ fn bucket_over_sixteen(image: &[u8], disc: &Disc) -> Vec<u8> {
             added += 1;
         }
     }
-    let extra = extra.finish();
     let count_at = idx_at + 2;
     let end = count_at + 8 + 80 * residents.len();
-    let mut bad = image[..end].to_vec();
-    bad.extend_from_slice(&extra);
-    bad.extend_from_slice(&image[end..]);
-    let len_at = disc.section.start - 8;
-    let section_len = (disc.section.len() + extra.len()) as u64;
-    bad[len_at..len_at + 8].copy_from_slice(&section_len.to_le_bytes());
+    let mut bad = spliced(image, disc, end..end, &extra.finish());
     let count = (residents.len() + added) as u64;
     bad[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
     bad
+}
+
+/// `image` with `range`, inside `disc`'s host section, replaced by
+/// `with`, and the section's length prefix to match.
+fn spliced(image: &[u8], disc: &Disc, range: Range<usize>, with: &[u8]) -> Vec<u8> {
+    let len = (disc.section.len() + with.len() - range.len()) as u64;
+    let mut out = [&image[..range.start], with, &image[range.end..]].concat();
+    let len_at = disc.section.start - 8;
+    out[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+    out
 }
 
 /// Hostile-input sweep, part 2: seeded single-byte flips anywhere in
