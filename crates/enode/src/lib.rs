@@ -21,4 +21,3 @@ mod url;
 pub use id::NodeId;
 pub use intern::{CompactId, Interner};
 pub use record::{Endpoint, NodeRecord};
-pub use url::EnodeUrlError;

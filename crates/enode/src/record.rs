@@ -91,11 +91,6 @@ impl NodeRecord {
     pub fn to_enode_url(&self) -> String {
         url::format_enode(self)
     }
-
-    /// Parse an `enode://` URL.
-    pub fn from_enode_url(s: &str) -> Result<NodeRecord, url::EnodeUrlError> {
-        url::parse_enode(s)
-    }
 }
 
 impl fmt::Display for NodeRecord {
@@ -228,5 +223,8 @@ mod tests {
         let shown = format!("{rec}");
         assert!(shown.starts_with("enode://7878"));
         assert!(shown.ends_with("@191.235.84.50:30303"));
+        let mut split = sample();
+        split.endpoint.udp_port = 30301;
+        assert!(split.to_string().ends_with(":30303?discport=30301"));
     }
 }

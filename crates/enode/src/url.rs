@@ -1,45 +1,9 @@
-//! `enode://` URL parsing and formatting.
+//! `enode://` URL formatting.
 //!
 //! Format: `enode://<id-hex>@<ipv4>:<tcp-port>[?discport=<udp-port>]`.
 //! When `discport` is absent the UDP port equals the TCP port.
 
-use crate::id::NodeId;
-use crate::record::{Endpoint, NodeRecord};
-use std::fmt;
-use std::net::Ipv4Addr;
-
-/// Parse failures for `enode://` URLs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnodeUrlError {
-    /// Missing the `enode://` scheme prefix.
-    BadScheme,
-    /// Node ID was not 128 hex characters.
-    BadNodeId,
-    /// Missing `@` separator between ID and host.
-    MissingHost,
-    /// Host was not a parseable IPv4 address.
-    BadIp,
-    /// Port was missing or not a number.
-    BadPort,
-    /// `?discport=` query present but malformed.
-    BadQuery,
-}
-
-impl fmt::Display for EnodeUrlError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let msg = match self {
-            EnodeUrlError::BadScheme => "missing enode:// scheme",
-            EnodeUrlError::BadNodeId => "node id must be 128 hex chars",
-            EnodeUrlError::MissingHost => "missing @host part",
-            EnodeUrlError::BadIp => "host is not a valid IPv4 address",
-            EnodeUrlError::BadPort => "missing or invalid port",
-            EnodeUrlError::BadQuery => "invalid discport query",
-        };
-        write!(f, "{msg}")
-    }
-}
-
-impl std::error::Error for EnodeUrlError {}
+use crate::record::NodeRecord;
 
 /// Format a record as an `enode://` URL, emitting `?discport=` only when the
 /// UDP port differs from TCP.
@@ -54,94 +18,5 @@ pub fn format_enode(rec: &NodeRecord) -> String {
         format!("{base}?discport={}", rec.endpoint.udp_port)
     } else {
         base
-    }
-}
-
-/// Parse an `enode://` URL.
-pub fn parse_enode(s: &str) -> Result<NodeRecord, EnodeUrlError> {
-    let rest = s.strip_prefix("enode://").ok_or(EnodeUrlError::BadScheme)?;
-    let (id_part, host_part) = rest.split_once('@').ok_or(EnodeUrlError::MissingHost)?;
-    let id = NodeId::from_hex(id_part).ok_or(EnodeUrlError::BadNodeId)?;
-
-    let (addr_part, query) = match host_part.split_once('?') {
-        Some((a, q)) => (a, Some(q)),
-        None => (host_part, None),
-    };
-    let (ip_str, port_str) = addr_part.split_once(':').ok_or(EnodeUrlError::BadPort)?;
-    let ip: Ipv4Addr = ip_str.parse().map_err(|_| EnodeUrlError::BadIp)?;
-    let tcp_port: u16 = port_str.parse().map_err(|_| EnodeUrlError::BadPort)?;
-
-    let udp_port = match query {
-        None => tcp_port,
-        Some(q) => {
-            let v = q.strip_prefix("discport=").ok_or(EnodeUrlError::BadQuery)?;
-            v.parse().map_err(|_| EnodeUrlError::BadQuery)?
-        }
-    };
-
-    Ok(NodeRecord {
-        id,
-        endpoint: Endpoint {
-            ip,
-            udp_port,
-            tcp_port,
-        },
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn id_hex() -> String {
-        "78de8a0916848093".repeat(8)
-    }
-
-    #[test]
-    fn parse_basic() {
-        let url = format!("enode://{}@191.235.84.50:30303", id_hex());
-        let rec = parse_enode(&url).unwrap();
-        assert_eq!(rec.endpoint.ip, Ipv4Addr::new(191, 235, 84, 50));
-        assert_eq!(rec.endpoint.tcp_port, 30303);
-        assert_eq!(rec.endpoint.udp_port, 30303);
-        assert_eq!(format_enode(&rec), url);
-    }
-
-    #[test]
-    fn parse_with_discport() {
-        let url = format!("enode://{}@10.1.2.3:30303?discport=30301", id_hex());
-        let rec = parse_enode(&url).unwrap();
-        assert_eq!(rec.endpoint.udp_port, 30301);
-        assert_eq!(rec.endpoint.tcp_port, 30303);
-        assert_eq!(format_enode(&rec), url);
-    }
-
-    #[test]
-    fn errors_are_specific() {
-        assert_eq!(parse_enode("http://x"), Err(EnodeUrlError::BadScheme));
-        assert_eq!(
-            parse_enode("enode://abcd@1.2.3.4:30303"),
-            Err(EnodeUrlError::BadNodeId)
-        );
-        assert_eq!(
-            parse_enode(&format!("enode://{}", id_hex())),
-            Err(EnodeUrlError::MissingHost)
-        );
-        assert_eq!(
-            parse_enode(&format!("enode://{}@nothost:1", id_hex())),
-            Err(EnodeUrlError::BadIp)
-        );
-        assert_eq!(
-            parse_enode(&format!("enode://{}@1.2.3.4", id_hex())),
-            Err(EnodeUrlError::BadPort)
-        );
-        assert_eq!(
-            parse_enode(&format!("enode://{}@1.2.3.4:30303?disc=1", id_hex())),
-            Err(EnodeUrlError::BadQuery)
-        );
-        assert_eq!(
-            parse_enode(&format!("enode://{}@1.2.3.4:99999", id_hex())),
-            Err(EnodeUrlError::BadPort)
-        );
     }
 }

@@ -143,6 +143,7 @@ impl NodeFinder {
         self.dial_armed = Snap::unsnap(r)?;
         // 9. Crawl log.
         self.log = Snap::unsnap(r)?;
+        self.log.check().map_err(SnapError::Corrupt)?;
         reader.finish()
     }
 }
@@ -323,6 +324,18 @@ mod tests {
             crawler().apply_state(&swapped),
             Err(SnapError::Corrupt(_))
         ));
+    }
+
+    /// The `NFND` reader makes the same check as `CrawlLog::from_jsonl`:
+    /// a logged connection ending past `u64::MAX` ms is `Corrupt`.
+    #[test]
+    fn conn_ending_past_u64_max_is_rejected() {
+        let mut nf = populated();
+        nf.log.conns[0].ts_ms = u64::MAX;
+        assert_eq!(
+            crawler().apply_state(&image(&nf)),
+            Err(SnapError::Corrupt("connection ends past u64::MAX ms"))
+        );
     }
 
     #[test]

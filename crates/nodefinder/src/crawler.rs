@@ -225,11 +225,6 @@ impl NodeFinder {
         self.sessions.penalty.boxed_total()
     }
 
-    /// Endpoints currently tracked as failing (diagnostics).
-    pub fn penalty_tracked(&self) -> usize {
-        self.sessions.penalty.tracked()
-    }
-
     /// Currently-open connections (diagnostics; the hold-connections
     /// ablation watches this grow without bound).
     pub fn open_conns(&self) -> usize {

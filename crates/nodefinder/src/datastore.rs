@@ -3,7 +3,7 @@
 
 use crate::log::{ConnLog, ConnOutcome, ConnType, CrawlLog, DialEventKind};
 use enode::NodeId;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -107,135 +107,14 @@ impl NodeObservation {
     }
 }
 
-/// One node's membership in each funnel stage, derived from its
-/// observation. The funnel cache tracks the *count* of nodes in each
-/// stage; diffing a node's contribution before and after a mutation
-/// tells the cache exactly which counters to adjust.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Contribution {
-    dialed: bool,
-    responded: bool,
-    hello: bool,
-    status: bool,
-    unresponsive_dialed: bool,
-}
-
-impl Contribution {
-    fn of(obs: &NodeObservation) -> Contribution {
-        let dialed = obs.dials_attempted > 0;
-        Contribution {
-            dialed,
-            responded: obs.ever_answered_dial,
-            hello: obs.hello.is_some(),
-            status: obs.status.is_some(),
-            unresponsive_dialed: dialed && !obs.devp2p_responsive(),
-        }
-    }
-}
-
-/// Incrementally maintained funnel-stage counts and failure totals.
+/// The aggregated dataset: one observation per node ID, as a plain map.
 ///
-/// [`DataStore::dial_funnel`] and [`DataStore::failure_totals`] used to
-/// walk every observation on every call; for the ethernodes-scale stores
-/// the analysis pipeline queries after each crawl round, that rescan
-/// dominated. The cache is updated in O(1) per mutation instead.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct FunnelCache {
-    dialed: usize,
-    responded: usize,
-    hello: usize,
-    status: usize,
-    unresponsive_dialed: usize,
-    failure_totals: BTreeMap<String, u64>,
-}
-
-impl FunnelCache {
-    /// Adjust stage counts for one node whose contribution changed from
-    /// `before` to `after`.
-    fn apply(&mut self, before: Contribution, after: Contribution) {
-        fn adjust(count: &mut usize, before: bool, after: bool) {
-            match (before, after) {
-                (false, true) => *count += 1,
-                (true, false) => *count = count.saturating_sub(1),
-                _ => {}
-            }
-        }
-        adjust(&mut self.dialed, before.dialed, after.dialed);
-        adjust(&mut self.responded, before.responded, after.responded);
-        adjust(&mut self.hello, before.hello, after.hello);
-        adjust(&mut self.status, before.status, after.status);
-        adjust(
-            &mut self.unresponsive_dialed,
-            before.unresponsive_dialed,
-            after.unresponsive_dialed,
-        );
-    }
-
-    fn add_failures(&mut self, failures: &BTreeMap<String, u64>) {
-        for (label, count) in failures {
-            *self.failure_totals.entry(label.clone()).or_insert(0) += count;
-        }
-    }
-
-    fn remove_failures(&mut self, failures: &BTreeMap<String, u64>) {
-        for (label, count) in failures {
-            if let Some(total) = self.failure_totals.get_mut(label) {
-                *total = total.saturating_sub(*count);
-                if *total == 0 {
-                    self.failure_totals.remove(label);
-                }
-            }
-        }
-    }
-}
-
-/// The aggregated dataset: one observation per node ID.
-///
-/// Funnel-stage counts and failure totals are cached incrementally (see
-/// [`FunnelCache`]); the JSON form serializes only `nodes` and the cache
-/// is rebuilt on deserialization, so the wire format is unchanged.
-#[derive(Debug, Clone, Default)]
+/// The Figs. 6–7 funnel and the failure totals are computed by a scan
+/// of `nodes` when asked for; nothing else is kept beside the map.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct DataStore {
     /// Observations by node id.
-    ///
-    /// Reading through this field is always fine. Mutating it directly
-    /// bypasses the funnel cache — prefer [`DataStore::insert_observation`],
-    /// or call [`DataStore::rebuild_caches`] after a direct edit.
     pub nodes: BTreeMap<NodeId, NodeObservation>,
-    cache: FunnelCache,
-}
-
-impl Serialize for DataStore {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // Emit exactly what `#[derive(Serialize)]` produced before the
-        // cache field existed: `{"nodes": {...}}`.
-        let nodes = serde::__private::field_to_value::<_, S::Error>("nodes", &self.nodes)?;
-        serializer.serialize_value(serde::__private::Value::Map(vec![(
-            serde::__private::Value::Str("nodes".to_string()),
-            nodes,
-        )]))
-    }
-}
-
-impl<'de> Deserialize<'de> for DataStore {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error as _;
-        match deserializer.take_value()? {
-            serde::__private::Value::Map(mut entries) => {
-                let nodes = serde::__private::field_from_value(&mut entries, "nodes")?;
-                let mut store = DataStore {
-                    nodes,
-                    cache: FunnelCache::default(),
-                };
-                store.rebuild_caches();
-                Ok(store)
-            }
-            other => Err(D::Error::custom(format!(
-                "expected object for DataStore, got {}",
-                other.kind()
-            ))),
-        }
-    }
 }
 
 impl DataStore {
@@ -247,10 +126,6 @@ impl DataStore {
                 .nodes
                 .entry(event.node_id)
                 .or_insert_with(|| NodeObservation::new(event.node_id, event.ts_ms));
-            // Fresh observations contribute nothing, so `before` is
-            // all-false for them — matching the cache, which has never
-            // counted this node.
-            let before = Contribution::of(obs);
             obs.first_seen_ms = obs.first_seen_ms.min(event.ts_ms);
             obs.last_seen_ms = obs.last_seen_ms.max(event.ts_ms);
             obs.ips.insert(event.ip);
@@ -265,8 +140,6 @@ impl DataStore {
                 }
                 DialEventKind::DiscoveryAttempt => {}
             }
-            let after = Contribution::of(obs);
-            store.cache.apply(before, after);
         }
         for conn in &log.conns {
             store.ingest_conn(conn);
@@ -274,19 +147,18 @@ impl DataStore {
         store
     }
 
-    /// Fold one connection log entry into the store, updating both the
-    /// per-node observation and the incremental funnel/failure caches.
-    /// Public so tests (notably the funnel-consistency proptest) can
-    /// drive arbitrary ingest interleavings; `from_log` is the bulk path.
-    pub fn ingest_conn(&mut self, conn: &ConnLog) {
+    /// Fold one connection log entry into its node's observation.
+    fn ingest_conn(&mut self, conn: &ConnLog) {
         let Some(id) = conn.node_id else { return };
         let obs = self
             .nodes
             .entry(id)
             .or_insert_with(|| NodeObservation::new(id, conn.ts_ms));
-        let before = Contribution::of(obs);
+        // Both log readers refuse an end past `u64::MAX`; a log built in
+        // memory saturates there instead.
+        let end = conn.end_ms().unwrap_or(u64::MAX);
         obs.first_seen_ms = obs.first_seen_ms.min(conn.ts_ms);
-        obs.last_seen_ms = obs.last_seen_ms.max(conn.ts_ms + conn.duration_ms);
+        obs.last_seen_ms = obs.last_seen_ms.max(end);
         obs.ips.insert(conn.ip);
         obs.port = conn.port;
         if conn.conn_type == ConnType::Incoming {
@@ -295,7 +167,6 @@ impl DataStore {
         if conn.hello.is_some() {
             obs.hello_count += 1;
             obs.hello = conn.hello.clone();
-            let end = conn.ts_ms + conn.duration_ms;
             obs.first_active_ms = Some(
                 obs.first_active_ms
                     .map_or(conn.ts_ms, |v| v.min(conn.ts_ms)),
@@ -313,11 +184,6 @@ impl DataStore {
         }
         if let Some(failure) = conn.failure {
             *obs.failures.entry(failure.label().to_string()).or_insert(0) += 1;
-            *self
-                .cache
-                .failure_totals
-                .entry(failure.label().to_string())
-                .or_insert(0) += 1;
         }
         let responded = matches!(
             conn.outcome,
@@ -329,8 +195,6 @@ impl DataStore {
         if responded && conn.conn_type != ConnType::Incoming {
             obs.ever_answered_dial = true;
         }
-        let after = Contribution::of(obs);
-        self.cache.apply(before, after);
     }
 
     /// All node IDs ever seen (the "3,023,275 unique node IDs" analogue).
@@ -354,17 +218,7 @@ impl DataStore {
     }
 
     /// Failure counts summed across all nodes, by class label.
-    ///
-    /// Served from the incrementally maintained cache; O(labels) to
-    /// clone, independent of node count.
     pub fn failure_totals(&self) -> BTreeMap<String, u64> {
-        self.cache.failure_totals.clone()
-    }
-
-    /// Reference implementation of [`DataStore::failure_totals`] that
-    /// rescans every observation. Kept for regression tests proving the
-    /// cache stays consistent.
-    pub fn failure_totals_recomputed(&self) -> BTreeMap<String, u64> {
         let mut totals = BTreeMap::new();
         for obs in self.nodes.values() {
             for (label, count) in &obs.failures {
@@ -376,66 +230,17 @@ impl DataStore {
 
     /// The Figs. 6–7 funnel: how many node IDs survive each stage of the
     /// discovery → dial → HELLO → STATUS pipeline.
-    ///
-    /// Served from the incrementally maintained cache in O(1) instead of
-    /// rescanning every observation per call.
     pub fn dial_funnel(&self) -> DialFunnel {
+        let count =
+            |keep: fn(&NodeObservation) -> bool| self.nodes.values().filter(|n| keep(n)).count();
         DialFunnel {
             discovered: self.nodes.len(),
-            dialed: self.cache.dialed,
-            responded: self.cache.responded,
-            hello: self.cache.hello,
-            status: self.cache.status,
-            unresponsive_dialed: self.cache.unresponsive_dialed,
+            dialed: count(|n| n.dials_attempted > 0),
+            responded: count(|n| n.ever_answered_dial),
+            hello: count(|n| n.hello.is_some()),
+            status: count(|n| n.status.is_some()),
+            unresponsive_dialed: count(|n| n.dials_attempted > 0 && !n.devp2p_responsive()),
         }
-    }
-
-    /// Reference implementation of [`DataStore::dial_funnel`] that
-    /// rescans every observation. Kept for regression tests proving the
-    /// cache stays consistent.
-    pub fn dial_funnel_recomputed(&self) -> DialFunnel {
-        DialFunnel {
-            discovered: self.nodes.len(),
-            dialed: self
-                .nodes
-                .values()
-                .filter(|n| n.dials_attempted > 0)
-                .count(),
-            responded: self.nodes.values().filter(|n| n.ever_answered_dial).count(),
-            hello: self.hello_nodes().count(),
-            status: self.status_nodes().count(),
-            unresponsive_dialed: self
-                .nodes
-                .values()
-                .filter(|n| n.dials_attempted > 0 && !n.devp2p_responsive())
-                .count(),
-        }
-    }
-
-    /// Insert (or replace) an observation, keeping the funnel cache
-    /// consistent. Returns the replaced observation, if any.
-    pub fn insert_observation(&mut self, obs: NodeObservation) -> Option<NodeObservation> {
-        let after = Contribution::of(&obs);
-        self.cache.add_failures(&obs.failures);
-        let old = self.nodes.insert(obs.id, obs);
-        if let Some(old) = &old {
-            self.cache
-                .apply(Contribution::of(old), Contribution::default());
-            self.cache.remove_failures(&old.failures);
-        }
-        self.cache.apply(Contribution::default(), after);
-        old
-    }
-
-    /// Recompute the funnel cache from scratch. Needed only after
-    /// mutating [`DataStore::nodes`] directly.
-    pub fn rebuild_caches(&mut self) {
-        let mut cache = FunnelCache::default();
-        for obs in self.nodes.values() {
-            cache.apply(Contribution::default(), Contribution::of(obs));
-            cache.add_failures(&obs.failures);
-        }
-        self.cache = cache;
     }
 
     /// Serialize the whole store as JSON.
@@ -443,9 +248,30 @@ impl DataStore {
         serde_json::to_string(&self).expect("serializable")
     }
 
-    /// Parse a store serialized by [`DataStore::to_json`].
+    /// Parse a store serialized by [`DataStore::to_json`], refusing one
+    /// no crawl log aggregates to: an observation filed under another id,
+    /// a last sighting before the first, or an active span with one end
+    /// missing or its ends inverted.
     pub fn from_json(text: &str) -> Result<DataStore, serde_json::Error> {
-        serde_json::from_str(text)
+        let store: DataStore = serde_json::from_str(text)?;
+        for (id, obs) in &store.nodes {
+            let fault = if *id != obs.id {
+                "filed under another id"
+            } else if obs.last_seen_ms < obs.first_seen_ms {
+                "last seen before first seen"
+            } else {
+                match (obs.first_active_ms, obs.last_active_ms) {
+                    (None, None) => continue,
+                    (Some(first), Some(last)) if first <= last => continue,
+                    _ => "active span inverted or half set",
+                }
+            };
+            return Err(serde::de::Error::custom(format_args!(
+                "node {}: {fault}",
+                id.short()
+            )));
+        }
+        Ok(store)
     }
 }
 
@@ -610,17 +436,6 @@ mod tests {
         assert_eq!(funnel.unresponsive_dialed, 1);
     }
 
-    #[test]
-    fn json_roundtrip() {
-        let mut log = CrawlLog::default();
-        log.conns.push(conn(1, 100, ConnType::DynamicDial));
-        let store = DataStore::from_log(&log);
-        let text = store.to_json();
-        let back = DataStore::from_json(&text).unwrap();
-        assert_eq!(back.total_ids(), 1);
-        assert!(back.nodes[&id(1)].is_mainnet());
-    }
-
     /// Build a log exercising every funnel stage and failure class mix:
     /// responsive dials, unresponsive dials, incoming-only, discovery-only.
     fn mixed_log() -> CrawlLog {
@@ -671,59 +486,47 @@ mod tests {
         log
     }
 
+    /// The store's JSON is `{"nodes":{...}}` and reads back to the same
+    /// bytes, funnel and failure totals.
     #[test]
-    fn cached_funnel_matches_recomputed() {
-        let store = DataStore::from_log(&mixed_log());
-        assert_eq!(store.dial_funnel(), store.dial_funnel_recomputed());
-        assert_eq!(store.failure_totals(), store.failure_totals_recomputed());
-        assert_eq!(store.failure_totals()["connect_timeout"], 2);
-        assert_eq!(store.failure_totals()["connect_failed"], 1);
-    }
-
-    #[test]
-    fn cache_survives_json_roundtrip() {
-        let store = DataStore::from_log(&mixed_log());
-        let back = DataStore::from_json(&store.to_json()).unwrap();
-        assert_eq!(back.dial_funnel(), store.dial_funnel());
-        assert_eq!(back.dial_funnel(), back.dial_funnel_recomputed());
-        assert_eq!(back.failure_totals(), back.failure_totals_recomputed());
-    }
-
-    #[test]
-    fn json_shape_unchanged_by_cache_field() {
-        // The cache must be invisible on the wire: the store still
-        // serializes as exactly `{"nodes":{...}}`.
+    fn json_roundtrip() {
         let store = DataStore::from_log(&mixed_log());
         let text = store.to_json();
         assert!(text.starts_with("{\"nodes\":{"));
-        assert!(!text.contains("cache"));
+        let back = DataStore::from_json(&text).unwrap();
+        assert_eq!(back.to_json(), text);
+        assert!(back.nodes[&id(1)].is_mainnet());
+        assert_eq!(back.dial_funnel(), store.dial_funnel());
+        let totals = back.failure_totals();
+        assert_eq!(totals["connect_timeout"], 2);
+        assert_eq!(totals["connect_failed"], 1);
     }
 
+    /// JSON no crawl log aggregates to is an `Err`, not a store that
+    /// panics later in `active_span_ms` or `sanitize`.
     #[test]
-    fn insert_observation_replaces_and_updates_cache() {
-        let mut store = DataStore::from_log(&mixed_log());
-        // Replace node 2's observation with one that responded.
-        let mut replacement = store.nodes[&id(2)].clone();
-        replacement.ever_answered_dial = true;
-        replacement.failures.clear();
-        let old = store.insert_observation(replacement);
-        assert!(old.is_some());
-        assert_eq!(store.dial_funnel(), store.dial_funnel_recomputed());
-        assert_eq!(store.failure_totals(), store.failure_totals_recomputed());
-        assert!(!store.failure_totals().contains_key("connect_failed"));
-        // Brand-new node via insert_observation.
-        let mut fresh = NodeObservation::new(id(9), 1);
-        fresh.dials_attempted = 1;
-        store.insert_observation(fresh);
-        assert_eq!(store.dial_funnel(), store.dial_funnel_recomputed());
-    }
-
-    #[test]
-    fn rebuild_caches_repairs_direct_mutation() {
-        let mut store = DataStore::from_log(&mixed_log());
-        store.nodes.remove(&id(1));
-        store.rebuild_caches();
-        assert_eq!(store.dial_funnel(), store.dial_funnel_recomputed());
-        assert_eq!(store.failure_totals(), store.failure_totals_recomputed());
+    fn impossible_observations_are_rejected() {
+        let store = DataStore::from_log(&mixed_log());
+        type Damage = fn(&mut NodeObservation);
+        let cases: [(&str, Damage); 5] = [
+            ("last seen before first seen", |o| {
+                o.first_seen_ms = o.last_seen_ms + 1
+            }),
+            ("active span inverted", |o| {
+                o.first_active_ms = o.last_active_ms.map(|t| t + 1)
+            }),
+            ("active span missing its first end", |o| {
+                o.first_active_ms = None
+            }),
+            ("active span missing its last end", |o| {
+                o.last_active_ms = None
+            }),
+            ("filed under another id", |o| o.id = id(7)),
+        ];
+        for (name, damage) in cases {
+            let mut bad = store.clone();
+            damage(bad.nodes.get_mut(&id(1)).unwrap());
+            assert!(DataStore::from_json(&bad.to_json()).is_err(), "{name}");
+        }
     }
 }

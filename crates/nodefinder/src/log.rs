@@ -172,6 +172,14 @@ pub struct ConnLog {
     pub failure: Option<FailureClass>,
 }
 
+impl ConnLog {
+    /// When the connection closed, ms; `None` when `ts_ms + duration_ms`
+    /// overflows, which [`CrawlLog::check`] refuses.
+    pub(crate) fn end_ms(&self) -> Option<u64> {
+        self.ts_ms.checked_add(self.duration_ms)
+    }
+}
+
 obs::snap_struct!(ConnLog {
     instance,
     ts_ms,
@@ -252,6 +260,16 @@ impl CrawlLog {
         self.events.extend(other.events);
     }
 
+    /// The check both log readers (`from_jsonl` and the `NFND` restore)
+    /// make before handing a log on: every connection ends at a
+    /// representable instant.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.conns.iter().any(|c| c.end_ms().is_none()) {
+            return Err("connection ends past u64::MAX ms");
+        }
+        Ok(())
+    }
+
     /// Serialize as JSON lines (one conn/event per line, tagged): the
     /// crawl log's export format. A checkpoint writes the log through
     /// `Snap` instead.
@@ -287,6 +305,7 @@ impl CrawlLog {
                 Line::Event(e) => log.events.push(e),
             }
         }
+        log.check().map_err(serde::de::Error::custom)?;
         Ok(log)
     }
 }
@@ -522,6 +541,19 @@ mod tests {
     #[test]
     fn bad_jsonl_is_an_error() {
         assert!(CrawlLog::from_jsonl("{\"type\":\"bogus\"}").is_err());
+    }
+
+    /// A connection ending past `u64::MAX` ms is refused here, not
+    /// handed on to overflow in `DataStore::from_log`.
+    #[test]
+    fn conn_ending_past_u64_max_is_an_error() {
+        let mut log = CrawlLog::default();
+        log.conns.push(sample_conn());
+        log.conns[0].ts_ms = u64::MAX - 1;
+        log.conns[0].duration_ms = 1;
+        assert!(CrawlLog::from_jsonl(&log.to_jsonl()).is_ok());
+        log.conns[0].ts_ms = u64::MAX;
+        assert!(CrawlLog::from_jsonl(&log.to_jsonl()).is_err());
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub fn sanitize(store: &DataStore, params: SanitizeParams) -> (DataStore, Saniti
         if all_abusive || is_nodefinder {
             removed_nodes.insert(*id);
         } else {
-            sanitized.insert_observation(obs.clone());
+            sanitized.nodes.insert(obs.id, obs.clone());
         }
     }
 
@@ -173,11 +173,9 @@ mod tests {
     }
 
     fn store_of(observations: Vec<NodeObservation>) -> DataStore {
-        let mut s = DataStore::default();
-        for o in observations {
-            s.insert_observation(o);
+        DataStore {
+            nodes: observations.into_iter().map(|o| (o.id, o)).collect(),
         }
-        s
     }
 
     const MIN30: u64 = 30 * 60 * 1000;

@@ -1,29 +1,19 @@
-//! Funnel-cache consistency under arbitrary ingest interleavings.
+//! The dial funnel is invariant under log order.
 //!
-//! `DataStore` maintains its dial funnel and failure totals as
-//! incrementally updated caches (`FunnelCache`) so the hot export paths
-//! are O(1) instead of rescanning every observation. The caches must
-//! stay exactly consistent with the reference rescans under *every*
-//! interleaving of the three mutation paths — per-conn ingest
-//! (`ingest_conn`), whole-observation replacement (`insert_observation`,
-//! which must first subtract the replaced observation's contribution),
-//! and JSON round-trips (`from_json`, which rebuilds the cache from the
-//! node map) — not just the bulk `from_log` order the crawler happens to
-//! produce.
-//!
-//! The suite drives randomly generated op sequences against one store
-//! and asserts `dial_funnel() == dial_funnel_recomputed()` and
-//! `failure_totals() == failure_totals_recomputed()` after every single
-//! step.
-
-// Tests assert on impossible-failure paths freely.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+//! `DataStore::from_log` folds a crawl log's events, then its conns, into
+//! one observation per node; `dial_funnel()` and `failure_totals()` scan
+//! the result. Crawler instances merge their logs in whatever order the
+//! harness collects them, so the counts must not depend on that order:
+//! the suite shuffles both the conns and the events of a random log and
+//! asserts the same funnel and failure totals either way.
 
 use enode::NodeId;
-use nodefinder::log::{ConnLog, ConnOutcome, ConnType, FailureClass, HelloInfo, StatusInfo};
-use nodefinder::{DataStore, NodeObservation};
+use nodefinder::log::{
+    ConnLog, ConnOutcome, ConnType, CrawlLog, DialEvent, DialEventKind, FailureClass, HelloInfo,
+    StatusInfo,
+};
+use nodefinder::DataStore;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 fn nid(tag: u8) -> NodeId {
@@ -126,146 +116,50 @@ fn conn_strategy() -> impl Strategy<Value = ConnLog> {
         )
 }
 
-fn observation_strategy() -> impl Strategy<Value = NodeObservation> {
-    (
-        (
-            1u8..=8,
-            0u64..5,
-            0u64..5,
-            0u64..3,
-            any::<bool>(),
-            any::<bool>(),
-        ),
-        (
-            opt(1, 2, hello_strategy()),
-            opt(3, 10, status_strategy()),
-            proptest::collection::vec((failure_strategy(), 1u64..4), 0..3),
-        ),
-    )
-        .prop_map(
-            |(
-                (tag, dials, responded, hellos, incoming, answered),
-                (hello, status, failure_list),
-            )| {
-                let has_hello = hello.is_some();
-                let mut failures = BTreeMap::new();
-                for (class, count) in failure_list {
-                    *failures.entry(class.label().to_string()).or_insert(0) += count;
-                }
-                NodeObservation {
-                    id: nid(tag),
-                    ips: BTreeSet::from([Ipv4Addr::new(10, 0, 0, tag)]),
-                    port: 30303,
-                    first_seen_ms: 100,
-                    last_seen_ms: 5_000,
-                    discovery_sightings: 1,
-                    dials_attempted: dials,
-                    dials_responded: responded,
-                    hello_count: if has_hello { hellos.max(1) } else { 0 },
-                    hello,
-                    status,
-                    dao_fork: None,
-                    ever_incoming: incoming,
-                    ever_answered_dial: answered,
-                    latencies_ms: vec![9],
-                    first_active_ms: has_hello.then_some(100),
-                    last_active_ms: has_hello.then_some(5_000),
-                    failures,
-                }
-            },
-        )
+fn event_strategy() -> impl Strategy<Value = DialEvent> {
+    (1u8..=8, 1u8..=6, 0u64..100_000, 0u8..5).prop_map(|(id_tag, ip_tag, ts_ms, kind)| DialEvent {
+        instance: 0,
+        ts_ms,
+        node_id: nid(id_tag),
+        ip: Ipv4Addr::new(10, 0, 0, ip_tag),
+        kind: match kind {
+            0 => DialEventKind::DiscoveryAttempt,
+            1 => DialEventKind::DynamicDialAttempt,
+            2 => DialEventKind::StaticDialAttempt,
+            3 => DialEventKind::DialResponded,
+            _ => DialEventKind::DiscoverySighting,
+        },
+    })
 }
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// Fold one connection log entry in via the incremental path.
-    Ingest(Box<ConnLog>),
-    /// Replace a whole observation (must subtract the old contribution).
-    Insert(Box<NodeObservation>),
-    /// Round-trip the store through JSON (rebuilds the cache).
-    RoundTrip,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    // The vendored prop_oneof! picks uniformly, so the ingest bias is
-    // expressed by repeating that arm.
-    prop_oneof![
-        conn_strategy().prop_map(|c| Op::Ingest(Box::new(c))),
-        conn_strategy().prop_map(|c| Op::Ingest(Box::new(c))),
-        conn_strategy().prop_map(|c| Op::Ingest(Box::new(c))),
-        observation_strategy().prop_map(|o| Op::Insert(Box::new(o))),
-        observation_strategy().prop_map(|o| Op::Insert(Box::new(o))),
-        Just(Op::RoundTrip),
-    ]
-}
-
-fn assert_caches_consistent(store: &DataStore, step: usize) {
-    assert_eq!(
-        store.dial_funnel(),
-        store.dial_funnel_recomputed(),
-        "funnel cache diverged after step {step}"
-    );
-    assert_eq!(
-        store.failure_totals(),
-        store.failure_totals_recomputed(),
-        "failure totals diverged after step {step}"
-    );
+/// A deterministic Fisher–Yates shuffle driven by `seed`.
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    for i in (1..items.len()).rev() {
+        let j = ((seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(i as u64))
+            % (i as u64 + 1)) as usize;
+        items.swap(i, j);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The incremental caches match the full rescans after every step of
-    /// any ingest/insert/round-trip interleaving.
-    #[test]
-    fn funnel_caches_survive_arbitrary_interleavings(
-        ops in proptest::collection::vec(op_strategy(), 1..40),
-    ) {
-        let mut store = DataStore::default();
-        assert_caches_consistent(&store, 0);
-        for (step, op) in ops.into_iter().enumerate() {
-            match op {
-                Op::Ingest(conn) => store.ingest_conn(&conn),
-                Op::Insert(obs) => {
-                    store.insert_observation(*obs);
-                }
-                Op::RoundTrip => {
-                    store = DataStore::from_json(&store.to_json()).expect("own JSON parses");
-                }
-            }
-            assert_caches_consistent(&store, step + 1);
-        }
-        // And a final round-trip yields the same funnel as the live store.
-        let reloaded = DataStore::from_json(&store.to_json()).expect("own JSON parses");
-        prop_assert_eq!(reloaded.dial_funnel(), store.dial_funnel());
-        prop_assert_eq!(reloaded.failure_totals(), store.failure_totals());
-    }
-
-    /// Ingest order does not matter for the funnel: any permutation of
-    /// the same conn set lands on the same counts.
+    /// Log order does not matter for the funnel: any permutation of the
+    /// same conns and events lands on the same counts and totals.
     #[test]
     fn funnel_is_order_invariant(
         conns in proptest::collection::vec(conn_strategy(), 1..20),
-        seed in any::<u64>(),
+        events in proptest::collection::vec(event_strategy(), 0..20),
+        seeds in (any::<u64>(), any::<u64>()),
     ) {
-        let mut forward = DataStore::default();
-        for c in &conns {
-            forward.ingest_conn(c);
-        }
-        // A deterministic shuffle driven by the seed.
-        let mut shuffled = conns.clone();
-        let n = shuffled.len();
-        for i in (1..n).rev() {
-            let j = ((seed
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(i as u64))
-                % (i as u64 + 1)) as usize;
-            shuffled.swap(i, j);
-        }
-        let mut backward = DataStore::default();
-        for c in &shuffled {
-            backward.ingest_conn(c);
-        }
+        let log = CrawlLog { conns, events };
+        let mut shuffled = log.clone();
+        shuffle(&mut shuffled.conns, seeds.0);
+        shuffle(&mut shuffled.events, seeds.1);
+        let forward = DataStore::from_log(&log);
+        let backward = DataStore::from_log(&shuffled);
         prop_assert_eq!(forward.dial_funnel(), backward.dial_funnel());
         prop_assert_eq!(forward.failure_totals(), backward.failure_totals());
     }

@@ -6,6 +6,8 @@
 //! regression.
 
 use detlint::Scan;
+use std::fs;
+use std::path::{Path, PathBuf};
 
 fn scan() -> Scan {
     detlint::scan_workspace(detlint::workspace_root())
@@ -76,4 +78,48 @@ fn escape_hatch_census_is_as_reviewed() {
     for site in sites("#![allow(clippy::unwrap_used)]") {
         assert!(site.starts_with("crates/conformance/src/cases/"), "{site}");
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("directory is readable") {
+        let path = entry.expect("directory entry is readable").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// serde's derive owns every JSON wire format: no source outside
+/// `vendor/` reaches into serde's unversioned private module to write
+/// one by hand.
+#[test]
+fn no_source_names_serde_private() {
+    // Spelled in two halves so this file does not match itself.
+    let needle = ["__", "private"].concat();
+    let root = detlint::workspace_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let hits: Vec<_> = files
+        .iter()
+        .filter(|path| {
+            fs::read_to_string(path)
+                .expect("source is UTF-8")
+                .contains(&needle)
+        })
+        .map(|path| {
+            path.strip_prefix(root)
+                .unwrap_or(path)
+                .display()
+                .to_string()
+        })
+        .collect();
+    assert!(
+        hits.is_empty(),
+        "sources naming serde's `{needle}`: {hits:#?}"
+    );
 }
