@@ -7,7 +7,7 @@
 //! repro all --check       regenerate in memory, byte-compare with the
 //!                         committed results/ and EXPERIMENTS.md, exit 1
 //!                         naming every file that differs
-//! repro scale <hosts>     build-and-run smoke of a large sharded world
+//! repro scale <hosts>     build-and-run smoke of a large world
 //! repro chain <key>       walk the causal chain of scheduler key <key>
 //!                         through the trace: every dispatch from the key
 //!                         back to its external root (cause 0), with the
@@ -194,7 +194,7 @@ fn check(generated: &[(String, String)]) {
     eprintln!("repro: {} files match what is committed", generated.len());
 }
 
-/// Does a `hosts`-host world (2% Byzantine, one crawler, 8 shards) build
+/// Does a `hosts`-host world (2% Byzantine, one crawler) build
 /// and run? Two simulated seconds; fails if nothing was dispatched, or if
 /// the `ethcrypto` memo sized for this world lost a signature between its
 /// signing and its delivery (the survival-window rule in
@@ -208,9 +208,7 @@ fn scale(hosts: usize) {
         n_nodes: hosts.saturating_sub(byzantine),
         duration_ms: SIM_MS,
         tx_interval_ms: 20_000,
-        shards: 8,
-        // Bootstrap hosts absorb the population's initial ping storm and
-        // get the lowest host ids: two per shard keeps the load even.
+        // Bootstrap hosts absorb the population's initial ping storm.
         n_bootstrap: 16,
         ..WorldConfig::default()
     };
@@ -235,10 +233,8 @@ fn scale(hosts: usize) {
     // and spammer hosts and the crawler.
     let built = world.sim.host_count();
     println!(
-        "scale {hosts}: {built} hosts, {events} events in {SIM_MS} sim-ms over {} shards {:?}, \
+        "scale {hosts}: {built} hosts, {events} events in {SIM_MS} sim-ms, \
          peak queue depth {}, VmHWM {peak_kb} kB ({} kB/host)",
-        world.sim.shard_count(),
-        world.sim.shard_event_counts(),
         world.sim.queue_depth_peak(),
         peak_kb / built as u64
     );

@@ -274,30 +274,13 @@ pub fn campaign(events: &[TraceEvent], prom: &[(String, u64)]) -> Campaign {
     Campaign { report, json }
 }
 
-/// The self-profiler's side table as `repro obs` prints it: per-shard
-/// utilization, then the top kinds and host archetypes by wall cost.
+/// The self-profiler's side table as `repro obs` prints it: the run's wall
+/// time, then the top kinds and host archetypes by wall cost.
 /// Wall-clock numbers: never compare two runs' tables byte for byte.
 pub fn profile_table(s: &ProfileSummary) -> String {
-    let epochs_per_wall_s = if s.run_wall_ms > 0 {
-        s.epochs as f64 * 1000.0 / s.run_wall_ms as f64
-    } else {
-        0.0
-    };
     let mut out =
         String::from("profiler report (wall-clock side table — not comparable across runs)\n");
-    let _ = writeln!(
-        out,
-        "  run wall: {} ms   epochs: {}   epochs/wall-s: {epochs_per_wall_s:.2}   \
-         imbalance: {:.2}",
-        s.run_wall_ms, s.epochs, s.imbalance_ratio
-    );
-    out.push_str("\n  shard     events    busy_ms   stall_ms  utilization\n");
-    for (shard, (events, busy_ms, stall_ms, util)) in s.shards.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {shard:>5} {events:>10} {busy_ms:>10} {stall_ms:>10}  {util:>11.4}"
-        );
-    }
+    let _ = writeln!(out, "  run wall: {} ms", s.run_wall_ms);
     let _ = writeln!(out, "\n  top {TOP} event kinds by cost:");
     out.push_str("  kind                 count   total_ms\n");
     for (name, count, total_ms) in s.kinds.iter().take(TOP) {
@@ -384,9 +367,6 @@ mod tests {
     fn profile_table_bytes_are_pinned() {
         let summary = ProfileSummary {
             run_wall_ms: 4959,
-            epochs: 3,
-            shards: vec![(205_864, 4905, 0, 0.98903), (12, 1, 7, 0.0)],
-            imbalance_ratio: 17155.333,
             kinds: vec![
                 ("udp", 63064, 2557),
                 ("tcp_data", 30434, 1075),
@@ -396,16 +376,13 @@ mod tests {
                 ("tcp_close", 6, 5),
             ],
             archetypes: vec![("Geth", 20, 90_000, 3000), ("crawler", 1, 40_000, 900)],
+            ..ProfileSummary::default()
         };
         assert_eq!(
             profile_table(&summary),
             "\
 profiler report (wall-clock side table — not comparable across runs)
-  run wall: 4959 ms   epochs: 3   epochs/wall-s: 0.60   imbalance: 17155.33
-
-  shard     events    busy_ms   stall_ms  utilization
-      0     205864       4905          0       0.9890
-      1         12          1          7       0.0000
+  run wall: 4959 ms
 
   top 5 event kinds by cost:
   kind                 count   total_ms

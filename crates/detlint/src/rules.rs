@@ -82,7 +82,7 @@ pub static TABLE: [Info; 7] = [
                   Flags: the identifiers `Instant` and `SystemTime`.\n\
                   Allowlist: vendor/criterion (benchmarks measure wall time by definition)\n\
                   and crates/obs/src/profile.rs — the self-profiler's wall-clock\n\
-                  quarantine. Its readings attribute dispatch cost per shard/kind/host\n\
+                  quarantine. Its readings attribute dispatch cost per event kind and host\n\
                   and are exported only to results/obs_profile.json; they never reach\n\
                   sim state, and a tier-1 test proves byte-identical sim outputs with\n\
                   the profiler on vs off.\n\
@@ -164,20 +164,21 @@ pub static TABLE: [Info; 7] = [
         title: "no shared mutable state (static mut, interior-mutability statics)",
         explain: "R8: no shared mutable state (static mut, interior-mutability statics).\n\
                   \n\
-                  ROADMAP item 1 shards the deterministic netsim across threads with the\n\
-                  contract that shard-count must not change exports. Any global a host\n\
-                  callback can mutate — a `static mut`, a `static` whose type has interior\n\
-                  mutability (Cell, RefCell, Mutex, RwLock, OnceLock, atomics, ...), or a\n\
-                  `thread_local!` cell — turns into cross-shard coupling (divergent traces)\n\
-                  or silent per-shard forking (divergent caches) the moment the event loop\n\
-                  is partitioned. State must live in a struct that is explicitly owned by\n\
-                  one shard and handed across boundaries on purpose.\n\
+                  A world's state must live in values the simulation owns. Any global a\n\
+                  host callback can mutate — a `static mut`, a `static` whose type has\n\
+                  interior mutability (Cell, RefCell, Mutex, RwLock, OnceLock, atomics,\n\
+                  ...), or a `thread_local!` cell — is state no snapshot section captures,\n\
+                  so a world resumed from its checkpoint runs without it. And ROADMAP\n\
+                  item 9 runs independent worlds on threads: a process-wide global\n\
+                  couples worlds that must not see each other, and a thread-local one\n\
+                  outlives its world and follows the thread into the next.\n\
                   \n\
                   Flags, in src/ outside test code: `static mut` declarations; `static`\n\
                   declarations whose type names an interior-mutability container; and\n\
                   `thread_local!` entries holding `Cell`/`RefCell`/`UnsafeCell` outside\n\
-                  crates/obs/ (the observability recorder is thread-local by design —\n\
-                  per-shard recorders merge at barrier epochs).\n\
+                  crates/obs/ (the observability recorder and profiler are thread-local\n\
+                  by design: installed around one world's run and taken back after it,\n\
+                  the recorder's state written to its own `OBSS` image).\n\
                   Escape hatch: `// detlint: allow(R8) -- <why>` for state proved\n\
                   value-deterministic (e.g. a memo cache of a pure function, or a\n\
                   write-once table of constants where every writer computes the same\n\
@@ -195,7 +196,7 @@ pub static TABLE: [Info; 7] = [
                   *threaded*: an RNG built from a literal or module-level constant inside\n\
                   library code is a hidden second stream that ignores `SimConfig.seed`,\n\
                   so two worlds with different experiment seeds share it (correlated\n\
-                  draws), and a sharded netsim cannot give each shard a derived stream.\n\
+                  draws), and no per-host stream can be derived from the world's seed.\n\
                   Every RNG constructor argument must be reachable from a function\n\
                   parameter (e.g. `config.seed`, a `seed: u64` argument, or a local\n\
                   computed from one).\n\
@@ -216,7 +217,7 @@ pub static TABLE: [Info; 7] = [
         explain: "R10: protocol crates never depend on netsim/nodefinder/bench; obs depends\n\
                   on nothing in-workspace.\n\
                   \n\
-                  The layering that keeps the stack testable and shardable: protocol\n\
+                  The layering that keeps the stack testable and reusable: protocol\n\
                   crates (rlp, enode, kad, discv4, rlpx, devp2p, ethwire) are pure\n\
                   byte-in/byte-out libraries that any driver — simulator, conformance\n\
                   harness, or a future real-socket runner — can host; the simulation and\n\

@@ -120,9 +120,9 @@ pub fn check_r8(
                     path: path.to_string(),
                     line: decl.line,
                     message: format!(
-                        "`static mut {}` is shared mutable state; a sharded \
-                         netsim cannot replay it deterministically (see \
-                         --explain R8)",
+                        "`static mut {}` is shared mutable state that no \
+                         snapshot captures and every world in the process \
+                         shares (see --explain R8)",
                         decl.name
                     ),
                 });
@@ -132,7 +132,8 @@ pub fn check_r8(
         if decl.thread_local {
             if in_obs {
                 // The observability recorder is thread-local by design:
-                // per-shard recorders merge at barrier epochs.
+                // installed around one world's run, its state written to
+                // its own `OBSS` image.
                 continue;
             }
             if let Some(marker) = cell_marker(&decl.ty) {
@@ -144,8 +145,8 @@ pub fn check_r8(
                         line: decl.line,
                         message: format!(
                             "`thread_local! {}: {}` holds `{marker}` outside \
-                             crates/obs/; per-shard copies fork silently (see \
-                             --explain R8)",
+                             crates/obs/; no snapshot captures it, and it \
+                             outlives its world on the thread (see --explain R8)",
                             decl.name,
                             render_type(&decl.ty)
                         ),

@@ -54,9 +54,10 @@ pub struct WorldConfig {
     /// Override Parity's share of the Mainnet client mix (default 0.17,
     /// Table 4). The eclipse experiment saturates a world with Parity.
     pub parity_share: Option<f64>,
-    /// Scheduler shards for the simulator (see [`SimConfig::shards`]).
-    /// Any value replays the identical trace; >1 partitions the event
-    /// queue for large worlds.
+    /// Read by nothing: the engine runs one event queue. Kept only
+    /// because the frozen `benchmark/` still sets it; the benchmark's
+    /// contract-v2 change (ROADMAP item 6) deletes it and
+    /// [`SimConfig::shards`].
     pub shards: usize,
 }
 
@@ -270,8 +271,7 @@ impl World {
             udp_loss: config.udp_loss,
             jitter_ms: 8,
             nat_window_ms: 120_000,
-            shards: config.shards,
-            faults: Default::default(),
+            ..SimConfig::default()
         };
         let mut sim = NetSim::new(sim_config);
         let mut nodes = Vec::new();

@@ -1,7 +1,6 @@
 //! The discrete-event engine: hosts, UDP, TCP, timers, churn.
 
 use crate::faults::{FaultSchedule, FaultWindow, TcpFate, UdpFate};
-use crate::payload::Payload;
 use crate::sched::EventQueue;
 use crate::topology::{latency_between, HostMeta};
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -15,10 +14,16 @@ use std::net::Ipv4Addr;
 pub const SNAP_MAGIC: [u8; 4] = *b"PSNP";
 
 /// Current engine snapshot format version.
-pub const SNAP_VERSION: u8 = 2;
+pub const SNAP_VERSION: u8 = 3;
 
 /// Identifies a host inside one simulation.
 pub type HostId = usize;
+
+/// The bytes of one simulated datagram or stream segment. The engine
+/// owns them from `Ctx::send_udp` / `Ctx::tcp_send` to delivery and never
+/// clones them: a send moves the sender's buffer into its event, and the
+/// truncation and corruption faults edit that buffer in place.
+pub type Payload = Vec<u8>;
 
 /// Identifies a TCP connection inside one simulation.
 ///
@@ -94,8 +99,7 @@ pub enum TcpEvent {
     },
     /// Ordered stream data arrived.
     Data {
-        /// Payload bytes (cheaply clonable shared buffer; derefs to
-        /// `&[u8]`).
+        /// Payload bytes.
         bytes: Payload,
         /// The connection.
         conn: ConnId,
@@ -159,12 +163,9 @@ pub struct SimConfig {
     pub jitter_ms: u32,
     /// How long a NAT pinhole stays open after outbound traffic, ms.
     pub nat_window_ms: u64,
-    /// Scheduler shards. `1` (the default) runs one event queue; larger
-    /// counts partition hosts round-robin across per-shard queues
-    /// merged under the conservative barrier-epoch protocol
-    /// (lookahead = [`crate::min_link_latency_ms`]). Any shard count
-    /// produces byte-identical traces on the same seed — see DESIGN.md
-    /// § Sharded execution.
+    /// Read by nothing: the engine runs one event queue. Kept only
+    /// because the frozen `benchmark/` still sets it; the benchmark's
+    /// contract-v2 change (ROADMAP item 6) deletes it.
     pub shards: usize,
     /// Per-link fault windows (see [`crate::faults`]). Usually empty at
     /// construction and extended later via [`NetSim::add_fault`].
@@ -253,8 +254,7 @@ impl<'a> Ctx<'a> {
         self.rng
     }
 
-    /// Send a UDP datagram. Accepts a `Vec<u8>` or a shared [`Payload`]
-    /// (e.g. to fan one buffer out to many peers without copies).
+    /// Send a UDP datagram.
     pub fn send_udp(&mut self, to: HostAddr, bytes: impl Into<Payload>) {
         self.actions.push(Action::SendUdp {
             to,
@@ -280,8 +280,7 @@ impl<'a> Ctx<'a> {
         conn
     }
 
-    /// Send bytes on an established connection. Accepts a `Vec<u8>` or a
-    /// shared [`Payload`].
+    /// Send bytes on an established connection.
     pub fn tcp_send(&mut self, conn: ConnId, bytes: impl Into<Payload>) {
         self.actions.push(Action::TcpSend {
             conn,
@@ -320,7 +319,6 @@ enum ConnState {
 
 snap_enum!(ConnState { 0 => Dialing, 1 => Established, 2 => Closed });
 
-// Per-connection record; migrates with whichever shard owns the connection.
 #[derive(Debug, Clone, Copy)]
 struct ConnInfo {
     initiator: HostId,
@@ -358,20 +356,16 @@ snap_struct!(ConnEntry {
     info
 });
 
-// Per-host record; the unit the sharded engine partitions across queues.
 struct Slot {
     host: Option<Box<dyn Host>>,
     addr: HostAddr,
     meta: HostMeta,
     alive: bool,
-    /// Which scheduler shard owns this host's events.
-    shard: u32,
     /// This host's deterministic RNG stream. Every draw the engine makes
     /// on behalf of a host (latency jitter, loss coins, fault dice, and
     /// the host's own `Ctx::rng`) comes from the stream of the event's
     /// owner, so a stream's evolution depends only on that host's own
-    /// event history — never on how other hosts' events interleave
-    /// across shards.
+    /// event history — never on how other hosts' events interleave.
     rng: StdRng,
     /// Key counter for events pushed while this host's events dispatch
     /// (see [`NetSim::push`]).
@@ -384,15 +378,13 @@ struct Slot {
     live_conns: Vec<ConnId>,
 }
 
-// Provenance rides with its queued event across shard boundaries.
 /// Causal provenance minted at push time: the scheduler key of the
 /// nearest causal-ancestor dispatch that recorded a trace event
 /// (`cause`, 0 = no traced ancestor / pushed from outside any dispatch)
 /// and the number of traced hops back to such an external root
 /// (`depth`). Skipping silent dispatches keeps every recorded chain
 /// link resolvable from the trace export alone. Both are pure functions
-/// of per-host event histories, so they are identical under any shard
-/// count.
+/// of per-host event histories.
 #[derive(Clone, Copy)]
 struct Prov {
     cause: u64,
@@ -416,7 +408,6 @@ const EV_KIND_NAMES: [&str; 9] = [
     "set_reachable",
 ];
 
-// Events cross shard boundaries when sender and receiver land on different workers.
 enum Ev {
     Udp {
         to: HostId,
@@ -575,13 +566,6 @@ impl EngineIds {
     }
 }
 
-/// One scheduler shard: the event queue of a disjoint subset of hosts.
-struct Shard {
-    queue: EventQueue<(HostId, Prov, Ev)>,
-    /// Events dispatched by this shard (load-balance diagnostics).
-    events: u64,
-}
-
 /// Mix a world seed and a host id into one RNG-stream seed (splitmix64
 /// finalizer — distinct, well-spread streams even for adjacent ids).
 fn host_stream_seed(seed: u64, host: u64) -> u64 {
@@ -732,8 +716,7 @@ pub struct NetSim {
     /// `owner + 1` of the event currently dispatching; 0 outside dispatch.
     /// Keys minted under origin `o` sort after all external keys and are
     /// ordered by `o`'s private counter, which makes the total `(at, key)`
-    /// order a pure function of per-host event histories — the property
-    /// that lets any shard count replay the same trace.
+    /// order a pure function of per-host event histories.
     origin: u32,
     /// Scheduler key of the event currently dispatching (0 outside
     /// dispatch), its own cause, and its causal depth — the provenance
@@ -743,12 +726,8 @@ pub struct NetSim {
     cur_key: u64,
     cur_cause: u64,
     cur_depth: u32,
-    shards: Vec<Shard>,
-    /// The minimum cross-host link latency: no push lands on another
-    /// shard sooner (debug-asserted in [`NetSim::push`]), and the merge
-    /// loop's barrier epochs are this long (see DESIGN.md § Sharded
-    /// execution).
-    lookahead_ms: u64,
+    /// Every pending event with its owner and provenance.
+    queue: EventQueue<(HostId, Prov, Ev)>,
     queue_depth_peak: u64,
     slots: Vec<Slot>,
     index: AddrIndex,
@@ -789,13 +768,7 @@ impl NetSim {
             cur_key: 0,
             cur_cause: 0,
             cur_depth: 0,
-            shards: (0..config.shards.max(1))
-                .map(|_| Shard {
-                    queue: EventQueue::new(),
-                    events: 0,
-                })
-                .collect(),
-            lookahead_ms: crate::topology::min_link_latency_ms() as u64,
+            queue: EventQueue::new(),
             queue_depth_peak: 0,
             slots: Vec::new(),
             index: AddrIndex::new(),
@@ -881,7 +854,6 @@ impl NetSim {
             addr,
             meta,
             alive: false,
-            shard: (id % self.shards.len()) as u32,
             rng: StdRng::seed_from_u64(host_stream_seed(self.config.seed, id as u64)),
             next_key: 0,
             nat: NatTable::default(),
@@ -921,27 +893,6 @@ impl NetSim {
         self.slots[host].host.take()
     }
 
-    /// Number of scheduler shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Events dispatched per shard (load-balance diagnostics; the sum
-    /// equals [`NetSim::events_processed`]). Deliberately an API rather
-    /// than an obs metric: per-shard metric names would make exports
-    /// depend on the shard count and break trace invariance.
-    pub fn shard_event_counts(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.events).collect()
-    }
-
-    /// Reassign a host to a scheduler shard. Call before scheduling
-    /// anything for the host — events already queued stay on the queue
-    /// they were pushed to.
-    pub fn set_host_shard(&mut self, host: HostId, shard: usize) {
-        assert!(shard < self.shards.len(), "shard {shard} out of range");
-        self.slots[host].shard = shard as u32;
-    }
-
     /// Queue `ev` for `owner` at absolute time `at`.
     ///
     /// The sort key encodes the *pushing* context, not the receiver: keys
@@ -950,7 +901,7 @@ impl NetSim {
     /// `(h + 1) << 32 | slot counter`. Same-time events therefore order
     /// by (external pushes first, then by pushing host, then by that
     /// host's own push order) — a pure function of per-host histories,
-    /// identical under any shard count.
+    /// not of the order in which different hosts happened to push.
     /// Nothing is scheduled into the past: `at` is clamped up to `now`,
     /// and a clamp firing in a debug build is a world-builder bug.
     // Every scheduled event funnels through here.
@@ -972,20 +923,12 @@ impl NetSim {
             slot.next_key += 1;
             ((self.origin as u64) << 32) | k as u64
         };
-        let sh = self.slots[owner].shard as usize;
-        debug_assert!(
-            self.origin == 0
-                || self.slots[(self.origin - 1) as usize].shard as usize == sh
-                || at >= self.now + self.lookahead_ms,
-            "cross-shard push inside the lookahead window (at={at}, now={})",
-            self.now
-        );
         // Provenance: the nearest *traced* ancestor is the cause — a
         // pushing dispatch that recorded no trace events forwards its own
         // cause unchanged, so every recorded `cause` resolves within the
         // exported trace. Depth counts traced hops from an external root.
         // Whether a dispatch traced anything is a pure function of its
-        // event history, so the stamps stay shard-invariant.
+        // event history, so the stamps are too.
         let prov = if self.cur_key == 0 {
             Prov { cause: 0, depth: 0 }
         } else if obs::dispatch_emitted() {
@@ -999,12 +942,12 @@ impl NetSim {
                 depth: self.cur_depth,
             }
         };
-        self.shards[sh].queue.push(at, key, (owner, prov, ev));
+        self.queue.push(at, key, (owner, prov, ev));
     }
 
     /// One-way latency from `a` to `b`; the jitter draw comes from
     /// `draw`'s stream — always the owner of the event being dispatched,
-    /// so the draw sequence is shard-count-invariant.
+    /// so the draw sequence depends on that host's history alone.
     fn one_way_latency(&mut self, draw: HostId, a: HostId, b: HostId) -> u64 {
         let base = latency_between(self.slots[a].meta.region, self.slots[b].meta.region) as u64;
         let jitter = if self.config.jitter_ms > 0 {
@@ -1015,70 +958,25 @@ impl NetSim {
         (base + jitter).max(1)
     }
 
-    /// Run until every queue is empty or simulated time exceeds
+    /// Run until the queue is empty or simulated time exceeds
     /// `until_ms`.
     // The main event loop: every simulated event funnels through here.
     pub fn run_until(&mut self, until_ms: u64) {
         obs::profile::run_mark_start();
-        if self.shards.len() == 1 {
-            // Single-shard fast path: no merge bookkeeping at all.
-            while let Some((at, key, (owner, prov, ev))) =
-                self.shards[0].queue.pop_at_most(until_ms)
-            {
-                self.dispatch_at(at, key, 0, owner, prov, ev);
-            }
-        } else {
-            self.run_sharded(until_ms);
+        while let Some((at, key, (owner, prov, ev))) = self.queue.pop_at_most(until_ms) {
+            self.dispatch_at(at, key, owner, prov, ev);
         }
         self.now = self.now.max(until_ms);
         obs::profile::run_mark_end();
     }
 
-    /// `((at, key), shard)` of the earliest pending event on any shard.
-    fn earliest(&self) -> Option<((u64, u64), usize)> {
-        let heads = self.shards.iter().enumerate();
-        heads.filter_map(|(i, s)| Some((s.queue.peek()?, i))).min()
-    }
-
-    /// The sharded merge loop: a k-way merge of the shards' queues,
-    /// dispatching the globally minimal `(at, key)` each step — exactly
-    /// what the single queue does, so the trace is identical by
-    /// construction. Barrier epochs one lookahead long mark where
-    /// observability folds its pending counters and the profiler charges
-    /// barrier stall; the dispatch order does not depend on them. They
-    /// are what threads will need (ROADMAP item 1b): no push lands on
-    /// another shard inside the epoch it was made in.
-    fn run_sharded(&mut self, until_ms: u64) {
-        loop {
-            // Barrier: fold at a deterministic point, then pick the next
-            // epoch. The profiler mark is wall-clock only, quarantined
-            // from sim state.
-            obs::fold_pending();
-            obs::profile::barrier_mark(self.shards.len());
-            let Some(((epoch_start, _), _)) = self.earliest() else {
-                break;
-            };
-            if epoch_start > until_ms {
-                break;
-            }
-            let epoch_end = (epoch_start + self.lookahead_ms).min(until_ms + 1);
-            while let Some((_, winner)) = self.earliest() {
-                let queue = &mut self.shards[winner].queue;
-                let Some((at, key, (owner, prov, ev))) = queue.pop_at_most(epoch_end - 1) else {
-                    break;
-                };
-                self.dispatch_at(at, key, winner, owner, prov, ev);
-            }
-        }
-    }
-
-    /// Per-event bookkeeping shared by the single- and sharded loops:
-    /// clock, depth gauge, obs counters, provenance bracketing, profiler
-    /// timing, origin bracketing, and the pending-count decrement that
-    /// may recycle a connection cell.
-    fn dispatch_at(&mut self, at: u64, key: u64, shard: usize, owner: HostId, prov: Prov, ev: Ev) {
+    /// Per-event bookkeeping around [`NetSim::dispatch`]: clock, depth
+    /// gauge, obs counters, provenance bracketing, profiler timing,
+    /// origin bracketing, and the pending-count decrement that may
+    /// recycle a connection cell.
+    fn dispatch_at(&mut self, at: u64, key: u64, owner: HostId, prov: Prov, ev: Ev) {
         self.now = at;
-        let depth = 1 + self.shards.iter().map(|s| s.queue.len()).sum::<usize>() as u64;
+        let depth = 1 + self.queue.len() as u64;
         self.queue_depth_peak = self.queue_depth_peak.max(depth);
         // Observability is pure: it reads the scheduler state but never
         // touches a sim RNG or a queue, so instrumented and
@@ -1098,20 +996,13 @@ impl NetSim {
         self.origin = owner as u32 + 1;
         let timer = obs::profile::dispatch_start();
         self.dispatch(ev);
-        obs::profile::dispatch_end(
-            timer,
-            shard,
-            kind_idx,
-            EV_KIND_NAMES[kind_idx],
-            owner as u64,
-        );
+        obs::profile::dispatch_end(timer, kind_idx, EV_KIND_NAMES[kind_idx], owner as u64);
         self.origin = 0;
         self.cur_key = 0;
         self.cur_cause = 0;
         self.cur_depth = 0;
         obs::set_cause(0, 0, 0);
         self.events_processed += 1;
-        self.shards[shard].events += 1;
         if let Some(id) = pinned {
             self.conn_event_drained(id);
         }
@@ -1151,9 +1042,9 @@ impl NetSim {
             .map(|e| &mut e.info)
     }
 
-    /// The host that receives a conn-stream event — used to route the
-    /// event to a shard and to attribute its RNG draws. Only valid ids
-    /// reach this (push sites hold a live connection).
+    /// The host that receives a conn-stream event — the event's owner,
+    /// whose stream its RNG draws come from. Only valid ids reach this
+    /// (push sites hold a live connection).
     fn conn_event_owner(&self, conn: ConnId, to_initiator: bool) -> HostId {
         let c = &self.conns[conn_idx(conn)].info;
         if to_initiator {
@@ -1571,10 +1462,10 @@ impl NetSim {
     /// provenance — into a versioned byte snapshot.
     ///
     /// Static structure (addresses, non-reachability metadata, the
-    /// address index, shard topology, interned metric handles) is
-    /// deliberately **not** serialized: the restore target is a freshly
-    /// rebuilt *shell* world containing the same hosts in the same
-    /// order, and [`NetSim::restore`] overwrites only the dynamic parts.
+    /// address index, interned metric handles) is deliberately **not**
+    /// serialized: the restore target is a freshly rebuilt *shell* world
+    /// containing the same hosts in the same order, and
+    /// [`NetSim::restore`] overwrites only the dynamic parts.
     /// Must be called between runs (never from inside a host callback).
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
         debug_assert_eq!(self.origin, 0, "snapshot during dispatch");
@@ -1597,7 +1488,6 @@ impl NetSim {
         w.usize(self.slots.len());
         for slot in &self.slots {
             w.bool(slot.alive);
-            w.u32(slot.shard);
             slot.rng.state().snap(&mut w);
             w.u32(slot.next_key);
             w.bool(slot.meta.reachable);
@@ -1608,19 +1498,14 @@ impl NetSim {
                 w.section(|w| h.save_state(w))?;
             }
         }
-        // Shards: dispatch counters plus every pending event, in dispatch
-        // order.
-        w.usize(self.shards.len());
-        for shard in &self.shards {
-            w.u64(shard.events);
-            w.usize(shard.queue.len());
-            for (at, key, (owner, prov, ev)) in shard.queue.sorted() {
-                w.u64(at);
-                w.u64(key);
-                w.usize(*owner);
-                prov.snap(&mut w);
-                ev.snap(&mut w);
-            }
+        // Every pending event, in dispatch order.
+        w.usize(self.queue.len());
+        for (at, key, (owner, prov, ev)) in self.queue.sorted() {
+            w.u64(at);
+            w.u64(key);
+            w.usize(*owner);
+            prov.snap(&mut w);
+            ev.snap(&mut w);
         }
         Ok(w.finish())
     }
@@ -1628,7 +1513,7 @@ impl NetSim {
     /// Restore a [`NetSim::snapshot`] into this simulator.
     ///
     /// `self` must be a freshly rebuilt shell: the same hosts registered
-    /// in the same order (same addresses, metadata, shard layout) with
+    /// in the same order (same addresses and metadata) with
     /// behaviours re-created from their static configuration, not yet
     /// run. Everything dynamic — clock, counters, RNG streams, the
     /// connection slab, pending events (anything the shell's own world
@@ -1672,13 +1557,8 @@ impl NetSim {
         {
             return Err(SnapError::Corrupt("conn endpoint host out of range"));
         }
-        let n_shards = self.shards.len();
         for (host, slot) in self.slots.iter_mut().enumerate() {
             slot.alive = r.bool()?;
-            slot.shard = r.u32()?;
-            if slot.shard as usize >= n_shards {
-                return Err(SnapError::Corrupt("slot shard out of range"));
-            }
             slot.rng = StdRng::from_state(Snap::unsnap(&mut r)?);
             slot.next_key = r.u32()?;
             slot.meta.reachable = r.bool()?;
@@ -1709,44 +1589,38 @@ impl NetSim {
                 slot.host = None;
             }
         }
-        if r.usize()? != n_shards {
-            return Err(SnapError::Corrupt("shard count differs from restore shell"));
-        }
         // A pending key must already have been minted, or a resumed run
         // could mint the same `(at, key)` twice.
         let minted = |key: u64| match (key >> 32) as usize {
             0 => key != 0 && key < self.ext_seq as u64,
             origin => origin <= n_slots && (key as u32) < self.slots[origin - 1].next_key,
         };
-        for shard in &mut self.shards {
-            shard.events = r.u64()?;
-            // Wipe whatever the shell's world building scheduled; the
-            // snapshot's pending events replace it wholesale.
-            shard.queue = EventQueue::new();
-            let mut prev = None;
-            for _ in 0..r.usize()? {
-                let at = r.u64()?;
-                let key = r.u64()?;
-                let owner = r.usize()?;
-                let prov = Prov::unsnap(&mut r)?;
-                let ev = Ev::unsnap(&mut r)?;
-                // Dispatch order is the one order a snapshot writes, so
-                // a restored image is the one its re-snapshot writes.
-                if prev >= Some((at, key)) {
-                    return Err(SnapError::Corrupt("pending events not in dispatch order"));
-                }
-                prev = Some((at, key));
-                if !minted(key) {
-                    return Err(SnapError::Corrupt("pending event key was never minted"));
-                }
-                if owner >= n_slots || ev.host_ref().is_some_and(|h| h >= n_slots) {
-                    return Err(SnapError::Corrupt("event host out of range"));
-                }
-                if ev.conn_ref().is_some_and(|id| conn_idx(id) >= n_conn_cells) {
-                    return Err(SnapError::Corrupt("event references conn out of range"));
-                }
-                shard.queue.push(at, key, (owner, prov, ev));
+        // Wipe whatever the shell's world building scheduled; the
+        // snapshot's pending events replace it wholesale.
+        self.queue = EventQueue::new();
+        let mut prev = None;
+        for _ in 0..r.usize()? {
+            let at = r.u64()?;
+            let key = r.u64()?;
+            let owner = r.usize()?;
+            let prov = Prov::unsnap(&mut r)?;
+            let ev = Ev::unsnap(&mut r)?;
+            // Dispatch order is the one order a snapshot writes, so a
+            // restored image is the one its re-snapshot writes.
+            if prev >= Some((at, key)) {
+                return Err(SnapError::Corrupt("pending events not in dispatch order"));
             }
+            prev = Some((at, key));
+            if !minted(key) {
+                return Err(SnapError::Corrupt("pending event key was never minted"));
+            }
+            if owner >= n_slots || ev.host_ref().is_some_and(|h| h >= n_slots) {
+                return Err(SnapError::Corrupt("event host out of range"));
+            }
+            if ev.conn_ref().is_some_and(|id| conn_idx(id) >= n_conn_cells) {
+                return Err(SnapError::Corrupt("event references conn out of range"));
+            }
+            self.queue.push(at, key, (owner, prov, ev));
         }
         r.finish()?;
         self.origin = 0;
@@ -1766,26 +1640,6 @@ mod tests {
     use std::rc::Rc;
 
     type Log = Rc<RefCell<Vec<String>>>;
-
-    /// The oracle ROADMAP item 1b faces: the engine state that may move to
-    /// a worker thread today. Progress on 1b is "move a type into this list
-    /// until it compiles". Not `Send` yet, and why:
-    ///
-    /// * `Payload` — `data: Rc<[u8]>`; the plan swaps the `Rc` for `Arc`;
-    /// * `Ev` — carries a `Payload` in `Udp` and `TcpData`;
-    /// * `Slot` — `host: Option<Box<dyn Host>>`, and `Host` has no `Send`
-    ///   bound: the `ethpop::EthNode` behind it holds the `Rc<[NodeRecord]>`
-    ///   and `Rc<[Capability]>` flyweights.
-    #[test]
-    fn plain_shard_state_is_send() {
-        fn is_send<T: Send>() {}
-        is_send::<ConnInfo>();
-        is_send::<ConnEntry>();
-        is_send::<Prov>();
-        is_send::<NatTable>();
-        is_send::<HostAddr>();
-        is_send::<HostMeta>();
-    }
 
     /// A scriptable host for engine tests.
     struct Probe {
@@ -2573,128 +2427,58 @@ mod tests {
     }
 
     #[test]
-    fn provenance_chains_reach_roots_and_survive_sharding() {
+    fn provenance_chains_reach_roots() {
         // Every obs trace event emitted during dispatch must carry a
-        // causal chain that walks back to an external root (cause 0),
-        // and the (key, cause, depth) stamps must be identical under
-        // any shard count.
-        fn run(shards: usize) -> Vec<(u64, u64, u32, String)> {
-            let rec = obs::Recorder::new();
-            rec.install();
-            let log: Log = Rc::default();
-            let mut sim = NetSim::new(SimConfig {
-                seed: 7,
-                shards,
-                ..SimConfig::default()
-            });
-            let mut hosts = Vec::new();
-            for i in 0..4u8 {
-                let mut p = Probe::new("p", log.clone());
-                p.echo = i % 2 == 0;
-                p.udp_target = Some(addr(((i + 1) % 4) + 1));
-                p.tcp_target = (i == 1).then(|| addr(((i + 2) % 4) + 1));
-                p.tcp_payload = Some(vec![0u8; 16]);
-                let m = HostMeta {
-                    country: "US",
-                    asn: "Test",
-                    region: Region::ALL[i as usize],
-                    reachable: true,
-                };
-                hosts.push(sim.add_host(addr(i + 1), m, Box::new(p)));
-            }
-            for &h in &hosts {
-                sim.schedule_start(h, 0);
-            }
-            sim.run_until(4_000);
-            let q = rec.query();
-            // Dispatch-emitted events carry keys; chains terminate at
-            // cause 0 without cycling.
-            let keyed: Vec<&obs::TraceEvent> = q.events().iter().filter(|e| e.key != 0).collect();
-            assert!(!keyed.is_empty(), "no dispatched trace events recorded");
-            assert!(!q.roots().is_empty(), "no external roots visible");
-            for e in &keyed {
-                let chain = q.chain(e.key);
-                let last = *chain.last().unwrap();
-                assert_eq!(
-                    q.cause_of(last),
-                    Some(0),
-                    "chain from key {} stops at non-root {}",
-                    e.key,
-                    last
-                );
-                assert_eq!(chain.len() as u32, e.depth + 1, "depth mismatch");
-            }
-            let stamps = q
-                .events()
-                .iter()
-                .map(|e| (e.key, e.cause, e.depth, e.name.clone()))
-                .collect();
-            obs::uninstall();
-            stamps
+        // causal chain that walks back to an external root (cause 0).
+        let rec = obs::Recorder::new();
+        rec.install();
+        let log: Log = Rc::default();
+        let mut sim = NetSim::new(SimConfig {
+            seed: 7,
+            ..SimConfig::default()
+        });
+        let mut hosts = Vec::new();
+        for i in 0..4u8 {
+            let mut p = Probe::new("p", log.clone());
+            p.echo = i % 2 == 0;
+            p.udp_target = Some(addr(((i + 1) % 4) + 1));
+            p.tcp_target = (i == 1).then(|| addr(((i + 2) % 4) + 1));
+            p.tcp_payload = Some(vec![0u8; 16]);
+            let m = HostMeta {
+                country: "US",
+                asn: "Test",
+                region: Region::ALL[i as usize],
+                reachable: true,
+            };
+            hosts.push(sim.add_host(addr(i + 1), m, Box::new(p)));
         }
-        let base = run(1);
+        for &h in &hosts {
+            sim.schedule_start(h, 0);
+        }
+        sim.run_until(4_000);
+        let q = rec.query();
+        // Dispatch-emitted events carry keys; chains terminate at cause 0
+        // without cycling.
+        let keyed: Vec<&obs::TraceEvent> = q.events().iter().filter(|e| e.key != 0).collect();
+        assert!(!keyed.is_empty(), "no dispatched trace events recorded");
+        assert!(!q.roots().is_empty(), "no external roots visible");
+        for e in &keyed {
+            let chain = q.chain(e.key);
+            let last = *chain.last().unwrap();
+            assert_eq!(
+                q.cause_of(last),
+                Some(0),
+                "chain from key {} stops at non-root {}",
+                e.key,
+                last
+            );
+            assert_eq!(chain.len() as u32, e.depth + 1, "depth mismatch");
+        }
         assert!(
-            base.iter().any(|s| s.2 >= 2),
+            keyed.iter().any(|e| e.depth >= 2),
             "world too shallow: no chains of depth >= 2"
         );
-        assert_eq!(run(2), base, "provenance diverged under 2 shards");
-        assert_eq!(run(4), base, "provenance diverged under 4 shards");
-    }
-
-    #[test]
-    fn shard_count_does_not_change_the_trace() {
-        // The tentpole property at engine scope: a mixed UDP/TCP/timer
-        // world with loss, jitter, and churn replays the identical global
-        // callback order — captured in one shared log — under any shard
-        // count.
-        fn run(shards: usize) -> (Vec<String>, u64, (u64, u64), TcpCounters) {
-            let log: Log = Rc::default();
-            let mut sim = NetSim::new(SimConfig {
-                seed: 99,
-                udp_loss: 0.2,
-                jitter_ms: 8,
-                shards,
-                ..SimConfig::default()
-            });
-            let names = ["h0", "h1", "h2", "h3", "h4", "h5"];
-            let mut hosts = Vec::new();
-            for i in 0..6u8 {
-                let mut p = Probe::new(names[i as usize], log.clone());
-                p.echo = i % 2 == 0;
-                p.udp_target = Some(addr(((i + 1) % 6) + 1));
-                p.tcp_target = (i % 3 == 0).then(|| addr(((i + 2) % 6) + 1));
-                p.tcp_payload = Some(vec![0u8; 32]);
-                let m = HostMeta {
-                    country: "US",
-                    asn: "Test",
-                    region: Region::ALL[i as usize],
-                    reachable: true,
-                };
-                hosts.push(sim.add_host(addr(i + 1), m, Box::new(p)));
-            }
-            for &h in &hosts {
-                sim.schedule_start(h, 0);
-            }
-            sim.churn_burst(&[hosts[1]], 2_000, 1_000);
-            sim.run_until(8_000);
-            assert_eq!(
-                sim.shard_event_counts().iter().sum::<u64>(),
-                sim.events_processed(),
-                "per-shard counts must partition the event total"
-            );
-            let trace = log.borrow().clone();
-            (
-                trace,
-                sim.events_processed(),
-                sim.udp_counters(),
-                sim.tcp_counters(),
-            )
-        }
-        let base = run(1);
-        assert!(base.1 > 20, "world too quiet to prove anything: {base:?}");
-        for shards in [2, 3, 5] {
-            assert_eq!(run(shards), base, "shards={shards} diverged");
-        }
+        obs::uninstall();
     }
 
     #[test]

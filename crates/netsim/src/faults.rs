@@ -16,8 +16,7 @@
 //! the common path). A [`Scenario`] bundles fault windows with churn
 //! bursts and NAT flaps into one reusable, deterministic description.
 
-use crate::engine::{HostAddr, HostId, NetSim};
-use crate::payload::Payload;
+use crate::engine::{HostAddr, HostId, NetSim, Payload};
 use obs::{snap_enum, snap_struct};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -196,9 +195,7 @@ impl FaultSchedule {
     }
 
     /// Evaluate the fate of a TCP segment on link `a`↔`b` at `now`,
-    /// mutating `bytes` for truncation/corruption faults. Truncation
-    /// only narrows the payload window (no copy); corruption copies on
-    /// write if the buffer is shared.
+    /// truncating or corrupting `bytes` in place for those faults.
     pub(crate) fn tcp_fate(
         &self,
         now: u64,
@@ -222,7 +219,7 @@ impl FaultSchedule {
                 Fault::TcpCorrupt => {
                     if !bytes.is_empty() {
                         let i = rng.gen_range(0..bytes.len());
-                        bytes.make_mut()[i] ^= 0xA5;
+                        bytes[i] ^= 0xA5;
                     }
                 }
                 Fault::LatencySpike(ms) => extra_ms += ms,
@@ -363,7 +360,7 @@ mod tests {
             sched.udp_fate(10, addr(1), addr(2), &mut rng),
             UdpFate::Deliver { extra_ms: 100 }
         );
-        let mut bytes = Payload::from(vec![1, 2, 3]);
+        let mut bytes = vec![1, 2, 3];
         assert_eq!(
             sched.tcp_fate(10, addr(1), addr(2), &mut bytes, &mut rng),
             TcpFate::Deliver { extra_ms: 100 }
@@ -380,7 +377,7 @@ mod tests {
             until_ms: 1_000,
             fault: Fault::TcpTruncate(4),
         });
-        let mut bytes = Payload::from(vec![9u8; 10]);
+        let mut bytes = vec![9u8; 10];
         assert_eq!(
             sched.tcp_fate(5, addr(1), addr(2), &mut bytes, &mut rng),
             TcpFate::Deliver { extra_ms: 0 }
@@ -394,14 +391,11 @@ mod tests {
             until_ms: 1_000,
             fault: Fault::TcpCorrupt,
         });
-        let clean = Payload::from(vec![9u8; 10]);
-        // Shared with `clean`: corruption must copy-on-write, leaving the
-        // sender's view intact.
-        let mut bytes = clean.clone();
+        let mut bytes = vec![9u8; 10];
         sched.tcp_fate(5, addr(1), addr(2), &mut bytes, &mut rng);
         assert_eq!(bytes.len(), 10);
-        assert_ne!(bytes, clean, "exactly one byte must differ");
-        assert_eq!(&*clean, &[9u8; 10], "the shared original is untouched");
+        let flipped: Vec<u8> = bytes.iter().filter(|&&b| b != 9).copied().collect();
+        assert_eq!(flipped, [9 ^ 0xA5], "exactly one byte must differ");
     }
 
     #[test]
@@ -414,7 +408,7 @@ mod tests {
             until_ms: 1_000,
             fault: Fault::TcpReset,
         });
-        let mut bytes = Payload::from(vec![1u8; 8]);
+        let mut bytes = vec![1u8; 8];
         assert_eq!(
             sched.tcp_fate(5, addr(1), addr(2), &mut bytes, &mut rng),
             TcpFate::Reset

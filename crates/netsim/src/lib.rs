@@ -16,9 +16,9 @@
 //! * **geography** — every host carries a country/AS label and a region
 //!   used by the latency matrix, feeding the paper's Figures 12–13.
 //!
-//! Determinism: one seeded RNG, a totally-ordered event queue
-//! (time, sequence number), and no wall-clock access anywhere. Running the
-//! same world twice produces identical logs.
+//! Determinism: per-host RNG streams derived from one seed, one event
+//! queue totally ordered by (time, per-origin key), and no wall-clock
+//! access anywhere. Running the same world twice produces identical logs.
 //!
 //! The design is event-driven in the smoltcp spirit: protocol state
 //! machines (discv4, RLPx, DEVp2p) stay sans-IO, and a [`Host`]
@@ -27,20 +27,16 @@
 
 mod engine;
 pub mod faults;
-pub mod payload;
 pub mod sched;
 mod topology;
 
 pub use engine::{
-    ConnId, Ctx, Host, HostAddr, HostId, NetSim, SimConfig, TcpCounters, TcpEvent, SNAP_MAGIC,
-    SNAP_VERSION,
+    ConnId, Ctx, Host, HostAddr, HostId, NetSim, Payload, SimConfig, TcpCounters, TcpEvent,
+    SNAP_MAGIC, SNAP_VERSION,
 };
 pub use faults::{ChurnBurst, Fault, FaultSchedule, FaultWindow, LinkSelector, NatFlap, Scenario};
-pub use payload::Payload;
 // The one snapshot codec lives in `obs::snap`; re-exported so host
 // crates that implement `Host::save_state` need no direct `obs` edge.
 pub use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use obs::{snap_enum, snap_struct};
-pub use topology::{
-    latency_between, min_link_latency_ms, HostMeta, Region, COUNTRIES, REGION_OF_COUNTRY,
-};
+pub use topology::{latency_between, HostMeta, Region, COUNTRIES, REGION_OF_COUNTRY};

@@ -1,7 +1,7 @@
-//! The engine's event queue: a `BinaryHeap` of `(at, key, item)` entries
-//! popped in ascending `(at, key)` order, one queue per shard. `key` is the
-//! engine's per-origin scheduler key (see `NetSim::push`): unique, so the
-//! order is total and items are never compared, but not pushed ascending.
+//! The engine's one event queue: a `BinaryHeap` of `(at, key, item)`
+//! entries popped in ascending `(at, key)` order. `key` is the engine's
+//! per-origin scheduler key (see `NetSim::push`): unique, so the order is
+//! total and items are never compared, but not pushed ascending.
 //! Why a heap and not a timer wheel: DESIGN.md § Performance.
 
 use std::cmp::Ordering;
@@ -74,11 +74,6 @@ impl<T> EventQueue<T> {
     /// Schedule `item` at `(at, key)`; `key` must not be pending already.
     pub fn push(&mut self, at: u64, key: u64, item: T) {
         self.0.push(Entry { at, key, item });
-    }
-
-    /// `(at, key)` of the earliest pending event.
-    pub fn peek(&self) -> Option<(u64, u64)> {
-        self.0.peek().map(|e| (e.at, e.key))
     }
 
     /// Pop the earliest event if its time is `<= until`.
@@ -180,17 +175,5 @@ mod tests {
         let mut q = queue(&[(far, 0), (mid, 1), (far, 2), (5, 3)]);
         let want = vec![(5, 3, 3), (mid, 1, 1), (far, 0, 0), (far, 2, 2)];
         assert_eq!(drain(&mut q, 3_000_000), want);
-    }
-
-    #[test]
-    fn peek_does_not_consume_and_respects_bound() {
-        let mut q = queue(&[(2_500, 1), (30, 0)]);
-        assert_eq!(q.pop_at_most(20), None);
-        assert_eq!((q.peek(), q.len()), (Some((30, 0)), 2));
-        assert_eq!(q.pop_at_most(100), Some((30, 0, 1)));
-        q.push(40, 9, 2); // a push is visible at the next peek
-        assert_eq!(q.peek(), Some((40, 9)));
-        assert_eq!(drain(&mut q, u64::MAX).len(), 2);
-        assert_eq!(q.peek(), None);
     }
 }

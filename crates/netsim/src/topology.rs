@@ -53,27 +53,6 @@ pub fn latency_between(a: Region, b: Region) -> u32 {
     LATENCY_MATRIX_MS[a as usize][b as usize]
 }
 
-/// The minimum one-way link latency over every region pair (including
-/// intra-region links). This is the sharded engine's conservative
-/// lookahead: any event one host schedules on another is at least this
-/// far in the future, so a barrier epoch of this width can dispatch
-/// without ever seeing a cross-shard push land behind a shard's cursor.
-pub fn min_link_latency_ms() -> u32 {
-    let mut min = u32::MAX;
-    let mut a = 0;
-    while a < LATENCY_MATRIX_MS.len() {
-        let mut b = 0;
-        while b < LATENCY_MATRIX_MS[a].len() {
-            if LATENCY_MATRIX_MS[a][b] < min {
-                min = LATENCY_MATRIX_MS[a][b];
-            }
-            b += 1;
-        }
-        a += 1;
-    }
-    min
-}
-
 /// Countries that appear in the paper's Figure 12, with their region.
 /// (Code, label, region.)
 pub const COUNTRIES: [(&str, Region); 16] = [
@@ -153,21 +132,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn min_link_latency_is_the_matrix_minimum() {
-        let mut min = u32::MAX;
-        for a in Region::ALL {
-            for b in Region::ALL {
-                min = min.min(latency_between(a, b));
-            }
-        }
-        assert_eq!(min_link_latency_ms(), min);
-        // The sharding lookahead proof in DESIGN.md assumes a strictly
-        // positive floor; a zero-latency link would break conservative
-        // synchronization.
-        assert!(min_link_latency_ms() >= 1);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!
 //! Everything here is pure state plus `obs` side effects with static
 //! counter names (no per-event allocation), so the pipeline accounting
-//! is deterministic and shard-count-invariant like every other crawler
-//! observable.
+//! is deterministic like every other crawler observable.
 
 use std::collections::VecDeque;
 

@@ -426,17 +426,6 @@ fn with_core<F: FnOnce(&mut Core)>(f: F) {
     });
 }
 
-/// Fold any pending fast-path (id-addressed) counter and gauge updates
-/// into the named metric registry. The fold is a sum/max merge, so *when*
-/// it runs never changes an export — `prometheus()` and the query API
-/// already flush on read. The sharded engine calls this at every barrier
-/// epoch so per-shard pending arrays are folded at deterministic points
-/// regardless of shard count. No-op without a recorder or with nothing
-/// pending.
-pub fn fold_pending() {
-    with_core(|c| c.flush_fast());
-}
-
 /// Advance the observability clock to simulation time `now_ms`. Called
 /// by the `netsim` engine before dispatching each scheduled event; all
 /// subsequently recorded events and spans are stamped with this value.

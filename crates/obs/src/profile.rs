@@ -1,5 +1,5 @@
-//! Shard-aware self-profiler: wall-clock cost attribution for the
-//! sharded engine's dispatch loop.
+//! Self-profiler: wall-clock cost attribution for the engine's dispatch
+//! loop.
 //!
 //! # Wall-clock quarantine
 //!
@@ -15,21 +15,16 @@
 //!
 //! # What it measures
 //!
-//! * per-shard busy time (sum of dispatch durations) and event counts;
-//! * per-shard barrier stall: at each merge barrier, the gap between
-//!   the epoch's wall time and the shard's busy time in that epoch —
-//!   a shard that finished its work early "stalls" waiting for the
-//!   slowest one;
+//! * busy time (sum of dispatch durations) and event count;
 //! * per-event-kind cost (`conn`, `disc`, `timer`, …) so `repro obs`
 //!   can rank kinds by wall cost;
 //! * per-host cost, rolled up by archetype label (registered via
 //!   [`host_label`]) so flyweight worlds report e.g. "tarpit hosts cost
 //!   7× honest hosts".
 //!
-//! The per-event functions ([`dispatch_start`], [`dispatch_end`],
-//! [`barrier_mark`]) are alloc-free (index + `resize` only); when no
-//! profiler is installed they cost one thread-local boolean read and
-//! never touch the clock.
+//! The per-event functions ([`dispatch_start`], [`dispatch_end`]) are
+//! alloc-free (index + `resize` only); when no profiler is installed they
+//! cost one thread-local boolean read and never touch the clock.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
@@ -42,12 +37,8 @@ pub struct DispatchTimer(Option<Instant>);
 
 #[derive(Debug, Default)]
 struct ProfCore {
-    // Per-shard accumulators, indexed by shard id.
-    shard_busy_ns: Vec<u64>,
-    shard_events: Vec<u64>,
-    shard_stall_ns: Vec<u64>,
-    /// Busy-ns snapshot taken at the previous barrier (epoch baseline).
-    shard_snap_ns: Vec<u64>,
+    busy_ns: u64,
+    events: u64,
     // Per-event-kind accumulators, indexed by the engine's kind index.
     kind_ns: Vec<u64>,
     kind_count: Vec<u64>,
@@ -57,8 +48,6 @@ struct ProfCore {
     host_ns: Vec<u64>,
     host_count: Vec<u64>,
     host_labels: Vec<&'static str>,
-    epochs: u64,
-    last_barrier: Option<Instant>,
     run_started: Option<Instant>,
     run_wall_ns: u64,
 }
@@ -116,16 +105,9 @@ pub fn host_label(host: u64, label: &'static str) {
 }
 
 /// Mark the start of an engine run: run wall time accrues between
-/// `run_mark_start` and [`run_mark_end`], and the barrier baseline is
-/// reset so inter-run idle time is not billed as stall.
+/// `run_mark_start` and [`run_mark_end`].
 pub fn run_mark_start() {
-    with_core(|c| {
-        let now = Instant::now();
-        c.run_started = Some(now);
-        c.last_barrier = Some(now);
-        c.shard_snap_ns.clear();
-        c.shard_snap_ns.extend_from_slice(&c.shard_busy_ns);
-    });
+    with_core(|c| c.run_started = Some(Instant::now()));
 }
 
 /// Mark the end of an engine run.
@@ -134,7 +116,6 @@ pub fn run_mark_end() {
         if let Some(start) = c.run_started.take() {
             c.run_wall_ns += start.elapsed().as_nanos() as u64;
         }
-        c.last_barrier = None;
     });
 }
 
@@ -147,22 +128,14 @@ pub fn dispatch_start() -> DispatchTimer {
 }
 
 // Called by the engine after every dispatched event.
-pub fn dispatch_end(
-    t: DispatchTimer,
-    shard: usize,
-    kind_idx: usize,
-    kind_name: &'static str,
-    host: u64,
-) {
+pub fn dispatch_end(t: DispatchTimer, kind_idx: usize, kind_name: &'static str, host: u64) {
     let Some(started) = t.0 else {
         return;
     };
     let ns = started.elapsed().as_nanos() as u64;
     with_core(|c| {
-        grow(&mut c.shard_busy_ns, shard);
-        grow(&mut c.shard_events, shard);
-        c.shard_busy_ns[shard] += ns;
-        c.shard_events[shard] += 1;
+        c.busy_ns += ns;
+        c.events += 1;
         grow(&mut c.kind_ns, kind_idx);
         grow(&mut c.kind_count, kind_idx);
         c.kind_ns[kind_idx] += ns;
@@ -179,37 +152,16 @@ pub fn dispatch_end(
     });
 }
 
-// Called by the engine at every merge barrier.
-pub fn barrier_mark(n_shards: usize) {
-    with_core(|c| {
-        let now = Instant::now();
-        grow(&mut c.shard_busy_ns, n_shards.saturating_sub(1));
-        grow(&mut c.shard_stall_ns, n_shards.saturating_sub(1));
-        grow(&mut c.shard_snap_ns, n_shards.saturating_sub(1));
-        if let Some(last) = c.last_barrier {
-            let epoch_wall = (now - last).as_nanos() as u64;
-            for i in 0..n_shards {
-                let busy = c.shard_busy_ns[i] - c.shard_snap_ns[i];
-                c.shard_stall_ns[i] += epoch_wall.saturating_sub(busy);
-            }
-            c.epochs += 1;
-        }
-        for i in 0..c.shard_snap_ns.len() {
-            c.shard_snap_ns[i] = c.shard_busy_ns[i];
-        }
-        c.last_barrier = Some(now);
-    });
-}
-
 /// Summary of the profiler's accumulators, for bench reporting.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileSummary {
     pub run_wall_ms: u64,
-    pub epochs: u64,
-    /// Per-shard `(events, busy_ms, stall_ms, utilization)`.
+    /// One row, `(events, busy_ms, 0, utilization)` over every dispatch:
+    /// the engine runs one event queue. Read only by the frozen
+    /// `benchmark/`, whose contract-v2 change (ROADMAP item 6) deletes it.
     pub shards: Vec<(u64, u64, u64, f64)>,
-    /// max/min per-shard event count (1.0 when balanced; `f64::INFINITY`
-    /// never occurs — empty shards clamp the denominator to 1).
+    /// Always 1.0; read only by the frozen `benchmark/` and deleted with
+    /// `shards`.
     pub imbalance_ratio: f64,
     /// `(kind name, count, total_ms)` sorted by total cost descending.
     pub kinds: Vec<(&'static str, u64, u64)>,
@@ -223,21 +175,11 @@ pub struct ProfileSummary {
 pub fn summary() -> Option<ProfileSummary> {
     with_core(|c| {
         let run_wall_ms = c.run_wall_ns / 1_000_000;
-        let mut shards = Vec::new();
-        for i in 0..c.shard_busy_ns.len() {
-            let busy = c.shard_busy_ns[i];
-            let stall = c.shard_stall_ns.get(i).copied().unwrap_or(0);
-            let events = c.shard_events.get(i).copied().unwrap_or(0);
-            let util = if c.run_wall_ns > 0 {
-                busy as f64 / c.run_wall_ns as f64
-            } else {
-                0.0
-            };
-            shards.push((events, busy / 1_000_000, stall / 1_000_000, util));
-        }
-        let max_ev = shards.iter().map(|s| s.0).max().unwrap_or(0);
-        let min_ev = shards.iter().map(|s| s.0).min().unwrap_or(0);
-        let imbalance_ratio = max_ev as f64 / min_ev.max(1) as f64;
+        let util = if c.run_wall_ns > 0 {
+            c.busy_ns as f64 / c.run_wall_ns as f64
+        } else {
+            0.0
+        };
         let mut by_ns: Vec<(u64, &'static str, u64)> = (0..c.kind_ns.len())
             .filter(|&i| c.kind_count[i] > 0)
             .map(|i| (c.kind_ns[i], c.kind_names[i], c.kind_count[i]))
@@ -270,9 +212,8 @@ pub fn summary() -> Option<ProfileSummary> {
         archetypes.sort_by(|a, b| b.3.cmp(&a.3).then(a.0.cmp(b.0)));
         ProfileSummary {
             run_wall_ms,
-            epochs: c.epochs,
-            shards,
-            imbalance_ratio,
+            shards: vec![(c.events, c.busy_ns / 1_000_000, 0, util)],
+            imbalance_ratio: 1.0,
             kinds,
             archetypes,
         }
@@ -289,26 +230,6 @@ pub fn export_json() -> Option<String> {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"run_wall_ms\": {},\n", s.run_wall_ms));
-    out.push_str(&format!("  \"epochs\": {},\n", s.epochs));
-    let eps = if s.run_wall_ms > 0 {
-        s.epochs as f64 * 1000.0 / s.run_wall_ms as f64
-    } else {
-        0.0
-    };
-    out.push_str(&format!("  \"epochs_per_wall_s\": {eps:.2},\n"));
-    out.push_str(&format!(
-        "  \"imbalance_ratio\": {:.2},\n",
-        s.imbalance_ratio
-    ));
-    out.push_str("  \"shards\": [\n");
-    for (i, (events, busy_ms, stall_ms, util)) in s.shards.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shard\": {i}, \"events\": {events}, \"busy_ms\": {busy_ms}, \
-             \"stall_ms\": {stall_ms}, \"utilization\": {util:.4}}}{}\n",
-            if i + 1 < s.shards.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"kinds\": [\n");
     for (i, (name, count, total_ms)) in s.kinds.iter().enumerate() {
         let avg_us = if *count > 0 {
@@ -345,33 +266,28 @@ mod tests {
         assert!(!is_installed());
         let t = dispatch_start();
         assert!(t.0.is_none());
-        dispatch_end(t, 0, 0, "conn", 1);
-        barrier_mark(4);
+        dispatch_end(t, 0, "conn", 1);
         assert!(summary().is_none());
         assert!(export_json().is_none());
     }
 
     #[test]
-    fn accumulates_per_shard_kind_and_host() {
+    fn accumulates_per_kind_and_host() {
         install();
         run_mark_start();
         host_label(1, "Geth");
         host_label(2, "Tarpit");
         for _ in 0..3 {
             let t = dispatch_start();
-            dispatch_end(t, 0, 0, "conn", 1);
+            dispatch_end(t, 0, "conn", 1);
         }
         let t = dispatch_start();
-        dispatch_end(t, 1, 2, "timer", 2);
-        barrier_mark(2);
-        barrier_mark(2);
+        dispatch_end(t, 2, "timer", 2);
         run_mark_end();
         let s = summary().unwrap();
-        assert_eq!(s.shards.len(), 2);
-        assert_eq!(s.shards[0].0, 3);
-        assert_eq!(s.shards[1].0, 1);
-        assert_eq!(s.epochs, 2);
-        assert!((s.imbalance_ratio - 3.0).abs() < 1e-9);
+        assert_eq!(s.shards.len(), 1);
+        assert_eq!(s.shards[0].0, 4);
+        assert_eq!(s.imbalance_ratio, 1.0);
         let kind_names: Vec<&str> = s.kinds.iter().map(|k| k.0).collect();
         assert!(kind_names.contains(&"conn"));
         assert!(kind_names.contains(&"timer"));
@@ -379,7 +295,7 @@ mod tests {
         assert!(labels.contains(&"Geth"));
         assert!(labels.contains(&"Tarpit"));
         let json = export_json().unwrap();
-        assert!(json.contains("\"imbalance_ratio\": 3.00"));
+        assert!(json.contains("\"name\": \"timer\", \"count\": 1,"));
         assert!(json.contains("\"archetype\": \"Geth\""));
         uninstall();
     }
@@ -388,11 +304,11 @@ mod tests {
     fn install_resets_accumulators() {
         install();
         let t = dispatch_start();
-        dispatch_end(t, 0, 0, "conn", 1);
+        dispatch_end(t, 0, "conn", 1);
         install();
         let s = summary().unwrap();
-        assert!(s.shards.is_empty());
-        assert_eq!(s.epochs, 0);
+        assert_eq!(s.shards[0].0, 0);
+        assert!(s.kinds.is_empty());
         uninstall();
     }
 }

@@ -369,6 +369,18 @@ pub trait Snap: Sized {
         }
         Ok(())
     }
+
+    /// Read `n` consecutive values into a fresh vector (`u8`: one copy).
+    #[doc(hidden)]
+    fn unsnap_vec(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<Self>, SnapError> {
+        // Every element takes at least one byte, so a hostile length
+        // cannot reserve more than the buffer could actually hold.
+        let mut out = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            out.push(Self::unsnap(r)?);
+        }
+        Ok(out)
+    }
 }
 
 macro_rules! snap_primitive {
@@ -404,6 +416,10 @@ impl Snap for u8 {
     fn unsnap_run(r: &mut SnapReader<'_>, out: &mut [u8]) -> Result<(), SnapError> {
         out.copy_from_slice(r.take(out.len())?);
         Ok(())
+    }
+    #[inline]
+    fn unsnap_vec(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<u8>, SnapError> {
+        r.take(n).map(<[u8]>::to_vec)
     }
 }
 
@@ -476,17 +492,12 @@ fn snap_seq<'a, T: Snap + 'a>(len: usize, items: impl Iterator<Item = &'a T>, w:
 
 impl<T: Snap> Snap for Vec<T> {
     fn snap(&self, w: &mut SnapWriter) {
-        snap_seq(self.len(), self.iter(), w);
+        w.usize(self.len());
+        T::snap_run(self, w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Vec<T>, SnapError> {
         let n = r.usize()?;
-        // Every element takes at least one byte, so a hostile length
-        // cannot reserve more than the buffer could actually hold.
-        let mut out = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            out.push(T::unsnap(r)?);
-        }
-        Ok(out)
+        T::unsnap_vec(r, n)
     }
 }
 
@@ -676,6 +687,23 @@ mod tests {
         let mut empty = SnapWriter::new();
         empty.section(|_| Ok(())).unwrap();
         assert_eq!(empty.finish(), 0u64.to_le_bytes());
+    }
+
+    #[test]
+    fn a_byte_vec_is_a_byte_string() {
+        let v: Vec<u8> = (0..=255).collect();
+        let mut as_vec = SnapWriter::new();
+        v.snap(&mut as_vec);
+        let mut as_bytes = SnapWriter::new();
+        as_bytes.bytes(&v);
+        let buf = as_vec.finish();
+        assert_eq!(buf, as_bytes.finish());
+        assert_eq!(Vec::<u8>::unsnap(&mut SnapReader::new(&buf)), Ok(v));
+        let short = &buf[..buf.len() - 1];
+        assert_eq!(
+            Vec::<u8>::unsnap(&mut SnapReader::new(short)),
+            Err(SnapError::Truncated { at: 8 })
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 #                   there is any. rustc holds the rest: R2 (the vendored
 #                   rand has no ambient entropy) and R4's ban itself
 #                   (`unsafe_code = "forbid"` in every [lints] table)
-#   4. tests     -- the whole workspace (robustness, shard/resume
+#   4. tests     -- the whole workspace (robustness, resume
 #                   determinism, conformance and static_analysis suites
 #                   included), --no-fail-fast: every test binary runs
 #                   even after one fails, and cargo names each that did;
@@ -28,7 +28,7 @@
 #                   obsctl_campaign.json included: the campaign report
 #                   read back from the obs entry's own trace and metrics
 #                   exports
-#   6. scale     -- `repro scale 50000`: a sharded 50,000-host world
+#   6. scale     -- `repro scale 50000`: a 50,000-host world
 #                   builds and runs two simulated seconds, and the
 #                   ethcrypto memo fitted to it loses no signature
 #                   between signing and delivery (`sig_evicted_early`)
@@ -91,7 +91,7 @@ repro_check() {
     cargo run -q --release -p bench --bin repro -- all --check >/dev/null
 }
 step "repro all --check" repro_check
-# Does a sharded 50,000-host world still build and run, with a memo big
+# Does a 50,000-host world still build and run, with a memo big
 # enough for it? (250,000 is the same command by hand.)
 step "repro scale 50000" cargo run -q --release -p bench --bin repro -- scale 50000
 # ast.parse, not py_compile: that would leave a __pycache__ behind and trip

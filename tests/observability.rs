@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 const SIM_MS: u64 = 2 * 60_000;
 
 /// A small always-on world crawled start to finish, optionally under the
-/// obs recorder and/or the shard-aware self-profiler. Returns the
+/// obs recorder and/or the self-profiler. Returns the
 /// aggregated store's JSON plus the recorder.
 fn crawl(instrument: bool, profile: bool) -> (String, Option<obs::Recorder>) {
     let recorder = if instrument {

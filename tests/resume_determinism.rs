@@ -1,12 +1,12 @@
 //! Checkpoint/restore determinism, end to end: a crawl snapshotted at T
 //! and resumed into a freshly built shell must export byte-identical
 //! artifacts — DataStore JSON, obs JSONL trace, Prometheus snapshot — to
-//! a run that never stopped, at shard counts {1, 4}. This is the proof
-//! obligation for the staged pipeline's checkpointing: a snapshot is a
-//! pure representation change, never a semantic one.
+//! a run that never stopped. This is the proof obligation for the staged
+//! pipeline's checkpointing: a snapshot is a pure representation change,
+//! never a semantic one.
 //!
 //! The split run exercises the full restore stack: the netsim engine
-//! image (event queues, per-host RNGs, TCP state), the crawler's `NFND`
+//! image (event queue, per-host RNGs, TCP state), the crawler's `NFND`
 //! section (interner, dial queue, penalty box, live probes, stage
 //! checkpoints, crawl log), and the obs recorder image (metrics
 //! registry, trace ring, sequence counter). The world here is honest
@@ -29,7 +29,6 @@ use std::ops::Range;
 const T_MS: u64 = 2 * 60_000;
 /// Uninterrupted-run horizon (and the resumed run's target).
 const FULL_MS: u64 = 4 * 60_000;
-const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 /// Everything a crawl externalizes, captured as bytes, plus the
 /// accounting the bugfix sweep asserts on.
@@ -41,7 +40,7 @@ struct Artifacts {
     dialing_underflows: u64,
 }
 
-fn world_config(shards: usize) -> WorldConfig {
+fn world_config() -> WorldConfig {
     WorldConfig {
         seed: 4242,
         n_nodes: 24,
@@ -49,7 +48,6 @@ fn world_config(shards: usize) -> WorldConfig {
         always_on_fraction: 0.5,
         spammer_ips: 1,
         udp_loss: 0.05,
-        shards,
         ..WorldConfig::default()
     }
 }
@@ -58,8 +56,8 @@ fn world_config(shards: usize) -> WorldConfig {
 /// `World::build` plus the NodeFinder. Identical config ⇒ identical
 /// static structure, so the same builder serves both the uninterrupted
 /// run and the restore shell.
-fn build_crawl_world(shards: usize) -> (World, netsim::HostId) {
-    let mut world = World::build(world_config(shards));
+fn build_crawl_world() -> (World, netsim::HostId) {
+    let mut world = World::build(world_config());
     let crawler_key = SecretKey::from_bytes(&[0xCB; 32]).unwrap();
     let crawler = NodeFinder::new(
         crawler_key,
@@ -106,10 +104,10 @@ fn extract(mut world: World, host: netsim::HostId, recorder: &obs::Recorder) -> 
 }
 
 /// The reference: run straight to 2T with no interruption.
-fn uninterrupted_run(shards: usize) -> Artifacts {
+fn uninterrupted_run() -> Artifacts {
     let recorder = obs::Recorder::new();
     recorder.install();
-    let (mut world, host) = build_crawl_world(shards);
+    let (mut world, host) = build_crawl_world();
     world.sim.run_until(FULL_MS);
     extract(world, host, &recorder)
 }
@@ -117,11 +115,11 @@ fn uninterrupted_run(shards: usize) -> Artifacts {
 /// The subject: run to T, snapshot the engine and the recorder, tear
 /// everything down, rebuild the shell from config, restore both images,
 /// and continue to 2T.
-fn split_run(shards: usize) -> Artifacts {
+fn split_run() -> Artifacts {
     // First half: 0 → T.
     let recorder = obs::Recorder::new();
     recorder.install();
-    let (mut world, _host) = build_crawl_world(shards);
+    let (mut world, _host) = build_crawl_world();
     world.sim.run_until(T_MS);
     let events_at_t = world.sim.events_processed();
     let sim_snap = world.sim.snapshot().expect("engine snapshot at T");
@@ -134,7 +132,7 @@ fn split_run(shards: usize) -> Artifacts {
     // emissions are already folded into the first half's image.
     let recorder = obs::Recorder::new();
     recorder.install();
-    let (mut world, host) = build_crawl_world(shards);
+    let (mut world, host) = build_crawl_world();
     recorder
         .restore_state(&obs_snap)
         .expect("recorder restore at T");
@@ -156,22 +154,22 @@ fn split_run(shards: usize) -> Artifacts {
     extract(world, host, &recorder)
 }
 
-fn assert_identical(base: &Artifacts, other: &Artifacts, shards: usize) {
+fn assert_identical(base: &Artifacts, other: &Artifacts) {
     assert_eq!(
         base.store_json, other.store_json,
-        "DataStore diverged after resume at {shards} shards"
+        "DataStore diverged after resume"
     );
     assert_eq!(
         base.trace_jsonl, other.trace_jsonl,
-        "obs JSONL trace diverged after resume at {shards} shards"
+        "obs JSONL trace diverged after resume"
     );
     assert_eq!(
         base.prometheus, other.prometheus,
-        "Prometheus snapshot diverged after resume at {shards} shards"
+        "Prometheus snapshot diverged after resume"
     );
     assert_eq!(
         base.events, other.events,
-        "event totals diverged after resume at {shards} shards"
+        "event totals diverged after resume"
     );
 }
 
@@ -192,25 +190,20 @@ fn assert_accounting_clean(a: &Artifacts, label: &str) {
     );
 }
 
-/// Snapshot-at-T / resume-to-2T is byte-identical to never stopping, at
-/// shard counts {1, 4}, and the crawl-accounting fixes hold throughout.
+/// Snapshot-at-T / resume-to-2T is byte-identical to never stopping, and
+/// the crawl-accounting fixes hold throughout.
 #[test]
 fn resume_exports_are_byte_identical() {
-    for shards in SHARD_COUNTS {
-        let full = uninterrupted_run(shards);
-        assert!(
-            full.events > 1_000,
-            "world too quiet to prove anything at {shards} shards"
-        );
-        assert!(
-            !full.store_json.is_empty() && !full.trace_jsonl.is_empty(),
-            "exports must be non-trivial at {shards} shards"
-        );
-        let resumed = split_run(shards);
-        assert_identical(&full, &resumed, shards);
-        assert_accounting_clean(&full, "uninterrupted");
-        assert_accounting_clean(&resumed, "resumed");
-    }
+    let full = uninterrupted_run();
+    assert!(full.events > 1_000, "world too quiet to prove anything");
+    assert!(
+        !full.store_json.is_empty() && !full.trace_jsonl.is_empty(),
+        "exports must be non-trivial"
+    );
+    let resumed = split_run();
+    assert_identical(&full, &resumed);
+    assert_accounting_clean(&full, "uninterrupted");
+    assert_accounting_clean(&resumed, "resumed");
 }
 
 /// The stage pipeline actually saw traffic: the checkpointed crawl must
@@ -219,7 +212,7 @@ fn resume_exports_are_byte_identical() {
 /// reset by it.
 #[test]
 fn resumed_run_reports_pipeline_progress() {
-    let resumed = split_run(1);
+    let resumed = split_run();
     for stage in ["discover", "dial", "handshake", "ingest"] {
         assert!(
             resumed
@@ -233,10 +226,10 @@ fn resumed_run_reports_pipeline_progress() {
 /// Run the crawl world to T and capture the engine image (`PSNP`, with
 /// its embedded `ETHN`/`NFND` host sections) and the recorder image
 /// (`OBSS`).
-fn images_at_t(shards: usize) -> (Vec<u8>, Vec<u8>) {
+fn images_at_t() -> (Vec<u8>, Vec<u8>) {
     let recorder = obs::Recorder::new();
     recorder.install();
-    let (mut world, _host) = build_crawl_world(shards);
+    let (mut world, _host) = build_crawl_world();
     world.sim.run_until(T_MS);
     let sim_snap = world.sim.snapshot().expect("engine snapshot at T");
     let obs_snap = recorder.snapshot_state();
@@ -251,49 +244,40 @@ fn keccak_hex(bytes: &[u8]) -> String {
         .collect()
 }
 
-/// Format pin: `(shards, PSNP digest, OBSS digest)` — keccak-256 of both
-/// images at T. First computed at 8e4f1ef, the last commit with
-/// hand-written per-type codecs, which the `obs::snap` refactor had to
-/// reproduce; the `PSNP` pair moved when its embedded crawler section
-/// became `NFND` v2, again when `PSNP` itself became v2 (no per-shard
-/// depth peak, pending events in dispatch order), again at `NFND` v3
-/// (the crawl log written through `Snap`, not as JSON) and again at
-/// `ETHN` v2 / `NFND` v4 (one discv4 bond per peer instead of a bond
-/// table and a reverse-bond table; writing the host sections in place
-/// kept their framing). `OBSS` is still v1; its pair moved by content
-/// when the recorder stopped holding the per-shard queue gauge, which was
-/// also the only thing that told its 1- and 4-shard images apart. A
-/// change that moves one of these digests changed the byte format and
-/// must bump that section's version byte (and re-pin). A change to the crawl world or the crawler's behaviour moves
-/// them too — re-pin then, after checking the resume suite above.
-const PINNED_DIGESTS: [(usize, &str, &str); 2] = [
-    (
-        1,
-        "8c87cc97a11e43f66f990508ef8ef1e9492d18de21e9e78ffffa7470a95f5177",
-        "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
-    ),
-    (
-        4,
-        "a7b1428431dc5d68726e753049e2f589fc9093fad73487ef27551871ac6576a3",
-        "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
-    ),
-];
+/// Format pin: `(PSNP digest, OBSS digest)` — keccak-256 of both images
+/// at T. First computed at 8e4f1ef, the last commit with hand-written
+/// per-type codecs, which the `obs::snap` refactor had to reproduce; the
+/// `PSNP` digest moved when its embedded crawler section became `NFND`
+/// v2, again when `PSNP` itself became v2 (pending events in dispatch
+/// order), again at `NFND` v3 (the crawl log written through `Snap`, not
+/// as JSON), again at `ETHN` v2 / `NFND` v4 (one discv4 bond per peer
+/// instead of a bond table and a reverse-bond table; writing the host
+/// sections in place kept their framing) and again at `PSNP` v3 (one
+/// event queue: no per-slot shard id, no per-shard sections). `OBSS` is
+/// still v1; its digest moved by content when the recorder stopped
+/// holding a per-queue depth gauge. A change that moves one of these
+/// digests changed the byte format and must bump that section's version
+/// byte (and re-pin). A change to the crawl world or the crawler's
+/// behaviour moves them too — re-pin then, after checking the resume
+/// suite above.
+const PINNED_DIGESTS: (&str, &str) = (
+    "1be93475a955ba7c693fd1257d0d622f76e30e6f68bc7f15bb97c7a9b0a8ac57",
+    "e19115169eceac688d9725dff415be35847e3e3c61fbfe7a2c284d714d670cc0",
+);
 
 #[test]
 fn snapshot_images_match_pinned_digests() {
-    for (shards, psnp, obss) in PINNED_DIGESTS {
-        let (sim_snap, obs_snap) = images_at_t(shards);
-        assert_eq!(
-            keccak_hex(&sim_snap),
-            psnp,
-            "PSNP image bytes changed at {shards} shards"
-        );
-        assert_eq!(
-            keccak_hex(&obs_snap),
-            obss,
-            "OBSS image bytes changed at {shards} shards"
-        );
-    }
+    let (sim_snap, obs_snap) = images_at_t();
+    assert_eq!(
+        keccak_hex(&sim_snap),
+        PINNED_DIGESTS.0,
+        "PSNP image bytes changed"
+    );
+    assert_eq!(
+        keccak_hex(&obs_snap),
+        PINNED_DIGESTS.1,
+        "OBSS image bytes changed"
+    );
 }
 
 /// Names the hostile case on stderr if restoring it panics.
@@ -312,7 +296,7 @@ impl Drop for Case {
 /// property under test.
 fn restore_sim(image: &[u8], case: String) -> Result<(), netsim::SnapError> {
     let _case = Case(case);
-    let (mut world, _host) = build_crawl_world(1);
+    let (mut world, _host) = build_crawl_world();
     world.sim.restore(image)
 }
 
@@ -326,14 +310,14 @@ fn u64_at(image: &[u8], pos: usize) -> usize {
     u64::from_le_bytes(image[pos..pos + 8].try_into().expect("8 bytes")) as usize
 }
 
-/// What a `PSNP` v2 restore reads, by byte offset.
+/// What a `PSNP` v3 restore reads, by byte offset.
 struct Walk {
     /// Every `u64` length prefix before the first host section: fault
     /// windows, conn slab (walked entry by entry — the optional acceptor
     /// makes them variable width), conn free list, host count, then the
     /// first slot's NAT table, live-conn list and embedded section.
     to_first_section: Vec<usize>,
-    /// Past every slot, the pending-event count of the image's one shard.
+    /// Past every slot, the pending-event count.
     pending_count: usize,
     /// Each slot's embedded section, magic first; its `u64` length is the
     /// 8 bytes before it.
@@ -366,7 +350,7 @@ fn walk(image: &[u8]) -> Walk {
     pos += 8;
     let mut sections = Vec::new();
     for slot in 0..n_slots {
-        pos += 1 + 4 + 32 + 4 + 1; // alive, shard, rng, next_key, reachable
+        pos += 1 + 32 + 4 + 1; // alive, rng, next_key, reachable
         let nat = pos;
         pos += 8 + 16 * u64_at(image, pos); // NAT entries
         let live = pos;
@@ -388,11 +372,14 @@ fn walk(image: &[u8]) -> Walk {
             pos += 8 + len;
         }
     }
-    assert_eq!(u64_at(image, pos), 1, "walk reached the shard count");
+    // The first pending event (at, key, ...) is due at or after T.
+    assert!(
+        u64_at(image, pos) > 0 && u64_at(image, pos + 8) >= T_MS as usize,
+        "walk reached the pending events"
+    );
     Walk {
         to_first_section: out,
-        // shard count, events dispatched, then the count
-        pending_count: pos + 16,
+        pending_count: pos,
         sections,
     }
 }
@@ -496,7 +483,7 @@ fn huge_conn_slab_length_is_an_error_not_a_panic() {
 fn truncated_and_overlong_images_are_rejected() {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0001);
-    let (sim_image, obs_image) = images_at_t(1);
+    let (sim_image, obs_image) = images_at_t();
     restore_sim(&sim_image, "intact PSNP".into()).expect("intact image restores");
     restore_obs(&obs_image, "intact OBSS".into()).expect("intact image restores");
 
@@ -532,7 +519,7 @@ fn truncated_and_overlong_images_are_rejected() {
 /// nothing in flight.
 #[test]
 fn aliased_free_list_cell_is_rejected() {
-    let (sim_image, _) = images_at_t(1);
+    let (sim_image, _) = images_at_t();
     let free = walk(&sim_image).to_first_section[2];
     let n_free = u64::from_le_bytes(sim_image[free..free + 8].try_into().unwrap());
     assert!(n_free >= 2, "world has too few free cells: {n_free}");
@@ -569,7 +556,7 @@ fn copied(image: &[u8], from: usize, to: usize, len: usize) -> Vec<u8> {
 /// resident is 80 bytes, a lookup candidate 74 ([`Disc`]).
 #[test]
 fn misordered_tables_and_lookups_are_rejected() {
-    let (image, _) = images_at_t(1);
+    let (image, _) = images_at_t();
     let discs = discs(&image);
     // The crawler's is the discovery image whose local id the test knows.
     let crawler = discs.last().expect("the crawler runs discovery");
@@ -703,7 +690,7 @@ fn spliced(image: &[u8], disc: &Disc, range: Range<usize>, with: &[u8]) -> Vec<u
 fn flipped_bytes_never_panic() {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0002);
-    let (mut sim_image, mut obs_image) = images_at_t(1);
+    let (mut sim_image, mut obs_image) = images_at_t();
     for (name, image, restore) in [
         (
             "PSNP",
