@@ -40,6 +40,16 @@ proptest! {
         prop_assert_eq!(Message::decode(0x00, &payload).unwrap(), msg);
     }
 
+    /// Zero-capability HELLOs exist in the wild (and get Useless peer
+    /// later): the codec must not conflate "empty list" with "missing",
+    /// whatever p2p version the peer claims.
+    #[test]
+    fn hello_zero_capability_roundtrip(hello in arb_hello(), p2p_version in any::<u32>()) {
+        let msg = Message::Hello(Hello { p2p_version, capabilities: Vec::new(), ..hello });
+        let payload = msg.encode_payload();
+        prop_assert_eq!(Message::decode(0x00, &payload).unwrap(), msg);
+    }
+
     /// Message decode never panics on arbitrary payload bytes.
     #[test]
     fn decode_never_panics(id in 0u64..0x12, payload in proptest::collection::vec(any::<u8>(), 0..256)) {

@@ -5,7 +5,7 @@
 // Tests assert on impossible-failure paths freely.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use discv4::{decode_packet, encode_packet, Packet};
+use discv4::{decode_packet, encode_packet, Packet, MAX_NEIGHBORS_PER_PACKET};
 use enode::{Endpoint, NodeId, NodeRecord};
 use ethcrypto::secp256k1::SecretKey;
 use proptest::prelude::*;
@@ -53,14 +53,21 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                 ping_hash,
                 expiration
             }),
-        (proptest::array::uniform32(any::<u8>()), any::<u64>()).prop_map(|(half, expiration)| {
-            let mut id = [0u8; 64];
-            id[..32].copy_from_slice(&half);
-            Packet::FindNode {
-                target: NodeId(id),
-                expiration,
-            }
-        }),
+        // Every byte of the 64-byte target is drawn.
+        (
+            proptest::array::uniform32(any::<u8>()),
+            proptest::array::uniform32(any::<u8>()),
+            any::<u64>()
+        )
+            .prop_map(|(hi, lo, expiration)| {
+                let mut id = [0u8; 64];
+                id[..32].copy_from_slice(&hi);
+                id[32..].copy_from_slice(&lo);
+                Packet::FindNode {
+                    target: NodeId(id),
+                    expiration,
+                }
+            }),
         (proptest::collection::vec(arb_record(), 0..12), any::<u64>())
             .prop_map(|(nodes, expiration)| Packet::Neighbors { nodes, expiration }),
     ]
@@ -78,6 +85,25 @@ proptest! {
         prop_assert_eq!(sender, NodeId::from_secret_key(&key));
         prop_assert_eq!(decoded, packet);
         prop_assert_eq!(rhash, hash);
+    }
+
+    /// The size cap is load-bearing: a NEIGHBORS packet at the full
+    /// 12-record cap stays under the 1,280-byte datagram budget and
+    /// roundtrips.
+    #[test]
+    fn neighbors_max_size_roundtrip(
+        key in arb_key(),
+        nodes in proptest::collection::vec(
+            arb_record(),
+            MAX_NEIGHBORS_PER_PACKET..=MAX_NEIGHBORS_PER_PACKET,
+        ),
+        expiration in any::<u64>(),
+    ) {
+        let packet = Packet::Neighbors { nodes, expiration };
+        let (datagram, _) = encode_packet(&key, &packet);
+        prop_assert!(datagram.len() < 1280, "datagram {} bytes", datagram.len());
+        let (_, decoded, _) = decode_packet(&datagram).unwrap();
+        prop_assert_eq!(decoded, packet);
     }
 
     /// Flipping any single byte is detected (hash/signature/structure).

@@ -1,22 +1,24 @@
-//! Deterministic fault injection: per-link fault windows and scenario
-//! descriptions.
+//! Deterministic fault injection: per-link fault windows.
 //!
 //! The paper's crawler ran on the live Internet, where links lose bursts
 //! of packets, stall, reset connections mid-stream, and deliver garbage.
 //! This module reproduces those conditions inside the simulator so the
 //! robustness suite (`tests/robustness.rs`) can prove the crawler
 //! degrades gracefully — without giving up determinism: every fault
-//! decision draws from the engine's single seeded RNG in event order.
+//! decision draws from the RNG stream of the host whose send it judges
+//! (the dispatching host's own stream, as every engine draw does), so
+//! it depends on that host's event history alone.
 //!
 //! A [`FaultWindow`] applies one [`Fault`] to one [`LinkSelector`] during
 //! `[from_ms, until_ms)`. Windows are installed via
 //! [`SimConfig::faults`](crate::SimConfig) up front or
 //! [`NetSim::add_fault`](crate::NetSim::add_fault) after construction
 //! (worlds build their own `SimConfig`, so post-construction injection is
-//! the common path). A [`Scenario`] bundles fault windows with churn
-//! bursts and NAT flaps into one reusable, deterministic description.
+//! the common path). Correlated outages and NAT flaps are
+//! [`NetSim::churn_burst`](crate::NetSim::churn_burst) and
+//! [`NetSim::nat_flap`](crate::NetSim::nat_flap).
 
-use crate::engine::{HostAddr, HostId, NetSim, Payload};
+use crate::host::{HostAddr, Payload};
 use obs::{snap_enum, snap_struct};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -63,7 +65,7 @@ pub enum Fault {
     /// stream desynchronizes and the receiver reads garbage.
     TcpTruncate(usize),
     /// One byte of each matching TCP segment (position drawn from the
-    /// engine RNG) is flipped.
+    /// sending host's RNG stream) is flipped.
     TcpCorrupt,
 }
 
@@ -145,21 +147,6 @@ impl FaultSchedule {
         self.windows.push(window);
     }
 
-    /// No windows installed?
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Number of installed windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// The installed windows.
-    pub fn windows(&self) -> &[FaultWindow] {
-        &self.windows
-    }
-
     /// Evaluate the fate of a UDP datagram on link `a`↔`b` at `now`.
     pub(crate) fn udp_fate(&self, now: u64, a: HostAddr, b: HostAddr, rng: &mut StdRng) -> UdpFate {
         let mut extra_ms = 0u64;
@@ -227,62 +214,6 @@ impl FaultSchedule {
             }
         }
         TcpFate::Deliver { extra_ms }
-    }
-}
-
-/// A churn burst: the listed hosts go down together at `at_ms` and come
-/// back `down_ms` later (the correlated-outage pattern live crawls see
-/// when a cloud AS hiccups).
-#[derive(Debug, Clone)]
-pub struct ChurnBurst {
-    /// Hosts to take down.
-    pub hosts: Vec<HostId>,
-    /// When the burst hits, ms.
-    pub at_ms: u64,
-    /// Outage duration, ms.
-    pub down_ms: u64,
-}
-
-/// A NAT flap: a host's public reachability toggles off and back on
-/// `flaps` times, `period_ms` apart, starting at `from_ms`.
-#[derive(Debug, Clone, Copy)]
-pub struct NatFlap {
-    /// The flapping host.
-    pub host: HostId,
-    /// First transition, ms.
-    pub from_ms: u64,
-    /// Time between transitions, ms.
-    pub period_ms: u64,
-    /// Number of unreachable→reachable cycles.
-    pub flaps: u32,
-}
-
-/// A small deterministic description of one degraded-network experiment:
-/// fault windows plus lifecycle disturbances, applied to a simulator in
-/// one call.
-#[derive(Debug, Clone, Default)]
-pub struct Scenario {
-    /// Link faults.
-    pub faults: Vec<FaultWindow>,
-    /// Correlated outages.
-    pub churn_bursts: Vec<ChurnBurst>,
-    /// Reachability flaps.
-    pub nat_flaps: Vec<NatFlap>,
-}
-
-impl Scenario {
-    /// Install every fault window and schedule every churn burst and NAT
-    /// flap on the simulator.
-    pub fn apply(&self, sim: &mut NetSim) {
-        for w in &self.faults {
-            sim.add_fault(*w);
-        }
-        for burst in &self.churn_bursts {
-            sim.churn_burst(&burst.hosts, burst.at_ms, burst.down_ms);
-        }
-        for flap in &self.nat_flaps {
-            sim.nat_flap(flap.host, flap.from_ms, flap.period_ms, flap.flaps);
-        }
     }
 }
 

@@ -11,8 +11,9 @@
 //! * **host lifecycle** — churn is expressed by starting/stopping hosts on
 //!   a schedule;
 //! * **fault injection** — per-link fault windows (burst loss, latency
-//!   spikes, blackholes, TCP resets, truncation/corruption), churn bursts,
-//!   and NAT flaps, all deterministic (see [`faults`]);
+//!   spikes, blackholes, TCP resets, truncation/corruption; see
+//!   [`faults`]), plus [`NetSim::churn_burst`] and [`NetSim::nat_flap`],
+//!   all deterministic;
 //! * **geography** — every host carries a country/AS label and a region
 //!   used by the latency matrix, feeding the paper's Figures 12–13.
 //!
@@ -23,18 +24,25 @@
 //! The design is event-driven in the smoltcp spirit: protocol state
 //! machines (discv4, RLPx, DEVp2p) stay sans-IO, and a [`Host`]
 //! implementation pumps bytes between them and the simulator.
+//!
+//! Modules: `host` is what a host sees ([`Host`], [`Ctx`], [`TcpEvent`]);
+//! `engine` is [`NetSim`] (host slots, address index, NAT, event queue,
+//! dispatch, actions), with its connection table (`engine/conn.rs`) and
+//! [`NetSim::snapshot`] / [`NetSim::restore`] (`engine/snapshot.rs`);
+//! [`sched`] is the queue, [`faults`] the fault windows, `topology` the
+//! latency matrix and address book.
 #![forbid(unsafe_code)]
 
 mod engine;
 pub mod faults;
+mod host;
 pub mod sched;
 mod topology;
 
-pub use engine::{
-    ConnId, Ctx, Host, HostAddr, HostId, NetSim, Payload, SimConfig, TcpCounters, TcpEvent,
-    SNAP_MAGIC, SNAP_VERSION,
-};
-pub use faults::{ChurnBurst, Fault, FaultSchedule, FaultWindow, LinkSelector, NatFlap, Scenario};
+pub use engine::conn::ConnId;
+pub use engine::{NetSim, SimConfig, TcpCounters, SNAP_MAGIC, SNAP_VERSION};
+pub use faults::{Fault, FaultSchedule, FaultWindow, LinkSelector};
+pub use host::{Ctx, Host, HostAddr, HostId, Payload, TcpEvent};
 // The one snapshot codec lives in `obs::snap`; re-exported so host
 // crates that implement `Host::save_state` need no direct `obs` edge.
 pub use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
