@@ -136,6 +136,11 @@ impl Session {
         std::mem::take(&mut self.outbound)
     }
 
+    /// Our own HELLO, as the session was started with.
+    pub fn local_hello(&self) -> &Hello {
+        &self.local_hello
+    }
+
     /// The peer's HELLO, once received.
     pub fn remote_hello(&self) -> Option<&Hello> {
         self.remote_hello.as_ref()

@@ -77,6 +77,9 @@ obs::snap_enum!(Event {
     2 => LookupDone { all_seen, queries },
 });
 
+/// A PING awaiting its PONG. Most pending maps hold a handful of these,
+/// and a `BTreeMap` allocates eleven values at a time, so the two fields
+/// only some pings carry are boxed: 104 B inline instead of 232.
 #[derive(Debug)]
 struct PendingPing {
     to: NodeRecord,
@@ -85,9 +88,9 @@ struct PendingPing {
     sent_ms: u64,
     /// If this ping is a liveness check for a bucket eviction, the new node
     /// waiting to take the slot.
-    eviction_replacement: Option<NodeRecord>,
+    eviction_replacement: Option<Box<NodeRecord>>,
     /// FINDNODE target to send once the bond completes.
-    queued_findnode: Option<NodeId>,
+    queued_findnode: Option<Box<NodeId>>,
 }
 
 obs::snap_struct!(PendingPing {
@@ -362,8 +365,8 @@ impl Discv4 {
                 to: node,
                 deadline_ms: now_ms + self.config.request_timeout_ms,
                 sent_ms: now_ms,
-                eviction_replacement,
-                queued_findnode,
+                eviction_replacement: eviction_replacement.map(Box::new),
+                queued_findnode: queued_findnode.map(Box::new),
             },
         );
         self.stats.pings_sent += 1;
@@ -512,7 +515,7 @@ impl Discv4 {
                 self.table.confirm_alive(&sender_id, now_ms);
                 self.try_add_to_table(pending.to, now_ms, &mut out);
                 if let Some(target) = pending.queued_findnode {
-                    out.extend(self.send_findnode(pending.to, target, now_ms));
+                    out.extend(self.send_findnode(pending.to, *target, now_ms));
                 }
                 out
             }
@@ -640,7 +643,7 @@ impl Discv4 {
             if let Some(replacement) = pending.eviction_replacement {
                 // Old node failed its liveness check: evict and insert new.
                 self.table
-                    .evict_and_insert(&pending.to.id, replacement, now_ms);
+                    .evict_and_insert(&pending.to.id, *replacement, now_ms);
             }
             if pending.queued_findnode.is_some() {
                 // Bond never completed; the queued query fails below via

@@ -53,12 +53,19 @@ fn sub_word(w: u32) -> u32 {
     u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
 }
 
+/// Round-key words of AES-256, the longest schedule: four per round, 14
+/// rounds plus the initial key.
+const MAX_ROUND_KEYS: usize = 4 * (14 + 1);
+
 /// An expanded AES key (128, 192, or 256 bits). Encryption-only: CTR mode
-/// never needs the inverse cipher.
+/// never needs the inverse cipher. The schedule is inline, so a key is
+/// no allocation of its own.
 #[derive(Debug, Clone)]
 pub struct Aes {
-    /// Round keys as big-endian column words, four per round.
-    round_keys: Vec<u32>,
+    /// Round keys as big-endian column words, four per round; the first
+    /// `4 * (rounds + 1)` are used.
+    round_keys: [u32; MAX_ROUND_KEYS],
+    rounds: usize,
 }
 
 impl Aes {
@@ -75,7 +82,8 @@ impl Aes {
             n => panic!("invalid AES key length {n}"),
         };
         let rounds = nk + 6;
-        let mut w = vec![0u32; 4 * (rounds + 1)];
+        let mut round_keys = [0u32; MAX_ROUND_KEYS];
+        let w = &mut round_keys[..4 * (rounds + 1)];
         for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
             *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
@@ -88,13 +96,13 @@ impl Aes {
             }
             w[i] = w[i - nk] ^ temp;
         }
-        Aes { round_keys: w }
+        Aes { round_keys, rounds }
     }
 
     /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let rk = &self.round_keys[..];
-        let rounds = rk.len() / 4 - 1;
+        let rounds = self.rounds;
+        let rk = &self.round_keys[..4 * (rounds + 1)];
         // State is column-major: s[c] is column c, row 0 in the top byte.
         let mut s = [0u32; 4];
         for c in 0..4 {

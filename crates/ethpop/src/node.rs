@@ -276,8 +276,9 @@ impl EthNode {
     /// RSS it is allocator-independent and replay-stable. Shared (`Rc`)
     /// state is amortized over its reference count, so the estimate sums
     /// to roughly the true total across a whole world. Container entries
-    /// are charged `size_of` plus a fixed 16-byte node-overhead constant;
-    /// discv4 table internals are charged per entry.
+    /// are charged `size_of` plus a fixed 16-byte node-overhead constant,
+    /// a connection also its boxed parts and its receive buffer's
+    /// capacity; discv4 table internals are charged per entry.
     pub fn approx_heap_bytes(&self) -> usize {
         const NODE_OVERHEAD: usize = 16;
         let shared = |len_bytes: usize, strong: usize| len_bytes / strong.max(1);
@@ -293,8 +294,9 @@ impl EthNode {
         total += self.profile.client_id.len();
         total += self
             .conns
-            .len()
-            .saturating_mul(size_of::<(ConnId, PeerConn)>() + NODE_OVERHEAD);
+            .values()
+            .map(|pc| size_of::<(ConnId, PeerConn)>() + NODE_OVERHEAD + pc.heap_bytes())
+            .sum::<usize>();
         total += self
             .eth_ready
             .len()

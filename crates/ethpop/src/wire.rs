@@ -61,17 +61,24 @@ enum Stage {
 netsim::snap_enum!(Stage { 0 => Connecting, 1 => Handshaking, 2 => Active, 3 => Dead });
 
 /// One peer connection's full protocol state.
+///
+/// Owners keep these by the thousand in `BTreeMap`s, whose nodes hold
+/// eleven values each, so a part only some stages hold is boxed: the
+/// handshake until the ack, the codec and session after it.
 #[derive(Debug)]
 pub struct PeerConn {
     /// Simulator connection id.
     pub conn: ConnId,
     role: Role,
     stage: Stage,
-    handshake: Option<Handshake>,
+    handshake: Option<Box<Handshake>>,
     remote_id_hint: Option<NodeId>,
-    codec: Option<FrameCodec>,
-    session: Option<Session>,
-    local_hello: Hello,
+    codec: Option<Box<FrameCodec>>,
+    session: Option<Box<Session>>,
+    /// Our HELLO until the session starts and takes it; the session
+    /// holds it from then on (see [`PeerConn::local_hello`]).
+    local_hello: Option<Hello>,
+    /// Received bytes not yet consumed; unallocated whenever drained.
     inbuf: BytesMut,
     /// Authenticated peer id (after RLPx).
     pub peer_id: Option<NodeId>,
@@ -91,7 +98,7 @@ impl PeerConn {
             remote_id_hint: Some(remote_id),
             codec: None,
             session: None,
-            local_hello,
+            local_hello: Some(local_hello),
             inbuf: BytesMut::new(),
             peer_id: None,
             opened_at_ms: now_ms,
@@ -108,7 +115,7 @@ impl PeerConn {
             remote_id_hint: None,
             codec: None,
             session: None,
-            local_hello,
+            local_hello: Some(local_hello),
             inbuf: BytesMut::new(),
             peer_id: None,
             opened_at_ms: now_ms,
@@ -143,6 +150,19 @@ impl PeerConn {
         self.session.as_ref().and_then(|s| s.remote_hello())
     }
 
+    /// Heap this connection holds outside its own struct: the boxed
+    /// handshake, codec and session, and the receive buffer's capacity
+    /// (not what those point to in turn).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.handshake
+            .as_ref()
+            .map_or(0, |_| size_of::<Handshake>())
+            + self.codec.as_ref().map_or(0, |_| size_of::<FrameCodec>())
+            + self.session.as_ref().map_or(0, |_| size_of::<Session>())
+            + self.inbuf.capacity()
+    }
+
     /// TCP came up (dialer side): start the RLPx handshake. Returns bytes
     /// to send.
     pub fn on_tcp_connected<R: rand::Rng + ?Sized>(
@@ -155,7 +175,7 @@ impl PeerConn {
         let remote = self.remote_id_hint.expect("dialer knows remote id");
         match hs.write_auth(rng, &remote) {
             Ok(auth) => {
-                self.handshake = Some(hs);
+                self.handshake = Some(Box::new(hs));
                 self.stage = Stage::Handshaking;
                 vec![auth]
             }
@@ -197,7 +217,7 @@ impl PeerConn {
                             match hs.read_auth(rng, &msg) {
                                 Ok(ack) => {
                                     out.push(ack);
-                                    self.finish_handshake(hs, &mut events);
+                                    self.finish_handshake(&hs, &mut events);
                                 }
                                 Err(_) => {
                                     self.stage = Stage::Dead;
@@ -209,7 +229,7 @@ impl PeerConn {
                         Role::Initiator => {
                             let mut hs = self.handshake.take().expect("auth was sent");
                             match hs.read_ack(&msg) {
-                                Ok(()) => self.finish_handshake(hs, &mut events),
+                                Ok(()) => self.finish_handshake(&hs, &mut events),
                                 Err(_) => {
                                     self.stage = Stage::Dead;
                                     events.push(WireEvent::ProtocolError("bad ack"));
@@ -238,16 +258,25 @@ impl PeerConn {
                 }
             }
         }
+        if self.inbuf.is_empty() {
+            // `BytesMut` keeps its capacity when drained; a connection
+            // idles far longer than it reads, so give the buffer back.
+            self.inbuf = BytesMut::new();
+        }
         (events, out)
     }
 
-    fn finish_handshake(&mut self, hs: Handshake, events: &mut Vec<WireEvent>) {
+    fn finish_handshake(&mut self, hs: &Handshake, events: &mut Vec<WireEvent>) {
         match hs.secrets() {
             Ok(secrets) => {
                 let peer_id = secrets.peer_id;
+                let hello = self
+                    .local_hello
+                    .take()
+                    .expect("no session before the handshake");
                 self.peer_id = Some(peer_id);
-                self.codec = Some(FrameCodec::new(secrets));
-                self.session = Some(Session::new(self.local_hello.clone()));
+                self.codec = Some(Box::new(FrameCodec::new(secrets)));
+                self.session = Some(Box::new(Session::new(hello)));
                 self.stage = Stage::Active;
                 events.push(WireEvent::RlpxEstablished { peer_id });
             }
@@ -353,6 +382,16 @@ impl PeerConn {
 
     // ---- checkpoint/restore -------------------------------------------
 
+    /// Our HELLO, wherever it lives: here until the session starts, in
+    /// the session after.
+    fn local_hello(&self) -> &Hello {
+        match (&self.local_hello, &self.session) {
+            (Some(hello), _) => hello,
+            (None, Some(session)) => session.local_hello(),
+            (None, None) => unreachable!("the session takes the HELLO when it starts"),
+        }
+    }
+
     /// Append this connection's full protocol state to a snapshot section.
     pub fn snap(&self, w: &mut SnapWriter) {
         self.conn.snap(w);
@@ -365,7 +404,7 @@ impl PeerConn {
         self.remote_id_hint.snap(w);
         self.codec.snap(w);
         self.session.snap(w);
-        self.local_hello.snap(w);
+        self.local_hello().snap(w);
         w.bytes(&self.inbuf);
         self.peer_id.snap(w);
         self.opened_at_ms.snap(w);
@@ -374,20 +413,54 @@ impl PeerConn {
     /// Rebuild a connection from [`PeerConn::snap`] output. `static_key`
     /// is the owning node's current identity key (identity rotation kills
     /// every live connection, so one key covers them all).
+    ///
+    /// The image carries an established connection's HELLO twice, in the
+    /// session and after it; one is kept, and two that differ are
+    /// `Corrupt`. So is a stage that disagrees with the parts it holds,
+    /// which the next read would trip over.
     pub fn restore(r: &mut SnapReader<'_>, static_key: &SecretKey) -> Result<PeerConn, SnapError> {
+        let conn = Snap::unsnap(r)?;
+        let role = Snap::unsnap(r)?;
+        let stage = Snap::unsnap(r)?;
+        let handshake = if r.bool()? {
+            Some(Box::new(Handshake::restore(r, *static_key)?))
+        } else {
+            None
+        };
+        let remote_id_hint: Option<NodeId> = Snap::unsnap(r)?;
+        let codec: Option<Box<FrameCodec>> = Snap::unsnap(r)?;
+        let session: Option<Box<Session>> = Snap::unsnap(r)?;
+        let hello = Hello::unsnap(r)?;
+        let established = match (&codec, &session) {
+            (Some(_), Some(_)) => true,
+            (None, None) => false,
+            _ => return Err(SnapError::Corrupt("codec and session not started together")),
+        };
+        let consistent = match stage {
+            Stage::Connecting => !established && handshake.is_none() && remote_id_hint.is_some(),
+            Stage::Handshaking => !established && (role == Role::Recipient) == handshake.is_none(),
+            Stage::Active => established,
+            Stage::Dead => true,
+        };
+        if !consistent {
+            return Err(SnapError::Corrupt(
+                "connection stage disagrees with its parts",
+            ));
+        }
+        let local_hello = match &session {
+            None => Some(hello),
+            Some(session) if *session.local_hello() == hello => None,
+            Some(_) => return Err(SnapError::Corrupt("connection and session HELLOs differ")),
+        };
         Ok(PeerConn {
-            conn: Snap::unsnap(r)?,
-            role: Snap::unsnap(r)?,
-            stage: Snap::unsnap(r)?,
-            handshake: if r.bool()? {
-                Some(Handshake::restore(r, *static_key)?)
-            } else {
-                None
-            },
-            remote_id_hint: Snap::unsnap(r)?,
-            codec: Snap::unsnap(r)?,
-            session: Snap::unsnap(r)?,
-            local_hello: Snap::unsnap(r)?,
+            conn,
+            role,
+            stage,
+            handshake,
+            remote_id_hint,
+            codec,
+            session,
+            local_hello,
             inbuf: BytesMut::from(r.bytes()?),
             peer_id: Snap::unsnap(r)?,
             opened_at_ms: Snap::unsnap(r)?,
@@ -563,5 +636,101 @@ mod tests {
         }
         assert!(!acks.is_empty());
         assert!(b.peer_id.is_some());
+    }
+
+    /// Owners keep connections in `BTreeMap`s, whose every node allocates
+    /// eleven values: at the 1,920 B this struct had with its handshake,
+    /// codec and session inline, a leaf was ≈ 21 kB. The parts only some
+    /// stages hold stay boxed.
+    #[test]
+    fn a_conn_stays_small_inline() {
+        let size = std::mem::size_of::<PeerConn>();
+        assert!(size <= 512, "PeerConn is {size} B inline");
+    }
+
+    /// A drained receive buffer gives its allocation back.
+    #[test]
+    fn a_drained_receive_buffer_is_freed() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let key_a = SecretKey::from_bytes(&[1u8; 32]).unwrap();
+        let key_b = SecretKey::from_bytes(&[2u8; 32]).unwrap();
+        let mut a = PeerConn::dialing(
+            0,
+            NodeId::from_secret_key(&key_b),
+            hello_for(&key_a, "a"),
+            0,
+        );
+        let mut b = PeerConn::accepted(0, hello_for(&key_b, "b"), 0);
+        let auth: Vec<u8> = a.on_tcp_connected(&mut rng, &key_a).concat();
+        let (half, rest) = auth.split_at(auth.len() / 2);
+        b.on_data(&mut rng, &key_b, half);
+        assert!(b.inbuf.capacity() >= half.len(), "a partial auth is kept");
+        let (events, _) = b.on_data(&mut rng, &key_b, rest);
+        assert!(matches!(events[0], WireEvent::RlpxEstablished { .. }));
+        assert_eq!(b.inbuf.capacity(), 0);
+    }
+
+    /// A restored connection is one a run could have left: its stage
+    /// agrees with the parts it holds, or restore says `Corrupt`.
+    #[test]
+    fn restore_refuses_a_stage_its_parts_contradict() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let key_a = SecretKey::from_bytes(&[1u8; 32]).unwrap();
+        let key_b = SecretKey::from_bytes(&[2u8; 32]).unwrap();
+        let mut a = PeerConn::dialing(
+            0,
+            NodeId::from_secret_key(&key_b),
+            hello_for(&key_a, "a"),
+            0,
+        );
+        let mut b = PeerConn::accepted(0, hello_for(&key_b, "b"), 0);
+        let auth = a.on_tcp_connected(&mut rng, &key_a).concat();
+        let image = |pc: &PeerConn| {
+            let mut w = SnapWriter::new();
+            pc.snap(&mut w);
+            w.finish()
+        };
+        let restore = |bytes: &[u8], key: &SecretKey| {
+            PeerConn::restore(&mut SnapReader::new(bytes), key).map(|pc| image(&pc))
+        };
+        let dialed = image(&a);
+        let accepted = image(&b);
+        b.on_data(&mut rng, &key_b, &auth);
+        let established = image(&b);
+        for (bytes, key) in [
+            (&dialed, &key_a),
+            (&accepted, &key_b),
+            (&established, &key_b),
+        ] {
+            assert_eq!(restore(bytes, key).as_ref(), Ok(bytes));
+        }
+        // conn id (8), role (1), then the stage byte.
+        let stage = |bytes: &[u8], to: u8| {
+            let mut bad = bytes.to_vec();
+            bad[9] = to;
+            bad
+        };
+        let why = Err(SnapError::Corrupt(
+            "connection stage disagrees with its parts",
+        ));
+        assert_eq!(
+            restore(&stage(&dialed, 0), &key_a),
+            why,
+            "connecting with its auth sent"
+        );
+        assert_eq!(
+            restore(&stage(&accepted, 2), &key_b),
+            why,
+            "active without a session"
+        );
+        assert_eq!(
+            restore(&stage(&established, 1), &key_b),
+            why,
+            "session mid-handshake"
+        );
+        assert!(
+            restore(&stage(&established, 3), &key_b).is_ok(),
+            "dead holds anything"
+        );
     }
 }

@@ -144,6 +144,16 @@ impl SessionManager {
 mod tests {
     use super::*;
 
+    /// `conns` is a `BTreeMap`, whose every node allocates eleven probes.
+    /// A probe is its `PeerConn` (≤ 512 B, the parts only some stages
+    /// hold boxed) and the log entry in progress: 656 B, where it was
+    /// 2,256 B with the wire state inline.
+    #[test]
+    fn a_probe_stays_small_inline() {
+        let size = std::mem::size_of::<Probe>();
+        assert!(size <= 768, "Probe is {size} B inline");
+    }
+
     #[test]
     fn end_dial_underflow_is_counted_not_clamped() {
         let mut s = SessionManager::new(BackoffPolicy::default(), 4, 600_000);

@@ -482,6 +482,17 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
+/// A box is its contents: boxing a field to shrink its owner leaves the
+/// image as it was.
+impl<T: Snap> Snap for Box<T> {
+    fn snap(&self, w: &mut SnapWriter) {
+        (**self).snap(w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Box<T>, SnapError> {
+        T::unsnap(r).map(Box::new)
+    }
+}
+
 /// Write a `u64` length prefix and then every element.
 fn snap_seq<'a, T: Snap + 'a>(len: usize, items: impl Iterator<Item = &'a T>, w: &mut SnapWriter) {
     w.usize(len);
@@ -703,6 +714,21 @@ mod tests {
         assert_eq!(
             Vec::<u8>::unsnap(&mut SnapReader::new(short)),
             Err(SnapError::Truncated { at: 8 })
+        );
+    }
+
+    #[test]
+    fn a_box_is_its_contents() {
+        let v: Option<(u32, String)> = Some((7, "boxed".into()));
+        let mut inline = SnapWriter::new();
+        v.snap(&mut inline);
+        let mut boxed = SnapWriter::new();
+        v.clone().map(Box::new).snap(&mut boxed);
+        let buf = boxed.finish();
+        assert_eq!(buf, inline.finish());
+        assert_eq!(
+            Option::<Box<(u32, String)>>::unsnap(&mut SnapReader::new(&buf)),
+            Ok(v.map(Box::new))
         );
     }
 

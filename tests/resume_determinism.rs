@@ -529,6 +529,60 @@ fn aliased_free_list_cell_is_rejected() {
     assert!(out.is_err(), "a free list naming one cell twice restored");
 }
 
+/// The length of the `Hello` image at `at`: p2p version, client id,
+/// capabilities (name, version), listen port, node id.
+fn hello_len(image: &[u8], at: usize) -> usize {
+    let mut pos = at + 4;
+    pos += 8 + u64_at(image, pos);
+    let caps = u64_at(image, pos);
+    pos += 8;
+    for _ in 0..caps {
+        pos += 8 + u64_at(image, pos) + 4;
+    }
+    pos + 2 + 64 - at
+}
+
+/// An established connection's image carries its node's HELLO twice: in
+/// its session, right after the session's presence byte, and in
+/// `PeerConn`'s own field after the session. Restore keeps one, so two
+/// that differ must be refused; before, the field's copy was kept
+/// unchecked.
+#[test]
+fn a_connection_hello_unlike_its_session_is_rejected() {
+    let (image, _) = images_at_t();
+    let (session_copy, field_copy) = walk(&image)
+        .sections
+        .into_iter()
+        .filter(|s| image[s.clone()].starts_with(b"ETHN"))
+        .find_map(|s| {
+            // ETHN: magic, version, key, then the node's client id.
+            let id_at = s.start + 37;
+            let id = &image[id_at..id_at + 8 + u64_at(&image, id_at)];
+            let past_header = id_at + id.len();
+            // The first copy of it behind a presence byte is a session's
+            // (a pre-session connection's field follows a `None`).
+            let session = (past_header..s.end - id.len())
+                .find(|&at| image[at - 5] == 1 && &image[at..at + id.len()] == id)?
+                - 4;
+            let hello = &image[session..session + hello_len(&image, session)];
+            // The next copy of the whole HELLO is the field's: the peer's
+            // HELLO in between names another node.
+            let field = (session + hello.len()..s.end - hello.len())
+                .find(|&at| &image[at..at + hello.len()] == hello)?;
+            Some((session, field))
+        })
+        .expect("an established connection at T");
+    assert!(field_copy > session_copy);
+    let mut bad = image.clone();
+    bad[field_copy + 12] ^= 0x20; // the client id's first byte
+    assert_eq!(
+        restore_sim(&bad, "connection's HELLO differs from its session's".into()),
+        Err(netsim::SnapError::Corrupt(
+            "connection and session HELLOs differ"
+        ))
+    );
+}
+
 fn crawler_id() -> NodeId {
     NodeId::from_secret_key(&SecretKey::from_bytes(&[0xCB; 32]).unwrap())
 }
