@@ -18,14 +18,13 @@
 //! * [`ResetAfterN`] — accepts TCP, then closes abortively once N bytes
 //!   have arrived (mid-handshake connection resets).
 //!
-//! Every behaviour announces itself via [`disc::Announcer`], a minimal
+//! Every behaviour announces itself via `disc::Announcer`, a minimal
 //! discv4 responder that bonds with bootstrap nodes so crawlers actually
 //! find the adversary. All randomness comes from `Ctx::rng`; nothing here
 //! reads a wall clock, so adversarial worlds stay byte-reproducible.
 #![forbid(unsafe_code)]
 
-pub mod disc;
-pub mod hosts;
+mod disc;
+mod hosts;
 
-pub use disc::Announcer;
 pub use hosts::{GarbageHello, ResetAfterN, SlowLoris, Tarpit, WrongGenesis};

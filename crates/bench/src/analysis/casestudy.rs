@@ -2,7 +2,7 @@
 //! convergence (Figure 4), and disconnect reasons (Table 1) from
 //! instrumented behavioral nodes.
 
-use crate::CountRow;
+use super::CountRow;
 use ethpop::NodeStats;
 
 /// Figures 2/3 rows: per-message-type counts for one instrumented node.

@@ -1,8 +1,8 @@
 //! §6.2 client analysis: implementations (Table 4), version stability
 //! (Table 5), and version adoption over time (Fig 10).
 
-use crate::{tally, CountRow};
-use ethpop::releases::{is_stable_build, parse_client_id};
+use super::{tally, CountRow};
+use ethpop::{is_stable_build, parse_client_id};
 use nodefinder::{CrawlLog, DataStore};
 use std::collections::BTreeMap;
 

@@ -1,7 +1,7 @@
 //! §6.1 ecosystem analysis: DEVp2p services (Table 3), networks and
 //! genesis hashes (Fig 9), and the non-productive-peer breakdown.
 
-use crate::{tally, CountRow};
+use super::{tally, CountRow};
 use nodefinder::DataStore;
 use std::collections::BTreeMap;
 

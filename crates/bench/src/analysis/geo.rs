@@ -4,7 +4,7 @@
 //! is a [`GeoDb`] built from the world's host metadata — the analysis code
 //! path is identical: IP in, (country, AS) out, tally.
 
-use crate::{tally, CountRow};
+use super::{tally, CountRow};
 use nodefinder::DataStore;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -39,16 +39,6 @@ impl GeoDb {
     /// Look up an address.
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<(&'static str, &'static str)> {
         self.entries.get(&ip).copied()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

@@ -4,22 +4,29 @@
 //! Every public function here corresponds to an artifact in the
 //! evaluation (see DESIGN.md's experiment index):
 //!
-//! * [`ecosystem`] — Table 3, Fig 9, the §6.1 non-productive breakdown;
-//! * [`clients`] — Table 4, Table 5, Fig 10;
-//! * [`snapshot`] — Table 6, Fig 14 freshness, Fig 13 latency CDF;
-//! * [`geo`] — Fig 12/13 country and AS tallies;
-//! * [`validation`] — Table 2 set intersections, Fig 5–8 rate series;
-//! * [`casestudy`] — Figs 2–4 and Table 1 from instrumented nodes;
-//! * [`render`] — ASCII tables and CSV series for the harness binaries.
-#![forbid(unsafe_code)]
+//! * `ecosystem` — Table 3, Fig 9, the §6.1 non-productive breakdown;
+//! * `clients` — Table 4, Table 5, Fig 10;
+//! * `snapshot` — Table 6, Fig 14 freshness, Fig 13 latency CDF;
+//! * `geo` — Fig 12/13 country and AS tallies;
+//! * `validation` — Table 2 set intersections, Fig 5–8 rate series;
+//! * `casestudy` — Figs 2–4 and Table 1 from instrumented nodes;
+//! * `render` — ASCII tables and CSV series for the harness binaries.
 
-pub mod casestudy;
-pub mod clients;
-pub mod ecosystem;
-pub mod geo;
-pub mod render;
-pub mod snapshot;
-pub mod validation;
+mod casestudy;
+mod clients;
+mod ecosystem;
+mod geo;
+mod render;
+mod snapshot;
+mod validation;
+
+pub use casestudy::{disconnect_table, message_mix, peer_occupancy, PeerOccupancy};
+pub use clients::{client_table, fraction_at_or_below, version_stability, version_timeline};
+pub use ecosystem::{funnel, networks, services_table};
+pub use geo::{as_distribution, country_distribution, top_as_share, GeoDb};
+pub use render::{cdf_csv, count_table, series_csv};
+pub use snapshot::{freshness, head_from_total_difficulty, latency_cdf, size_comparison};
+pub use validation::{dials_to_target, ethernodes_mainnet_set, intersection_table, rate_series};
 
 /// A generic labelled count with percentage, the row shape most tables
 /// share.

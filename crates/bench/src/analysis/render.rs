@@ -1,7 +1,7 @@
 //! Rendering helpers: ASCII tables and CSV series for the experiment
 //! binaries.
 
-use crate::CountRow;
+use super::CountRow;
 
 /// Render labelled count rows as an aligned ASCII table.
 pub fn count_table(title: &str, rows: &[CountRow], max_rows: usize) -> String {

@@ -1,7 +1,7 @@
 //! §7 snapshot analysis: network size (Table 6), node freshness (Fig 14),
 //! and connection latency (Fig 13's CDF companion).
 
-use crate::Cdf;
+use super::Cdf;
 use nodefinder::DataStore;
 
 /// Table 6-style size comparison rows.

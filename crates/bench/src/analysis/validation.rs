@@ -1,7 +1,7 @@
 //! §5.2/§5.3 validation analyses: dial-rate series (Figures 5–8) and the
 //! Ethernodes comparison (Table 2).
 
-use crate::bin_by_window;
+use super::bin_by_window;
 use enode::NodeId;
 use nodefinder::{CrawlLog, DataStore, DialEventKind};
 use std::collections::BTreeSet;
@@ -9,8 +9,6 @@ use std::collections::BTreeSet;
 /// Per-window (per-"day") crawler rate series — Figures 5, 6, 7.
 #[derive(Debug, Clone)]
 pub struct RateSeries {
-    /// Window width used, ms.
-    pub window_ms: u64,
     /// Discovery attempts per window (Fig 5, upper).
     pub discovery_attempts: Vec<u64>,
     /// Dynamic-dial attempts per window (Fig 5, lower).
@@ -57,7 +55,6 @@ pub fn rate_series(log: &CrawlLog, window_ms: u64, n_windows: usize) -> RateSeri
         }
     }
     RateSeries {
-        window_ms,
         discovery_attempts,
         dynamic_dial_attempts,
         unique_dialed: dialed.iter().map(|s| s.len() as u64).collect(),

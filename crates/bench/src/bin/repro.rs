@@ -30,9 +30,10 @@
 //! evicted — check the recorder's drop counters before concluding the
 //! provenance is broken.
 
-use bench::registry::{check_files, experiments_md, Campaigns, Entry, REGISTRY};
-use bench::trace_report::{campaign, chain, parse_prom, parse_trace};
-use bench::{mixed_world, Overrides};
+use bench::{
+    campaign, chain, check_files, experiments_md, mixed_world, parse_prom, parse_trace, Campaigns,
+    Entry, Overrides, REGISTRY,
+};
 use ethpop::world::WorldConfig;
 use nodefinder::CrawlerConfig;
 use std::path::Path;

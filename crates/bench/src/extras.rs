@@ -275,7 +275,7 @@ fn extension_fastsync(_: &Overrides) -> Output {
     let sync = |mode: SyncMode, head: u64| {
         let chain = Chain::new(ChainConfig::mainnet(), head);
         let mut driver = SyncDriver::new(mode, head, 192, 64);
-        driver.run_to_completion(|req| ethwire::sync::serve_from_chain(&chain, req))
+        driver.run_to_completion(|req| ethwire::serve_from_chain(&chain, req))
     };
     let mut text = format!(
         "Extension — full sync vs fast sync (§2.3)\n\n{:>10} {:>14} {:>14} {:>8} {:>10} {:>10}\n",

@@ -1,6 +1,6 @@
 //! Experiment harness behind the one `repro` binary: the three shared
 //! measurement campaigns, the world-building helpers the stand-alone
-//! experiments use, and the artifact [`registry`].
+//! experiments use, and the artifact registry ([`REGISTRY`]).
 //!
 //! Scaling: the paper ran 30 NodeFinder instances for 82 calendar days
 //! against ~30k daily nodes. The harness compresses time (`day_ms`
@@ -20,11 +20,19 @@ use netsim::{Host, HostAddr, HostId, HostMeta, Region};
 use nodefinder::{sanitize, CrawlLog, CrawlerConfig, DataStore, NodeFinder, SanitizeReport};
 use std::net::Ipv4Addr;
 
+mod analysis;
 mod extras;
 mod paper;
-pub mod registry;
-pub mod trace_report;
-pub mod xor_experiment;
+mod registry;
+mod trace_report;
+mod xor_experiment;
+
+pub use analysis::{
+    as_distribution, client_table, count_table, country_distribution, freshness, funnel,
+    latency_cdf, networks, services_table, size_comparison, top_as_share, GeoDb,
+};
+pub use registry::{check_files, experiments_md, Campaigns, Entry, REGISTRY};
+pub use trace_report::{campaign, chain, parse_prom, parse_trace};
 
 /// Standard experiment scales, chosen to finish on a small machine.
 #[derive(Debug, Clone)]
@@ -316,7 +324,7 @@ pub struct CrawlRun {
     pub per_instance: Vec<CrawlLog>,
     /// Aggregated dataset, as crawled.
     pub store: DataStore,
-    /// The dataset after §5.4 sanitization ([`sim_sanitize_params`]).
+    /// The dataset after §5.4 sanitization (`sim_sanitize_params`).
     pub clean: DataStore,
     /// What sanitization removed.
     pub report: SanitizeReport,

@@ -2,18 +2,15 @@
 //! The constant above each generator states the paper shape to match; the
 //! generator's `Row`s carry that shape as a predicate.
 
+use crate::analysis::{
+    as_distribution, cdf_csv, client_table, count_table, country_distribution, dials_to_target,
+    disconnect_table, ethernodes_mainnet_set, fraction_at_or_below, freshness, funnel,
+    head_from_total_difficulty, intersection_table, latency_cdf, message_mix, networks,
+    peer_occupancy, rate_series, series_csv, services_table, size_comparison, top_as_share,
+    version_stability, version_timeline, CountRow, GeoDb, PeerOccupancy,
+};
 use crate::registry::{Entry, Generator, Output, Row};
 use crate::{crawler_key, xor_experiment, CaseStudy, CrawlRun, Overrides, SnapshotRun};
-use analysis::casestudy::{disconnect_table, message_mix, peer_occupancy};
-use analysis::clients::{client_table, fraction_at_or_below, version_stability, version_timeline};
-use analysis::ecosystem::{funnel, networks, services_table};
-use analysis::geo::{as_distribution, country_distribution, top_as_share, GeoDb};
-use analysis::render::{cdf_csv, count_table, series_csv};
-use analysis::snapshot::{freshness, head_from_total_difficulty, latency_cdf, size_comparison};
-use analysis::validation::{
-    dials_to_target, ethernodes_mainnet_set, intersection_table, rate_series,
-};
-use analysis::CountRow;
 use enode::NodeId;
 use ethpop::NodeStats;
 
@@ -152,7 +149,7 @@ fn fig4(cs: &CaseStudy) -> Output {
     let parity = peer_occupancy(&cs.parity, 50);
     let mut csv = String::from("minute,geth_peers,parity_peers\n");
     for i in 0..geth.series.len().max(parity.series.len()) {
-        let cell = |occ: &analysis::casestudy::PeerOccupancy| {
+        let cell = |occ: &PeerOccupancy| {
             occ.series
                 .get(i)
                 .map_or(String::new(), |(_, p)| p.to_string())

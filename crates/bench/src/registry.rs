@@ -129,9 +129,6 @@ pub const REGISTRY: &[&Entry] = &[
     &extras::OBS,
 ];
 
-/// Files in `results/` that no entry owns: the git-ignored local outputs.
-pub const NON_REGISTRY_FILES: &[&str] = &["obs_profile.json", "override"];
-
 /// Runs generators, simulating each shared campaign at most once.
 #[derive(Debug)]
 pub struct Campaigns {
@@ -253,6 +250,9 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use std::path::Path;
+
+    /// Files in `results/` that no entry owns: the git-ignored local outputs.
+    const NON_REGISTRY_FILES: &[&str] = &["obs_profile.json", "override"];
 
     /// `cargo test` runs a package's tests from the package directory.
     fn repo_root() -> &'static Path {

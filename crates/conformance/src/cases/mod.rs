@@ -5,10 +5,10 @@
 //! byte-identical vectors on every run — which is what makes the
 //! `CONFORMANCE_BLESS=1` regeneration path trustworthy.
 
-pub mod devp2p_vectors;
-pub mod discv4_vectors;
-pub mod rlp_vectors;
-pub mod rlpx_vectors;
+mod devp2p_vectors;
+mod discv4_vectors;
+mod rlp_vectors;
+mod rlpx_vectors;
 
 use crate::Case;
 

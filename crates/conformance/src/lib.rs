@@ -5,7 +5,7 @@
 //! asymmetry in any wire layer silently biases every downstream table
 //! (§5.4's warning). This crate pins the wire formats three ways:
 //!
-//! 1. **Golden vectors** (`vectors/*.txt`, [`tests/golden.rs`]): checked-in
+//! 1. **Golden vectors** (`vectors/*.txt`, `tests/golden.rs`): checked-in
 //!    hex bytes for every message family. Each case asserts
 //!    `decode(vector) == expected` AND `encode(expected)` reproduces the
 //!    canonical bytes. Regenerate with
@@ -25,7 +25,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-pub mod cases;
+mod cases;
+
+pub use cases::{layers, Layer};
 
 /// One checked-in vector: the bytes that must decode (`wire`) and the
 /// canonical re-encoding of the expected value (`canonical`). For exact

@@ -13,8 +13,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use conformance::cases::{layers, Layer};
 use conformance::{diff_bytes, load_vectors, render_vectors};
+use conformance::{layers, Layer};
 use std::path::PathBuf;
 
 fn vector_path(layer: &str) -> PathBuf {

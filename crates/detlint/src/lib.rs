@@ -22,23 +22,24 @@
 //!
 //! R1 and R7 are token rules: detlint masks comments and string/char
 //! literal bodies (so their contents can never trigger a rule), then scans
-//! identifier tokens. R8 and R9 run on an item-level parse ([`parser`]) of
+//! identifier tokens. R8 and R9 run on an item-level parse (`parser`) of
 //! each file's `static` and `fn` structure; R6 and R10 on the graph cargo
-//! resolved, read from each lock file ([`manifest`]). The interface is
+//! resolved, read from each lock file (`manifest`). The interface is
 //! lines on stdout and an exit code. The one escape hatch is an explicit,
 //! greppable comment carrying a mandatory justification; [`Scan::escapes`]
 //! counts them, and the clippy `allow`s that stand in for the retired
 //! hatches.
 #![forbid(unsafe_code)]
 
-pub mod lexer;
-pub mod manifest;
-pub mod parser;
-pub mod rules;
-pub mod scan;
-pub mod semantic;
+mod lexer;
+mod manifest;
+mod parser;
+mod rules;
+mod scan;
+mod semantic;
 
-pub use rules::Rule;
+pub use manifest::{check_lock, parse_lock, Packages, PROTOCOL_CRATES, UPPER_LAYERS};
+pub use rules::{Rule, TABLE};
 pub use scan::{scan_rust_source, scan_workspace, Escape, Scan, Violation};
 
 use std::path::Path;

@@ -8,7 +8,7 @@
 //! ```
 #![forbid(unsafe_code)]
 
-use detlint::{rules, Rule};
+use detlint::{Rule, TABLE};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -21,7 +21,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         ["--explain"] => {
-            for row in &rules::TABLE {
+            for row in &TABLE {
                 println!("{}  {}", row.id, row.title);
             }
             ExitCode::SUCCESS
@@ -69,7 +69,7 @@ fn scan() -> ExitCode {
 
 /// `R1..R10`, from the table's first and last rows.
 fn rule_range() -> String {
-    let [first, .., last] = &rules::TABLE;
+    let [first, .., last] = &TABLE;
     format!("{}..{}", first.id, last.id)
 }
 

@@ -88,7 +88,7 @@ impl fmt::Display for Violation {
 
 /// One escape past a rule: an honoured annotation (well-formed, justified,
 /// and for a rule that has an escape hatch where it stands), or a non-test
-/// attribute allowing one of [`CENSUSED_LINTS`].
+/// attribute allowing one of `CENSUSED_LINTS`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Escape {
     /// The form, normalized: `allow(R8)`, `conformance: strict`, or the

@@ -11,8 +11,8 @@
 //! declares. The real `fixtures/` directory itself is excluded from
 //! workspace scans.
 
-use detlint::manifest::{check_lock, Packages};
-use detlint::{rules, scan_rust_source, Violation};
+use detlint::{check_lock, Packages};
+use detlint::{scan_rust_source, Violation, TABLE};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
@@ -131,14 +131,14 @@ fn scan_fixture(kind: &str, fixture: &Fixture) -> Vec<Violation> {
 #[test]
 fn every_rule_has_both_fixtures() {
     let covered: BTreeSet<&str> = FIXTURES.iter().map(|f| f.rule).collect();
-    for row in &rules::TABLE {
+    for row in &TABLE {
         assert!(
             covered.contains(row.id),
             "rule {} has no fixture entry",
             row.id
         );
     }
-    assert_eq!(covered.len(), rules::TABLE.len(), "stray fixture entries");
+    assert_eq!(covered.len(), TABLE.len(), "stray fixture entries");
 }
 
 #[test]

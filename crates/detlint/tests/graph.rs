@@ -2,7 +2,7 @@
 //! (R10) names is a package of the repository that cargo resolved, and
 //! none of their dependency lists — dev edges included — points up.
 
-use detlint::manifest::{check_lock, parse_lock, PROTOCOL_CRATES, UPPER_LAYERS};
+use detlint::{check_lock, parse_lock, PROTOCOL_CRATES, UPPER_LAYERS};
 use std::collections::BTreeMap;
 use std::fs;
 

@@ -156,11 +156,6 @@ impl Session {
         self.state == State::Active
     }
 
-    /// Whether the session has ended.
-    pub fn is_ended(&self) -> bool {
-        self.state == State::Ended
-    }
-
     /// Queue a DISCONNECT and end the session.
     pub fn disconnect(&mut self, reason: DisconnectReason) {
         if self.state != State::Ended {
@@ -366,7 +361,7 @@ mod tests {
             ev,
             SessionEvent::Disconnected(DisconnectReason::UselessPeer)
         );
-        assert!(b.is_ended());
+        assert_eq!(b.state, State::Ended);
     }
 
     #[test]
@@ -456,7 +451,7 @@ mod tests {
             ev,
             SessionEvent::Disconnected(DisconnectReason::ProtocolBreach)
         );
-        assert!(b.is_ended());
+        assert_eq!(b.state, State::Ended);
     }
 
     #[test]

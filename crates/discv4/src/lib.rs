@@ -30,4 +30,4 @@ mod packet;
 mod service;
 
 pub use packet::{decode_packet, encode_packet, Packet, PacketError, MAX_NEIGHBORS_PER_PACKET};
-pub use service::{Config, Discv4, Event, Outgoing, Stats};
+pub use service::{Config, Discv4, Event, Outgoing};

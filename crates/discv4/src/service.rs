@@ -282,11 +282,6 @@ impl Discv4 {
         })
     }
 
-    /// This node's ID.
-    pub fn local_id(&self) -> &NodeId {
-        &self.id
-    }
-
     /// Immutable access to the routing table.
     pub fn table(&self) -> &RoutingTable {
         &self.table

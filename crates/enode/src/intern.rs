@@ -26,19 +26,9 @@ use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub struct CompactId(u32);
 
 impl CompactId {
-    /// The raw `u32` value (= insertion rank).
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-
     /// The value as a `Vec` index.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Rebuild from a raw value previously obtained via [`Self::as_u32`].
-    pub fn from_u32(raw: u32) -> CompactId {
-        CompactId(raw)
     }
 }
 
@@ -204,7 +194,7 @@ mod tests {
         let mut interner = Interner::new();
         for tag in 0..10u8 {
             let cid = interner.intern(&nid(tag));
-            assert_eq!(cid.as_u32(), tag as u32);
+            assert_eq!(cid.index(), tag as usize);
         }
         assert_eq!(interner.len(), 10);
     }
@@ -247,7 +237,7 @@ mod tests {
             cids.push(interner.intern(&NodeId(bytes)));
         }
         for (i, cid) in cids.iter().enumerate() {
-            assert_eq!(cid.as_u32(), i as u32);
+            assert_eq!(cid.index(), i);
             let mut bytes = [0u8; 64];
             bytes[..4].copy_from_slice(&(i as u32).to_le_bytes());
             assert_eq!(*interner.resolve(*cid), NodeId(bytes));
@@ -261,8 +251,8 @@ mod tests {
             let order = [3u8, 1, 4, 1, 5, 9, 2, 6, 5, 3];
             order
                 .iter()
-                .map(|&tag| interner.intern(&nid(tag)).as_u32())
-                .collect::<Vec<u32>>()
+                .map(|&tag| interner.intern(&nid(tag)).index())
+                .collect::<Vec<usize>>()
         };
         assert_eq!(build(), build());
     }

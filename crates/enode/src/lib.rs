@@ -14,10 +14,10 @@
 #![forbid(unsafe_code)]
 
 mod id;
-pub mod intern;
+mod intern;
 mod record;
 mod url;
 
 pub use id::NodeId;
-pub use intern::{CompactId, Interner};
+pub use intern::Interner;
 pub use record::{Endpoint, NodeRecord};

@@ -34,9 +34,6 @@ impl Endpoint {
             tcp_port: port,
         }
     }
-
-    /// The default Ethereum port.
-    pub const DEFAULT_PORT: u16 = 30303;
 }
 
 impl rlp::Encodable for Endpoint {

@@ -146,9 +146,7 @@ impl Aes {
 #[derive(Debug)]
 pub struct AesCtr {
     cipher: Aes,
-    counter: [u8; 16],
-    keystream: [u8; 16],
-    used: usize,
+    pos: CtrPos,
 }
 
 impl AesCtr {
@@ -157,9 +155,7 @@ impl AesCtr {
     pub fn new(key: &[u8], iv: &[u8; 16]) -> AesCtr {
         AesCtr {
             cipher: Aes::new(key),
-            counter: *iv,
-            keystream: [0; 16],
-            used: 16,
+            pos: CtrPos::new(iv),
         }
     }
 
@@ -169,18 +165,62 @@ impl AesCtr {
     /// session secrets it already persists and passes it to
     /// [`AesCtr::from_parts`].
     pub fn to_parts(&self) -> ([u8; 16], [u8; 16], usize) {
-        (self.counter, self.keystream, self.used)
+        self.pos.to_parts()
     }
 
     /// Rebuild a CTR stream from a key plus [`AesCtr::to_parts`] output.
     /// `None` if `used` points past the 16-byte keystream block.
     pub fn from_parts(key: &[u8], parts: ([u8; 16], [u8; 16], usize)) -> Option<AesCtr> {
-        let (counter, keystream, used) = parts;
-        if used > 16 {
-            return None;
-        }
         Some(AesCtr {
             cipher: Aes::new(key),
+            pos: CtrPos::from_parts(parts)?,
+        })
+    }
+
+    /// XOR the keystream over `data` in place (encrypt or decrypt).
+    pub fn apply(&mut self, data: &mut [u8]) {
+        self.pos.apply(&self.cipher, data);
+    }
+
+    /// Convenience: apply to a copy and return it.
+    pub fn process(&mut self, data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        self.apply(&mut out);
+        out
+    }
+}
+
+/// A CTR stream's position without its key: several streams under one key
+/// (RLPx runs one per direction) share one expanded [`Aes`] and each keep
+/// a `CtrPos`. [`AesCtr`] is one key and one position.
+#[derive(Debug)]
+pub struct CtrPos {
+    counter: [u8; 16],
+    keystream: [u8; 16],
+    used: usize,
+}
+
+impl CtrPos {
+    /// The start of a stream whose first counter block is `iv`.
+    pub fn new(iv: &[u8; 16]) -> CtrPos {
+        CtrPos {
+            counter: *iv,
+            keystream: [0; 16],
+            used: 16,
+        }
+    }
+
+    /// `(counter block, buffered keystream, bytes of keystream consumed)`,
+    /// the tuple [`AesCtr::to_parts`] writes.
+    pub fn to_parts(&self) -> ([u8; 16], [u8; 16], usize) {
+        (self.counter, self.keystream, self.used)
+    }
+
+    /// Rebuild from [`CtrPos::to_parts`] output. `None` if `used` points
+    /// past the 16-byte keystream block.
+    pub fn from_parts(parts: ([u8; 16], [u8; 16], usize)) -> Option<CtrPos> {
+        let (counter, keystream, used) = parts;
+        (used <= 16).then_some(CtrPos {
             counter,
             keystream,
             used,
@@ -188,22 +228,23 @@ impl AesCtr {
     }
 
     /// The next keystream block into `self.keystream`; advances the counter.
-    fn next_block(&mut self) {
+    fn next_block(&mut self, cipher: &Aes) {
         self.keystream = self.counter;
-        self.cipher.encrypt_block(&mut self.keystream);
+        cipher.encrypt_block(&mut self.keystream);
         // big-endian increment of the counter block
         self.counter = u128::from_be_bytes(self.counter)
             .wrapping_add(1)
             .to_be_bytes();
     }
 
-    /// XOR the keystream over `data` in place (encrypt or decrypt).
+    /// XOR the keystream of `cipher` over `data` in place (encrypt or
+    /// decrypt), from this position on.
     ///
     /// Whole blocks are XORed 16 bytes at a time, but the stream position
-    /// ([`AesCtr::to_parts`]) ends exactly where a byte-at-a-time walk would
+    /// ([`CtrPos::to_parts`]) ends exactly where a byte-at-a-time walk would
     /// leave it: a block is generated only when a byte needs it, and the
     /// last one generated stays in `keystream`.
-    pub fn apply(&mut self, data: &mut [u8]) {
+    pub fn apply(&mut self, cipher: &Aes, data: &mut [u8]) {
         // Finish the buffered block.
         let head = data.len().min(16 - self.used);
         let (head, rest) = data.split_at_mut(head);
@@ -213,26 +254,19 @@ impl AesCtr {
         }
         let mut blocks = rest.chunks_exact_mut(16);
         for block in &mut blocks {
-            self.next_block();
+            self.next_block(cipher);
             for (byte, k) in block.iter_mut().zip(&self.keystream) {
                 *byte ^= k;
             }
         }
         let tail = blocks.into_remainder();
         if !tail.is_empty() {
-            self.next_block();
+            self.next_block(cipher);
             for (byte, k) in tail.iter_mut().zip(&self.keystream) {
                 *byte ^= k;
             }
             self.used = tail.len();
         }
-    }
-
-    /// Convenience: apply to a copy and return it.
-    pub fn process(&mut self, data: &[u8]) -> Vec<u8> {
-        let mut out = data.to_vec();
-        self.apply(&mut out);
-        out
     }
 }
 
@@ -322,20 +356,21 @@ mod tests {
     /// The byte-at-a-time CTR walk whose `(counter, keystream, used)` the
     /// v1 snapshots pin.
     fn apply_bytewise(ctr: &mut AesCtr, data: &mut [u8]) {
+        let pos = &mut ctr.pos;
         for byte in data.iter_mut() {
-            if ctr.used == 16 {
-                ctr.keystream = ctr.counter;
-                ctr.cipher.encrypt_block(&mut ctr.keystream);
+            if pos.used == 16 {
+                pos.keystream = pos.counter;
+                ctr.cipher.encrypt_block(&mut pos.keystream);
                 for i in (0..16).rev() {
-                    ctr.counter[i] = ctr.counter[i].wrapping_add(1);
-                    if ctr.counter[i] != 0 {
+                    pos.counter[i] = pos.counter[i].wrapping_add(1);
+                    if pos.counter[i] != 0 {
                         break;
                     }
                 }
-                ctr.used = 0;
+                pos.used = 0;
             }
-            *byte ^= ctr.keystream[ctr.used];
-            ctr.used += 1;
+            *byte ^= pos.keystream[pos.used];
+            pos.used += 1;
         }
     }
 

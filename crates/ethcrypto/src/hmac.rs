@@ -5,13 +5,6 @@ use crate::sha256::{sha256, Sha256};
 
 const BLOCK: usize = 64;
 
-/// Compute `HMAC-SHA256(key, data)`.
-pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut mac = HmacSha256::new(key);
-    mac.update(data);
-    mac.finalize()
-}
-
 /// Incremental HMAC-SHA256.
 ///
 /// A value is the *keyed state* — the SHA-256 midstates after the inner and
@@ -69,6 +62,13 @@ impl HmacSha256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `HMAC-SHA256(key, data)` in one call.
+    fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
+        let mut mac = HmacSha256::new(key);
+        mac.update(data);
+        mac.finalize()
+    }
 
     fn hex(b: &[u8]) -> String {
         b.iter().map(|x| format!("{x:02x}")).collect()

@@ -2,8 +2,8 @@
 //!
 //! Ethereum hashing everywhere is **Keccak-256** — *not* FIPS-202 SHA3-256:
 //! the domain-separation byte is `0x01` rather than `0x06`. The RLPx
-//! handshake additionally uses Keccak-512 for key material expansion, and
-//! the node-distance metric in discovery hashes node IDs with Keccak-256.
+//! handshake derives its session secrets with it, and the node-distance
+//! metric in discovery hashes node IDs with it.
 //!
 //! The state is kept as a flat `[u64; 25]` (lane `(x, y)` at index
 //! `x + 5*y`) and absorption works directly from the caller's slice, so a
@@ -132,17 +132,6 @@ impl Keccak {
         }
     }
 
-    /// Keccak-512 (rate 72, 64-byte output).
-    pub fn v512() -> Keccak {
-        Keccak {
-            state: [0; 25],
-            rate: 72,
-            buf: [0; MAX_RATE],
-            buf_len: 0,
-            output_len: 64,
-        }
-    }
-
     /// Capture the full sponge state for checkpoint/restore:
     /// `(state lanes, rate, partial-block buffer, buffered length,
     /// output length)`. Feeding the tuple back through
@@ -158,11 +147,11 @@ impl Keccak {
     }
 
     /// Rebuild a hasher from [`Keccak::to_parts`] output. `None` unless
-    /// the parts describe one of the two sponges this module builds
-    /// (`v256`, `v512`) at a legal absorb position.
+    /// the parts describe the sponge this module builds (`v256`) at a
+    /// legal absorb position.
     pub fn from_parts(parts: ([u64; 25], usize, [u8; MAX_RATE], usize, usize)) -> Option<Keccak> {
         let (state, rate, buf, buf_len, output_len) = parts;
-        if !matches!((rate, output_len), (136, 32) | (72, 64)) || buf_len >= rate {
+        if (rate, output_len) != (136, 32) || buf_len >= rate {
             return None;
         }
         Some(Keccak {
@@ -240,13 +229,6 @@ pub fn keccak256(data: &[u8]) -> [u8; 32] {
     h.finalize().try_into().unwrap()
 }
 
-/// One-shot Keccak-512.
-pub fn keccak512(data: &[u8]) -> [u8; 64] {
-    let mut h = Keccak::v512();
-    h.update(data);
-    h.finalize().try_into().unwrap()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,24 +270,6 @@ mod tests {
         let h137 = keccak256(&[0u8; 137]);
         assert_ne!(h135, h136);
         assert_ne!(h136, h137);
-    }
-
-    #[test]
-    fn keccak512_empty() {
-        assert_eq!(
-            hex(&keccak512(b"")),
-            "0eab42de4c3ceb9235fc91acffe746b29c29a8c366b7c60e4e67c466f36a4304\
-             c00fa9caf9d87976ba469bcbe06713b435f091ef2769fb160cdab33d3670680e"
-        );
-    }
-
-    #[test]
-    fn keccak512_one_block_plus() {
-        // crosses the 72-byte rate boundary of the 512 variant
-        let h72 = keccak512(&[0x5a; 72]);
-        let h73 = keccak512(&[0x5a; 73]);
-        assert_ne!(h72, h73);
-        assert_eq!(h72.len(), 64);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //!
 //! | Primitive | Used by |
 //! |---|---|
-//! | [`keccak256`] | discv4 packet integrity, RLPx MAC, node-distance metric, block hashes |
-//! | [`keccak512`] | RLPx handshake key derivation |
-//! | [`fn@sha256`] / [`hmac_sha256`] | ECIES KDF and message authentication |
+//! | [`keccak256`] | discv4 packet integrity, RLPx MAC and key derivation, node-distance metric, block hashes |
+//! | [`fn@sha256`] / HMAC-SHA256 | ECIES KDF and message authentication, RFC 6979 nonces |
 //! | [`aes`] (CTR mode) | ECIES body encryption, RLPx frame cipher |
 //! | [`secp256k1`] | node identity keys, discv4 packet signatures (with public-key recovery), ECDH for RLPx/ECIES |
 //! | [`ecies`] | RLPx `auth`/`ack` handshake message encryption |
@@ -44,16 +43,15 @@
 
 pub mod aes;
 pub mod ecies;
-pub mod hmac;
-pub mod keccak;
+mod hmac;
+mod keccak;
 mod modinv;
 pub mod secp256k1;
-pub mod sha256;
+mod sha256;
 mod u256;
 
-pub use hmac::hmac_sha256;
-pub use keccak::{keccak256, keccak512, Keccak};
-pub use sha256::{sha256, Sha256};
+pub use keccak::{keccak256, Keccak};
+pub use sha256::sha256;
 pub use u256::U256;
 
 /// Errors produced by the primitives in this crate.

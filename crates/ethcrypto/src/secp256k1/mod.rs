@@ -7,8 +7,8 @@
 //! itself, and the RLPx handshake derives its session keys from an ECDH
 //! shared secret.
 
-pub mod field;
-pub mod point;
+mod field;
+mod point;
 
 mod ecdsa;
 mod memo;
@@ -17,7 +17,7 @@ mod scalar;
 pub use ecdsa::{recover, RecoverableSignature, Signature};
 pub use field::Fe;
 pub use memo::{fit_memo, id_hash, memo_stats, MemoStats, TableStats};
-pub use point::{double_scalar_mul, scalar_mul, scalar_mul_generator, Affine};
+pub use point::{double_scalar_mul, scalar_mul, scalar_mul_generator, Affine, N};
 
 use crate::u256::U256;
 use crate::CryptoError;

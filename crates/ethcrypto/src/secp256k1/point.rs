@@ -160,7 +160,7 @@ impl Jacobian {
     }
 
     /// Convert back to affine coordinates (one field inversion).
-    pub fn to_affine(&self) -> Affine {
+    pub fn to_affine(self) -> Affine {
         if self.is_infinity() {
             return Affine::Infinity;
         }
@@ -234,15 +234,6 @@ impl Jacobian {
             x: x3,
             y: y3,
             z: z3,
-        }
-    }
-
-    /// Negate (reflect across the x axis).
-    pub fn neg(&self) -> Jacobian {
-        Jacobian {
-            x: self.x,
-            y: self.y.neg(),
-            z: self.z,
         }
     }
 

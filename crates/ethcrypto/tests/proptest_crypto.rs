@@ -1,7 +1,7 @@
 //! Property-based tests across the crypto primitives.
 
 use ethcrypto::aes::AesCtr;
-use ethcrypto::secp256k1::point::N;
+use ethcrypto::secp256k1::N;
 use ethcrypto::secp256k1::{recover, scalar_mul, scalar_mul_generator, PublicKey, SecretKey};
 use ethcrypto::{ecies, keccak256, sha256, Keccak, U256};
 use proptest::prelude::*;
@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn u256_add_mod_sub_mod_inverse(a in proptest::array::uniform32(any::<u8>()), b in proptest::array::uniform32(any::<u8>())) {
         // modulus: secp256k1 order (any large odd modulus works)
-        let m = ethcrypto::secp256k1::point::N;
+        let m = N;
         let a = {
             let v = U256::from_be_bytes(&a);
             if v.ge(&m) { v.wrapping_sub(&m) } else { v }
@@ -102,7 +102,7 @@ proptest! {
 
     #[test]
     fn u256_mul_mod_inverse(a in proptest::array::uniform32(any::<u8>())) {
-        let m = ethcrypto::secp256k1::point::N;
+        let m = N;
         let v = {
             let v = U256::from_be_bytes(&a);
             if v.ge(&m) { v.wrapping_sub(&m) } else { v }

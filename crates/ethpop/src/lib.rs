@@ -21,13 +21,14 @@
 //! everything through the wire, exactly like NodeFinder did.
 #![forbid(unsafe_code)]
 
-pub mod clients;
-pub mod node;
-pub mod releases;
-pub mod wire;
+mod clients;
+mod node;
+mod releases;
+mod wire;
 pub mod world;
 
-pub use clients::{ClientKind, NodeProfile, ServiceKind, TxBroadcast};
+pub use clients::{NodeProfile, ServiceKind};
 pub use node::{EthNode, NodeStats};
+pub use releases::{is_stable_build, parse_client_id};
 pub use wire::{PeerConn, WireEvent};
-pub use world::{GroundTruthNode, World, WorldConfig};
+pub use world::{World, WorldConfig};

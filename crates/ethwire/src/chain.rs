@@ -219,13 +219,6 @@ impl Chain {
         }
         out
     }
-
-    /// NodeFinder's DAO check: does this chain's fork-height block carry
-    /// the pro-fork marker?
-    pub fn supports_dao_fork(&self) -> bool {
-        self.head >= crate::DAO_FORK_BLOCK
-            && self.header(crate::DAO_FORK_BLOCK).extra_data == crate::DAO_FORK_EXTRA
-    }
 }
 
 #[cfg(test)]
@@ -257,12 +250,21 @@ mod tests {
         assert_eq!(main.config.genesis_hash, classic.config.genesis_hash);
     }
 
+    /// NodeFinder's DAO check, asked of a chain the way a peer is asked:
+    /// does the fork-height header it serves carry the pro-fork marker?
+    fn proves_dao_fork(chain: &Chain) -> bool {
+        let served = chain.headers(crate::DAO_FORK_BLOCK, 1, 0, false);
+        served
+            .first()
+            .is_some_and(|h| h.extra_data == crate::DAO_FORK_EXTRA)
+    }
+
     #[test]
     fn dao_fork_detection() {
         let main = Chain::new(ChainConfig::mainnet(), crate::DAO_FORK_BLOCK + 10);
         let classic = Chain::new(ChainConfig::classic(), crate::DAO_FORK_BLOCK + 10);
-        assert!(main.supports_dao_fork());
-        assert!(!classic.supports_dao_fork());
+        assert!(proves_dao_fork(&main));
+        assert!(!proves_dao_fork(&classic));
         assert_eq!(
             main.header(crate::DAO_FORK_BLOCK).extra_data,
             crate::DAO_FORK_EXTRA
@@ -273,7 +275,7 @@ mod tests {
     #[test]
     fn pre_fork_node_cannot_prove_fork() {
         let young = Chain::new(ChainConfig::mainnet(), 1_000);
-        assert!(!young.supports_dao_fork());
+        assert!(!proves_dao_fork(&young));
     }
 
     #[test]

@@ -20,13 +20,13 @@
 // Unit tests may panic on impossible states; production code may not.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod chain;
-pub mod messages;
-pub mod sync;
+mod chain;
+mod messages;
+mod sync;
 
-pub use chain::{BlockHeader, Chain, ChainConfig};
+pub use chain::{Chain, ChainConfig};
 pub use messages::{BlockId, EthMessage, EthMessageError, Status};
-pub use sync::{SyncDriver, SyncMode, SyncPhase, SyncStats};
+pub use sync::{serve_from_chain, SyncDriver, SyncMode};
 
 /// The real Ethereum Mainnet genesis hash (`d4e567…cb8fa3`), advertised by
 /// both Mainnet and Classic nodes.

@@ -7,7 +7,7 @@
 //! *block header validation* plus receipt retrieval up to the pivot,
 //! downloads the state database at the pivot via GET_NODE_DATA, and only
 //! fully validates from the pivot onward — "improving syncing times by
-//! approximately an order of magnitude" [54].
+//! approximately an order of magnitude" (the paper's reference 54).
 //!
 //! The driver is sans-IO like the rest of the stack: it emits
 //! [`EthMessage`] requests and consumes responses. Validation cost is
@@ -16,13 +16,12 @@
 //! rule), with the unit ratios taken from the paper's narrative: state
 //! validation ≫ receipt checking > header checking.
 
-use crate::chain::BlockHeader;
 use crate::messages::{BlockId, EthMessage};
 
 /// Work units charged per block for each validation flavour. The absolute
 /// numbers are arbitrary; the *ratios* encode "significantly more
 /// computation and time" (§2.3).
-pub mod work {
+mod work {
     /// Block header validation (parent hash, number, timestamp, difficulty,
     /// gas limit, PoW check).
     pub const HEADER_CHECK: u64 = 1;
@@ -286,16 +285,10 @@ impl EthMessage {
     }
 }
 
-/// Extract an ordered header list for external verification, mirroring the
-/// initial-download flow (§2.3): headers must be contiguous.
-pub fn headers_contiguous(headers: &[BlockHeader]) -> bool {
-    headers.windows(2).all(|w| w[1].number == w[0].number + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::{Chain, ChainConfig};
+    use crate::chain::{BlockHeader, Chain, ChainConfig};
 
     fn run(mode: SyncMode, head: u64) -> SyncStats {
         let chain = Chain::new(ChainConfig::mainnet(), head);
@@ -367,6 +360,12 @@ mod tests {
                 SyncPhase::Done
             ]
         );
+    }
+
+    /// Whether `headers` is the contiguous run the initial download
+    /// (§2.3) asks for.
+    fn headers_contiguous(headers: &[BlockHeader]) -> bool {
+        headers.windows(2).all(|w| w[1].number == w[0].number + 1)
     }
 
     #[test]

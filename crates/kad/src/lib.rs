@@ -26,5 +26,5 @@ mod table;
 pub use distance::{
     log_distance_geth, log_distance_parity, metrics_agree, xor_cmp, Metric, MAX_BUCKETS,
 };
-pub use lookup::{Lookup, LookupParts, LookupStatus};
-pub use table::{AddOutcome, BucketEntry, RoutingTable, TableEntries, BUCKET_SIZE};
+pub use lookup::{Lookup, LookupStatus};
+pub use table::{AddOutcome, RoutingTable, TableEntries, BUCKET_SIZE};

@@ -114,11 +114,6 @@ impl RoutingTable {
         }
     }
 
-    /// The local node's ID.
-    pub fn local_id(&self) -> &NodeId {
-        &self.local_id
-    }
-
     /// The metric in use.
     pub fn metric(&self) -> Metric {
         self.metric
@@ -335,16 +330,6 @@ impl RoutingTable {
         }
         Ok(table)
     }
-
-    /// A uniformly random resident, used for table refresh lookups.
-    pub fn random_node<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeRecord> {
-        let total = self.len();
-        if total == 0 {
-            return None;
-        }
-        let pick = rng.gen_range(0..total);
-        self.entries().nth(pick).map(|e| e.record)
-    }
 }
 
 /// A table's checkpoint image: `(bucket index, residents as (record,
@@ -370,8 +355,10 @@ mod tests {
         )
     }
 
+    const LOCAL: NodeId = NodeId([0xEEu8; 64]);
+
     fn table() -> RoutingTable {
-        RoutingTable::new(NodeId([0xEEu8; 64]), Metric::GethLog2)
+        RoutingTable::new(LOCAL, Metric::GethLog2)
     }
 
     #[test]
@@ -399,7 +386,7 @@ mod tests {
     #[test]
     fn self_never_stored() {
         let mut t = table();
-        let me = NodeRecord::new(*t.local_id(), Endpoint::new(Ipv4Addr::LOCALHOST, 1));
+        let me = NodeRecord::new(LOCAL, Endpoint::new(Ipv4Addr::LOCALHOST, 1));
         assert_eq!(t.add(me, 1), AddOutcome::IsSelf);
         assert!(t.is_empty());
     }
@@ -577,14 +564,13 @@ mod tests {
         for s in 0..40u8 {
             t.add(record(s), s as u64);
         }
-        let local = *t.local_id();
         let export = |t: &RoutingTable| -> TableEntries {
             t.buckets()
                 .map(|(idx, b)| (idx, b.iter().map(|e| (e.record, e.last_seen)).collect()))
                 .collect()
         };
         let rebuild = |entries| {
-            RoutingTable::from_entries(local, Metric::GethLog2, entries).map(|t| export(&t))
+            RoutingTable::from_entries(LOCAL, Metric::GethLog2, entries).map(|t| export(&t))
         };
         let saved = export(&t);
         assert_eq!(rebuild(saved.clone()), Ok(saved.clone()));
@@ -607,7 +593,7 @@ mod tests {
             Err("routing-table bucket over its size")
         );
         assert_eq!(
-            hostile(&|e| e[two].1[1].0.id = local),
+            hostile(&|e| e[two].1[1].0.id = LOCAL),
             Err("routing table holds the local node")
         );
         // The lowest bucket is never bucket 0, the local node's.
@@ -628,15 +614,5 @@ mod tests {
         t.add(r, 1);
         t.remove(&r.id);
         assert!(!t.contains(&r.id));
-    }
-
-    #[test]
-    fn random_node_some_when_nonempty() {
-        use rand::SeedableRng;
-        let mut t = table();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        assert!(t.random_node(&mut rng).is_none());
-        t.add(record(1), 1);
-        assert!(t.random_node(&mut rng).is_some());
     }
 }

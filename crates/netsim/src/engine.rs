@@ -39,7 +39,7 @@ pub struct SimConfig {
     /// because the frozen `benchmark/` still sets it; the benchmark's
     /// contract-v2 change (ROADMAP item 6) deletes it.
     pub shards: usize,
-    /// Per-link fault windows (see [`crate::faults`]). Usually empty at
+    /// Per-link fault windows (see [`crate::Fault`]). Usually empty at
     /// construction and extended later via [`NetSim::add_fault`].
     pub faults: FaultSchedule,
 }

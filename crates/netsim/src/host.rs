@@ -152,11 +152,6 @@ impl fmt::Debug for Ctx<'_> {
 }
 
 impl<'a> Ctx<'a> {
-    /// This host's id.
-    pub fn host_id(&self) -> HostId {
-        self.host
-    }
-
     /// This host's address.
     pub fn local_addr(&self) -> HostAddr {
         self.local

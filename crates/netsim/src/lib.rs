@@ -12,7 +12,7 @@
 //!   a schedule;
 //! * **fault injection** — per-link fault windows (burst loss, latency
 //!   spikes, blackholes, TCP resets, truncation/corruption; see
-//!   [`faults`]), plus [`NetSim::churn_burst`] and [`NetSim::nat_flap`],
+//!   [`Fault`]), plus [`NetSim::churn_burst`] and [`NetSim::nat_flap`],
 //!   all deterministic;
 //! * **geography** — every host carries a country/AS label and a region
 //!   used by the latency matrix, feeding the paper's Figures 12–13.
@@ -29,22 +29,22 @@
 //! `engine` is [`NetSim`] (host slots, address index, NAT, event queue,
 //! dispatch, actions), with its connection table (`engine/conn.rs`) and
 //! [`NetSim::snapshot`] / [`NetSim::restore`] (`engine/snapshot.rs`);
-//! [`sched`] is the queue, [`faults`] the fault windows, `topology` the
+//! [`sched`] is the queue, `faults` the fault windows, `topology` the
 //! latency matrix and address book.
 #![forbid(unsafe_code)]
 
 mod engine;
-pub mod faults;
+mod faults;
 mod host;
 pub mod sched;
 mod topology;
 
 pub use engine::conn::ConnId;
-pub use engine::{NetSim, SimConfig, TcpCounters, SNAP_MAGIC, SNAP_VERSION};
-pub use faults::{Fault, FaultSchedule, FaultWindow, LinkSelector};
+pub use engine::{NetSim, SimConfig, SNAP_MAGIC, SNAP_VERSION};
+pub use faults::{Fault, FaultWindow, LinkSelector};
 pub use host::{Ctx, Host, HostAddr, HostId, Payload, TcpEvent};
 // The one snapshot codec lives in `obs::snap`; re-exported so host
 // crates that implement `Host::save_state` need no direct `obs` edge.
 pub use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use obs::{snap_enum, snap_struct};
-pub use topology::{latency_between, HostMeta, Region, COUNTRIES, REGION_OF_COUNTRY};
+pub use topology::{HostMeta, Region, REGION_OF_COUNTRY};

@@ -20,7 +20,7 @@ use devp2p::{Capability, DisconnectReason, Hello, P2P_VERSION};
 use discv4::{Config as DiscConfig, Discv4, Event as DiscEvent};
 use enode::{Endpoint, NodeId, NodeRecord};
 use ethcrypto::secp256k1::SecretKey;
-use ethpop::wire::{PeerConn, WireEvent};
+use ethpop::{PeerConn, WireEvent};
 use ethwire::{
     BlockId, Chain, ChainConfig, EthMessage, Status, DAO_FORK_BLOCK, DAO_FORK_EXTRA, SNAPSHOT_HEAD,
 };

@@ -19,37 +19,36 @@
 //!    duration, and the decoded HELLO/STATUS/DISCONNECT payloads.
 //! 5. **Degradation hardening.** Per-stage handshake timeouts classify
 //!    every failure ([`log::FailureClass`]), and failing endpoints get
-//!    capped exponential backoff plus a penalty box ([`mod@backoff`]) so
+//!    capped exponential backoff plus a penalty box ([`PenaltyBox`]) so
 //!    the mostly-unresponsive live population (§4.2) can't starve the
 //!    dial scheduler.
 //!
-//! The [`mod@sanitize`] module implements §5.4's five-step filter that strips
+//! [`fn@sanitize`] implements §5.4's five-step filter that strips
 //! abusive node-ID spammers from the dataset.
 //!
 //! Since the pipeline refactor the crawl is organized as five explicit
-//! stages — discover → dial → handshake → status → ingest ([`mod@stages`]) —
-//! with the live sessions owned by [`session::SessionManager`] and full
-//! checkpoint/restore (the `NFND` snapshot section) in [`mod@checkpoint`]:
+//! stages — discover → dial → handshake → status → ingest ([`Stage`]) —
+//! with the live sessions owned by `session::SessionManager` and full
+//! checkpoint/restore (the `NFND` snapshot section) in `checkpoint`:
 //! a run snapshotted at T and resumed produces byte-identical artifacts
 //! to one that never stopped.
 #![forbid(unsafe_code)]
 
-pub mod backoff;
-pub mod checkpoint;
-pub mod crawler;
-pub mod datastore;
-pub mod log;
-pub mod sanitize;
-pub mod session;
-pub mod stages;
+mod backoff;
+mod checkpoint;
+mod crawler;
+mod datastore;
+mod log;
+mod sanitize;
+mod session;
+mod stages;
 
 pub use backoff::{BackoffPolicy, PenaltyBox};
 pub use crawler::{CrawlerConfig, NodeFinder};
-pub use datastore::{DataStore, DialFunnel, NodeObservation};
+pub use datastore::DataStore;
 pub use log::{
     ConnLog, ConnOutcome, ConnType, CrawlLog, DialEvent, DialEventKind, FailureClass, HelloInfo,
     StatusInfo,
 };
 pub use sanitize::{sanitize, SanitizeParams, SanitizeReport};
-pub use session::SessionManager;
-pub use stages::{BoundedQueue, Stage};
+pub use stages::Stage;

@@ -1,7 +1,7 @@
 //! Live probe/session ownership and dial-slot accounting.
 //!
 //! Everything with an open socket lives here: the [`SessionManager`]
-//! owns the probe table (one [`Probe`] per TCP connection, keyed by its
+//! owns the probe table (one `Probe` per TCP connection, keyed by its
 //! `ConnId`), the dynamic dial-slot count that the
 //! scheduler budgets against, and the penalty box that decides when a
 //! failing endpoint may be dialed again.
@@ -18,7 +18,7 @@
 use crate::backoff::{BackoffPolicy, PenaltyBox};
 use crate::log::{ConnLog, ConnType};
 use ethcrypto::secp256k1::SecretKey;
-use ethpop::wire::PeerConn;
+use ethpop::PeerConn;
 use netsim::ConnId;
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;

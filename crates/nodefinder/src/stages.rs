@@ -146,11 +146,6 @@ impl<T> BoundedQueue<T> {
         self.items.is_empty()
     }
 
-    /// The hard capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// The deepest the queue has ever been.
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -224,7 +219,7 @@ mod tests {
         }
         q.pop_front();
         let items: Vec<u32> = q.iter().copied().collect();
-        let q2 = BoundedQueue::from_parts(q.capacity(), items, q.high_water(), q.rejected());
+        let q2 = BoundedQueue::from_parts(4, items, q.high_water(), q.rejected());
         assert_eq!(q2.len(), 2);
         assert_eq!(q2.high_water(), 3);
         let drained: Vec<u32> = {

@@ -8,11 +8,10 @@
 //! asserts the same funnel and failure totals either way.
 
 use enode::NodeId;
-use nodefinder::log::{
-    ConnLog, ConnOutcome, ConnType, CrawlLog, DialEvent, DialEventKind, FailureClass, HelloInfo,
-    StatusInfo,
+use nodefinder::{
+    ConnLog, ConnOutcome, ConnType, CrawlLog, DataStore, DialEvent, DialEventKind, FailureClass,
+    HelloInfo, StatusInfo,
 };
-use nodefinder::DataStore;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 

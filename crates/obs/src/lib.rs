@@ -50,9 +50,11 @@ mod query;
 pub mod snap;
 mod trace;
 
-pub use metrics::{Histogram, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_MS};
+pub use metrics::Histogram;
+use metrics::MetricsRegistry;
 pub use query::TraceQuery;
-pub use trace::{EventKind, FlightRecorder, TraceEvent, Value};
+use trace::FlightRecorder;
+pub use trace::{EventKind, TraceEvent, Value};
 
 use snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::cell::RefCell;
@@ -313,26 +315,6 @@ impl Recorder {
         core.metrics.render_prometheus()
     }
 
-    /// Human-readable dump of the last `n` trace events (oldest of the
-    /// tail first) — the "flight recorder" view for failed scenarios.
-    pub fn flight_dump(&self, n: usize) -> String {
-        let core = self.core.borrow();
-        let len = core.ring.len();
-        let skip = len.saturating_sub(n);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "--- flight recorder: last {} of {} events ({} dropped) ---\n",
-            len - skip,
-            len,
-            core.ring.dropped()
-        ));
-        for ev in core.ring.iter().skip(skip) {
-            out.push_str(&ev.render_human());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Query API over the retained trace events.
     pub fn query(&self) -> TraceQuery {
         TraceQuery::new(self.core.borrow().ring.iter().cloned().collect())
@@ -498,7 +480,7 @@ pub fn gauge_max(name: &str, v: u64) {
 }
 
 /// Record `v` (milliseconds) into the fixed-bucket latency histogram
-/// `name` (created with [`DEFAULT_LATENCY_BOUNDS_MS`] on first use).
+/// `name` (created with `DEFAULT_LATENCY_BOUNDS_MS` on first use).
 pub fn observe_ms(name: &str, v: u64) {
     with_core(|c| c.metrics.observe(name, v));
 }
@@ -708,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_dump_mentions_drops_and_tail() {
+    fn ring_keeps_the_tail_and_counts_drops() {
         let rec = Recorder::with_capacity(4);
         rec.install();
         for i in 0..10u64 {
@@ -717,9 +699,11 @@ mod tests {
         }
         uninstall();
         assert_eq!(rec.dropped_events(), 6);
-        let dump = rec.flight_dump(2);
-        assert!(dump.contains("last 2 of 4 events (6 dropped)"));
-        assert!(dump.contains("i=9"));
-        assert!(!dump.contains("i=7"));
+        assert_eq!(rec.event_count(), 4);
+        let export = rec.export_jsonl();
+        let kept: Vec<&str> = export.lines().collect();
+        assert_eq!(kept.len(), 4);
+        assert!(kept[0].contains("\"i\":6"), "{}", kept[0]);
+        assert!(kept[3].contains("\"i\":9"), "{}", kept[3]);
     }
 }

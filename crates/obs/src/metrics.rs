@@ -201,18 +201,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
-        &self.counters
-    }
-
-    pub fn gauges(&self) -> &BTreeMap<String, u64> {
-        &self.gauges
-    }
-
-    pub fn histograms(&self) -> &BTreeMap<String, Histogram> {
-        &self.histograms
-    }
-
     /// Render the whole registry in Prometheus text exposition format.
     /// Deterministic: metrics sort by name (BTreeMap order), values are
     /// integers, and histogram buckets emit cumulatively with a final

@@ -242,10 +242,6 @@ impl FlightRecorder {
         self.buf.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -335,7 +331,7 @@ mod tests {
         let seqs: Vec<u64> = ring.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]); // oldest evicted first
         ring.clear();
-        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
         assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.dropped_by_kind().count(), 0);
     }

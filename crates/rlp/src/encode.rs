@@ -116,11 +116,6 @@ impl RlpStream {
         self
     }
 
-    /// True once every declared list has been fully populated.
-    pub fn is_finished(&self) -> bool {
-        self.open.is_empty()
-    }
-
     /// Number of bytes currently buffered (before header splicing of any
     /// still-open lists).
     pub fn len(&self) -> usize {
@@ -221,7 +216,7 @@ mod tests {
     fn zero_item_list_closes_immediately() {
         let mut s = RlpStream::new_list(1);
         s.begin_list(0);
-        assert!(s.is_finished());
+        assert!(s.open.is_empty());
         assert_eq!(s.out(), vec![0xc1, 0xc0]);
     }
 

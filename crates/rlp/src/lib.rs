@@ -49,10 +49,10 @@ mod encode;
 mod error;
 mod traits;
 
-pub use decode::{Rlp, RlpIter};
+pub use decode::Rlp;
 pub use encode::RlpStream;
 pub use error::RlpError;
-pub use traits::{append_str, Decodable, DecodableListElem, Encodable, EncodableListElem};
+pub use traits::{Decodable, DecodableListElem, Encodable, EncodableListElem};
 
 /// Encode any [`Encodable`] value to a standalone RLP byte vector.
 pub fn encode<T: Encodable + ?Sized>(value: &T) -> Vec<u8> {

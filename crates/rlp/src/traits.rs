@@ -1,7 +1,7 @@
 //! `Encodable` / `Decodable` traits plus implementations for primitives.
 
 use crate::decode::Rlp;
-use crate::encode::{encode_str_header_into, RlpStream};
+use crate::encode::RlpStream;
 use crate::error::RlpError;
 
 /// Types that can append themselves to an [`RlpStream`].
@@ -134,19 +134,6 @@ impl<T: Decodable + DecodableListElem> Decodable for Vec<T> {
 
 /// Marker trait mirror of [`EncodableListElem`] for decoding.
 pub trait DecodableListElem {}
-
-/// Append the canonical RLP string encoding of `bytes` to `out` without
-/// constructing an [`RlpStream`] — handy when splicing one string item
-/// into a hand-built buffer.
-///
-/// ```
-/// let mut out = Vec::new();
-/// rlp::append_str(&mut out, b"dog");
-/// assert_eq!(out, vec![0x83, b'd', b'o', b'g']);
-/// ```
-pub fn append_str(out: &mut Vec<u8>, bytes: &[u8]) {
-    encode_str_header_into(out, bytes);
-}
 
 #[cfg(test)]
 mod tests {

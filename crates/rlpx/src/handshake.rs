@@ -2,8 +2,8 @@
 
 use enode::NodeId;
 use ethcrypto::ecies;
-use ethcrypto::keccak::{keccak256, Keccak};
 use ethcrypto::secp256k1::{recover, PublicKey, RecoverableSignature, SecretKey};
+use ethcrypto::{keccak256, Keccak};
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use rlp::{Rlp, RlpStream};
 
@@ -327,11 +327,6 @@ impl Handshake {
             ingress_mac,
             peer_id: NodeId::from_public_key(&remote_static),
         })
-    }
-
-    /// Our own node ID.
-    pub fn local_id(&self) -> NodeId {
-        NodeId::from_secret_key(&self.static_key)
     }
 
     /// Append the exchange progress to a snapshot. The static identity

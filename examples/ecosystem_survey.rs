@@ -5,9 +5,7 @@
 //! cargo run --release --example ecosystem_survey
 //! ```
 
-use analysis::clients::client_table;
-use analysis::ecosystem::{funnel, networks, services_table};
-use analysis::render::count_table;
+use bench::{client_table, count_table, funnel, networks, services_table};
 use ethereum_p2p::prelude::*;
 use nodefinder::sanitize;
 use std::net::Ipv4Addr;

@@ -5,9 +5,10 @@
 //! cargo run --release --example mainnet_snapshot
 //! ```
 
-use analysis::geo::{as_distribution, country_distribution, top_as_share, GeoDb};
-use analysis::render::count_table;
-use analysis::snapshot::{freshness, latency_cdf, size_comparison};
+use bench::{
+    as_distribution, count_table, country_distribution, freshness, latency_cdf, size_comparison,
+    top_as_share, GeoDb,
+};
 use ethereum_p2p::prelude::*;
 use std::net::Ipv4Addr;
 

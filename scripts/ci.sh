@@ -7,7 +7,10 @@
 #                   `disallowed-types`) and R5 (unwrap/expect, denied in
 #                   the protocol crates', conformance's and serde_json's
 #                   [lints] tables). A missing clippy fails this step
-#   3. detlint   -- the determinism, wire-policy and layering rules
+#   3. rustdoc   -- the workspace's docs build with -D warnings: an
+#                   intra-doc link to an item that went private or away
+#                   fails here instead of warning
+#   4. detlint   -- the determinism, wire-policy and layering rules
 #                   nothing else decides: R1, R4's crate-root header,
 #                   R6/R10 over both Cargo.lock files, R7, R8, R9
 #                   (DESIGN.md § Determinism; `detlint --explain` lists
@@ -15,33 +18,33 @@
 #                   there is any. rustc holds the rest: R2 (the vendored
 #                   rand has no ambient entropy) and R4's ban itself
 #                   (`unsafe_code = "forbid"` in every [lints] table)
-#   4. tests     -- the whole workspace (robustness, resume
+#   5. tests     -- the whole workspace (robustness, resume
 #                   determinism, conformance and static_analysis suites
 #                   included), --no-fail-fast: every test binary runs
 #                   even after one fails, and cargo names each that did;
 #                   then ethcrypto again in release, the profile its
 #                   kernels actually run in. CONFORMANCE_FULL=1 adds the
 #                   10^5-case differential sweep in release mode
-#   5. repro     -- `repro all --check` regenerates every registry entry
+#   6. repro     -- `repro all --check` regenerates every registry entry
 #                   in memory and fails naming each file under results/
 #                   (or EXPERIMENTS.md) whose committed bytes differ,
 #                   obsctl_campaign.json included: the campaign report
 #                   read back from the obs entry's own trace and metrics
 #                   exports
-#   6. scale     -- `repro scale 50000`: a 50,000-host world
+#   7. scale     -- `repro scale 50000`: a 50,000-host world
 #                   builds and runs two simulated seconds, and the
 #                   ethcrypto memo fitted to it loses no signature
 #                   between signing and delivery (`sig_evicted_early`)
-#   7. sampler   -- scripts/profile_sample.py still parses (nothing else
+#   8. sampler   -- scripts/profile_sample.py still parses (nothing else
 #                   runs it, and a profiler is needed on the day it is
 #                   least likely to have been looked at)
-#   8. benchmark -- benchmark/ is its own workspace, so nothing above
+#   9. benchmark -- benchmark/ is its own workspace, so nothing above
 #                   compiles it: `benchmark/run.sh --smoke` builds it
 #                   against the current crates/ API and runs every
 #                   workload at one-tenth size; afterwards neither
 #                   Cargo.lock may have moved, and `git status` must read
 #                   as it did before the first step
-#   9. loc       -- scripts/loc.sh prints non-blank lines per crate; it
+#  10. loc       -- scripts/loc.sh prints non-blank lines per crate; it
 #                   gates nothing
 #
 # Speed is judged by benchmark/run.sh alone; nothing here times anything
@@ -69,6 +72,11 @@ step() {
 step "cargo fmt --check" cargo fmt --check
 
 step "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
+
+rustdoc() {
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+}
+step "cargo doc" rustdoc
 
 step "detlint" cargo run -q -p detlint
 step "cargo test" cargo test --workspace -q --no-fail-fast

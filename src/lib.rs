@@ -2,9 +2,10 @@
 //!
 //! This umbrella crate re-exports the full workspace: the Ethereum P2P
 //! protocol stack built from scratch, the NodeFinder measurement crawler,
-//! a deterministic network simulator standing in for the live Internet,
-//! and the analysis pipeline that regenerates the paper's tables and
-//! figures.
+//! and a deterministic network simulator standing in for the live
+//! Internet. The analysis pipeline that regenerates the paper's tables and
+//! figures lives in the `bench` crate, beside the `repro` binary that runs
+//! it.
 //!
 //! ## Layer map (paper §2)
 //!
@@ -19,7 +20,7 @@
 //! | substrate | [`netsim`] | deterministic discrete-event network |
 //! | world | [`ethpop`] | behavioral Geth/Parity/light/spammer populations |
 //! | **contribution** | [`nodefinder`] | the crawler + §5.4 sanitization |
-//! | evaluation | [`analysis`] | Tables 1–6, Figures 2–14 |
+//! | evaluation | `bench` (its `analysis` module) | Tables 1–6, Figures 2–14 |
 //! | robustness | [`adversary`] | Byzantine peers for fault-injection tests |
 //! | observability | [`obs`] | deterministic sim-time tracing, metrics & flight recorder |
 //!
@@ -50,7 +51,6 @@
 #![forbid(unsafe_code)]
 
 pub use adversary;
-pub use analysis;
 pub use devp2p;
 pub use discv4;
 pub use enode;
@@ -66,7 +66,6 @@ pub use rlpx;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use analysis::{Cdf, CountRow};
     pub use devp2p::{Capability, DisconnectReason, Hello};
     pub use discv4::Discv4;
     pub use enode::{Endpoint, NodeId, NodeRecord};

@@ -238,7 +238,7 @@ fn images_at_t() -> (Vec<u8>, Vec<u8>) {
 }
 
 fn keccak_hex(bytes: &[u8]) -> String {
-    ethereum_p2p::ethcrypto::keccak::keccak256(bytes)
+    ethereum_p2p::ethcrypto::keccak256(bytes)
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect()

@@ -123,3 +123,89 @@ fn no_source_names_serde_private() {
         "sources naming serde's `{needle}`: {hits:#?}"
     );
 }
+
+/// The public modules a crate may still declare, each with its reason. A
+/// crate's API is what its `lib.rs` re-exports, so that rustc's
+/// `dead_code` lint sees every item no other crate uses; a new entry here
+/// needs a reason as good as these, and an entry whose module went private
+/// is struck (the test fails while it stays).
+const PUBLIC_MODULES: [(&str, &str); 7] = [
+    (
+        "ethcrypto::aes",
+        "benchmark/src imports `ethcrypto::aes::AesCtr`",
+    ),
+    (
+        "ethcrypto::ecies",
+        "benchmark/src calls `ecies::encrypt` through the module",
+    ),
+    (
+        "ethcrypto::secp256k1",
+        "benchmark/src imports keys and `recover` from it",
+    ),
+    (
+        "ethpop::world",
+        "benchmark/src imports `ethpop::world::{World, WorldConfig}`",
+    ),
+    (
+        "netsim::sched",
+        "benchmark/src imports `netsim::sched::TimerWheel`",
+    ),
+    (
+        "obs::profile",
+        "benchmark/src calls `obs::profile::{install, summary, ..}`",
+    ),
+    (
+        "obs::snap",
+        "the module path is the codec's API: every layer's `Snap` impl names it",
+    ),
+];
+
+/// No crate declares a `pub mod` beyond [`PUBLIC_MODULES`]; a nested one
+/// is reported as `file: name`, which no entry matches.
+#[test]
+fn no_crate_declares_a_public_module() {
+    let root = detlint::workspace_root();
+    let mut declared = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let krate = krate.expect("directory entry is readable").path();
+        let Some(name) = krate.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        let mut files = Vec::new();
+        rust_files(&krate.join("src"), &mut files);
+        for file in files {
+            let text = fs::read_to_string(&file).expect("source is UTF-8");
+            let is_root = file == krate.join("src").join("lib.rs");
+            for line in text.lines() {
+                let Some(rest) = line.trim_start().strip_prefix("pub mod ") else {
+                    continue;
+                };
+                let module = rest.trim_end_matches([';', '{', ' ']);
+                declared.push(if is_root {
+                    format!("{name}::{module}")
+                } else {
+                    let rel = file.strip_prefix(root).unwrap_or(&file);
+                    format!("{}: {module}", rel.display())
+                });
+            }
+        }
+    }
+    let exempt: Vec<&str> = PUBLIC_MODULES.iter().map(|&(path, _)| path).collect();
+    let unlisted: Vec<_> = declared
+        .iter()
+        .filter(|d| !exempt.contains(&d.as_str()))
+        .collect();
+    assert!(
+        unlisted.is_empty(),
+        "public modules beyond PUBLIC_MODULES (make them `mod` and re-export \
+         what other crates use from lib.rs): {unlisted:#?}"
+    );
+    let stale: Vec<_> = exempt
+        .iter()
+        .filter(|e| !declared.iter().any(|d| d == *e))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "PUBLIC_MODULES entries no longer declared: {stale:#?}"
+    );
+}
