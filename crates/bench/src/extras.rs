@@ -220,7 +220,7 @@ fn ablation_sanitize(run: &CrawlRun) -> Output {
         .iter()
         .partition(|n| n.kind == TruthKind::Spammer);
     let spam_ips: BTreeSet<_> = spammers.iter().map(|n| n.addr.ip).collect();
-    let legit: BTreeSet<_> = honest.iter().map(|n| n.initial_id).collect();
+    let legit: BTreeSet<_> = honest.iter().map(|n| n.initial_id()).collect();
     let base = sim_sanitize_params();
     let mut text = format!(
         "Ablation — §5.4 threshold sweep (base: short-lived {}ms, rate {}ms)\n\n\

@@ -173,6 +173,14 @@ impl Jacobian {
         }
     }
 
+    /// Negate (reflect across the x axis).
+    fn neg(&self) -> Jacobian {
+        Jacobian {
+            y: self.y.neg(),
+            ..*self
+        }
+    }
+
     /// Point doubling (dbl-2007-a formulas, a = 0 case).
     pub fn double(&self) -> Jacobian {
         if self.is_infinity() || self.y.is_zero() {
@@ -195,7 +203,8 @@ impl Jacobian {
         }
     }
 
-    /// Mixed addition with an affine point (add-2007-bl with Z2 = 1).
+    /// Mixed addition with an affine point, for the tests' reference paths.
+    #[cfg(test)]
     pub fn add_affine(&self, other: &Affine) -> Jacobian {
         match other {
             Affine::Infinity => *self,
@@ -203,7 +212,8 @@ impl Jacobian {
         }
     }
 
-    /// Mixed addition with the finite affine point `(x2, y2)`.
+    /// Mixed addition with the finite affine point `(x2, y2)` (add-2007-bl
+    /// with Z2 = 1).
     fn add_xy(&self, x2: &Fe, y2: &Fe) -> Jacobian {
         if self.is_infinity() {
             return Jacobian {
@@ -392,49 +402,41 @@ pub fn scalar_mul(k: &U256, p: &Affine) -> Affine {
     scalar_mul_jac(k, p).to_affine()
 }
 
-/// Precomputed table of G, 2G, 4G, … 2^255·G for fast generator
-/// multiplication (built lazily once per process).
-struct GenTable {
-    powers: Vec<Affine>,
-}
-
-impl GenTable {
-    fn build() -> GenTable {
-        let mut powers = Vec::with_capacity(256);
-        let mut p = Jacobian::from_affine(&Affine::generator());
-        for _ in 0..256 {
-            powers.push(p.to_affine());
-            p = p.double();
-        }
-        GenTable { powers }
-    }
-}
-
-fn gen_table() -> &'static GenTable {
-    use std::sync::OnceLock;
-    // detlint: allow(R8) -- write-once table of curve constants; every init computes the same value
-    static TABLE: OnceLock<GenTable> = OnceLock::new();
-    TABLE.get_or_init(GenTable::build)
-}
-
-/// Fixed-base comb table: one 8-bit window per scalar byte,
-/// `entries[w * 255 + (d - 1)] = d * 2^(8w) * G` for `d` in `1..=255`.
-/// Generator multiplication becomes at most 32 mixed additions with no
-/// doublings at all.
+/// Fixed-base signed-digit comb table: one 8-bit window per scalar byte,
+/// `entries[w * 128 + (m - 1)] = m * 2^(8w) * G` for `m` in `1..=128`
+/// (262 kB). A scalar below 2^255 recodes into 32 digits in `[-127, 128]`
+/// and a negative digit adds `(x, −y)`, so generator multiplication is at
+/// most 32 mixed additions with no doublings — the table an unsigned comb
+/// needs for the same additions is twice the size.
 struct GenCombTable {
     entries: Vec<TableEntry>,
 }
 
 impl GenCombTable {
     fn build() -> GenCombTable {
-        let powers = &gen_table().powers;
-        let mut jac: Vec<Jacobian> = Vec::with_capacity(32 * 255);
-        for w in 0..32 {
-            let base = &powers[8 * w];
-            let mut acc = Jacobian::from_affine(base);
-            for _d in 1..=255 {
+        // The window bases 2^(8w)·G, eight doublings apart, made affine
+        // with one inversion.
+        let mut jac = [Jacobian::infinity(); 32];
+        let mut p = Jacobian::from_affine(&Affine::generator());
+        for base in &mut jac {
+            *base = p;
+            for _ in 0..8 {
+                p = p.double();
+            }
+        }
+        let mut bases = [TableEntry::ZERO; 32];
+        batch_to_affine(&jac, &mut bases);
+        let mut jac: Vec<Jacobian> = Vec::with_capacity(32 * 128);
+        for base in &bases {
+            let mut acc = Jacobian {
+                x: base.x,
+                y: base.y,
+                z: Fe::ONE,
+            };
+            jac.push(acc);
+            for _m in 2..=128 {
+                acc = acc.add_xy(&base.x, &base.y);
                 jac.push(acc);
-                acc = acc.add_affine(base);
             }
         }
         let mut entries = vec![TableEntry::ZERO; jac.len()];
@@ -450,21 +452,40 @@ fn comb_table() -> &'static GenCombTable {
     TABLE.get_or_init(GenCombTable::build)
 }
 
-/// `k * G` in Jacobian form via the comb table (≤ 32 mixed additions).
+/// `k * G` in Jacobian form via the comb table (≤ 32 mixed additions), for
+/// any `k` (reduced mod n on entry).
 pub(crate) fn scalar_mul_generator_jac(k: &U256) -> Jacobian {
+    let k = if k.ge(&N) { k.wrapping_sub(&N) } else { *k };
     if k.is_zero() {
         return Jacobian::infinity();
     }
+    // The recoding carries out of the top byte only if its high bit is set;
+    // then `(n − k)·G = −(k·G)` and `n − k < 2^255`.
+    let negate = k.bit(255);
+    let k = if negate { N.wrapping_sub(&k) } else { k };
     let table = comb_table();
     let mut acc = Jacobian::infinity();
+    let mut carry = 0;
     for w in 0..32 {
-        let d = (k.0[w / 8] >> (8 * (w % 8))) & 0xff;
+        // A byte plus the carry in is 0..=256; above 128 it becomes
+        // `v − 256` and carries one into the next window.
+        let v = ((k.0[w / 8] >> (8 * (w % 8))) & 0xff) as i32 + carry;
+        carry = i32::from(v > 128);
+        let d = v - 256 * carry;
         if d != 0 {
-            let e = &table.entries[w * 255 + d as usize - 1];
-            acc = acc.add_xy(&e.x, &e.y);
+            let e = &table.entries[w * 128 + d.unsigned_abs() as usize - 1];
+            acc = if d < 0 {
+                acc.add_xy(&e.x, &e.y.neg())
+            } else {
+                acc.add_xy(&e.x, &e.y)
+            };
         }
     }
-    acc
+    if negate {
+        acc.neg()
+    } else {
+        acc
+    }
 }
 
 /// Fast `k * G` using the precomputed comb table.
@@ -656,20 +677,39 @@ mod tests {
         }
     }
 
+    /// The signed-digit recoding's edges: a byte plus carry of 256 (digit
+    /// 0, carry on), digits at ±128 and 127, carry runs, the top bit that
+    /// switches to `n − k`, and scalars at and above n.
     #[test]
     fn comb_covers_boundary_scalars() {
-        for k in [
-            U256::ONE,
-            U256::from_u64(255),
-            U256::from_u64(256),
-            U256([0xFF; 4].map(|_| u64::MAX)),
-            N.wrapping_sub(&U256::ONE),
-            N,
+        let max = U256([u64::MAX; 4]);
+        let two_255 = U256([0, 0, 0, 1 << 63]);
+        for (name, k) in [
+            ("1", U256::ONE),
+            ("0xFF", U256::from_u64(255)),
+            ("0x100", U256::from_u64(256)),
+            ("0xFFFF", U256::from_u64(0xFFFF)),
+            ("every byte 0x80", U256([0x8080_8080_8080_8080; 4])),
+            ("every byte 0x81", U256([0x8181_8181_8181_8181; 4])),
+            (
+                "0x00FF…FF7F",
+                U256([0xFFFF_FFFF_FFFF_FF7F, u64::MAX, u64::MAX, u64::MAX >> 8]),
+            ),
+            (
+                "0xFF…FF7F",
+                U256([0xFFFF_FFFF_FFFF_FF7F, u64::MAX, u64::MAX, u64::MAX]),
+            ),
+            ("2^255 - 1", two_255.wrapping_sub(&U256::ONE)),
+            ("2^255", two_255),
+            ("n - 1", N.wrapping_sub(&U256::ONE)),
+            ("n", N),
+            ("n + 1", N.overflowing_add(&U256::ONE).0),
+            ("2^256 - 1", max),
         ] {
             assert_eq!(
                 scalar_mul_generator(&k),
                 scalar_mul_reference(&k, &Affine::generator()),
-                "k={k:?}"
+                "{name}"
             );
         }
     }

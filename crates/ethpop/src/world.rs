@@ -13,6 +13,7 @@ use ethwire::{Chain, ChainConfig, BYZANTIUM_BLOCK, DAO_FORK_BLOCK, SNAPSHOT_HEAD
 use netsim::{HostAddr, HostId, HostMeta, NetSim, SimConfig, REGION_OF_COUNTRY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::OnceCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -117,8 +118,11 @@ pub struct GroundTruthNode {
     pub host: HostId,
     /// Address.
     pub addr: HostAddr,
-    /// First identity (spammers mint more over time).
-    pub initial_id: NodeId,
+    /// The key behind the first identity (spammers mint more over time).
+    key: SecretKey,
+    /// [`Self::initial_id`], derived on first read; boxed, so a host that
+    /// is never asked does not carry the ID's 64 B.
+    id: OnceCell<Box<NodeId>>,
     /// Service/network label.
     pub kind: TruthKind,
     /// Client family label ("Geth", "Parity", …).
@@ -135,6 +139,17 @@ pub struct GroundTruthNode {
     pub always_on: bool,
     /// Is this a bootstrap node?
     pub bootstrap: bool,
+}
+
+impl GroundTruthNode {
+    /// First identity (spammers mint more over time). Derived from the key
+    /// on first read, not at build: most hosts of a large world are never
+    /// asked.
+    pub fn initial_id(&self) -> NodeId {
+        **self
+            .id
+            .get_or_init(|| Box::new(NodeId::from_secret_key(&self.key)))
+    }
 }
 
 /// A generated world: simulator + ground truth + the bootstrap set.
@@ -277,29 +292,25 @@ impl World {
         let mut nodes = Vec::new();
 
         // --- bootstrap nodes -------------------------------------------
-        let mut bootstrap = Vec::new();
+        // Bootstrap hosts share one flyweight set of records whose keys are
+        // throwaway draws: no host holds those IDs.
+        let boot_peers: Rc<[NodeRecord]> = (0..config.n_bootstrap)
+            .map(|i| {
+                let key = SecretKey::random(&mut rng);
+                NodeRecord::new(NodeId::from_secret_key(&key), bootstrap_endpoint(i))
+            })
+            .collect();
+        let mut bootstrap = Vec::with_capacity(config.n_bootstrap);
         for i in 0..config.n_bootstrap {
-            let key = SecretKey::random(&mut rng);
-            let addr = HostAddr::new(Ipv4Addr::new(5, 1, 83, 10 + i as u8), 30303);
-            let record = NodeRecord::new(
-                NodeId::from_secret_key(&key),
-                Endpoint::new(addr.ip, addr.port),
-            );
-            bootstrap.push(record);
-        }
-        // Bootstrap hosts share one flyweight copy of the (throwaway)
-        // record set; it is replaced wholesale after key re-derivation.
-        let boot_peers: Rc<[NodeRecord]> = bootstrap.clone().into();
-        for (i, record) in bootstrap.iter().enumerate() {
-            let key_i = i; // bootstrap i's profile uses its own record set
             let chain = Chain::new(ChainConfig::mainnet(), SNAPSHOT_HEAD);
             let client_id = crate::releases::geth_client_id("v1.8.10");
-            let mut profile = NodeProfile::geth(bootstrap_key(&mut rng, key_i), client_id, chain);
-            // The record above was generated with a throwaway key; rebuild
-            // it so id and key agree.
-            profile.key = bootstrap_secret(config.seed, i);
+            // The profile's key draw is burnt to keep the RNG stream
+            // stable; the host's key is the deterministic one.
+            let _ = SecretKey::random(&mut rng);
+            let mut profile = NodeProfile::geth(bootstrap_secret(config.seed, i), client_id, chain);
             profile.tx_interval_ms = config.tx_interval_ms;
-            let record = NodeRecord::new(profile.node_id(), record.endpoint);
+            let key = profile.key;
+            let record = NodeRecord::new(profile.node_id(), bootstrap_endpoint(i));
             let addr = HostAddr::new(record.endpoint.ip, record.endpoint.tcp_port);
             let meta = HostMeta {
                 country: "US",
@@ -307,13 +318,17 @@ impl World {
                 region: REGION_OF_COUNTRY("US"),
                 reachable: true,
             };
-            let peers = boot_peers.clone();
-            let host = sim.add_host(addr, meta, Box::new(EthNode::new(profile.clone(), peers)));
+            let host = sim.add_host(
+                addr,
+                meta,
+                Box::new(EthNode::new(profile, boot_peers.clone())),
+            );
             sim.schedule_start(host, 0);
             nodes.push(GroundTruthNode {
                 host,
                 addr,
-                initial_id: record.id,
+                key,
+                id: OnceCell::from(Box::new(record.id)),
                 kind: TruthKind::Mainnet,
                 client_family: "Geth",
                 country: "US",
@@ -323,16 +338,8 @@ impl World {
                 always_on: true,
                 bootstrap: true,
             });
+            bootstrap.push(record);
         }
-        // Re-derive the bootstrap records from the final keys.
-        let bootstrap: Vec<NodeRecord> = (0..config.n_bootstrap)
-            .map(|i| {
-                NodeRecord::new(
-                    NodeId::from_secret_key(&bootstrap_secret(config.seed, i)),
-                    Endpoint::new(Ipv4Addr::new(5, 1, 83, 10 + i as u8), 30303),
-                )
-            })
-            .collect();
         // One shared allocation for the whole population: 50k hosts hold
         // 50k `Rc` pointers to this list, not 50k copies of it.
         let bootstrap_shared: Rc<[NodeRecord]> = bootstrap.clone().into();
@@ -370,7 +377,8 @@ impl World {
             nodes.push(GroundTruthNode {
                 host,
                 addr,
-                initial_id: NodeId::from_secret_key(&key),
+                key,
+                id: OnceCell::new(),
                 kind,
                 client_family,
                 country,
@@ -403,7 +411,8 @@ impl World {
             nodes.push(GroundTruthNode {
                 host,
                 addr,
-                initial_id: NodeId::from_secret_key(&key),
+                key,
+                id: OnceCell::new(),
                 kind: TruthKind::Spammer,
                 client_family: "ethereumjs-devp2p",
                 country: "CN",
@@ -438,10 +447,8 @@ fn bootstrap_secret(seed: u64, i: usize) -> SecretKey {
     SecretKey::from_bytes(&bytes).expect("nonzero < n")
 }
 
-fn bootstrap_key(rng: &mut StdRng, _i: usize) -> SecretKey {
-    // burn one key draw to keep the RNG stream stable regardless of the
-    // bootstrap count fix-up above
-    SecretKey::random(rng)
+fn bootstrap_endpoint(i: usize) -> Endpoint {
+    Endpoint::new(Ipv4Addr::new(5, 1, 83, 10 + i as u8), 30303)
 }
 
 fn ip_for(i: usize) -> Ipv4Addr {
@@ -713,9 +720,33 @@ mod tests {
         for (i, b) in w.bootstrap.iter().enumerate() {
             let truth = &w.nodes[i];
             assert!(truth.bootstrap);
-            assert_eq!(truth.initial_id, b.id);
+            assert_eq!(truth.initial_id(), b.id);
             assert_eq!(truth.addr.ip, b.endpoint.ip);
         }
+    }
+
+    /// Set-up derives the bootstrap keys and nothing that grows with the
+    /// population: a host's ID is derived when something first reads it.
+    #[test]
+    fn build_derives_no_population_key() {
+        use ethcrypto::secp256k1::memo_stats;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let derivations = |n_nodes| {
+                    let before = memo_stats().pubkey;
+                    World::build(WorldConfig {
+                        n_nodes,
+                        ..small_config()
+                    });
+                    let after = memo_stats().pubkey;
+                    after.hits + after.misses - before.hits - before.misses
+                };
+                let (small, large) = (derivations(100), derivations(400));
+                assert_eq!(small, large, "set-up derivations grew with the population");
+                let n_bootstrap = small_config().n_bootstrap as u64;
+                assert!(small <= 3 * n_bootstrap, "{small} derivations at build");
+            });
+        });
     }
 
     #[test]
@@ -750,7 +781,7 @@ mod tests {
         let b = World::build(small_config());
         assert_eq!(a.nodes.len(), b.nodes.len());
         for (x, y) in a.nodes.iter().zip(b.nodes.iter()) {
-            assert_eq!(x.initial_id, y.initial_id);
+            assert_eq!(x.initial_id(), y.initial_id());
             assert_eq!(x.country, y.country);
             assert_eq!(x.kind, y.kind);
         }

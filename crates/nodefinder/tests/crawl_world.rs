@@ -69,7 +69,7 @@ fn crawler_discovers_most_reachable_nodes() {
     assert!(!reachable.is_empty());
     let found = reachable
         .iter()
-        .filter(|n| store.nodes.contains_key(&n.initial_id))
+        .filter(|n| store.nodes.contains_key(&n.initial_id()))
         .count();
     let coverage = found as f64 / reachable.len() as f64;
     assert!(
@@ -105,7 +105,7 @@ fn crawler_collects_hello_status_and_dao() {
     // for nodes it fully probed (DAO check completed).
     for obs in store.mainnet_nodes() {
         if obs.dao_fork == Some(true) {
-            let truth = world.nodes.iter().find(|n| n.initial_id == obs.id);
+            let truth = world.nodes.iter().find(|n| n.initial_id() == obs.id);
             if let Some(truth) = truth {
                 assert_eq!(
                     truth.kind,
@@ -118,7 +118,7 @@ fn crawler_collects_hello_status_and_dao() {
     }
     // And Classic nodes must never be classified Mainnet.
     for truth in world.nodes.iter().filter(|n| n.kind == TruthKind::Classic) {
-        if let Some(obs) = store.nodes.get(&truth.initial_id) {
+        if let Some(obs) = store.nodes.get(&truth.initial_id()) {
             assert!(!obs.is_mainnet() || obs.dao_fork.is_none());
         }
     }
@@ -174,7 +174,7 @@ fn spammers_generate_many_ids_and_sanitization_removes_them() {
         .nodes
         .iter()
         .filter(|n| n.kind != TruthKind::Spammer && n.reachable)
-        .filter(|n| clean.nodes.contains_key(&n.initial_id))
+        .filter(|n| clean.nodes.contains_key(&n.initial_id()))
         .count();
     assert!(legit_found > 5, "legit nodes kept: {legit_found}");
 }
@@ -193,7 +193,7 @@ fn unreachable_nodes_only_seen_via_incoming() {
     let (world, store) = crawl(config, 10 * 60_000, 1);
     let mut wrong = 0;
     for truth in world.nodes.iter().filter(|n| !n.reachable) {
-        if let Some(obs) = store.nodes.get(&truth.initial_id) {
+        if let Some(obs) = store.nodes.get(&truth.initial_id()) {
             // An unreachable node must never have answered a TCP dial.
             if obs.ever_answered_dial {
                 wrong += 1;

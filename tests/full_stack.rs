@@ -334,7 +334,7 @@ fn helloed_honest(world: &World, store: &DataStore) -> (usize, usize) {
         .filter(|n| {
             store
                 .nodes
-                .get(&n.initial_id)
+                .get(&n.initial_id())
                 .map(|o| o.hello.is_some())
                 .unwrap_or(false)
         })
