@@ -235,9 +235,9 @@ fn scale(hosts: usize) {
     let built = world.sim.host_count();
     println!(
         "scale {hosts}: {built} hosts, {events} events in {SIM_MS} sim-ms, \
-         peak queue depth {}, VmHWM {peak_kb} kB ({} kB/host)",
+         peak queue depth {}, VmHWM {peak_kb} kB ({:.1} kB/host)",
         world.sim.queue_depth_peak(),
-        peak_kb / built as u64
+        peak_kb as f64 / built as f64
     );
     let memo = ethcrypto::secp256k1::memo_stats();
     for (name, t) in [

@@ -439,8 +439,10 @@ fn run_case_study(scale: Scale) -> CaseStudy {
     let parity_host = add(0xA2, true);
     world.sim.run_until(scale.run_ms());
     CaseStudy {
-        geth: take_host::<EthNode>(&mut world, geth_host).stats,
-        parity: take_host::<EthNode>(&mut world, parity_host).stats,
+        geth: take_host::<EthNode>(&mut world, geth_host).stats().clone(),
+        parity: take_host::<EthNode>(&mut world, parity_host)
+            .stats()
+            .clone(),
     }
 }
 

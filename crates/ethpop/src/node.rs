@@ -57,7 +57,7 @@ const NODE_SNAP_MAGIC: [u8; 4] = *b"ETHN";
 const NODE_SNAP_VERSION: u8 = 2;
 
 /// Instrumentation counters — Figures 2, 3, 4 and Table 1 read these.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Messages sent, keyed by wire-message label.
     pub sent: BTreeMap<&'static str, u64>,
@@ -154,6 +154,18 @@ fn intern_label(s: &str) -> &'static str {
     Box::leak(s.to_string().into_boxed_str())
 }
 
+/// What [`EthNode::stats`] reads before the node's first count.
+static NO_STATS: NodeStats = NodeStats {
+    sent: BTreeMap::new(),
+    received: BTreeMap::new(),
+    disconnects_sent: BTreeMap::new(),
+    disconnects_received: BTreeMap::new(),
+    peer_samples: Vec::new(),
+    identities: Vec::new(),
+    lookups: 0,
+    dials: 0,
+};
+
 impl NodeStats {
     fn count_sent(&mut self, label: &'static str) {
         *self.sent.entry(label).or_insert(0) += 1;
@@ -190,17 +202,14 @@ fn node_fp(id: &NodeId) -> u64 {
     u64::from_be_bytes(id.0[..8].try_into().unwrap())
 }
 
-/// A population node.
+/// What a node holds while it runs and [`Host::on_stop`] drops: the
+/// discovery engine and the peers and dials that hang off it.
 #[derive(Debug)]
-pub struct EthNode {
-    profile: NodeProfile,
-    /// Shared flyweight: every node in a world points at the same
-    /// bootstrap allocation (the list is immutable after `World::build`).
-    bootstrap: Rc<[NodeRecord]>,
-    disc: Option<Discv4>,
+struct Running {
+    disc: Discv4,
     conns: BTreeMap<ConnId, PeerConn>,
     /// Count of `conns` entries whose `is_active()` is true, maintained
-    /// incrementally by [`EthNode::with_conn_mut`] / [`EthNode::drop_conn`].
+    /// incrementally by [`Running::with_conn_mut`] / [`EthNode::drop_conn`].
     /// `at_capacity` runs on every datagram (via `arm_disc`), and bootstrap
     /// nodes accumulate population-sized `conns` maps — a scan there is the
     /// dominant join-storm cost at 50k hosts.
@@ -208,20 +217,77 @@ pub struct EthNode {
     /// Conns that have completed the eth STATUS check (true peers).
     eth_ready: BTreeSet<ConnId>,
     candidates: VecDeque<NodeRecord>,
-    known: BTreeSet<u64>,
     dialing: usize,
     /// Armed-timer flags (event-budget discipline).
     disc_armed: bool,
     dial_armed: bool,
     poll_armed: bool,
+}
+
+impl Running {
+    fn new(disc: Discv4) -> Running {
+        Running {
+            disc,
+            conns: BTreeMap::new(),
+            active_conns: 0,
+            eth_ready: BTreeSet::new(),
+            candidates: VecDeque::new(),
+            dialing: 0,
+            disc_armed: false,
+            dial_armed: false,
+            poll_armed: false,
+        }
+    }
+
+    // `at_capacity` runs per datagram via arm_disc; the count is
+    // maintained incrementally, never by scanning `conns`
+    fn active_peers(&self) -> usize {
+        debug_assert_eq!(
+            self.active_conns,
+            self.conns.values().filter(|c| c.is_active()).count(),
+            "active_conns counter out of sync with conns map"
+        );
+        self.active_conns
+    }
+
+    /// Run `f` on the connection's [`PeerConn`], keeping `active_conns` in
+    /// sync across any stage transition `f` causes. Every mutable access
+    /// to an entry of `conns` must go through here (or `drop_conn`).
+    fn with_conn_mut<R>(&mut self, conn: ConnId, f: impl FnOnce(&mut PeerConn) -> R) -> Option<R> {
+        let pc = self.conns.get_mut(&conn)?;
+        let was_active = pc.is_active();
+        let r = f(pc);
+        let is_active = pc.is_active();
+        match (was_active, is_active) {
+            (false, true) => self.active_conns += 1,
+            (true, false) => self.active_conns -= 1,
+            _ => {}
+        }
+        Some(r)
+    }
+}
+
+/// A population node.
+///
+/// Most hosts of a paper-scale world are not running at any moment, so
+/// the node keeps inline only what outlives a run; what `on_stop` clears
+/// lives in one box that exists exactly while the node runs, and the
+/// counters arrive with the first count.
+#[derive(Debug)]
+pub struct EthNode {
+    profile: NodeProfile,
+    /// Shared flyweight: every node in a world points at the same
+    /// bootstrap allocation (the list is immutable after `World::build`).
+    bootstrap: Rc<[NodeRecord]>,
+    running: Option<Box<Running>>,
+    known: BTreeSet<u64>,
     /// Consecutive discovery rounds that yielded nothing new.
     dry_lookups: u32,
     /// Earliest time the next table-retry refill may run.
     next_retry_ms: u64,
     /// Record peer-count samples (case-study instrumentation only).
     pub sample_peers: bool,
-    /// Counters.
-    pub stats: NodeStats,
+    stats: Option<Box<NodeStats>>,
 }
 
 impl EthNode {
@@ -232,21 +298,22 @@ impl EthNode {
         EthNode {
             profile,
             bootstrap: bootstrap.into(),
-            disc: None,
-            conns: BTreeMap::new(),
-            active_conns: 0,
-            eth_ready: BTreeSet::new(),
-            candidates: VecDeque::new(),
+            running: None,
             known: BTreeSet::new(),
-            dialing: 0,
-            disc_armed: false,
-            dial_armed: false,
-            poll_armed: false,
             dry_lookups: 0,
             next_retry_ms: 0,
             sample_peers: false,
-            stats: NodeStats::default(),
+            stats: None,
         }
+    }
+
+    /// Its counters; all empty until the node first counts something.
+    pub fn stats(&self) -> &NodeStats {
+        self.stats.as_deref().unwrap_or(&NO_STATS)
+    }
+
+    fn stats_mut(&mut self) -> &mut NodeStats {
+        self.stats.get_or_insert_with(Box::default)
     }
 
     /// The node's current identity.
@@ -267,7 +334,9 @@ impl EthNode {
 
     /// Current routing-table occupancy.
     pub fn table_size(&self) -> usize {
-        self.disc.as_ref().map(|d| d.table().len()).unwrap_or(0)
+        self.running
+            .as_deref()
+            .map_or(0, |run| run.disc.table().len())
     }
 
     /// Deterministic estimate of this node's heap footprint in bytes.
@@ -278,7 +347,8 @@ impl EthNode {
     /// to roughly the true total across a whole world. Container entries
     /// are charged `size_of` plus a fixed 16-byte node-overhead constant,
     /// a connection also its boxed parts and its receive buffer's
-    /// capacity; discv4 table internals are charged per entry.
+    /// capacity; discv4 table internals are charged per entry. The
+    /// running state and the counters are charged with their boxes.
     pub fn approx_heap_bytes(&self) -> usize {
         const NODE_OVERHEAD: usize = 16;
         let shared = |len_bytes: usize, strong: usize| len_bytes / strong.max(1);
@@ -293,27 +363,33 @@ impl EthNode {
         );
         total += self.profile.client_id.len();
         total += self
-            .conns
-            .values()
-            .map(|pc| size_of::<(ConnId, PeerConn)>() + NODE_OVERHEAD + pc.heap_bytes())
-            .sum::<usize>();
-        total += self
-            .eth_ready
-            .len()
-            .saturating_mul(size_of::<ConnId>() + NODE_OVERHEAD);
-        total += self
             .known
             .len()
             .saturating_mul(size_of::<u64>() + NODE_OVERHEAD);
-        total += self.candidates.capacity() * size_of::<NodeRecord>();
-        total += self.table_size() * (size_of::<NodeRecord>() + NODE_OVERHEAD);
-        total += self.stats.peer_samples.capacity() * size_of::<(u64, usize)>();
-        total += self.stats.identities.capacity() * size_of::<NodeId>();
-        total += (self.stats.sent.len()
-            + self.stats.received.len()
-            + self.stats.disconnects_sent.len()
-            + self.stats.disconnects_received.len())
-            * (size_of::<(&'static str, u64)>() + NODE_OVERHEAD);
+        if let Some(run) = self.running.as_deref() {
+            total += size_of::<Running>();
+            total += run
+                .conns
+                .values()
+                .map(|pc| size_of::<(ConnId, PeerConn)>() + NODE_OVERHEAD + pc.heap_bytes())
+                .sum::<usize>();
+            total += run
+                .eth_ready
+                .len()
+                .saturating_mul(size_of::<ConnId>() + NODE_OVERHEAD);
+            total += run.candidates.capacity() * size_of::<NodeRecord>();
+            total += run.disc.table().len() * (size_of::<NodeRecord>() + NODE_OVERHEAD);
+        }
+        if let Some(stats) = self.stats.as_deref() {
+            total += size_of::<NodeStats>();
+            total += stats.peer_samples.capacity() * size_of::<(u64, usize)>();
+            total += stats.identities.capacity() * size_of::<NodeId>();
+            total += (stats.sent.len()
+                + stats.received.len()
+                + stats.disconnects_sent.len()
+                + stats.disconnects_received.len())
+                * (size_of::<(&'static str, u64)>() + NODE_OVERHEAD);
+        }
         total
     }
 
@@ -325,45 +401,37 @@ impl EthNode {
         }
     }
 
-    fn local_hello(&self, addr: HostAddr) -> Hello {
+    fn local_hello(profile: &NodeProfile, addr: HostAddr) -> Hello {
         Hello {
             p2p_version: P2P_VERSION,
-            client_id: self.profile.client_id.clone(),
-            capabilities: self.profile.capabilities.to_vec(),
+            client_id: profile.client_id.clone(),
+            capabilities: profile.capabilities.to_vec(),
             listen_port: addr.port,
-            node_id: self.profile.node_id(),
+            node_id: profile.node_id(),
         }
     }
 
-    // `at_capacity` runs per datagram via arm_disc; the count is
-    // maintained incrementally, never by scanning `conns`
     fn active_peers(&self) -> usize {
-        debug_assert_eq!(
-            self.active_conns,
-            self.conns.values().filter(|c| c.is_active()).count(),
-            "active_conns counter out of sync with conns map"
-        );
-        self.active_conns
+        self.running.as_deref().map_or(0, Running::active_peers)
     }
 
     fn at_capacity(&self) -> bool {
         self.active_peers() >= self.profile.max_peers
     }
 
-    /// Run `f` on the connection's [`PeerConn`], keeping `active_conns` in
-    /// sync across any stage transition `f` causes. Every mutable access
-    /// to an entry of `conns` must go through here (or `drop_conn`).
     fn with_conn_mut<R>(&mut self, conn: ConnId, f: impl FnOnce(&mut PeerConn) -> R) -> Option<R> {
-        let pc = self.conns.get_mut(&conn)?;
-        let was_active = pc.is_active();
-        let r = f(pc);
-        let is_active = pc.is_active();
-        match (was_active, is_active) {
-            (false, true) => self.active_conns += 1,
-            (true, false) => self.active_conns -= 1,
-            _ => {}
+        self.running.as_deref_mut()?.with_conn_mut(conn, f)
+    }
+
+    fn conn(&self, conn: ConnId) -> Option<&PeerConn> {
+        self.running.as_deref()?.conns.get(&conn)
+    }
+
+    /// A dial resolved, connected or not.
+    fn dial_settled(&mut self) {
+        if let Some(run) = self.running.as_deref_mut() {
+            run.dialing = run.dialing.saturating_sub(1);
         }
-        Some(r)
     }
 
     // ---- discovery ----------------------------------------------------
@@ -376,36 +444,41 @@ impl EthNode {
     }
 
     fn arm_poll(&mut self, ctx: &mut Ctx) {
-        if !self.poll_armed && self.disc.as_ref().map(|d| d.has_pending()).unwrap_or(false) {
-            self.poll_armed = true;
+        let Some(run) = self.running.as_deref_mut() else {
+            return;
+        };
+        if !run.poll_armed && run.disc.has_pending() {
+            run.poll_armed = true;
             ctx.set_timer(POLL_TICK_MS, T_POLL);
         }
     }
 
     fn arm_disc(&mut self, ctx: &mut Ctx) {
-        if !self.disc_armed && !self.at_capacity() {
-            self.disc_armed = true;
+        let at_capacity = self.at_capacity();
+        let Some(run) = self.running.as_deref_mut() else {
+            return;
+        };
+        if !run.disc_armed && !at_capacity {
+            run.disc_armed = true;
             let backoff = LOOKUP_INTERVAL_MS << self.dry_lookups.min(4);
             ctx.set_timer(backoff.min(LOOKUP_BACKOFF_MAX_MS), T_DISC);
         }
     }
 
     fn arm_dial(&mut self, ctx: &mut Ctx) {
-        if self.dial_armed {
+        let at_capacity = self.at_capacity();
+        let Some(run) = self.running.as_deref_mut() else {
+            return;
+        };
+        if run.dial_armed {
             return;
         }
-        if !self.candidates.is_empty() {
-            self.dial_armed = true;
+        if !run.candidates.is_empty() {
+            run.dial_armed = true;
             ctx.set_timer(DIAL_TICK_MS, T_DIAL);
-        } else if !self.at_capacity()
-            && self
-                .disc
-                .as_ref()
-                .map(|d| !d.table().is_empty())
-                .unwrap_or(false)
-        {
+        } else if !at_capacity && !run.disc.table().is_empty() {
             // Only retry work remains: wake at the paced refill time.
-            self.dial_armed = true;
+            run.dial_armed = true;
             let delay = self
                 .next_retry_ms
                 .saturating_sub(ctx.now_ms)
@@ -415,10 +488,10 @@ impl EthNode {
     }
 
     fn drain_disc_events(&mut self, ctx: &mut Ctx) {
-        let Some(disc) = self.disc.as_mut() else {
+        let Some(run) = self.running.as_deref_mut() else {
             return;
         };
-        let events = disc.take_events();
+        let events = run.disc.take_events();
         let own_id = self.profile.node_id();
         for event in events {
             let record = match event {
@@ -430,7 +503,7 @@ impl EthNode {
                     && record.endpoint.tcp_port != 0
                     && self.known.insert(node_fp(&record.id))
                 {
-                    self.candidates.push_back(record);
+                    run.candidates.push_back(record);
                     self.dry_lookups = 0;
                 }
             }
@@ -441,32 +514,36 @@ impl EthNode {
     // ---- dialing ------------------------------------------------------
 
     fn dial_some(&mut self, ctx: &mut Ctx) {
+        let at_capacity = self.at_capacity();
+        let Some(run) = self.running.as_deref_mut() else {
+            return;
+        };
         // Fresh discoveries first; once the queue is dry, retry known table
         // residents we aren't connected to (Geth keeps redialing table
         // nodes — without this no client ever fills its peer cap, because
         // first-attempt dials often land on full peers).
-        if self.candidates.is_empty() && !self.at_capacity() && ctx.now_ms >= self.next_retry_ms {
+        if run.candidates.is_empty() && !at_capacity && ctx.now_ms >= self.next_retry_ms {
             self.next_retry_ms = ctx.now_ms + RETRY_REFILL_MS;
-            if let Some(disc) = self.disc.as_ref() {
-                let connected: BTreeSet<NodeId> =
-                    self.conns.values().filter_map(|c| c.peer_id).collect();
-                let retry: Vec<NodeRecord> = disc
-                    .table()
-                    .entries()
-                    .map(|e| e.record)
-                    .filter(|r| !connected.contains(&r.id))
-                    .take(8)
-                    .collect();
-                self.candidates.extend(retry);
-            }
+            let connected: BTreeSet<NodeId> =
+                run.conns.values().filter_map(|c| c.peer_id).collect();
+            let retry: Vec<NodeRecord> = run
+                .disc
+                .table()
+                .entries()
+                .map(|e| e.record)
+                .filter(|r| !connected.contains(&r.id))
+                .take(8)
+                .collect();
+            run.candidates.extend(retry);
         }
-        while self.dialing < MAX_ACTIVE_DIALS
-            && self.active_peers() + self.dialing < self.profile.max_peers
+        let mut dials = 0;
+        while run.dialing < MAX_ACTIVE_DIALS
+            && run.active_peers() + run.dialing < self.profile.max_peers
         {
-            let Some(candidate) = self.candidates.pop_front() else {
+            let Some(candidate) = run.candidates.pop_front() else {
                 break;
             };
-            if self.conns.values().any(|c| c.peer_id == Some(candidate.id)) {
+            if run.conns.values().any(|c| c.peer_id == Some(candidate.id)) {
                 continue;
             }
             // Never dial our own address: after an identity rotation our
@@ -479,20 +556,23 @@ impl EthNode {
                 candidate.endpoint.ip,
                 candidate.endpoint.tcp_port,
             ));
-            let hello = self.local_hello(ctx.local_addr());
-            self.conns.insert(
+            let hello = Self::local_hello(&self.profile, ctx.local_addr());
+            run.conns.insert(
                 conn,
                 PeerConn::dialing(conn, candidate.id, hello, ctx.now_ms),
             );
-            self.dialing += 1;
-            self.stats.dials += 1;
+            run.dialing += 1;
+            dials += 1;
+        }
+        if dials > 0 {
+            self.stats_mut().dials += dials;
         }
     }
 
     // ---- session policy -----------------------------------------------
 
     fn count_eth_sent(&mut self, msg: &EthMessage) {
-        self.stats.count_sent(eth_label(msg));
+        self.stats_mut().count_sent(eth_label(msg));
     }
 
     fn send_eth_on(&mut self, ctx: &mut Ctx, conn: ConnId, msg: &EthMessage) {
@@ -509,12 +589,9 @@ impl EthNode {
     fn disconnect_conn(&mut self, ctx: &mut Ctx, conn: ConnId, reason: DisconnectReason) {
         if let Some(frames) = self.with_conn_mut(conn, |pc| pc.send_disconnect(reason)) {
             if !frames.is_empty() {
-                self.stats.count_sent("DISCONNECT");
-                *self
-                    .stats
-                    .disconnects_sent
-                    .entry(reason.label())
-                    .or_insert(0) += 1;
+                let stats = self.stats_mut();
+                stats.count_sent("DISCONNECT");
+                *stats.disconnects_sent.entry(reason.label()).or_insert(0) += 1;
             }
             for f in frames {
                 ctx.tcp_send(conn, f);
@@ -525,12 +602,14 @@ impl EthNode {
     }
 
     fn drop_conn(&mut self, ctx: &mut Ctx, conn: ConnId) {
-        if let Some(pc) = self.conns.remove(&conn) {
-            if pc.is_active() {
-                self.active_conns -= 1;
+        if let Some(run) = self.running.as_deref_mut() {
+            if let Some(pc) = run.conns.remove(&conn) {
+                if pc.is_active() {
+                    run.active_conns -= 1;
+                }
             }
+            run.eth_ready.remove(&conn);
         }
-        self.eth_ready.remove(&conn);
         // A slot may have freed: resume discovery/dialing.
         self.arm_disc(ctx);
         self.arm_dial(ctx);
@@ -552,10 +631,10 @@ impl EthNode {
     fn handle_wire_event(&mut self, ctx: &mut Ctx, conn: ConnId, event: WireEvent) {
         match event {
             WireEvent::RlpxEstablished { .. } => {
-                self.stats.count_sent("HELLO"); // our HELLO was queued
+                self.stats_mut().count_sent("HELLO"); // our HELLO was queued
             }
             WireEvent::Hello { hello, shared } => {
-                self.stats.count_received("HELLO");
+                self.stats_mut().count_received("HELLO");
                 self.known.insert(node_fp(&hello.node_id));
                 // Policy 1: peer cap (counts the new conn itself).
                 if self.active_peers() > self.profile.max_peers {
@@ -583,26 +662,26 @@ impl EthNode {
                 }
             }
             WireEvent::Eth(msg) => {
-                self.stats.count_received(eth_label(&msg));
+                self.stats_mut().count_received(eth_label(&msg));
                 self.handle_eth(ctx, conn, msg);
             }
             WireEvent::OtherSubprotocol { .. } => {
-                self.stats.count_received("OTHER_SUBPROTOCOL");
+                self.stats_mut().count_received("OTHER_SUBPROTOCOL");
             }
             WireEvent::Ping => {
-                self.stats.count_received("PING");
-                self.stats.count_sent("PONG");
+                self.stats_mut().count_received("PING");
+                self.stats_mut().count_sent("PONG");
                 if let Some(frames) = self.with_conn_mut(conn, |pc| pc.flush_session()) {
                     for f in frames {
                         ctx.tcp_send(conn, f);
                     }
                 }
             }
-            WireEvent::Pong => self.stats.count_received("PONG"),
+            WireEvent::Pong => self.stats_mut().count_received("PONG"),
             WireEvent::Disconnected(reason) => {
-                self.stats.count_received("DISCONNECT");
-                *self
-                    .stats
+                let stats = self.stats_mut();
+                stats.count_received("DISCONNECT");
+                *stats
                     .disconnects_received
                     .entry(reason.label())
                     .or_insert(0) += 1;
@@ -625,7 +704,9 @@ impl EthNode {
                     return;
                 };
                 if ours.compatible(&theirs) {
-                    self.eth_ready.insert(conn);
+                    if let Some(run) = self.running.as_deref_mut() {
+                        run.eth_ready.insert(conn);
+                    }
                     return;
                 }
                 // Chain mismatch: client-specific disconnect behaviour
@@ -689,11 +770,14 @@ impl EthNode {
         if self.profile.tx_interval_ms == 0 {
             return;
         }
-        let ready: Vec<ConnId> = self
+        let Some(run) = self.running.as_deref() else {
+            return;
+        };
+        let ready: Vec<ConnId> = run
             .eth_ready
             .iter()
             .copied()
-            .filter(|c| self.conns.get(c).map(|p| p.is_active()).unwrap_or(false))
+            .filter(|c| run.conns.get(c).is_some_and(PeerConn::is_active))
             .collect();
         if ready.is_empty() {
             return;
@@ -719,7 +803,8 @@ impl EthNode {
         // Mint a fresh key: the spammer's defining behaviour.
         let new_key = SecretKey::random(ctx.rng());
         self.profile.key = new_key;
-        self.stats.identities.push(self.profile.node_id());
+        let id = self.profile.node_id();
+        self.stats_mut().identities.push(id);
         let addr = ctx.local_addr();
         let config = DiscConfig {
             metric: self.profile.metric,
@@ -733,9 +818,12 @@ impl EthNode {
                 outgoing.push(disc.ping(*b, ctx.now_ms));
             }
         }
-        self.disc = Some(disc);
+        let Some(run) = self.running.as_deref_mut() else {
+            return;
+        };
+        run.disc = disc;
         // Old connections die with the old identity.
-        let conns: Vec<ConnId> = self.conns.keys().copied().collect();
+        let conns: Vec<ConnId> = run.conns.keys().copied().collect();
         for c in conns {
             ctx.tcp_close(c);
             self.drop_conn(ctx, c);
@@ -757,29 +845,43 @@ impl EthNode {
         // plans rewrite the client id on (re)start.
         self.profile.key.to_bytes().snap(w);
         self.profile.client_id.snap(w);
-        w.bool(self.disc.is_some());
-        if let Some(disc) = &self.disc {
-            disc.snap(w);
+        // A stopped node writes what a running one holds when empty:
+        // no engine, then zero conns, eth-ready ids and candidates.
+        let run = self.running.as_deref();
+        w.bool(run.is_some());
+        match run {
+            Some(run) => {
+                run.disc.snap(w);
+                w.usize(run.conns.len());
+                for pc in run.conns.values() {
+                    pc.snap(w);
+                }
+                run.eth_ready.snap(w);
+                run.candidates.snap(w);
+            }
+            None => {
+                w.usize(0);
+                w.usize(0);
+                w.usize(0);
+            }
         }
-        w.usize(self.conns.len());
-        for pc in self.conns.values() {
-            pc.snap(w);
-        }
-        self.eth_ready.snap(w);
-        self.candidates.snap(w);
         self.known.snap(w);
-        self.dialing.snap(w);
-        self.disc_armed.snap(w);
-        self.dial_armed.snap(w);
-        self.poll_armed.snap(w);
+        run.map_or(0, |run| run.dialing).snap(w);
+        for armed in run.map_or([false; 3], |run| {
+            [run.disc_armed, run.dial_armed, run.poll_armed]
+        }) {
+            armed.snap(w);
+        }
         self.dry_lookups.snap(w);
         self.next_retry_ms.snap(w);
         self.sample_peers.snap(w);
-        self.stats.snap(w);
+        self.stats().snap(w);
     }
 
     /// Overwrite this (shell-rebuilt) node's dynamic state from
     /// [`EthNode::encode_state`] output; on `Err` nothing is overwritten.
+    /// A node without a discovery engine is stopped, and an image that
+    /// gives it running state is one no run wrote.
     fn apply_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::with_header(bytes, NODE_SNAP_MAGIC, NODE_SNAP_VERSION)?;
         let key = SecretKey::from_bytes(&<[u8; 32]>::unsnap(&mut r)?)
@@ -801,35 +903,49 @@ impl EthNode {
                 return Err(SnapError::Corrupt("connection id repeats"));
             }
         }
-        let eth_ready = Snap::unsnap(&mut r)?;
-        let candidates = Snap::unsnap(&mut r)?;
+        let eth_ready: BTreeSet<ConnId> = Snap::unsnap(&mut r)?;
+        let candidates: VecDeque<NodeRecord> = Snap::unsnap(&mut r)?;
         let known = Snap::unsnap(&mut r)?;
-        let dialing = Snap::unsnap(&mut r)?;
-        let disc_armed = Snap::unsnap(&mut r)?;
-        let dial_armed = Snap::unsnap(&mut r)?;
-        let poll_armed = Snap::unsnap(&mut r)?;
+        let dialing: usize = Snap::unsnap(&mut r)?;
+        let disc_armed = r.bool()?;
+        let dial_armed = r.bool()?;
+        let poll_armed = r.bool()?;
         let dry_lookups = Snap::unsnap(&mut r)?;
         let next_retry_ms = Snap::unsnap(&mut r)?;
         let sample_peers = Snap::unsnap(&mut r)?;
-        let stats = Snap::unsnap(&mut r)?;
+        let stats: NodeStats = Snap::unsnap(&mut r)?;
         r.finish()?;
+        let running = match disc {
+            Some(disc) => Some(Box::new(Running {
+                disc,
+                active_conns: conns.values().filter(|c| c.is_active()).count(),
+                conns,
+                eth_ready,
+                candidates,
+                dialing,
+                disc_armed,
+                dial_armed,
+                poll_armed,
+            })),
+            None if conns.is_empty()
+                && eth_ready.is_empty()
+                && candidates.is_empty()
+                && dialing == 0
+                && !(disc_armed || dial_armed || poll_armed) =>
+            {
+                None
+            }
+            None => return Err(SnapError::Corrupt("a stopped node holds running state")),
+        };
 
         self.profile.key = key;
         self.profile.client_id = client_id;
-        self.disc = disc;
-        self.active_conns = conns.values().filter(|c| c.is_active()).count();
-        self.conns = conns;
-        self.eth_ready = eth_ready;
-        self.candidates = candidates;
+        self.running = running;
         self.known = known;
-        self.dialing = dialing;
-        self.disc_armed = disc_armed;
-        self.dial_armed = dial_armed;
-        self.poll_armed = poll_armed;
         self.dry_lookups = dry_lookups;
         self.next_retry_ms = next_retry_ms;
         self.sample_peers = sample_peers;
-        self.stats = stats;
+        self.stats = (stats != NO_STATS).then(|| Box::new(stats));
         Ok(())
     }
 }
@@ -850,14 +966,15 @@ impl Host for EthNode {
             ..DiscConfig::default()
         };
         let mut disc = Discv4::new(self.profile.key, Self::endpoint(addr), config);
-        self.stats.identities.push(self.profile.node_id());
+        let id = self.profile.node_id();
+        self.stats_mut().identities.push(id);
         let mut outgoing = Vec::new();
         for b in self.bootstrap.iter() {
             if b.id != self.profile.node_id() {
                 outgoing.push(disc.ping(*b, ctx.now_ms));
             }
         }
-        self.disc = Some(disc);
+        self.running = Some(Box::new(Running::new(disc)));
         self.send_disc(ctx, outgoing);
         self.arm_disc(ctx);
         if self.profile.tx_interval_ms > 0 {
@@ -872,7 +989,7 @@ impl Host for EthNode {
     }
 
     fn on_udp(&mut self, ctx: &mut Ctx, from: HostAddr, datagram: &[u8]) {
-        let Some(disc) = self.disc.as_mut() else {
+        let Some(run) = self.running.as_deref_mut() else {
             return;
         };
         let from_ep = Endpoint {
@@ -880,7 +997,7 @@ impl Host for EthNode {
             udp_port: from.port,
             tcp_port: from.port,
         };
-        let outgoing = disc.on_datagram(from_ep, datagram, ctx.now_ms);
+        let outgoing = run.disc.on_datagram(from_ep, datagram, ctx.now_ms);
         self.send_disc(ctx, outgoing);
         self.drain_disc_events(ctx);
     }
@@ -888,7 +1005,7 @@ impl Host for EthNode {
     fn on_tcp(&mut self, ctx: &mut Ctx, event: TcpEvent) {
         match event {
             TcpEvent::Connected { conn, .. } => {
-                self.dialing = self.dialing.saturating_sub(1);
+                self.dial_settled();
                 let key = self.profile.key;
                 let frames = self
                     .with_conn_mut(conn, |pc| pc.on_tcp_connected(ctx.rng(), &key))
@@ -896,27 +1013,27 @@ impl Host for EthNode {
                 for f in frames {
                     ctx.tcp_send(conn, f);
                 }
-                if let Some(pc) = self.conns.get(&conn) {
-                    if pc.is_dead() {
-                        ctx.tcp_close(conn);
-                        self.drop_conn(ctx, conn);
-                    }
+                if self.conn(conn).is_some_and(PeerConn::is_dead) {
+                    ctx.tcp_close(conn);
+                    self.drop_conn(ctx, conn);
                 }
             }
             TcpEvent::ConnectFailed { conn } => {
-                self.dialing = self.dialing.saturating_sub(1);
+                self.dial_settled();
                 self.drop_conn(ctx, conn);
             }
             TcpEvent::Incoming { conn, .. } => {
-                if self.conns.contains_key(&conn) {
+                if self.conn(conn).is_some() {
                     // Self-connection (we dialed our own address): refuse.
                     ctx.tcp_close(conn);
                     self.drop_conn(ctx, conn);
                     return;
                 }
-                let hello = self.local_hello(ctx.local_addr());
-                self.conns
-                    .insert(conn, PeerConn::accepted(conn, hello, ctx.now_ms));
+                let hello = Self::local_hello(&self.profile, ctx.local_addr());
+                if let Some(run) = self.running.as_deref_mut() {
+                    run.conns
+                        .insert(conn, PeerConn::accepted(conn, hello, ctx.now_ms));
+                }
             }
             TcpEvent::Data { conn, bytes } => {
                 let key = self.profile.key;
@@ -931,7 +1048,7 @@ impl Host for EthNode {
                 for e in events {
                     self.handle_wire_event(ctx, conn, e);
                 }
-                if self.conns.get(&conn).map(|p| p.is_dead()).unwrap_or(false) {
+                if self.conn(conn).is_some_and(PeerConn::is_dead) {
                     ctx.tcp_close(conn);
                     self.drop_conn(ctx, conn);
                 }
@@ -945,28 +1062,30 @@ impl Host for EthNode {
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         match token {
             T_DISC => {
-                self.disc_armed = false;
-                if self.at_capacity() {
+                let at_capacity = self.at_capacity();
+                let Some(run) = self.running.as_deref_mut() else {
+                    return;
+                };
+                run.disc_armed = false;
+                if at_capacity {
                     return; // re-armed when a slot frees
                 }
-                let mut outgoing = Vec::new();
-                if let Some(disc) = self.disc.as_mut() {
-                    outgoing.extend(disc.poll(ctx.now_ms));
-                    if !disc.lookup_in_progress() {
-                        let mut target = [0u8; 64];
-                        ctx.rng().fill(&mut target[..]);
-                        let disc = self.disc.as_mut().unwrap();
-                        outgoing.extend(disc.start_lookup(NodeId(target), ctx.now_ms));
-                        self.stats.lookups += 1;
-                        self.dry_lookups = self.dry_lookups.saturating_add(1);
-                    }
+                let mut outgoing = run.disc.poll(ctx.now_ms);
+                if !run.disc.lookup_in_progress() {
+                    let mut target = [0u8; 64];
+                    ctx.rng().fill(&mut target[..]);
+                    outgoing.extend(run.disc.start_lookup(NodeId(target), ctx.now_ms));
+                    self.stats_mut().lookups += 1;
+                    self.dry_lookups = self.dry_lookups.saturating_add(1);
                 }
                 self.send_disc(ctx, outgoing);
                 self.drain_disc_events(ctx);
                 self.arm_disc(ctx);
             }
             T_DIAL => {
-                self.dial_armed = false;
+                if let Some(run) = self.running.as_deref_mut() {
+                    run.dial_armed = false;
+                }
                 self.dial_some(ctx);
                 self.arm_dial(ctx);
             }
@@ -976,15 +1095,15 @@ impl Host for EthNode {
             }
             T_SAMPLE => {
                 let peers = self.active_peers();
-                self.stats.peer_samples.push((ctx.now_ms, peers));
+                self.stats_mut().peer_samples.push((ctx.now_ms, peers));
                 ctx.set_timer(SAMPLE_INTERVAL_MS, T_SAMPLE);
             }
             T_POLL => {
-                self.poll_armed = false;
-                let outgoing = match self.disc.as_mut() {
-                    Some(d) => d.poll(ctx.now_ms),
-                    None => Vec::new(),
+                let Some(run) = self.running.as_deref_mut() else {
+                    return;
                 };
+                run.poll_armed = false;
+                let outgoing = run.disc.poll(ctx.now_ms);
                 self.send_disc(ctx, outgoing);
                 self.drain_disc_events(ctx);
                 self.arm_poll(ctx);
@@ -1009,15 +1128,7 @@ impl Host for EthNode {
     }
 
     fn on_stop(&mut self, _ctx: &mut Ctx) {
-        self.conns.clear();
-        self.active_conns = 0;
-        self.eth_ready.clear();
-        self.dialing = 0;
-        self.disc = None;
-        self.disc_armed = false;
-        self.dial_armed = false;
-        self.poll_armed = false;
-        self.candidates.clear();
+        self.running = None;
     }
 }
 
@@ -1112,5 +1223,173 @@ mod tests {
             vec![],
         );
         assert!(light.our_status().is_none());
+    }
+
+    /// An `ETHN` section for a node without a discovery engine, written
+    /// field by field, carrying the running state given.
+    fn stopped_image(
+        conns: &[PeerConn],
+        eth_ready: &[ConnId],
+        candidates: &[NodeRecord],
+        dialing: usize,
+        armed: [bool; 3],
+    ) -> Vec<u8> {
+        let n = node();
+        let mut w = SnapWriter::new();
+        w.header(NODE_SNAP_MAGIC, NODE_SNAP_VERSION);
+        n.profile.key.to_bytes().snap(&mut w);
+        n.profile.client_id.snap(&mut w);
+        w.bool(false);
+        w.usize(conns.len());
+        for pc in conns {
+            pc.snap(&mut w);
+        }
+        eth_ready
+            .iter()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .snap(&mut w);
+        candidates
+            .iter()
+            .copied()
+            .collect::<VecDeque<_>>()
+            .snap(&mut w);
+        BTreeSet::<u64>::new().snap(&mut w);
+        dialing.snap(&mut w);
+        for a in armed {
+            a.snap(&mut w);
+        }
+        0u32.snap(&mut w);
+        0u64.snap(&mut w);
+        false.snap(&mut w);
+        NodeStats::default().snap(&mut w);
+        w.finish()
+    }
+
+    /// A stopped node writes the empty defaults of a running one, and
+    /// restore refuses an image whose stopped node still holds a
+    /// connection, an eth-ready id, a candidate, a dial or an armed timer.
+    #[test]
+    fn restore_refuses_running_state_on_a_stopped_node() {
+        let restore = |bytes: &[u8]| node().load_state(bytes);
+        let clean = stopped_image(&[], &[], &[], 0, [false; 3]);
+        let mut w = SnapWriter::new();
+        node().save_state(&mut w).unwrap();
+        assert_eq!(w.finish(), clean, "a fresh node writes the empty defaults");
+        assert_eq!(restore(&clean), Ok(()));
+
+        let peer = SecretKey::from_bytes(&[0x33u8; 32]).unwrap();
+        let peer_id = NodeId::from_secret_key(&peer);
+        let hello = Hello {
+            p2p_version: P2P_VERSION,
+            client_id: "Geth/test".into(),
+            capabilities: Vec::new(),
+            listen_port: 30303,
+            node_id: node().node_id(),
+        };
+        let conn = PeerConn::accepted(7, hello, 0);
+        let candidate = NodeRecord::new(
+            peer_id,
+            Endpoint::new(std::net::Ipv4Addr::new(10, 0, 0, 2), 30303),
+        );
+        let why = Err(SnapError::Corrupt("a stopped node holds running state"));
+        for (case, bytes) in [
+            (
+                "a connection",
+                stopped_image(&[conn], &[], &[], 0, [false; 3]),
+            ),
+            (
+                "an eth-ready id",
+                stopped_image(&[], &[7], &[], 0, [false; 3]),
+            ),
+            (
+                "a candidate",
+                stopped_image(&[], &[], &[candidate], 0, [false; 3]),
+            ),
+            ("a dial", stopped_image(&[], &[], &[], 1, [false; 3])),
+            (
+                "discovery armed",
+                stopped_image(&[], &[], &[], 0, [true, false, false]),
+            ),
+            (
+                "dialing armed",
+                stopped_image(&[], &[], &[], 0, [false, true, false]),
+            ),
+            (
+                "polling armed",
+                stopped_image(&[], &[], &[], 0, [false, false, true]),
+            ),
+        ] {
+            assert_eq!(restore(&bytes), why, "{case}");
+        }
+    }
+
+    /// After `on_stop` a node holds what outlives a run and nothing else:
+    /// its heap estimate is that of a fresh node with the same `known`
+    /// set and counters, while a running node is charged its running state.
+    #[test]
+    fn a_stopped_node_is_charged_no_running_state() {
+        use netsim::{HostMeta, NetSim, Region, SimConfig};
+        use std::net::Ipv4Addr;
+        let chain = Chain::new(ChainConfig::mainnet(), 100);
+        let profiles: Vec<NodeProfile> = (1..=4u8)
+            .map(|i| {
+                let key = SecretKey::from_bytes(&[i; 32]).unwrap();
+                NodeProfile::geth(key, "Geth/test".into(), chain.clone())
+            })
+            .collect();
+        let addr = |i: usize| HostAddr::new(Ipv4Addr::new(10, 0, 0, i as u8 + 1), 30303);
+        let boot: Rc<[NodeRecord]> = vec![NodeRecord::new(
+            profiles[0].node_id(),
+            Endpoint::new(addr(0).ip, 30303),
+        )]
+        .into();
+        let mut sim = NetSim::new(SimConfig {
+            seed: 5,
+            ..SimConfig::default()
+        });
+        let meta = HostMeta {
+            country: "US",
+            asn: "Test",
+            region: Region::NorthAmerica,
+            reachable: true,
+        };
+        let hosts: Vec<_> = profiles
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let node = EthNode::new(p.clone(), boot.clone());
+                let host = sim.add_host(addr(i), meta.clone(), Box::new(node));
+                sim.schedule_start(host, 0);
+                host
+            })
+            .collect();
+        sim.schedule_stop(hosts[1], 60_000);
+        sim.run_until(61_000);
+        let mut take = |h| {
+            let b = sim.remove_host_behaviour(h).unwrap();
+            *b.into_any().downcast::<EthNode>().unwrap()
+        };
+        // A node, its estimate, and the estimate of a fresh node given
+        // what the node keeps across runs; both are read while the same
+        // `Rc`s are alive.
+        let mut measure = |h| {
+            let mut n = take(h);
+            let mut shell = EthNode::new(n.profile.clone(), boot.clone());
+            let bytes = n.approx_heap_bytes();
+            assert!(n.known_count() > 0, "the node ran");
+            shell.known = std::mem::take(&mut n.known);
+            shell.stats = n.stats.take();
+            (n, bytes, shell.approx_heap_bytes())
+        };
+        let (stopped, bytes, idle) = measure(hosts[1]);
+        assert!(stopped.running.is_none());
+        assert_eq!(bytes, idle);
+
+        let (running, bytes, idle) = measure(hosts[2]);
+        assert!(running.table_size() > 0, "the running node discovered");
+        assert!(
+            bytes >= idle + size_of::<Running>() + running.table_size() * size_of::<NodeRecord>()
+        );
     }
 }

@@ -648,6 +648,15 @@ mod tests {
         assert!(size <= 512, "PeerConn is {size} B inline");
     }
 
+    /// Most hosts of a large world are not running, and each holds its
+    /// `EthNode` whole: what only a running node holds (1,120 B inline
+    /// with its discovery engine, connections and counters) stays boxed.
+    #[test]
+    fn an_idle_node_stays_small() {
+        let size = std::mem::size_of::<crate::EthNode>();
+        assert!(size <= 320, "EthNode is {size} B inline");
+    }
+
     /// A drained receive buffer gives its allocation back.
     #[test]
     fn a_drained_receive_buffer_is_freed() {

@@ -14,6 +14,7 @@ use netsim::{HostAddr, HostId, HostMeta, NetSim, SimConfig, REGION_OF_COUNTRY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::OnceCell;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -345,6 +346,7 @@ impl World {
         let bootstrap_shared: Rc<[NodeRecord]> = bootstrap.clone().into();
 
         // --- regular population ----------------------------------------
+        let mut alt_chains = BTreeMap::new();
         for i in 0..config.n_nodes {
             let key = SecretKey::random(&mut rng);
             let addr = HostAddr::new(ip_for(i), 30303);
@@ -354,7 +356,7 @@ impl World {
                 asn = ISP_TAIL[rng.gen_range(0..ISP_TAIL.len())];
             }
             let reachable = !rng.gen_bool(config.unreachable_fraction);
-            let (kind, mut profile) = sample_profile(&mut rng, key, &config);
+            let (kind, mut profile) = sample_profile(&mut rng, key, &config, &mut alt_chains);
             profile.tx_interval_ms = match profile.service {
                 ServiceKind::Eth { .. } => config.tx_interval_ms,
                 _ => 0,
@@ -472,10 +474,13 @@ fn family_label(profile: &NodeProfile) -> &'static str {
 }
 
 /// Sample one node's service/network/client from the paper's marginals.
+/// `alt_chains` holds each testnet or altcoin network's config, hashed
+/// the first time a host joins it.
 fn sample_profile(
     rng: &mut StdRng,
     key: SecretKey,
     config: &WorldConfig,
+    alt_chains: &mut BTreeMap<u64, ChainConfig>,
 ) -> (TruthKind, NodeProfile) {
     // Table 3: ~6% of DEVp2p nodes are non-eth services or light clients.
     let other_total: f64 = OTHER_SERVICES.iter().map(|(_, _, w)| w).sum();
@@ -511,8 +516,12 @@ fn sample_profile(
     } else if roll < 0.66 {
         // Misconfigured: random network id advertising the Mainnet genesis.
         let network_id = rng.gen_range(100..100_000);
-        let mut chain_config = ChainConfig::alt(network_id, rng.gen());
-        chain_config.genesis_hash = ethwire::MAINNET_GENESIS;
+        let chain_config = ChainConfig {
+            network_id,
+            genesis_hash: ethwire::MAINNET_GENESIS,
+            chain_seed: rng.gen(),
+            dao_fork_support: false,
+        };
         let chain = Chain::new(chain_config, rng.gen_range(0..1_000_000));
         let client_id = crate::releases::geth_client_id("v1.8.3");
         (
@@ -533,8 +542,10 @@ fn sample_profile(
             8 => (8, 300_000),               // Ubiq
             _ => (rng.gen_range(1_000..4_000_000), rng.gen_range(1..500_000)),
         };
-        let chain_config = ChainConfig::alt(network_id, network_id ^ 0xABCD);
-        let chain = Chain::new(chain_config, label_head);
+        let chain_config = alt_chains
+            .entry(network_id)
+            .or_insert_with(|| ChainConfig::alt(network_id, network_id ^ 0xABCD));
+        let chain = Chain::new(chain_config.clone(), label_head);
         let client_id = if rng.gen_bool(0.7) {
             crate::releases::geth_client_id("v1.8.4")
         } else {

@@ -83,8 +83,8 @@ fn run_mesh(shared: bool) -> (u64, (u64, u64), Vec<NodeTally>) {
                 .unwrap();
             (
                 node.known_count(),
-                node.stats.dials,
-                node.stats.sent.values().sum::<u64>(),
+                node.stats().dials,
+                node.stats().sent.values().sum::<u64>(),
             )
         })
         .collect();

@@ -9,7 +9,6 @@
 use crate::distance::xor_cmp;
 use enode::{NodeId, NodeRecord};
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 
 /// Concurrency factor α (both Geth and the Kademlia paper use 3).
 pub const ALPHA: usize = 3;
@@ -38,8 +37,9 @@ struct Candidate {
 #[derive(Debug, Clone)]
 pub struct Lookup {
     target_hash: [u8; 32],
+    /// Every node seen, closest to the target first. None is ever removed,
+    /// so the list is also the membership index `insert` checks.
     candidates: Vec<Candidate>,
-    seen: BTreeSet<NodeId>,
     in_flight: usize,
     queries_sent: usize,
 }
@@ -51,7 +51,6 @@ impl Lookup {
         let mut lookup = Lookup {
             target_hash,
             candidates: Vec::new(),
-            seen: BTreeSet::new(),
             in_flight: 0,
             queries_sent: 0,
         };
@@ -71,15 +70,26 @@ impl Lookup {
         self.queries_sent
     }
 
+    /// Add a node not seen before, in XOR order; `false` if it was seen.
+    /// Equal distance to the target means an equal hash, so a node seen
+    /// before sits in the run of equal hashes the binary search lands in.
     fn insert(&mut self, record: NodeRecord) -> bool {
-        if !self.seen.insert(record.id) {
-            return false;
-        }
         let hash = record.id.kad_hash();
-        let pos = self
+        let found = self
             .candidates
-            .binary_search_by(|c| xor_cmp(&self.target_hash, &c.hash, &hash))
-            .unwrap_or_else(|p| p);
+            .binary_search_by(|c| xor_cmp(&self.target_hash, &c.hash, &hash));
+        let pos = match found {
+            Ok(at) => {
+                let run = |c: &&Candidate| c.hash == hash;
+                let before = self.candidates[..at].iter().rev().take_while(run);
+                let after = self.candidates[at..].iter().take_while(run);
+                if before.chain(after).any(|c| c.record.id == record.id) {
+                    return false;
+                }
+                at
+            }
+            Err(at) => at,
+        };
         self.candidates.insert(
             pos,
             Candidate {
@@ -184,8 +194,8 @@ impl Lookup {
 
     /// Capture the lookup for checkpoint/restore as plain data:
     /// `(target hash, (record, queried, failed) in frontier order,
-    /// in-flight queries, queries sent)`. Candidate hashes and the `seen`
-    /// set are derived data and deliberately omitted.
+    /// in-flight queries, queries sent)`. Candidate hashes are derived
+    /// data and deliberately omitted.
     pub fn to_parts(&self) -> LookupParts {
         let candidates = self
             .candidates
@@ -226,7 +236,6 @@ impl Lookup {
         }
         Ok(Lookup {
             target_hash,
-            seen: candidates.iter().map(|c| c.record.id).collect(),
             candidates,
             in_flight,
             queries_sent,
@@ -241,6 +250,8 @@ pub type LookupParts = ([u8; 32], Vec<(NodeRecord, bool, bool)>, usize, usize);
 mod tests {
     use super::*;
     use enode::Endpoint;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use std::net::Ipv4Addr;
 
     fn rec(tag: u16) -> NodeRecord {
@@ -348,6 +359,61 @@ mod tests {
                 xor_cmp(&target, &w[0].id.kad_hash(), &w[1].id.kad_hash()),
                 std::cmp::Ordering::Greater
             );
+        }
+    }
+
+    /// `insert` as it was with a second index, the set of every id seen:
+    /// the oracle for membership answered by the binary search alone.
+    fn insert_with_set(lk: &mut Lookup, seen: &mut BTreeSet<NodeId>, record: NodeRecord) -> bool {
+        if !seen.insert(record.id) {
+            return false;
+        }
+        let hash = record.id.kad_hash();
+        let pos = lk
+            .candidates
+            .binary_search_by(|c| xor_cmp(&lk.target_hash, &c.hash, &hash))
+            .unwrap_or_else(|p| p);
+        let candidate = Candidate {
+            record,
+            hash,
+            queried: false,
+            failed: false,
+        };
+        lk.candidates.insert(pos, candidate);
+        true
+    }
+
+    proptest! {
+        /// Seeds and NEIGHBORS responses drawn from a pool of 48 ids, so
+        /// most carry repeats, within a response and across responses.
+        #[test]
+        fn insert_agrees_with_a_set_of_ids_seen(
+            target in proptest::array::uniform32(any::<u8>()),
+            seeds in proptest::collection::vec(0u16..48, 0..8),
+            responses in proptest::collection::vec(
+                proptest::collection::vec(0u16..48, 0..20),
+                1..12,
+            ),
+        ) {
+            let mut lk = Lookup::new(target, seeds.iter().map(|&t| rec(t)).collect());
+            let mut oracle = Lookup::new(target, Vec::new());
+            let mut seen = BTreeSet::new();
+            for &t in &seeds {
+                insert_with_set(&mut oracle, &mut seen, rec(t));
+            }
+            for ids in responses {
+                let queried = lk.next_queries();
+                prop_assert_eq!(&queried, &oracle.next_queries());
+                let from = queried.first().map_or(rec(0).id, |r| r.id);
+                let neighbors: Vec<NodeRecord> = ids.into_iter().map(rec).collect();
+                oracle.settle(&from);
+                let expected = neighbors
+                    .iter()
+                    .filter(|&&n| insert_with_set(&mut oracle, &mut seen, n))
+                    .count();
+                prop_assert_eq!(lk.on_response(&from, neighbors), expected);
+                prop_assert_eq!(lk.to_parts(), oracle.to_parts());
+            }
         }
     }
 }

@@ -409,7 +409,10 @@ impl NetSim {
     }
 
     /// TCP-layer counters: establishes, abortive resets, payload bytes,
-    /// blackholed segments.
+    /// blackholed segments. Besides netsim's own tests, the benchmark
+    /// reads them: `benchmark/src/worker.rs` `finish` formats them into
+    /// the `sim_digest` of a world without a crawler (`gossip_heavy`), so
+    /// they cannot go while that digest is frozen.
     pub fn tcp_counters(&self) -> TcpCounters {
         self.tcp
     }

@@ -83,13 +83,13 @@ fn chain_mismatch_disconnect_reasons_are_client_specific() {
     // At least one side must have detected the mismatch and hung up with
     // its client-specific reason.
     let geth_sent_subproto = geth
-        .stats
+        .stats()
         .disconnects_sent
         .get("Subprotocol error")
         .copied()
         .unwrap_or(0);
     let parity_sent_useless = parity
-        .stats
+        .stats()
         .disconnects_sent
         .get("Useless peer")
         .copied()
@@ -97,13 +97,13 @@ fn chain_mismatch_disconnect_reasons_are_client_specific() {
     assert!(
         geth_sent_subproto + parity_sent_useless > 0,
         "expected a chain-mismatch disconnect; geth sent {:?}, parity sent {:?}",
-        geth.stats.disconnects_sent,
-        parity.stats.disconnects_sent
+        geth.stats().disconnects_sent,
+        parity.stats().disconnects_sent
     );
     // And Parity never emits codes above 0x0b.
     assert_eq!(
         parity
-            .stats
+            .stats()
             .disconnects_sent
             .get("Subprotocol error")
             .copied()
