@@ -17,6 +17,7 @@ use ethcrypto::secp256k1::SecretKey;
 use kad::{Lookup, LookupStatus, Metric, RoutingTable};
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
+use std::mem::size_of;
 
 /// Tunables. Defaults mirror Geth 1.7.3 (the paper's baseline, §4).
 #[derive(Debug, Clone)]
@@ -285,6 +286,38 @@ impl Discv4 {
     /// Immutable access to the routing table.
     pub fn table(&self) -> &RoutingTable {
         &self.table
+    }
+
+    /// Peers with an endpoint proof in either direction.
+    pub fn bond_count(&self) -> usize {
+        self.bonds.len()
+    }
+
+    /// Heap the engine holds outside its routing table: its bonds, its
+    /// pending pings with their boxed parts, its pending queries and the
+    /// active lookup's candidates. A map entry is charged its key and
+    /// value plus a 16-byte node overhead, as `ethpop`'s
+    /// `EthNode::approx_heap_bytes` charges its own maps.
+    pub fn heap_bytes(&self) -> usize {
+        const NODE_OVERHEAD: usize = 16;
+        let entry = |size: usize| size + NODE_OVERHEAD;
+        let pings: usize = self
+            .pending_pings
+            .values()
+            .map(|p| {
+                entry(size_of::<([u8; 32], PendingPing)>())
+                    + p.eviction_replacement
+                        .as_ref()
+                        .map_or(0, |_| size_of::<NodeRecord>())
+                    + p.queued_findnode
+                        .as_ref()
+                        .map_or(0, |_| size_of::<NodeId>())
+            })
+            .sum();
+        pings
+            + self.pending_queries.len() * entry(size_of::<(NodeId, PendingQuery)>())
+            + self.bonds.len() * entry(size_of::<(NodeId, Bond)>())
+            + self.lookup.as_ref().map_or(0, Lookup::heap_bytes)
     }
 
     /// Counters for the validation figures.

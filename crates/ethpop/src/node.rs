@@ -347,7 +347,8 @@ impl EthNode {
     /// to roughly the true total across a whole world. Container entries
     /// are charged `size_of` plus a fixed 16-byte node-overhead constant,
     /// a connection also its boxed parts and its receive buffer's
-    /// capacity; discv4 table internals are charged per entry. The
+    /// capacity; the discovery engine its routing-table entries and
+    /// `Discv4::heap_bytes` (bonds, pending requests, the lookup). The
     /// running state and the counters are charged with their boxes.
     pub fn approx_heap_bytes(&self) -> usize {
         const NODE_OVERHEAD: usize = 16;
@@ -379,6 +380,7 @@ impl EthNode {
                 .saturating_mul(size_of::<ConnId>() + NODE_OVERHEAD);
             total += run.candidates.capacity() * size_of::<NodeRecord>();
             total += run.disc.table().len() * (size_of::<NodeRecord>() + NODE_OVERHEAD);
+            total += run.disc.heap_bytes();
         }
         if let Some(stats) = self.stats.as_deref() {
             total += size_of::<NodeStats>();
@@ -1386,10 +1388,30 @@ mod tests {
         assert!(stopped.running.is_none());
         assert_eq!(bytes, idle);
 
-        let (running, bytes, idle) = measure(hosts[2]);
+        let (mut running, bytes, idle) = measure(hosts[2]);
         assert!(running.table_size() > 0, "the running node discovered");
         assert!(
             bytes >= idle + size_of::<Running>() + running.table_size() * size_of::<NodeRecord>()
+        );
+
+        // Its discovery engine is charged its bonds, not only its table:
+        // swapping in an empty engine frees at least the table entries
+        // plus an id and a stamp per bond.
+        let table = running.table_size() * size_of::<NodeRecord>();
+        let before = running.approx_heap_bytes();
+        let config = DiscConfig {
+            metric: running.profile.metric,
+            ..DiscConfig::default()
+        };
+        let empty = Discv4::new(running.profile.key, EthNode::endpoint(addr(2)), config);
+        let run = running.running.as_deref_mut().unwrap();
+        let bonds = run.disc.bond_count();
+        assert!(bonds > 0, "the running node bonded");
+        run.disc = empty;
+        let freed = before - running.approx_heap_bytes();
+        assert!(
+            freed >= table + bonds * (size_of::<NodeId>() + size_of::<u64>()),
+            "{freed} B freed for {bonds} bonds and a {table} B table"
         );
     }
 }

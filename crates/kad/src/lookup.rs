@@ -102,6 +102,11 @@ impl Lookup {
         true
     }
 
+    /// Heap the lookup holds: its candidate list's capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.candidates.capacity() * std::mem::size_of::<Candidate>()
+    }
+
     /// Nodes to query next: the closest unqueried candidates, up to α minus
     /// what is already in flight. Marks them queried.
     pub fn next_queries(&mut self) -> Vec<NodeRecord> {

@@ -14,6 +14,7 @@
 //! hands them out in ascending id order.
 
 use enode::{NodeId, NodeRecord};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -58,7 +59,7 @@ impl BackoffPolicy {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct PenaltyEntry {
     record: NodeRecord,
     failures: u32,
@@ -68,8 +69,15 @@ struct PenaltyEntry {
     boxed: bool,
 }
 
+obs::snap_struct!(PenaltyEntry {
+    record,
+    failures,
+    next_allowed_ms,
+    boxed
+});
+
 /// Per-endpoint failure tracking: backoff, then the box.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PenaltyBox {
     policy: BackoffPolicy,
     /// Consecutive failures at which an endpoint is boxed.
@@ -185,30 +193,35 @@ impl PenaltyBox {
         self.entries.get(id).map(|e| e.failures).unwrap_or(0)
     }
 
-    /// Checkpoint image of every tracked endpoint, in ascending `NodeId`
-    /// order: `(record, failures, next_allowed_ms, boxed)` per entry.
-    pub fn export_entries(&self) -> Vec<(NodeRecord, u32, u64, bool)> {
-        self.entries
-            .values()
-            .map(|e| (e.record, e.failures, e.next_allowed_ms, e.boxed))
-            .collect()
+    /// Append every tracked endpoint in ascending `NodeId` order, then
+    /// the monotone box total.
+    pub(crate) fn snap(&self, w: &mut SnapWriter) {
+        w.usize(self.entries.len());
+        for e in self.entries.values() {
+            e.snap(w);
+        }
+        self.boxed_total.snap(w);
     }
 
-    /// Restore entries exported by [`PenaltyBox::export_entries`] plus the
-    /// monotone box total.
-    pub fn import_entries(&mut self, entries: Vec<(NodeRecord, u32, u64, bool)>, boxed_total: u64) {
-        for (record, failures, next_allowed_ms, boxed) in entries {
-            self.entries.insert(
-                record.id,
-                PenaltyEntry {
-                    record,
-                    failures,
-                    next_allowed_ms,
-                    boxed,
-                },
-            );
+    /// Fill this empty box from [`PenaltyBox::snap`] output. Entries no
+    /// run writes are `Corrupt`: ids not strictly ascending, or an entry
+    /// with no failure (`record_failure` always counts one).
+    pub(crate) fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        for e in Vec::<PenaltyEntry>::unsnap(r)? {
+            if e.failures == 0 {
+                return Err(SnapError::Corrupt("penalty entry with no failures"));
+            }
+            if self
+                .entries
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= e.record.id)
+            {
+                return Err(SnapError::Corrupt("penalty entry ids not ascending"));
+            }
+            self.entries.insert(e.record.id, e);
         }
-        self.boxed_total = boxed_total;
+        self.boxed_total = Snap::unsnap(r)?;
+        Ok(())
     }
 }
 
@@ -316,27 +329,6 @@ mod tests {
         assert!(pb.due_retries(due - 1, 8).is_empty());
         assert!(!pb.is_blocked(&r.id, due), "dialable at exactly due");
         assert_eq!(pb.due_retries(due, 8).len(), 1);
-    }
-
-    #[test]
-    fn export_import_round_trips() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut pb = PenaltyBox::new(BackoffPolicy::default(), 2, 600_000);
-        for tag in [4u8, 1, 3] {
-            pb.record_failure(rec(tag), 0, &mut rng);
-            pb.record_failure(rec(tag), 10_000, &mut rng);
-        }
-        let exported = pb.export_entries();
-        let boxed_total = pb.boxed_total();
-
-        let mut pb2 = PenaltyBox::new(BackoffPolicy::default(), 2, 600_000);
-        pb2.import_entries(exported, boxed_total);
-        assert_eq!(pb2.tracked(), pb.tracked());
-        assert_eq!(pb2.boxed_total(), pb.boxed_total());
-        assert_eq!(pb2.export_entries(), pb.export_entries());
-        for tag in [1u8, 3, 4] {
-            assert_eq!(pb2.failures(&rec(tag).id), 2);
-        }
     }
 
     #[test]

@@ -11,20 +11,22 @@
 //!
 //! Field order (all inside one versioned `obs::snap` section, written in
 //! place into the engine's image; every map and set is written in
-//! ascending key order and refused on restore if it is not):
+//! ascending key order and refused on restore if it is not). Each type
+//! writes and reads its own span:
 //!
-//! 1. discovery (`Discv4::snap`: endpoint, then protocol state — v4 keeps
-//!    one bond per peer where v3 kept a bond table and a reverse one);
-//! 2. the bounded dial queue (records front-to-back + marks);
-//! 3. the queued-id set;
-//! 4. static nodes, keyed by `NodeId`;
-//! 5. the last-seen stamps, keyed by `NodeId`;
-//! 6. penalty-box entries + monotone box total;
-//! 7. session manager: dial-slot counters, then each live probe in
-//!    numeric `ConnId` order (`PeerConn` wire state + the in-progress
-//!    `ConnLog`);
-//! 8. scheduler arm flags;
-//! 9. the crawl log: its connection records, then its events.
+//! - field 1, discovery (`Discv4::snap`: endpoint, then protocol state —
+//!   v4 keeps one bond per peer where v3 kept a bond table and a reverse
+//!   one);
+//! - fields 2 to 6 and 7's counters, the dial policy (`DialPolicy::snap`):
+//!   the dial queue front to back and its marks, the queued-id set, the
+//!   static list, the last-seen stamps, the penalty box
+//!   (`PenaltyBox::snap`: entries in id order, each with at least one
+//!   failure, then the box total) and the dial-slot counters;
+//! - the rest of field 7, each live probe in numeric `ConnId` order
+//!   (`Probe::snap`: `PeerConn` wire state + the in-progress `ConnLog`);
+//!   the slot count must equal the number of dynamic-dial probes;
+//! - field 8, the scheduler arm flags;
+//! - field 9, the crawl log: its connection records, then its events.
 //!
 //! No field is text: `CrawlLog::to_jsonl` is the log's export format, not
 //! its checkpoint.
@@ -34,11 +36,11 @@
 //! Nor are the per-stage pipeline counters: they are `obs` counters, and
 //! the `OBSS` section carries them.
 
-use crate::crawler::{NodeFinder, StaticEntry, DIAL_QUEUE_CAP};
-use crate::session::{Probe, SessionManager};
-use crate::stages::BoundedQueue;
+use crate::crawler::NodeFinder;
+use crate::log::ConnType;
+use crate::policy::DialPolicy;
+use crate::session::Probe;
 use discv4::{Config as DiscConfig, Discv4};
-use enode::{NodeId, NodeRecord};
 use kad::Metric;
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
@@ -56,25 +58,12 @@ impl NodeFinder {
         if let Some(disc) = &self.disc {
             disc.snap(w);
         }
-        // 2. Dial queue (items front to back, then the marks).
-        w.usize(self.dial_queue.len());
-        for rec in self.dial_queue.iter() {
-            rec.snap(w);
-        }
-        self.dial_queue.high_water().snap(w);
-        self.dial_queue.rejected().snap(w);
-        // 3–5. Queued-id set, static nodes, last-seen stamps.
-        self.queued.snap(w);
-        self.static_nodes.snap(w);
-        self.seen.snap(w);
-        // 6. Penalty box.
-        self.sessions.penalty.export_entries().snap(w);
-        self.sessions.penalty.boxed_total().snap(w);
-        // 7. Session manager: counters, then live probes in ConnId order.
-        self.sessions.dialing().snap(w);
-        self.sessions.dialing_underflows().snap(w);
-        w.usize(self.sessions.conns.len());
-        for p in self.sessions.conns.values() {
+        // 2–7a. The dial policy's span: queue, queued set, static nodes,
+        // last-seen stamps, penalty box, dial-slot counters.
+        self.policy.snap(w);
+        // 7b. Live probes in ConnId order.
+        w.usize(self.probes.len());
+        for p in self.probes.values() {
             p.snap(w);
         }
         // 8. Scheduler arm flags (their timers live in the netsim queue).
@@ -99,45 +88,31 @@ impl NodeFinder {
         } else {
             None
         };
-        // 2. Dial queue.
-        let items = Vec::<NodeRecord>::unsnap(r)?;
-        let high_water = Snap::unsnap(r)?;
-        let rejected = Snap::unsnap(r)?;
-        self.dial_queue = BoundedQueue::from_parts(DIAL_QUEUE_CAP, items, high_water, rejected);
-        // 3–5. Queued-id set, static nodes, last-seen stamps.
-        self.queued = Snap::unsnap(r)?;
-        let static_nodes = BTreeMap::<NodeId, StaticEntry>::unsnap(r)?;
-        if static_nodes.iter().any(|(id, e)| *id != e.record.id) {
-            return Err(SnapError::Corrupt("static node filed under another id"));
-        }
-        self.static_nodes = static_nodes;
-        self.seen = Snap::unsnap(r)?;
-        // 6. Penalty box, into a fresh session manager.
-        let mut sessions = SessionManager::new(
-            self.config.backoff.clone(),
-            self.config.penalty_threshold,
-            self.config.penalty_box_ms,
-        );
-        let entries = Snap::unsnap(r)?;
-        let boxed_total = Snap::unsnap(r)?;
-        sessions.penalty.import_entries(entries, boxed_total);
-        // 7. Session counters + live probes.
-        let dialing = Snap::unsnap(r)?;
-        let underflows = Snap::unsnap(r)?;
-        sessions.restore_counters(dialing, underflows);
+        // 2–7a. The dial policy's span.
+        self.policy = DialPolicy::restore(r, &self.config)?;
+        // 7b. Live probes; each dynamic one holds one dial slot.
+        let mut probes = BTreeMap::new();
         for _ in 0..r.usize()? {
             let probe = Probe::restore(r, &self.key)?;
             let conn = probe.pc.conn;
-            if sessions
-                .conns
+            if probes
                 .last_key_value()
                 .is_some_and(|(last, _)| *last >= conn)
             {
                 return Err(SnapError::Corrupt("probe connection ids not ascending"));
             }
-            sessions.conns.insert(conn, probe);
+            probes.insert(conn, probe);
         }
-        self.sessions = sessions;
+        let dynamic = probes
+            .values()
+            .filter(|p| p.conn_type == ConnType::DynamicDial)
+            .count();
+        if self.policy.dialing() != dynamic {
+            return Err(SnapError::Corrupt(
+                "dial slots differ from live dynamic dials",
+            ));
+        }
+        self.probes = probes;
         // 8. Scheduler arm flags.
         self.poll_armed = Snap::unsnap(r)?;
         self.dial_armed = Snap::unsnap(r)?;
@@ -152,9 +127,11 @@ impl NodeFinder {
 mod tests {
     use super::*;
     use crate::crawler::CrawlerConfig;
-    use crate::log::{ConnLog, ConnOutcome, ConnType, DialEvent, DialEventKind, FailureClass};
+    use crate::log::{ConnLog, ConnOutcome, DialEvent, DialEventKind, FailureClass};
     use enode::{Endpoint, NodeId, NodeRecord};
     use ethcrypto::secp256k1::SecretKey;
+    use ethpop::PeerConn;
+    use netsim::HostAddr;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::net::Ipv4Addr;
@@ -166,12 +143,16 @@ mod tests {
         )
     }
 
-    fn static_entry(tag: u8) -> StaticEntry {
-        StaticEntry {
-            record: rec(tag),
-            next_dial_ms: 90_000,
-            last_success_ms: 60_000,
-        }
+    /// Where the crawler under test dials from.
+    fn local() -> HostAddr {
+        HostAddr::new(Ipv4Addr::new(10, 0, 0, 200), 30303)
+    }
+
+    /// `tag`'s node answers at `now_ms`, joining the static list.
+    fn answered(nf: &mut NodeFinder, tag: u8, now_ms: u64) {
+        let mut rng = StdRng::seed_from_u64(0);
+        nf.policy
+            .on_result(Some(rec(tag)), ConnType::Incoming, true, now_ms, &mut rng);
     }
 
     fn crawler() -> NodeFinder {
@@ -191,21 +172,30 @@ mod tests {
     fn populated() -> NodeFinder {
         let mut rng = StdRng::seed_from_u64(7);
         let mut nf = crawler();
-        for tag in [9u8, 3, 5] {
-            nf.seen.insert(rec(tag).id, 1_000 + tag as u64);
-            if nf.queued.insert(rec(tag).id) {
-                nf.dial_queue.push_back(rec(tag)).expect("queue has room");
-            }
+        // `tag` 9 is dialed: a dynamic probe holding its slot. 3 and 5
+        // wait in the queue.
+        nf.policy.on_sighting(rec(9), 1_009);
+        for (record, conn_type) in nf.policy.on_dial_tick(1_500, local()) {
+            let peer = HostAddr::new(record.endpoint.ip, record.endpoint.tcp_port);
+            let pc = PeerConn::dialing(7, record.id, nf.hello(local()), 1_500);
+            let probe = Probe::new(pc, conn_type, 0, Some(record.id), peer, 1_500, 11_500);
+            nf.probes.insert(7, probe);
+        }
+        for tag in [3u8, 5] {
+            nf.policy.on_sighting(rec(tag), 1_000 + tag as u64);
         }
         for t in 0..5u64 {
-            nf.sessions
-                .penalty
-                .record_failure(rec(11), t * 1_000, &mut rng);
+            nf.policy.on_result(
+                Some(rec(11)),
+                ConnType::StaticDial,
+                false,
+                t * 1_000,
+                &mut rng,
+            );
         }
         for tag in [13u8, 12] {
-            nf.static_nodes.insert(rec(tag).id, static_entry(tag));
+            answered(&mut nf, tag, 60_000);
         }
-        nf.sessions.begin_dial();
         nf.log.conns.push(ConnLog {
             instance: 0,
             ts_ms: 42,
@@ -243,13 +233,10 @@ mod tests {
         let mut restored = crawler();
         restored.apply_state(&snap).expect("snapshot applies");
         assert_eq!(image(&restored), snap, "second snapshot is byte-identical");
-        assert_eq!(restored.sessions.dialing(), 1);
-        assert_eq!(restored.dial_queue.len(), nf.dial_queue.len());
-        assert_eq!(restored.static_list_len(), nf.static_list_len());
-        assert_eq!(
-            restored.sessions.penalty.boxed_total(),
-            nf.sessions.penalty.boxed_total()
-        );
+        assert_eq!(restored.policy.dialing(), 1);
+        assert_eq!(restored.policy.queue_len(), 2);
+        assert_eq!(restored.policy.static_len(), 2);
+        assert_eq!(restored.penalty_boxed_total(), nf.penalty_boxed_total());
         assert_eq!(restored.log.to_jsonl(), nf.log.to_jsonl());
     }
 
@@ -301,13 +288,16 @@ mod tests {
     fn swapped_static_entries_are_rejected() {
         let mut nf = crawler();
         for tag in [12u8, 13] {
-            nf.static_nodes.insert(rec(tag).id, static_entry(tag));
+            answered(&mut nf, tag, 60_000);
         }
         let snap = image(&nf);
+        // id ‖ record ‖ next dial ‖ last success
         let entry = |tag: u8| {
             let mut w = SnapWriter::new();
             rec(tag).id.snap(&mut w);
-            static_entry(tag).snap(&mut w);
+            rec(tag).snap(&mut w);
+            (60_000 + nf.config.static_redial_interval_ms).snap(&mut w);
+            60_000u64.snap(&mut w);
             w.finish()
         };
         let (lo, hi) = (entry(12), entry(13));
@@ -349,5 +339,68 @@ mod tests {
         let mut bad_magic = image(&nf);
         bad_magic[0] ^= 0xFF;
         assert!(fresh.apply_state(&bad_magic).is_err(), "bad magic fails");
+    }
+
+    /// A crawler whose penalty box tracks tags 21 and 22 (one failure
+    /// each), its image, the offset of tag 21's entry and an entry's
+    /// length; the two entries are adjacent.
+    fn penalized() -> (Vec<u8>, usize, usize) {
+        let mut nf = crawler();
+        let mut rng = StdRng::seed_from_u64(7);
+        for tag in [21u8, 22] {
+            nf.policy
+                .on_result(Some(rec(tag)), ConnType::StaticDial, false, 1_000, &mut rng);
+        }
+        let snap = image(&nf);
+        // record ‖ failures, then next allowed `u64` ‖ boxed `bool`
+        let mut w = SnapWriter::new();
+        rec(21).snap(&mut w);
+        1u32.snap(&mut w);
+        let head = w.finish();
+        let at = snap
+            .windows(head.len())
+            .position(|w| w == head)
+            .expect("tag 21's entry is in the image");
+        (snap, at, head.len() + 8 + 1)
+    }
+
+    /// Penalty entries no run writes are `Corrupt`: entries swapped or
+    /// repeated (ids must read back strictly ascending, as every map in
+    /// the image must, not be merged and re-sorted), and an entry with no
+    /// failure (`record_failure` always counts one).
+    #[test]
+    fn penalty_entries_no_run_writes_are_rejected() {
+        let (snap, at, n) = penalized();
+        assert_eq!(crawler().apply_state(&snap), Ok(()));
+        let mut swapped = snap.clone();
+        swapped[at..at + n].copy_from_slice(&snap[at + n..at + 2 * n]);
+        swapped[at + n..at + 2 * n].copy_from_slice(&snap[at..at + n]);
+        let mut repeated = snap.clone();
+        repeated[at + n..at + 2 * n].copy_from_slice(&snap[at..at + n]);
+        let mut no_failure = snap.clone();
+        no_failure[at + n - 13..at + n - 9].copy_from_slice(&[0; 4]);
+        for (bad, why) in [
+            (swapped, "penalty entry ids not ascending"),
+            (repeated, "penalty entry ids not ascending"),
+            (no_failure, "penalty entry with no failures"),
+        ] {
+            assert_eq!(crawler().apply_state(&bad), Err(SnapError::Corrupt(why)));
+        }
+    }
+
+    /// A dial slot is claimed with its probe and released with it, so an
+    /// image whose slot count differs from its live dynamic probes is
+    /// `Corrupt`: here the policy dialed and no probe was opened.
+    #[test]
+    fn a_dial_slot_without_its_probe_is_rejected() {
+        let mut nf = crawler();
+        nf.policy.on_sighting(rec(23), 0);
+        assert_eq!(nf.policy.on_dial_tick(500, local()).len(), 1);
+        assert_eq!(
+            crawler().apply_state(&image(&nf)),
+            Err(SnapError::Corrupt(
+                "dial slots differ from live dynamic dials"
+            ))
+        );
     }
 }

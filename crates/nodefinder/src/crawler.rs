@@ -1,21 +1,23 @@
-//! The NodeFinder crawler host (§4), as a thin pipeline driver.
+//! The NodeFinder crawler host (§4): the wire adapter around the dial
+//! policy.
 //!
 //! The crawl is organized as five explicit stages — discover → dial →
-//! handshake → status → ingest (see `stages`) — and this module is only
-//! the driver that moves records between them: discovery sightings feed
-//! the bounded dial queue, the dial scheduler turns queue entries into
-//! probes owned by the `session` manager, wire events advance each probe
-//! through handshake and status, and `finish_probe` ingests the result
-//! into the structured log. Checkpoint/restore of the whole pipeline
-//! lives in `checkpoint`.
+//! handshake → status → ingest (see `stages`). Which node is dialed, and
+//! when, is the `policy` module's [`DialPolicy`]; this module does the
+//! I/O around it: it feeds the policy discovery sightings, timer ticks
+//! and finished probes, opens a probe for every dial the policy returns,
+//! advances each probe through handshake and status on wire events, and
+//! `finish_probe` ingests the result into the structured log, with the
+//! dial events, obs counters and gauges along the way. Checkpoint/restore
+//! of the whole pipeline lives in `checkpoint`.
 
 use crate::backoff::BackoffPolicy;
 use crate::log::{
-    ConnLog, ConnOutcome, ConnType, CrawlLog, DialEvent, DialEventKind, FailureClass, HelloInfo,
-    StatusInfo,
+    ConnOutcome, ConnType, CrawlLog, DialEvent, DialEventKind, FailureClass, HelloInfo, StatusInfo,
 };
-use crate::session::{Probe, SessionManager};
-use crate::stages::{window_elapsed, BoundedQueue, Stage};
+use crate::policy::{DialPolicy, Sighting, DIAL_QUEUE_CAP, DIAL_TICK_MS};
+use crate::session::Probe;
+use crate::stages::Stage;
 use devp2p::{Capability, DisconnectReason, Hello, P2P_VERSION};
 use discv4::{Config as DiscConfig, Discv4, Event as DiscEvent};
 use enode::{Endpoint, NodeId, NodeRecord};
@@ -28,12 +30,8 @@ use kad::Metric;
 use netsim::{ConnId, Ctx, Host, HostAddr, TcpEvent};
 use obs::snap::{SnapError, SnapWriter};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-/// Hard cap on the discover→dial hand-off queue. A full queue rejects new
-/// sightings (counted as `crawler.stage.dial.backpressure`) rather than
-/// growing without bound; the endpoint is re-queued on its next sighting.
-pub(crate) const DIAL_QUEUE_CAP: usize = 4_096;
 /// Per-stage timeout: TCP connect establishment.
 const CONNECT_TIMEOUT_MS: u64 = 10_000;
 /// Per-stage timeout: RLPx auth/ack after TCP is up.
@@ -45,11 +43,6 @@ const HELLO_TIMEOUT_MS: u64 = 10_000;
 const STATUS_TIMEOUT_MS: u64 = 15_000;
 /// Discovery poll delay after sends with pending requests.
 const POLL_DELAY_MS: u64 = 600;
-/// Dial-scheduler tick: queue drain cadence and the minimum delay before
-/// a retry timer fires.
-const DIAL_TICK_MS: u64 = 500;
-/// Delay before the first static dial of a bootstrap node.
-const BOOTSTRAP_DIAL_DELAY_MS: u64 = 1_000;
 
 pub(crate) const T_LOOKUP: u64 = 1;
 pub(crate) const T_DIAL: u64 = 2;
@@ -128,19 +121,6 @@ impl CrawlerConfig {
     }
 }
 
-#[derive(Debug)]
-pub(crate) struct StaticEntry {
-    pub(crate) record: NodeRecord,
-    pub(crate) next_dial_ms: u64,
-    pub(crate) last_success_ms: u64,
-}
-
-obs::snap_struct!(StaticEntry {
-    record,
-    next_dial_ms,
-    last_success_ms
-});
-
 /// The crawler. One instance per simulated measurement machine.
 #[derive(Debug)]
 pub struct NodeFinder {
@@ -148,16 +128,10 @@ pub struct NodeFinder {
     pub(crate) config: CrawlerConfig,
     pub(crate) bootstrap: Vec<NodeRecord>,
     pub(crate) disc: Option<Discv4>,
-    /// Live probe sessions, dial-slot accounting, and the penalty box.
-    pub(crate) sessions: SessionManager,
-    /// Discover→dial hand-off: sighted-but-not-yet-dialed endpoints.
-    pub(crate) dial_queue: BoundedQueue<NodeRecord>,
-    pub(crate) queued: BTreeSet<NodeId>,
-    pub(crate) static_nodes: BTreeMap<NodeId, StaticEntry>,
-    /// Last sighting/contact time per distinct node ever seen — feeds
-    /// the fresh/stale campaign gauges (`crawler.nodes_fresh`/`_stale`,
-    /// freshness window = `stale_after_ms`, the paper's 24h rule).
-    pub(crate) seen: BTreeMap<NodeId, u64>,
+    /// Who is dialed when: queue, static list, penalty box, dial slots.
+    pub(crate) policy: DialPolicy,
+    /// Live probes, one per open TCP connection.
+    pub(crate) probes: BTreeMap<ConnId, Probe>,
     pub(crate) poll_armed: bool,
     pub(crate) dial_armed: bool,
     /// The crawler's own view of Mainnet (for STATUS + serving stray
@@ -170,22 +144,13 @@ pub struct NodeFinder {
 impl NodeFinder {
     /// Build a crawler.
     pub fn new(key: SecretKey, config: CrawlerConfig, bootstrap: Vec<NodeRecord>) -> NodeFinder {
-        let sessions = SessionManager::new(
-            config.backoff.clone(),
-            config.penalty_threshold,
-            config.penalty_box_ms,
-        );
-        let dial_queue = BoundedQueue::new(DIAL_QUEUE_CAP);
         NodeFinder {
             key,
+            policy: DialPolicy::new(&config),
             config,
             bootstrap,
             disc: None,
-            sessions,
-            dial_queue,
-            queued: BTreeSet::new(),
-            static_nodes: BTreeMap::new(),
-            seen: BTreeMap::new(),
+            probes: BTreeMap::new(),
             poll_armed: false,
             dial_armed: false,
             chain: Chain::new(ChainConfig::mainnet(), SNAPSHOT_HEAD),
@@ -215,31 +180,26 @@ impl NodeFinder {
         (min_stage / 2).clamp(500, self.config.probe_timeout_ms / 2)
     }
 
-    /// Static-list size (diagnostics).
-    pub fn static_list_len(&self) -> usize {
-        self.static_nodes.len()
-    }
-
     /// How many endpoints have ever entered the penalty box (diagnostics).
     pub fn penalty_boxed_total(&self) -> u64 {
-        self.sessions.penalty.boxed_total()
+        self.policy.boxed_total()
     }
 
     /// Currently-open connections (diagnostics; the hold-connections
     /// ablation watches this grow without bound).
     pub fn open_conns(&self) -> usize {
-        self.sessions.open_conns()
+        self.probes.len()
     }
 
     /// Dial-slot releases that found no slot to release (diagnostics;
     /// zero in a correct crawler — asserted by the tier-1 suites).
     pub fn dialing_underflows(&self) -> u64 {
-        self.sessions.dialing_underflows()
+        self.policy.underflows()
     }
 
     /// Deepest the dial queue has been (diagnostics).
     pub fn dial_queue_high_water(&self) -> usize {
-        self.dial_queue.high_water()
+        self.policy.high_water()
     }
 
     pub(crate) fn hello(&self, addr: HostAddr) -> Hello {
@@ -284,9 +244,8 @@ impl NodeFinder {
     }
 
     /// Pipeline stage 1, discover: every usable sighting *enters* the
-    /// stage; it *completes* by landing in the dial queue. A full queue
-    /// is backpressure on the dial stage — the sighting is dropped (not
-    /// marked queued, so a later sighting retries).
+    /// stage; it *completes* by landing in the policy's dial queue. A full
+    /// queue is backpressure on the dial stage.
     fn drain_disc_events(&mut self, ctx: &mut Ctx) {
         let Some(disc) = self.disc.as_mut() else {
             return;
@@ -309,107 +268,73 @@ impl NodeFinder {
             );
             obs::counter_add("crawler.funnel.sightings", 1);
             Stage::Discover.note_entered();
-            self.seen.insert(record.id, ctx.now_ms);
-            // Endpoints in backoff / the penalty box are sighted but not
-            // queued — the retry scheduler owns them until they recover.
-            if self.sessions.penalty.is_blocked(&record.id, ctx.now_ms) {
-                continue;
-            }
-            // New nodes go to the dial queue unless already tracked.
-            if !self.static_nodes.contains_key(&record.id) && self.queued.insert(record.id) {
-                match self.dial_queue.push_back(record) {
-                    Ok(()) => Stage::Discover.note_completed(),
-                    Err(rejected) => {
-                        self.queued.remove(&rejected.id);
-                        Stage::Dial.note_backpressure();
-                    }
-                }
+            match self.policy.on_sighting(record, ctx.now_ms) {
+                Sighting::Queued => Stage::Discover.note_completed(),
+                Sighting::Rejected => obs::counter_add("crawler.stage.dial.backpressure", 1),
+                Sighting::Ignored => {}
             }
         }
-        if !self.dial_armed && !self.dial_queue.is_empty() {
+        self.arm_dial(ctx);
+    }
+
+    /// Arm `T_DIAL` for the policy's next dial wake, unless it is armed.
+    fn arm_dial(&mut self, ctx: &mut Ctx) {
+        if self.dial_armed {
+            return;
+        }
+        if let Some(delay_ms) = self.policy.next_dial_wake(ctx.now_ms) {
             self.dial_armed = true;
-            ctx.set_timer(DIAL_TICK_MS, T_DIAL);
+            ctx.set_timer(delay_ms, T_DIAL);
         }
     }
 
-    /// Pipeline stage 2, dial: open the TCP connection and hand the new
-    /// probe to the session manager. The stage completes when the
+    /// Pipeline stage 2, dial: open the TCP connection the policy asked
+    /// for and track it as a probe. The stage completes when the
     /// transport reports `Connected`.
     fn dial(&mut self, ctx: &mut Ctx, record: NodeRecord, conn_type: ConnType) {
-        let local = ctx.local_addr();
-        if record.endpoint.ip == local.ip && record.endpoint.tcp_port == local.port {
-            return; // never dial our own address
-        }
-        let kind = match conn_type {
-            ConnType::DynamicDial => DialEventKind::DynamicDialAttempt,
-            ConnType::StaticDial => DialEventKind::StaticDialAttempt,
+        let (kind, counter) = match conn_type {
+            ConnType::DynamicDial => (DialEventKind::DynamicDialAttempt, "crawler.dial.dynamic"),
+            ConnType::StaticDial => (DialEventKind::StaticDialAttempt, "crawler.dial.static"),
             ConnType::Incoming => unreachable!("incoming is not dialed"),
         };
         self.event(ctx.now_ms, record.id, record.endpoint.ip, kind);
-        obs::counter_add(
-            match conn_type {
-                ConnType::StaticDial => "crawler.dial.static",
-                _ => "crawler.dial.dynamic",
-            },
-            1,
-        );
+        obs::counter_add(counter, 1);
         Stage::Dial.note_entered();
-        let conn = ctx.tcp_connect(HostAddr::new(record.endpoint.ip, record.endpoint.tcp_port));
+        let peer = HostAddr::new(record.endpoint.ip, record.endpoint.tcp_port);
+        let conn = ctx.tcp_connect(peer);
         let hello = self.hello(ctx.local_addr());
-        let record_log = ConnLog {
-            instance: self.config.instance,
-            ts_ms: ctx.now_ms,
-            node_id: Some(record.id),
-            ip: record.endpoint.ip,
-            port: record.endpoint.tcp_port,
+        let pc = PeerConn::dialing(conn, record.id, hello, ctx.now_ms);
+        let deadline_ms = ctx.now_ms + CONNECT_TIMEOUT_MS;
+        let probe = Probe::new(
+            pc,
             conn_type,
-            latency_ms: 0,
-            duration_ms: 0,
-            hello: None,
-            status: None,
-            dao_fork: None,
-            outcome: ConnOutcome::DialFailed,
-            failure: None,
-        };
-        self.sessions.conns.insert(
-            conn,
-            Probe {
-                pc: PeerConn::dialing(conn, record.id, hello, ctx.now_ms),
-                conn_type,
-                record: record_log,
-                awaiting_dao: false,
-                connected: false,
-                deadline_ms: ctx.now_ms + CONNECT_TIMEOUT_MS,
-                stage_start_ms: ctx.now_ms,
-            },
+            self.config.instance,
+            Some(record.id),
+            peer,
+            ctx.now_ms,
+            deadline_ms,
         );
-        if conn_type == ConnType::DynamicDial {
-            self.sessions.begin_dial();
-        }
-        obs::gauge_set("crawler.dialing", self.sessions.dialing() as u64);
-        obs::gauge_max("crawler.open_conns_peak", self.sessions.open_conns() as u64);
+        self.probes.insert(conn, probe);
+        obs::gauge_set("crawler.dialing", self.policy.dialing() as u64);
+        obs::gauge_max("crawler.open_conns_peak", self.probes.len() as u64);
     }
 
     /// Pipeline stage 5, ingest: a probe finished (or died) — close the
-    /// socket, finalize the log entry, update the static list.
+    /// socket, tell the policy, and finalize the log entry.
     fn finish_probe(&mut self, ctx: &mut Ctx, conn: ConnId, polite: bool) {
-        let Some(mut probe) = self.sessions.conns.remove(&conn) else {
-            // Already finalized: `remove` is the single hand-off out of
-            // the session table, so a second finish on the same conn is a
-            // no-op (and in particular cannot double-release a dial slot).
+        // `remove` is the single hand-off out of the probe table, so a
+        // second finish on the same conn is a no-op (and in particular
+        // cannot release a dial slot twice).
+        let Some(mut probe) = self.probes.remove(&conn) else {
             return;
         };
         Stage::Ingest.note_entered();
-        if probe.conn_type == ConnType::DynamicDial {
-            // Sole dial-slot release site. `end_dial` is checked: an
-            // underflow is exported as `crawler.dialing_underflow`, never
-            // silently clamped.
-            self.sessions.end_dial();
-        }
         if polite && probe.pc.is_active() {
-            for f in probe.pc.send_disconnect(DisconnectReason::Requested) {
-                ctx.tcp_send(conn, f);
-            }
+            send(
+                ctx,
+                conn,
+                probe.pc.send_disconnect(DisconnectReason::Requested),
+            );
         }
         ctx.tcp_close(conn);
         probe.record.duration_ms = ctx.now_ms.saturating_sub(probe.record.ts_ms);
@@ -451,74 +376,37 @@ impl NodeFinder {
                 ],
             );
         }
-        if let Some(id) = probe.record.node_id {
-            if responded {
-                self.seen.insert(id, ctx.now_ms);
-            }
-            // Only *dials* that get an answer prove reachability; incoming
-            // conns say nothing about whether the node accepts inbound TCP.
-            // Fig 7 counts nodes responding to *dynamic* dials.
-            if responded && probe.conn_type == ConnType::DynamicDial {
-                self.event(
-                    ctx.now_ms,
-                    id,
-                    probe.record.ip,
-                    DialEventKind::DialResponded,
-                );
-            }
-            let now = ctx.now_ms;
-            let interval = self.config.static_redial_interval_ms;
-            if responded {
-                // A DEVp2p answer wipes the endpoint's failure slate and
-                // (re)joins it to the StaticNodes list.
-                self.sessions.penalty.record_success(&id);
-                let record = NodeRecord::new(id, Endpoint::new(probe.record.ip, probe.record.port));
-                self.static_nodes.insert(
-                    id,
-                    StaticEntry {
-                        record,
-                        next_dial_ms: now + interval,
-                        last_success_ms: now,
-                    },
-                );
-            } else if probe.conn_type != ConnType::Incoming {
-                // A failed outbound attempt backs the endpoint off (and
-                // eventually boxes it). It does NOT refresh last_success,
-                // so dead static entries actually go stale.
-                let record = NodeRecord::new(id, Endpoint::new(probe.record.ip, probe.record.port));
-                self.sessions.penalty.record_failure(record, now, ctx.rng());
-                // The attempt still pushes the next static re-dial back
-                // (§5.2's "slightly fewer than 48/day" effect).
-                if let Some(entry) = self.static_nodes.get_mut(&id) {
-                    entry.next_dial_ms = now + interval;
-                }
-                // Make sure the retry actually fires even if discovery
-                // goes quiet.
-                if !self.dial_armed {
-                    if let Some(due) = self.sessions.penalty.next_due_ms() {
-                        self.dial_armed = true;
-                        ctx.set_timer(due.saturating_sub(now).max(DIAL_TICK_MS), T_DIAL);
-                    }
-                }
-            }
-            self.queued.remove(&id);
+        let record = probe
+            .record
+            .node_id
+            .map(|id| NodeRecord::new(id, Endpoint::new(probe.record.ip, probe.record.port)));
+        // Fig 7 counts the nodes that answer a *dynamic* dial.
+        if let Some(r) = record.filter(|_| responded && probe.conn_type == ConnType::DynamicDial) {
+            self.event(
+                ctx.now_ms,
+                r.id,
+                r.endpoint.ip,
+                DialEventKind::DialResponded,
+            );
         }
+        let now = ctx.now_ms;
+        self.policy
+            .on_result(record, probe.conn_type, responded, now, ctx.rng());
+        // A failure's retry must fire even if discovery goes quiet.
+        self.arm_dial(ctx);
         self.log.conns.push(probe.record);
         Stage::Ingest.note_completed();
-        obs::gauge_set("crawler.dialing", self.sessions.dialing() as u64);
+        obs::gauge_set("crawler.dialing", self.policy.dialing() as u64);
         obs::gauge_set(
             "crawler.penalty.tracked",
-            self.sessions.penalty.tracked() as u64,
+            self.policy.penalty_tracked() as u64,
         );
-        obs::gauge_set(
-            "crawler.penalty.boxed_total",
-            self.sessions.penalty.boxed_total(),
-        );
-        obs::gauge_set("crawler.static_list", self.static_nodes.len() as u64);
+        obs::gauge_set("crawler.penalty.boxed_total", self.policy.boxed_total());
+        obs::gauge_set("crawler.static_list", self.policy.static_len() as u64);
     }
 
     fn handle_wire_event(&mut self, ctx: &mut Ctx, conn: ConnId, event: WireEvent) {
-        if !self.sessions.conns.contains_key(&conn) {
+        if !self.probes.contains_key(&conn) {
             return;
         }
         // Stage transitions are recorded up front (the probe's existence
@@ -540,7 +428,7 @@ impl NodeFinder {
         let rtt = ctx.rtt_ms(conn);
         let ours = self.our_status();
         let chain = self.chain.clone();
-        let Some(probe) = self.sessions.conns.get_mut(&conn) else {
+        let Some(probe) = self.probes.get_mut(&conn) else {
             return;
         };
         if rtt > 0 {
@@ -551,13 +439,11 @@ impl NodeFinder {
                 probe.record.node_id = Some(peer_id);
                 probe.record.outcome = ConnOutcome::HandshakeFailed;
                 // Next stage: the peer's HELLO.
-                probe.deadline_ms = ctx.now_ms + HELLO_TIMEOUT_MS;
-                obs::span(
+                probe.next_stage(
                     "crawler.stage.auth_ms",
-                    probe.stage_start_ms,
-                    &[("conn", obs::Value::U64(conn as u64))],
+                    ctx.now_ms,
+                    ctx.now_ms + HELLO_TIMEOUT_MS,
                 );
-                probe.stage_start_ms = ctx.now_ms;
             }
             WireEvent::Hello { hello, shared } => {
                 probe.record.hello = Some(HelloInfo {
@@ -567,20 +453,15 @@ impl NodeFinder {
                 });
                 probe.record.outcome = ConnOutcome::HelloOnly;
                 // Next stage: eth STATUS.
-                probe.deadline_ms = ctx.now_ms + STATUS_TIMEOUT_MS;
-                obs::span(
+                probe.next_stage(
                     "crawler.stage.hello_ms",
-                    probe.stage_start_ms,
-                    &[("conn", obs::Value::U64(conn as u64))],
+                    ctx.now_ms,
+                    ctx.now_ms + STATUS_TIMEOUT_MS,
                 );
-                probe.stage_start_ms = ctx.now_ms;
                 if shared.iter().any(|c| c.name == "eth") {
                     // Send our STATUS; theirs should follow.
                     let status = EthMessage::Status(ours.clone());
-                    let frames = probe.pc.send_eth(&status);
-                    for f in frames {
-                        ctx.tcp_send(conn, f);
-                    }
+                    send(ctx, conn, probe.pc.send_eth(&status));
                 } else if !self.config.hold_connections {
                     // Non-eth peer: HELLO is all we wanted.
                     self.finish_probe(ctx, conn, true);
@@ -595,12 +476,7 @@ impl NodeFinder {
                     genesis_hash: st.genesis_hash,
                 });
                 probe.record.outcome = ConnOutcome::StatusCollected;
-                obs::span(
-                    "crawler.stage.status_ms",
-                    probe.stage_start_ms,
-                    &[("conn", obs::Value::U64(conn as u64))],
-                );
-                probe.stage_start_ms = ctx.now_ms;
+                probe.next_stage("crawler.stage.status_ms", ctx.now_ms, probe.deadline_ms);
                 // `ours` computed above, before borrowing the probe.
                 if ours.compatible(&st) && self.config.dao_check {
                     // Mainnet-or-Classic: run the DAO check.
@@ -613,10 +489,7 @@ impl NodeFinder {
                         skip: 0,
                         reverse: false,
                     };
-                    let frames = probe.pc.send_eth(&req);
-                    for f in frames {
-                        ctx.tcp_send(conn, f);
-                    }
+                    send(ctx, conn, probe.pc.send_eth(&req));
                 } else if !self.config.hold_connections {
                     self.finish_probe(ctx, conn, true);
                 }
@@ -649,20 +522,18 @@ impl NodeFinder {
                     Some(n) => chain.headers(n, max_headers as usize, skip, reverse),
                     None => Vec::new(),
                 };
-                let frames = probe.pc.send_eth(&EthMessage::BlockHeaders(headers));
-                for f in frames {
-                    ctx.tcp_send(conn, f);
-                }
+                send(
+                    ctx,
+                    conn,
+                    probe.pc.send_eth(&EthMessage::BlockHeaders(headers)),
+                );
             }
             WireEvent::Eth(_) => {
                 // TRANSACTIONS and friends: tolerated, ignored.
             }
             WireEvent::OtherSubprotocol { .. } => {}
             WireEvent::Ping => {
-                let frames = probe.pc.flush_session();
-                for f in frames {
-                    ctx.tcp_send(conn, f);
-                }
+                send(ctx, conn, probe.pc.flush_session());
             }
             WireEvent::Pong => {}
             WireEvent::Disconnected(reason) => {
@@ -684,11 +555,7 @@ impl Host for NodeFinder {
 
     fn on_start(&mut self, ctx: &mut Ctx) {
         let addr = ctx.local_addr();
-        let endpoint = Endpoint {
-            ip: addr.ip,
-            udp_port: addr.port,
-            tcp_port: addr.port,
-        };
+        let endpoint = Endpoint::new(addr.ip, addr.port);
         let mut disc = Discv4::new(
             self.key,
             endpoint,
@@ -703,14 +570,7 @@ impl Host for NodeFinder {
             if b.id != self.node_id() {
                 outgoing.push(disc.ping(b, now));
                 // Bootstraps are static-dialed like anyone else (§4).
-                self.static_nodes.insert(
-                    b.id,
-                    StaticEntry {
-                        record: b,
-                        next_dial_ms: now + BOOTSTRAP_DIAL_DELAY_MS,
-                        last_success_ms: now,
-                    },
-                );
+                self.policy.add_bootstrap(b, now);
             }
         }
         self.disc = Some(disc);
@@ -734,12 +594,7 @@ impl Host for NodeFinder {
         let Some(disc) = self.disc.as_mut() else {
             return;
         };
-        let from_ep = Endpoint {
-            ip: from.ip,
-            udp_port: from.port,
-            tcp_port: from.port,
-        };
-        let outgoing = disc.on_datagram(from_ep, datagram, ctx.now_ms);
+        let outgoing = disc.on_datagram(Endpoint::new(from.ip, from.port), datagram, ctx.now_ms);
         self.send_disc(ctx, outgoing);
         self.drain_disc_events(ctx);
     }
@@ -747,46 +602,33 @@ impl Host for NodeFinder {
     fn on_tcp(&mut self, ctx: &mut Ctx, event: TcpEvent) {
         match event {
             TcpEvent::Connected { conn, .. } => {
+                let key = self.key;
+                let Some(probe) = self.probes.get_mut(&conn) else {
+                    return;
+                };
                 // Pipeline: the dial stage completed; the handshake stage
                 // (RLPx auth + HELLO) begins.
-                if self.sessions.conns.contains_key(&conn) {
-                    Stage::Dial.note_completed();
-                    Stage::Handshake.note_entered();
-                }
-                let key = self.key;
-                let mut frames = Vec::new();
-                if let Some(probe) = self.sessions.conns.get_mut(&conn) {
-                    probe.record.latency_ms = ctx.rtt_ms(conn);
-                    probe.connected = true;
-                    probe.deadline_ms = ctx.now_ms + HANDSHAKE_TIMEOUT_MS;
-                    obs::span(
-                        "crawler.stage.connect_ms",
-                        probe.stage_start_ms,
-                        &[("conn", obs::Value::U64(conn as u64))],
-                    );
-                    probe.stage_start_ms = ctx.now_ms;
-                    frames = probe.pc.on_tcp_connected(ctx.rng(), &key);
-                }
-                for f in frames {
-                    ctx.tcp_send(conn, f);
-                }
-                if self
-                    .sessions
-                    .conns
-                    .get(&conn)
-                    .is_some_and(|p| p.pc.is_dead())
-                {
+                Stage::Dial.note_completed();
+                Stage::Handshake.note_entered();
+                probe.record.latency_ms = ctx.rtt_ms(conn);
+                probe.connected = true;
+                let deadline_ms = ctx.now_ms + HANDSHAKE_TIMEOUT_MS;
+                probe.next_stage("crawler.stage.connect_ms", ctx.now_ms, deadline_ms);
+                let frames = probe.pc.on_tcp_connected(ctx.rng(), &key);
+                let dead = probe.pc.is_dead();
+                send(ctx, conn, frames);
+                if dead {
                     self.finish_probe(ctx, conn, false);
                 }
             }
             TcpEvent::ConnectFailed { conn } => {
-                if let Some(probe) = self.sessions.conns.get_mut(&conn) {
+                if let Some(probe) = self.probes.get_mut(&conn) {
                     probe.record.failure = Some(FailureClass::ConnectFailed);
                 }
                 self.finish_probe(ctx, conn, false);
             }
             TcpEvent::Incoming { conn, peer } => {
-                if self.sessions.conns.contains_key(&conn) {
+                if self.probes.contains_key(&conn) {
                     // Self-connection guard (shouldn't occur given the dial
                     // filter, but cheap to be safe).
                     self.finish_probe(ctx, conn, false);
@@ -797,66 +639,46 @@ impl Host for NodeFinder {
                 // (no discover/dial legs).
                 Stage::Handshake.note_entered();
                 let hello = self.hello(ctx.local_addr());
-                let record_log = ConnLog {
-                    instance: self.config.instance,
-                    ts_ms: ctx.now_ms,
-                    node_id: None,
-                    ip: peer.ip,
-                    port: peer.port,
-                    conn_type: ConnType::Incoming,
-                    latency_ms: 0,
-                    duration_ms: 0,
-                    hello: None,
-                    status: None,
-                    dao_fork: None,
-                    outcome: ConnOutcome::HandshakeFailed,
-                    failure: None,
-                };
-                self.sessions.conns.insert(
-                    conn,
-                    Probe {
-                        pc: PeerConn::accepted(conn, hello, ctx.now_ms),
-                        conn_type: ConnType::Incoming,
-                        record: record_log,
-                        awaiting_dao: false,
-                        connected: true,
-                        deadline_ms: ctx.now_ms + HANDSHAKE_TIMEOUT_MS,
-                        stage_start_ms: ctx.now_ms,
-                    },
+                let pc = PeerConn::accepted(conn, hello, ctx.now_ms);
+                let deadline_ms = ctx.now_ms + HANDSHAKE_TIMEOUT_MS;
+                let probe = Probe::new(
+                    pc,
+                    ConnType::Incoming,
+                    self.config.instance,
+                    None,
+                    peer,
+                    ctx.now_ms,
+                    deadline_ms,
                 );
+                self.probes.insert(conn, probe);
                 obs::counter_add("crawler.conn.incoming", 1);
-                obs::gauge_max("crawler.open_conns_peak", self.sessions.open_conns() as u64);
+                obs::gauge_max("crawler.open_conns_peak", self.probes.len() as u64);
             }
             TcpEvent::Data { conn, bytes } => {
                 let key = self.key;
-                let Some(probe) = self.sessions.conns.get_mut(&conn) else {
+                let Some(probe) = self.probes.get_mut(&conn) else {
                     return;
                 };
                 let (events, out) = probe.pc.on_data(ctx.rng(), &key, &bytes);
-                for f in out {
-                    ctx.tcp_send(conn, f);
-                }
+                send(ctx, conn, out);
                 for e in events {
                     self.handle_wire_event(ctx, conn, e);
                 }
-                if self
-                    .sessions
-                    .conns
-                    .get(&conn)
-                    .is_some_and(|p| p.pc.is_dead())
-                {
+                if self.probes.get(&conn).is_some_and(|p| p.pc.is_dead()) {
                     self.finish_probe(ctx, conn, false);
                 }
             }
             TcpEvent::Closed { conn } => {
-                if let Some(probe) = self.sessions.conns.get_mut(&conn) {
+                if let Some(probe) = self.probes.get_mut(&conn) {
                     // The remote (or a mid-stream fault) tore the stream
                     // down before completing DEVp2p.
                     if probe.record.hello.is_none()
                         && !matches!(probe.record.outcome, ConnOutcome::RemoteDisconnect(_))
-                        && probe.record.failure.is_none()
                     {
-                        probe.record.failure = Some(FailureClass::RemoteReset);
+                        probe
+                            .record
+                            .failure
+                            .get_or_insert(FailureClass::RemoteReset);
                     }
                 }
                 self.finish_probe(ctx, conn, false);
@@ -868,111 +690,57 @@ impl Host for NodeFinder {
         match token {
             T_LOOKUP => {
                 // NodeFinder discovers continuously (§4 modification 1).
-                let mut outgoing = Vec::new();
                 if let Some(disc) = self.disc.as_mut() {
-                    outgoing.extend(disc.poll(ctx.now_ms));
+                    let mut outgoing = disc.poll(ctx.now_ms);
                     if !disc.lookup_in_progress() {
                         let mut target = [0u8; 64];
                         ctx.rng().fill(&mut target[..]);
-                        let disc = self.disc.as_mut().unwrap();
                         outgoing.extend(disc.start_lookup(NodeId(target), ctx.now_ms));
                         // one Fig 5 "discovery attempt"
                         let own = self.node_id();
                         let ip = ctx.local_addr().ip;
                         self.event(ctx.now_ms, own, ip, DialEventKind::DiscoveryAttempt);
                     }
+                    self.send_disc(ctx, outgoing);
+                    self.drain_disc_events(ctx);
                 }
-                self.send_disc(ctx, outgoing);
-                self.drain_disc_events(ctx);
                 ctx.set_timer(self.config.lookup_interval_ms, T_LOOKUP);
             }
             T_DIAL => {
                 self.dial_armed = false;
-                let now = ctx.now_ms;
-                // Retries whose backoff elapsed go first: they're the
-                // oldest work, and the penalty box hands each endpoint out
-                // at most once per period.
-                let budget = self
-                    .config
-                    .max_active_dials
-                    .saturating_sub(self.sessions.dialing());
-                for record in self.sessions.penalty.due_retries(now, budget) {
-                    let conn_type = if self.static_nodes.contains_key(&record.id) {
-                        ConnType::StaticDial
-                    } else {
-                        ConnType::DynamicDial
-                    };
+                for (record, conn_type) in self.policy.on_dial_tick(ctx.now_ms, ctx.local_addr()) {
                     self.dial(ctx, record, conn_type);
                 }
-                while self.sessions.dialing() < self.config.max_active_dials {
-                    let Some(record) = self.dial_queue.pop_front() else {
-                        break;
-                    };
-                    if self.static_nodes.contains_key(&record.id) {
-                        self.queued.remove(&record.id);
-                        continue;
-                    }
-                    self.dial(ctx, record, ConnType::DynamicDial);
-                }
-                if !self.dial_queue.is_empty() {
-                    self.dial_armed = true;
-                    ctx.set_timer(DIAL_TICK_MS, T_DIAL);
-                } else if let Some(due) = self.sessions.penalty.next_due_ms() {
-                    self.dial_armed = true;
-                    ctx.set_timer(due.saturating_sub(now).max(DIAL_TICK_MS), T_DIAL);
-                }
+                self.arm_dial(ctx);
             }
             T_STATIC => {
                 let now = ctx.now_ms;
                 // Campaign-progress gauges: how much of the discovered
                 // population is fresh (seen within the 24h window) vs
-                // stale, plus the pipeline's hand-off queue state. Sampled
-                // here because the static tick is the crawler's steady
-                // heartbeat.
+                // stale, plus the dial queue's state. Sampled here because
+                // the static tick is the crawler's steady heartbeat.
                 if obs::is_enabled() {
-                    let fresh = self
-                        .seen
-                        .values()
-                        .filter(|&&ts| now.saturating_sub(ts) <= self.config.stale_after_ms)
-                        .count() as u64;
-                    obs::gauge_set("crawler.nodes_fresh", fresh);
-                    obs::gauge_set("crawler.nodes_stale", self.seen.len() as u64 - fresh);
-                    obs::gauge_set("crawler.dial_queue.depth", self.dial_queue.len() as u64);
+                    let (seen, fresh) = self.policy.seen_fresh(now);
+                    obs::gauge_set("crawler.nodes_fresh", fresh as u64);
+                    obs::gauge_set("crawler.nodes_stale", (seen - fresh) as u64);
+                    obs::gauge_set("crawler.dial_queue.depth", self.policy.queue_len() as u64);
                     obs::gauge_set(
                         "crawler.dial_queue.high_water",
-                        self.dial_queue.high_water() as u64,
+                        self.policy.high_water() as u64,
                     );
                 }
-                // Remove stale addresses (no TCP success in stale_after).
-                // Staleness is half-open: an entry is stale at *exactly*
-                // the window edge (`window_elapsed`), matching every other
-                // crawler window.
-                self.static_nodes.retain(|_, e| {
-                    !window_elapsed(now, e.last_success_ms, self.config.stale_after_ms)
-                });
-                // Fire due static dials, in ascending NodeId order — no
-                // concurrency cap (§4), but endpoints in backoff wait for
-                // the retry scheduler.
-                let mut due = Vec::new();
-                for (id, e) in self.static_nodes.iter_mut() {
-                    if e.next_dial_ms <= now && !self.sessions.penalty.is_blocked(id, now) {
-                        e.next_dial_ms = now + self.config.static_redial_interval_ms;
-                        due.push(e.record);
-                    }
-                }
-                for record in due {
-                    self.dial(ctx, record, ConnType::StaticDial);
+                for (record, conn_type) in self.policy.on_static_tick(now, ctx.local_addr()) {
+                    self.dial(ctx, record, conn_type);
                 }
                 ctx.set_timer(self.static_tick_ms(), T_STATIC);
             }
             T_POLL => {
                 self.poll_armed = false;
-                let outgoing = match self.disc.as_mut() {
-                    Some(d) => d.poll(ctx.now_ms),
-                    None => Vec::new(),
-                };
-                self.send_disc(ctx, outgoing);
-                self.drain_disc_events(ctx);
+                if let Some(disc) = self.disc.as_mut() {
+                    let outgoing = disc.poll(ctx.now_ms);
+                    self.send_disc(ctx, outgoing);
+                    self.drain_disc_events(ctx);
+                }
             }
             T_SWEEP => {
                 let now = ctx.now_ms;
@@ -980,41 +748,16 @@ impl Host for NodeFinder {
                 // deadlines are half-open (`window_elapsed` / `>=`): a
                 // probe is overdue at *exactly* its deadline instant.
                 let expired: Vec<(ConnId, FailureClass)> = self
-                    .sessions
-                    .conns
+                    .probes
                     .iter()
-                    .filter(|(_, p)| {
-                        // In hold mode, active sessions are kept forever;
-                        // only stuck handshakes are reaped.
-                        !(self.config.hold_connections && p.pc.is_active())
-                    })
-                    .filter_map(|(c, p)| {
-                        let over_stage = now >= p.deadline_ms;
-                        let over_total =
-                            window_elapsed(now, p.record.ts_ms, self.config.probe_timeout_ms);
-                        if !(over_stage || over_total) {
-                            return None;
-                        }
-                        // Classify by how far the probe got.
-                        let class = if !over_stage {
-                            FailureClass::ProbeTimeout
-                        } else if !p.connected {
-                            FailureClass::ConnectTimeout
-                        } else if p.pc.peer_id.is_none() {
-                            FailureClass::HandshakeTimeout
-                        } else if p.record.hello.is_none() {
-                            FailureClass::HelloTimeout
-                        } else {
-                            FailureClass::StatusTimeout
-                        };
-                        Some((*c, class))
-                    })
+                    // In hold mode, active sessions are kept forever;
+                    // only stuck handshakes are reaped.
+                    .filter(|(_, p)| !(self.config.hold_connections && p.pc.is_active()))
+                    .filter_map(|(c, p)| Some((*c, p.overdue(now, self.config.probe_timeout_ms)?)))
                     .collect();
                 for (conn, class) in expired {
-                    if let Some(p) = self.sessions.conns.get_mut(&conn) {
-                        if p.record.failure.is_none() {
-                            p.record.failure = Some(class);
-                        }
+                    if let Some(p) = self.probes.get_mut(&conn) {
+                        p.record.failure.get_or_insert(class);
                     }
                     self.finish_probe(ctx, conn, true);
                 }
@@ -1027,9 +770,9 @@ impl Host for NodeFinder {
     fn on_stop(&mut self, ctx: &mut Ctx) {
         // Flush open probes with Open outcome so nothing is lost, in
         // numeric ConnId order.
-        let open: Vec<ConnId> = self.sessions.conns.keys().copied().collect();
+        let open: Vec<ConnId> = self.probes.keys().copied().collect();
         for conn in open {
-            if let Some(p) = self.sessions.conns.get_mut(&conn) {
+            if let Some(p) = self.probes.get_mut(&conn) {
                 if p.record.hello.is_none() {
                     p.record.outcome = ConnOutcome::Open;
                 }
@@ -1045,5 +788,12 @@ impl Host for NodeFinder {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         self.apply_state(bytes)
+    }
+}
+
+/// Send `frames` on `conn`, in order.
+fn send(ctx: &mut Ctx, conn: ConnId, frames: Vec<Vec<u8>>) {
+    for f in frames {
+        ctx.tcp_send(conn, f);
     }
 }

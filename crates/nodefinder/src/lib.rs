@@ -10,10 +10,11 @@
 //!    collect the DEVp2p HELLO, the Ethereum STATUS, and the DAO-fork
 //!    check (one `GET_BLOCK_HEADERS` for block 1,920,000) — at most three
 //!    message exchanges — then disconnects to free the peer's slot.
-//! 3. **Static re-dials.** Every node that ever answered a dynamic dial
-//!    joins a StaticNodes list re-dialed on a fixed interval (30 minutes
-//!    in the paper) to track liveness and churn; stale addresses (no
-//!    successful TCP in 24h) are dropped.
+//! 3. **Static re-dials.** Every node that ever answered a probe — a
+//!    dial's or an incoming connection's, at that connection's source
+//!    address — joins a StaticNodes list re-dialed on a fixed interval
+//!    (30 minutes in the paper) to track liveness and churn; stale
+//!    addresses (no answer in 24h) are dropped.
 //! 4. **Structured logging.** Every connection logs timestamp, node id,
 //!    ip/port, connection type (dynamic/static/incoming), socket sRTT,
 //!    duration, and the decoded HELLO/STATUS/DISCONNECT payloads.
@@ -26,12 +27,14 @@
 //! [`fn@sanitize`] implements §5.4's five-step filter that strips
 //! abusive node-ID spammers from the dataset.
 //!
-//! Since the pipeline refactor the crawl is organized as five explicit
-//! stages — discover → dial → handshake → status → ingest ([`Stage`]) —
-//! with the live sessions owned by `session::SessionManager` and full
-//! checkpoint/restore (the `NFND` snapshot section) in `checkpoint`:
-//! a run snapshotted at T and resumed produces byte-identical artifacts
-//! to one that never stopped.
+//! The crawl is organized as five explicit stages — discover → dial →
+//! handshake → status → ingest ([`Stage`]). Who is dialed, when and as
+//! what is one state machine with no I/O, [`DialPolicy`]: the dial
+//! queue, the static list, the penalty box and the dial slots. The
+//! `crawler` module is the wire adapter around it, and `checkpoint`
+//! writes and reads the `NFND` snapshot section: a run snapshotted at T
+//! and resumed produces byte-identical artifacts to one that never
+//! stopped.
 #![forbid(unsafe_code)]
 
 mod backoff;
@@ -39,6 +42,7 @@ mod checkpoint;
 mod crawler;
 mod datastore;
 mod log;
+mod policy;
 mod sanitize;
 mod session;
 mod stages;
@@ -50,5 +54,6 @@ pub use log::{
     ConnLog, ConnOutcome, ConnType, CrawlLog, DialEvent, DialEventKind, FailureClass, HelloInfo,
     StatusInfo,
 };
+pub use policy::{DialPolicy, Sighting};
 pub use sanitize::{sanitize, SanitizeParams, SanitizeReport};
 pub use stages::Stage;

@@ -1,30 +1,21 @@
-//! Live probe/session ownership and dial-slot accounting.
+//! One live probe: a TCP connection the crawler opened or accepted, and
+//! the log entry it accumulates until `finish_probe` ingests it.
 //!
-//! Everything with an open socket lives here: the [`SessionManager`]
-//! owns the probe table (one `Probe` per TCP connection, keyed by its
-//! `ConnId`), the dynamic dial-slot count that the
-//! scheduler budgets against, and the penalty box that decides when a
-//! failing endpoint may be dialed again.
-//!
-//! Centralizing the accounting closes a real bug: the dial-slot count
-//! used to be decremented with `saturating_sub`, so a double decrement —
-//! say a probe finalized twice on two different code paths — would
-//! silently clamp at zero and quietly *raise* effective dial concurrency
-//! above `max_active_dials` forever after. [`SessionManager::end_dial`]
-//! is now the only decrement site and it is checked: an underflow is
-//! counted, exported as the `crawler.dialing_underflow` obs counter, and
-//! asserted zero by the tier-1 determinism suites.
+//! The crawler keeps its probes in a `BTreeMap<ConnId, Probe>`; which
+//! node gets a probe, and the dial slots the dynamic ones hold, is the
+//! `policy` module's business.
 
-use crate::backoff::{BackoffPolicy, PenaltyBox};
-use crate::log::{ConnLog, ConnType};
+use crate::log::{ConnLog, ConnOutcome, ConnType, FailureClass};
+use crate::stages::window_elapsed;
+use enode::NodeId;
 use ethcrypto::secp256k1::SecretKey;
 use ethpop::PeerConn;
-use netsim::ConnId;
+use netsim::HostAddr;
 use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::collections::BTreeMap;
 
 /// One in-flight probe: the protocol connection plus the log entry being
 /// accumulated for it.
+#[derive(Debug)]
 pub(crate) struct Probe {
     pub(crate) pc: PeerConn,
     pub(crate) conn_type: ConnType,
@@ -40,6 +31,78 @@ pub(crate) struct Probe {
 }
 
 impl Probe {
+    /// A probe of `pc` to or from `peer`, opened at `now_ms`. Its log
+    /// entry starts with what is known before the handshake — the peer's
+    /// id if we dialed it — and the outcome should nothing more happen.
+    pub(crate) fn new(
+        pc: PeerConn,
+        conn_type: ConnType,
+        instance: u32,
+        node_id: Option<NodeId>,
+        peer: HostAddr,
+        now_ms: u64,
+        deadline_ms: u64,
+    ) -> Probe {
+        let incoming = conn_type == ConnType::Incoming;
+        Probe {
+            pc,
+            conn_type,
+            record: ConnLog {
+                instance,
+                ts_ms: now_ms,
+                node_id,
+                ip: peer.ip,
+                port: peer.port,
+                conn_type,
+                latency_ms: 0,
+                duration_ms: 0,
+                hello: None,
+                status: None,
+                dao_fork: None,
+                outcome: if incoming {
+                    ConnOutcome::HandshakeFailed
+                } else {
+                    ConnOutcome::DialFailed
+                },
+                failure: None,
+            },
+            awaiting_dao: false,
+            connected: incoming,
+            deadline_ms,
+            stage_start_ms: now_ms,
+        }
+    }
+
+    /// Close the current handshake stage's latency span `span` and begin
+    /// the next stage, due by `deadline_ms`.
+    pub(crate) fn next_stage(&mut self, span: &str, now_ms: u64, deadline_ms: u64) {
+        let conn = obs::Value::U64(self.pc.conn as u64);
+        obs::span(span, self.stage_start_ms, &[("conn", conn)]);
+        self.stage_start_ms = now_ms;
+        self.deadline_ms = deadline_ms;
+    }
+
+    /// Why this probe is overdue at `now_ms`, if it is: past its stage
+    /// deadline (classified by how far it got) or past `probe_timeout_ms`
+    /// in all. Both windows are half-open.
+    pub(crate) fn overdue(&self, now_ms: u64, probe_timeout_ms: u64) -> Option<FailureClass> {
+        let over_stage = now_ms >= self.deadline_ms;
+        if !over_stage && !window_elapsed(now_ms, self.record.ts_ms, probe_timeout_ms) {
+            return None;
+        }
+        Some(if !over_stage {
+            FailureClass::ProbeTimeout
+        } else if !self.connected {
+            FailureClass::ConnectTimeout
+        } else if self.pc.peer_id.is_none() {
+            FailureClass::HandshakeTimeout
+        } else if self.record.hello.is_none() {
+            FailureClass::HelloTimeout
+        } else {
+            FailureClass::StatusTimeout
+        })
+    }
+
     /// Append the probe (wire state, then the log entry in progress and
     /// the stage bookkeeping) to a snapshot.
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
@@ -67,79 +130,6 @@ impl Probe {
     }
 }
 
-/// Owner of all live sessions: probe table, dial slots, penalty box.
-pub struct SessionManager {
-    pub(crate) conns: BTreeMap<ConnId, Probe>,
-    pub(crate) penalty: PenaltyBox,
-    dialing: usize,
-    underflows: u64,
-}
-
-impl std::fmt::Debug for SessionManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionManager")
-            .field("conns", &self.conns.len())
-            .field("dialing", &self.dialing)
-            .field("underflows", &self.underflows)
-            .field("penalty_tracked", &self.penalty.tracked())
-            .finish()
-    }
-}
-
-impl SessionManager {
-    /// An empty manager with a penalty box built from the crawler's
-    /// backoff policy.
-    pub fn new(policy: BackoffPolicy, threshold: u32, box_ms: u64) -> SessionManager {
-        SessionManager {
-            conns: BTreeMap::new(),
-            penalty: PenaltyBox::new(policy, threshold, box_ms),
-            dialing: 0,
-            underflows: 0,
-        }
-    }
-
-    /// Claim a dynamic dial slot.
-    pub fn begin_dial(&mut self) {
-        self.dialing += 1;
-    }
-
-    /// Release a dynamic dial slot — checked. An underflow (more releases
-    /// than claims) is counted and exported instead of silently clamped,
-    /// so a double-finalize bug shows up in every artifact rather than as
-    /// a slow concurrency leak.
-    pub fn end_dial(&mut self) {
-        match self.dialing.checked_sub(1) {
-            Some(d) => self.dialing = d,
-            None => {
-                self.underflows += 1;
-                obs::counter_add("crawler.dialing_underflow", 1);
-            }
-        }
-    }
-
-    /// Dynamic dials currently in flight.
-    pub fn dialing(&self) -> usize {
-        self.dialing
-    }
-
-    /// How many dial-slot releases found no slot to release (monotone;
-    /// zero in a correct crawler).
-    pub fn dialing_underflows(&self) -> u64 {
-        self.underflows
-    }
-
-    /// Open sessions (live probes).
-    pub fn open_conns(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Overwrite the slot/underflow counters from a checkpoint.
-    pub(crate) fn restore_counters(&mut self, dialing: usize, underflows: u64) {
-        self.dialing = dialing;
-        self.underflows = underflows;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,29 +142,5 @@ mod tests {
     fn a_probe_stays_small_inline() {
         let size = std::mem::size_of::<Probe>();
         assert!(size <= 768, "Probe is {size} B inline");
-    }
-
-    #[test]
-    fn end_dial_underflow_is_counted_not_clamped() {
-        let mut s = SessionManager::new(BackoffPolicy::default(), 4, 600_000);
-        s.begin_dial();
-        s.begin_dial();
-        s.end_dial();
-        s.end_dial();
-        assert_eq!(s.dialing(), 0);
-        assert_eq!(s.dialing_underflows(), 0, "balanced pairs are clean");
-        s.end_dial();
-        assert_eq!(s.dialing(), 0, "count stays at zero");
-        assert_eq!(s.dialing_underflows(), 1, "but the underflow is visible");
-        s.begin_dial();
-        assert_eq!(s.dialing(), 1, "later accounting is unaffected");
-    }
-
-    #[test]
-    fn restore_counters_round_trip() {
-        let mut s = SessionManager::new(BackoffPolicy::default(), 4, 600_000);
-        s.restore_counters(3, 1);
-        assert_eq!(s.dialing(), 3);
-        assert_eq!(s.dialing_underflows(), 1);
     }
 }

@@ -184,8 +184,8 @@ proptest! {
             prop_assert_eq!(a.is_blocked(&r.id, now), b.is_blocked(&r.id, now));
             prop_assert_eq!(a.failures(&r.id), b.failures(&r.id));
             prop_assert_eq!(a.boxed_now(now), b.boxed_now(now));
-            prop_assert_eq!(a.export_entries(), b.export_entries());
             prop_assert_eq!(a.next_due_ms(), b.next_due_ms());
+            prop_assert_eq!(&a, &b);
         }
     }
 }
