@@ -430,8 +430,7 @@ fn run_case_study(scale: Scale) -> CaseStudy {
         } else {
             NodeProfile::geth(key, "Geth/v1.7.3-stable/case-study".into(), chain)
         };
-        let mut node = EthNode::new(profile, world.bootstrap.clone());
-        node.sample_peers = true;
+        let node = EthNode::new(profile, world.bootstrap.clone()).sampling_peers();
         let last_octet = 1 + u8::from(parity);
         start_host(&mut world, [192, 17, 90, last_octet], UIUC, Box::new(node))
     };

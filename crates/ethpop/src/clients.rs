@@ -1,9 +1,10 @@
 //! Node profiles: everything that parameterizes one behavioral node.
 
-use devp2p::Capability;
+use devp2p::{Capability, Hello, P2P_VERSION};
+use discv4::Config as DiscConfig;
 use enode::NodeId;
 use ethcrypto::secp256k1::SecretKey;
-use ethwire::Chain;
+use ethwire::{Chain, Status};
 use kad::Metric;
 use std::rc::Rc;
 
@@ -254,6 +255,39 @@ impl NodeProfile {
             TxBroadcast::SqrtPeers => (n as f64).sqrt().ceil() as usize,
         }
     }
+
+    /// Discovery's defaults with this profile's distance metric.
+    pub(crate) fn disc_config(&self) -> DiscConfig {
+        DiscConfig {
+            metric: self.metric,
+            ..DiscConfig::default()
+        }
+    }
+
+    /// The HELLO this node sends, announcing `listen_port`.
+    pub(crate) fn hello(&self, listen_port: u16) -> Hello {
+        Hello {
+            p2p_version: P2P_VERSION,
+            client_id: self.client_id.clone(),
+            capabilities: self.capabilities.to_vec(),
+            listen_port,
+            node_id: self.node_id(),
+        }
+    }
+
+    /// The STATUS this node sends, if it serves eth.
+    pub(crate) fn status(&self) -> Option<Status> {
+        match &self.service {
+            ServiceKind::Eth { chain } => Some(Status {
+                protocol_version: 63,
+                network_id: chain.config.network_id,
+                total_difficulty: chain.total_difficulty(),
+                best_hash: chain.best_hash(),
+                genesis_hash: chain.config.genesis_hash,
+            }),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -300,6 +334,23 @@ mod tests {
         }
         assert!(p.identity_rotation_ms.is_some());
         assert!(p.client_id.starts_with("ethereumjs"));
+    }
+
+    #[test]
+    fn our_status_reflects_chain() {
+        let chain = Chain::new(ChainConfig::mainnet(), 1000);
+        let p = NodeProfile::geth(key(), "Geth/test".into(), chain.clone());
+        let st = p.status().expect("eth node has a status");
+        assert_eq!(st.network_id, 1);
+        assert_eq!(st.genesis_hash, ethwire::MAINNET_GENESIS);
+        assert_eq!(st.best_hash, chain.best_hash());
+        assert_eq!(st.total_difficulty, chain.total_difficulty());
+    }
+
+    #[test]
+    fn light_and_other_nodes_have_no_status() {
+        let light = NodeProfile::light(key(), "les".into(), Capability::new("les", 2));
+        assert!(light.status().is_none());
     }
 
     #[test]

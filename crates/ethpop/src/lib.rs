@@ -24,11 +24,13 @@
 mod clients;
 mod node;
 mod releases;
+mod stats;
 mod wire;
 pub mod world;
 
 pub use clients::{NodeProfile, ServiceKind};
-pub use node::{EthNode, NodeStats};
+pub use node::EthNode;
 pub use releases::{is_stable_build, parse_client_id};
+pub use stats::NodeStats;
 pub use wire::{PeerConn, WireEvent};
 pub use world::{World, WorldConfig};

@@ -83,7 +83,7 @@ pub struct PeerConn {
     /// Authenticated peer id (after RLPx).
     pub peer_id: Option<NodeId>,
     /// When the dial/accept happened (caller's clock, ms).
-    pub opened_at_ms: u64,
+    opened_at_ms: u64,
 }
 
 impl PeerConn {
@@ -135,19 +135,6 @@ impl PeerConn {
     /// Whether the connection is dead.
     pub fn is_dead(&self) -> bool {
         self.stage == Stage::Dead
-    }
-
-    /// Negotiated capabilities (empty before HELLO).
-    pub fn shared_capabilities(&self) -> &[SharedCapability] {
-        self.session
-            .as_ref()
-            .map(|s| s.shared_capabilities())
-            .unwrap_or(&[])
-    }
-
-    /// The peer's HELLO (after the exchange).
-    pub fn remote_hello(&self) -> Option<&Hello> {
-        self.session.as_ref().and_then(|s| s.remote_hello())
     }
 
     /// Heap this connection holds outside its own struct: the boxed

@@ -24,6 +24,9 @@ pub(super) struct Probe {
     pub(super) echo: bool,
     /// Bytes to send once a TCP conn establishes.
     pub(super) tcp_payload: Option<Vec<u8>>,
+    /// A timer to arm at start, due this many ms later; when it fires
+    /// the probe sends `udp_target` a datagram.
+    pub(super) timer_ms: Option<u64>,
 }
 
 impl Probe {
@@ -35,6 +38,7 @@ impl Probe {
             tcp_target: None,
             echo: false,
             tcp_payload: None,
+            timer_ms: None,
         }
     }
     fn logit(&self, s: String) {
@@ -64,6 +68,9 @@ impl Host for Probe {
         if let Some(t) = self.tcp_target {
             let conn = ctx.tcp_connect(t);
             self.logit(format!("dial conn={conn}"));
+        }
+        if let Some(ms) = self.timer_ms {
+            ctx.set_timer(ms, 0);
         }
     }
     fn on_udp(&mut self, ctx: &mut Ctx, from: HostAddr, datagram: &[u8]) {
@@ -95,6 +102,9 @@ impl Host for Probe {
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         self.logit(format!("timer@{} token={token}", ctx.now_ms));
+        if let Some(t) = self.udp_target {
+            ctx.send_udp(t, b"late".to_vec());
+        }
     }
     fn on_stop(&mut self, ctx: &mut Ctx) {
         self.logit(format!("stop@{}", ctx.now_ms));
@@ -234,17 +244,37 @@ fn tcp_connect_to_dead_or_unreachable_fails() {
     assert!(log2.borrow().iter().any(|l| l.starts_with("a connfail@")));
 }
 
+/// A stopped host hears nothing: not its own timer that falls due after
+/// the stop, not a datagram its peer sends it then, not the close of its
+/// connection (the peer does hear that).
 #[test]
 fn stop_closes_connections_and_drops_timers() {
     let log: Log = Rc::default();
     let mut a = Probe::new("a", log.clone());
     a.tcp_target = Some(addr(2));
-    let mut sim = pair(a, Probe::new("b", log.clone()), [true; 2]);
+    a.udp_target = Some(addr(2));
+    a.timer_ms = Some(8_000);
+    let mut b = Probe::new("b", log.clone());
+    b.timer_ms = Some(10_000);
+    let mut sim = pair(a, b, [true; 2]);
     sim.schedule_stop(1, 5_000);
     sim.run_until(20_000);
-    let log = log.borrow();
-    assert!(log.iter().any(|l| l == "b stop@5000"), "{log:?}");
-    assert!(log.iter().any(|l| l.starts_with("a closed@")), "{log:?}");
+    assert_eq!(
+        *log.borrow(),
+        [
+            "a start@0",
+            "a dial conn=0",
+            "b start@0",
+            "b udp@15 from 10.0.0.1:30303 len=5",
+            "b incoming@15",
+            "a connected@30 rtt=30",
+            "b stop@5000",
+            "a closed@5015",
+            "a timer@8000 token=0",
+        ]
+    );
+    // Dropped: a's "late" datagram to the stopped b.
+    assert_eq!(sim.udp_counters().1, 1);
     assert!(!sim.is_alive(1));
 }
 

@@ -81,6 +81,12 @@ pub enum TcpEvent {
 
 /// Behaviour attached to a simulated host. Implementations hold the
 /// protocol state machines and pump bytes through them.
+///
+/// Only `on_start` reaches a stopped host (one never started, or stopped
+/// since): the engine drops a datagram, a stream event or a timer that
+/// falls due while its host is down, so `on_udp`, `on_tcp`, `on_timer`
+/// and `on_stop` run only between an `on_start` and the next `on_stop`.
+/// A timer armed before a stop that falls due after a restart does fire.
 pub trait Host {
     /// The host came online (initial start or churn restart).
     fn on_start(&mut self, ctx: &mut Ctx);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Non-blank lines of Rust per crate, src/ and tests/ apart, then scripts/
-# and the total: the "Counts" paragraph of a CHANGES.md entry in one
-# command.
+# and the total, then every .rs file under crates/ and src/ over 800
+# lines (`wc -l`, largest first): the "Counts" paragraph of a CHANGES.md
+# entry in one command. It gates nothing.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,3 +23,7 @@ done
 scripts=$(count scripts)
 printf '%-14s %7d\n' scripts/ "$scripts"
 printf '%-14s %7d\n' total $((total + scripts))
+
+echo "files over 800 lines:"
+find crates src -name '*.rs' -type f -exec wc -l {} + |
+    awk '$2 != "total" && $1 > 800' | sort -rn
